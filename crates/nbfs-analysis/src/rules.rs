@@ -48,7 +48,7 @@ const VERTEX_IDENTS: [&str; 16] = [
 /// Collective operations every rank must reach together (NBFS006). The
 /// `.method(` forms are the threaded runtime's surface; the free-function
 /// forms are the BSP collectives the engines call.
-const COLLECTIVE_TOKENS: [&str; 12] = [
+const COLLECTIVE_TOKENS: [&str; 10] = [
     ".barrier()",
     ".gather_bytes(",
     ".broadcast_bytes(",
@@ -58,8 +58,6 @@ const COLLECTIVE_TOKENS: [&str; 12] = [
     "allgather_words_into(",
     "allgather_words_codec_into(",
     "allgatherv_u32_codec(",
-    "alltoallv(",
-    "alltoallv_into(",
     "alltoallv_pairs_codec_into(",
 ];
 
@@ -630,7 +628,7 @@ mod tests {
         // Definitions are not call sites.
         assert!(codes(
             "crates/x/src/m.rs",
-            "pub fn alltoallv(w: &W) { body(w); }\n"
+            "pub fn alltoallv_pairs_codec_into(w: &W) { body(w); }\n"
         )
         .is_empty());
         // Non-rank conditions do not guard.

@@ -36,8 +36,10 @@ fn bench(c: &mut Criterion) {
         ("pure_bottom_up", SwitchPolicy::always_bottom_up()),
     ];
     for (label, policy) in cases {
-        let scenario =
-            Scenario::new(machine.clone(), OptLevel::ShareAll).with_switch_policy(policy);
+        let scenario = Scenario::builder(machine.clone(), OptLevel::ShareAll)
+            .switch_policy(policy)
+            .build()
+            .unwrap();
         group.bench_with_input(BenchmarkId::new("policy", label), &scenario, |b, s| {
             b.iter(|| scenarios::run_scenario(g, s))
         });

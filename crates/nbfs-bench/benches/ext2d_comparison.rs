@@ -1,6 +1,6 @@
-//! Extension bench: the executing 2-D engine vs the 1-D engines
-//! (paper §V / Buluc & Madduri \[11\]) — pinned top-down for the exchange
-//! comparison, plus both hybrids under the default Beamer policy.
+//! Extension bench: the executing 2-D engine vs the 1-D engine
+//! (paper §V / Buluc & Madduri \[11\]) — both hybrids under the default
+//! Beamer policy, plus the 2-D engine pinned top-down.
 
 // Test code opts back into unwrap/narrowing ergonomics; the workspace
 // denies both in library targets (see [workspace.lints] in Cargo.toml).
@@ -8,7 +8,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use nbfs_bench::scenarios::{self, BenchConfig};
 use nbfs_core::direction::SwitchPolicy;
-use nbfs_core::engine::{DistributedBfs, Scenario, TdStrategy};
+use nbfs_core::engine::{DistributedBfs, Scenario};
 use nbfs_core::engine2d::TwoDimBfs;
 use nbfs_core::opt::OptLevel;
 
@@ -22,18 +22,14 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("ext2d_comparison");
     group.sample_size(10);
 
-    let scenario_1d = Scenario::new(machine.clone(), OptLevel::ShareAll)
-        .with_switch_policy(SwitchPolicy::always_top_down())
-        .with_td_strategy(TdStrategy::Alltoallv);
-    let engine_1d = DistributedBfs::new(g, &scenario_1d);
-    group.bench_function("top_down_1d_alltoallv", |b| b.iter(|| engine_1d.run(root)));
-
     let scenario_hybrid = Scenario::new(machine.clone(), OptLevel::ShareAll);
     let engine_hybrid = DistributedBfs::new(g, &scenario_hybrid);
     group.bench_function("hybrid_1d", |b| b.iter(|| engine_hybrid.run(root)));
 
-    let scenario_2d_td = Scenario::new(machine.clone(), OptLevel::ShareAll)
-        .with_switch_policy(SwitchPolicy::always_top_down());
+    let scenario_2d_td = Scenario::builder(machine.clone(), OptLevel::ShareAll)
+        .switch_policy(SwitchPolicy::always_top_down())
+        .build()
+        .unwrap();
     let engine_2d_td = TwoDimBfs::new(g, &scenario_2d_td);
     group.bench_function("top_down_2d", |b| b.iter(|| engine_2d_td.run(root)));
 

@@ -23,8 +23,10 @@ fn bench(c: &mut Criterion) {
         ("ppn8_bind", 8, PlacementPolicy::BindToSocket),
     ];
     for (label, ppn, policy) in cases {
-        let scenario =
-            Scenario::new(machine.clone(), OptLevel::OriginalPpn8).with_placement(ppn, policy);
+        let scenario = Scenario::builder(machine.clone(), OptLevel::OriginalPpn8)
+            .placement(ppn, policy)
+            .build()
+            .unwrap();
         group.bench_with_input(BenchmarkId::new("policy", label), &scenario, |b, s| {
             b.iter(|| scenarios::run_scenario(g, s))
         });

@@ -21,8 +21,10 @@ fn bench(c: &mut Criterion) {
         ("ppn1_interleave", 1, PlacementPolicy::Interleave),
         ("ppn8_bind", 8, PlacementPolicy::BindToSocket),
     ] {
-        let scenario =
-            Scenario::new(machine.clone(), OptLevel::OriginalPpn8).with_placement(ppn, policy);
+        let scenario = Scenario::builder(machine.clone(), OptLevel::OriginalPpn8)
+            .placement(ppn, policy)
+            .build()
+            .unwrap();
         let engine = DistributedBfs::new(g, &scenario);
         group.bench_function(label, |b| b.iter(|| engine.run(root).profile.total()));
     }

@@ -74,7 +74,10 @@ pub fn hybrid_vs_pure(cfg: &BenchConfig) -> FigureReport {
 
     // End-to-end comparison on the simulated 64-core node.
     let teps_with = |policy: SwitchPolicy| {
-        let s = Scenario::new(machine.clone(), OptLevel::OriginalPpn8).with_switch_policy(policy);
+        let s = Scenario::builder(machine.clone(), OptLevel::OriginalPpn8)
+            .switch_policy(policy)
+            .build()
+            .expect("preset machines validate");
         run_scenario(g, &s).1
     };
     let hy = teps_with(SwitchPolicy::default());

@@ -4,18 +4,26 @@
 use nbfs_core::engine::{DistributedBfs, Scenario};
 use nbfs_core::opt::OptLevel;
 use nbfs_core::profile::Phase;
-use nbfs_topology::{presets, PlacementPolicy};
+use nbfs_topology::{presets, MachineConfig, PlacementPolicy};
 
 use crate::figures::{ratio_cell, teps_cell};
 use crate::report::FigureReport;
 use crate::scenarios::{best_root, graph, run_scenario, BenchConfig};
 
+/// The `Original` code under an explicit `mpirun`/`numactl` flag
+/// combination (Figs. 10 and 11).
+fn placed(machine: &MachineConfig, ppn: usize, policy: PlacementPolicy) -> Scenario {
+    Scenario::builder(machine.clone(), OptLevel::OriginalPpn8)
+        .placement(ppn, policy)
+        .build()
+        .expect("preset machines validate")
+}
+
 /// Fig. 3 — speedup on 1 core, 8 cores (one socket) and 64 cores (eight
 /// sockets, interleaved vs bound).
 pub fn fig3(cfg: &BenchConfig) -> FigureReport {
     let g = graph(cfg.base_scale);
-    let scaled =
-        |m: nbfs_topology::MachineConfig| m.scaled_to_graph(cfg.base_scale, cfg.paper_base_scale);
+    let scaled = |m: MachineConfig| m.scaled_to_graph(cfg.base_scale, cfg.paper_base_scale);
     let one_socket = |cores: usize| {
         scaled(
             presets::xeon_x7550_node()
@@ -79,16 +87,13 @@ pub fn fig10(cfg: &BenchConfig) -> FigureReport {
     let mut rows: Vec<(String, f64)> = Vec::new();
     for ppn in [1usize, 2, 4, 8] {
         for policy in [PlacementPolicy::Noflag, PlacementPolicy::Interleave] {
-            let s =
-                Scenario::new(machine.clone(), OptLevel::OriginalPpn8).with_placement(ppn, policy);
             rows.push((
                 format!("ppn={ppn}.{}", policy.label()),
-                run_scenario(g, &s).1,
+                run_scenario(g, &placed(&machine, ppn, policy)).1,
             ));
         }
     }
-    let s = Scenario::new(machine.clone(), OptLevel::OriginalPpn8)
-        .with_placement(8, PlacementPolicy::BindToSocket);
+    let s = placed(&machine, 8, PlacementPolicy::BindToSocket);
     rows.push(("ppn=8.bind-to-socket".into(), run_scenario(g, &s).1));
 
     let best = rows.iter().map(|r| r.1).fold(f64::NEG_INFINITY, f64::max);
@@ -121,8 +126,9 @@ pub fn fig11(cfg: &BenchConfig) -> FigureReport {
     let root = best_root(g);
 
     let profile = |ppn, policy| {
-        let s = Scenario::new(machine.clone(), OptLevel::OriginalPpn8).with_placement(ppn, policy);
-        DistributedBfs::new(g, &s).run(root).profile
+        DistributedBfs::new(g, &placed(&machine, ppn, policy))
+            .run(root)
+            .profile
     };
     let inter = profile(1, PlacementPolicy::Interleave);
     let bind = profile(8, PlacementPolicy::BindToSocket);

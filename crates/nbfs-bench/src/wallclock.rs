@@ -99,7 +99,7 @@ impl Default for SnapshotConfig {
 /// top-down phase to the comparison (per-phase seconds and level counts,
 /// `top_down_speedup`) and made the reader version-strict. Version 3 added
 /// the `collective_volume` section: per-codec Fig. 11 collective byte
-/// totals on the multi-node cluster (Compression & Sieve). Version 4 added
+/// totals on the multi-node cluster. Version 4 added
 /// the `multi_query` section: sustained queries/sec and p50/p99 latency of
 /// the bit-parallel multi-source engine against a sequential single-source
 /// baseline. Version 5 added the `two_dim` section: a weak-scaling GTEPS
@@ -160,13 +160,13 @@ pub struct KernelTiming {
 /// every collective sample (per-level plus the terminal allreduce).
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct CodecVolume {
-    /// Codec label (`raw`, `delta-varint`, `word-rle`, `sieve`).
+    /// Codec label (`raw`, `delta-varint`).
     pub codec: String,
     /// Bytes the same exchanges would have moved uncompressed.
     pub raw_bytes: u64,
-    /// Bytes actually charged to the wire (encoded, post-sieve).
+    /// Bytes actually charged to the wire (encoded).
     pub wire_bytes: u64,
-    /// Shared-memory bytes actually charged (encoded, post-sieve).
+    /// Shared-memory bytes actually charged (encoded).
     pub shm_bytes: u64,
     /// `raw run's wire_bytes / this run's wire_bytes` — the headline
     /// cross-run reduction (1.0 for the raw row).
@@ -272,7 +272,7 @@ pub struct TwoDimRow {
 /// 1-D parents bit for bit.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct TwoDimCodecRow {
-    /// Codec label (`raw`, `delta-varint`, `word-rle`, `sieve`).
+    /// Codec label (`raw`, `delta-varint`).
     pub codec: String,
     /// Parents bit-identical to the 1-D reference run.
     pub identical_results: bool,
@@ -416,9 +416,11 @@ fn measure_collective_volume(graph: &Csr, cfg: &SnapshotConfig) -> CollectiveVol
     let mut raw_wire = 0u64;
     let mut per_codec = Vec::with_capacity(Codec::ALL.len());
     for codec in Codec::ALL {
-        let scenario = Scenario::new(machine.clone(), opt)
-            .with_trace(TraceConfig::Standard)
-            .with_codec(codec);
+        let scenario = Scenario::builder(machine.clone(), opt)
+            .trace(TraceConfig::Standard)
+            .codec(codec)
+            .build()
+            .expect("preset machines validate");
         let (run, report) = DistributedBfs::new(graph, &scenario).run_traced(root);
         let identical = match &raw_parent {
             None => {
@@ -562,11 +564,13 @@ fn measure_two_dim(cfg: &SnapshotConfig) -> TwoDimBench {
         // parents.
         if step == 0 {
             for codec in Codec::ALL {
-                let coded = Scenario::new(
+                let coded = Scenario::builder(
                     MachineConfig::small_test_cluster(nodes, sockets).scaled_to_graph(scale, 28),
                     opt,
                 )
-                .with_codec(codec);
+                .codec(codec)
+                .build()
+                .expect("preset machines validate");
                 let run = TwoDimBfs::with_grid(&packed, &coded, nodes, sockets).run(root);
                 let identical = run.parent == reference.parent;
                 assert!(
@@ -952,10 +956,10 @@ mod tests {
         }
         // The codec section: raw row first with ratio 1.0, every codec
         // bit-identical to raw, and raw-byte accounting independent of
-        // which codec ran (the hybrid ladder here never sieves records
-        // away, so all four runs describe the same uncompressed volume).
+        // which codec ran (every run describes the same uncompressed
+        // volume).
         let vol = &snap.collective_volume;
-        assert_eq!(vol.per_codec.len(), 4);
+        assert_eq!(vol.per_codec.len(), Codec::ALL.len());
         assert_eq!(vol.per_codec[0].codec, "raw");
         assert!((vol.per_codec[0].wire_reduction_vs_raw - 1.0).abs() < 1e-12);
         for row in &vol.per_codec {
@@ -983,7 +987,7 @@ mod tests {
         assert_eq!(td.ranks, 8, "2 nodes x 4 sockets");
         assert_eq!(td.scales.len(), 2);
         assert_eq!(td.rows.len(), 6, "2 scales x 3 grid shapes");
-        assert_eq!(td.per_codec.len(), 4);
+        assert_eq!(td.per_codec.len(), Codec::ALL.len());
         assert!(
             td.projection.is_none(),
             "projection only at committed scale"

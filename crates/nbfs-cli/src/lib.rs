@@ -36,7 +36,7 @@ use std::path::PathBuf;
 use nbfs_comm::codec::Codec;
 use nbfs_comm::runtime::run_spmd_faulted;
 use nbfs_comm::{FaultPlan, FaultScope, FaultSpec};
-use nbfs_core::engine::{DistributedBfs, Scenario, TdStrategy};
+use nbfs_core::engine::{DistributedBfs, Scenario};
 use nbfs_core::engine2d::TwoDimBfs;
 use nbfs_core::harness::{Graph500Harness, HarnessConfig};
 use nbfs_core::opt::OptLevel;
@@ -73,7 +73,7 @@ pub enum Command {
         /// Edge-list file to inspect.
         path: PathBuf,
     },
-    /// `run [--scale N | --graph FILE] [--nodes N] [--opt NAME] [--root V] [--summary-g G] [--td-alltoallv] [--codec C] [--grid RxC] [--compressed]`
+    /// `run [--scale N | --graph FILE] [--nodes N] [--opt NAME] [--root V] [--summary-g G] [--codec C] [--grid RxC] [--compressed]`
     Run {
         /// Scale to generate (ignored with `--graph`).
         scale: u32,
@@ -88,8 +88,6 @@ pub enum Command {
         /// Summary-bitmap granularity override (Fig. 16 sweep); default is
         /// the opt rung's own granularity.
         summary_g: Option<usize>,
-        /// Use the mpi_simple-style alltoallv top-down.
-        td_alltoallv: bool,
         /// Wire codec for the per-level collectives.
         codec: Codec,
         /// Run the 2-D engine on this processor grid (`RxC` must tile the
@@ -199,13 +197,20 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
     let mut it = args.iter().map(String::as_str);
     let sub = it.next().ok_or_else(|| "missing subcommand".to_string())?;
     let rest: Vec<&str> = it.collect();
-    let flag = |name: &str| -> Option<&str> {
+    // Every flag the subcommand looks up; any other `--flag` on the
+    // command line is rejected once the subcommand has parsed.
+    let known = std::cell::RefCell::new(Vec::new());
+    let flag = |name: &'static str| -> Option<&str> {
+        known.borrow_mut().push(name);
         rest.iter()
             .position(|&a| a == name)
             .and_then(|i| rest.get(i + 1).copied())
     };
-    let has = |name: &str| rest.contains(&name);
-    let num = |name: &str, default: u64| -> Result<u64, String> {
+    let has = |name: &'static str| {
+        known.borrow_mut().push(name);
+        rest.contains(&name)
+    };
+    let num = |name: &'static str, default: u64| -> Result<u64, String> {
         flag(name)
             .map(|v| v.parse().map_err(|e| format!("bad {name}: {e}")))
             .unwrap_or(Ok(default))
@@ -227,7 +232,8 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
         flag("--codec")
             .map(|v| {
                 Codec::parse(v).ok_or_else(|| {
-                    format!("unknown --codec {v} (raw | delta-varint | word-rle | sieve)")
+                    let valid = Codec::ALL.map(Codec::label).join(" | ");
+                    format!("unknown --codec {v} (valid: {valid})")
                 })
             })
             .transpose()
@@ -249,7 +255,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             .transpose()
     };
 
-    Ok(match sub {
+    let cmd = match sub {
         "generate" => Command::Generate {
             scale: num("--scale", 16)? as u32,
             edge_factor: num("--edge-factor", 16)? as usize,
@@ -274,7 +280,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 .map(|v| v.parse().map_err(|e| format!("bad --root: {e}")))
                 .transpose()?,
             summary_g: summary_g()?,
-            td_alltoallv: has("--td-alltoallv"),
             codec: codec()?,
             grid: grid()?,
             compressed: has("--compressed"),
@@ -324,7 +329,20 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
         },
         "--help" | "-h" | "help" => Command::Help,
         other => return Err(format!("unknown subcommand {other}")),
-    })
+    };
+    let mut known = known.into_inner();
+    known.sort_unstable();
+    known.dedup();
+    if let Some(bad) = rest
+        .iter()
+        .find(|a| a.starts_with("--") && !known.contains(a))
+    {
+        return Err(format!(
+            "unknown flag {bad} for `{sub}` (valid: {})",
+            known.join(" ")
+        ));
+    }
+    Ok(cmd)
 }
 
 /// Usage text.
@@ -335,7 +353,7 @@ USAGE:
   nbfs generate --scale N [--edge-factor E] [--seed S] --out FILE
   nbfs info FILE
   nbfs run   [--scale N | --graph FILE] [--nodes N] [--opt OPT] [--root V] [--summary-g G]
-             [--td-alltoallv] [--codec CODEC] [--grid RxC] [--compressed]
+             [--codec CODEC] [--grid RxC] [--compressed]
   nbfs trace [--scale N | --graph FILE] [--nodes N] [--opt OPT] [--root V] [--summary-g G]
              [--codec CODEC] [--grid RxC] [--compressed] [--json PATH]
              (per-level run-event table; --json PATH exports the versioned TraceReport)
@@ -352,12 +370,12 @@ USAGE:
               recoverable cells must reproduce the fault-free BFS parents bit for bit)
 
 OPT: ppn1 | ppn8 | share-in-queue | share-all | par-allgather | best | granularity=G
-CODEC: raw | delta-varint | word-rle | sieve
+CODEC: raw | delta-varint
 --summary-g G overrides the in_queue_summary granularity of any OPT rung
              (Fig. 16 sweep; power of two, multiple of 64; tuned best: 256)
 --codec C    compresses the per-level collective payloads on the wire
-             (Compression & Sieve; every codec reproduces raw's BFS parents
-              bit for bit, only the charged bytes change; default: raw)
+             (every codec reproduces raw's BFS parents bit for bit, only
+              the charged bytes change; default: raw)
 --grid RxC   runs the direction-optimizing 2-D engine on an RxC processor
              grid (R*C must equal nodes x ranks-per-node; parents are bit
              for bit those of the 1-D engine)
@@ -407,17 +425,10 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), String>
             opt,
             root,
             summary_g,
-            td_alltoallv,
             codec,
             grid,
             compressed,
         } => {
-            if grid.is_some() && td_alltoallv {
-                return Err(
-                    "--td-alltoallv selects a 1-D top-down strategy; it cannot combine with --grid"
-                        .into(),
-                );
-            }
             let g = match graph {
                 Some(path) => Csr::from_edge_list(&io::load(&path).map_err(|e| e.to_string())?),
                 None => GraphBuilder::rmat(scale, 16).seed(1).build(),
@@ -425,9 +436,6 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), String>
             let actual_scale = (g.num_vertices() as f64).log2().ceil() as u32;
             let machine = presets::xeon_x7550_cluster(nodes).scaled_to_graph(actual_scale, 28);
             let mut builder = Scenario::builder(machine, opt).codec(codec);
-            if td_alltoallv {
-                builder = builder.td_strategy(TdStrategy::Alltoallv);
-            }
             if let Some(g) = summary_g {
                 builder = builder.summary_granularity(g);
             }
@@ -972,7 +980,7 @@ fn storage_line(dense: &Csr, packed: &CompressedCsr) -> String {
 #[derive(Clone, Debug, Serialize)]
 pub struct ChaosCell {
     /// Communication target (`p2p`, `ring-allgather`, `leader-allgather`,
-    /// `par-allgather`, `alltoallv`).
+    /// `par-allgather`, `ring-allgather+dv`, `query-wave-ring`).
     pub target: String,
     /// Fault kind injected (`drop`, `delay`, …).
     pub kind: String,
@@ -1015,9 +1023,92 @@ fn chaos_plan(seed: u64, kind: FaultKind) -> FaultPlan {
     FaultPlan::new(seed).spec(FaultSpec::new(kind, FaultScope::any()))
 }
 
+/// A `recover` cell: passes when the plan fired (`faults > 0`), the
+/// results were bit-identical to the fault-free run, and a same-seed rerun
+/// reproduced the fault log. `mismatch_msg` names what differed otherwise.
+fn recover_cell(
+    label: &str,
+    kind: FaultKind,
+    identical: bool,
+    deterministic: bool,
+    faults: u64,
+    mismatch_msg: &str,
+) -> ChaosCell {
+    let fired = faults > 0;
+    ChaosCell {
+        target: label.into(),
+        kind: kind.label().into(),
+        expectation: "recover".into(),
+        outcome: if identical && fired {
+            "recovered".into()
+        } else if !fired {
+            "FAIL: plan never fired".into()
+        } else {
+            format!("FAIL: {mismatch_msg}")
+        },
+        faults,
+        identical,
+        deterministic,
+        passed: identical && deterministic && fired,
+    }
+}
+
+/// An `error` cell: passes when the run failed with a structured error
+/// (`outcome` then starts with `structured-error`).
+fn error_cell(
+    label: &str,
+    kind: FaultKind,
+    passed: bool,
+    outcome: String,
+    faults: u64,
+) -> ChaosCell {
+    ChaosCell {
+        target: label.into(),
+        kind: kind.label().into(),
+        expectation: "error".into(),
+        outcome,
+        faults,
+        identical: true,
+        deterministic: true,
+        passed,
+    }
+}
+
+/// One recoverable engine cell: a traced faulted run must reproduce the
+/// fault-free `baseline` parents, and rerun to the identical report.
+fn engine_recover_cell<G: GraphView>(
+    label: &str,
+    kind: FaultKind,
+    faulted: &DistributedBfs<'_, G>,
+    root: usize,
+    baseline: &[u32],
+) -> Result<ChaosCell, String> {
+    Ok(match faulted.try_run_traced(root) {
+        Ok((run, report)) => {
+            let json = report.to_json().map_err(|e| e.to_string())?;
+            let deterministic = match faulted.try_run_traced(root) {
+                Ok((_, second)) => second.to_json().map_err(|e| e.to_string())? == json,
+                Err(_) => false,
+            };
+            recover_cell(
+                label,
+                kind,
+                run.parent == baseline,
+                deterministic,
+                report.faults.len() as u64,
+                "recovered parents differ from fault-free",
+            )
+        }
+        Err(e) => ChaosCell {
+            outcome: format!("FAIL: unexpected error: {e}"),
+            ..recover_cell(label, kind, false, false, 0, "")
+        },
+    })
+}
+
 /// Runs the seeded fault matrix: every [`FaultKind`] against the
 /// point-to-point runtime and each engine in the collective ladder
-/// (ring, leader-based, parallelized allgather, alltoallv top-down).
+/// (ring, leader-based, parallelized allgather).
 ///
 /// Recoverable cells must reproduce the fault-free results bit for bit and
 /// the same seed must reproduce the identical fault log; crash cells must
@@ -1035,156 +1126,68 @@ pub fn run_chaos(scale: u32, nodes: usize, seed: u64) -> Result<ChaosReport, Str
     for kind in FaultKind::ALL {
         let plan = chaos_plan(seed, kind);
         let out = run_spmd_faulted(world, &plan, ring);
-        let cell = if kind == FaultKind::Crash {
+        let faults = out.faults.len() as u64;
+        cells.push(if kind == FaultKind::Crash {
             let all_structured = out
                 .results
                 .iter()
                 .all(|r| matches!(r, Err(NbfsError::RankFailed { .. })));
-            ChaosCell {
-                target: "p2p".into(),
-                kind: kind.label().into(),
-                expectation: "error".into(),
-                outcome: if all_structured {
-                    "structured-error".into()
-                } else {
-                    "FAIL: expected RankFailed on every rank".into()
-                },
-                faults: out.faults.len() as u64,
-                identical: true,
-                deterministic: true,
-                passed: all_structured,
-            }
+            let outcome = if all_structured {
+                "structured-error"
+            } else {
+                "FAIL: expected RankFailed on every rank"
+            };
+            error_cell("p2p", kind, all_structured, outcome.into(), faults)
         } else {
             let identical = out
                 .results
                 .iter()
                 .all(|r| r.as_ref().map(|v| v == &expect).unwrap_or(false));
             let rerun = run_spmd_faulted(world, &plan, ring);
-            let deterministic = out.faults == rerun.faults;
-            let fired = !out.faults.is_empty();
-            ChaosCell {
-                target: "p2p".into(),
-                kind: kind.label().into(),
-                expectation: "recover".into(),
-                outcome: if identical && fired {
-                    "recovered".into()
-                } else if !fired {
-                    "FAIL: plan never fired".into()
-                } else {
-                    "FAIL: recovered results differ from fault-free".into()
-                },
-                faults: out.faults.len() as u64,
+            recover_cell(
+                "p2p",
+                kind,
                 identical,
-                deterministic,
-                passed: identical && deterministic && fired,
-            }
-        };
-        cells.push(cell);
+                out.faults == rerun.faults,
+                faults,
+                "recovered results differ from fault-free",
+            )
+        });
     }
 
-    // --- engine collectives: one target per allgather family -------------
     let g = GraphBuilder::rmat(scale, 16).seed(1).build();
     let machine = presets::xeon_x7550_cluster(nodes).scaled_to_graph(scale, 28);
     let root = (0..g.num_vertices())
         .max_by_key(|&v| g.degree(v))
         .ok_or("empty graph")?;
-    let targets: [(&str, OptLevel, TdStrategy); 4] = [
-        (
-            "ring-allgather",
-            OptLevel::OriginalPpn8,
-            TdStrategy::SparseAllgather,
-        ),
-        (
-            "leader-allgather",
-            OptLevel::ShareInQueue,
-            TdStrategy::SparseAllgather,
-        ),
-        (
-            "par-allgather",
-            OptLevel::ParAllgather,
-            TdStrategy::SparseAllgather,
-        ),
-        ("alltoallv", OptLevel::ShareAll, TdStrategy::Alltoallv),
-    ];
+    let scenario = |opt: OptLevel, codec: Codec, faults: Option<FaultPlan>| {
+        let mut b = Scenario::builder(machine.clone(), opt)
+            .codec(codec)
+            .trace(TraceConfig::Standard);
+        if let Some(plan) = faults {
+            b = b.faults(plan);
+        }
+        b.build().map_err(|e| e.to_string())
+    };
 
-    for (label, opt, td) in targets {
-        let scenario = |faults: Option<FaultPlan>| -> Result<Scenario, String> {
-            let mut b = Scenario::builder(machine.clone(), opt)
-                .td_strategy(td)
-                .trace(TraceConfig::Standard);
-            if let Some(plan) = faults {
-                b = b.faults(plan);
-            }
-            b.build().map_err(|e| e.to_string())
-        };
-        let baseline = DistributedBfs::new(&g, &scenario(None)?).run(root);
+    // --- engine collectives: one target per allgather family -------------
+    for (label, opt) in [
+        ("ring-allgather", OptLevel::OriginalPpn8),
+        ("leader-allgather", OptLevel::ShareInQueue),
+        ("par-allgather", OptLevel::ParAllgather),
+    ] {
+        let baseline = DistributedBfs::new(&g, &scenario(opt, Codec::Raw, None)?).run(root);
         for kind in FaultKind::ALL {
-            let plan = chaos_plan(seed, kind);
-            let faulted = DistributedBfs::new(&g, &scenario(Some(plan.clone()))?);
-            let cell = if kind == FaultKind::Crash {
+            let faulted_scenario = scenario(opt, Codec::Raw, Some(chaos_plan(seed, kind)))?;
+            let faulted = DistributedBfs::new(&g, &faulted_scenario);
+            cells.push(if kind == FaultKind::Crash {
                 match faulted.try_run_traced(root) {
-                    Err(e) => ChaosCell {
-                        target: label.into(),
-                        kind: kind.label().into(),
-                        expectation: "error".into(),
-                        outcome: format!("structured-error: {e}"),
-                        faults: 0,
-                        identical: true,
-                        deterministic: true,
-                        passed: true,
-                    },
-                    Ok(_) => ChaosCell {
-                        target: label.into(),
-                        kind: kind.label().into(),
-                        expectation: "error".into(),
-                        outcome: "FAIL: crash plan completed".into(),
-                        faults: 0,
-                        identical: true,
-                        deterministic: true,
-                        passed: false,
-                    },
+                    Err(e) => error_cell(label, kind, true, format!("structured-error: {e}"), 0),
+                    Ok(_) => error_cell(label, kind, false, "FAIL: crash plan completed".into(), 0),
                 }
             } else {
-                match faulted.try_run_traced(root) {
-                    Ok((run, report)) => {
-                        let identical = run.parent == baseline.parent;
-                        let json = report.to_json().map_err(|e| e.to_string())?;
-                        let rerun = faulted.try_run_traced(root);
-                        let deterministic = match rerun {
-                            Ok((_, second)) => second.to_json().map_err(|e| e.to_string())? == json,
-                            Err(_) => false,
-                        };
-                        let fired = !report.faults.is_empty();
-                        ChaosCell {
-                            target: label.into(),
-                            kind: kind.label().into(),
-                            expectation: "recover".into(),
-                            outcome: if identical && fired {
-                                "recovered".into()
-                            } else if !fired {
-                                "FAIL: plan never fired".into()
-                            } else {
-                                "FAIL: recovered parents differ from fault-free".into()
-                            },
-                            faults: report.faults.len() as u64,
-                            identical,
-                            deterministic,
-                            passed: identical && deterministic && fired,
-                        }
-                    }
-                    Err(e) => ChaosCell {
-                        target: label.into(),
-                        kind: kind.label().into(),
-                        expectation: "recover".into(),
-                        outcome: format!("FAIL: unexpected error: {e}"),
-                        faults: 0,
-                        identical: false,
-                        deterministic: false,
-                        passed: false,
-                    },
-                }
-            };
-            cells.push(cell);
+                engine_recover_cell(label, kind, &faulted, root, &baseline.parent)?
+            });
         }
     }
 
@@ -1193,69 +1196,18 @@ pub fn run_chaos(scale: u32, nodes: usize, seed: u64) -> Result<ChaosReport, Str
     // duplicate under DeltaVarint exercises the retry path through the
     // decoder. Recoverable cells must match the fault-free run of the
     // same codec — which the equivalence suite separately pins to raw.
-    let codec_targets: [(&str, OptLevel, TdStrategy); 2] = [
-        (
+    let dv = |faults| scenario(OptLevel::OriginalPpn8, Codec::DeltaVarint, faults);
+    let dv_baseline = DistributedBfs::new(&g, &dv(None)?).run(root);
+    for kind in [FaultKind::Drop, FaultKind::Duplicate] {
+        let faulted_scenario = dv(Some(chaos_plan(seed, kind)))?;
+        let faulted = DistributedBfs::new(&g, &faulted_scenario);
+        cells.push(engine_recover_cell(
             "ring-allgather+dv",
-            OptLevel::OriginalPpn8,
-            TdStrategy::SparseAllgather,
-        ),
-        ("alltoallv+dv", OptLevel::ShareAll, TdStrategy::Alltoallv),
-    ];
-    for (label, opt, td) in codec_targets {
-        let scenario = |faults: Option<FaultPlan>| -> Result<Scenario, String> {
-            let mut b = Scenario::builder(machine.clone(), opt)
-                .td_strategy(td)
-                .codec(Codec::DeltaVarint)
-                .trace(TraceConfig::Standard);
-            if let Some(plan) = faults {
-                b = b.faults(plan);
-            }
-            b.build().map_err(|e| e.to_string())
-        };
-        let baseline = DistributedBfs::new(&g, &scenario(None)?).run(root);
-        for kind in [FaultKind::Drop, FaultKind::Duplicate] {
-            let plan = chaos_plan(seed, kind);
-            let faulted = DistributedBfs::new(&g, &scenario(Some(plan.clone()))?);
-            let cell = match faulted.try_run_traced(root) {
-                Ok((run, report)) => {
-                    let identical = run.parent == baseline.parent;
-                    let json = report.to_json().map_err(|e| e.to_string())?;
-                    let rerun = faulted.try_run_traced(root);
-                    let deterministic = match rerun {
-                        Ok((_, second)) => second.to_json().map_err(|e| e.to_string())? == json,
-                        Err(_) => false,
-                    };
-                    let fired = !report.faults.is_empty();
-                    ChaosCell {
-                        target: label.into(),
-                        kind: kind.label().into(),
-                        expectation: "recover".into(),
-                        outcome: if identical && fired {
-                            "recovered".into()
-                        } else if !fired {
-                            "FAIL: plan never fired".into()
-                        } else {
-                            "FAIL: recovered parents differ from fault-free".into()
-                        },
-                        faults: report.faults.len() as u64,
-                        identical,
-                        deterministic,
-                        passed: identical && deterministic && fired,
-                    }
-                }
-                Err(e) => ChaosCell {
-                    target: label.into(),
-                    kind: kind.label().into(),
-                    expectation: "recover".into(),
-                    outcome: format!("FAIL: unexpected error: {e}"),
-                    faults: 0,
-                    identical: false,
-                    deterministic: false,
-                    passed: false,
-                },
-            };
-            cells.push(cell);
-        }
+            kind,
+            &faulted,
+            root,
+            &dv_baseline.parent,
+        )?);
     }
 
     // --- batched query waves: faults during a multi-query batch ----------
@@ -1270,69 +1222,44 @@ pub fn run_chaos(scale: u32, nodes: usize, seed: u64) -> Result<ChaosReport, Str
         by_degree.truncate(6);
         by_degree
     };
-    let wave_targets: [(&str, OptLevel, TdStrategy); 2] = [
-        (
-            "query-wave-ring",
+    let fault_free = DistributedBfs::new(&g, &scenario(OptLevel::OriginalPpn8, Codec::Raw, None)?);
+    let baseline = QueryEngine::new(DistributedRunBackend::new(&fault_free)).run_batch(&wave_roots);
+    for kind in [FaultKind::Drop, FaultKind::Stall] {
+        let faulted_scenario = scenario(
             OptLevel::OriginalPpn8,
-            TdStrategy::SparseAllgather,
-        ),
-        ("query-wave-a2av", OptLevel::ShareAll, TdStrategy::Alltoallv),
-    ];
-    for (label, opt, td) in wave_targets {
-        let scenario = |faults: Option<FaultPlan>| -> Result<Scenario, String> {
-            let mut b = Scenario::builder(machine.clone(), opt)
-                .td_strategy(td)
-                .trace(TraceConfig::Standard);
-            if let Some(plan) = faults {
-                b = b.faults(plan);
-            }
-            b.build().map_err(|e| e.to_string())
-        };
-        let fault_free = DistributedBfs::new(&g, &scenario(None)?);
-        let baseline =
-            QueryEngine::new(DistributedRunBackend::new(&fault_free)).run_batch(&wave_roots);
-        for kind in [FaultKind::Drop, FaultKind::Stall] {
-            let plan = chaos_plan(seed, kind);
-            let faulted = DistributedBfs::new(&g, &scenario(Some(plan.clone()))?);
-            let service = QueryEngine::new(DistributedTryTracedBackend::new(&faulted));
-            let wave = service.run_batch(&wave_roots);
-            let mut identical = wave.len() == baseline.len();
-            let mut faults = 0u64;
-            let mut logs: Vec<String> = Vec::with_capacity(wave.len());
-            for (result, expected) in wave.iter().zip(&baseline) {
-                match result {
-                    Ok((run, report)) => {
-                        identical &= run.parent == expected.parent;
-                        faults += report.faults.len() as u64;
-                        logs.push(report.to_json().map_err(|e| e.to_string())?);
-                    }
-                    Err(_) => identical = false,
+            Codec::Raw,
+            Some(chaos_plan(seed, kind)),
+        )?;
+        let faulted = DistributedBfs::new(&g, &faulted_scenario);
+        let service = QueryEngine::new(DistributedTryTracedBackend::new(&faulted));
+        let wave = service.run_batch(&wave_roots);
+        let mut identical = wave.len() == baseline.len();
+        let mut faults = 0u64;
+        let mut logs: Vec<String> = Vec::with_capacity(wave.len());
+        for (result, expected) in wave.iter().zip(&baseline) {
+            match result {
+                Ok((run, report)) => {
+                    identical &= run.parent == expected.parent;
+                    faults += report.faults.len() as u64;
+                    logs.push(report.to_json().map_err(|e| e.to_string())?);
                 }
+                Err(_) => identical = false,
             }
-            let rerun = service.run_batch(&wave_roots);
-            let deterministic = rerun.len() == wave.len()
-                && rerun.iter().zip(&logs).all(|(result, log)| match result {
-                    Ok((_, report)) => report.to_json().map(|j| &j == log).unwrap_or(false),
-                    Err(_) => false,
-                });
-            let fired = faults > 0;
-            cells.push(ChaosCell {
-                target: label.into(),
-                kind: kind.label().into(),
-                expectation: "recover".into(),
-                outcome: if identical && fired {
-                    "recovered".into()
-                } else if !fired {
-                    "FAIL: plan never fired".into()
-                } else {
-                    "FAIL: batched answers differ from the fault-free wave".into()
-                },
-                faults,
-                identical,
-                deterministic,
-                passed: identical && deterministic && fired,
-            });
         }
+        let rerun = service.run_batch(&wave_roots);
+        let deterministic = rerun.len() == wave.len()
+            && rerun.iter().zip(&logs).all(|(result, log)| match result {
+                Ok((_, report)) => report.to_json().map(|j| &j == log).unwrap_or(false),
+                Err(_) => false,
+            });
+        cells.push(recover_cell(
+            "query-wave-ring",
+            kind,
+            identical,
+            deterministic,
+            faults,
+            "batched answers differ from the fault-free wave",
+        ));
     }
 
     let passed = cells.iter().all(|c| c.passed);
@@ -1370,22 +1297,14 @@ mod tests {
 
     #[test]
     fn parse_run_flags() {
-        let cmd = parse(&argv(
-            "run --scale 14 --nodes 4 --opt share-all --td-alltoallv",
-        ))
-        .unwrap();
+        let cmd = parse(&argv("run --scale 14 --nodes 4 --opt share-all")).unwrap();
         match cmd {
             Command::Run {
-                scale,
-                nodes,
-                opt,
-                td_alltoallv,
-                ..
+                scale, nodes, opt, ..
             } => {
                 assert_eq!(scale, 14);
                 assert_eq!(nodes, 4);
                 assert_eq!(opt, OptLevel::ShareAll);
-                assert!(td_alltoallv);
             }
             other => panic!("wrong parse: {other:?}"),
         }
@@ -1452,12 +1371,8 @@ mod tests {
             Command::Run { codec, .. } => assert_eq!(codec, Codec::DeltaVarint),
             other => panic!("wrong parse: {other:?}"),
         }
-        match parse(&argv("trace --scale 14 --codec sieve")).unwrap() {
-            Command::Trace { codec, .. } => assert_eq!(codec, Codec::Sieve),
-            other => panic!("wrong parse: {other:?}"),
-        }
-        match parse(&argv("run --scale 14 --codec word-rle")).unwrap() {
-            Command::Run { codec, .. } => assert_eq!(codec, Codec::WordRle),
+        match parse(&argv("trace --scale 14 --codec raw")).unwrap() {
+            Command::Trace { codec, .. } => assert_eq!(codec, Codec::Raw),
             other => panic!("wrong parse: {other:?}"),
         }
         // Default is raw; unknown names are rejected with the option list.
@@ -1465,8 +1380,19 @@ mod tests {
             Command::Run { codec, .. } => assert_eq!(codec, Codec::Raw),
             other => panic!("wrong parse: {other:?}"),
         }
-        let e = parse(&argv("run --codec zstd")).unwrap_err();
-        assert!(e.contains("delta-varint"), "{e}");
+        for name in ["zstd", "sieve", "word-rle"] {
+            let e = parse(&argv(&format!("run --codec {name}"))).unwrap_err();
+            assert!(e.contains(name) && e.contains("raw | delta-varint"), "{e}");
+        }
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected_with_the_valid_list() {
+        let e = parse(&argv("run --scale 10 --td-alltoallv")).unwrap_err();
+        assert!(e.contains("unknown flag --td-alltoallv"), "{e}");
+        assert!(e.contains("--codec") && e.contains("--grid"), "{e}");
+        // A flag of another subcommand is unknown here too.
+        assert!(parse(&argv("tune --json /tmp/x")).is_err());
     }
 
     #[test]
@@ -1539,13 +1465,6 @@ mod tests {
         assert!(e.contains("does not tile the 16 ranks"), "{e}");
         let cmd = parse(&argv("bench --scale 10 --nodes 2 --roots 2 --grid 5x2")).unwrap();
         assert!(execute(cmd, &mut Vec::new()).is_err());
-    }
-
-    #[test]
-    fn grid_excludes_td_alltoallv() {
-        let cmd = parse(&argv("run --scale 10 --nodes 2 --grid 2x4 --td-alltoallv")).unwrap();
-        let e = execute(cmd, &mut Vec::new()).unwrap_err();
-        assert!(e.contains("--grid"), "{e}");
     }
 
     #[test]
@@ -1777,8 +1696,8 @@ mod tests {
         let cells = doc["cells"].as_array().unwrap();
         assert_eq!(
             cells.len(),
-            38,
-            "6 kinds x 5 targets + 4 codec cells + 4 query-wave cells"
+            6 + 3 * 6 + 2 + 2,
+            "6 p2p + 3 allgather families x 6 kinds + 2 codec + 2 query-wave"
         );
         assert!(
             cells
@@ -1791,7 +1710,7 @@ mod tests {
                 .iter()
                 .filter(|c| c["target"].as_str().unwrap().starts_with("query-wave"))
                 .count(),
-            4,
+            2,
             "batched query-wave cells present"
         );
         for cell in cells {

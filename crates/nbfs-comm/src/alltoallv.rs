@@ -1,11 +1,10 @@
 //! Personalized all-to-all exchange (MPI `alltoallv`).
 //!
-//! The top-down phase of the distributed BFS sends `(destination vertex,
-//! parent)` records to the destination's owner rank, exactly like the
-//! Graph500 `mpi_simple` code. Traffic is tiny compared to the bottom-up
-//! allgathers (the paper's Fig. 11 shows top-down communication inside the
-//! small "top-down" slice), but it must be functionally correct for the
-//! BFS tree to validate.
+//! The 2-D engine's fold sends `(vertex, parent)` records to the
+//! vertex's owner rank, like the record exchange of the Graph500
+//! `mpi_simple` code. It must be functionally correct for the BFS tree
+//! to validate, and it is priced like every other collective: the bytes
+//! that really cross each medium.
 
 use nbfs_simnet::{Flow, FlowRoundSummary, NetworkModel};
 use nbfs_topology::ProcessMap;
@@ -15,188 +14,103 @@ use nbfs_util::SimTime;
 use crate::codec::Codec;
 use crate::profile::CommCost;
 
-/// Result of an all-to-all exchange.
-#[derive(Clone, Debug, PartialEq)]
-pub struct AlltoallvOutcome<T> {
-    /// `received[j]` = everything rank `j` received, in sender-rank order
-    /// (deterministic).
-    pub received: Vec<Vec<T>>,
-    /// Charged time.
-    pub cost: CommCost,
-    /// Volume tally for the run-event layer (one round; wire flows are
-    /// aggregated per node pair, as the cost model prices them).
-    pub stats: CollectiveStats,
-}
-
-/// Reusable staging for [`alltoallv_into`]: the receive inboxes, the
-/// node-pair wire matrix, the shared-memory tallies and the flow list.
+/// Reusable staging for [`alltoallv_pairs_codec_into`]: the receive
+/// inboxes, the per-message transfer list and the encode buffer.
 ///
-/// The top-down phase runs one exchange per level; with a workspace the
-/// per-level cost is clearing and refilling these buffers rather than
-/// reallocating them (the same treatment the allgather staging got, via
-/// `allgather_words_into`). [`AlltoallvWorkspace::default`] is empty;
-/// buffers grow to the high-water mark of the run and stay there.
-#[derive(Debug)]
-pub struct AlltoallvWorkspace<T> {
+/// The fold runs one exchange per level; with a workspace the inboxes are
+/// cleared and refilled rather than reallocated.
+/// [`AlltoallvWorkspace::default`] is empty; buffers grow to the
+/// high-water mark of the run and stay there.
+#[derive(Debug, Default)]
+pub struct AlltoallvWorkspace {
     /// `received[j]` after an exchange = everything rank `j` received, in
     /// sender-rank order (deterministic).
-    pub received: Vec<Vec<T>>,
-    wire: Vec<u64>,
-    shm_bytes: Vec<u64>,
-    shm_copiers: Vec<usize>,
-    flows: Vec<Flow>,
-    /// Per-message encode buffer of the codec-aware exchange
-    /// ([`alltoallv_pairs_codec_into`]); unused on the raw path.
+    pub received: Vec<Vec<(u32, u32)>>,
+    transfers: Vec<(usize, usize, u64)>,
     scratch: Vec<u8>,
 }
 
-// Manual impl: the derive would demand `T: Default`, which the contained
-// `Vec`s do not actually need.
-impl<T> Default for AlltoallvWorkspace<T> {
-    fn default() -> Self {
-        Self {
-            received: Vec::new(),
-            wire: Vec::new(),
-            shm_bytes: Vec::new(),
-            shm_copiers: Vec::new(),
-            flows: Vec::new(),
-            scratch: Vec::new(),
-        }
-    }
-}
-
-/// Exchanges `rows[i][j]` (the records rank `i` addresses to rank `j`)
-/// into `ws.received`, returning the simulated cost and volume stats.
-///
-/// Cost model: all pairwise transfers proceed concurrently; inter-node
-/// traffic is aggregated per node pair and priced by the flow solver,
-/// intra-node traffic is a shared-memory copy round. The phase ends when
-/// the slower medium finishes.
-pub fn alltoallv_into<T: Clone>(
-    ws: &mut AlltoallvWorkspace<T>,
-    rows: &[&[Vec<T>]],
-    item_bytes: usize,
+/// Prices one round of concurrent rank-to-rank transfers
+/// `(src, dst, bytes)`: inter-node traffic is aggregated per node pair and
+/// priced by the flow solver, intra-node traffic is a shared-memory copy
+/// round (each sending rank is one copier). The round ends when the
+/// slower medium finishes. `stats.raw_bytes` equals `stats.wire_bytes`;
+/// a caller that compressed the payloads overwrites it.
+pub fn exchange_round_cost(
+    transfers: &[(usize, usize, u64)],
     pmap: &ProcessMap,
     net: &NetworkModel,
 ) -> (CommCost, CollectiveStats) {
-    let np = pmap.world_size();
-    assert_eq!(rows.len(), np, "need a send matrix row per rank");
-    for (i, row) in rows.iter().enumerate() {
-        assert_eq!(row.len(), np, "rank {i}'s send row must cover all ranks");
-    }
-
-    // Functional exchange, deterministic receive order (by sender rank).
-    ws.received.resize_with(np, Vec::new);
-    for (j, inbox) in ws.received.iter_mut().enumerate() {
-        inbox.clear();
-        for row in rows.iter() {
-            inbox.extend(row[j].iter().cloned());
-        }
-    }
-
-    // Aggregate traffic per node pair / per node.
     let nodes = pmap.nodes();
-    ws.wire.clear();
-    ws.wire.resize(nodes * nodes, 0);
-    ws.shm_bytes.clear();
-    ws.shm_bytes.resize(nodes, 0);
-    ws.shm_copiers.clear();
-    ws.shm_copiers.resize(nodes, 0);
-    for (i, row) in rows.iter().enumerate() {
-        let sn = pmap.node_of(i);
-        let mut sent_intra = false;
-        for (j, msg) in row.iter().enumerate() {
-            if msg.is_empty() {
-                continue;
-            }
-            let dn = pmap.node_of(j);
-            let bytes = (msg.len() * item_bytes) as u64;
-            if sn == dn {
-                ws.shm_bytes[sn] += bytes;
-                sent_intra = true;
-            } else {
-                ws.wire[sn * nodes + dn] += bytes;
-            }
+    let mut wire = vec![0u64; nodes * nodes];
+    let mut shm_bytes = vec![0u64; nodes];
+    let mut sender_intra = vec![false; pmap.world_size()];
+    for &(src, dst, bytes) in transfers {
+        if bytes == 0 {
+            continue;
         }
-        if sent_intra {
-            ws.shm_copiers[sn] += 1;
+        let sn = pmap.node_of(src);
+        let dn = pmap.node_of(dst);
+        if sn == dn {
+            shm_bytes[sn] += bytes;
+            sender_intra[src] = true;
+        } else {
+            wire[sn * nodes + dn] += bytes;
         }
     }
-
-    ws.flows.clear();
-    ws.flows.extend(
-        (0..nodes)
-            .flat_map(|s| (0..nodes).map(move |d| (s, d)))
-            .filter(|&(s, d)| s != d && ws.wire[s * nodes + d] > 0)
-            .map(|(s, d)| Flow::new(s, d, ws.wire[s * nodes + d])),
-    );
-    let t_wire = net.round_time(&ws.flows);
-
+    let mut shm_copiers = vec![0usize; nodes];
+    for (r, &intra) in sender_intra.iter().enumerate() {
+        if intra {
+            shm_copiers[pmap.node_of(r)] += 1;
+        }
+    }
+    let flows: Vec<Flow> = (0..nodes)
+        .flat_map(|s| (0..nodes).map(move |d| (s, d)))
+        .filter(|&(s, d)| s != d && wire[s * nodes + d] > 0)
+        .map(|(s, d)| Flow::new(s, d, wire[s * nodes + d]))
+        .collect();
+    let t_wire = net.round_time(&flows);
     let sockets = net.machine().sockets_per_node;
     let t_shm = (0..nodes)
-        .filter(|&n| ws.shm_copiers[n] > 0)
+        .filter(|&n| shm_copiers[n] > 0)
         .map(|n| {
-            let per_copier = ws.shm_bytes[n] / ws.shm_copiers[n] as u64;
+            let per_copier = shm_bytes[n] / shm_copiers[n] as u64;
             net.shm_copy_time(
                 2 * per_copier,
-                ws.shm_copiers[n],
-                ws.shm_copiers[n].clamp(1, sockets),
+                shm_copiers[n],
+                shm_copiers[n].clamp(1, sockets),
             )
         })
         .fold(SimTime::ZERO, SimTime::max);
-
-    let round = FlowRoundSummary::of(&ws.flows);
+    let round = FlowRoundSummary::of(&flows);
     let stats = CollectiveStats {
         rounds: 1,
         flows: round.flows,
         wire_bytes: round.bytes,
-        shm_bytes: ws.shm_bytes.iter().sum(),
+        shm_bytes: shm_bytes.iter().sum(),
         raw_bytes: round.bytes,
     };
-
     (CommCost::inter_only(t_wire.max(t_shm)), stats)
 }
 
-/// One-shot form of [`alltoallv_into`]: allocates a fresh workspace and
-/// returns the inboxes by value. Kept for callers outside the level loop
-/// (tests, examples); the engine reuses a workspace across levels.
-pub fn alltoallv<T: Clone>(
-    sends: &[Vec<Vec<T>>],
-    item_bytes: usize,
-    pmap: &ProcessMap,
-    net: &NetworkModel,
-) -> AlltoallvOutcome<T> {
-    let mut ws = AlltoallvWorkspace::default();
-    let rows: Vec<&[Vec<T>]> = sends.iter().map(Vec::as_slice).collect();
-    let (cost, stats) = alltoallv_into(&mut ws, &rows, item_bytes, pmap, net);
-    AlltoallvOutcome {
-        received: ws.received,
-        cost,
-        stats,
-    }
-}
-
-/// Codec-aware form of [`alltoallv_into`] for the engine's
-/// `(destination, parent)` record exchange.
+/// Exchanges `rows[i][j]` (the `(vertex, parent)` records rank `i`
+/// addresses to rank `j`) into `ws.received`, returning the simulated
+/// cost ([`exchange_round_cost`] of the messages) and volume stats.
 ///
-/// Under [`Codec::Raw`] this delegates to [`alltoallv_into`] unchanged
-/// (bit-for-bit, cost included). Otherwise every non-empty message is
-/// really encoded into the workspace scratch buffer and really decoded
-/// into the receiver's inbox — a codec defect corrupts the BFS parents
-/// rather than silently discounting bytes — and the *encoded* message
-/// sizes feed the node-pair wire matrix, the shared-memory tallies and
-/// the flow solver. `stats.raw_bytes` carries the wire volume the same
+/// Under [`Codec::Raw`] messages are copied as they are and priced at 8
+/// bytes per record. Otherwise every non-empty message is really encoded
+/// into the workspace scratch buffer and really decoded into the
+/// receiver's inbox — a codec defect corrupts the BFS parents rather
+/// than silently discounting bytes — and the *encoded* message sizes are
+/// what is priced. `stats.raw_bytes` carries the wire volume the same
 /// exchange would have moved uncompressed.
 pub fn alltoallv_pairs_codec_into(
-    ws: &mut AlltoallvWorkspace<(u32, u32)>,
+    ws: &mut AlltoallvWorkspace,
     rows: &[&[Vec<(u32, u32)>]],
     pmap: &ProcessMap,
     net: &NetworkModel,
     codec: Codec,
 ) -> (CommCost, CollectiveStats) {
-    if codec.is_raw() {
-        return alltoallv_into(ws, rows, 8, pmap, net);
-    }
     let np = pmap.world_size();
     assert_eq!(rows.len(), np, "need a send matrix row per rank");
     for (i, row) in rows.iter().enumerate() {
@@ -208,97 +122,37 @@ pub fn alltoallv_pairs_codec_into(
     for inbox in ws.received.iter_mut() {
         inbox.clear();
     }
-    let nodes = pmap.nodes();
-    ws.wire.clear();
-    ws.wire.resize(nodes * nodes, 0);
-    ws.shm_bytes.clear();
-    ws.shm_bytes.resize(nodes, 0);
-    ws.shm_copiers.clear();
-    ws.shm_copiers.resize(nodes, 0);
+    ws.transfers.clear();
 
-    // Sender-major walk keeps the inbox order identical to the raw path
-    // (per receiver: sender-rank order). Each message round-trips through
-    // the codec; the encoded size is what the network moves.
+    // Sender-major walk: each inbox fills in sender-rank order.
     let mut raw_wire = 0u64;
     for (i, row) in rows.iter().enumerate() {
-        let sn = pmap.node_of(i);
-        let mut sent_intra = false;
         for (j, msg) in row.iter().enumerate() {
             if msg.is_empty() {
                 continue;
             }
-            imp.encode_pairs(msg, &mut ws.scratch);
             let inbox = &mut ws.received[j];
-            let before = inbox.len();
-            imp.decode_pairs(&ws.scratch, inbox);
-            assert_eq!(&inbox[before..], msg.as_slice(), "codec round trip");
-            let dn = pmap.node_of(j);
-            let bytes = ws.scratch.len() as u64;
-            if sn == dn {
-                ws.shm_bytes[sn] += bytes;
-                sent_intra = true;
+            let raw_bytes = (msg.len() * 8) as u64;
+            let bytes = if codec.is_raw() {
+                inbox.extend_from_slice(msg);
+                raw_bytes
             } else {
-                ws.wire[sn * nodes + dn] += bytes;
-                raw_wire += (msg.len() * 8) as u64;
+                imp.encode_pairs(msg, &mut ws.scratch);
+                let before = inbox.len();
+                imp.decode_pairs(&ws.scratch, inbox);
+                assert_eq!(&inbox[before..], msg.as_slice(), "codec round trip");
+                ws.scratch.len() as u64
+            };
+            ws.transfers.push((i, j, bytes));
+            if !pmap.same_node(i, j) {
+                raw_wire += raw_bytes;
             }
-        }
-        if sent_intra {
-            ws.shm_copiers[sn] += 1;
         }
     }
 
-    ws.flows.clear();
-    ws.flows.extend(
-        (0..nodes)
-            .flat_map(|s| (0..nodes).map(move |d| (s, d)))
-            .filter(|&(s, d)| s != d && ws.wire[s * nodes + d] > 0)
-            .map(|(s, d)| Flow::new(s, d, ws.wire[s * nodes + d])),
-    );
-    let t_wire = net.round_time(&ws.flows);
-
-    let sockets = net.machine().sockets_per_node;
-    let t_shm = (0..nodes)
-        .filter(|&n| ws.shm_copiers[n] > 0)
-        .map(|n| {
-            let per_copier = ws.shm_bytes[n] / ws.shm_copiers[n] as u64;
-            net.shm_copy_time(
-                2 * per_copier,
-                ws.shm_copiers[n],
-                ws.shm_copiers[n].clamp(1, sockets),
-            )
-        })
-        .fold(SimTime::ZERO, SimTime::max);
-
-    let round = FlowRoundSummary::of(&ws.flows);
-    let stats = CollectiveStats {
-        rounds: 1,
-        flows: round.flows,
-        wire_bytes: round.bytes,
-        shm_bytes: ws.shm_bytes.iter().sum(),
-        raw_bytes: raw_wire,
-    };
-
-    (CommCost::inter_only(t_wire.max(t_shm)), stats)
-}
-
-/// Fault-layer twin of the exchange: resolves `plan` against the node-pair
-/// transfer schedule (`fault::alltoallv_edges`), charging retransmit +
-/// backoff penalties against the supplied cost sample.
-pub fn inject_alltoallv_faults(
-    plan: &crate::fault::FaultPlan,
-    level: usize,
-    pmap: &ProcessMap,
-    cost: &CommCost,
-    stats: &CollectiveStats,
-) -> crate::fault::FaultAdjustment {
-    crate::fault::inject_collective(
-        plan,
-        level,
-        nbfs_trace::CollectiveKind::Alltoallv,
-        &crate::fault::alltoallv_edges(pmap),
-        cost,
-        stats,
-    )
+    let (cost, mut stats) = exchange_round_cost(&ws.transfers, pmap, net);
+    stats.raw_bytes = raw_wire;
+    (cost, stats)
 }
 
 #[cfg(test)]
@@ -306,6 +160,8 @@ pub fn inject_alltoallv_faults(
 mod tests {
     use super::*;
     use nbfs_topology::{presets, PlacementPolicy, ProcessMap};
+
+    type Sends = Vec<Vec<Vec<(u32, u32)>>>;
 
     fn setup(nodes: usize, ppn: usize) -> (ProcessMap, NetworkModel) {
         let m = presets::xeon_x7550_cluster(nodes);
@@ -317,125 +173,22 @@ mod tests {
         (ProcessMap::new(&m, ppn, policy), NetworkModel::new(&m))
     }
 
-    #[test]
-    fn exchange_routes_everything_in_sender_order() {
-        let (pmap, net) = setup(2, 8);
-        let np = pmap.world_size();
-        // Rank i sends the pair (i, j) to rank j.
-        let sends: Vec<Vec<Vec<(u32, u32)>>> = (0..np)
-            .map(|i| (0..np).map(|j| vec![(i as u32, j as u32)]).collect())
-            .collect();
-        let out = alltoallv(&sends, 8, &pmap, &net);
-        for (j, inbox) in out.received.iter().enumerate() {
-            let expect: Vec<(u32, u32)> = (0..np).map(|i| (i as u32, j as u32)).collect();
-            assert_eq!(inbox, &expect, "receiver {j}");
-        }
-        assert!(out.cost.total() > SimTime::ZERO);
+    /// One exchange through a fresh workspace.
+    fn exchange(
+        sends: &Sends,
+        pmap: &ProcessMap,
+        net: &NetworkModel,
+        codec: Codec,
+    ) -> (AlltoallvWorkspace, CommCost, CollectiveStats) {
+        let mut ws = AlltoallvWorkspace::default();
+        let rows: Vec<&[Vec<(u32, u32)>]> = sends.iter().map(Vec::as_slice).collect();
+        let (cost, stats) = alltoallv_pairs_codec_into(&mut ws, &rows, pmap, net, codec);
+        (ws, cost, stats)
     }
 
-    #[test]
-    fn empty_exchange_is_cheap_and_empty() {
-        let (pmap, net) = setup(2, 1);
-        let np = pmap.world_size();
-        let sends: Vec<Vec<Vec<u64>>> = vec![vec![Vec::new(); np]; np];
-        let out = alltoallv(&sends, 8, &pmap, &net);
-        assert!(out.received.iter().all(Vec::is_empty));
-        assert_eq!(out.cost.total(), SimTime::ZERO);
-    }
-
-    #[test]
-    fn intra_node_only_exchange_has_no_wire_time() {
-        let (pmap, net) = setup(1, 8);
-        let np = pmap.world_size();
-        let mut sends: Vec<Vec<Vec<u8>>> = vec![vec![Vec::new(); np]; np];
-        sends[0][1] = vec![1, 2, 3];
-        let out = alltoallv(&sends, 1, &pmap, &net);
-        assert_eq!(out.received[1], vec![1, 2, 3]);
-        // Still costs shm time, but far less than any wire transfer would.
-        assert!(out.cost.total() < SimTime::from_micros(100.0));
-    }
-
-    #[test]
-    fn bigger_payload_costs_more() {
-        let (pmap, net) = setup(4, 8);
-        let np = pmap.world_size();
-        let mk = |k: usize| -> Vec<Vec<Vec<u64>>> {
-            (0..np)
-                .map(|_| (0..np).map(|_| vec![0u64; k]).collect())
-                .collect()
-        };
-        let small = alltoallv(&mk(10), 8, &pmap, &net).cost.total();
-        let big = alltoallv(&mk(10_000), 8, &pmap, &net).cost.total();
-        assert!(big > small);
-    }
-
-    #[test]
-    fn stats_count_wire_and_shm_volume() {
-        let (pmap, net) = setup(2, 8);
-        let np = pmap.world_size();
-        // Rank i sends one 8-byte pair to every rank.
-        let sends: Vec<Vec<Vec<(u32, u32)>>> = (0..np)
-            .map(|i| (0..np).map(|j| vec![(i as u32, j as u32)]).collect())
-            .collect();
-        let out = alltoallv(&sends, 8, &pmap, &net);
-        assert_eq!(out.stats.rounds, 1);
-        // 2 nodes: one aggregated flow per direction.
-        assert_eq!(out.stats.flows, 2);
-        // Half of each rank's np pairs cross the wire, half stay local.
-        let total = (np * np * 8) as u64;
-        assert_eq!(out.stats.wire_bytes, total / 2);
-        assert_eq!(out.stats.shm_bytes, total / 2);
-    }
-
-    #[test]
-    fn workspace_reuse_matches_one_shot() {
-        // Two exchanges of different shapes through one workspace must
-        // produce exactly what fresh one-shot calls produce — stale
-        // buffer contents may not leak into inboxes, costs or stats.
-        let (pmap, net) = setup(2, 8);
-        let np = pmap.world_size();
-        let mut ws: AlltoallvWorkspace<(u32, u32)> = AlltoallvWorkspace::default();
-        let big: Vec<Vec<Vec<(u32, u32)>>> = (0..np)
-            .map(|i| {
-                (0..np)
-                    .map(|j| (0..5).map(|k| (i as u32, (j * 10 + k) as u32)).collect())
-                    .collect()
-            })
-            .collect();
-        let small: Vec<Vec<Vec<(u32, u32)>>> = (0..np)
-            .map(|i| {
-                (0..np)
-                    .map(|j| {
-                        if j == 0 {
-                            vec![(i as u32, 0)]
-                        } else {
-                            Vec::new()
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        for sends in [&big, &small, &big] {
-            let rows: Vec<&[Vec<(u32, u32)>]> = sends.iter().map(Vec::as_slice).collect();
-            let (cost, stats) = alltoallv_into(&mut ws, &rows, 8, &pmap, &net);
-            let fresh = alltoallv(sends, 8, &pmap, &net);
-            assert_eq!(ws.received, fresh.received);
-            assert_eq!(cost, fresh.cost);
-            assert_eq!(stats, fresh.stats);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "send matrix row per rank")]
-    fn bad_matrix_rejected() {
-        let (pmap, net) = setup(2, 1);
-        let sends: Vec<Vec<Vec<u8>>> = vec![vec![Vec::new(); 2]];
-        alltoallv(&sends, 1, &pmap, &net);
-    }
-
-    /// Dense consecutive-destination records for the codec exchange
-    /// tests: rank `i` sends `k` records to each rank.
-    fn record_matrix(np: usize, k: usize) -> Vec<Vec<Vec<(u32, u32)>>> {
+    /// Dense consecutive-destination records: rank `i` sends `k` records
+    /// to each rank.
+    fn record_matrix(np: usize, k: usize) -> Sends {
         (0..np)
             .map(|i| {
                 (0..np)
@@ -446,27 +199,83 @@ mod tests {
     }
 
     #[test]
+    fn exchange_routes_everything_in_sender_order() {
+        let (pmap, net) = setup(2, 8);
+        let np = pmap.world_size();
+        // Rank i sends the pair (i, j) to rank j.
+        let sends: Sends = (0..np)
+            .map(|i| (0..np).map(|j| vec![(i as u32, j as u32)]).collect())
+            .collect();
+        let (ws, cost, stats) = exchange(&sends, &pmap, &net, Codec::Raw);
+        for (j, inbox) in ws.received.iter().enumerate() {
+            let expect: Vec<(u32, u32)> = (0..np).map(|i| (i as u32, j as u32)).collect();
+            assert_eq!(inbox, &expect, "receiver {j}");
+        }
+        assert!(cost.total() > SimTime::ZERO);
+        assert_eq!(stats.rounds, 1);
+        // 2 nodes: one aggregated flow per direction.
+        assert_eq!(stats.flows, 2);
+        // Half of each rank's np pairs cross the wire, half stay local.
+        let total = (np * np * 8) as u64;
+        assert_eq!(stats.wire_bytes, total / 2);
+        assert_eq!(stats.shm_bytes, total / 2);
+    }
+
+    #[test]
+    fn empty_exchange_is_cheap_and_empty() {
+        let (pmap, net) = setup(2, 1);
+        let np = pmap.world_size();
+        let sends: Sends = vec![vec![Vec::new(); np]; np];
+        let (ws, cost, _) = exchange(&sends, &pmap, &net, Codec::Raw);
+        assert!(ws.received.iter().all(Vec::is_empty));
+        assert_eq!(cost.total(), SimTime::ZERO);
+    }
+
+    #[test]
+    fn intra_node_only_exchange_has_no_wire_time() {
+        let (pmap, net) = setup(1, 8);
+        let np = pmap.world_size();
+        let mut sends: Sends = vec![vec![Vec::new(); np]; np];
+        sends[0][1] = vec![(1, 2), (3, 4)];
+        let (ws, cost, stats) = exchange(&sends, &pmap, &net, Codec::Raw);
+        assert_eq!(ws.received[1], vec![(1, 2), (3, 4)]);
+        assert_eq!(stats.wire_bytes, 0);
+        // Still costs shm time, but far less than any wire transfer would.
+        assert!(cost.total() < SimTime::from_micros(100.0));
+    }
+
+    #[test]
+    fn bigger_payload_costs_more() {
+        let (pmap, net) = setup(4, 8);
+        let np = pmap.world_size();
+        let small = exchange(&record_matrix(np, 10), &pmap, &net, Codec::Raw).1;
+        let big = exchange(&record_matrix(np, 10_000), &pmap, &net, Codec::Raw).1;
+        assert!(big.total() > small.total());
+    }
+
+    #[test]
+    #[should_panic(expected = "send matrix row per rank")]
+    fn bad_matrix_rejected() {
+        let (pmap, net) = setup(2, 1);
+        let sends: Sends = vec![vec![Vec::new(); 2]];
+        exchange(&sends, &pmap, &net, Codec::Raw);
+    }
+
+    #[test]
     fn codec_exchange_matches_raw_inboxes() {
         let (pmap, net) = setup(2, 8);
         let np = pmap.world_size();
         let sends = record_matrix(np, 7);
-        let rows: Vec<&[Vec<(u32, u32)>]> = sends.iter().map(Vec::as_slice).collect();
-        let mut raw_ws: AlltoallvWorkspace<(u32, u32)> = AlltoallvWorkspace::default();
-        let (_, raw_stats) = alltoallv_into(&mut raw_ws, &rows, 8, &pmap, &net);
-        for codec in Codec::ALL {
-            let mut ws: AlltoallvWorkspace<(u32, u32)> = AlltoallvWorkspace::default();
-            let (cost, stats) = alltoallv_pairs_codec_into(&mut ws, &rows, &pmap, &net, codec);
-            assert_eq!(ws.received, raw_ws.received, "{codec:?} inboxes");
-            assert_eq!(stats.raw_bytes, raw_stats.wire_bytes, "{codec:?} raw tally");
-            assert!(
-                stats.wire_bytes <= raw_stats.wire_bytes + (np * np) as u64,
-                "{codec:?} wire volume beyond the tag-byte cap"
-            );
-            assert!(
-                cost.total() > SimTime::ZERO,
-                "{codec:?} moved bytes for free"
-            );
-        }
+        let (raw_ws, _, raw_stats) = exchange(&sends, &pmap, &net, Codec::Raw);
+        assert_eq!(raw_stats.raw_bytes, raw_stats.wire_bytes);
+        let (ws, cost, stats) = exchange(&sends, &pmap, &net, Codec::DeltaVarint);
+        assert_eq!(ws.received, raw_ws.received);
+        assert_eq!(stats.raw_bytes, raw_stats.wire_bytes);
+        assert!(
+            stats.wire_bytes <= raw_stats.wire_bytes + (np * np) as u64,
+            "wire volume beyond the tag-byte cap"
+        );
+        assert!(cost.total() > SimTime::ZERO, "moved bytes for free");
     }
 
     #[test]
@@ -474,10 +283,7 @@ mod tests {
         let (pmap, net) = setup(2, 8);
         let np = pmap.world_size();
         let sends = record_matrix(np, 200);
-        let rows: Vec<&[Vec<(u32, u32)>]> = sends.iter().map(Vec::as_slice).collect();
-        let mut ws: AlltoallvWorkspace<(u32, u32)> = AlltoallvWorkspace::default();
-        let (_, stats) =
-            alltoallv_pairs_codec_into(&mut ws, &rows, &pmap, &net, Codec::DeltaVarint);
+        let (_, _, stats) = exchange(&sends, &pmap, &net, Codec::DeltaVarint);
         assert!(
             stats.wire_bytes * 2 < stats.raw_bytes,
             "consecutive destinations must compress at least 2x: wire {} raw {}",
@@ -485,7 +291,7 @@ mod tests {
             stats.raw_bytes
         );
         // Shm hops carry the compressed payload too (sender encodes once).
-        let raw_shm = alltoallv(&sends, 8, &pmap, &net).stats.shm_bytes;
+        let raw_shm = exchange(&sends, &pmap, &net, Codec::Raw).2.shm_bytes;
         assert!(
             stats.shm_bytes < raw_shm,
             "shm must also carry encoded bytes"
@@ -493,21 +299,23 @@ mod tests {
     }
 
     #[test]
-    fn codec_workspace_reuse_matches_fresh() {
+    fn workspace_reuse_matches_fresh() {
+        // Exchanges of different shapes through one workspace must
+        // produce exactly what fresh workspaces produce — stale buffer
+        // contents may not leak into inboxes, costs or stats.
         let (pmap, net) = setup(2, 8);
         let np = pmap.world_size();
-        let mut ws: AlltoallvWorkspace<(u32, u32)> = AlltoallvWorkspace::default();
-        for k in [9, 2, 9] {
-            let sends = record_matrix(np, k);
-            let rows: Vec<&[Vec<(u32, u32)>]> = sends.iter().map(Vec::as_slice).collect();
-            let (cost, stats) =
-                alltoallv_pairs_codec_into(&mut ws, &rows, &pmap, &net, Codec::DeltaVarint);
-            let mut fresh: AlltoallvWorkspace<(u32, u32)> = AlltoallvWorkspace::default();
-            let (fcost, fstats) =
-                alltoallv_pairs_codec_into(&mut fresh, &rows, &pmap, &net, Codec::DeltaVarint);
-            assert_eq!(ws.received, fresh.received);
-            assert_eq!(cost, fcost);
-            assert_eq!(stats, fstats);
+        for codec in Codec::ALL {
+            let mut ws = AlltoallvWorkspace::default();
+            for k in [9, 2, 0, 9] {
+                let sends = record_matrix(np, k);
+                let rows: Vec<&[Vec<(u32, u32)>]> = sends.iter().map(Vec::as_slice).collect();
+                let (cost, stats) = alltoallv_pairs_codec_into(&mut ws, &rows, &pmap, &net, codec);
+                let (fresh, fcost, fstats) = exchange(&sends, &pmap, &net, codec);
+                assert_eq!(ws.received, fresh.received, "{codec:?} k={k}");
+                assert_eq!(cost, fcost, "{codec:?} k={k}");
+                assert_eq!(stats, fstats, "{codec:?} k={k}");
+            }
         }
     }
 }

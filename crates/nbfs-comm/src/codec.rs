@@ -1,22 +1,10 @@
 //! Pluggable frontier/bitmap codecs for the collectives.
 //!
 //! Lv et al., "Compression and Sieve" (arXiv:1208.5542), cut BFS
-//! communication volume two ways: *compress* the frontier payloads
-//! (delta + varint over sorted vertex lists, run-length over dense
-//! bitmaps) and *sieve* candidate records against the receiver's visited
-//! state before they hit the wire. Both map directly onto this crate's
-//! collective seams. This module supplies the codec half as a pluggable
-//! [`FrontierCodec`] trait with three production implementations:
-//!
-//! * [`DeltaVarint`] — sorted sparse payloads: delta-encode the values,
-//!   emit LEB128 varint bytes;
-//! * [`WordRle`] — dense bitmap payloads: run-length over zero and full
-//!   64-bit words with literal runs in between, riding the `words()`
-//!   APIs of `nbfs-util`;
-//! * [`SieveCodec`] — the sieve's wire side. The sieve pre-pass itself
-//!   (dropping records the receiver has already visited) is applied by
-//!   the engine before its alltoallv scatter; what survives is wired
-//!   like [`DeltaVarint`].
+//! communication volume by *compressing* the frontier payloads. This
+//! module supplies that as a pluggable [`FrontierCodec`] trait with one
+//! compressing implementation, [`DeltaVarint`]: delta-encode the sorted
+//! values (or set-bit positions), emit LEB128 varint bytes.
 //!
 //! Honesty rules: a non-[`Codec::Raw`] collective really encodes into a
 //! reusable [`CodecWorkspace`] buffer and really decodes into the
@@ -49,15 +37,11 @@ pub enum Codec {
     Raw,
     /// Delta + LEB128 varint over sorted sparse payloads.
     DeltaVarint,
-    /// Run-length over zero/full 64-bit words of dense bitmap payloads.
-    WordRle,
-    /// Engine-side sieve pre-pass, [`DeltaVarint`]-style wire encoding.
-    Sieve,
 }
 
 impl Codec {
     /// Every codec, for matrix-style harnesses.
-    pub const ALL: [Codec; 4] = [Codec::Raw, Codec::DeltaVarint, Codec::WordRle, Codec::Sieve];
+    pub const ALL: [Codec; 2] = [Codec::Raw, Codec::DeltaVarint];
 
     /// Short label, also the CLI spelling (`--codec`).
     pub fn label(self) -> &'static str {
@@ -74,19 +58,11 @@ impl Codec {
         self == Codec::Raw
     }
 
-    /// Whether the engine should run the sieve pre-pass before its
-    /// alltoallv scatter.
-    pub fn sieves(self) -> bool {
-        self == Codec::Sieve
-    }
-
     /// The [`FrontierCodec`] implementation behind this selector.
     pub fn implementation(self) -> &'static dyn FrontierCodec {
         match self {
             Codec::Raw => &Raw,
             Codec::DeltaVarint => &DeltaVarint,
-            Codec::WordRle => &WordRle,
-            Codec::Sieve => &SieveCodec,
         }
     }
 }
@@ -97,13 +73,6 @@ impl Codec {
 const TAG_RAW: u8 = 0;
 /// Leading tag byte: the payload that follows is codec-encoded.
 const TAG_ENCODED: u8 = 1;
-
-/// Word-RLE token: a run of all-zero words follows (varint run length).
-const RLE_ZERO: u8 = 0;
-/// Word-RLE token: a run of all-ones words follows (varint run length).
-const RLE_FULL: u8 = 1;
-/// Word-RLE token: a literal run follows (varint count, then the words).
-const RLE_LITERAL: u8 = 2;
 
 /// A reversible encoding for the three payload shapes the collectives
 /// move: dense bitmap word segments, sorted `u32` vertex lists, and
@@ -194,9 +163,13 @@ impl FrontierCodec for DeltaVarint {
     }
 
     fn decode_words(&self, buf: &[u8], dst: &mut [u64]) {
-        let Some(payload) = encoded_payload(buf, dst) else {
+        assert!(!buf.is_empty(), "empty codec payload");
+        let payload = &buf[1..];
+        if buf[0] == TAG_RAW {
+            read_raw_words(payload, dst);
             return;
-        };
+        }
+        dst.fill(0);
         let mut at = 0usize;
         let mut pos = 0u64;
         while at < payload.len() {
@@ -288,121 +261,6 @@ impl FrontierCodec for DeltaVarint {
     }
 }
 
-/// Run-length codec for dense bitmap word segments: zero and all-ones
-/// runs tokenize to a byte plus a varint (the "word-skip" of the paper's
-/// compression); mixed words travel as literal runs. Sorted lists and
-/// record pairs are not its shape and pass through raw.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct WordRle;
-
-impl FrontierCodec for WordRle {
-    fn label(&self) -> &'static str {
-        "word-rle"
-    }
-
-    fn encode_words(&self, words: &[u64], buf: &mut Vec<u8>) {
-        buf.clear();
-        buf.push(TAG_ENCODED);
-        let mut at = 0usize;
-        while at < words.len() {
-            let w = words[at];
-            if w == 0 || w == u64::MAX {
-                let mut run = 1usize;
-                while at + run < words.len() && words[at + run] == w {
-                    run += 1;
-                }
-                buf.push(if w == 0 { RLE_ZERO } else { RLE_FULL });
-                push_varint(buf, run as u64);
-                at += run;
-            } else {
-                let mut run = 1usize;
-                while at + run < words.len() && words[at + run] != 0 && words[at + run] != u64::MAX
-                {
-                    run += 1;
-                }
-                buf.push(RLE_LITERAL);
-                push_varint(buf, run as u64);
-                for &lit in &words[at..at + run] {
-                    buf.extend_from_slice(&lit.to_le_bytes());
-                }
-                at += run;
-            }
-        }
-        raw_fallback(buf, words.len() * 8, |b| write_raw_words(words, b));
-    }
-
-    fn decode_words(&self, buf: &[u8], dst: &mut [u64]) {
-        let Some(payload) = encoded_payload(buf, dst) else {
-            return;
-        };
-        let mut at = 0usize;
-        let mut filled = 0usize;
-        while at < payload.len() {
-            let token = payload[at];
-            let (run, next) = read_varint(payload, at + 1);
-            at = next;
-            let run = run as usize;
-            assert!(filled + run <= dst.len(), "RLE run overflows segment");
-            assert!(
-                token == RLE_ZERO || token == RLE_FULL || token == RLE_LITERAL,
-                "unknown RLE token"
-            );
-            match token {
-                RLE_ZERO => {}
-                RLE_FULL => dst[filled..filled + run].fill(u64::MAX),
-                _ => {
-                    for slot in dst[filled..filled + run].iter_mut() {
-                        assert!(at + 8 <= payload.len(), "truncated literal run");
-                        let mut raw = [0u8; 8];
-                        raw.copy_from_slice(&payload[at..at + 8]);
-                        *slot = u64::from_le_bytes(raw);
-                        at += 8;
-                    }
-                }
-            }
-            filled += run;
-        }
-        assert_eq!(filled, dst.len(), "RLE payload does not cover segment");
-    }
-}
-
-/// Wire side of the sieve: identical byte encoding to [`DeltaVarint`].
-/// The sieve's *filtering* (dropping records whose owner has already
-/// visited the destination) happens in the engine before the scatter, so
-/// this codec only has to move what survived.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SieveCodec;
-
-impl FrontierCodec for SieveCodec {
-    fn label(&self) -> &'static str {
-        "sieve"
-    }
-
-    fn encode_words(&self, words: &[u64], buf: &mut Vec<u8>) {
-        DeltaVarint.encode_words(words, buf);
-    }
-
-    fn decode_words(&self, buf: &[u8], dst: &mut [u64]) {
-        DeltaVarint.decode_words(buf, dst);
-    }
-
-    fn encode_sorted_u32(&self, values: &[u32], buf: &mut Vec<u8>) {
-        DeltaVarint.encode_sorted_u32(values, buf);
-    }
-
-    fn decode_sorted_u32(&self, buf: &[u8], out: &mut Vec<u32>) {
-        DeltaVarint.decode_sorted_u32(buf, out);
-    }
-
-    fn encode_pairs(&self, records: &[(u32, u32)], buf: &mut Vec<u8>) {
-        DeltaVarint.encode_pairs(records, buf);
-    }
-
-    fn decode_pairs(&self, buf: &[u8], out: &mut Vec<(u32, u32)>) {
-        DeltaVarint.decode_pairs(buf, out);
-    }
-}
-
 /// Replaces `buf` (tagged encoding) with a raw passthrough when the
 /// encoded payload did not undercut the raw byte size.
 fn raw_fallback<F: FnOnce(&mut Vec<u8>)>(buf: &mut Vec<u8>, raw_len: usize, write_raw: F) {
@@ -421,19 +279,6 @@ fn strip_raw_tag(buf: &[u8]) -> &[u8] {
     assert!(!buf.is_empty(), "empty codec payload");
     assert_eq!(buf[0], TAG_RAW, "raw codec met an encoded payload");
     &buf[1..]
-}
-
-/// Shared prologue of the word decoders: handles the raw-tag fallback
-/// (returning `None` once `dst` is filled) or zeroes `dst` and hands the
-/// encoded payload back for codec-specific decoding.
-fn encoded_payload<'a>(buf: &'a [u8], dst: &mut [u64]) -> Option<&'a [u8]> {
-    assert!(!buf.is_empty(), "empty codec payload");
-    if buf[0] == TAG_RAW {
-        read_raw_words(&buf[1..], dst);
-        return None;
-    }
-    dst.fill(0);
-    Some(&buf[1..])
 }
 
 fn write_raw_words(words: &[u64], buf: &mut Vec<u8>) {
@@ -658,15 +503,10 @@ mod tests {
     }
 
     #[test]
-    fn sparse_words_shrink_under_both_codecs() {
+    fn sparse_words_shrink() {
         // One set bit per 8 words: 4096 words = 32 KiB raw.
         let words: Vec<u64> = (0..4096).map(|i| u64::from(i % 8 == 0)).collect();
         let mut buf = Vec::new();
-        WordRle.encode_words(&words, &mut buf);
-        assert!(
-            buf.len() * 2 < words.len() * 8,
-            "RLE must shrink sparse words"
-        );
         DeltaVarint.encode_words(&words, &mut buf);
         assert!(
             buf.len() * 2 < words.len() * 8,
@@ -738,11 +578,9 @@ mod tests {
             encoded_words_size(Codec::Raw, &words, &mut scratch),
             words.len() as u64 * 8
         );
-        for codec in [Codec::DeltaVarint, Codec::WordRle, Codec::Sieve] {
-            let size = encoded_words_size(codec, &words, &mut scratch);
-            let mut buf = Vec::new();
-            codec.implementation().encode_words(&words, &mut buf);
-            assert_eq!(size, buf.len() as u64, "{codec:?}");
-        }
+        let size = encoded_words_size(Codec::DeltaVarint, &words, &mut scratch);
+        let mut buf = Vec::new();
+        DeltaVarint.encode_words(&words, &mut buf);
+        assert_eq!(size, buf.len() as u64);
     }
 }

@@ -406,26 +406,6 @@ fn subgroup_edges(pmap: &ProcessMap, k: usize) -> Vec<FaultEdge> {
     edges
 }
 
-/// The node-pair transfer schedule of the alltoallv exchange (one round,
-/// leader ranks stand in for their nodes, matching how the cost model
-/// aggregates wire traffic per node pair).
-pub fn alltoallv_edges(pmap: &ProcessMap) -> Vec<FaultEdge> {
-    let nodes = pmap.nodes();
-    let mut edges = Vec::new();
-    for s in 0..nodes {
-        for d in 0..nodes {
-            if s != d {
-                edges.push(FaultEdge::new(
-                    0,
-                    pmap.leader_of_node(s),
-                    pmap.leader_of_node(d),
-                ));
-            }
-        }
-    }
-    edges
-}
-
 /// The leader-level transfer schedule of the scalar allreduce
 /// (recursive doubling over nodes, like its wire-round cost model).
 pub fn allreduce_edges(pmap: &ProcessMap) -> Vec<FaultEdge> {
@@ -801,14 +781,11 @@ mod tests {
             .all(|e| pm.is_leader(e.src) && pm.is_leader(e.dst)));
         let par = allgather_edges(&pm, AllgatherAlgorithm::ParallelSubgroup);
         assert_eq!(par.len(), 3 * 4 * 8);
-        let a2a = alltoallv_edges(&pm);
-        assert_eq!(a2a.len(), 4 * 3);
         let red = allreduce_edges(&pm);
         assert_eq!(red.len(), 4 * 2);
         // Single-rank / single-node worlds have no wire edges.
         let solo = pmap(1, 1);
         assert!(allgather_edges(&solo, AllgatherAlgorithm::Ring).is_empty());
-        assert!(alltoallv_edges(&solo).is_empty());
         assert!(allreduce_edges(&solo).is_empty());
     }
 

@@ -23,9 +23,9 @@
 //!   | shared `in_queue` + `out_queue` (Section III.A.2)          | [`allgather::AllgatherAlgorithm::SharedBoth`] |
 //!   | parallelized allgather (Fig. 7, Section III.B)             | [`allgather::AllgatherAlgorithm::ParallelSubgroup`] |
 //!
-//! * [`codec`] — pluggable frontier/bitmap compression (delta-varint,
-//!   word-RLE, sieve) applied at the collective seams, with honest
-//!   raw-vs-wire byte accounting (Lv et al., arXiv:1208.5542).
+//! * [`codec`] — pluggable frontier/bitmap compression (delta-varint)
+//!   applied at the collective seams, with honest raw-vs-wire byte
+//!   accounting (Lv et al., arXiv:1208.5542).
 //! * [`profile`] — the per-step time split (intra-node gather, inter-node
 //!   exchange, intra-node broadcast) that Figs. 6 and 13 report.
 

@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use nbfs_comm::allgather::{
     allgather_cost_bytes, allgather_words, allgatherv_items, AllgatherAlgorithm,
 };
-use nbfs_comm::alltoallv::{alltoallv, alltoallv_pairs_codec_into, AlltoallvWorkspace};
+use nbfs_comm::alltoallv::{alltoallv_pairs_codec_into, AlltoallvWorkspace};
 use nbfs_comm::codec::{allgather_words_codec_into, allgatherv_u32_codec, Codec, CodecWorkspace};
 use nbfs_comm::runtime::run_spmd_faulted;
 use nbfs_comm::tags;
@@ -109,17 +109,19 @@ proptest! {
                     .collect()
             })
             .collect();
-        let out = alltoallv(&sends, 8, &pmap, &net);
-        for (j, inbox) in out.received.iter().enumerate() {
+        let rows: Vec<&[Vec<(u32, u32)>]> = sends.iter().map(Vec::as_slice).collect();
+        let mut ws = AlltoallvWorkspace::default();
+        let (cost, _) = alltoallv_pairs_codec_into(&mut ws, &rows, &pmap, &net, Codec::Raw);
+        for (j, inbox) in ws.received.iter().enumerate() {
             let expect: Vec<(u32, u32)> = (0..np)
                 .flat_map(|i| sends[i][j].iter().copied())
                 .collect();
             prop_assert_eq!(inbox, &expect, "receiver {}", j);
         }
         let total_sent: usize = sends.iter().flatten().map(Vec::len).sum();
-        let total_recv: usize = out.received.iter().map(Vec::len).sum();
+        let total_recv: usize = ws.received.iter().map(Vec::len).sum();
         prop_assert_eq!(total_sent, total_recv);
-        prop_assert!(out.cost.total() >= SimTime::ZERO);
+        prop_assert!(cost.total() >= SimTime::ZERO);
     }
 
     /// Fault fates are sender-side pure functions of (seed, site, attempt),
@@ -267,11 +269,21 @@ proptest! {
                     .collect()
             })
             .collect();
-        let raw_exchange = alltoallv(&sends, 8, &pmap, &net);
         let mut ws = CodecWorkspace::default();
-        let mut a2a: AlltoallvWorkspace<(u32, u32)> = AlltoallvWorkspace::default();
         let parts_ref: Vec<&[u64]> = word_parts.iter().map(Vec::as_slice).collect();
         let rows: Vec<&[Vec<(u32, u32)>]> = sends.iter().map(Vec::as_slice).collect();
+        // The merged exchange under Raw is the reference for DeltaVarint:
+        // equal inboxes, and the one tag byte per message caps the wire.
+        let mut raw_a2a = AlltoallvWorkspace::default();
+        let (_, raw_stats) =
+            alltoallv_pairs_codec_into(&mut raw_a2a, &rows, &pmap, &net, Codec::Raw);
+        let mut dv_a2a = AlltoallvWorkspace::default();
+        let (_, dv_stats) =
+            alltoallv_pairs_codec_into(&mut dv_a2a, &rows, &pmap, &net, Codec::DeltaVarint);
+        prop_assert_eq!(&dv_a2a.received, &raw_a2a.received);
+        prop_assert_eq!(dv_stats.raw_bytes, raw_stats.wire_bytes);
+        let messages = sends.iter().flatten().filter(|m| !m.is_empty()).count() as u64;
+        prop_assert!(dv_stats.wire_bytes <= raw_stats.wire_bytes + messages);
         for c in Codec::ALL {
             let mut dst = vec![0u64; flat_words.len()];
             allgather_words_codec_into(
@@ -282,10 +294,6 @@ proptest! {
                 &lists, &pmap, &net, AllgatherAlgorithm::Ring, c, &mut ws,
             );
             prop_assert_eq!(&gathered.items, &flat_lists, "{:?} lists", c);
-            alltoallv_pairs_codec_into(&mut a2a, &rows, &pmap, &net, c);
-            for (j, inbox) in raw_exchange.received.iter().enumerate() {
-                prop_assert_eq!(&a2a.received[j], inbox, "{:?} inbox {}", c, j);
-            }
         }
     }
 

@@ -16,7 +16,6 @@
 use rayon::prelude::*;
 
 use nbfs_comm::allgather::{allgather_cost_bytes, allgather_stats_bytes, inject_allgather_faults};
-use nbfs_comm::alltoallv::{alltoallv_pairs_codec_into, AlltoallvWorkspace};
 use nbfs_comm::codec::{
     allgather_codec_stats, allgather_words_codec_into, allgatherv_u32_codec, encoded_words_size,
     Codec, CodecWorkspace,
@@ -37,20 +36,6 @@ use nbfs_util::{
 use crate::direction::{Direction, SwitchPolicy};
 use crate::opt::OptLevel;
 use crate::profile::{LevelProfile, RunProfile};
-
-/// How top-down levels move frontier information between ranks.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum TdStrategy {
-    /// Replicate the frontier (sparse vertex-list allgatherv, or the
-    /// bitmap when denser) and walk it against the transposed local
-    /// index — the replicated-hybrid structure of Fig. 1. Default.
-    SparseAllgather,
-    /// Scatter `(neighbour, parent)` records to owners with an
-    /// `alltoallv`, like the Graph500 `mpi_simple` top-down code. Message
-    /// volume scales with frontier *edges*, which is why the paper's
-    /// Section II.A pure-top-down baseline loses so badly at scale.
-    Alltoallv,
-}
 
 /// A fully specified experiment: machine, optimization level and the knobs
 /// the paper's figures vary.
@@ -82,9 +67,6 @@ pub struct Scenario {
     pub placement_override: Option<(usize, PlacementPolicy)>,
     /// Cost-model constants (exposed for ablations).
     pub params: ModelParams,
-    /// Top-down communication strategy (ablation; default sparse
-    /// allgather).
-    pub td_strategy: TdStrategy,
     /// Run-event recording ([`TraceConfig::Off`] by default; see
     /// [`DistributedBfs::run_traced`]).
     pub trace: TraceConfig,
@@ -97,8 +79,8 @@ pub struct Scenario {
     /// rung's own granularity — 64 up to `Par allgather`, the tuned value
     /// for `Granularity(g)`.
     pub summary_granularity: Option<usize>,
-    /// Wire codec for the per-level collectives (the Compression & Sieve
-    /// layer of Lv et al.). [`Codec::Raw`] by default — bit-for-bit
+    /// Wire codec for the per-level collectives (the compression layer
+    /// of Lv et al.). [`Codec::Raw`] by default — bit-for-bit
     /// today's uncompressed exchanges; every other codec must produce
     /// identical BFS parents while shrinking wire bytes.
     pub codec: Codec,
@@ -113,24 +95,14 @@ impl Scenario {
     /// construction refuses up front (allowlisted NBFS003). Use
     /// [`Scenario::builder`] for the fallible, fluent form.
     pub fn new(machine: MachineConfig, opt: OptLevel) -> Self {
-        machine.validate().expect("invalid machine");
-        Self {
-            machine,
-            opt,
-            switch_policy: SwitchPolicy::default(),
-            placement_override: None,
-            params: ModelParams::default(),
-            td_strategy: TdStrategy::SparseAllgather,
-            trace: TraceConfig::Off,
-            faults: None,
-            summary_granularity: None,
-            codec: Codec::Raw,
-        }
+        Self::builder(machine, opt)
+            .build()
+            .expect("invalid machine")
     }
 
-    /// Starts a fluent builder; every knob the `with_*` methods expose is
-    /// available pre-construction, and [`ScenarioBuilder::build`] returns
-    /// a unified [`NbfsError`] instead of panicking on a bad machine.
+    /// Starts a fluent builder: every knob is set pre-construction, and
+    /// [`ScenarioBuilder::build`] returns a unified [`NbfsError`] instead
+    /// of panicking on a bad machine.
     ///
     /// ```
     /// use nbfs_core::engine::Scenario;
@@ -147,53 +119,6 @@ impl Scenario {
     /// ```
     pub fn builder(machine: MachineConfig, opt: OptLevel) -> ScenarioBuilder {
         ScenarioBuilder::new(machine, opt)
-    }
-
-    /// Selects the run-event recording configuration used by
-    /// [`DistributedBfs::run_traced`].
-    pub fn with_trace(mut self, trace: TraceConfig) -> Self {
-        self.trace = trace;
-        self
-    }
-
-    /// Installs a deterministic fault-injection plan (see
-    /// [`nbfs_comm::fault`]). Use the `try_run*` entry points to observe
-    /// injected failures structurally.
-    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(plan);
-        self
-    }
-
-    /// Selects the top-down communication strategy.
-    pub fn with_td_strategy(mut self, td_strategy: TdStrategy) -> Self {
-        self.td_strategy = td_strategy;
-        self
-    }
-
-    /// Overrides ppn and placement policy (Fig. 10's flag matrix).
-    pub fn with_placement(mut self, ppn: usize, policy: PlacementPolicy) -> Self {
-        self.placement_override = Some((ppn, policy));
-        self
-    }
-
-    /// Overrides the hybrid switch thresholds.
-    pub fn with_switch_policy(mut self, policy: SwitchPolicy) -> Self {
-        self.switch_policy = policy;
-        self
-    }
-
-    /// Overrides the summary-bitmap granularity independently of the opt
-    /// rung (the Fig. 16 sweep).
-    pub fn with_summary_granularity(mut self, g: usize) -> Self {
-        self.summary_granularity = Some(g);
-        self
-    }
-
-    /// Selects the wire codec for the per-level collectives
-    /// (`--codec` in the CLI; [`Codec::Raw`] by default).
-    pub fn with_codec(mut self, codec: Codec) -> Self {
-        self.codec = codec;
-        self
     }
 
     /// The summary granularity in force: the explicit override when set,
@@ -249,10 +174,9 @@ impl Scenario {
     }
 }
 
-/// Fluent, fallible construction of a [`Scenario`] — the builder form of
-/// `Scenario::new().with_*()` chains. Unset knobs keep the same defaults
-/// as [`Scenario::new`], so `Scenario::builder(m, o).build().unwrap()`
-/// is field-for-field identical to `Scenario::new(m, o)`.
+/// Fluent, fallible construction of a [`Scenario`]. Holds the defaults:
+/// `Scenario::builder(m, o).build()` with no knob set is what
+/// [`Scenario::new`] returns.
 #[derive(Clone, Debug)]
 pub struct ScenarioBuilder {
     machine: MachineConfig,
@@ -260,7 +184,6 @@ pub struct ScenarioBuilder {
     switch_policy: SwitchPolicy,
     placement_override: Option<(usize, PlacementPolicy)>,
     params: ModelParams,
-    td_strategy: TdStrategy,
     trace: TraceConfig,
     faults: Option<FaultPlan>,
     summary_granularity: Option<usize>,
@@ -268,7 +191,8 @@ pub struct ScenarioBuilder {
 }
 
 impl ScenarioBuilder {
-    /// Starts from the same defaults as [`Scenario::new`].
+    /// Starts from the defaults: fault-free, untraced, [`Codec::Raw`],
+    /// the opt rung's own placement and summary granularity.
     pub fn new(machine: MachineConfig, opt: OptLevel) -> Self {
         Self {
             machine,
@@ -276,7 +200,6 @@ impl ScenarioBuilder {
             switch_policy: SwitchPolicy::default(),
             placement_override: None,
             params: ModelParams::default(),
-            td_strategy: TdStrategy::SparseAllgather,
             trace: TraceConfig::Off,
             faults: None,
             summary_granularity: None,
@@ -299,12 +222,6 @@ impl ScenarioBuilder {
     /// Overrides the cost-model constants (ablations).
     pub fn params(mut self, params: ModelParams) -> Self {
         self.params = params;
-        self
-    }
-
-    /// Selects the top-down communication strategy.
-    pub fn td_strategy(mut self, td_strategy: TdStrategy) -> Self {
-        self.td_strategy = td_strategy;
         self
     }
 
@@ -353,7 +270,6 @@ impl ScenarioBuilder {
             switch_policy: self.switch_policy,
             placement_override: self.placement_override,
             params: self.params,
-            td_strategy: self.td_strategy,
             trace: self.trace,
             faults: self.faults,
             summary_granularity: self.summary_granularity,
@@ -386,9 +302,6 @@ struct RankState {
     /// Scratch of the chunked top-down kernel (match ranges, prefix sums,
     /// claim arena), recycled across levels.
     td: TdScratch,
-    /// Per-destination alltoallv staging buckets, recycled across the
-    /// top-down levels of [`TdStrategy::Alltoallv`] runs.
-    sends: SendBuckets,
 }
 
 /// Reusable scratch of [`DistributedBfs::top_down_kernel_chunked`]. All
@@ -480,9 +393,6 @@ impl HostClock for NoClock {
         0.0
     }
 }
-
-/// Per-destination buckets of `(vertex, parent)` records for a scatter.
-type SendBuckets = Vec<Vec<(u32, u32)>>;
 
 /// Output of one rank's level kernel.
 struct KernelOut {
@@ -1043,7 +953,6 @@ impl<'g, G: GraphView> DistributedBfs<'g, G> {
                     frontier: Vec::new(),
                     unexplored_degree: lg.vertex_range().map(|v| lg.degree_global(v) as u64).sum(),
                     td: TdScratch::default(),
-                    sends: Vec::new(),
                 }
             })
             .collect();
@@ -1055,9 +964,6 @@ impl<'g, G: GraphView> DistributedBfs<'g, G> {
         // Persistent staging for the dense top-down exchange, so no level
         // allocates a full-length bitmap.
         let mut td_scratch = Bitmap::new(n);
-        // Persistent staging for the alltoallv top-down exchange; buckets
-        // and traffic vectors are recycled across levels.
-        let mut a2a_ws: AlltoallvWorkspace<(u32, u32)> = AlltoallvWorkspace::default();
         // Per-level codec staging: encode buffers plus raw/encoded size
         // vectors, recycled so compressed levels stay alloc-free after
         // warm-up (NBFS004).
@@ -1333,165 +1239,144 @@ impl<'g, G: GraphView> DistributedBfs<'g, G> {
                         level_switch += self.conversion_time(&partition);
                     }
 
-                    if self.scenario.td_strategy == TdStrategy::Alltoallv {
-                        let t0 = clock.now_secs();
-                        let (comm, comp, stall, discovered) = self.top_down_alltoallv_level(
-                            &mut states,
-                            &partition,
-                            level_idx,
-                            &mut a2a_ws,
-                            tracer,
-                        )?;
-                        let kernel_secs = clock.now_secs() - t0;
-                        wall.top_down_secs += kernel_secs;
-                        wall.top_down_levels += 1;
-                        level_wall += kernel_secs;
-                        level_comm += comm;
-                        level_comp += comp;
-                        level_stall += stall;
-                        discovered_total = discovered;
-                    } else {
-                        // Replicate the frontier: sparse allgatherv of the
-                        // newly discovered vertex lists when the frontier is
-                        // sparse (why top-down communication stays off the
-                        // Fig. 11 radar), or the frontier *bitmap* when the
-                        // list would be larger than the bitmap — the dense/
-                        // sparse frontier-representation switch of [9].
-                        let algo = self.scenario.opt.allgather_algorithm();
-                        let list_bytes: usize = states.iter().map(|s| s.frontier.len() * 4).sum();
-                        let bitmap_bytes = n.div_ceil(8);
-                        let full_frontier: Vec<u32>;
-                        let exchange_cost;
-                        if list_bytes > bitmap_bytes {
-                            // Dense path: allgather the out_words segments and
-                            // extract the sorted vertex list locally.
-                            states.par_iter_mut().enumerate().for_each(|(r, st)| {
-                                let (bit_start, _) = partition.item_range(r);
-                                st.out_words.fill(0);
-                                for &v in &st.frontier {
-                                    let local_bit = v as usize - bit_start;
-                                    st.out_words[local_bit / 64] |= 1u64 << (local_bit % 64);
-                                }
+                    // Replicate the frontier: sparse allgatherv of the
+                    // newly discovered vertex lists when the frontier is
+                    // sparse (why top-down communication stays off the
+                    // Fig. 11 radar), or the frontier *bitmap* when the
+                    // list would be larger than the bitmap — the dense/
+                    // sparse frontier-representation switch of [9].
+                    let algo = self.scenario.opt.allgather_algorithm();
+                    let list_bytes: usize = states.iter().map(|s| s.frontier.len() * 4).sum();
+                    let bitmap_bytes = n.div_ceil(8);
+                    let full_frontier: Vec<u32>;
+                    let exchange_cost;
+                    if list_bytes > bitmap_bytes {
+                        // Dense path: allgather the out_words segments and
+                        // extract the sorted vertex list locally.
+                        states.par_iter_mut().enumerate().for_each(|(r, st)| {
+                            let (bit_start, _) = partition.item_range(r);
+                            st.out_words.fill(0);
+                            for &v in &st.frontier {
+                                let local_bit = v as usize - bit_start;
+                                st.out_words[local_bit / 64] |= 1u64 << (local_bit % 64);
+                            }
+                        });
+                        let parts_ref: Vec<&[u64]> =
+                            states.iter().map(|s| s.out_words.as_slice()).collect();
+                        let cost = allgather_words_codec_into(
+                            td_scratch.words_mut(),
+                            &parts_ref,
+                            &self.pmap,
+                            &self.net,
+                            algo,
+                            codec,
+                            &mut codec_ws,
+                        );
+                        td_scratch.repair_padding();
+                        full_frontier = td_scratch.iter_ones().map(vid::to_stored).collect();
+                        if tracer.enabled() || self.scenario.faults.is_some() {
+                            let stats = allgather_codec_stats(&codec_ws, &self.pmap, algo);
+                            tracer.record(TraceEvent::Collective {
+                                level: level_idx,
+                                kind: CollectiveKind::AllgatherWords,
+                                cost,
+                                stats,
                             });
-                            let parts_ref: Vec<&[u64]> =
-                                states.iter().map(|s| s.out_words.as_slice()).collect();
-                            let cost = allgather_words_codec_into(
-                                td_scratch.words_mut(),
-                                &parts_ref,
-                                &self.pmap,
-                                &self.net,
-                                algo,
-                                codec,
-                                &mut codec_ws,
-                            );
-                            td_scratch.repair_padding();
-                            full_frontier = td_scratch.iter_ones().map(vid::to_stored).collect();
-                            if tracer.enabled() || self.scenario.faults.is_some() {
-                                let stats = allgather_codec_stats(&codec_ws, &self.pmap, algo);
-                                tracer.record(TraceEvent::Collective {
-                                    level: level_idx,
-                                    kind: CollectiveKind::AllgatherWords,
-                                    cost,
-                                    stats,
-                                });
-                                if let Some(plan) = &self.scenario.faults {
-                                    let adj = inject_allgather_faults(
-                                        plan,
-                                        level_idx,
-                                        CollectiveKind::AllgatherWords,
-                                        &self.pmap,
-                                        algo,
-                                        &cost,
-                                        &stats,
-                                    );
-                                    Self::apply_faults(tracer, adj, &mut level_comm)?;
-                                }
-                            }
-                            exchange_cost = cost.total();
-                            level_switch += self.conversion_time(&partition);
-                        } else {
-                            let lists: Vec<Vec<u32>> =
-                                states.iter().map(|s| s.frontier.clone()).collect();
-                            let gathered = allgatherv_u32_codec(
-                                &lists,
-                                &self.pmap,
-                                &self.net,
-                                algo,
-                                codec,
-                                &mut codec_ws,
-                            );
-                            if tracer.enabled() || self.scenario.faults.is_some() {
-                                let stats = allgather_codec_stats(&codec_ws, &self.pmap, algo);
-                                tracer.record(TraceEvent::Collective {
-                                    level: level_idx,
-                                    kind: CollectiveKind::Allgatherv,
-                                    cost: gathered.cost,
-                                    stats,
-                                });
-                                if let Some(plan) = &self.scenario.faults {
-                                    let adj = inject_allgather_faults(
-                                        plan,
-                                        level_idx,
-                                        CollectiveKind::Allgatherv,
-                                        &self.pmap,
-                                        algo,
-                                        &gathered.cost,
-                                        &stats,
-                                    );
-                                    Self::apply_faults(tracer, adj, &mut level_comm)?;
-                                }
-                            }
-                            full_frontier = gathered.items;
-                            exchange_cost = gathered.cost.total();
-                        }
-                        level_comm += exchange_cost;
-
-                        // --- top-down kernel over the transposed index -------
-                        let frontier_ref = &full_frontier;
-                        let t0 = clock.now_secs();
-                        let outs: Vec<KernelOut> = states
-                            .par_iter_mut()
-                            .enumerate()
-                            .map(|(r, st)| match self.td_kernel {
-                                TopDownKernel::Chunked => self.top_down_kernel_chunked(
-                                    self.parts.local(r),
-                                    st,
-                                    frontier_ref,
-                                ),
-                                TopDownKernel::Reference => self.top_down_kernel_reference(
-                                    self.parts.local(r),
-                                    st,
-                                    frontier_ref,
-                                ),
-                            })
-                            .collect();
-                        let kernel_secs = clock.now_secs() - t0;
-                        wall.top_down_secs += kernel_secs;
-                        wall.top_down_levels += 1;
-                        level_wall += kernel_secs;
-                        let times = self.rank_times(&outs);
-                        if tracer.enabled() {
-                            for (r, (o, t)) in outs.iter().zip(&times).enumerate() {
-                                tracer.record_rank(
-                                    r,
-                                    TraceEvent::RankLevel {
-                                        level: level_idx,
-                                        rank: r,
-                                        discovered: o.discovered,
-                                        edges_scanned: o.events.edge_bytes / 8,
-                                        summary_probes: 0,
-                                        inqueue_probes: 0,
-                                        write_bytes: o.events.write_bytes,
-                                        comp: *t,
-                                    },
+                            if let Some(plan) = &self.scenario.faults {
+                                let adj = inject_allgather_faults(
+                                    plan,
+                                    level_idx,
+                                    CollectiveKind::AllgatherWords,
+                                    &self.pmap,
+                                    algo,
+                                    &cost,
+                                    &stats,
                                 );
+                                Self::apply_faults(tracer, adj, &mut level_comm)?;
                             }
                         }
-                        let (mean, stall) = Self::mean_and_stall(&times);
-                        level_comp += mean;
-                        level_stall += stall;
-                        discovered_total = outs.iter().map(|o| o.discovered).sum::<u64>();
+                        exchange_cost = cost.total();
+                        level_switch += self.conversion_time(&partition);
+                    } else {
+                        let lists: Vec<Vec<u32>> =
+                            states.iter().map(|s| s.frontier.clone()).collect();
+                        let gathered = allgatherv_u32_codec(
+                            &lists,
+                            &self.pmap,
+                            &self.net,
+                            algo,
+                            codec,
+                            &mut codec_ws,
+                        );
+                        if tracer.enabled() || self.scenario.faults.is_some() {
+                            let stats = allgather_codec_stats(&codec_ws, &self.pmap, algo);
+                            tracer.record(TraceEvent::Collective {
+                                level: level_idx,
+                                kind: CollectiveKind::Allgatherv,
+                                cost: gathered.cost,
+                                stats,
+                            });
+                            if let Some(plan) = &self.scenario.faults {
+                                let adj = inject_allgather_faults(
+                                    plan,
+                                    level_idx,
+                                    CollectiveKind::Allgatherv,
+                                    &self.pmap,
+                                    algo,
+                                    &gathered.cost,
+                                    &stats,
+                                );
+                                Self::apply_faults(tracer, adj, &mut level_comm)?;
+                            }
+                        }
+                        full_frontier = gathered.items;
+                        exchange_cost = gathered.cost.total();
                     }
+                    level_comm += exchange_cost;
+
+                    // --- top-down kernel over the transposed index -------
+                    let frontier_ref = &full_frontier;
+                    let t0 = clock.now_secs();
+                    let outs: Vec<KernelOut> = states
+                        .par_iter_mut()
+                        .enumerate()
+                        .map(|(r, st)| match self.td_kernel {
+                            TopDownKernel::Chunked => {
+                                self.top_down_kernel_chunked(self.parts.local(r), st, frontier_ref)
+                            }
+                            TopDownKernel::Reference => self.top_down_kernel_reference(
+                                self.parts.local(r),
+                                st,
+                                frontier_ref,
+                            ),
+                        })
+                        .collect();
+                    let kernel_secs = clock.now_secs() - t0;
+                    wall.top_down_secs += kernel_secs;
+                    wall.top_down_levels += 1;
+                    level_wall += kernel_secs;
+                    let times = self.rank_times(&outs);
+                    if tracer.enabled() {
+                        for (r, (o, t)) in outs.iter().zip(&times).enumerate() {
+                            tracer.record_rank(
+                                r,
+                                TraceEvent::RankLevel {
+                                    level: level_idx,
+                                    rank: r,
+                                    discovered: o.discovered,
+                                    edges_scanned: o.events.edge_bytes / 8,
+                                    summary_probes: 0,
+                                    inqueue_probes: 0,
+                                    write_bytes: o.events.write_bytes,
+                                    comp: *t,
+                                },
+                            );
+                        }
+                    }
+                    let (mean, stall) = Self::mean_and_stall(&times);
+                    level_comp += mean;
+                    level_stall += stall;
+                    discovered_total = outs.iter().map(|o| o.discovered).sum::<u64>();
                 }
             }
 
@@ -1757,220 +1642,6 @@ impl<'g, G: GraphView> DistributedBfs<'g, G> {
             ],
         };
         KernelOut { events, discovered }
-    }
-
-    /// One full top-down level under [`TdStrategy::Alltoallv`]: every rank
-    /// expands its own frontier queue, buckets `(neighbour, parent)` pairs
-    /// by owner, exchanges them, and owners adopt first arrivals. Returns
-    /// `(comm, comp, stall, discovered)`.
-    ///
-    /// When the tracer is live, records the exchange as an `Alltoallv`
-    /// collective and one `RankLevel` event per rank (scatter and inbox
-    /// phases combined; scatter edge entries are 4 bytes each).
-    fn top_down_alltoallv_level(
-        &self,
-        states: &mut [RankState],
-        partition: &nbfs_util::BlockPartition,
-        level_idx: usize,
-        ws: &mut AlltoallvWorkspace<(u32, u32)>,
-        tracer: &mut Tracer,
-    ) -> Result<(SimTime, SimTime, SimTime, u64), NbfsError> {
-        let np = self.pmap.world_size();
-        // --- scatter kernel ------------------------------------------------
-        // Staging buckets live in each rank's state and are recycled across
-        // top-down levels: clearing a Vec keeps its allocation, so after
-        // the first level the scatter loop never touches the allocator.
-        let scatter_outs: Vec<KernelOut> = states
-            .par_iter_mut()
-            .enumerate()
-            .map(|(r, st)| {
-                let lg = self.parts.local(r);
-                let RankState {
-                    frontier, sends, ..
-                } = st;
-                if sends.len() != np {
-                    sends.resize_with(np, Vec::new);
-                }
-                let mut edge_bytes = 0u64;
-                let mut cpu_ops = 0u64;
-                // nbfs-analysis: hot-path
-                // Frontier expansion into recycled per-destination buckets
-                // (push on a cleared Vec reuses its buffer — NBFS004).
-                for bucket in sends.iter_mut() {
-                    bucket.clear();
-                }
-                for &u in frontier.iter() {
-                    for &v in lg.neighbours_global(u as usize) {
-                        edge_bytes += 4;
-                        cpu_ops += 4;
-                        sends[partition.owner(v as usize)].push((v, u));
-                    }
-                }
-                // nbfs-analysis: end-hot-path
-                let events = ComputeEvents {
-                    vertex_scan_bytes: frontier.len() as u64 * 4,
-                    edge_bytes,
-                    write_bytes: 8 * sends.iter().map(|s| s.len() as u64).sum::<u64>(),
-                    cpu_ops,
-                    probes: Vec::new(),
-                };
-                KernelOut {
-                    events,
-                    discovered: 0,
-                }
-            })
-            .collect();
-        let mut scatter_times = self.rank_times(&scatter_outs);
-        let codec = self.scenario.codec;
-        if codec.sieves() {
-            // --- sieve pre-pass (Lv et al. §IV) ----------------------------
-            // Before paying wire bytes, each sender filters its buckets
-            // against the owner's parent state: a vertex whose parent is
-            // already set can never be adopted by the inbox's first-arrival
-            // rule, so dropping its records changes nothing downstream
-            // (parents are never unset). Records for vertices still
-            // unvisited at level entry all survive, preserving arrival
-            // order — parents stay bit-identical to the unsieved run.
-            let sieve_outs = Self::sieve_prepass(states, partition);
-            let sieve_times = self.rank_times(&sieve_outs);
-            for (t, s) in scatter_times.iter_mut().zip(&sieve_times) {
-                *t += *s;
-            }
-        }
-        let (mean_scatter, stall_scatter) = Self::mean_and_stall(&scatter_times);
-
-        // --- exchange ------------------------------------------------------
-        let rows: Vec<&[Vec<(u32, u32)>]> = states.iter().map(|s| s.sends.as_slice()).collect();
-        let (exchange_cost, exchange_stats) =
-            alltoallv_pairs_codec_into(ws, &rows, &self.pmap, &self.net, codec);
-        drop(rows);
-        tracer.record(TraceEvent::Collective {
-            level: level_idx,
-            kind: CollectiveKind::Alltoallv,
-            cost: exchange_cost,
-            stats: exchange_stats,
-        });
-        let mut exchange_penalty = SimTime::ZERO;
-        if let Some(plan) = &self.scenario.faults {
-            let adj = nbfs_comm::alltoallv::inject_alltoallv_faults(
-                plan,
-                level_idx,
-                &self.pmap,
-                &exchange_cost,
-                &exchange_stats,
-            );
-            Self::apply_faults(tracer, adj, &mut exchange_penalty)?;
-        }
-
-        // --- inbox processing ------------------------------------------------
-        let outs: Vec<KernelOut> = states
-            .par_iter_mut()
-            .zip(ws.received.par_iter())
-            .enumerate()
-            .map(|(r, (st, inbox))| {
-                let lg = self.parts.local(r);
-                let first = lg.first_vertex();
-                st.frontier.clear();
-                let mut cpu_ops = 0u64;
-                let mut write_bytes = 0u64;
-                let mut discovered = 0u64;
-                let mut degree_found = 0u64;
-                let inbox_len = inbox.len() as u64;
-                for &(v, u) in inbox {
-                    debug_assert_eq!(partition.owner(v as usize), r);
-                    let local = v as usize - first;
-                    cpu_ops += 3;
-                    if st.parent[local] == NO_PARENT {
-                        st.parent[local] = u;
-                        st.visited.set(local);
-                        st.frontier.push(v);
-                        write_bytes += 12;
-                        discovered += 1;
-                        degree_found += lg.degree_global(v as usize) as u64;
-                    }
-                }
-                st.frontier.sort_unstable();
-                st.unexplored_degree -= degree_found;
-                let events = ComputeEvents {
-                    vertex_scan_bytes: 0,
-                    edge_bytes: 0,
-                    write_bytes,
-                    cpu_ops,
-                    probes: vec![ProbeClass {
-                        count: inbox_len,
-                        working_set: (lg.num_local_vertices() * 4).max(64),
-                        residence: self.scenario.private_residence(),
-                    }],
-                };
-                KernelOut { events, discovered }
-            })
-            .collect();
-        let inbox_times = self.rank_times(&outs);
-        let (mean_inbox, stall_inbox) = Self::mean_and_stall(&inbox_times);
-        if tracer.enabled() {
-            for (r, (s, o)) in scatter_outs.iter().zip(&outs).enumerate() {
-                tracer.record_rank(
-                    r,
-                    TraceEvent::RankLevel {
-                        level: level_idx,
-                        rank: r,
-                        discovered: o.discovered,
-                        edges_scanned: s.events.edge_bytes / 4,
-                        summary_probes: 0,
-                        inqueue_probes: 0,
-                        write_bytes: s.events.write_bytes + o.events.write_bytes,
-                        comp: scatter_times[r] + inbox_times[r],
-                    },
-                );
-            }
-        }
-        let discovered = outs.iter().map(|o| o.discovered).sum();
-        Ok((
-            exchange_cost.total() + exchange_penalty,
-            mean_scatter + mean_inbox,
-            stall_scatter + stall_inbox,
-            discovered,
-        ))
-    }
-
-    /// The sieve itself: each sender re-scans its recycled buckets and
-    /// retains only records whose target vertex is still unvisited at the
-    /// destination (`parent == NO_PARENT`). Returns per-rank compute
-    /// events so the filter's scan cost lands in the scatter phase.
-    ///
-    /// The borrow is split with `mem::take` because sender `i` reads every
-    /// other rank's parent array while mutating its own buckets.
-    fn sieve_prepass(
-        states: &mut [RankState],
-        partition: &nbfs_util::BlockPartition,
-    ) -> Vec<KernelOut> {
-        let np = states.len();
-        let mut outs = Vec::with_capacity(np);
-        for i in 0..np {
-            let mut sends = std::mem::take(&mut states[i].sends);
-            let mut scanned = 0u64;
-            for (j, bucket) in sends.iter_mut().enumerate() {
-                let (first, _) = partition.item_range(j);
-                let owner = &states[j];
-                scanned += bucket.len() as u64;
-                // nbfs-analysis: hot-path
-                // In-place retain keeps the recycled bucket allocation.
-                bucket.retain(|&(v, _)| owner.parent[v as usize - first] == NO_PARENT);
-                // nbfs-analysis: end-hot-path
-            }
-            states[i].sends = sends;
-            outs.push(KernelOut {
-                events: ComputeEvents {
-                    vertex_scan_bytes: scanned * 8,
-                    edge_bytes: 0,
-                    write_bytes: 0,
-                    cpu_ops: 2 * scanned,
-                    probes: Vec::new(),
-                },
-                discovered: 0,
-            });
-        }
-        outs
     }
 
     /// The top-down level kernel for one rank: walk the *replicated*
@@ -2336,44 +2007,6 @@ mod tests {
     }
 
     #[test]
-    fn alltoallv_strategy_produces_the_same_visited_set() {
-        let g = GraphBuilder::rmat(11, 8).seed(13).build();
-        let machine = MachineConfig::small_test_cluster(2, 4);
-        let a = DistributedBfs::new(&g, &Scenario::new(machine.clone(), OptLevel::ShareAll)).run(5);
-        let b = DistributedBfs::new(
-            &g,
-            &Scenario::new(machine, OptLevel::ShareAll).with_td_strategy(TdStrategy::Alltoallv),
-        )
-        .run(5);
-        let visited_a = validate_bfs_tree(&g, 5, &a.parent).unwrap();
-        let visited_b = validate_bfs_tree(&g, 5, &b.parent).unwrap();
-        assert_eq!(visited_a, visited_b);
-        assert!(b.profile.total() > SimTime::ZERO);
-    }
-
-    #[test]
-    fn alltoallv_top_down_costs_more_communication() {
-        // The Section II.A motivation: per-edge scatter traffic loses to
-        // the replicated sparse exchange once the frontier has real volume.
-        let g = GraphBuilder::rmat(14, 16).seed(9).build();
-        let machine = presets::xeon_x7550_cluster(4).scaled_to_graph(14, 28);
-        let root = (0..g.num_vertices()).max_by_key(|&v| g.degree(v)).unwrap();
-        let sparse =
-            DistributedBfs::new(&g, &Scenario::new(machine.clone(), OptLevel::ShareAll)).run(root);
-        let scatter = DistributedBfs::new(
-            &g,
-            &Scenario::new(machine, OptLevel::ShareAll).with_td_strategy(TdStrategy::Alltoallv),
-        )
-        .run(root);
-        assert!(
-            scatter.profile.td_comm > sparse.profile.td_comm,
-            "alltoallv TD comm {:?} should exceed sparse {:?}",
-            scatter.profile.td_comm,
-            sparse.profile.td_comm
-        );
-    }
-
-    #[test]
     fn fig10_placement_ordering() {
         // bind-to-socket > interleave > noflag for the Original code on one
         // node (Fig. 10's ranking).
@@ -2392,8 +2025,10 @@ mod tests {
             ("noflag1", 1, PlacementPolicy::Noflag),
             ("noflag8", 8, PlacementPolicy::Noflag),
         ] {
-            let scenario =
-                Scenario::new(machine.clone(), OptLevel::OriginalPpn8).with_placement(ppn, policy);
+            let scenario = Scenario::builder(machine.clone(), OptLevel::OriginalPpn8)
+                .placement(ppn, policy)
+                .build()
+                .unwrap();
             let run = DistributedBfs::new(&g, &scenario).run(root);
             totals.insert(label, run.profile.total());
         }

@@ -40,12 +40,12 @@
 
 use rayon::prelude::*;
 
-use nbfs_comm::alltoallv::{alltoallv_pairs_codec_into, AlltoallvWorkspace};
+use nbfs_comm::alltoallv::{alltoallv_pairs_codec_into, exchange_round_cost, AlltoallvWorkspace};
 use nbfs_comm::codec::encoded_words_size;
 use nbfs_comm::collectives::allreduce_sum;
 use nbfs_graph::{vid, Csr, GraphView, NO_PARENT};
 use nbfs_simnet::compute::ProbeClass;
-use nbfs_simnet::{ComputeContext, ComputeEvents, Flow, FlowRoundSummary, NetworkModel};
+use nbfs_simnet::{ComputeContext, ComputeEvents, NetworkModel};
 use nbfs_topology::{MachineConfig, ProcessMap};
 use nbfs_trace::{
     CollectiveKind, CollectiveStats, CommCost, RunMeta, TraceEvent, TraceReport, Tracer,
@@ -54,8 +54,8 @@ use nbfs_util::{Bitmap, BlockPartition, SimTime, SummaryBitmap, WORD_BITS};
 
 use crate::direction::Direction;
 use crate::engine::{
-    bu_scan_chunk, td_match_chunk, BuChunkOut, BuRows, BuScanInputs, Scenario, BU_CHUNK_WORDS,
-    TD_CHUNK_FRONTIER,
+    bu_scan_chunk, td_match_chunk, BfsRun, BuChunkOut, BuRows, BuScanInputs, Scenario,
+    BU_CHUNK_WORDS, TD_CHUNK_FRONTIER,
 };
 use crate::profile::{LevelProfile, RunProfile};
 
@@ -118,18 +118,6 @@ struct Rank2D {
     scratch_parent: Vec<u32>,
     /// Row-group-length discovery words for the bottom-up scan.
     out_words: Vec<u64>,
-}
-
-/// Result of a 2-D BFS run.
-#[derive(Clone, Debug)]
-pub struct Bfs2DRun {
-    /// Global parent array.
-    pub parent: Vec<u32>,
-    /// Vertices visited.
-    pub visited: usize,
-    /// Time profile (both directions, same slice structure as the 1-D
-    /// engine's).
-    pub profile: RunProfile,
 }
 
 /// The 2-D partitioned direction-optimizing engine. Generic over the
@@ -287,64 +275,6 @@ impl<'g, G: GraphView> TwoDimBfs<'g, G> {
             .collect()
     }
 
-    /// Prices one round of point-to-point transfers exactly like the fold
-    /// exchange prices its single round (`alltoallv_into`): inter-node
-    /// traffic aggregated per node pair through the flow solver, intra-node
-    /// traffic as a shared-memory copy round (each sending rank is one
-    /// copier), the round ending when the slower medium finishes.
-    fn price_round(&self, transfers: &[(usize, usize, u64)]) -> (CommCost, CollectiveStats) {
-        let nodes = self.pmap.nodes();
-        let mut wire = vec![0u64; nodes * nodes];
-        let mut shm_bytes = vec![0u64; nodes];
-        let mut sender_intra = vec![false; self.pmap.world_size()];
-        for &(src, dst, bytes) in transfers {
-            if bytes == 0 {
-                continue;
-            }
-            let sn = self.pmap.node_of(src);
-            let dn = self.pmap.node_of(dst);
-            if sn == dn {
-                shm_bytes[sn] += bytes;
-                sender_intra[src] = true;
-            } else {
-                wire[sn * nodes + dn] += bytes;
-            }
-        }
-        let mut shm_copiers = vec![0usize; nodes];
-        for (r, &intra) in sender_intra.iter().enumerate() {
-            if intra {
-                shm_copiers[self.pmap.node_of(r)] += 1;
-            }
-        }
-        let flows: Vec<Flow> = (0..nodes)
-            .flat_map(|s| (0..nodes).map(move |d| (s, d)))
-            .filter(|&(s, d)| s != d && wire[s * nodes + d] > 0)
-            .map(|(s, d)| Flow::new(s, d, wire[s * nodes + d]))
-            .collect();
-        let t_wire = self.net.round_time(&flows);
-        let sockets = self.net.machine().sockets_per_node;
-        let t_shm = (0..nodes)
-            .filter(|&nd| shm_copiers[nd] > 0)
-            .map(|nd| {
-                let per_copier = shm_bytes[nd] / shm_copiers[nd] as u64;
-                self.net.shm_copy_time(
-                    2 * per_copier,
-                    shm_copiers[nd],
-                    shm_copiers[nd].clamp(1, sockets),
-                )
-            })
-            .fold(SimTime::ZERO, SimTime::max);
-        let round = FlowRoundSummary::of(&flows);
-        let stats = CollectiveStats {
-            rounds: 1,
-            flows: round.flows,
-            wire_bytes: round.bytes,
-            shm_bytes: shm_bytes.iter().sum(),
-            raw_bytes: round.bytes,
-        };
-        (CommCost::inter_only(t_wire.max(t_shm)), stats)
-    }
-
     /// Cost/volume of the column allgather ("expand"): every column rings
     /// its ranks' pieces along the grid concurrently, `rows - 1` rounds; in
     /// round `r` rank `(i, j)` forwards the piece that originated at
@@ -371,7 +301,7 @@ impl<'g, G: GraphView> TwoDimBfs<'g, G> {
                     ));
                 }
             }
-            let (c, s) = self.price_round(&transfers);
+            let (c, s) = exchange_round_cost(&transfers, &self.pmap, &self.net);
             cost += c;
             stats.flows += s.flows;
             stats.wire_bytes += s.wire_bytes;
@@ -403,7 +333,7 @@ impl<'g, G: GraphView> TwoDimBfs<'g, G> {
                 }
             }
         }
-        self.price_round(&transfers)
+        exchange_round_cost(&transfers, &self.pmap, &self.net)
     }
 
     /// Cost of one queue<->bitmap conversion sweep at a direction switch
@@ -425,7 +355,7 @@ impl<'g, G: GraphView> TwoDimBfs<'g, G> {
         &self,
         ranks: &mut [Rank2D],
         sends: &[SendBuckets],
-        fold_ws: &mut AlltoallvWorkspace<(u32, u32)>,
+        fold_ws: &mut AlltoallvWorkspace,
         tracer: &mut Tracer,
         level_idx: usize,
         events: &[ComputeEvents],
@@ -504,7 +434,7 @@ impl<'g, G: GraphView> TwoDimBfs<'g, G> {
     }
 
     /// Runs a 2-D direction-optimizing BFS from `root`.
-    pub fn run(&self, root: usize) -> Bfs2DRun {
+    pub fn run(&self, root: usize) -> BfsRun {
         self.run_instrumented(root, &mut Tracer::off())
     }
 
@@ -513,14 +443,14 @@ impl<'g, G: GraphView> TwoDimBfs<'g, G> {
     /// (`Scenario::trace`).
     ///
     /// [`TraceConfig`]: nbfs_trace::TraceConfig
-    pub fn run_traced(&self, root: usize) -> (Bfs2DRun, TraceReport) {
+    pub fn run_traced(&self, root: usize) -> (BfsRun, TraceReport) {
         let mut tracer = Tracer::new(self.scenario.trace, self.pmap.world_size());
         let run = self.run_instrumented(root, &mut tracer);
         let report = tracer.finish(self.run_meta(root));
         (run, report)
     }
 
-    fn run_instrumented(&self, root: usize, tracer: &mut Tracer) -> Bfs2DRun {
+    fn run_instrumented(&self, root: usize, tracer: &mut Tracer) -> BfsRun {
         let n = self.graph.num_vertices();
         assert!(root < n, "root out of range");
         let np = self.pmap.world_size();
@@ -565,7 +495,7 @@ impl<'g, G: GraphView> TwoDimBfs<'g, G> {
         let codec = self.scenario.codec;
         let mut codec_scratch: Vec<u8> = Vec::new();
         let mut word_scratch: Vec<u64> = Vec::new();
-        let mut fold_ws: AlltoallvWorkspace<(u32, u32)> = AlltoallvWorkspace::default();
+        let mut fold_ws = AlltoallvWorkspace::default();
 
         let mut direction = Direction::TopDown;
         let mut prev_direction: Option<Direction> = None;
@@ -890,7 +820,6 @@ impl<'g, G: GraphView> TwoDimBfs<'g, G> {
 
                     // --- local multiply (chunked galloping merge-join) ---
                     let col_ref = &col_frontiers;
-                    let ranks_ref = &ranks;
                     let results: Vec<(ComputeEvents, SendBuckets)> = ranks
                         .par_iter()
                         .map(|rk| {
@@ -912,29 +841,8 @@ impl<'g, G: GraphView> TwoDimBfs<'g, G> {
                                     }
                                 }
                             }
-                            let mut vertex_scan_bytes = f.len() as u64 * 4;
-                            if codec.sieves() {
-                                // Sieve pre-pass: candidates already seated
-                                // at the owner can never win the min-merge
-                                // (visited targets are skipped), so senders
-                                // drop them before the fold pays for their
-                                // bytes. Survivor order is preserved and
-                                // all unvisited targets survive, keeping
-                                // parents bit-identical to unsieved runs.
-                                let mut scanned = 0u64;
-                                for (dst, bucket) in sends.iter_mut().enumerate() {
-                                    let (vs, _) = self.partition.item_range(dst);
-                                    let owner = &ranks_ref[dst];
-                                    scanned += bucket.len() as u64;
-                                    bucket.retain(|&(v, _)| {
-                                        owner.parent[v as usize - vs] == NO_PARENT
-                                    });
-                                }
-                                vertex_scan_bytes += scanned * 8;
-                                cpu_ops += 2 * scanned;
-                            }
                             let events = ComputeEvents {
-                                vertex_scan_bytes,
+                                vertex_scan_bytes: f.len() as u64 * 4,
                                 edge_bytes,
                                 write_bytes: 8 * sends.iter().map(|s| s.len() as u64).sum::<u64>(),
                                 cpu_ops,
@@ -1019,7 +927,7 @@ impl<'g, G: GraphView> TwoDimBfs<'g, G> {
         }
         parent.truncate(n);
         let visited = parent.iter().filter(|&&p| p != NO_PARENT).count();
-        Bfs2DRun {
+        BfsRun {
             parent,
             visited,
             profile,
@@ -1079,13 +987,11 @@ fn min_adopt(rk: &mut Rank2D, inbox: &[(u32, u32)]) -> u64 {
 #[allow(clippy::unwrap_used, clippy::cast_possible_truncation)]
 mod tests {
     use super::*;
-    use crate::direction::SwitchPolicy;
-    use crate::engine::{DistributedBfs, TdStrategy};
+    use crate::engine::DistributedBfs;
     use crate::opt::OptLevel;
     use crate::seq;
     use nbfs_graph::validate::validate_bfs_tree;
     use nbfs_graph::{CompressedCsr, GraphBuilder};
-    use nbfs_topology::presets;
 
     fn machine(nodes: usize) -> MachineConfig {
         MachineConfig::small_test_cluster(nodes, 4)
@@ -1188,40 +1094,6 @@ mod tests {
         let g = GraphBuilder::rmat(10, 8).seed(5).build();
         let scenario = Scenario::new(machine(2), OptLevel::ShareAll);
         let _ = TwoDimBfs::with_grid(&g, &scenario, 3, 3);
-    }
-
-    #[test]
-    fn two_dim_moves_less_wire_traffic_than_1d_alltoallv_top_down() {
-        // The [11] claim, measured on an executing engine rather than a
-        // cost projection: the 2-D top-down's communication undercuts the
-        // 1-D scatter top-down's on multi-node runs. Both engines are
-        // pinned top-down so the comparison isolates the exchange pattern.
-        let g = GraphBuilder::rmat(13, 16).seed(9).build();
-        let machine = presets::xeon_x7550_cluster(4).scaled_to_graph(13, 28);
-        let root = hub_root(&g);
-
-        let two_d = TwoDimBfs::new(
-            &g,
-            &Scenario::new(machine.clone(), OptLevel::ShareAll)
-                .with_switch_policy(SwitchPolicy::always_top_down()),
-        )
-        .run(root);
-
-        let one_d = DistributedBfs::new(
-            &g,
-            &Scenario::new(machine, OptLevel::ShareAll)
-                .with_switch_policy(SwitchPolicy::always_top_down())
-                .with_td_strategy(TdStrategy::Alltoallv),
-        )
-        .run(root);
-
-        assert_eq!(two_d.visited, one_d.visited);
-        assert!(
-            two_d.profile.td_comm < one_d.profile.td_comm,
-            "2-D comm {:?} must undercut 1-D alltoallv comm {:?}",
-            two_d.profile.td_comm,
-            one_d.profile.td_comm
-        );
     }
 
     #[test]

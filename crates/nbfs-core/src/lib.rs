@@ -34,7 +34,6 @@
 pub mod direction;
 pub mod engine;
 pub mod engine2d;
-pub mod ext2d;
 pub mod harness;
 pub mod multi;
 pub mod opt;

@@ -72,7 +72,10 @@ fn codecs_match_one_dim_on_both_storages() {
     let raw = Scenario::new(machine(14), OptLevel::Granularity(256));
     let reference = DistributedBfs::new(&g, &raw).run(root);
     for codec in Codec::ALL {
-        let scenario = Scenario::new(machine(14), OptLevel::Granularity(256)).with_codec(codec);
+        let scenario = Scenario::builder(machine(14), OptLevel::Granularity(256))
+            .codec(codec)
+            .build()
+            .unwrap();
         let dense = TwoDimBfs::with_grid(&g, &scenario, 2, 4).run(root);
         assert_eq!(
             reference.parent,

@@ -21,7 +21,7 @@ pub enum CollectiveKind {
     AllgatherSummary,
     /// The variable-length frontier-list allgather of sparse top-down.
     Allgatherv,
-    /// The pairwise alltoallv exchange of the 1-D alltoallv strategy.
+    /// The pairwise `(vertex, parent)` record fold of the 2-D engine.
     Alltoallv,
     /// A scalar allreduce (frontier size / termination vote).
     Allreduce,

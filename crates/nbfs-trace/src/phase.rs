@@ -9,7 +9,8 @@ pub enum Phase {
     TdComp,
     /// Bottom-up computation.
     BuComp,
-    /// Top-down communication (the alltoallv exchanges).
+    /// Top-down communication (the frontier allgathers; expand and fold
+    /// in the 2-D engine).
     TdComm,
     /// Bottom-up communication (the two allgathers of Fig. 1).
     BuComm,

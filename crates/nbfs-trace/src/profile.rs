@@ -25,7 +25,7 @@ pub struct LevelProfile {
     pub discovered: u64,
     /// Mean per-rank computation time.
     pub comp: SimTime,
-    /// Communication time (allgathers or alltoallv plus control).
+    /// Communication time (the level's collectives plus control).
     pub comm: SimTime,
     /// Barrier skew absorbed at the end of the level.
     pub stall: SimTime,

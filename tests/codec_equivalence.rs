@@ -1,21 +1,18 @@
-//! The codec conformance matrix: every wire codec, on every collective
-//! path that carries frontier payloads, must leave the BFS *answer*
-//! untouched. Compression (and the sieve) may only change what crosses
-//! the simulated wire — parents, visited sets and discovery schedules
-//! are bit-identical to the `Raw` baseline.
+//! The codec conformance matrix: the compressing wire codec, on every
+//! collective path that carries frontier payloads, must leave the BFS
+//! *answer* untouched. Compression may only change what crosses the
+//! simulated wire — parents, visited sets and discovery schedules are
+//! bit-identical to the `Raw` baseline.
 //!
-//! This is the acceptance gate for the Compression & Sieve layer
-//! (Lv et al., arXiv:1208.5542): the paper's trick is sound precisely
-//! because dropping already-sieved records and re-encoding the rest is
-//! invisible to the algorithm. Cells cover the opt ladder (allgather
-//! variants over words and sparse lists), the alltoallv top-down
-//! strategy, and the 2-D engine, at scales 14–18.
+//! This is the acceptance gate for the compression layer (Lv et al.,
+//! arXiv:1208.5542). Cells cover the opt ladder (allgather variants over
+//! words and sparse lists) and the 2-D engine, at scales 14–18.
 
 // Test code opts back into unwrap/narrowing ergonomics; the workspace
 // denies both in library targets (see [workspace.lints] in Cargo.toml).
 #![allow(clippy::unwrap_used, clippy::cast_possible_truncation)]
 use numa_bfs::comm::codec::Codec;
-use numa_bfs::core::engine::{BfsRun, DistributedBfs, Scenario, TdStrategy};
+use numa_bfs::core::engine::{BfsRun, DistributedBfs, Scenario};
 use numa_bfs::core::engine2d::TwoDimBfs;
 use numa_bfs::core::opt::OptLevel;
 use numa_bfs::graph::{Csr, GraphBuilder};
@@ -32,10 +29,9 @@ fn root_of(g: &Csr) -> usize {
     (0..g.num_vertices()).max_by_key(|&v| g.degree(v)).unwrap()
 }
 
-fn scenario(scale: u32, opt: OptLevel, td: TdStrategy, codec: Codec) -> Scenario {
+fn scenario(scale: u32, opt: OptLevel, codec: Codec) -> Scenario {
     let machine = presets::xeon_x7550_cluster(NODES).scaled_to_graph(scale, 28);
     Scenario::builder(machine, opt)
-        .td_strategy(td)
         .trace(TraceConfig::Standard)
         .codec(codec)
         .build()
@@ -65,16 +61,17 @@ fn assert_identical(cell: &str, base: &BfsRun, run: &BfsRun) {
     }
 }
 
-/// One differential cell: run Raw and `codec` on the same scenario and
-/// demand a bit-identical answer. Returns the (raw wire, codec wire)
+/// One differential cell: run Raw and DeltaVarint on the same scenario
+/// and demand a bit-identical answer. Returns the (raw wire, codec wire)
 /// totals so callers can additionally pin compression where expected.
-fn wire_bytes_cell(scale: u32, opt: OptLevel, td: TdStrategy, codec: Codec) -> (u64, u64) {
+fn wire_bytes_cell(scale: u32, opt: OptLevel) -> (u64, u64) {
     let g = graph(scale);
     let root = root_of(&g);
-    let cell = format!("scale {scale} {} {td:?} {}", opt.label(), codec.label());
+    let cell = format!("scale {scale} {}", opt.label());
     let (base, base_report) =
-        DistributedBfs::new(&g, &scenario(scale, opt, td, Codec::Raw)).run_traced(root);
-    let (run, report) = DistributedBfs::new(&g, &scenario(scale, opt, td, codec)).run_traced(root);
+        DistributedBfs::new(&g, &scenario(scale, opt, Codec::Raw)).run_traced(root);
+    let (run, report) =
+        DistributedBfs::new(&g, &scenario(scale, opt, Codec::DeltaVarint)).run_traced(root);
     assert_identical(&cell, &base, &run);
     let wire = |r: &numa_bfs::trace::TraceReport| -> u64 {
         r.levels
@@ -88,91 +85,35 @@ fn wire_bytes_cell(scale: u32, opt: OptLevel, td: TdStrategy, codec: Codec) -> (
 }
 
 /// The dense-words path: the full opt ladder exchanges bitmap words (and
-/// the bottom-up summary) through the allgather variants. Every codec
-/// must reproduce Raw's answer on each rung.
+/// the bottom-up summary) through the allgather variants. The codec must
+/// reproduce Raw's answer on each rung.
 #[test]
 fn codecs_preserve_answers_across_the_opt_ladder() {
     for opt in OptLevel::LADDER {
-        for &codec in &Codec::ALL {
-            if codec.is_raw() {
-                continue;
-            }
-            wire_bytes_cell(14, opt, TdStrategy::SparseAllgather, codec);
-        }
-    }
-}
-
-/// The alltoallv top-down strategy: record exchange plus (for `Sieve`)
-/// the pre-exchange parent sieve. Bit-identical answers, and for the
-/// compressible codecs at this scale the wire volume must shrink.
-#[test]
-fn codecs_preserve_answers_under_alltoallv_top_down() {
-    for &codec in &Codec::ALL {
-        if codec.is_raw() {
-            continue;
-        }
-        let (raw, wire) = wire_bytes_cell(15, OptLevel::ShareAll, TdStrategy::Alltoallv, codec);
-        assert!(
-            wire < raw,
-            "{} under alltoallv: wire {wire} must undercut raw {raw}",
-            codec.label()
-        );
+        wire_bytes_cell(14, opt);
     }
 }
 
 /// The 2-D engine: expand along columns, fold along rows, with the fold
-/// exchange re-encoded (and sieved) per codec.
+/// exchange re-encoded by the codec.
 #[test]
 fn codecs_preserve_answers_in_the_2d_engine() {
     let g = graph(14);
     let root = root_of(&g);
-    let mk = |codec: Codec| {
-        let machine = presets::xeon_x7550_cluster(NODES).scaled_to_graph(14, 28);
-        let scenario = Scenario::builder(machine, OptLevel::OriginalPpn8)
-            .trace(TraceConfig::Standard)
-            .codec(codec)
-            .build()
-            .unwrap();
-        TwoDimBfs::new(&g, &scenario).run_traced(root)
-    };
-    let (base, _) = mk(Codec::Raw);
-    for &codec in &Codec::ALL {
-        if codec.is_raw() {
-            continue;
-        }
-        let (run, _) = mk(codec);
-        let cell = format!("2d {}", codec.label());
-        assert_eq!(base.parent, run.parent, "{cell}: parents diverged");
-        assert_eq!(base.visited, run.visited, "{cell}: visited diverged");
-        let discovered = |r: &numa_bfs::core::engine2d::Bfs2DRun| -> Vec<u64> {
-            r.profile.levels.iter().map(|l| l.discovered).collect()
-        };
-        assert_eq!(
-            discovered(&base),
-            discovered(&run),
-            "{cell}: discovery schedule diverged"
-        );
-    }
+    let run =
+        |codec: Codec| TwoDimBfs::new(&g, &scenario(14, OptLevel::OriginalPpn8, codec)).run(root);
+    assert_identical("2d", &run(Codec::Raw), &run(Codec::DeltaVarint));
 }
 
 /// The headline differential at depth: scales 14–18 under the paper's
-/// tuned configuration, delta-varint and sieve against Raw. This is the
-/// expensive sweep, so it covers the two codecs the snapshot commits to.
+/// tuned configuration, delta-varint against Raw.
 #[test]
-fn delta_varint_and_sieve_hold_at_scale() {
+fn delta_varint_holds_at_scale() {
     for scale in [14, 16, 18] {
-        for codec in [Codec::DeltaVarint, Codec::Sieve] {
-            let (raw, wire) = wire_bytes_cell(
-                scale,
-                OptLevel::Granularity(256),
-                TdStrategy::SparseAllgather,
-                codec,
-            );
-            assert!(
-                wire < raw,
-                "scale {scale} {}: wire {wire} must undercut raw {raw}",
-                codec.label()
-            );
-        }
+        let (raw, wire) = wire_bytes_cell(scale, OptLevel::Granularity(256));
+        assert!(
+            wire < raw,
+            "scale {scale}: wire {wire} must undercut raw {raw}"
+        );
     }
 }

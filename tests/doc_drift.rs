@@ -1,0 +1,102 @@
+//! The docs are the reproduction record, so what they quote about the
+//! code's own surfaces — schema versions, the chaos matrix size, the
+//! codec list — must be what the code says. Each check takes the value
+//! from the code and looks for it at the sentence that states it.
+
+// Test code opts back into unwrap/narrowing ergonomics; the workspace
+// denies both in library targets (see [workspace.lints] in Cargo.toml).
+#![allow(clippy::unwrap_used, clippy::cast_possible_truncation)]
+use numa_bfs::comm::codec::Codec;
+
+fn doc(name: &str) -> String {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(name);
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+/// Asserts `name` writes an integer directly after `marker` at least
+/// once, and that every such integer is `expected`.
+fn assert_states(name: &str, marker: &str, expected: u64) {
+    let text = doc(name);
+    let found: Vec<u64> = text
+        .match_indices(marker)
+        .filter_map(|(at, _)| {
+            let rest = &text[at + marker.len()..];
+            let digits = rest.len() - rest.trim_start_matches(|c: char| c.is_ascii_digit()).len();
+            rest[..digits].parse().ok()
+        })
+        .collect();
+    assert!(
+        !found.is_empty(),
+        "{name} no longer has a number after {marker:?}"
+    );
+    assert!(
+        found.iter().all(|&n| n == expected),
+        "{name} states {found:?} after {marker:?}, the code says {expected}"
+    );
+}
+
+/// First-column cells (backticks stripped) of the markdown table whose
+/// header line is `header`.
+fn table_labels(name: &str, header: &str) -> Vec<String> {
+    doc(name)
+        .lines()
+        .skip_while(|l| l.trim() != header)
+        .skip(2) // header + separator
+        .take_while(|l| l.starts_with('|'))
+        .map(|l| {
+            l.split('|')
+                .nth(1)
+                .unwrap()
+                .trim()
+                .trim_matches('`')
+                .to_string()
+        })
+        .collect()
+}
+
+#[test]
+fn schema_versions_are_the_ones_the_code_pins() {
+    let trace = u64::from(numa_bfs::trace::report::SCHEMA_VERSION);
+    assert_states("DESIGN.md", "pinned at ", trace);
+    assert_states("README.md", "trace schema v", trace);
+    let snapshot = u64::from(nbfs_bench::wallclock::SCHEMA_VERSION);
+    for name in ["README.md", "DESIGN.md", "EXPERIMENTS.md"] {
+        assert_states(name, "`BENCH_BFS.json` (schema v", snapshot);
+    }
+    assert_states("EXPERIMENTS.md", "`schema_version: ", snapshot);
+}
+
+#[test]
+fn chaos_matrix_size_is_the_one_the_cli_runs() {
+    // The CI profile (.github/workflows/ci.yml, `chaos` job).
+    let cells = nbfs_cli::run_chaos(10, 2, 2012).unwrap().cells.len() as u64;
+    assert_states("README.md", "fault matrix (", cells);
+    assert_states("DESIGN.md", "seeded matrix of ", cells);
+    assert_states("EXPERIMENTS.md", "Each of the ", cells);
+}
+
+#[test]
+fn codec_list_is_codec_all() {
+    let labels = Codec::ALL.map(Codec::label);
+    let joined = labels.join(" | ");
+    let usage = nbfs_cli::usage();
+    assert!(
+        usage.lines().any(|l| l == format!("CODEC: {joined}")),
+        "usage() must list exactly `{joined}`:\n{usage}"
+    );
+    for name in ["README.md", "EXPERIMENTS.md"] {
+        assert!(doc(name).contains(&joined), "{name} must list `{joined}`");
+    }
+    assert_eq!(
+        table_labels("DESIGN.md", "| codec | payload treatment |"),
+        labels,
+        "DESIGN.md §10 codec table"
+    );
+    let header =
+        "| codec | raw bytes | wire bytes | shm bytes | wire reduction | identical results |";
+    assert_eq!(
+        table_labels("EXPERIMENTS.md", header),
+        labels,
+        "EXPERIMENTS.md compression table"
+    );
+}

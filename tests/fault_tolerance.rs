@@ -8,7 +8,7 @@
 // denies both in library targets (see [workspace.lints] in Cargo.toml).
 #![allow(clippy::unwrap_used, clippy::cast_possible_truncation)]
 use numa_bfs::comm::{FaultPlan, FaultScope, FaultSpec};
-use numa_bfs::core::engine::{DistributedBfs, Scenario, TdStrategy};
+use numa_bfs::core::engine::{DistributedBfs, Scenario};
 use numa_bfs::core::opt::OptLevel;
 use numa_bfs::core::profile::Phase;
 use numa_bfs::graph::{Csr, GraphBuilder};
@@ -174,28 +174,4 @@ fn fault_reports_are_seed_deterministic_and_projection_exact() {
             phase.label()
         );
     }
-}
-
-#[test]
-fn alltoallv_strategy_recovers_drops_bit_identically() {
-    let g = graph();
-    let machine = presets::xeon_x7550_cluster(4).scaled_to_graph(10, 28);
-    let build = |faults: Option<FaultPlan>| {
-        let mut b = Scenario::builder(machine.clone(), OptLevel::ShareAll)
-            .td_strategy(TdStrategy::Alltoallv)
-            .trace(TraceConfig::Standard);
-        if let Some(plan) = faults {
-            b = b.faults(plan);
-        }
-        b.build().unwrap()
-    };
-    let clean = DistributedBfs::new(&g, &build(None)).run(0);
-    let (faulted, report) = DistributedBfs::new(&g, &build(Some(drop_everywhere(11))))
-        .try_run_traced(0)
-        .unwrap();
-    assert_eq!(faulted.parent, clean.parent);
-    assert!(report
-        .faults
-        .iter()
-        .any(|f| f.op == FaultOp::Collective(numa_bfs::trace::CollectiveKind::Alltoallv)));
 }

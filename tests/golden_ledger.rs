@@ -166,8 +166,8 @@ fn fig11_ledger_share_all_delta_varint_is_pinned() {
 
 /// A raw run charges every collective exactly its uncompressed size: the
 /// raw/wire split is the identity, and the raw ledger of the compressed
-/// run matches the wire ledger of the uncompressed one wherever no
-/// records were sieved away (delta-varint never drops records).
+/// run matches the wire ledger of the uncompressed one (delta-varint
+/// never drops records).
 #[test]
 fn raw_accounting_is_honest() {
     let raw_run = ledger(&trace_scale16(OptLevel::ShareAll));

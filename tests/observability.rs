@@ -2,21 +2,22 @@
 //! the engine's `RunProfile` (the projection reproduces it **bitwise**),
 //! tracing is behaviour-preserving (`Off` or not, the BFS result is
 //! identical), the JSON exchange format round-trips under a pinned schema
-//! version, and the builder facade is a drop-in for the legacy
-//! constructor chains.
+//! version, and the builder's defaults are `Scenario::new`'s.
 
 // Test code opts back into unwrap/narrowing ergonomics; the workspace
 // denies both in library targets (see [workspace.lints] in Cargo.toml).
 #![allow(clippy::unwrap_used, clippy::cast_possible_truncation)]
+use numa_bfs::comm::codec::Codec;
 use numa_bfs::core::direction::SwitchPolicy;
-use numa_bfs::core::engine::{DistributedBfs, NoClock, Scenario, TdStrategy};
+use numa_bfs::core::engine::{DistributedBfs, NoClock, Scenario};
 use numa_bfs::core::engine2d::TwoDimBfs;
 use numa_bfs::core::harness::HarnessConfig;
 use numa_bfs::core::opt::OptLevel;
 use numa_bfs::core::par::bfs_hybrid_parallel_traced;
 use numa_bfs::core::profile::{Phase, RunProfile};
 use numa_bfs::graph::{Csr, GraphBuilder};
-use numa_bfs::topology::{presets, MachineConfig, PlacementPolicy};
+use numa_bfs::simnet::compute::ModelParams;
+use numa_bfs::topology::{presets, MachineConfig};
 use numa_bfs::trace::{TraceConfig, TraceReport, SCHEMA_VERSION};
 
 fn graph() -> Csr {
@@ -74,21 +75,6 @@ fn trace_projection_is_bitwise_exact_across_the_ladder() {
         assert_eq!(report.dropped_events, 0, "{}", opt.label());
         assert_profiles_bitwise(&report.run_profile(), &run.profile, &opt.label());
     }
-}
-
-#[test]
-fn trace_projection_is_bitwise_exact_for_alltoallv_top_down() {
-    let g = graph();
-    let scenario = Scenario::builder(
-        MachineConfig::small_test_cluster(2, 2),
-        OptLevel::OriginalPpn8,
-    )
-    .td_strategy(TdStrategy::Alltoallv)
-    .trace(TraceConfig::Standard)
-    .build()
-    .unwrap();
-    let (run, report) = DistributedBfs::new(&g, &scenario).run_traced(0);
-    assert_profiles_bitwise(&report.run_profile(), &run.profile, "alltoallv");
 }
 
 #[test]
@@ -183,24 +169,35 @@ fn parallel_kernel_trace_carries_real_execution_counters() {
 }
 
 #[test]
-fn scenario_builder_is_a_drop_in_for_the_legacy_chain() {
-    let g = graph();
+fn scenario_builder_defaults_equal_scenario_new() {
     let machine = presets::xeon_x7550_node().scaled_to_graph(11, 28);
-    let legacy = Scenario::new(machine.clone(), OptLevel::OriginalPpn8)
-        .with_switch_policy(SwitchPolicy::default())
-        .with_placement(4, PlacementPolicy::Interleave)
-        .with_td_strategy(TdStrategy::Alltoallv);
-    let built = Scenario::builder(machine, OptLevel::OriginalPpn8)
-        .switch_policy(SwitchPolicy::default())
-        .placement(4, PlacementPolicy::Interleave)
-        .td_strategy(TdStrategy::Alltoallv)
+    let new = Scenario::new(machine.clone(), OptLevel::OriginalPpn8);
+    let built = Scenario::builder(machine.clone(), OptLevel::OriginalPpn8)
         .build()
         .unwrap();
-    let a = DistributedBfs::new(&g, &legacy).run(7);
-    let b = DistributedBfs::new(&g, &built).run(7);
-    assert_eq!(a.parent, b.parent);
-    assert_eq!(a.visited, b.visited);
-    assert_profiles_bitwise(&a.profile, &b.profile, "builder-vs-legacy");
+    assert_eq!(format!("{new:?}"), format!("{built:?}"));
+    // Field for field (the pattern is exhaustive, so a new knob must be
+    // given a default here too).
+    let Scenario {
+        machine: built_machine,
+        opt,
+        switch_policy,
+        placement_override,
+        params,
+        trace,
+        faults,
+        summary_granularity,
+        codec,
+    } = built;
+    assert_eq!(built_machine, machine);
+    assert_eq!(opt, OptLevel::OriginalPpn8);
+    assert_eq!(switch_policy, SwitchPolicy::default());
+    assert_eq!(placement_override, None);
+    assert_eq!(params, ModelParams::default());
+    assert_eq!(trace, TraceConfig::Off);
+    assert_eq!(faults, None);
+    assert_eq!(summary_granularity, None);
+    assert_eq!(codec, Codec::Raw);
 }
 
 #[test]

@@ -169,7 +169,10 @@ fn placement_ranking_matches_fig10() {
     let root = best_root(&graph);
     let machine = presets::xeon_x7550_node().scaled_to_graph(GRAPH_SCALE, PAPER_SCALE_1NODE);
     let t = |ppn, policy| {
-        let s = Scenario::new(machine.clone(), OptLevel::OriginalPpn8).with_placement(ppn, policy);
+        let s = Scenario::builder(machine.clone(), OptLevel::OriginalPpn8)
+            .placement(ppn, policy)
+            .build()
+            .unwrap();
         DistributedBfs::new(&graph, &s).run(root).profile.total()
     };
     let bind8 = t(8, PlacementPolicy::BindToSocket);

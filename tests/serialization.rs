@@ -54,17 +54,3 @@ fn degree_stats_serialize() {
     let back: DegreeStats = serde_json::from_value(json).unwrap();
     assert_eq!(back.num_edges, s.num_edges);
 }
-
-#[test]
-fn comparison_2d_serializes() {
-    let g = GraphBuilder::rmat(11, 8).seed(9).build();
-    let scenario = Scenario::new(
-        MachineConfig::small_test_cluster(2, 4),
-        OptLevel::ParAllgather,
-    );
-    let root = (0..g.num_vertices()).max_by_key(|&v| g.degree(v)).unwrap();
-    let cmp = numa_bfs::core::ext2d::TwoDimComparison::analyze(&g, &scenario, root);
-    let json = serde_json::to_value(&cmp).unwrap();
-    assert_eq!(json["cols"].as_u64().unwrap(), 4);
-    assert!(json["levels"].as_array().is_some());
-}
