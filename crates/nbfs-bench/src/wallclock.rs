@@ -1,13 +1,13 @@
-//! Wall-clock benchmark snapshot: reference vs optimized kernel pipeline.
+//! Wall-clock benchmark snapshot: reference vs optimized bottom-up kernel.
 //!
 //! Simulated time answers "what would the 2012 cluster do"; this module
 //! answers "how fast does the *host* actually run the real kernels". It
 //! pins one fixed scenario — the scale-19 R-MAT on one 8-socket Xeon X7550
 //! node at `Original.ppn=8` (8 ranks, ring allgather, private bitmaps) —
-//! runs the engine once per kernel configuration (baseline: per-bit
-//! bottom-up + binary-search top-down; optimized: word-level bottom-up +
-//! chunked merge-join top-down), and writes the before/after comparison
-//! with a per-phase breakdown to `BENCH_BFS.json` at the repository root.
+//! runs the engine once per bottom-up kernel (baseline: per-bit scan;
+//! optimized: word-level scan — top-down is the one owner walk in both),
+//! and writes the before/after comparison with a per-phase breakdown to
+//! `BENCH_BFS.json` at the repository root.
 //!
 //! Regenerate with either of:
 //!
@@ -29,9 +29,7 @@ use serde::{Deserialize, Serialize};
 
 use nbfs_comm::codec::Codec;
 use nbfs_core::direction::{Direction, SwitchPolicy};
-use nbfs_core::engine::{
-    BottomUpKernel, DistributedBfs, HostClock, Scenario, TopDownKernel, WallClock,
-};
+use nbfs_core::engine::{BottomUpKernel, DistributedBfs, HostClock, Scenario, WallClock};
 use nbfs_core::engine2d::TwoDimBfs;
 use nbfs_core::opt::OptLevel;
 use nbfs_core::par::bfs_hybrid_parallel;
@@ -97,17 +95,18 @@ impl Default for SnapshotConfig {
 
 /// Current schema version of `BENCH_BFS.json`. Version 2 added the
 /// top-down phase to the comparison (per-phase seconds and level counts,
-/// `top_down_speedup`) and made the reader version-strict. Version 3 added
-/// the `collective_volume` section: per-codec Fig. 11 collective byte
-/// totals on the multi-node cluster. Version 4 added
+/// a top-down speedup ratio) and made the reader version-strict. Version 3
+/// added the `collective_volume` section: per-codec Fig. 11 collective
+/// byte totals on the multi-node cluster. Version 4 added
 /// the `multi_query` section: sustained queries/sec and p50/p99 latency of
 /// the bit-parallel multi-source engine against a sequential single-source
 /// baseline. Version 5 added the `two_dim` section: a weak-scaling GTEPS
 /// table of the direction-optimizing 2-D engine on compressed CSR storage
 /// (grid shapes x scales, per-codec parity rows, and — at the committed
 /// scale — a simnet projection of the paper's 16-node configuration at
-/// scale 24).
-pub const SCHEMA_VERSION: u32 = 5;
+/// scale 24). Version 6 dropped the top-down speedup ratio: the two
+/// top-down kernels it compared were replaced by one owner walk.
+pub const SCHEMA_VERSION: u32 = 6;
 
 /// The scenario block of the snapshot — everything needed to reproduce it.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -137,7 +136,7 @@ pub struct ScenarioInfo {
 /// Wall-clock timings of one kernel configuration, per phase.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct KernelTiming {
-    /// Which kernel pair ran.
+    /// Which bottom-up kernel ran.
     pub kernel: String,
     /// Seconds in bottom-up kernel dispatch (min over repeats).
     pub bottom_up_secs: f64,
@@ -347,14 +346,12 @@ pub struct Snapshot {
     pub benchmark: String,
     /// The pinned scenario.
     pub scenario: ScenarioInfo,
-    /// Reference kernel pair timings (before).
+    /// Reference bottom-up kernel timings (before).
     pub baseline: KernelTiming,
-    /// Optimized kernel pair timings (after).
+    /// Optimized bottom-up kernel timings (after).
     pub optimized: KernelTiming,
     /// `baseline.bottom_up_secs / optimized.bottom_up_secs`.
     pub bottom_up_speedup: f64,
-    /// `baseline.top_down_secs / optimized.top_down_secs`.
-    pub top_down_speedup: f64,
     /// `baseline.total_secs / optimized.total_secs`.
     pub total_speedup: f64,
     /// Derived rates.
@@ -774,13 +771,10 @@ pub fn run_snapshot_on(graph: &Csr, cfg: &SnapshotConfig) -> Snapshot {
     let engine = DistributedBfs::new(graph, &scenario);
     let ranks = engine.process_map().world_size();
 
-    let baseline = engine
-        .with_bottom_up_kernel(BottomUpKernel::Reference)
-        .with_top_down_kernel(TopDownKernel::Reference);
+    let baseline = engine.with_bottom_up_kernel(BottomUpKernel::Reference);
     let (ref_run, ref_wall) = measure(&baseline, root, cfg.repeats);
-    let optimized = DistributedBfs::new(graph, &scenario)
-        .with_bottom_up_kernel(BottomUpKernel::WordLevel)
-        .with_top_down_kernel(TopDownKernel::Chunked);
+    let optimized =
+        DistributedBfs::new(graph, &scenario).with_bottom_up_kernel(BottomUpKernel::WordLevel);
     let (opt_run, opt_wall) = measure(&optimized, root, cfg.repeats);
 
     let identical = ref_run.parent == opt_run.parent
@@ -800,7 +794,7 @@ pub fn run_snapshot_on(graph: &Csr, cfg: &SnapshotConfig) -> Snapshot {
     Snapshot {
         schema_version: SCHEMA_VERSION,
         benchmark: "hybrid BFS kernel wall clock, reference vs optimized \
-                    (word-level bottom-up + chunked merge-join top-down)"
+                    (per-bit vs word-level bottom-up)"
             .into(),
         scenario: ScenarioInfo {
             generator: "rmat".into(),
@@ -814,16 +808,9 @@ pub fn run_snapshot_on(graph: &Csr, cfg: &SnapshotConfig) -> Snapshot {
             root,
             repeats: cfg.repeats,
         },
-        baseline: timing(
-            "reference (per-bit bottom-up, binary-search top-down)",
-            &ref_wall,
-        ),
-        optimized: timing(
-            "optimized (word-level bottom-up, chunked merge-join top-down)",
-            &opt_wall,
-        ),
+        baseline: timing("reference (per-bit bottom-up)", &ref_wall),
+        optimized: timing("optimized (word-level bottom-up)", &opt_wall),
         bottom_up_speedup: ref_wall.bottom_up_secs / opt_wall.bottom_up_secs,
-        top_down_speedup: ref_wall.top_down_secs / opt_wall.top_down_secs,
         total_speedup: ref_wall.total_secs / opt_wall.total_secs,
         throughput: Throughput {
             real_bottom_up_edges_per_sec: opt_wall.bottom_up_edges as f64 / opt_wall.bottom_up_secs,
@@ -900,16 +887,14 @@ pub fn two_dim_summary(td: &TwoDimBench) -> String {
 pub fn summary(s: &Snapshot) -> String {
     format!(
         "scale {} | {} ranks | bottom-up {:.1} ms -> {:.1} ms ({:.2}x) | \
-         top-down {:.1} ms -> {:.1} ms ({:.2}x) | total {:.2}x | \
+         top-down {:.1} ms | total {:.2}x | \
          {:.1} M real BU edges/s | identical results: {}",
         s.scenario.scale,
         s.scenario.ranks,
         s.baseline.bottom_up_secs * 1e3,
         s.optimized.bottom_up_secs * 1e3,
         s.bottom_up_speedup,
-        s.baseline.top_down_secs * 1e3,
         s.optimized.top_down_secs * 1e3,
-        s.top_down_speedup,
         s.total_speedup,
         s.throughput.real_bottom_up_edges_per_sec / 1e6,
         s.identical_results
@@ -938,7 +923,6 @@ mod tests {
         for key in [
             "schema_version",
             "bottom_up_speedup",
-            "top_down_speedup",
             "top_down_secs",
             "other_secs",
             "real_bottom_up_edges_per_sec",
@@ -1024,7 +1008,7 @@ mod tests {
         write_snapshot(&path, &snap).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         let value: serde_json::Value = serde_json::from_str(&text).unwrap();
-        assert_eq!(value["schema_version"], 5);
+        assert_eq!(value["schema_version"], 6);
         assert_eq!(
             value["two_dim"]["projection"],
             serde_json::Value::Null,

@@ -440,11 +440,7 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), String>
                 builder = builder.summary_granularity(g);
             }
             let scenario = builder.build().map_err(|e| e.to_string())?;
-            let root = root.unwrap_or_else(|| {
-                (0..g.num_vertices())
-                    .max_by_key(|&v| g.degree(v))
-                    .expect("non-empty")
-            });
+            let root = resolve_root(&g, root)?;
             if let Some(shape) = grid {
                 check_grid(&scenario, shape)?;
             }
@@ -520,11 +516,7 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), String>
                 builder = builder.summary_granularity(g);
             }
             let scenario = builder.build().map_err(|e| e.to_string())?;
-            let root = root.unwrap_or_else(|| {
-                (0..g.num_vertices())
-                    .max_by_key(|&v| g.degree(v))
-                    .expect("non-empty")
-            });
+            let root = resolve_root(&g, root)?;
             if let Some(shape) = grid {
                 check_grid(&scenario, shape)?;
             }
@@ -963,6 +955,18 @@ fn check_grid(scenario: &Scenario, (rows, cols): (usize, usize)) -> Result<(), S
         ));
     }
     Ok(())
+}
+
+/// The search root of `run`/`trace`: `--root` checked against the graph
+/// (the engines assert on an id that is not a vertex), or the
+/// highest-degree vertex when the flag is absent.
+fn resolve_root(g: &Csr, root: Option<usize>) -> Result<usize, String> {
+    let n = g.num_vertices();
+    match root {
+        Some(v) if v >= n => Err(format!("bad --root: {v} is not a vertex (graph has {n})")),
+        Some(v) => Ok(v),
+        None => Ok(nbfs_bench::scenarios::best_root(g)),
+    }
 }
 
 /// The `--compressed` storage summary line.

@@ -608,17 +608,20 @@ pub struct AllgathervOutcome<T> {
 /// bitmap, which is why the paper's top-down communication stays cheap
 /// while its bottom-up allgathers dominate (Fig. 11).
 pub fn allgatherv_items<T: Copy>(
-    lists: &[Vec<T>],
+    lists: &[impl AsRef<[T]>],
     item_bytes: usize,
     pmap: &ProcessMap,
     net: &NetworkModel,
     algo: AllgatherAlgorithm,
 ) -> AllgathervOutcome<T> {
     assert_eq!(lists.len(), pmap.world_size(), "one list per rank");
-    let items: Vec<T> = lists.iter().flat_map(|l| l.iter().copied()).collect();
+    let items: Vec<T> = lists
+        .iter()
+        .flat_map(|l| l.as_ref().iter().copied())
+        .collect();
     let bytes: Vec<u64> = lists
         .iter()
-        .map(|l| (l.len() * item_bytes) as u64)
+        .map(|l| (l.as_ref().len() * item_bytes) as u64)
         .collect();
     let cost = allgather_cost_bytes(&bytes, pmap, net, algo);
     AllgathervOutcome { items, cost }

@@ -422,7 +422,7 @@ pub fn allgather_codec_stats(
 /// concatenated result, and the cost prices the encoded sizes. Under
 /// [`Codec::Raw`] this delegates to [`allgatherv_items`] unchanged.
 pub fn allgatherv_u32_codec(
-    lists: &[Vec<u32>],
+    lists: &[impl AsRef<[u32]>],
     pmap: &ProcessMap,
     net: &NetworkModel,
     algo: AllgatherAlgorithm,
@@ -432,17 +432,17 @@ pub fn allgatherv_u32_codec(
     assert_eq!(lists.len(), pmap.world_size(), "one list per rank");
     ws.reset(lists.len());
     for (r, list) in lists.iter().enumerate() {
-        ws.raw_bytes[r] = list.len() as u64 * 4;
+        ws.raw_bytes[r] = list.as_ref().len() as u64 * 4;
     }
     if codec.is_raw() {
         ws.enc_bytes.copy_from_slice(&ws.raw_bytes);
         return allgatherv_items(lists, 4, pmap, net, algo);
     }
-    let total: usize = lists.iter().map(Vec::len).sum();
+    let total: usize = lists.iter().map(|l| l.as_ref().len()).sum();
     let imp = codec.implementation();
     let mut items: Vec<u32> = Vec::with_capacity(total);
     for (r, list) in lists.iter().enumerate() {
-        imp.encode_sorted_u32(list, &mut ws.bufs[r]);
+        imp.encode_sorted_u32(list.as_ref(), &mut ws.bufs[r]);
         ws.enc_bytes[r] = ws.bufs[r].len() as u64;
         imp.decode_sorted_u32(&ws.bufs[r], &mut items);
     }

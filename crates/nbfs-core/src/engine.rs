@@ -9,9 +9,10 @@
 //! Per-level times accumulate into the Fig. 11 breakdown
 //! ([`crate::profile::RunProfile`]).
 //!
-//! Rank kernels execute in parallel via rayon for wall-clock speed, but all
-//! results — parents, bitmaps, simulated times — are bit-reproducible and
-//! independent of the worker-thread count.
+//! Bottom-up rank kernels execute in parallel via rayon for wall-clock
+//! speed; a top-down level is one serial walk over the frontier's arcs.
+//! All results — parents, bitmaps, simulated times — are bit-reproducible
+//! and independent of the worker-thread count.
 
 use rayon::prelude::*;
 
@@ -29,9 +30,7 @@ use nbfs_simnet::compute::{ModelParams, ProbeClass};
 use nbfs_simnet::{ComputeContext, ComputeEvents, NetworkModel, Residence};
 use nbfs_topology::{MachineConfig, MemoryProfile, PlacementPolicy, ProcessMap};
 use nbfs_trace::{CollectiveKind, CommCost, RunMeta, TraceConfig, TraceEvent, TraceReport, Tracer};
-use nbfs_util::{
-    Bitmap, FrontierArena, FrontierSlot, NbfsError, SimTime, SummaryBitmap, WORD_BITS,
-};
+use nbfs_util::{Bitmap, NbfsError, SimTime, SummaryBitmap, WORD_BITS};
 
 use crate::direction::{Direction, SwitchPolicy};
 use crate::opt::OptLevel;
@@ -299,26 +298,19 @@ struct RankState {
     frontier: Vec<u32>,
     /// Sum of degrees of still-unvisited owned vertices (`m_u` share).
     unexplored_degree: u64,
-    /// Scratch of the chunked top-down kernel (match ranges, prefix sums,
-    /// claim arena), recycled across levels.
-    td: TdScratch,
+    /// This rank's counts of the current top-down level, reset at level
+    /// entry (run-scoped, so the walk allocates nothing per level).
+    td: TdTally,
 }
 
-/// Reusable scratch of [`DistributedBfs::top_down_kernel_chunked`]. All
-/// vectors grow to the high-water mark of the run and stay there, so no
-/// level after the first allocates in the kernel.
-#[derive(Default)]
-struct TdScratch {
-    /// Per frontier vertex: `(start, len)` of its matched arc range in the
-    /// rank's transposed index.
-    ranges: Vec<(usize, usize)>,
-    /// Exclusive prefix sum of the match counts (`len + 1` entries); maps a
-    /// global matched-arc position back to its frontier vertex.
-    prefix: Vec<u64>,
-    /// Capacity per claim chunk, handed to the arena each level.
-    caps: Vec<usize>,
-    /// Backing storage of the per-chunk claim buffers.
-    arena: FrontierArena<(u32, u32)>,
+/// Per-rank counts of one top-down level ([`DistributedBfs::top_down_level`]).
+#[derive(Clone, Copy, Default)]
+struct TdTally {
+    /// Arcs from the frontier into this rank's block.
+    matched: u64,
+    /// Sum of the degrees of the vertices adopted this level (leaves
+    /// `unexplored_degree`); the vertices themselves are the new frontier.
+    degree_found: u64,
 }
 
 /// Which bottom-up kernel implementation the engine runs.
@@ -334,23 +326,6 @@ pub enum BottomUpKernel {
     /// chunked parallelism within each rank.
     #[default]
     WordLevel,
-}
-
-/// Which top-down kernel implementation the engine runs.
-///
-/// Both produce bit-identical trees, frontiers, counters and therefore
-/// simulated times; they differ only in host wall-clock speed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum TopDownKernel {
-    /// The original kernel: one binary search through the transposed index
-    /// per frontier vertex. Kept as the differential-test oracle and the
-    /// benchmark snapshot's baseline.
-    Reference,
-    /// Galloping merge-join of the sorted frontier against the sorted
-    /// transposed index, with degree-aware arc chunking and arena-backed
-    /// claim buffers (no per-level allocations).
-    #[default]
-    Chunked,
 }
 
 /// Host wall-clock timing of the real kernels, separate from simulated
@@ -547,118 +522,6 @@ pub(crate) fn bu_scan_chunk<R: BuRows>(
     // nbfs-analysis: end-hot-path
 }
 
-/// Frontier vertices per pass-1 chunk of the chunked top-down kernel. The
-/// pass merge-joins a frontier chunk against the transposed index, so the
-/// boundaries are a pure function of the frontier — never the worker count.
-pub(crate) const TD_CHUNK_FRONTIER: usize = 4096;
-
-/// Matched arcs per pass-2 (claim) chunk: 2048 arcs = 16 KB of index, an
-/// L1-resident working set. Chunking by *arc count* rather than by frontier
-/// vertex is what makes the decomposition degree-aware — a high-degree
-/// frontier vertex's adjacency range is split across as many chunks as it
-/// needs, so no single worker serializes behind a hub vertex.
-const TD_CHUNK_ARCS: usize = 2048;
-
-/// Advances `lo` to the first index of `arcs` whose source is `>= target`.
-///
-/// Exponential (galloping) probe followed by a binary search inside the
-/// bracketed window: for the sorted-frontier sweep the boundary is usually
-/// a handful of entries away, so this touches O(log gap) cache lines where
-/// a from-scratch binary search would touch O(log n) cold ones.
-fn gallop_to(arcs: &[(u32, u32)], lo: usize, target: u32) -> usize {
-    // nbfs-analysis: hot-path
-    // Runs once per frontier vertex per top-down level (twice: range start
-    // and end); pure index arithmetic over a borrowed slice.
-    if lo >= arcs.len() || arcs[lo].0 >= target {
-        return lo;
-    }
-    // Invariant: arcs[prev].0 < target.
-    let mut prev = lo;
-    let mut step = 1usize;
-    loop {
-        let next = prev + step;
-        if next >= arcs.len() {
-            return prev + 1 + arcs[prev + 1..].partition_point(|&(s, _)| s < target);
-        }
-        if arcs[next].0 >= target {
-            return prev + 1 + arcs[prev + 1..next].partition_point(|&(s, _)| s < target);
-        }
-        prev = next;
-        step *= 2;
-    }
-    // nbfs-analysis: end-hot-path
-}
-
-/// Pass 1 of the chunked top-down kernel: records, for every vertex of one
-/// frontier chunk, the `(start, len)` span of its matched arcs in the
-/// rank's transposed index. One binary search anchors the chunk; from
-/// there the sweep gallops, because both sides are sorted.
-pub(crate) fn td_match_chunk(
-    arcs: &[(u32, u32)],
-    frontier_chunk: &[u32],
-    out: &mut [(usize, usize)],
-) {
-    // nbfs-analysis: hot-path
-    // The merge-join sweep: replaces the reference kernel's two full
-    // binary searches per frontier vertex with near-sequential galloping.
-    let Some(&first_u) = frontier_chunk.first() else {
-        return;
-    };
-    let mut pos = arcs.partition_point(|&(s, _)| s < first_u);
-    for (&u, span) in frontier_chunk.iter().zip(out.iter_mut()) {
-        pos = gallop_to(arcs, pos, u);
-        let start = pos;
-        // Stored vertex ids are < NO_PARENT = u32::MAX, so `u + 1` cannot
-        // wrap.
-        pos = gallop_to(arcs, pos, u + 1);
-        *span = (start, pos - start);
-    }
-    // nbfs-analysis: end-hot-path
-}
-
-/// Pass 2 of the chunked top-down kernel: walks one claim chunk — the
-/// matched-arc positions `[start_pos, end_pos)` in frontier order — and
-/// pushes `(target, parent)` candidates whose target was unvisited at
-/// level entry into the chunk's arena slot. The serial merge re-checks
-/// under the final ordering, so this filter only has to be a superset.
-#[allow(clippy::too_many_arguments)]
-fn td_claim_chunk(
-    arcs: &[(u32, u32)],
-    ranges: &[(usize, usize)],
-    prefix: &[u64],
-    parent: &[u32],
-    first: usize,
-    start_pos: u64,
-    end_pos: u64,
-    slot: &mut FrontierSlot<'_, (u32, u32)>,
-) {
-    // nbfs-analysis: hot-path
-    // Runs over every matched arc of the level; pushes land in a
-    // pre-carved arena slot, so there is no allocation on any path.
-    if start_pos >= end_pos {
-        return;
-    }
-    // Frontier vertex whose span contains `start_pos`: the last prefix
-    // entry `<= start_pos` (zero-length spans sort before it).
-    let mut fi = prefix.partition_point(|&p| p <= start_pos) - 1;
-    let mut pos = start_pos;
-    while pos < end_pos {
-        while prefix[fi + 1] <= pos {
-            fi += 1;
-        }
-        let (rstart, _) = ranges[fi];
-        let off = (pos - prefix[fi]) as usize;
-        let take = (prefix[fi + 1].min(end_pos) - pos) as usize;
-        for &(u, v) in &arcs[rstart + off..rstart + off + take] {
-            if parent[v as usize - first] == NO_PARENT {
-                slot.push((v, u));
-            }
-        }
-        pos += take as u64;
-    }
-    // nbfs-analysis: end-hot-path
-}
-
 /// Result of one distributed BFS.
 #[derive(Clone, Debug)]
 pub struct BfsRun {
@@ -684,7 +547,6 @@ pub struct DistributedBfs<'g, G: GraphView = Csr> {
     net: NetworkModel,
     profiles: MemoryProfile,
     bu_kernel: BottomUpKernel,
-    td_kernel: TopDownKernel,
     /// The scenario's effective summary granularity, contract-checked
     /// once here at construction; the per-root level loop builds its
     /// summaries prevalidated (a regression test pins that no per-run
@@ -721,7 +583,6 @@ impl<'g, G: GraphView> DistributedBfs<'g, G> {
             net,
             profiles,
             bu_kernel: BottomUpKernel::default(),
-            td_kernel: TopDownKernel::default(),
             granularity,
         }
     }
@@ -730,13 +591,6 @@ impl<'g, G: GraphView> DistributedBfs<'g, G> {
     /// either way; only wall-clock speed differs).
     pub fn with_bottom_up_kernel(mut self, kernel: BottomUpKernel) -> Self {
         self.bu_kernel = kernel;
-        self
-    }
-
-    /// Selects the top-down kernel implementation (results are identical
-    /// either way; only wall-clock speed differs).
-    pub fn with_top_down_kernel(mut self, kernel: TopDownKernel) -> Self {
-        self.td_kernel = kernel;
         self
     }
 
@@ -952,7 +806,7 @@ impl<'g, G: GraphView> DistributedBfs<'g, G> {
                     out_words: vec![0u64; we - ws],
                     frontier: Vec::new(),
                     unexplored_degree: lg.vertex_range().map(|v| lg.degree_global(v) as u64).sum(),
-                    td: TdScratch::default(),
+                    td: TdTally::default(),
                 }
             })
             .collect();
@@ -1298,8 +1152,8 @@ impl<'g, G: GraphView> DistributedBfs<'g, G> {
                         exchange_cost = cost.total();
                         level_switch += self.conversion_time(&partition);
                     } else {
-                        let lists: Vec<Vec<u32>> =
-                            states.iter().map(|s| s.frontier.clone()).collect();
+                        let lists: Vec<&[u32]> =
+                            states.iter().map(|s| s.frontier.as_slice()).collect();
                         let gathered = allgatherv_u32_codec(
                             &lists,
                             &self.pmap,
@@ -1334,23 +1188,9 @@ impl<'g, G: GraphView> DistributedBfs<'g, G> {
                     }
                     level_comm += exchange_cost;
 
-                    // --- top-down kernel over the transposed index -------
-                    let frontier_ref = &full_frontier;
+                    // --- top-down: the owner walk -----------------------
                     let t0 = clock.now_secs();
-                    let outs: Vec<KernelOut> = states
-                        .par_iter_mut()
-                        .enumerate()
-                        .map(|(r, st)| match self.td_kernel {
-                            TopDownKernel::Chunked => {
-                                self.top_down_kernel_chunked(self.parts.local(r), st, frontier_ref)
-                            }
-                            TopDownKernel::Reference => self.top_down_kernel_reference(
-                                self.parts.local(r),
-                                st,
-                                frontier_ref,
-                            ),
-                        })
-                        .collect();
+                    let outs = self.top_down_level(&mut states, &full_frontier);
                     let kernel_secs = clock.now_secs() - t0;
                     wall.top_down_secs += kernel_secs;
                     wall.top_down_levels += 1;
@@ -1644,202 +1484,84 @@ impl<'g, G: GraphView> DistributedBfs<'g, G> {
         KernelOut { events, discovered }
     }
 
-    /// The top-down level kernel for one rank: walk the *replicated*
-    /// frontier queue; for each frontier vertex, look up which of its
-    /// neighbours this rank owns (transposed index) and adopt it as their
-    /// parent if unvisited. First frontier vertex in queue order wins,
-    /// which is deterministic and a valid BFS parent choice.
+    /// One top-down level over all ranks: the owner walk.
     ///
-    /// This is the original serial implementation, kept verbatim as the
-    /// oracle for [`Self::top_down_kernel_chunked`] (differential tests)
-    /// and as the wall-clock baseline of the benchmark snapshot.
-    fn top_down_kernel_reference(
-        &self,
-        lg: &LocalGraph,
-        st: &mut RankState,
-        full_frontier: &[u32],
-    ) -> KernelOut {
-        let first = lg.first_vertex();
-        st.frontier.clear();
-        let mut edge_bytes = 0u64;
-        let mut write_bytes = 0u64;
-        let mut cpu_ops = 0u64;
-        let mut lookups = 0u64;
-        let mut discovered = 0u64;
-        let mut degree_found = 0u64;
-        for &u in full_frontier {
-            // The frontier list and the transposed index are both sorted
-            // by vertex id, so the lookup sweep is a streaming merge join:
-            // bandwidth-bound with only an occasional cold jump (charged
-            // below as one probe per 8 frontier vertices), plus ~8 bytes
-            // of index skipped per frontier vertex.
-            edge_bytes += 8;
-            cpu_ops += 8 + (lg.num_local_arcs().max(2) as f64).log2().ceil() as u64;
-            for &(_, v) in lg.incoming_from(u as usize) {
-                edge_bytes += 8;
-                cpu_ops += 3;
-                let local = v as usize - first;
-                if st.parent[local] == NO_PARENT {
-                    st.parent[local] = u;
-                    st.visited.set(local);
-                    st.frontier.push(v);
-                    write_bytes += 12;
-                    discovered += 1;
-                    degree_found += lg.degree_global(v as usize) as u64;
-                }
-            }
+    /// The graph is symmetric, so the arcs from frontier vertex `u` into
+    /// rank `p`'s block are `u`'s own row cut at `p`'s block boundaries —
+    /// rows ascend, so each owner's bucket is contiguous. The walk takes
+    /// each `u` of the gathered frontier in order, reads its row from its
+    /// owner and claims the unvisited targets of every bucket in that
+    /// bucket's rank. `full_frontier` ascends (rank-order concatenation of
+    /// sorted per-rank queues, or `iter_ones` of the gathered bitmap), so
+    /// the first claim of a vertex is its minimum frontier neighbour.
+    ///
+    /// The *simulated* cost is still the paper's replicated algorithm:
+    /// every rank is charged for sweeping the whole frontier against a
+    /// transposed `(source, owned target)` index of `8 * arcs` bytes. That
+    /// index is no longer built — its lookups are a closed form in the
+    /// frontier length, the rank's bucket sizes and its arc count — so the
+    /// host does the work once where the model charges it `np` times.
+    fn top_down_level(&self, states: &mut [RankState], full_frontier: &[u32]) -> Vec<KernelOut> {
+        for st in states.iter_mut() {
+            st.frontier.clear();
+            st.td = TdTally::default();
         }
-        st.frontier.sort_unstable();
-        st.frontier.dedup();
-        st.unexplored_degree -= degree_found;
-        lookups += full_frontier.len() as u64 / 8 + 1;
-        let events = ComputeEvents {
-            vertex_scan_bytes: full_frontier.len() as u64 * 4,
-            edge_bytes,
-            write_bytes,
-            cpu_ops,
-            probes: vec![ProbeClass {
-                count: lookups,
-                working_set: lg.incoming_size_bytes().max(64),
-                residence: self.scenario.private_residence(),
-            }],
-        };
-        KernelOut { events, discovered }
-    }
-
-    /// The cache-efficient rewrite of [`Self::top_down_kernel_reference`],
-    /// bit-identical in parents, frontiers and every counter.
-    ///
-    /// Two passes over per-frontier work, both chunked independently of
-    /// the worker count:
-    ///
-    /// 1. **Match** — merge-join the sorted frontier against the sorted
-    ///    transposed index. The reference kernel re-enters the index with
-    ///    two full binary searches per frontier vertex (`incoming_from`),
-    ///    each a cache-missing pointer chase through megabytes; galloping
-    ///    from the previous match turns that into a near-sequential sweep.
-    ///    Match spans are pure functions of `(arcs, u)`, so chunking only
-    ///    changes who computes them.
-    /// 2. **Claim** — walk the matched arcs in fixed-size chunks
-    ///    ([`TD_CHUNK_ARCS`]; high-degree vertices are split across chunks)
-    ///    and collect `(target, parent)` candidates whose target was
-    ///    unvisited at level entry into arena slots. A serial merge in
-    ///    chunk order — which *is* the reference's processing order —
-    ///    re-checks and commits adoptions, so first-frontier-vertex-wins
-    ///    is preserved exactly.
-    ///
-    /// Counters are reproduced in closed form: the reference charges, per
-    /// frontier vertex, 8 index bytes plus a fixed op budget, and per
-    /// matched arc 8 bytes and 3 ops, all u64 sums — grouping-independent,
-    /// so simulated times are bitwise equal too.
-    fn top_down_kernel_chunked(
-        &self,
-        lg: &LocalGraph,
-        st: &mut RankState,
-        full_frontier: &[u32],
-    ) -> KernelOut {
-        let first = lg.first_vertex();
-        let arcs = lg.incoming_arcs();
-        let RankState {
-            parent,
-            visited,
-            frontier,
-            td,
-            unexplored_degree,
-            ..
-        } = st;
-        frontier.clear();
-        let flen = full_frontier.len();
-
-        // Pass 1 — match spans per frontier vertex.
-        td.ranges.resize(flen, (0, 0));
-        full_frontier
-            .par_chunks(TD_CHUNK_FRONTIER)
-            .zip(td.ranges.par_chunks_mut(TD_CHUNK_FRONTIER))
-            .for_each(|(fc, rc)| td_match_chunk(arcs, fc, rc));
-
-        // Prefix-sum the match counts (serial; `flen` entries).
-        td.prefix.clear();
-        td.prefix.reserve(flen + 1);
-        td.prefix.push(0);
-        let mut acc = 0u64;
-        for &(_, len) in &td.ranges {
-            acc += len as u64;
-            td.prefix.push(acc);
-        }
-        let total_matched = acc;
-
-        // Pass 2 — claim candidates, chunked by arc count.
-        let num_chunks = (total_matched as usize).div_ceil(TD_CHUNK_ARCS);
-        td.caps.clear();
-        td.caps.resize(num_chunks, TD_CHUNK_ARCS);
-        if num_chunks > 0 {
-            td.caps[num_chunks - 1] = total_matched as usize - (num_chunks - 1) * TD_CHUNK_ARCS;
-        }
-        let parent_ro: &[u32] = parent;
-        let ranges = &td.ranges;
-        let prefix = &td.prefix;
-        let filled: Vec<FrontierSlot<'_, (u32, u32)>> = td
-            .arena
-            .begin(&td.caps)
-            .into_par_iter()
-            .enumerate()
-            .map(|(k, mut slot)| {
-                let start = (k * TD_CHUNK_ARCS) as u64;
-                let end = (start + slot.capacity() as u64).min(total_matched);
-                td_claim_chunk(
-                    arcs, ranges, prefix, parent_ro, first, start, end, &mut slot,
-                );
-                slot
-            })
-            .collect();
-
+        let partition = self.parts.partition();
         // nbfs-analysis: hot-path
-        // Serial merge in chunk order = ascending matched-arc position =
-        // the reference kernel's exact processing order. Candidates were
-        // filtered against level-entry parents, so a target reachable from
-        // several frontier vertices appears more than once; the re-check
-        // here resolves those races identically to the reference. The
-        // frontier Vec is recycled across levels (NBFS004).
-        let mut write_bytes = 0u64;
-        let mut discovered = 0u64;
-        let mut degree_found = 0u64;
-        frontier.reserve(filled.iter().map(FrontierSlot::len).sum());
-        for slot in &filled {
-            for &(v, u) in slot.as_slice() {
-                let local = v as usize - first;
-                if parent[local] == NO_PARENT {
-                    parent[local] = u;
-                    visited.set(local);
-                    frontier.push(v);
-                    write_bytes += 12;
-                    discovered += 1;
-                    degree_found += lg.degree_global(v as usize) as u64;
+        // Every arc out of the frontier, once. Pushes land in the ranks'
+        // recycled frontier queues and the counts in their run-scoped
+        // tallies, so a level allocates only when a queue outgrows its
+        // high-water mark (NBFS004).
+        for &u in full_frontier {
+            let mut rest = self
+                .parts
+                .local(partition.owner(u as usize))
+                .neighbours_global(u as usize);
+            while let Some(&v0) = rest.first() {
+                let p = partition.owner(v0 as usize);
+                let lg = self.parts.local(p);
+                let block = lg.vertex_range();
+                let (bucket, tail) =
+                    rest.split_at(rest.partition_point(|&v| (v as usize) < block.end));
+                rest = tail;
+                let st = &mut states[p];
+                st.td.matched += bucket.len() as u64;
+                for &v in bucket {
+                    let local = v as usize - block.start;
+                    if st.parent[local] == NO_PARENT {
+                        st.parent[local] = u;
+                        st.visited.set(local);
+                        st.frontier.push(v);
+                        st.td.degree_found += lg.degree_global(v as usize) as u64;
+                    }
                 }
             }
         }
         // nbfs-analysis: end-hot-path
-        drop(filled);
-        frontier.sort_unstable();
-        *unexplored_degree -= degree_found;
-
-        // Closed-form reproduction of the reference counters (u64 sums are
-        // grouping-independent; adoption-dependent tallies were counted in
-        // the merge above). The per-vertex lookup budget is hoisted — the
-        // reference recomputes this f64 log once per frontier vertex.
-        let lookup_ops = 8 + (lg.num_local_arcs().max(2) as f64).log2().ceil() as u64;
-        let events = ComputeEvents {
-            vertex_scan_bytes: flen as u64 * 4,
-            edge_bytes: 8 * (flen as u64 + total_matched),
-            write_bytes,
-            cpu_ops: flen as u64 * lookup_ops + 3 * total_matched,
-            probes: vec![ProbeClass {
-                count: flen as u64 / 8 + 1,
-                working_set: lg.incoming_size_bytes().max(64),
-                residence: self.scenario.private_residence(),
-            }],
-        };
-        KernelOut { events, discovered }
+        let flen = full_frontier.len() as u64;
+        states
+            .iter_mut()
+            .enumerate()
+            .map(|(p, st)| {
+                st.frontier.sort_unstable();
+                st.unexplored_degree -= st.td.degree_found;
+                let discovered = st.frontier.len() as u64;
+                let arcs = self.parts.local(p).num_local_arcs();
+                let lookup_ops = 8 + (arcs.max(2) as f64).log2().ceil() as u64;
+                let events = ComputeEvents {
+                    vertex_scan_bytes: flen * 4,
+                    edge_bytes: 8 * (flen + st.td.matched),
+                    write_bytes: 12 * discovered,
+                    cpu_ops: flen * lookup_ops + 3 * st.td.matched,
+                    probes: vec![ProbeClass {
+                        count: flen / 8 + 1,
+                        working_set: (arcs * 8).max(64),
+                        residence: self.scenario.private_residence(),
+                    }],
+                };
+                KernelOut { events, discovered }
+            })
+            .collect()
     }
 }
 

@@ -20,8 +20,8 @@
 //!
 //! A **top-down** level is the classic SpMSpV schedule: column-allgather
 //! the frontier pieces (*expand*), merge-join them against the block
-//! (chunked galloping join, the same `td_match_chunk` pass the 1-D engine
-//! runs), then *fold* `(target, parent)` candidates to the target's owner
+//! (chunked galloping join, `td_match_chunk`), then *fold*
+//! `(target, parent)` candidates to the target's owner
 //! inside the grid row. A **bottom-up** level inverts the block walk: each
 //! rank scans the unvisited vertices of its whole row group against its
 //! column's frontier through the 1-D engine's word-level `bu_scan_chunk`
@@ -54,8 +54,7 @@ use nbfs_util::{Bitmap, BlockPartition, SimTime, SummaryBitmap, WORD_BITS};
 
 use crate::direction::Direction;
 use crate::engine::{
-    bu_scan_chunk, td_match_chunk, BfsRun, BuChunkOut, BuRows, BuScanInputs, Scenario,
-    BU_CHUNK_WORDS, TD_CHUNK_FRONTIER,
+    bu_scan_chunk, BfsRun, BuChunkOut, BuRows, BuScanInputs, Scenario, BU_CHUNK_WORDS,
 };
 use crate::profile::{LevelProfile, RunProfile};
 
@@ -933,6 +932,63 @@ impl<'g, G: GraphView> TwoDimBfs<'g, G> {
             profile,
         }
     }
+}
+
+/// Frontier vertices per chunk of the top-down merge-join: the size of the
+/// span scratch a rank reuses across the chunks of one level.
+const TD_CHUNK_FRONTIER: usize = 4096;
+
+/// Advances `lo` to the first index of `arcs` whose source is `>= target`.
+///
+/// Exponential (galloping) probe followed by a binary search inside the
+/// bracketed window: for the sorted-frontier sweep the boundary is usually
+/// a handful of entries away, so this touches O(log gap) cache lines where
+/// a from-scratch binary search would touch O(log n) cold ones.
+fn gallop_to(arcs: &[(u32, u32)], lo: usize, target: u32) -> usize {
+    // nbfs-analysis: hot-path
+    // Runs once per frontier vertex per top-down level (twice: range start
+    // and end); pure index arithmetic over a borrowed slice.
+    if lo >= arcs.len() || arcs[lo].0 >= target {
+        return lo;
+    }
+    // Invariant: arcs[prev].0 < target.
+    let mut prev = lo;
+    let mut step = 1usize;
+    loop {
+        let next = prev + step;
+        if next >= arcs.len() {
+            return prev + 1 + arcs[prev + 1..].partition_point(|&(s, _)| s < target);
+        }
+        if arcs[next].0 >= target {
+            return prev + 1 + arcs[prev + 1..next].partition_point(|&(s, _)| s < target);
+        }
+        prev = next;
+        step *= 2;
+    }
+    // nbfs-analysis: end-hot-path
+}
+
+/// Records, for every vertex of one frontier chunk, the `(start, len)` span
+/// of its matched arcs in the rank's source-sorted block. One binary search
+/// anchors the chunk; from there the sweep gallops, because both sides are
+/// sorted.
+fn td_match_chunk(arcs: &[(u32, u32)], frontier_chunk: &[u32], out: &mut [(usize, usize)]) {
+    // nbfs-analysis: hot-path
+    // The merge-join sweep: near-sequential galloping where a lookup per
+    // frontier vertex would be two full binary searches.
+    let Some(&first_u) = frontier_chunk.first() else {
+        return;
+    };
+    let mut pos = arcs.partition_point(|&(s, _)| s < first_u);
+    for (&u, span) in frontier_chunk.iter().zip(out.iter_mut()) {
+        pos = gallop_to(arcs, pos, u);
+        let start = pos;
+        // Stored vertex ids are < NO_PARENT = u32::MAX, so `u + 1` cannot
+        // wrap.
+        pos = gallop_to(arcs, pos, u + 1);
+        *span = (start, pos - start);
+    }
+    // nbfs-analysis: end-hot-path
 }
 
 /// Mean/max reduction: the mean is the busy slice, the skew (`max - mean`)

@@ -21,13 +21,6 @@ pub struct LocalGraph {
     first_vertex: VertexId,
     offsets: Vec<u64>,
     targets: Vec<u32>,
-    /// The rank's edges transposed: `(source, owned target)`, sorted by
-    /// source then target. The top-down phase of the replicated hybrid
-    /// implementation iterates the *global* frontier and looks up, per
-    /// frontier vertex, which of its neighbours this rank owns — exactly
-    /// what this index answers (the Graph500 `mpi_replicated` code keeps
-    /// the same transposed structure).
-    incoming: Vec<(u32, u32)>,
 }
 
 impl LocalGraph {
@@ -71,34 +64,9 @@ impl LocalGraph {
         self.targets.len()
     }
 
-    /// The owned targets of edges leaving global vertex `u` (ascending),
-    /// looked up in the transposed index. Empty when no edge from `u`
-    /// lands in this rank's block.
-    pub fn incoming_from(&self, u: VertexId) -> &[(u32, u32)] {
-        let u = crate::vid::to_stored(u);
-        let start = self.incoming.partition_point(|&(s, _)| s < u);
-        let end = start + self.incoming[start..].partition_point(|&(s, _)| s == u);
-        &self.incoming[start..end]
-    }
-
-    /// The whole transposed index: `(source, owned target)` arcs sorted by
-    /// source then target. The chunked top-down kernel merge-joins the
-    /// sorted frontier against this array directly (and splits it into
-    /// fixed arc-count chunks), instead of running one binary search per
-    /// frontier vertex through [`Self::incoming_from`].
-    pub fn incoming_arcs(&self) -> &[(u32, u32)] {
-        &self.incoming
-    }
-
-    /// Size of the transposed index in bytes (per-probe working set of the
-    /// top-down lookup).
-    pub fn incoming_size_bytes(&self) -> usize {
-        self.incoming.len() * 8
-    }
-
     /// Approximate local memory footprint in bytes.
     pub fn size_bytes(&self) -> usize {
-        self.offsets.len() * 8 + self.targets.len() * 4 + self.incoming.len() * 8
+        self.offsets.len() * 8 + self.targets.len() * 4
     }
 }
 
@@ -122,29 +90,23 @@ impl PartitionedGraph {
                 let (start, end) = part.item_range(rank);
                 let mut offsets = Vec::with_capacity(end - start + 1);
                 offsets.push(0u64);
-                let mut targets = Vec::new();
-                // Transpose: for every owned target v and neighbour u,
-                // record (u, v). The graph is undirected, so the local CSR
-                // rows already contain every edge incident to the block.
+                // A rank holds about the mean share of the arcs: reserving it
+                // up front is one allocation where growth by doubling leaves a
+                // chain of freed, ever larger blocks behind in every rank.
+                let mut targets = Vec::with_capacity(graph.num_arcs() / parts);
                 // (Padded vertices past `n` in the word-aligned last block
-                // are recorded as degree-0 rows, as before.)
-                let mut incoming: Vec<(u32, u32)> = Vec::new();
+                // are recorded as degree-0 rows.)
                 for v in start..end {
                     if v < n {
-                        graph.for_each_neighbour(v, |u| {
-                            targets.push(u);
-                            incoming.push((u, crate::vid::to_stored(v)));
-                        });
+                        graph.for_each_neighbour(v, |u| targets.push(u));
                     }
                     offsets.push(targets.len() as u64);
                 }
-                incoming.sort_unstable();
                 LocalGraph {
                     rank,
                     first_vertex: start,
                     offsets,
                     targets,
-                    incoming,
                 }
             })
             .collect();
@@ -237,33 +199,18 @@ mod tests {
     }
 
     #[test]
-    fn incoming_index_matches_forward_adjacency() {
-        let g = GraphBuilder::rmat(9, 8).seed(4).build();
-        let pg = PartitionedGraph::new(&g, 4);
-        for u in 0..g.num_vertices() {
-            // Union over ranks of incoming_from(u) must equal u's
-            // neighbourhood, and every listed target must be owned.
-            let mut collected: Vec<u32> = Vec::new();
-            for rank in 0..4 {
-                let lg = pg.local(rank);
-                for &(src, dst) in lg.incoming_from(u) {
-                    assert_eq!(src as usize, u);
-                    assert_eq!(pg.owner(dst as usize), rank);
-                    collected.push(dst);
-                }
-            }
-            collected.sort_unstable();
-            assert_eq!(collected, g.neighbours(u), "u={u}");
-        }
-    }
-
-    #[test]
-    fn incoming_lookup_of_absent_source_is_empty() {
-        let g = GraphBuilder::rmat(8, 4).seed(11).build();
-        let pg = PartitionedGraph::new(&g, 2);
-        let isolated = (0..g.num_vertices()).find(|&v| g.degree(v) == 0).unwrap();
-        for rank in 0..2 {
-            assert!(pg.local(rank).incoming_from(isolated).is_empty());
+    fn partition_stores_the_graph_once() {
+        // Rows and nothing else: the parts together cost one extra offset
+        // per rank over the unpartitioned CSR.
+        let g = GraphBuilder::rmat(10, 8).seed(9).build();
+        for parts in [1usize, 3, 8, 128] {
+            let pg = PartitionedGraph::new(&g, parts);
+            let total: usize = (0..parts).map(|r| pg.local(r).size_bytes()).sum();
+            assert!(
+                total <= GraphView::size_bytes(&g) + 8 * parts,
+                "parts={parts}: {total} B against a {} B graph",
+                GraphView::size_bytes(&g)
+            );
         }
     }
 

@@ -10,6 +10,33 @@ use nbfs_graph::io;
 use nbfs_graph::rmat::{generate, generate_compressed, scramble, RmatParams};
 use nbfs_graph::{CompressedCsr, Csr, GraphView, PartitionedGraph};
 
+/// Rows strictly ascending, and every arc stored in both directions.
+fn assert_symmetric_ascending<G: GraphView>(g: &G) -> Result<(), TestCaseError> {
+    let rows: Vec<Vec<u32>> = (0..g.num_vertices())
+        .map(|v| {
+            let mut row = Vec::new();
+            g.for_each_neighbour(v, |u| row.push(u));
+            row
+        })
+        .collect();
+    for (u, row) in rows.iter().enumerate() {
+        prop_assert!(
+            row.windows(2).all(|w| w[0] < w[1]),
+            "row {} not strictly ascending",
+            u
+        );
+        for &v in row {
+            prop_assert!(
+                rows[v as usize].binary_search(&(u as u32)).is_ok(),
+                "arc ({}, {}) has no reverse",
+                u,
+                v
+            );
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     /// The label scrambler is a bijection on [0, 2^scale) for any seed.
     #[test]
@@ -43,8 +70,7 @@ proptest! {
         prop_assert_eq!(g.num_arcs(), 2 * g.num_edges());
     }
 
-    /// Partitioning preserves adjacency and the transposed index for any
-    /// part count.
+    /// Partitioning preserves adjacency for any part count.
     #[test]
     fn partition_preserves_structure(
         edges in prop::collection::vec((0u32..200, 0u32..200), 1..300),
@@ -59,14 +85,22 @@ proptest! {
                 prop_assert_eq!(lg.neighbours_global(v), g.neighbours(v));
             }
         }
-        // Transposed index: union over ranks equals the adjacency.
-        for u in 0..g.num_vertices() {
-            let mut collected: Vec<u32> = (0..parts)
-                .flat_map(|r| pg.local(r).incoming_from(u).iter().map(|&(_, v)| v))
-                .collect();
-            collected.sort_unstable();
-            prop_assert_eq!(collected, g.neighbours(u).to_vec(), "u={}", u);
-        }
+    }
+
+    /// What the top-down owner walk relies on in every store the engines
+    /// partition: the arcs from `u` into a block are `u`'s own row cut at
+    /// the block boundaries, which needs `v ∈ row(u) ⇔ u ∈ row(v)` and
+    /// strictly ascending rows.
+    #[test]
+    fn rows_are_symmetric_and_ascending_in_every_store(
+        edges in prop::collection::vec((0u32..300, 0u32..300), 0..500),
+        seed in any::<u64>(),
+    ) {
+        let el = EdgeList::new(300, edges.iter().map(|&(u, v)| Edge { u, v }).collect());
+        let dense = Csr::from_edge_list(&el);
+        assert_symmetric_ascending(&dense)?;
+        assert_symmetric_ascending(&CompressedCsr::from_csr(&dense))?;
+        assert_symmetric_ascending(&generate_compressed(&RmatParams::graph500(8, 4, seed), 2))?;
     }
 
     /// Binary and text I/O round-trip arbitrary edge lists.

@@ -126,12 +126,6 @@ impl<T: Copy> FrontierSlot<'_, T> {
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
-
-    /// Declared capacity of this slot.
-    #[inline]
-    pub fn capacity(&self) -> usize {
-        self.buf.len()
-    }
 }
 
 #[cfg(test)]
@@ -152,7 +146,6 @@ mod tests {
         let merged: Vec<u32> = slots.iter().flat_map(|s| s.as_slice()).copied().collect();
         assert_eq!(merged, [1, 2, 30, 31]);
         assert!(slots[1].is_empty());
-        assert_eq!(slots[2].capacity(), 3);
     }
 
     #[test]
