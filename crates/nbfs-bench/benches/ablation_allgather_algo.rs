@@ -1,5 +1,4 @@
-//! Ablation: the inter-node allgather algorithm (DESIGN.md §5), including
-//! the subgroup-count interpolation of the parallelized allgather.
+//! Ablation: the inter-node allgather algorithm (DESIGN.md §5).
 
 // Test code opts back into unwrap/narrowing ergonomics; the workspace
 // denies both in library targets (see [workspace.lints] in Cargo.toml).
@@ -22,9 +21,6 @@ fn bench(c: &mut Criterion) {
         AllgatherAlgorithm::LeaderBased,
         AllgatherAlgorithm::SharedDest,
         AllgatherAlgorithm::SharedBoth,
-        AllgatherAlgorithm::ParallelK(1),
-        AllgatherAlgorithm::ParallelK(2),
-        AllgatherAlgorithm::ParallelK(4),
         AllgatherAlgorithm::ParallelSubgroup,
     ] {
         group.bench_with_input(BenchmarkId::new("algo", algo.label()), &algo, |b, &algo| {

@@ -10,9 +10,6 @@
 //!   collective volume ledger and the Fig. 11 phase totals projected from
 //!   the trace (optionally exported as versioned JSON);
 //! * `bench` — a Graph500-style campaign (N roots, harmonic-mean TEPS);
-//! * `serve-bench` — the BFS-as-a-service throughput benchmark: one seeded
-//!   query stream run sequentially, batched through 64-lane bit-parallel
-//!   waves, and concurrently through the admission queue (p50/p99);
 //! * `tune` — the analytic summary-granularity recommendation of
 //!   `nbfs_core::tuning` for a given frontier density.
 //! * `chaos` — the seeded fault-injection conformance matrix: every fault
@@ -121,7 +118,7 @@ pub enum Command {
         /// Also export the full `TraceReport` as versioned JSON.
         json: Option<PathBuf>,
     },
-    /// `bench [--scale N] [--nodes N] [--opt NAME] [--roots K] [--grid RxC] [--compressed] [--json PATH]`
+    /// `bench [--scale N] [--nodes N] [--opt NAME] [--roots K] [--grid RxC] [--compressed]`
     Bench {
         /// Scale to generate.
         scale: u32,
@@ -135,21 +132,6 @@ pub enum Command {
         grid: Option<(usize, usize)>,
         /// Campaign over the delta-varint compressed CSR.
         compressed: bool,
-        /// With `--json PATH`: run the wall-clock benchmark snapshot
-        /// (reference vs word-level bottom-up kernel) and write the
-        /// `BENCH_BFS.json` document there instead of the TEPS campaign.
-        json: Option<PathBuf>,
-    },
-    /// `serve-bench [--scale N] [--queries Q] [--submitters S] [--json PATH]`
-    ServeBench {
-        /// Scale to generate.
-        scale: u32,
-        /// Queries in the seeded synthetic stream.
-        queries: usize,
-        /// Submitter threads of the concurrent latency pass.
-        submitters: usize,
-        /// Write the machine-readable `multi_query` section here.
-        json: Option<PathBuf>,
     },
     /// `tune [--scale N] [--density D]`
     Tune {
@@ -173,6 +155,19 @@ pub enum Command {
     Help,
 }
 
+/// Parses a summary-bitmap granularity (`--summary-g G`, `--opt
+/// granularity=G`) under `SummaryBitmap::new`'s contract, so a bad value
+/// is a parse error and never reaches the engine's assertion.
+fn parse_granularity(what: &str, value: &str) -> Result<usize, String> {
+    let g: usize = value.parse().map_err(|e| format!("bad {what}: {e}"))?;
+    if g == 0 || g % 64 != 0 || !g.is_power_of_two() {
+        return Err(format!(
+            "{what} must be a power of two and a multiple of 64, got {g}"
+        ));
+    }
+    Ok(g)
+}
+
 /// Parses an optimization-level name.
 pub fn parse_opt(name: &str) -> Result<OptLevel, String> {
     Ok(match name {
@@ -182,17 +177,17 @@ pub fn parse_opt(name: &str) -> Result<OptLevel, String> {
         "share-all" => OptLevel::ShareAll,
         "par-allgather" => OptLevel::ParAllgather,
         "best" => OptLevel::Granularity(256),
-        g if g.starts_with("granularity=") => {
-            let v: usize = g["granularity=".len()..]
-                .parse()
-                .map_err(|e| format!("bad granularity: {e}"))?;
-            OptLevel::Granularity(v)
-        }
-        other => return Err(format!("unknown --opt {other}")),
+        other => match other.strip_prefix("granularity=") {
+            Some(g) => OptLevel::Granularity(parse_granularity("granularity", g)?),
+            None => return Err(format!("unknown --opt {other}")),
+        },
     })
 }
 
 /// Parses a full argument vector (excluding argv\[0\]).
+///
+/// Everything the library below would `assert!` on is range-checked here,
+/// so bad input is an `error: …` line and exit code 2, never a panic.
 pub fn parse(args: &[String]) -> Result<Command, String> {
     let mut it = args.iter().map(String::as_str);
     let sub = it.next().ok_or_else(|| "missing subcommand".to_string())?;
@@ -200,36 +195,53 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
     // Every flag the subcommand looks up; any other `--flag` on the
     // command line is rejected once the subcommand has parsed.
     let known = std::cell::RefCell::new(Vec::new());
-    let flag = |name: &'static str| -> Option<&str> {
+    // The value of a value-taking flag: the next argument, which must
+    // exist and must not be another `--flag`.
+    let flag = |name: &'static str| -> Result<Option<&str>, String> {
         known.borrow_mut().push(name);
-        rest.iter()
-            .position(|&a| a == name)
-            .and_then(|i| rest.get(i + 1).copied())
+        let Some(i) = rest.iter().position(|&a| a == name) else {
+            return Ok(None);
+        };
+        match rest.get(i + 1) {
+            Some(v) if !v.starts_with("--") => Ok(Some(v)),
+            _ => Err(format!("{name} needs a value")),
+        }
     };
     let has = |name: &'static str| {
         known.borrow_mut().push(name);
         rest.contains(&name)
     };
-    let num = |name: &'static str, default: u64| -> Result<u64, String> {
-        flag(name)
-            .map(|v| v.parse().map_err(|e| format!("bad {name}: {e}")))
-            .unwrap_or(Ok(default))
+    let num = |name: &'static str, default: u64, min: u64| -> Result<u64, String> {
+        let v = match flag(name)? {
+            Some(v) => v.parse().map_err(|e| format!("bad {name}: {e}"))?,
+            None => default,
+        };
+        if v < min {
+            return Err(format!("{name} must be >= {min}, got {v}"));
+        }
+        Ok(v)
+    };
+    // The R-MAT generator's supported range.
+    let scale = |default: u64| -> Result<u32, String> {
+        match num("--scale", default, 0)? {
+            s @ 1..=31 => Ok(s as u32),
+            s => Err(format!("--scale must be in 1..=31, got {s}")),
+        }
+    };
+    let path = |name: &'static str| Ok::<_, String>(flag(name)?.map(PathBuf::from));
+    let opt = || parse_opt(flag("--opt")?.unwrap_or("best"));
+    let root = || -> Result<Option<usize>, String> {
+        flag("--root")?
+            .map(|v| v.parse().map_err(|e| format!("bad --root: {e}")))
+            .transpose()
     };
     let summary_g = || -> Result<Option<usize>, String> {
-        flag("--summary-g")
-            .map(|v| {
-                let g: usize = v.parse().map_err(|e| format!("bad --summary-g: {e}"))?;
-                if g == 0 || g % 64 != 0 || !g.is_power_of_two() {
-                    return Err(format!(
-                        "--summary-g must be a power of two and a multiple of 64, got {g}"
-                    ));
-                }
-                Ok(g)
-            })
+        flag("--summary-g")?
+            .map(|v| parse_granularity("--summary-g", v))
             .transpose()
     };
     let codec = || -> Result<Codec, String> {
-        flag("--codec")
+        flag("--codec")?
             .map(|v| {
                 Codec::parse(v).ok_or_else(|| {
                     let valid = Codec::ALL.map(Codec::label).join(" | ");
@@ -240,7 +252,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             .map(|c| c.unwrap_or(Codec::Raw))
     };
     let grid = || -> Result<Option<(usize, usize)>, String> {
-        flag("--grid")
+        flag("--grid")?
             .map(|v| {
                 let (r, c) = v
                     .split_once('x')
@@ -257,12 +269,10 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
 
     let cmd = match sub {
         "generate" => Command::Generate {
-            scale: num("--scale", 16)? as u32,
-            edge_factor: num("--edge-factor", 16)? as usize,
-            seed: num("--seed", 1)?,
-            out: PathBuf::from(
-                flag("--out").ok_or_else(|| "generate needs --out FILE".to_string())?,
-            ),
+            scale: scale(16)?,
+            edge_factor: num("--edge-factor", 16, 1)? as usize,
+            seed: num("--seed", 1, 0)?,
+            out: path("--out")?.ok_or_else(|| "generate needs --out FILE".to_string())?,
         },
         "info" => Command::Info {
             path: PathBuf::from(
@@ -272,60 +282,47 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             ),
         },
         "run" => Command::Run {
-            scale: num("--scale", 16)? as u32,
-            graph: flag("--graph").map(PathBuf::from),
-            nodes: num("--nodes", 16)? as usize,
-            opt: parse_opt(flag("--opt").unwrap_or("best"))?,
-            root: flag("--root")
-                .map(|v| v.parse().map_err(|e| format!("bad --root: {e}")))
-                .transpose()?,
+            scale: scale(16)?,
+            graph: path("--graph")?,
+            nodes: num("--nodes", 16, 1)? as usize,
+            opt: opt()?,
+            root: root()?,
             summary_g: summary_g()?,
             codec: codec()?,
             grid: grid()?,
             compressed: has("--compressed"),
         },
         "trace" => Command::Trace {
-            scale: num("--scale", 16)? as u32,
-            graph: flag("--graph").map(PathBuf::from),
-            nodes: num("--nodes", 16)? as usize,
-            opt: parse_opt(flag("--opt").unwrap_or("best"))?,
-            root: flag("--root")
-                .map(|v| v.parse().map_err(|e| format!("bad --root: {e}")))
-                .transpose()?,
+            scale: scale(16)?,
+            graph: path("--graph")?,
+            nodes: num("--nodes", 16, 1)? as usize,
+            opt: opt()?,
+            root: root()?,
             summary_g: summary_g()?,
             codec: codec()?,
             grid: grid()?,
             compressed: has("--compressed"),
-            json: flag("--json").map(PathBuf::from),
+            json: path("--json")?,
         },
         "bench" => Command::Bench {
-            // The snapshot's pinned scenario is scale 19; the TEPS
-            // campaign keeps its historical default of 16.
-            scale: num("--scale", if flag("--json").is_some() { 19 } else { 16 })? as u32,
-            nodes: num("--nodes", 16)? as usize,
-            opt: parse_opt(flag("--opt").unwrap_or("best"))?,
-            roots: num("--roots", 8)? as usize,
+            scale: scale(16)?,
+            nodes: num("--nodes", 16, 1)? as usize,
+            opt: opt()?,
+            roots: num("--roots", 8, 1)? as usize,
             grid: grid()?,
             compressed: has("--compressed"),
-            json: flag("--json").map(PathBuf::from),
-        },
-        "serve-bench" => Command::ServeBench {
-            scale: num("--scale", 16)? as u32,
-            queries: (num("--queries", 128)? as usize).max(1),
-            submitters: (num("--submitters", 8)? as usize).max(1),
-            json: flag("--json").map(PathBuf::from),
         },
         "tune" => Command::Tune {
-            scale: num("--scale", 20)? as u32,
-            density: flag("--density")
+            scale: num("--scale", 20, 0)? as u32,
+            density: flag("--density")?
                 .map(|v| v.parse().map_err(|e| format!("bad --density: {e}")))
                 .unwrap_or(Ok(0.02))?,
         },
         "chaos" => Command::Chaos {
-            scale: num("--scale", 12)? as u32,
-            nodes: num("--nodes", 4)? as usize,
-            seed: num("--seed", 2012)?,
-            json: flag("--json").map(PathBuf::from),
+            scale: scale(12)?,
+            nodes: num("--nodes", 4, 1)? as usize,
+            seed: num("--seed", 2012, 0)?,
+            json: path("--json")?,
         },
         "--help" | "-h" | "help" => Command::Help,
         other => return Err(format!("unknown subcommand {other}")),
@@ -358,12 +355,7 @@ USAGE:
              [--codec CODEC] [--grid RxC] [--compressed] [--json PATH]
              (per-level run-event table; --json PATH exports the versioned TraceReport)
   nbfs bench [--scale N] [--nodes N] [--opt OPT] [--roots K] [--grid RxC] [--compressed]
-             [--json PATH]
-             (--json PATH runs the wall-clock kernel snapshot and writes BENCH_BFS.json there)
-  nbfs serve-bench [--scale N] [--queries Q] [--submitters S] [--json PATH]
-             (sustained multi-query service benchmark: queries/sec and p50/p99 latency of
-              batched 64-lane bit-parallel waves vs a sequential per-root baseline; every
-              batched answer must be bit-identical to its baseline run)
+             (Graph500 campaign: K validated search keys, harmonic-mean TEPS)
   nbfs tune  [--scale N] [--density D]
   nbfs chaos [--scale N] [--nodes N] [--seed S] [--json PATH]
              (seeded fault matrix: every fault kind against every communication target;
@@ -710,40 +702,17 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), String>
             roots,
             grid,
             compressed,
-            json,
         } => {
-            if let Some(path) = json {
-                if grid.is_some() || compressed {
-                    return Err(
-                        "the --json snapshot runs a pinned scenario matrix (including the \
-                         2-D and compressed sections); --grid/--compressed apply to the \
-                         TEPS campaign only"
-                            .into(),
-                    );
-                }
-                let cfg = nbfs_bench::wallclock::SnapshotConfig {
-                    scale,
-                    ..Default::default()
-                };
-                let snap = nbfs_bench::wallclock::run_snapshot(&cfg);
-                nbfs_bench::wallclock::write_snapshot(&path, &snap).map_err(err)?;
-                writeln!(out, "{}", nbfs_bench::wallclock::summary(&snap)).map_err(err)?;
-                writeln!(
-                    out,
-                    "multi-query: {}",
-                    nbfs_bench::wallclock::multi_query_summary(&snap.multi_query)
-                )
-                .map_err(err)?;
-                writeln!(
-                    out,
-                    "2-D: {}",
-                    nbfs_bench::wallclock::two_dim_summary(&snap.two_dim)
-                )
-                .map_err(err)?;
-                writeln!(out, "wrote {}", path.display()).map_err(err)?;
-                return Ok(());
-            }
             let g = GraphBuilder::rmat(scale, 16).seed(1).build();
+            // Search keys are distinct and non-isolated (the harness
+            // asserts on a graph that has too few).
+            let candidates = (0..g.num_vertices()).filter(|&v| g.degree(v) > 0).count();
+            if roots > candidates {
+                return Err(format!(
+                    "bad --roots: {roots} search keys, but the graph has only {candidates} \
+                     non-isolated vertices"
+                ));
+            }
             let machine = presets::xeon_x7550_cluster(nodes).scaled_to_graph(scale, 28);
             let scenario = Scenario::builder(machine, opt)
                 .build()
@@ -820,37 +789,6 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), String>
             .map_err(err)?;
             writeln!(out, "harmonic-mean TEPS: {}", format_teps(harmonic_teps)).map_err(err)?;
             writeln!(out, "bottom-up comm share: {:.1}%", 100.0 * bu_share).map_err(err)?;
-        }
-        Command::ServeBench {
-            scale,
-            queries,
-            submitters,
-            json,
-        } => {
-            let cfg = nbfs_bench::wallclock::SnapshotConfig {
-                scale,
-                queries,
-                submitters,
-                ..Default::default()
-            };
-            let mq = nbfs_bench::wallclock::run_multi_query_bench(&cfg);
-            writeln!(
-                out,
-                "serve-bench: scale {scale} | {}",
-                nbfs_bench::wallclock::multi_query_summary(&mq)
-            )
-            .map_err(err)?;
-            if let Some(path) = json {
-                std::fs::write(
-                    &path,
-                    serde_json::to_string_pretty(&mq).map_err(|e| e.to_string())? + "\n",
-                )
-                .map_err(err)?;
-                writeln!(out, "wrote {}", path.display()).map_err(err)?;
-            }
-            if !mq.identical_results {
-                return Err("serve-bench: batched answers diverged from the baseline".into());
-            }
         }
         Command::Tune { scale, density } => {
             if !(0.0..1.0).contains(&density) || density <= 0.0 {
@@ -1516,13 +1454,6 @@ mod tests {
     }
 
     #[test]
-    fn bench_snapshot_rejects_campaign_flags() {
-        let cmd = parse(&argv("bench --scale 11 --grid 2x4 --json /tmp/x.json")).unwrap();
-        let e = execute(cmd, &mut Vec::new()).unwrap_err();
-        assert!(e.contains("snapshot"), "{e}");
-    }
-
-    #[test]
     fn run_with_summary_g_end_to_end() {
         let cmd = parse(&argv("run --scale 10 --nodes 2 --opt ppn8 --summary-g 256")).unwrap();
         let mut buf = Vec::new();
@@ -1603,40 +1534,6 @@ mod tests {
         execute(cmd, &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
         assert!(text.contains("harmonic-mean TEPS"), "{text}");
-    }
-
-    #[test]
-    fn bench_json_defaults_to_snapshot_scale() {
-        match parse(&argv("bench --json out.json")).unwrap() {
-            Command::Bench { scale, json, .. } => {
-                assert_eq!(scale, 19, "snapshot default scale");
-                assert_eq!(json, Some(PathBuf::from("out.json")));
-            }
-            other => panic!("wrong parse: {other:?}"),
-        }
-        match parse(&argv("bench --scale 12 --json out.json")).unwrap() {
-            Command::Bench { scale, .. } => assert_eq!(scale, 12),
-            other => panic!("wrong parse: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn bench_json_snapshot_end_to_end() {
-        let path = std::env::temp_dir().join("nbfs-cli-bench-snapshot.json");
-        let cmd = parse(&argv(&format!(
-            "bench --scale 11 --json {}",
-            path.display()
-        )))
-        .unwrap();
-        let mut buf = Vec::new();
-        execute(cmd, &mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        assert!(text.contains("identical results: true"), "{text}");
-        let doc: serde_json::Value =
-            serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        assert_eq!(doc["scenario"]["scale"], 11);
-        assert!(doc["bottom_up_speedup"].as_f64().unwrap() > 0.0);
-        std::fs::remove_file(path).unwrap();
     }
 
     #[test]
@@ -1721,56 +1618,6 @@ mod tests {
             assert!(cell["passed"].as_bool().unwrap(), "{cell:?}");
             assert!(cell["deterministic"].as_bool().unwrap(), "{cell:?}");
         }
-        std::fs::remove_file(path).unwrap();
-    }
-
-    #[test]
-    fn parse_serve_bench_flags() {
-        match parse(&argv("serve-bench --scale 10 --queries 12 --submitters 3")).unwrap() {
-            Command::ServeBench {
-                scale,
-                queries,
-                submitters,
-                json,
-            } => {
-                assert_eq!(scale, 10);
-                assert_eq!(queries, 12);
-                assert_eq!(submitters, 3);
-                assert!(json.is_none());
-            }
-            other => panic!("wrong command: {other:?}"),
-        }
-        match parse(&argv("serve-bench")).unwrap() {
-            Command::ServeBench {
-                scale,
-                queries,
-                submitters,
-                ..
-            } => {
-                assert_eq!((scale, queries, submitters), (16, 128, 8));
-            }
-            other => panic!("wrong command: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn serve_bench_end_to_end() {
-        let path = std::env::temp_dir().join("nbfs-cli-serve-bench.json");
-        let cmd = parse(&argv(&format!(
-            "serve-bench --scale 10 --queries 10 --submitters 2 --json {}",
-            path.display()
-        )))
-        .unwrap();
-        let mut buf = Vec::new();
-        execute(cmd, &mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        assert!(text.contains("identical results: true"), "{text}");
-        let doc: serde_json::Value =
-            serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        assert_eq!(doc["queries"], 10);
-        assert_eq!(doc["batch"], 64);
-        assert!(doc["identical_results"].as_bool().unwrap());
-        assert!(doc["batched_qps"].as_f64().unwrap() > 0.0);
         std::fs::remove_file(path).unwrap();
     }
 

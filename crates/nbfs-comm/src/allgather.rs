@@ -51,25 +51,18 @@ pub enum AllgatherAlgorithm {
     /// its node-local index; each subgroup rings its slice of the data
     /// concurrently, saturating both IB ports. Implies shared buffers.
     ParallelSubgroup,
-    /// Ablation: like [`AllgatherAlgorithm::ParallelSubgroup`] but with only
-    /// `k` concurrent subgroups per node (k must divide ppn).
-    ParallelK(
-        /// Number of concurrent subgroups.
-        usize,
-    ),
 }
 
 impl AllgatherAlgorithm {
     /// Figure label used in the paper's plots.
-    pub fn label(self) -> String {
+    pub fn label(self) -> &'static str {
         match self {
-            AllgatherAlgorithm::Ring => "ring (Open MPI default)".into(),
-            AllgatherAlgorithm::RecursiveDoubling => "recursive doubling".into(),
-            AllgatherAlgorithm::LeaderBased => "leader-based".into(),
-            AllgatherAlgorithm::SharedDest => "share in_queue".into(),
-            AllgatherAlgorithm::SharedBoth => "share all".into(),
-            AllgatherAlgorithm::ParallelSubgroup => "parallel allgather".into(),
-            AllgatherAlgorithm::ParallelK(k) => format!("parallel allgather (k={k})"),
+            AllgatherAlgorithm::Ring => "ring (Open MPI default)",
+            AllgatherAlgorithm::RecursiveDoubling => "recursive doubling",
+            AllgatherAlgorithm::LeaderBased => "leader-based",
+            AllgatherAlgorithm::SharedDest => "share in_queue",
+            AllgatherAlgorithm::SharedBoth => "share all",
+            AllgatherAlgorithm::ParallelSubgroup => "parallel allgather",
         }
     }
 }
@@ -200,7 +193,6 @@ pub fn allgather_cost_bytes(
         AllgatherAlgorithm::SharedDest => hierarchical_cost(bytes, pmap, net, true, false),
         AllgatherAlgorithm::SharedBoth => hierarchical_cost(bytes, pmap, net, false, false),
         AllgatherAlgorithm::ParallelSubgroup => parallel_cost(bytes, pmap, net, pmap.ppn()),
-        AllgatherAlgorithm::ParallelK(k) => parallel_cost(bytes, pmap, net, k),
     }
 }
 
@@ -229,7 +221,6 @@ pub fn allgather_stats_bytes(
         AllgatherAlgorithm::SharedDest => hierarchical_stats(bytes, pmap, true, false),
         AllgatherAlgorithm::SharedBoth => hierarchical_stats(bytes, pmap, false, false),
         AllgatherAlgorithm::ParallelSubgroup => parallel_stats(bytes, pmap, pmap.ppn()),
-        AllgatherAlgorithm::ParallelK(k) => parallel_stats(bytes, pmap, k),
     };
     // `bytes` is whatever the caller is really exchanging; without a codec
     // the raw volume *is* the wire volume. The codec layer overrides
@@ -691,7 +682,6 @@ mod tests {
             AllgatherAlgorithm::SharedDest,
             AllgatherAlgorithm::SharedBoth,
             AllgatherAlgorithm::ParallelSubgroup,
-            AllgatherAlgorithm::ParallelK(2),
         ] {
             let out = allgather_words(&parts, &pmap, &net, algo);
             assert_eq!(out.words, expect, "{algo:?}");
@@ -813,10 +803,8 @@ mod tests {
     fn parallel_k_interpolates() {
         let (_, pmap, net) = setup(8, 8);
         let parts = equal_parts(64, 64 * 1024);
-        let k1 = allgather_cost(&parts, &pmap, &net, AllgatherAlgorithm::ParallelK(1)).total();
-        let k2 = allgather_cost(&parts, &pmap, &net, AllgatherAlgorithm::ParallelK(2)).total();
-        let k4 = allgather_cost(&parts, &pmap, &net, AllgatherAlgorithm::ParallelK(4)).total();
-        let k8 = allgather_cost(&parts, &pmap, &net, AllgatherAlgorithm::ParallelK(8)).total();
+        let bytes: Vec<u64> = parts.iter().map(|p| p.len() as u64 * 8).collect();
+        let [k1, k2, k4, k8] = [1, 2, 4, 8].map(|k| parallel_cost(&bytes, &pmap, &net, k).total());
         assert!(
             k1 >= k2 && k2 >= k4 && k4 >= k8,
             "{k1:?} {k2:?} {k4:?} {k8:?}"
@@ -868,7 +856,6 @@ mod tests {
             AllgatherAlgorithm::SharedDest,
             AllgatherAlgorithm::SharedBoth,
             AllgatherAlgorithm::ParallelSubgroup,
-            AllgatherAlgorithm::ParallelK(2),
         ] {
             let s = allgather_stats_bytes(&bytes, &pmap, algo);
             assert!(s.rounds > 0, "{algo:?}");
@@ -887,6 +874,9 @@ mod tests {
         assert_eq!(par.flows, 3 * 32);
         assert_eq!(par.wire_bytes, 3 * total);
         assert_eq!(par.shm_bytes, 0);
+        // Fewer subgroups move the same bytes in fewer, fatter flows.
+        let k2 = parallel_stats(&bytes, &pmap, 2);
+        assert_eq!((k2.rounds, k2.flows, k2.wire_bytes), (3, 3 * 8, 3 * total));
     }
 
     #[test]

@@ -1,30 +1,16 @@
-//! Small collectives: barrier, allreduce, broadcast, gather.
+//! The small collective: allreduce.
 //!
-//! These carry control data (frontier population counts, termination
-//! flags), not bitmaps, so they are latency-dominated. The hybrid switch
+//! It carries control data (frontier population counts, termination
+//! flags), not bitmaps, so it is latency-dominated. The hybrid switch
 //! heuristic calls an allreduce every level to learn the global frontier
 //! size before choosing top-down vs bottom-up.
 
-use nbfs_simnet::{Flow, NetworkModel};
+use nbfs_simnet::NetworkModel;
 use nbfs_topology::ProcessMap;
 use nbfs_trace::CollectiveStats;
 use nbfs_util::SimTime;
 
 use crate::profile::CommCost;
-
-/// Time for a full barrier: a latency-bound binomial tree over nodes plus
-/// an intra-node flag round.
-pub fn barrier_cost(pmap: &ProcessMap, net: &NetworkModel) -> SimTime {
-    let node_rounds = (pmap.nodes().max(1) as f64).log2().ceil();
-    let wire = SimTime::from_secs(net.machine().nic.latency_s * 2.0 * node_rounds);
-    // Intra-node flag propagation through shared memory.
-    let shm = SimTime::from_secs(if pmap.ppn() > 1 {
-        net.machine().sw_overhead_s
-    } else {
-        0.0
-    });
-    wire + shm
-}
 
 /// Result of an allreduce.
 #[derive(Clone, Debug, PartialEq)]
@@ -70,36 +56,6 @@ pub fn allreduce_sum(
     }
 }
 
-/// Broadcast `bytes` from one rank to the whole world: binomial tree over
-/// nodes, then an intra-node fan-out.
-pub fn broadcast_cost(bytes: u64, pmap: &ProcessMap, net: &NetworkModel) -> CommCost {
-    let nodes = pmap.nodes();
-    let mut inter = SimTime::ZERO;
-    // Binomial tree: ceil(log2(nodes)) rounds, doubling reached nodes.
-    let mut reached = 1usize;
-    let mut round = 0usize;
-    while reached < nodes {
-        let senders = reached.min(nodes - reached);
-        let flows: Vec<Flow> = (0..senders)
-            .map(|s| Flow::new(s, reached + s, bytes))
-            .collect();
-        inter += net.round_time(&flows);
-        reached += senders;
-        round += 1;
-        assert!(round <= 64, "broadcast tree failed to terminate");
-    }
-    let intra_bcast = if pmap.ppn() > 1 {
-        net.shm_copy_time(2 * bytes, pmap.ppn() - 1, 1)
-    } else {
-        SimTime::ZERO
-    };
-    CommCost {
-        intra_gather: SimTime::ZERO,
-        inter,
-        intra_bcast,
-    }
-}
-
 /// Fault-layer twin of the allreduce: resolves `plan` against the
 /// leader-level recursive-doubling schedule (`fault::allreduce_edges`),
 /// charging retransmit + backoff penalties against the supplied cost
@@ -127,19 +83,11 @@ mod tests {
     use super::*;
     use nbfs_topology::{presets, PlacementPolicy, ProcessMap};
 
-    fn setup(nodes: usize, ppn: usize) -> (ProcessMap, NetworkModel) {
-        let m = presets::xeon_x7550_cluster(nodes);
-        let policy = if ppn > 1 {
-            PlacementPolicy::BindToSocket
-        } else {
-            PlacementPolicy::Interleave
-        };
-        (ProcessMap::new(&m, ppn, policy), NetworkModel::new(&m))
-    }
-
     #[test]
     fn allreduce_sums_correctly() {
-        let (pmap, net) = setup(4, 8);
+        let m = presets::xeon_x7550_cluster(4);
+        let pmap = ProcessMap::new(&m, 8, PlacementPolicy::BindToSocket);
+        let net = NetworkModel::new(&m);
         let vals: Vec<u64> = (0..32).collect();
         let out = allreduce_sum(&vals, &pmap, &net);
         assert_eq!(out.value, 31 * 32 / 2);
@@ -148,40 +96,5 @@ mod tests {
             out.cost.total() < SimTime::from_micros(100.0),
             "allreduce must be latency-scale"
         );
-    }
-
-    #[test]
-    fn barrier_grows_with_node_count() {
-        let (p2, n2) = setup(2, 8);
-        let (p16, n16) = setup(16, 8);
-        assert!(barrier_cost(&p16, &n16) > barrier_cost(&p2, &n2));
-    }
-
-    #[test]
-    fn single_node_barrier_is_shm_only() {
-        let (p1, n1) = setup(1, 8);
-        let t = barrier_cost(&p1, &n1);
-        assert!(t < SimTime::from_micros(2.0));
-    }
-
-    #[test]
-    fn broadcast_covers_arbitrary_node_counts() {
-        for nodes in [1usize, 2, 3, 5, 16] {
-            let (pmap, net) = setup(nodes, 1);
-            let c = broadcast_cost(1 << 20, &pmap, &net);
-            if nodes == 1 {
-                assert_eq!(c.total(), SimTime::ZERO);
-            } else {
-                assert!(c.inter > SimTime::ZERO, "nodes={nodes}");
-            }
-        }
-    }
-
-    #[test]
-    fn broadcast_bigger_is_slower() {
-        let (pmap, net) = setup(8, 8);
-        let small = broadcast_cost(1 << 10, &pmap, &net).total();
-        let big = broadcast_cost(1 << 26, &pmap, &net).total();
-        assert!(big > small);
     }
 }

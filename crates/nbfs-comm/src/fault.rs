@@ -346,8 +346,7 @@ pub fn allgather_edges(pmap: &ProcessMap, algo: AllgatherAlgorithm) -> Vec<Fault
         AllgatherAlgorithm::LeaderBased
         | AllgatherAlgorithm::SharedDest
         | AllgatherAlgorithm::SharedBoth => leader_ring_edges(pmap),
-        AllgatherAlgorithm::ParallelSubgroup => subgroup_edges(pmap, pmap.ppn()),
-        AllgatherAlgorithm::ParallelK(k) => subgroup_edges(pmap, k),
+        AllgatherAlgorithm::ParallelSubgroup => subgroup_edges(pmap),
     }
 }
 
@@ -390,15 +389,14 @@ fn leader_ring_edges(pmap: &ProcessMap) -> Vec<FaultEdge> {
     edges
 }
 
-fn subgroup_edges(pmap: &ProcessMap, k: usize) -> Vec<FaultEdge> {
+fn subgroup_edges(pmap: &ProcessMap) -> Vec<FaultEdge> {
     let nodes = pmap.nodes();
-    let k = k.clamp(1, pmap.ppn());
     let mut edges = Vec::new();
     for round in 0..nodes.saturating_sub(1) {
         for n in 0..nodes {
             let src0 = pmap.ranks_of_node(n).start;
             let dst0 = pmap.ranks_of_node((n + 1) % nodes).start;
-            for j in 0..k {
+            for j in 0..pmap.ppn() {
                 edges.push(FaultEdge::new(round as u64, src0 + j, dst0 + j));
             }
         }

@@ -352,8 +352,9 @@ pub struct WallClock {
 /// The simulated-time discipline (DESIGN.md §2, enforced by diagnostic
 /// NBFS002) keeps `Instant::now`/`SystemTime` out of every crate except
 /// `nbfs-bench`'s wallclock module. The engine therefore takes the clock
-/// by injection: benchmarks pass `nbfs_bench::wallclock::HostTimer`,
-/// everything else runs on [`NoClock`] and pays nothing.
+/// by injection: the repo benchmark (`perfbench/`) passes
+/// `nbfs_bench::wallclock::HostTimer` to `run_timed`, everything else
+/// runs on [`NoClock`] and pays nothing.
 pub trait HostClock {
     /// Monotonic seconds since an arbitrary per-clock epoch.
     fn now_secs(&self) -> f64;

@@ -3,8 +3,7 @@
 //! [`TraceReport`] is the superset the three sinks share: the in-memory
 //! structure itself, the versioned JSON exporter
 //! ([`TraceReport::to_json`] / [`TraceReport::from_json`], guarded by
-//! [`SCHEMA_VERSION`] like `BENCH_BFS.json`), and the `nbfs trace` CLI
-//! table, which formats it. The retained [`RunProfile`] is a projection:
+//! [`SCHEMA_VERSION`]), and the `nbfs trace` CLI table, which formats it. The retained [`RunProfile`] is a projection:
 //! [`TraceReport::run_profile`] folds the per-level spans in level order
 //! with the same `f64` additions the engine used to perform itself, so the
 //! phase totals match the legacy accounting bit-for-bit.

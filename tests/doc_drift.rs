@@ -59,11 +59,6 @@ fn schema_versions_are_the_ones_the_code_pins() {
     let trace = u64::from(numa_bfs::trace::report::SCHEMA_VERSION);
     assert_states("DESIGN.md", "pinned at ", trace);
     assert_states("README.md", "trace schema v", trace);
-    let snapshot = u64::from(nbfs_bench::wallclock::SCHEMA_VERSION);
-    for name in ["README.md", "DESIGN.md", "EXPERIMENTS.md"] {
-        assert_states(name, "`BENCH_BFS.json` (schema v", snapshot);
-    }
-    assert_states("EXPERIMENTS.md", "`schema_version: ", snapshot);
 }
 
 #[test]
@@ -99,4 +94,76 @@ fn codec_list_is_codec_all() {
         labels,
         "EXPERIMENTS.md compression table"
     );
+}
+
+/// `*.md` files under `dir`, repo-relative, skipping build output,
+/// vendored crates and git's own directory.
+fn markdown_files(dir: &std::path::Path, out: &mut Vec<String>) {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        if path.is_dir() {
+            if !["target", "vendor", ".git", ".bench_build"].contains(&name.as_str()) {
+                markdown_files(&path, out);
+            }
+        } else if name.ends_with(".md") {
+            out.push(path.strip_prefix(root).unwrap().display().to_string());
+        }
+    }
+}
+
+#[test]
+fn retired_bench_system_is_gone_from_the_docs_and_quoted_metrics_exist() {
+    // The wall-clock snapshot went in PR 22. Only the project's history
+    // and plan (CHANGES, ROADMAP, the per-PR ISSUE) and the EXPERIMENTS
+    // "Retired variants" section may still name it.
+    let mut files = Vec::new();
+    markdown_files(std::path::Path::new(env!("CARGO_MANIFEST_DIR")), &mut files);
+    assert!(files.contains(&"README.md".to_string()), "{files:?}");
+    for name in &files {
+        if ["CHANGES.md", "ROADMAP.md", "ISSUE.md"].contains(&name.as_str()) {
+            continue;
+        }
+        for section in doc(name).split("\n## ") {
+            if name == "EXPERIMENTS.md" && section.starts_with("Retired variants") {
+                continue;
+            }
+            for retired in ["BENCH_BFS.json", "bench-snapshot", "serve-bench"] {
+                assert!(!section.contains(retired), "{name} still has {retired}");
+            }
+        }
+    }
+
+    // A name the docs quote as `layer.metric` or `workload/metric` is one
+    // the benchmark manifest declares.
+    let manifest: serde_json::Value = serde_json::from_str(&doc("BENCHMARK.json")).unwrap();
+    let names = |key: &str| -> Vec<String> {
+        let rows = manifest[key].as_array().unwrap();
+        rows.iter()
+            .map(|m| m["name"].as_str().unwrap().to_string())
+            .collect()
+    };
+    let (workloads, per_layer) = (names("workloads"), names("per_layer"));
+    let metrics = [names("end_to_end"), per_layer.clone()].concat();
+    let word = |c: char| c.is_ascii_lowercase() || c.is_ascii_digit() || "._".contains(c);
+    let mut quoted = 0;
+    for name in ["README.md", "EXPERIMENTS.md"] {
+        let text = doc(name);
+        for span in text.split('`').skip(1).step_by(2) {
+            let (on_workload, metric) = match span.split_once('/') {
+                Some((w, m)) if workloads.iter().any(|x| x == w) => (true, m),
+                _ => (false, span),
+            };
+            let layer = metric.split_once('.').map_or("", |(layer, _)| layer);
+            let on_layer = metric.chars().all(word)
+                && per_layer.iter().any(|m| m.split('.').next() == Some(layer));
+            if on_workload || on_layer {
+                let known = metrics.iter().any(|m| m == metric);
+                assert!(known, "{name} quotes `{span}`, which BENCHMARK.json lacks");
+                quoted += 1;
+            }
+        }
+    }
+    assert!(quoted > 0, "the docs no longer quote any benchmark metric");
 }

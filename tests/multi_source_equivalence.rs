@@ -1,8 +1,8 @@
 //! Differential conformance suite for the bit-parallel multi-source BFS.
 //!
-//! Pins the contract behind `nbfs serve-bench` and the `QueryEngine`: every
-//! lane of a fused wave — parents, visited counts, and per-level traces — is
-//! **bitwise identical** to a per-root run of the scalar `Reference` oracle
+//! Pins the contract behind the `QueryEngine` (timed by the repo
+//! benchmark's `query_waves` workload): every lane of a fused wave —
+//! parents, visited counts, and per-level traces — is **bitwise identical** to a per-root run of the scalar `Reference` oracle
 //! (`numa_bfs::core::multi::reference_single_source`), regardless of batch
 //! size, batch composition, thread-pool width, workspace reuse, duplicate
 //! roots, or isolated-vertex roots. Scales 14-18 are covered: the full
