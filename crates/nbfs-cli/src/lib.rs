@@ -33,12 +33,12 @@ use std::path::PathBuf;
 use nbfs_comm::codec::Codec;
 use nbfs_comm::runtime::run_spmd_faulted;
 use nbfs_comm::{FaultPlan, FaultScope, FaultSpec};
-use nbfs_core::engine::{DistributedBfs, Scenario};
+use nbfs_core::engine::{BfsRun, DistributedBfs, NoClock, Scenario, Search};
 use nbfs_core::engine2d::TwoDimBfs;
 use nbfs_core::harness::{Graph500Harness, HarnessConfig};
 use nbfs_core::opt::OptLevel;
 use nbfs_core::profile::Phase;
-use nbfs_core::query::{DistributedRunBackend, DistributedTryTracedBackend, QueryEngine};
+use nbfs_core::query::{QueryEngine, SearchBackend};
 use nbfs_graph::stats::DegreeStats;
 use nbfs_graph::validate::validate_bfs_tree;
 use nbfs_graph::{io, CompressedCsr, Csr, GraphBuilder, GraphView};
@@ -436,28 +436,13 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), String>
             if let Some(shape) = grid {
                 check_grid(&scenario, shape)?;
             }
-            let (visited, profile) = match (grid, compressed) {
-                (Some((r, c)), true) => {
-                    let packed = CompressedCsr::from_csr(&g);
-                    writeln!(out, "{}", storage_line(&g, &packed)).map_err(err)?;
-                    let run = TwoDimBfs::with_grid(&packed, &scenario, r, c).run(root);
-                    (run.visited, run.profile)
-                }
-                (Some((r, c)), false) => {
-                    let run = TwoDimBfs::with_grid(&g, &scenario, r, c).run(root);
-                    (run.visited, run.profile)
-                }
-                (None, true) => {
-                    let packed = CompressedCsr::from_csr(&g);
-                    writeln!(out, "{}", storage_line(&g, &packed)).map_err(err)?;
-                    let run = DistributedBfs::new(&packed, &scenario).run(root);
-                    (run.visited, run.profile)
-                }
-                (None, false) => {
-                    let run = DistributedBfs::new(&g, &scenario).run(root);
-                    (run.visited, run.profile)
-                }
-            };
+            let packed = compressed.then(|| CompressedCsr::from_csr(&g));
+            if let Some(packed) = &packed {
+                writeln!(out, "{}", storage_line(&g, packed)).map_err(err)?;
+            }
+            let BfsRun {
+                visited, profile, ..
+            } = search(&g, packed.as_ref(), &scenario, grid, root)?.run;
             let engine_label = match grid {
                 Some((r, c)) => format!("2-D {r}x{c}"),
                 None => "1-D".to_string(),
@@ -512,27 +497,9 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), String>
             if let Some(shape) = grid {
                 check_grid(&scenario, shape)?;
             }
-            let (visited, engine_profile, report) = match (grid, compressed) {
-                (Some((r, c)), true) => {
-                    let packed = CompressedCsr::from_csr(&g);
-                    let (run, report) =
-                        TwoDimBfs::with_grid(&packed, &scenario, r, c).run_traced(root);
-                    (run.visited, run.profile, report)
-                }
-                (Some((r, c)), false) => {
-                    let (run, report) = TwoDimBfs::with_grid(&g, &scenario, r, c).run_traced(root);
-                    (run.visited, run.profile, report)
-                }
-                (None, true) => {
-                    let packed = CompressedCsr::from_csr(&g);
-                    let (run, report) = DistributedBfs::new(&packed, &scenario).run_traced(root);
-                    (run.visited, run.profile, report)
-                }
-                (None, false) => {
-                    let (run, report) = DistributedBfs::new(&g, &scenario).run_traced(root);
-                    (run.visited, run.profile, report)
-                }
-            };
+            let packed = compressed.then(|| CompressedCsr::from_csr(&g));
+            let Search { run, report, .. } = search(&g, packed.as_ref(), &scenario, grid, root)?;
+            let (visited, engine_profile) = (run.visited, run.profile);
             let engine_label = match grid {
                 Some((r, c)) => format!("2-D {r}x{c}"),
                 None => "1-D".to_string(),
@@ -730,21 +697,11 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), String>
                 let profiles: Vec<_> = keys
                     .iter()
                     .map(|&root| {
-                        let (parent, visited, profile) = match (grid, &packed) {
-                            (Some((r, c)), Some(p)) => {
-                                let run = TwoDimBfs::with_grid(p, &scenario, r, c).run(root);
-                                (run.parent, run.visited, run.profile)
-                            }
-                            (Some((r, c)), None) => {
-                                let run = TwoDimBfs::with_grid(&g, &scenario, r, c).run(root);
-                                (run.parent, run.visited, run.profile)
-                            }
-                            (None, Some(p)) => {
-                                let run = DistributedBfs::new(p, &scenario).run(root);
-                                (run.parent, run.visited, run.profile)
-                            }
-                            (None, None) => unreachable!("campaign variant requires a flag"),
-                        };
+                        let BfsRun {
+                            parent,
+                            visited,
+                            profile,
+                        } = search(&g, packed.as_ref(), &scenario, grid, root)?.run;
                         let checked = validate_bfs_tree(&g, root, &parent)
                             .map_err(|e| format!("validation failed at root {root}: {e}"))?;
                         if checked != visited {
@@ -895,6 +852,33 @@ fn check_grid(scenario: &Scenario, (rows, cols): (usize, usize)) -> Result<(), S
     Ok(())
 }
 
+/// One search of `run` / `trace` / `bench`: on the packed image when there
+/// is one, by the 2-D engine when a (checked) grid is given.
+fn search(
+    dense: &Csr,
+    packed: Option<&CompressedCsr>,
+    scenario: &Scenario,
+    grid: Option<(usize, usize)>,
+    root: usize,
+) -> Result<Search, String> {
+    fn on<G: GraphView>(
+        g: &G,
+        scenario: &Scenario,
+        grid: Option<(usize, usize)>,
+        root: usize,
+    ) -> Result<Search, NbfsError> {
+        match grid {
+            Some((r, c)) => TwoDimBfs::with_grid(g, scenario, r, c).search(root, &NoClock),
+            None => DistributedBfs::new(g, scenario).search(root, &NoClock),
+        }
+    }
+    match packed {
+        Some(packed) => on(packed, scenario, grid, root),
+        None => on(dense, scenario, grid, root),
+    }
+    .map_err(|e| e.to_string())
+}
+
 /// The search root of `run`/`trace`: `--root` checked against the graph
 /// (the engines assert on an id that is not a vertex), or the
 /// highest-degree vertex when the flag is absent.
@@ -1025,11 +1009,11 @@ fn engine_recover_cell<G: GraphView>(
     root: usize,
     baseline: &[u32],
 ) -> Result<ChaosCell, String> {
-    Ok(match faulted.try_run_traced(root) {
-        Ok((run, report)) => {
+    Ok(match faulted.search(root, &NoClock) {
+        Ok(Search { run, report, .. }) => {
             let json = report.to_json().map_err(|e| e.to_string())?;
-            let deterministic = match faulted.try_run_traced(root) {
-                Ok((_, second)) => second.to_json().map_err(|e| e.to_string())? == json,
+            let deterministic = match faulted.search(root, &NoClock) {
+                Ok(second) => second.report.to_json().map_err(|e| e.to_string())? == json,
                 Err(_) => false,
             };
             recover_cell(
@@ -1123,7 +1107,7 @@ pub fn run_chaos(scale: u32, nodes: usize, seed: u64) -> Result<ChaosReport, Str
             let faulted_scenario = scenario(opt, Codec::Raw, Some(chaos_plan(seed, kind)))?;
             let faulted = DistributedBfs::new(&g, &faulted_scenario);
             cells.push(if kind == FaultKind::Crash {
-                match faulted.try_run_traced(root) {
+                match faulted.search(root, &NoClock) {
                     Err(e) => error_cell(label, kind, true, format!("structured-error: {e}"), 0),
                     Ok(_) => error_cell(label, kind, false, "FAIL: crash plan completed".into(), 0),
                 }
@@ -1165,7 +1149,11 @@ pub fn run_chaos(scale: u32, nodes: usize, seed: u64) -> Result<ChaosReport, Str
         by_degree
     };
     let fault_free = DistributedBfs::new(&g, &scenario(OptLevel::OriginalPpn8, Codec::Raw, None)?);
-    let baseline = QueryEngine::new(DistributedRunBackend::new(&fault_free)).run_batch(&wave_roots);
+    let baseline: Vec<Search> = QueryEngine::new(SearchBackend::new(&fault_free))
+        .run_batch(&wave_roots)
+        .into_iter()
+        .collect::<Result<_, _>>()
+        .map_err(|e: NbfsError| e.to_string())?;
     for kind in [FaultKind::Drop, FaultKind::Stall] {
         let faulted_scenario = scenario(
             OptLevel::OriginalPpn8,
@@ -1173,15 +1161,15 @@ pub fn run_chaos(scale: u32, nodes: usize, seed: u64) -> Result<ChaosReport, Str
             Some(chaos_plan(seed, kind)),
         )?;
         let faulted = DistributedBfs::new(&g, &faulted_scenario);
-        let service = QueryEngine::new(DistributedTryTracedBackend::new(&faulted));
+        let service = QueryEngine::new(SearchBackend::new(&faulted));
         let wave = service.run_batch(&wave_roots);
         let mut identical = wave.len() == baseline.len();
         let mut faults = 0u64;
         let mut logs: Vec<String> = Vec::with_capacity(wave.len());
         for (result, expected) in wave.iter().zip(&baseline) {
             match result {
-                Ok((run, report)) => {
-                    identical &= run.parent == expected.parent;
+                Ok(Search { run, report, .. }) => {
+                    identical &= run.parent == expected.run.parent;
                     faults += report.faults.len() as u64;
                     logs.push(report.to_json().map_err(|e| e.to_string())?);
                 }
@@ -1191,7 +1179,7 @@ pub fn run_chaos(scale: u32, nodes: usize, seed: u64) -> Result<ChaosReport, Str
         let rerun = service.run_batch(&wave_roots);
         let deterministic = rerun.len() == wave.len()
             && rerun.iter().zip(&logs).all(|(result, log)| match result {
-                Ok((_, report)) => report.to_json().map(|j| &j == log).unwrap_or(false),
+                Ok(search) => search.report.to_json().map(|j| &j == log).unwrap_or(false),
                 Err(_) => false,
             });
         cells.push(recover_cell(

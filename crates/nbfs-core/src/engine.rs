@@ -16,25 +16,27 @@
 
 use rayon::prelude::*;
 
-use nbfs_comm::allgather::{allgather_cost_bytes, allgather_stats_bytes, inject_allgather_faults};
+use nbfs_comm::allgather::{allgather_cost_bytes, allgather_stats_bytes};
 use nbfs_comm::codec::{
     allgather_codec_stats, allgather_words_codec_into, allgatherv_u32_codec, encoded_words_size,
     Codec, CodecWorkspace,
 };
-use nbfs_comm::collectives::{allreduce_sum, inject_allreduce_faults};
-use nbfs_comm::fault::inject_rank_faults;
-use nbfs_comm::{FaultAdjustment, FaultPlan};
+use nbfs_comm::fault::allgather_edges;
+use nbfs_comm::FaultPlan;
 use nbfs_graph::partition::LocalGraph;
 use nbfs_graph::{vid, Csr, GraphView, PartitionedGraph, NO_PARENT};
 use nbfs_simnet::compute::{ModelParams, ProbeClass};
-use nbfs_simnet::{ComputeContext, ComputeEvents, NetworkModel, Residence};
-use nbfs_topology::{MachineConfig, MemoryProfile, PlacementPolicy, ProcessMap};
-use nbfs_trace::{CollectiveKind, CommCost, RunMeta, TraceConfig, TraceEvent, TraceReport, Tracer};
-use nbfs_util::{Bitmap, NbfsError, SimTime, SummaryBitmap, WORD_BITS};
+use nbfs_simnet::{ComputeEvents, NetworkModel, Residence};
+use nbfs_topology::{MachineConfig, PlacementPolicy, ProcessMap};
+use nbfs_trace::{CollectiveKind, CommCost, TraceConfig, TraceReport};
+use nbfs_util::{Bitmap, NbfsError, SummaryBitmap, WORD_BITS};
 
 use crate::direction::{Direction, SwitchPolicy};
+use crate::level::{self, fault_free, Env, Exchange, Level, Owned};
 use crate::opt::OptLevel;
-use crate::profile::{LevelProfile, RunProfile};
+use crate::profile::RunProfile;
+
+pub use crate::level::Search;
 
 /// A fully specified experiment: machine, optimization level and the knobs
 /// the paper's figures vary.
@@ -67,11 +69,12 @@ pub struct Scenario {
     /// Cost-model constants (exposed for ablations).
     pub params: ModelParams,
     /// Run-event recording ([`TraceConfig::Off`] by default; see
-    /// [`DistributedBfs::run_traced`]).
+    /// [`DistributedBfs::search`]).
     pub trace: TraceConfig,
-    /// Deterministic fault injection (`None` = fault-free). With a plan
-    /// installed, use the `try_run*` entry points: injected crashes and
-    /// exhausted retry budgets surface as structured [`NbfsError`]s.
+    /// Deterministic fault injection (`None` = fault-free), honoured by
+    /// both engines at the level driver's sites. With a plan installed,
+    /// call `search`: injected crashes and exhausted retry budgets surface
+    /// as structured [`NbfsError`]s.
     pub faults: Option<FaultPlan>,
     /// Overrides the summary-bitmap granularity of the opt rung (the
     /// Fig. 16 sweep knob, `--summary-g` in the CLI). `None` keeps the
@@ -279,12 +282,10 @@ impl ScenarioBuilder {
 
 /// Per-rank mutable BFS state.
 struct RankState {
-    /// Parent of each owned vertex (global ids; `NO_PARENT` = unvisited).
-    parent: Vec<u32>,
-    /// Visited flags over owned vertices (bit set ⇔ parent assigned),
-    /// maintained incrementally so the bottom-up kernel can skip fully
-    /// explored 64-vertex blocks with one word load.
-    visited: Bitmap,
+    /// Parents, visited bits (maintained incrementally so the bottom-up
+    /// kernel can skip fully explored 64-vertex blocks with one word load),
+    /// the top-down frontier queue and the `m_u` share.
+    own: Owned,
     /// Owned vertices with at least one edge. A degree-0 vertex can never
     /// be adopted bottom-up, so the word-level kernel scans
     /// `!visited & has_edges` and skips isolated vertices forever — R-MAT
@@ -293,11 +294,6 @@ struct RankState {
     has_edges: Bitmap,
     /// Owned slice of the next-frontier bitmap (word-aligned segment).
     out_words: Vec<u64>,
-    /// Owned vertices discovered in the latest level (global ids,
-    /// ascending — the top-down frontier queue).
-    frontier: Vec<u32>,
-    /// Sum of degrees of still-unvisited owned vertices (`m_u` share).
-    unexplored_degree: u64,
     /// This rank's counts of the current top-down level, reset at level
     /// entry (run-scoped, so the walk allocates nothing per level).
     td: TdTally,
@@ -320,7 +316,7 @@ struct TdTally {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum BottomUpKernel {
     /// The original per-bit serial scan over `parent[]`. Kept as the
-    /// differential-test oracle and the benchmark snapshot's baseline.
+    /// differential-test oracle.
     Reference,
     /// Word-level unvisited scan with probe-word caching and deterministic
     /// chunked parallelism within each rank.
@@ -546,7 +542,6 @@ pub struct DistributedBfs<'g, G: GraphView = Csr> {
     scenario: Scenario,
     pmap: ProcessMap,
     net: NetworkModel,
-    profiles: MemoryProfile,
     bu_kernel: BottomUpKernel,
     /// The scenario's effective summary granularity, contract-checked
     /// once here at construction; the per-root level loop builds its
@@ -568,7 +563,6 @@ impl<'g, G: GraphView> DistributedBfs<'g, G> {
         let pmap = scenario.process_map();
         let parts = PartitionedGraph::new(graph, pmap.world_size());
         let net = NetworkModel::new(&scenario.machine);
-        let profiles = pmap.memory_profile(&scenario.machine);
         let granularity = scenario.effective_granularity();
         let checked = nbfs_util::summary::check_granularity(granularity);
         assert!(
@@ -582,7 +576,6 @@ impl<'g, G: GraphView> DistributedBfs<'g, G> {
             scenario: scenario.clone(),
             pmap,
             net,
-            profiles,
             bu_kernel: BottomUpKernel::default(),
             granularity,
         }
@@ -605,699 +598,69 @@ impl<'g, G: GraphView> DistributedBfs<'g, G> {
         &self.pmap
     }
 
-    fn compute_context(&self) -> ComputeContext {
-        let mut ctx =
-            ComputeContext::new(self.pmap.threads_per_rank(), self.profiles, self.pmap.ppn());
-        ctx.params = self.scenario.params;
-        ctx
+    fn drive(
+        &self,
+        root: usize,
+        clock: &dyn HostClock,
+        trace: TraceConfig,
+    ) -> Result<Search, NbfsError> {
+        let env = Env::new(
+            &self.scenario,
+            &self.pmap,
+            &self.net,
+            self.parts.num_vertices(),
+        );
+        level::search(&env, || OneDim::new(self), root, clock, trace)
     }
 
-    /// Per-rank simulated times of one computation sub-phase, in rank
-    /// order — the raw material for both the mean/stall reduction and the
-    /// per-rank trace events.
-    fn rank_times(&self, outs: &[KernelOut]) -> Vec<SimTime> {
-        let ctx = self.compute_context();
-        outs.iter()
-            .map(|o| ctx.time(&self.scenario.machine, &o.events))
-            .collect()
-    }
-
-    /// Mean/max reduction: the mean is the busy slice, the skew
-    /// (`max - mean`) is stall. Same float-op order as the original
-    /// single-pass reduction.
-    fn mean_and_stall(times: &[SimTime]) -> (SimTime, SimTime) {
-        let max = times.iter().copied().fold(SimTime::ZERO, SimTime::max);
-        let mean = times.iter().copied().sum::<SimTime>() / times.len() as f64;
-        (mean, max - mean)
-    }
-
-    /// Identity block for the reports of this engine's traced runs.
-    fn run_meta(&self, root: usize) -> RunMeta {
-        RunMeta {
-            world: self.pmap.world_size(),
-            nodes: self.pmap.nodes(),
-            ppn: self.pmap.ppn(),
-            opt_label: self.scenario.opt.label(),
-            root: root as u64,
-        }
-    }
-
-    /// Unwraps a result that can only be `Err` when the scenario carries a
-    /// [`FaultPlan`]; the infallible `run*` entry points funnel through
-    /// here (allowlisted NBFS003 — this is the one deliberate panic).
-    fn fault_free<T>(result: Result<T, NbfsError>) -> T {
-        result.expect("scenario has a fault plan: use the try_run* entry points")
-    }
-
-    /// Runs a BFS from `root`, producing the tree and the profile.
-    ///
-    /// # Panics
-    /// If the scenario carries a [`FaultPlan`] whose faults prove
-    /// unrecoverable — use [`Self::try_run`] for faulted scenarios.
-    pub fn run(&self, root: usize) -> BfsRun {
-        Self::fault_free(self.try_run(root))
-    }
-
-    /// Fallible form of [`Self::run`]: injected crashes and exhausted
-    /// retry budgets surface as structured [`NbfsError`]s.
-    ///
-    /// # Errors
-    /// [`NbfsError::RankFailed`] or [`NbfsError::Fault`] when the
-    /// scenario's fault plan kills a rank or exhausts a retry budget.
-    pub fn try_run(&self, root: usize) -> Result<BfsRun, NbfsError> {
-        Ok(self.try_run_timed(root, &NoClock)?.0)
-    }
-
-    /// Runs a BFS from `root` with run-event recording per the scenario's
-    /// [`TraceConfig`], returning the run and the merged [`TraceReport`].
+    /// Runs a BFS from `root`: the tree and its profile, the host timing of
+    /// the real kernels read from `clock` (pass [`NoClock`] when it does
+    /// not matter), and the run's events recorded per the scenario's
+    /// [`TraceConfig`]. Faults are injected per [`Scenario::faults`].
     ///
     /// The report's [`TraceReport::run_profile`] projection reproduces
-    /// `run.profile` bit for bit: the engine commits each level's times
-    /// from per-level accumulators and emits the same values in the
-    /// level's trace event. Fault penalties flow through those same
-    /// accumulators, so the invariant holds for faulted runs too.
+    /// `run.profile` bit for bit: each level's times are committed from
+    /// per-level accumulators and emitted, the same values, in the level's
+    /// trace event. Fault penalties flow through those same accumulators,
+    /// so the invariant holds for faulted runs too.
+    ///
+    /// # Errors
+    /// [`NbfsError::Config`] when `root` is not a vertex;
+    /// [`NbfsError::RankFailed`] or [`NbfsError::Fault`] when the
+    /// scenario's fault plan kills a rank or exhausts a retry budget.
+    pub fn search(&self, root: usize, clock: &dyn HostClock) -> Result<Search, NbfsError> {
+        self.drive(root, clock, self.scenario.trace)
+    }
+
+    /// [`Self::search`] without a clock or a recording, for scenarios that
+    /// cannot fail.
     ///
     /// # Panics
-    /// If the scenario carries a [`FaultPlan`] whose faults prove
-    /// unrecoverable — use [`Self::try_run_traced`].
+    /// If `root` is not a vertex, or the scenario carries a [`FaultPlan`]
+    /// whose faults prove unrecoverable — use [`Self::search`] for those.
+    ///
+    /// [`FaultPlan`]: nbfs_comm::FaultPlan
+    pub fn run(&self, root: usize) -> BfsRun {
+        fault_free(self.drive(root, &NoClock, TraceConfig::Off)).run
+    }
+
+    /// [`Self::search`] without a clock, for scenarios that cannot fail.
+    ///
+    /// # Panics
+    /// As [`Self::run`].
     pub fn run_traced(&self, root: usize) -> (BfsRun, TraceReport) {
-        Self::fault_free(self.try_run_traced(root))
+        let search = fault_free(self.search(root, &NoClock));
+        (search.run, search.report)
     }
 
-    /// Fallible form of [`Self::run_traced`].
-    ///
-    /// # Errors
-    /// [`NbfsError::RankFailed`] or [`NbfsError::Fault`] when the
-    /// scenario's fault plan kills a rank or exhausts a retry budget.
-    pub fn try_run_traced(&self, root: usize) -> Result<(BfsRun, TraceReport), NbfsError> {
-        let (run, _, report) = self.try_run_traced_timed(root, &NoClock)?;
-        Ok((run, report))
-    }
-
-    /// Like [`Self::run_traced`], also reading host wall-clock kernel
-    /// timings from `clock` (they land in [`WallClock`] and in each level
-    /// report's `wall_comp_secs`).
+    /// [`Self::search`] without a recording, for scenarios that cannot
+    /// fail.
     ///
     /// # Panics
-    /// If the scenario carries a [`FaultPlan`] whose faults prove
-    /// unrecoverable — use [`Self::try_run_traced_timed`].
-    pub fn run_traced_timed(
-        &self,
-        root: usize,
-        clock: &dyn HostClock,
-    ) -> (BfsRun, WallClock, TraceReport) {
-        Self::fault_free(self.try_run_traced_timed(root, clock))
-    }
-
-    /// Fallible form of [`Self::run_traced_timed`].
-    ///
-    /// # Errors
-    /// [`NbfsError::RankFailed`] or [`NbfsError::Fault`] when the
-    /// scenario's fault plan kills a rank or exhausts a retry budget.
-    pub fn try_run_traced_timed(
-        &self,
-        root: usize,
-        clock: &dyn HostClock,
-    ) -> Result<(BfsRun, WallClock, TraceReport), NbfsError> {
-        let mut tracer = Tracer::new(self.scenario.trace, self.pmap.world_size());
-        let (run, wall) = self.try_run_instrumented(root, clock, &mut tracer)?;
-        let report = tracer.finish(self.run_meta(root));
-        Ok((run, wall, report))
-    }
-
-    /// Like [`Self::run`], also reporting host wall-clock kernel timings
-    /// read from the injected `clock` (pass [`NoClock`] when the timings
-    /// do not matter).
-    ///
-    /// # Panics
-    /// If the scenario carries a [`FaultPlan`] whose faults prove
-    /// unrecoverable — use [`Self::try_run_timed`].
+    /// As [`Self::run`].
     pub fn run_timed(&self, root: usize, clock: &dyn HostClock) -> (BfsRun, WallClock) {
-        Self::fault_free(self.try_run_timed(root, clock))
-    }
-
-    /// Fallible form of [`Self::run_timed`].
-    ///
-    /// # Errors
-    /// [`NbfsError::RankFailed`] or [`NbfsError::Fault`] when the
-    /// scenario's fault plan kills a rank or exhausts a retry budget.
-    pub fn try_run_timed(
-        &self,
-        root: usize,
-        clock: &dyn HostClock,
-    ) -> Result<(BfsRun, WallClock), NbfsError> {
-        self.try_run_instrumented(root, clock, &mut Tracer::off())
-    }
-
-    /// Applies one injection site's [`FaultAdjustment`]: every fault is
-    /// recorded as a trace event, the recovery penalty folds into the
-    /// caller's accumulator (the same one the level commit and the Level
-    /// trace event read, preserving the profile-projection invariant), and
-    /// an unrecoverable fault aborts the run.
-    fn apply_faults(
-        tracer: &mut Tracer,
-        adjustment: FaultAdjustment,
-        accumulator: &mut SimTime,
-    ) -> Result<(), NbfsError> {
-        *accumulator += adjustment.penalty;
-        for record in adjustment.records {
-            tracer.record(TraceEvent::Fault(record));
-        }
-        match adjustment.failure {
-            Some(error) => Err(error),
-            None => Ok(()),
-        }
-    }
-
-    /// The full level loop, shared by every entry point. `tracer` is
-    /// [`Tracer::off`] unless the caller asked for a traced run; every
-    /// recording site is either a single discriminant check or gated on
-    /// [`Tracer::enabled`]. Fault injection (when the scenario carries a
-    /// plan) resolves against the same collective schedules the cost twins
-    /// walk, so recovered runs stay bit-identical to fault-free ones.
-    fn try_run_instrumented(
-        &self,
-        root: usize,
-        clock: &dyn HostClock,
-        tracer: &mut Tracer,
-    ) -> Result<(BfsRun, WallClock), NbfsError> {
-        let run_start = clock.now_secs();
-        let mut wall = WallClock::default();
-        let n = self.parts.num_vertices();
-        assert!(root < n, "root {root} out of range");
-        let np = self.pmap.world_size();
-        let partition = self.parts.partition();
-        let granularity = self.granularity;
-
-        // --- state ------------------------------------------------------
-        let mut states: Vec<RankState> = (0..np)
-            .map(|r| {
-                let lg = self.parts.local(r);
-                let (ws, we) = partition.word_range(r);
-                let mut has_edges = Bitmap::new(lg.num_local_vertices());
-                for v in lg.vertex_range() {
-                    if lg.degree_global(v) > 0 {
-                        has_edges.set(v - lg.first_vertex());
-                    }
-                }
-                RankState {
-                    parent: vec![NO_PARENT; lg.num_local_vertices()],
-                    visited: Bitmap::new(lg.num_local_vertices()),
-                    has_edges,
-                    out_words: vec![0u64; we - ws],
-                    frontier: Vec::new(),
-                    unexplored_degree: lg.vertex_range().map(|v| lg.degree_global(v) as u64).sum(),
-                    td: TdTally::default(),
-                }
-            })
-            .collect();
-        let mut in_queue = Bitmap::new(n);
-        // Granularity was contract-checked at construction; per-run
-        // summary creation must stay validation-free (pinned by the
-        // one-time-validation regression test).
-        let mut summary = SummaryBitmap::new_prevalidated(n, granularity);
-        // Persistent staging for the dense top-down exchange, so no level
-        // allocates a full-length bitmap.
-        let mut td_scratch = Bitmap::new(n);
-        // Per-level codec staging: encode buffers plus raw/encoded size
-        // vectors, recycled so compressed levels stay alloc-free after
-        // warm-up (NBFS004).
-        let codec = self.scenario.codec;
-        let mut codec_ws = CodecWorkspace::default();
-        let mut codec_scratch: Vec<u8> = Vec::new();
-        let mut summary_enc_bytes: Vec<u64> = vec![0; np];
-        // Each rank contributes the summary of its own in_queue segment,
-        // split evenly (remainder spread). The split depends only on the
-        // summary size — constant for the whole run — so it is hoisted out
-        // of the level loop.
-        let summary_bytes: Vec<u64> = {
-            let total = summary.size_bytes() as u64;
-            (0..np as u64)
-                .map(|r| total * (r + 1) / np as u64 - total * r / np as u64)
-                .collect()
-        };
-
-        // Root installation.
-        {
-            let owner = partition.owner(root);
-            let local = partition.to_local(root);
-            states[owner].parent[local] = vid::to_stored(root);
-            states[owner].visited.set(local);
-            states[owner].frontier.push(vid::to_stored(root));
-            states[owner].unexplored_degree -= self.parts.local(owner).degree_global(root) as u64;
-        }
-
-        let mut profile = RunProfile::default();
-        let mut direction = Direction::TopDown;
-        let mut prev_direction: Option<Direction> = None;
-        let mut level_idx: usize = 0;
-
-        loop {
-            // --- per-level statistics and direction choice ---------------
-            let frontier_counts: Vec<u64> =
-                states.iter().map(|s| s.frontier.len() as u64).collect();
-            let frontier_degrees: Vec<u64> = states
-                .iter()
-                .enumerate()
-                .map(|(r, s)| {
-                    let lg = self.parts.local(r);
-                    s.frontier
-                        .iter()
-                        .map(|&v| lg.degree_global(v as usize) as u64)
-                        .sum()
-                })
-                .collect();
-            let unexplored: Vec<u64> = states.iter().map(|s| s.unexplored_degree).collect();
-            // The real code packs (n_f, m_f, m_u) into one short vector
-            // allreduce, so only one latency-bound collective is charged.
-            let n_f = allreduce_sum(&frontier_counts, &self.pmap, &self.net);
-            let m_f: u64 = frontier_degrees.iter().sum();
-            let m_u: u64 = unexplored.iter().sum();
-            // Recorded before the termination check: the terminal allreduce
-            // belongs to a level that never commits, so the merge files it
-            // under `post_collectives` and the profile projection stays
-            // exact (the engine, too, discards its cost on termination).
-            tracer.record(TraceEvent::Collective {
-                level: level_idx,
-                kind: CollectiveKind::Allreduce,
-                cost: n_f.cost,
-                stats: n_f.stats,
-            });
-            // The control allreduce really runs on the terminal level too,
-            // so faults resolve before the termination check; a terminal
-            // level that never commits simply discards the penalty (like
-            // the engine discards the allreduce's own cost).
-            let mut control_penalty = SimTime::ZERO;
-            if let Some(plan) = &self.scenario.faults {
-                let adj =
-                    inject_allreduce_faults(plan, level_idx, &self.pmap, &n_f.cost, &n_f.stats);
-                Self::apply_faults(tracer, adj, &mut control_penalty)?;
-            }
-            if n_f.value == 0 {
-                break;
-            }
-            let prev = direction;
-            direction = self
-                .scenario
-                .switch_policy
-                .choose(direction, m_f, m_u, n_f.value, n as u64);
-            tracer.record(TraceEvent::Decision {
-                level: level_idx,
-                prev,
-                chosen: direction,
-                m_f,
-                m_u,
-                n_f: n_f.value,
-                n: n as u64,
-            });
-            // Per-level accumulators, committed to the profile once at the
-            // level tail. The level's trace event carries exactly the
-            // committed values, which is what makes the report projection
-            // (`TraceReport::run_profile`) bitwise-exact.
-            let mut level_comm = SimTime::ZERO;
-            let mut level_comp = SimTime::ZERO;
-            let mut level_stall = SimTime::ZERO;
-            let mut level_switch = SimTime::ZERO;
-            let mut level_detail = CommCost::ZERO;
-            let mut level_wall = 0.0f64;
-            // The control-plane allreduce (plus any recovery penalty it
-            // incurred) is charged to the level's direction.
-            let control = n_f.cost.total();
-            level_comm += control + control_penalty;
-
-            let discovered_total;
-            match direction {
-                Direction::BottomUp => {
-                    // If the previous level was top-down (or this is the
-                    // first), the frontier exists only as queues: convert to
-                    // bitmap segments (part of the paper's Switch slice).
-                    if prev_direction != Some(Direction::BottomUp) {
-                        states.par_iter_mut().enumerate().for_each(|(r, st)| {
-                            let (bit_start, _) = partition.item_range(r);
-                            st.out_words.fill(0);
-                            for &v in &st.frontier {
-                                let local_bit = v as usize - bit_start;
-                                st.out_words[local_bit / 64] |= 1u64 << (local_bit % 64);
-                            }
-                        });
-                        level_switch += self.conversion_time(&partition);
-                    }
-
-                    // The two allgathers of Fig. 1: in_queue, then summary.
-                    // Segments are installed straight into the persistent
-                    // in_queue words — no per-level staging vectors.
-                    let algo = self.scenario.opt.allgather_algorithm();
-                    let parts_ref: Vec<&[u64]> =
-                        states.iter().map(|s| s.out_words.as_slice()).collect();
-                    let words_cost = allgather_words_codec_into(
-                        in_queue.words_mut(),
-                        &parts_ref,
-                        &self.pmap,
-                        &self.net,
-                        algo,
-                        codec,
-                        &mut codec_ws,
-                    );
-                    in_queue.repair_padding();
-                    summary.rebuild_from(&in_queue);
-                    // The summary allgather is cost-only (no payload is
-                    // materialized), so a codec charges the even split of
-                    // the encoded whole-summary size instead of the raw one.
-                    let summary_cost = if codec.is_raw() {
-                        allgather_cost_bytes(&summary_bytes, &self.pmap, &self.net, algo)
-                    } else {
-                        let enc_total = encoded_words_size(
-                            codec,
-                            summary.as_bitmap().words(),
-                            &mut codec_scratch,
-                        );
-                        for (r, b) in summary_enc_bytes.iter_mut().enumerate() {
-                            let r = r as u64;
-                            *b = enc_total * (r + 1) / np as u64 - enc_total * r / np as u64;
-                        }
-                        allgather_cost_bytes(&summary_enc_bytes, &self.pmap, &self.net, algo)
-                    };
-                    if tracer.enabled() || self.scenario.faults.is_some() {
-                        let words_stats = allgather_codec_stats(&codec_ws, &self.pmap, algo);
-                        let summary_stats = if codec.is_raw() {
-                            allgather_stats_bytes(&summary_bytes, &self.pmap, algo)
-                        } else {
-                            let mut stats =
-                                allgather_stats_bytes(&summary_enc_bytes, &self.pmap, algo);
-                            stats.raw_bytes =
-                                allgather_stats_bytes(&summary_bytes, &self.pmap, algo).wire_bytes;
-                            stats
-                        };
-                        tracer.record(TraceEvent::Collective {
-                            level: level_idx,
-                            kind: CollectiveKind::AllgatherWords,
-                            cost: words_cost,
-                            stats: words_stats,
-                        });
-                        tracer.record(TraceEvent::Collective {
-                            level: level_idx,
-                            kind: CollectiveKind::AllgatherSummary,
-                            cost: summary_cost,
-                            stats: summary_stats,
-                        });
-                        if let Some(plan) = &self.scenario.faults {
-                            let adj = inject_allgather_faults(
-                                plan,
-                                level_idx,
-                                CollectiveKind::AllgatherWords,
-                                &self.pmap,
-                                algo,
-                                &words_cost,
-                                &words_stats,
-                            );
-                            Self::apply_faults(tracer, adj, &mut level_comm)?;
-                            let adj = inject_allgather_faults(
-                                plan,
-                                level_idx,
-                                CollectiveKind::AllgatherSummary,
-                                &self.pmap,
-                                algo,
-                                &summary_cost,
-                                &summary_stats,
-                            );
-                            Self::apply_faults(tracer, adj, &mut level_comm)?;
-                        }
-                    }
-                    let comm = words_cost + summary_cost;
-                    level_detail += comm;
-                    level_comm += comm.total();
-
-                    // --- bottom-up kernel --------------------------------
-                    let in_queue_ref = &in_queue;
-                    let summary_ref = &summary;
-                    let t0 = clock.now_secs();
-                    let outs: Vec<KernelOut> = states
-                        .par_iter_mut()
-                        .enumerate()
-                        .map(|(r, st)| match self.bu_kernel {
-                            BottomUpKernel::WordLevel => self.bottom_up_kernel(
-                                self.parts.local(r),
-                                st,
-                                in_queue_ref,
-                                summary_ref,
-                            ),
-                            BottomUpKernel::Reference => self.bottom_up_kernel_reference(
-                                self.parts.local(r),
-                                st,
-                                in_queue_ref,
-                                summary_ref,
-                            ),
-                        })
-                        .collect();
-                    let kernel_secs = clock.now_secs() - t0;
-                    wall.bottom_up_secs += kernel_secs;
-                    level_wall += kernel_secs;
-                    wall.bottom_up_levels += 1;
-                    wall.bottom_up_edges +=
-                        outs.iter().map(|o| o.events.edge_bytes / 4).sum::<u64>();
-                    // nbfs-analysis: hot-path
-                    // Fold the level's discoveries into the visited bits the
-                    // next bottom-up scan will skip (word-parallel OR over
-                    // persistent buffers; allocation-free by NBFS004).
-                    for st in states.iter_mut() {
-                        st.visited.or_words_from(0, &st.out_words);
-                    }
-                    // nbfs-analysis: end-hot-path
-                    let times = self.rank_times(&outs);
-                    if tracer.enabled() {
-                        for (r, (o, t)) in outs.iter().zip(&times).enumerate() {
-                            tracer.record_rank(
-                                r,
-                                TraceEvent::RankLevel {
-                                    level: level_idx,
-                                    rank: r,
-                                    discovered: o.discovered,
-                                    edges_scanned: o.events.edge_bytes / 4,
-                                    summary_probes: o.events.probes.first().map_or(0, |p| p.count),
-                                    inqueue_probes: o.events.probes.get(1).map_or(0, |p| p.count),
-                                    write_bytes: o.events.write_bytes,
-                                    comp: *t,
-                                },
-                            );
-                        }
-                    }
-                    let (mean, stall) = Self::mean_and_stall(&times);
-                    level_comp += mean;
-                    level_stall += stall;
-                    discovered_total = outs.iter().map(|o| o.discovered).sum::<u64>();
-                }
-                Direction::TopDown => {
-                    if prev_direction == Some(Direction::BottomUp) {
-                        // Bitmap -> queue conversion on the way out of
-                        // bottom-up (queues are already maintained; charge
-                        // the sweep that the real code performs).
-                        level_switch += self.conversion_time(&partition);
-                    }
-
-                    // Replicate the frontier: sparse allgatherv of the
-                    // newly discovered vertex lists when the frontier is
-                    // sparse (why top-down communication stays off the
-                    // Fig. 11 radar), or the frontier *bitmap* when the
-                    // list would be larger than the bitmap — the dense/
-                    // sparse frontier-representation switch of [9].
-                    let algo = self.scenario.opt.allgather_algorithm();
-                    let list_bytes: usize = states.iter().map(|s| s.frontier.len() * 4).sum();
-                    let bitmap_bytes = n.div_ceil(8);
-                    let full_frontier: Vec<u32>;
-                    let exchange_cost;
-                    if list_bytes > bitmap_bytes {
-                        // Dense path: allgather the out_words segments and
-                        // extract the sorted vertex list locally.
-                        states.par_iter_mut().enumerate().for_each(|(r, st)| {
-                            let (bit_start, _) = partition.item_range(r);
-                            st.out_words.fill(0);
-                            for &v in &st.frontier {
-                                let local_bit = v as usize - bit_start;
-                                st.out_words[local_bit / 64] |= 1u64 << (local_bit % 64);
-                            }
-                        });
-                        let parts_ref: Vec<&[u64]> =
-                            states.iter().map(|s| s.out_words.as_slice()).collect();
-                        let cost = allgather_words_codec_into(
-                            td_scratch.words_mut(),
-                            &parts_ref,
-                            &self.pmap,
-                            &self.net,
-                            algo,
-                            codec,
-                            &mut codec_ws,
-                        );
-                        td_scratch.repair_padding();
-                        full_frontier = td_scratch.iter_ones().map(vid::to_stored).collect();
-                        if tracer.enabled() || self.scenario.faults.is_some() {
-                            let stats = allgather_codec_stats(&codec_ws, &self.pmap, algo);
-                            tracer.record(TraceEvent::Collective {
-                                level: level_idx,
-                                kind: CollectiveKind::AllgatherWords,
-                                cost,
-                                stats,
-                            });
-                            if let Some(plan) = &self.scenario.faults {
-                                let adj = inject_allgather_faults(
-                                    plan,
-                                    level_idx,
-                                    CollectiveKind::AllgatherWords,
-                                    &self.pmap,
-                                    algo,
-                                    &cost,
-                                    &stats,
-                                );
-                                Self::apply_faults(tracer, adj, &mut level_comm)?;
-                            }
-                        }
-                        exchange_cost = cost.total();
-                        level_switch += self.conversion_time(&partition);
-                    } else {
-                        let lists: Vec<&[u32]> =
-                            states.iter().map(|s| s.frontier.as_slice()).collect();
-                        let gathered = allgatherv_u32_codec(
-                            &lists,
-                            &self.pmap,
-                            &self.net,
-                            algo,
-                            codec,
-                            &mut codec_ws,
-                        );
-                        if tracer.enabled() || self.scenario.faults.is_some() {
-                            let stats = allgather_codec_stats(&codec_ws, &self.pmap, algo);
-                            tracer.record(TraceEvent::Collective {
-                                level: level_idx,
-                                kind: CollectiveKind::Allgatherv,
-                                cost: gathered.cost,
-                                stats,
-                            });
-                            if let Some(plan) = &self.scenario.faults {
-                                let adj = inject_allgather_faults(
-                                    plan,
-                                    level_idx,
-                                    CollectiveKind::Allgatherv,
-                                    &self.pmap,
-                                    algo,
-                                    &gathered.cost,
-                                    &stats,
-                                );
-                                Self::apply_faults(tracer, adj, &mut level_comm)?;
-                            }
-                        }
-                        full_frontier = gathered.items;
-                        exchange_cost = gathered.cost.total();
-                    }
-                    level_comm += exchange_cost;
-
-                    // --- top-down: the owner walk -----------------------
-                    let t0 = clock.now_secs();
-                    let outs = self.top_down_level(&mut states, &full_frontier);
-                    let kernel_secs = clock.now_secs() - t0;
-                    wall.top_down_secs += kernel_secs;
-                    wall.top_down_levels += 1;
-                    level_wall += kernel_secs;
-                    let times = self.rank_times(&outs);
-                    if tracer.enabled() {
-                        for (r, (o, t)) in outs.iter().zip(&times).enumerate() {
-                            tracer.record_rank(
-                                r,
-                                TraceEvent::RankLevel {
-                                    level: level_idx,
-                                    rank: r,
-                                    discovered: o.discovered,
-                                    edges_scanned: o.events.edge_bytes / 8,
-                                    summary_probes: 0,
-                                    inqueue_probes: 0,
-                                    write_bytes: o.events.write_bytes,
-                                    comp: *t,
-                                },
-                            );
-                        }
-                    }
-                    let (mean, stall) = Self::mean_and_stall(&times);
-                    level_comp += mean;
-                    level_stall += stall;
-                    discovered_total = outs.iter().map(|o| o.discovered).sum::<u64>();
-                }
-            }
-
-            // Rank-level faults (stall, crash) resolve once per level; a
-            // stall's penalty is skew, so it lands in the stall slice.
-            if let Some(plan) = &self.scenario.faults {
-                let adj = inject_rank_faults(plan, level_idx, self.pmap.world_size());
-                Self::apply_faults(tracer, adj, &mut level_stall)?;
-            }
-
-            // --- level commit (the single write site for the profile) ----
-            // The trace event carries exactly the values committed here,
-            // which is what keeps `TraceReport::run_profile` bitwise-exact.
-            profile.stall += level_stall;
-            profile.switch += level_switch;
-            match direction {
-                Direction::BottomUp => {
-                    profile.bu_comp += level_comp;
-                    profile.bu_comm += level_comm;
-                    profile.bu_comm_detail += level_detail;
-                    profile.bu_comm_phases += 1;
-                }
-                Direction::TopDown => {
-                    profile.td_comp += level_comp;
-                    profile.td_comm += level_comm;
-                }
-            }
-            tracer.record(TraceEvent::Level {
-                level: level_idx,
-                direction,
-                discovered: discovered_total,
-                comp: level_comp,
-                comm: level_comm,
-                stall: level_stall,
-                switch: level_switch,
-                detail: level_detail,
-                wall_comp_secs: level_wall,
-            });
-            profile.levels.push(LevelProfile {
-                direction,
-                discovered: discovered_total,
-                comp: level_comp,
-                comm: level_comm,
-                stall: level_stall,
-            });
-            prev_direction = Some(direction);
-            level_idx += 1;
-            if discovered_total == 0 {
-                break;
-            }
-        }
-
-        // Assemble the global parent array (partitions are contiguous).
-        let mut parent = Vec::with_capacity(n);
-        for st in &states {
-            parent.extend_from_slice(&st.parent);
-        }
-        parent.truncate(n);
-        let visited = parent.iter().filter(|&&p| p != NO_PARENT).count();
-        wall.total_secs = clock.now_secs() - run_start;
-        Ok((
-            BfsRun {
-                parent,
-                profile,
-                visited,
-            },
-            wall,
-        ))
-    }
-
-    /// Cost of one queue<->bitmap conversion sweep: each rank streams its
-    /// bitmap segment and frontier once.
-    fn conversion_time(&self, partition: &nbfs_util::BlockPartition) -> SimTime {
-        let ctx = self.compute_context();
-        let (ws, we) = partition.word_range(0);
-        let events = ComputeEvents {
-            vertex_scan_bytes: ((we - ws) * 8) as u64 * 2,
-            ..ComputeEvents::default()
-        };
-        ctx.time(&self.scenario.machine, &events)
+        let search = fault_free(self.drive(root, clock, TraceConfig::Off));
+        (search.run, search.wall)
     }
 
     /// The bottom-up level kernel for one rank: scan owned unvisited
@@ -1308,11 +671,10 @@ impl<'g, G: GraphView> DistributedBfs<'g, G> {
     /// the rank's `visited` bitmap (one load skips 64 explored vertices),
     /// the summary and `in_queue` probes go through word caches (sorted
     /// adjacency lists make consecutive neighbours hit the same word), and
-    /// the rank's vertex range is split into fixed word-aligned chunks that
-    /// run on the rayon pool. Chunk boundaries depend only on the partition
-    /// — never the worker count — and the per-chunk outputs are merged in
-    /// chunk order, so parents, frontiers and every [`ComputeEvents`]
-    /// counter are bit-identical to [`Self::bottom_up_kernel_reference`].
+    /// the rank's vertex range is scanned in the fixed chunks of
+    /// [`level::bu_scan`], so parents, frontiers and every
+    /// [`ComputeEvents`] counter are bit-identical to
+    /// [`Self::bottom_up_kernel_reference`].
     fn bottom_up_kernel(
         &self,
         lg: &LocalGraph,
@@ -1321,101 +683,68 @@ impl<'g, G: GraphView> DistributedBfs<'g, G> {
         summary: &SummaryBitmap,
     ) -> KernelOut {
         let RankState {
-            parent,
-            visited,
+            own,
             has_edges,
             out_words,
-            frontier,
-            unexplored_degree,
             ..
         } = st;
         out_words.fill(0);
-        frontier.clear();
-        let nlv = lg.num_local_vertices();
-
-        let chunk_bits = BU_CHUNK_WORDS * WORD_BITS;
+        own.frontier.clear();
         let inputs = BuScanInputs {
             lg,
-            visited,
+            visited: &own.visited,
             candidates: has_edges,
             in_queue,
             summary,
         };
-        let tasks: Vec<(usize, &mut [u32], &mut [u64])> = parent
-            .chunks_mut(chunk_bits)
-            .zip(out_words.chunks_mut(BU_CHUNK_WORDS))
-            .enumerate()
-            .map(|(ci, (p, o))| (ci, p, o))
-            .collect();
-        let chunk_outs: Vec<BuChunkOut> = tasks
-            .into_par_iter()
-            .map(|(ci, parent_chunk, out_chunk)| {
-                bu_scan_chunk(&inputs, ci * chunk_bits, parent_chunk, out_chunk)
-            })
-            .collect();
+        let scan = level::bu_scan(&inputs, &mut own.parent, out_words);
+        own.unexplored_degree -= scan.degree_found;
 
         // nbfs-analysis: hot-path
-        // Order-preserving merge: chunk order is vertex order, u64 counter
-        // sums are exact regardless of grouping. The fold and the frontier
-        // rebuild below run every bottom-up level; `frontier` is reused
-        // across levels (reserve on a recycled Vec is amortized-free, new
-        // heap blocks are not — NBFS004).
-        let mut summary_probes = 0u64;
-        let mut inqueue_probes = 0u64;
-        let mut edge_bytes = 0u64;
-        let mut write_bytes = 0u64;
-        let mut cpu_ops = 0u64;
-        let mut discovered = 0u64;
-        let mut degree_found = 0u64;
-        for c in &chunk_outs {
-            summary_probes += c.summary_probes;
-            inqueue_probes += c.inqueue_probes;
-            edge_bytes += c.edge_bytes;
-            write_bytes += c.write_bytes;
-            cpu_ops += c.cpu_ops;
-            discovered += c.discovered;
-            degree_found += c.degree_found;
-        }
-        *unexplored_degree -= degree_found;
-
         // The frontier queue is the set bits of `out_words` in ascending
-        // order — exactly the order the per-bit reference pushes them.
+        // order — exactly the order the per-bit reference pushes them. It
+        // is rebuilt every bottom-up level into the recycled `frontier`
+        // (reserve on a recycled Vec is amortized-free, new heap blocks
+        // are not — NBFS004).
         let first = lg.first_vertex();
-        frontier.reserve(discovered as usize);
+        own.frontier.reserve(scan.discovered as usize);
         for (wo, &word) in out_words.iter().enumerate() {
             let mut w = word;
             while w != 0 {
                 let bit = w.trailing_zeros() as usize;
                 w &= w - 1;
-                frontier.push(vid::to_stored(first + wo * WORD_BITS + bit));
+                own.frontier
+                    .push(vid::to_stored(first + wo * WORD_BITS + bit));
             }
         }
         // nbfs-analysis: end-hot-path
 
-        let events = ComputeEvents {
-            vertex_scan_bytes: nlv as u64 * 4,
-            edge_bytes,
-            write_bytes,
-            cpu_ops,
-            probes: vec![
-                ProbeClass {
-                    count: summary_probes,
-                    working_set: summary.size_bytes(),
-                    residence: self.scenario.summary_residence(),
-                },
-                ProbeClass {
-                    count: inqueue_probes,
-                    working_set: in_queue.size_bytes(),
-                    residence: self.scenario.in_queue_residence(),
-                },
-            ],
-        };
-        KernelOut { events, discovered }
+        self.bu_kernel_out(lg, in_queue, summary, &scan)
     }
 
-    /// The original per-bit serial bottom-up kernel, kept verbatim as the
-    /// oracle for the word-level rewrite (differential tests) and as the
-    /// wall-clock baseline of the benchmark snapshot.
+    /// Prices one rank's bottom-up scan against the whole `in_queue` and
+    /// summary.
+    fn bu_kernel_out(
+        &self,
+        lg: &LocalGraph,
+        in_queue: &Bitmap,
+        summary: &SummaryBitmap,
+        scan: &BuChunkOut,
+    ) -> KernelOut {
+        KernelOut {
+            events: level::bu_events(
+                &self.scenario,
+                scan,
+                lg.num_local_vertices(),
+                summary.size_bytes(),
+                in_queue.size_bytes(),
+            ),
+            discovered: scan.discovered,
+        }
+    }
+
+    /// The original per-bit serial bottom-up kernel, kept as the oracle for
+    /// the word-level rewrite (differential tests).
     fn bottom_up_kernel_reference(
         &self,
         lg: &LocalGraph,
@@ -1424,65 +753,36 @@ impl<'g, G: GraphView> DistributedBfs<'g, G> {
         summary: &SummaryBitmap,
     ) -> KernelOut {
         let first = lg.first_vertex();
-        let bit_start = first;
         st.out_words.fill(0);
-        st.frontier.clear();
-
-        let mut summary_probes = 0u64;
-        let mut inqueue_probes = 0u64;
-        let mut edge_bytes = 0u64;
-        let mut write_bytes = 0u64;
-        let mut cpu_ops = 0u64;
-        let mut discovered = 0u64;
-        let mut degree_found = 0u64;
-
+        st.own.frontier.clear();
+        let mut o = BuChunkOut::default();
         for v in lg.vertex_range() {
             let local = v - first;
-            cpu_ops += 2;
-            if st.parent[local] != NO_PARENT {
+            o.cpu_ops += 2;
+            if st.own.parent[local] != NO_PARENT {
                 continue;
             }
             for &u in lg.neighbours_global(v) {
-                edge_bytes += 4;
-                summary_probes += 1;
-                cpu_ops += 4;
+                o.edge_bytes += 4;
+                o.summary_probes += 1;
+                o.cpu_ops += 4;
                 if !summary.maybe_set(u as usize) {
                     continue; // the summary's fast path: provably not in frontier
                 }
-                inqueue_probes += 1;
+                o.inqueue_probes += 1;
                 if in_queue.get(u as usize) {
-                    st.parent[local] = u;
-                    let local_bit = v - bit_start;
-                    st.out_words[local_bit / 64] |= 1u64 << (local_bit % 64);
-                    st.frontier.push(vid::to_stored(v));
-                    write_bytes += 12;
-                    discovered += 1;
-                    degree_found += lg.degree_global(v) as u64;
+                    st.own.parent[local] = u;
+                    st.out_words[local / 64] |= 1u64 << (local % 64);
+                    st.own.frontier.push(vid::to_stored(v));
+                    o.write_bytes += 12;
+                    o.discovered += 1;
+                    o.degree_found += lg.degree_global(v) as u64;
                     break;
                 }
             }
         }
-        st.unexplored_degree -= degree_found;
-
-        let events = ComputeEvents {
-            vertex_scan_bytes: lg.num_local_vertices() as u64 * 4,
-            edge_bytes,
-            write_bytes,
-            cpu_ops,
-            probes: vec![
-                ProbeClass {
-                    count: summary_probes,
-                    working_set: summary.size_bytes(),
-                    residence: self.scenario.summary_residence(),
-                },
-                ProbeClass {
-                    count: inqueue_probes,
-                    working_set: in_queue.size_bytes(),
-                    residence: self.scenario.in_queue_residence(),
-                },
-            ],
-        };
-        KernelOut { events, discovered }
+        st.own.unexplored_degree -= o.degree_found;
+        self.bu_kernel_out(lg, in_queue, summary, &o)
     }
 
     /// One top-down level over all ranks: the owner walk.
@@ -1504,7 +804,7 @@ impl<'g, G: GraphView> DistributedBfs<'g, G> {
     /// host does the work once where the model charges it `np` times.
     fn top_down_level(&self, states: &mut [RankState], full_frontier: &[u32]) -> Vec<KernelOut> {
         for st in states.iter_mut() {
-            st.frontier.clear();
+            st.own.frontier.clear();
             st.td = TdTally::default();
         }
         let partition = self.parts.partition();
@@ -1529,10 +829,10 @@ impl<'g, G: GraphView> DistributedBfs<'g, G> {
                 st.td.matched += bucket.len() as u64;
                 for &v in bucket {
                     let local = v as usize - block.start;
-                    if st.parent[local] == NO_PARENT {
-                        st.parent[local] = u;
-                        st.visited.set(local);
-                        st.frontier.push(v);
+                    if st.own.parent[local] == NO_PARENT {
+                        st.own.parent[local] = u;
+                        st.own.visited.set(local);
+                        st.own.frontier.push(v);
                         st.td.degree_found += lg.degree_global(v as usize) as u64;
                     }
                 }
@@ -1544,9 +844,9 @@ impl<'g, G: GraphView> DistributedBfs<'g, G> {
             .iter_mut()
             .enumerate()
             .map(|(p, st)| {
-                st.frontier.sort_unstable();
-                st.unexplored_degree -= st.td.degree_found;
-                let discovered = st.frontier.len() as u64;
+                st.own.frontier.sort_unstable();
+                st.own.unexplored_degree -= st.td.degree_found;
+                let discovered = st.own.frontier.len() as u64;
                 let arcs = self.parts.local(p).num_local_arcs();
                 let lookup_ops = 8 + (arcs.max(2) as f64).log2().ceil() as u64;
                 let events = ComputeEvents {
@@ -1566,6 +866,263 @@ impl<'g, G: GraphView> DistributedBfs<'g, G> {
     }
 }
 
+/// The 1-D exchange: every rank owns a block of vertices with their whole
+/// rows; a level allgathers the frontier to every rank (`in_queue` and its
+/// summary bottom-up, the sparse lists or the dense bitmap top-down) and
+/// each rank then works on its own block alone.
+struct OneDim<'e, 'g, G: GraphView> {
+    engine: &'e DistributedBfs<'g, G>,
+    states: Vec<RankState>,
+    in_queue: Bitmap,
+    summary: SummaryBitmap,
+    /// Persistent staging for the dense top-down exchange, so no level
+    /// allocates a full-length bitmap.
+    td_scratch: Bitmap,
+    /// Per-level codec staging: encode buffers plus raw/encoded size
+    /// vectors, recycled so compressed levels stay alloc-free after
+    /// warm-up (NBFS004).
+    codec_ws: CodecWorkspace,
+    codec_scratch: Vec<u8>,
+    summary_enc_bytes: Vec<u64>,
+    /// The raw summary allgather's per-rank bytes ([`even_split`]); they
+    /// depend only on the summary size — constant for the whole run.
+    summary_bytes: Vec<u64>,
+}
+
+impl<'e, 'g, G: GraphView> OneDim<'e, 'g, G> {
+    fn new(engine: &'e DistributedBfs<'g, G>) -> Self {
+        let n = engine.parts.num_vertices();
+        let np = engine.pmap.world_size();
+        let partition = engine.parts.partition();
+        let states = (0..np)
+            .map(|r| {
+                let lg = engine.parts.local(r);
+                let (ws, we) = partition.word_range(r);
+                let mut has_edges = Bitmap::new(lg.num_local_vertices());
+                for v in lg.vertex_range() {
+                    if lg.degree_global(v) > 0 {
+                        has_edges.set(v - lg.first_vertex());
+                    }
+                }
+                RankState {
+                    own: Owned::new(lg.vertex_range().map(|v| lg.degree_global(v) as u64)),
+                    has_edges,
+                    out_words: vec![0u64; we - ws],
+                    td: TdTally::default(),
+                }
+            })
+            .collect();
+        // Granularity was contract-checked at construction; per-run
+        // summary creation must stay validation-free (pinned by the
+        // one-time-validation regression test).
+        let summary = SummaryBitmap::new_prevalidated(n, engine.granularity);
+        let mut summary_bytes = vec![0; np];
+        even_split(summary.size_bytes() as u64, &mut summary_bytes);
+        Self {
+            engine,
+            states,
+            in_queue: Bitmap::new(n),
+            summary,
+            td_scratch: Bitmap::new(n),
+            codec_ws: CodecWorkspace::default(),
+            codec_scratch: Vec::new(),
+            summary_enc_bytes: vec![0; np],
+            summary_bytes,
+        }
+    }
+
+    /// Rewrites every rank's `out_words` segment from its frontier queue.
+    fn queues_to_segments(&mut self) {
+        let partition = self.engine.parts.partition();
+        self.states.par_iter_mut().enumerate().for_each(|(r, st)| {
+            let (bit_start, _) = partition.item_range(r);
+            st.out_words.fill(0);
+            for &v in &st.own.frontier {
+                let local_bit = v as usize - bit_start;
+                st.out_words[local_bit / 64] |= 1u64 << (local_bit % 64);
+            }
+        });
+    }
+
+    /// Allgathers the ranks' `out_words` segments straight into the
+    /// persistent `in_queue` words (bottom-up) or the dense top-down
+    /// staging bitmap — no per-level staging vectors. Leaves the volume
+    /// in `codec_ws` for [`allgather_codec_stats`].
+    fn gather_segments(&mut self, direction: Direction) -> CommCost {
+        let engine = self.engine;
+        let dest = match direction {
+            Direction::BottomUp => &mut self.in_queue,
+            Direction::TopDown => &mut self.td_scratch,
+        };
+        let parts_ref: Vec<&[u64]> = self.states.iter().map(|s| s.out_words.as_slice()).collect();
+        let cost = allgather_words_codec_into(
+            dest.words_mut(),
+            &parts_ref,
+            &engine.pmap,
+            &engine.net,
+            engine.scenario.opt.allgather_algorithm(),
+            engine.scenario.codec,
+            &mut self.codec_ws,
+        );
+        dest.repair_padding();
+        cost
+    }
+}
+
+/// Splits `total` bytes evenly over the ranks of `shares` (remainder
+/// spread): each rank contributes the summary of its own segment.
+fn even_split(total: u64, shares: &mut [u64]) {
+    let np = shares.len() as u64;
+    for (r, share) in shares.iter_mut().enumerate() {
+        let r = r as u64;
+        *share = total * (r + 1) / np - total * r / np;
+    }
+}
+
+impl<G: GraphView> Exchange for OneDim<'_, '_, G> {
+    fn owned(&self, rank: usize) -> &Owned {
+        &self.states[rank].own
+    }
+
+    fn owned_mut(&mut self, rank: usize) -> &mut Owned {
+        &mut self.states[rank].own
+    }
+
+    fn degree(&self, rank: usize, v: usize) -> u64 {
+        self.engine.parts.local(rank).degree_global(v) as u64
+    }
+
+    fn bottom_up(&mut self, lv: &mut Level<'_>) -> Result<u64, NbfsError> {
+        let engine = self.engine;
+        let (pmap, net) = (&engine.pmap, &engine.net);
+        let codec = engine.scenario.codec;
+        let algo = engine.scenario.opt.allgather_algorithm();
+        // Coming from top-down (or on the first level) the frontier exists
+        // only as queues: convert to bitmap segments.
+        if lv.switched {
+            self.queues_to_segments();
+        }
+
+        // The two allgathers of Fig. 1: in_queue, then summary.
+        let words_cost = self.gather_segments(Direction::BottomUp);
+        self.summary.rebuild_from(&self.in_queue);
+        // The summary allgather is cost-only (no payload is materialized),
+        // so a codec charges the even split of the encoded whole-summary
+        // size instead of the raw one.
+        let summary_wire = if codec.is_raw() {
+            &self.summary_bytes
+        } else {
+            let words = self.summary.as_bitmap().words();
+            let enc_total = encoded_words_size(codec, words, &mut self.codec_scratch);
+            even_split(enc_total, &mut self.summary_enc_bytes);
+            &self.summary_enc_bytes
+        };
+        let summary_cost = allgather_cost_bytes(summary_wire, pmap, net, algo);
+        if lv.observed() {
+            let words_stats = allgather_codec_stats(&self.codec_ws, pmap, algo);
+            let mut summary_stats = allgather_stats_bytes(summary_wire, pmap, algo);
+            if !codec.is_raw() {
+                summary_stats.raw_bytes =
+                    allgather_stats_bytes(&self.summary_bytes, pmap, algo).wire_bytes;
+            }
+            let edges = || allgather_edges(pmap, algo);
+            lv.collective(
+                CollectiveKind::AllgatherWords,
+                words_cost,
+                words_stats,
+                edges,
+            )?;
+            lv.collective(
+                CollectiveKind::AllgatherSummary,
+                summary_cost,
+                summary_stats,
+                edges,
+            )?;
+        }
+        // Added once, after the penalties: the pinned operand order.
+        let comm = words_cost + summary_cost;
+        lv.detail += comm;
+        lv.comm += comm.total();
+
+        let (in_queue, summary) = (&self.in_queue, &self.summary);
+        let states = &mut self.states;
+        let outs: Vec<KernelOut> = lv.kernel(|| {
+            states
+                .par_iter_mut()
+                .enumerate()
+                .map(|(r, st)| {
+                    let lg = engine.parts.local(r);
+                    match engine.bu_kernel {
+                        BottomUpKernel::WordLevel => {
+                            engine.bottom_up_kernel(lg, st, in_queue, summary)
+                        }
+                        BottomUpKernel::Reference => {
+                            engine.bottom_up_kernel_reference(lg, st, in_queue, summary)
+                        }
+                    }
+                })
+                .collect()
+        });
+        // nbfs-analysis: hot-path
+        // Fold the level's discoveries into the visited bits the next
+        // bottom-up scan will skip (word-parallel OR over persistent
+        // buffers; allocation-free by NBFS004).
+        for st in self.states.iter_mut() {
+            st.own.visited.or_words_from(0, &st.out_words);
+        }
+        // nbfs-analysis: end-hot-path
+        Ok(lv.charge_ranks(outs.iter().map(|o| (&o.events, o.discovered))))
+    }
+
+    fn top_down(&mut self, lv: &mut Level<'_>) -> Result<u64, NbfsError> {
+        let engine = self.engine;
+        let (pmap, net) = (&engine.pmap, &engine.net);
+        let codec = engine.scenario.codec;
+        // Replicate the frontier: sparse allgatherv of the newly
+        // discovered vertex lists when the frontier is sparse (why
+        // top-down communication stays off the Fig. 11 radar), or the
+        // frontier *bitmap* when the list would be larger than the bitmap
+        // — the dense/sparse frontier-representation switch of [9].
+        let algo = engine.scenario.opt.allgather_algorithm();
+        let edges = || allgather_edges(pmap, algo);
+        let list_bytes: usize = self.states.iter().map(|s| s.own.frontier.len() * 4).sum();
+        let bitmap_bytes = engine.parts.num_vertices().div_ceil(8);
+        let full_frontier: Vec<u32>;
+        let exchange_cost;
+        if list_bytes > bitmap_bytes {
+            // Dense path: allgather the out_words segments and extract
+            // the sorted vertex list locally.
+            self.queues_to_segments();
+            let cost = self.gather_segments(Direction::TopDown);
+            full_frontier = self.td_scratch.iter_ones().map(vid::to_stored).collect();
+            if lv.observed() {
+                let stats = allgather_codec_stats(&self.codec_ws, pmap, algo);
+                lv.collective(CollectiveKind::AllgatherWords, cost, stats, edges)?;
+            }
+            exchange_cost = cost.total();
+            lv.charge_conversion();
+        } else {
+            let lists: Vec<&[u32]> = self
+                .states
+                .iter()
+                .map(|s| s.own.frontier.as_slice())
+                .collect();
+            let gathered = allgatherv_u32_codec(&lists, pmap, net, algo, codec, &mut self.codec_ws);
+            if lv.observed() {
+                let stats = allgather_codec_stats(&self.codec_ws, pmap, algo);
+                lv.collective(CollectiveKind::Allgatherv, gathered.cost, stats, edges)?;
+            }
+            full_frontier = gathered.items;
+            exchange_cost = gathered.cost.total();
+        }
+        lv.comm += exchange_cost;
+
+        let states = &mut self.states;
+        let outs = lv.kernel(|| engine.top_down_level(states, &full_frontier));
+        Ok(lv.charge_ranks(outs.iter().map(|o| (&o.events, o.discovered))))
+    }
+}
+
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::cast_possible_truncation)]
 mod tests {
@@ -1573,6 +1130,7 @@ mod tests {
     use nbfs_graph::validate::validate_bfs_tree;
     use nbfs_graph::GraphBuilder;
     use nbfs_topology::presets;
+    use nbfs_util::SimTime;
 
     fn small_machine() -> MachineConfig {
         MachineConfig::small_test_cluster(2, 4)

@@ -15,14 +15,16 @@
 //! `i` is the contiguous union of its ranks' blocks and column group `j`
 //! is the strided set `{v : owner(v) mod C == j}`. Rank `(i, j)` stores
 //! the adjacency block `A[i][j]`: edges from sources in column group `j`
-//! to targets in row group `i`, kept in both orientations (source-sorted
-//! pairs for top-down, a target-rowed CSR for bottom-up).
+//! to targets in row group `i`, as a target-rowed CSR (what bottom-up
+//! scans; top-down reads the same arcs from the graph's own rows, which the
+//! symmetry of the graph makes the block's other orientation).
 //!
-//! A **top-down** level is the classic SpMSpV schedule: column-allgather
-//! the frontier pieces (*expand*), merge-join them against the block
-//! (chunked galloping join, `td_match_chunk`), then *fold*
-//! `(target, parent)` candidates to the target's owner
-//! inside the grid row. A **bottom-up** level inverts the block walk: each
+//! The level loop is the crate's one level driver (`level.rs`); this module is
+//! its 2-D *exchange*. A **top-down** level is the classic SpMSpV
+//! schedule: column-allgather the frontier pieces (*expand*), walk each
+//! frontier vertex's row and cut it at the row-group boundaries, then
+//! *fold* `(target, parent)` candidates to the target's owner inside the
+//! grid row. A **bottom-up** level inverts the block walk: each
 //! rank scans the unvisited vertices of its whole row group against its
 //! column's frontier through the 1-D engine's word-level `bu_scan_chunk`
 //! kernel, then folds the per-column adoptions to the owners. The TD↔BU
@@ -42,21 +44,15 @@ use rayon::prelude::*;
 
 use nbfs_comm::alltoallv::{alltoallv_pairs_codec_into, exchange_round_cost, AlltoallvWorkspace};
 use nbfs_comm::codec::encoded_words_size;
-use nbfs_comm::collectives::allreduce_sum;
 use nbfs_graph::{vid, Csr, GraphView, NO_PARENT};
 use nbfs_simnet::compute::ProbeClass;
-use nbfs_simnet::{ComputeContext, ComputeEvents, NetworkModel};
+use nbfs_simnet::{ComputeEvents, NetworkModel};
 use nbfs_topology::{MachineConfig, ProcessMap};
-use nbfs_trace::{
-    CollectiveKind, CollectiveStats, CommCost, RunMeta, TraceEvent, TraceReport, Tracer,
-};
-use nbfs_util::{Bitmap, BlockPartition, SimTime, SummaryBitmap, WORD_BITS};
+use nbfs_trace::{CollectiveKind, CollectiveStats, CommCost, TraceConfig, TraceReport};
+use nbfs_util::{Bitmap, BlockPartition, NbfsError, SummaryBitmap, WORD_BITS};
 
-use crate::direction::Direction;
-use crate::engine::{
-    bu_scan_chunk, BfsRun, BuChunkOut, BuRows, BuScanInputs, Scenario, BU_CHUNK_WORDS,
-};
-use crate::profile::{LevelProfile, RunProfile};
+use crate::engine::{BfsRun, BuRows, BuScanInputs, HostClock, NoClock, Scenario, Search};
+use crate::level::{self, fault_free, Env, Exchange, Level, Owned};
 
 /// Per-destination buckets of `(vertex, parent)` records.
 type SendBuckets = Vec<Vec<(u32, u32)>>;
@@ -93,22 +89,14 @@ struct Rank2D {
     col: usize,
     /// First owned global vertex id.
     first: usize,
-    /// Parents of owned vertices.
-    parent: Vec<u32>,
-    /// Visited bits of owned vertices.
-    visited: Bitmap,
-    /// Owned vertices discovered last level (ascending stored ids).
-    frontier: Vec<u32>,
+    /// Parents, visited bits, last level's discoveries and the `m_u`
+    /// share of the owned vertices.
+    own: Owned,
     /// Owned vertices discovered *this* level (the min-merge scratch).
     newly: Bitmap,
     /// Degrees of owned vertices (in the whole graph, not the block).
     deg: Vec<u64>,
-    /// Sum of unvisited owned degrees (the `m_u` contribution).
-    unexplored_degree: u64,
-    /// Block `A[row][col]` as `(source, target)` pairs sorted by source —
-    /// the top-down merge-join index.
-    fwd: Vec<(u32, u32)>,
-    /// The same block rowed by target — the bottom-up scan adjacency.
+    /// Block `A[row][col]` rowed by target — the bottom-up scan adjacency.
     bwd: BuBlock,
     /// Row-group vertices with at least one source in this block (the
     /// bottom-up candidate mask; padding bits stay zero).
@@ -207,19 +195,8 @@ impl<'g, G: GraphView> TwoDimBfs<'g, G> {
         self.partition.owner(v) % self.cols
     }
 
-    fn compute_context(&self) -> ComputeContext {
-        let mut ctx = ComputeContext::new(
-            self.pmap.threads_per_rank(),
-            self.pmap.memory_profile(&self.scenario.machine),
-            self.pmap.ppn(),
-        );
-        ctx.params = self.scenario.params;
-        ctx
-    }
-
-    /// Builds the per-rank state: both orientations of block `A[i][j]`
-    /// from one pass over the row group's adjacency, plus the owned-range
-    /// vertex state.
+    /// Builds the per-rank state: block `A[i][j]` from one pass over the
+    /// row group's adjacency, plus the owned-range vertex state.
     fn build_blocks(&self) -> Vec<Rank2D> {
         let np = self.pmap.world_size();
         (0..np)
@@ -228,7 +205,6 @@ impl<'g, G: GraphView> TwoDimBfs<'g, G> {
                 let (row, col) = (rank / self.cols, rank % self.cols);
                 let (rs, re) = self.row_span(row);
                 let row_len = re - rs;
-                let mut fwd: Vec<(u32, u32)> = Vec::new();
                 let mut offsets: Vec<u64> = Vec::with_capacity(row_len + 1);
                 let mut sources: Vec<u32> = Vec::new();
                 let mut cand = Bitmap::new(row_len);
@@ -238,7 +214,6 @@ impl<'g, G: GraphView> TwoDimBfs<'g, G> {
                     self.graph.for_each_neighbour(v, |u| {
                         if self.col_of(u as usize) == col {
                             sources.push(u);
-                            fwd.push((u, vid::to_stored(v)));
                         }
                     });
                     if sources.len() > before {
@@ -246,21 +221,15 @@ impl<'g, G: GraphView> TwoDimBfs<'g, G> {
                     }
                     offsets.push(sources.len() as u64);
                 }
-                fwd.sort_unstable();
                 let (vs, ve) = self.partition.item_range(rank);
                 let deg: Vec<u64> = (vs..ve).map(|v| self.graph.degree(v) as u64).collect();
-                let unexplored_degree = deg.iter().sum();
                 Rank2D {
                     row,
                     col,
                     first: vs,
-                    parent: vec![NO_PARENT; ve - vs],
-                    visited: Bitmap::new(ve - vs),
-                    frontier: Vec::new(),
+                    own: Owned::new(deg.iter().copied()),
                     newly: Bitmap::new(ve - vs),
                     deg,
-                    unexplored_degree,
-                    fwd,
                     bwd: BuBlock {
                         first_vertex: rs,
                         offsets,
@@ -335,668 +304,445 @@ impl<'g, G: GraphView> TwoDimBfs<'g, G> {
         exchange_round_cost(&transfers, &self.pmap, &self.net)
     }
 
-    /// Cost of one queue<->bitmap conversion sweep at a direction switch
-    /// (same charge as the 1-D engine's).
-    fn conversion_time(&self) -> SimTime {
-        let (ws, we) = self.partition.word_range(0);
-        let events = ComputeEvents {
-            vertex_scan_bytes: ((we - ws) * 8) as u64 * 2,
-            ..ComputeEvents::default()
-        };
-        self.compute_context().time(&self.scenario.machine, &events)
+    /// One top-down level's local multiply, for every rank at once: the
+    /// row walk.
+    ///
+    /// The graph is symmetric, so the arcs of block `A[i][j]` out of a
+    /// frontier vertex `u` of column `j` are `u`'s own row cut at row
+    /// group `i`'s boundaries. The walk takes each column's frontier in
+    /// ascending order (ranks of a column hold ascending blocks and each
+    /// queue ascends), reads each `u`'s row once and files `(v, u)` under
+    /// the rank of `v`'s row group in `u`'s column, bucketed by `v`'s
+    /// owner — per bucket the `(u asc, v asc)` order a source-sorted block
+    /// index would give, so the fold payload is the same bytes.
+    ///
+    /// The *simulated* cost is still the per-rank merge-join of the
+    /// column's frontier against a source-sorted index of the block: its
+    /// lookups are a closed form in the frontier length, the arcs matched
+    /// and the block's arc count.
+    fn top_down_walk(
+        &self,
+        ranks: &[Rank2D],
+        sends: &mut [SendBuckets],
+        matched: &mut [u64],
+    ) -> Vec<ComputeEvents> {
+        matched.fill(0);
+        for buckets in sends.iter_mut() {
+            for bucket in buckets.iter_mut() {
+                bucket.clear();
+            }
+        }
+        // nbfs-analysis: hot-path
+        // Every arc out of the frontier, once. Pushes land in the
+        // run-scoped buckets, so a level allocates only when a bucket
+        // outgrows its high-water mark (NBFS004).
+        for col in 0..self.cols {
+            for row in 0..self.rows {
+                for &u in &ranks[self.rank_of(row, col)].own.frontier {
+                    self.graph.for_each_neighbour(u as usize, |v| {
+                        let dst = self.partition.owner(v as usize);
+                        let src = self.rank_of(dst / self.cols, col);
+                        sends[src][dst].push((v, u));
+                        matched[src] += 1;
+                    });
+                }
+            }
+        }
+        // nbfs-analysis: end-hot-path
+        ranks
+            .iter()
+            .zip(matched.iter())
+            .map(|(rk, &matched)| {
+                let flen: u64 = (0..self.rows)
+                    .map(|row| ranks[self.rank_of(row, rk.col)].own.frontier.len() as u64)
+                    .sum();
+                ComputeEvents {
+                    vertex_scan_bytes: flen * 4,
+                    edge_bytes: 8 * (flen + matched),
+                    write_bytes: 8 * matched,
+                    cpu_ops: 8 * flen + 3 * matched,
+                    probes: vec![ProbeClass {
+                        count: flen / 8 + 1,
+                        working_set: (rk.bwd.sources.len() * 8).max(64),
+                        residence: self.scenario.private_residence(),
+                    }],
+                }
+            })
+            .collect()
+    }
+
+    fn drive(
+        &self,
+        root: usize,
+        clock: &dyn HostClock,
+        trace: TraceConfig,
+    ) -> Result<Search, NbfsError> {
+        let env = Env::new(
+            &self.scenario,
+            &self.pmap,
+            &self.net,
+            self.graph.num_vertices(),
+        );
+        level::search(&env, || TwoDim::new(self), root, clock, trace)
+    }
+
+    /// Runs a 2-D direction-optimizing BFS from `root`: the same contract
+    /// as [`DistributedBfs::search`](crate::engine::DistributedBfs::search)
+    /// — host timing from `clock`, events per the scenario's
+    /// [`TraceConfig`], faults per [`Scenario::faults`] at the level
+    /// driver's sites (the control allreduce and the per-level rank fates).
+    ///
+    /// # Errors
+    /// [`NbfsError::Config`] when `root` is not a vertex;
+    /// [`NbfsError::RankFailed`] or [`NbfsError::Fault`] when the
+    /// scenario's fault plan kills a rank or exhausts a retry budget.
+    pub fn search(&self, root: usize, clock: &dyn HostClock) -> Result<Search, NbfsError> {
+        self.drive(root, clock, self.scenario.trace)
+    }
+
+    /// [`Self::search`] without a clock or a recording, for scenarios that
+    /// cannot fail.
+    ///
+    /// # Panics
+    /// If `root` is not a vertex, or the scenario carries a fault plan
+    /// whose faults prove unrecoverable — use [`Self::search`] for those.
+    pub fn run(&self, root: usize) -> BfsRun {
+        fault_free(self.drive(root, &NoClock, TraceConfig::Off)).run
+    }
+
+    /// [`Self::search`] without a clock, for scenarios that cannot fail.
+    ///
+    /// # Panics
+    /// As [`Self::run`].
+    pub fn run_traced(&self, root: usize) -> (BfsRun, TraceReport) {
+        let search = fault_free(self.search(root, &NoClock));
+        (search.run, search.report)
+    }
+}
+
+/// The 2-D exchange: rank `(i, j)` holds block `A[i][j]`; a level expands
+/// the frontier down the grid columns, multiplies locally and folds the
+/// `(target, parent)` candidates along the grid rows to the owners.
+struct TwoDim<'e, 'g, G: GraphView> {
+    engine: &'e TwoDimBfs<'g, G>,
+    ranks: Vec<Rank2D>,
+    /// Row replicas of the visited bits, rebuilt from the owners' words at
+    /// every bottom-up level (the functional result of the row update
+    /// priced by `row_update`). Kept outside `Rank2D` so the rebuild can
+    /// read the owners while writing the replicas.
+    vis_rows: Vec<Bitmap>,
+    /// Column frontier bitmaps and their summaries: global-length, only
+    /// the column's owned bits ever set. Derived locally from the expanded
+    /// frontier pieces — no extra charged collective, exactly like the 1-D
+    /// engine derives its summary from the allgathered `in_queue` for free.
+    col_q: Vec<Bitmap>,
+    col_sum: Vec<SummaryBitmap>,
+    /// Codec staging, recycled across levels: the expand payloads are
+    /// cost-only (the functional unions read the frontiers directly), so
+    /// scratch buffers size each encoded piece; the fold exchange reuses a
+    /// persistent workspace.
+    codec_scratch: Vec<u8>,
+    word_scratch: Vec<u64>,
+    fold_ws: AlltoallvWorkspace,
+    /// `sends[src][dst]`: the level's fold records, cleared — not
+    /// reallocated — every level.
+    sends: Vec<SendBuckets>,
+    /// Per rank, the arcs its block matched this top-down level.
+    matched: Vec<u64>,
+}
+
+impl<'e, 'g, G: GraphView> TwoDim<'e, 'g, G> {
+    fn new(engine: &'e TwoDimBfs<'g, G>) -> Self {
+        let n = engine.graph.num_vertices();
+        let np = engine.pmap.world_size();
+        Self {
+            engine,
+            ranks: engine.build_blocks(),
+            vis_rows: (0..engine.rows)
+                .map(|i| {
+                    let (rs, re) = engine.row_span(i);
+                    Bitmap::new(re - rs)
+                })
+                .collect(),
+            col_q: (0..engine.cols).map(|_| Bitmap::new(n)).collect(),
+            col_sum: (0..engine.cols)
+                .map(|_| SummaryBitmap::new_prevalidated(n, engine.granularity))
+                .collect(),
+            codec_scratch: Vec::new(),
+            word_scratch: Vec::new(),
+            fold_ws: AlltoallvWorkspace::default(),
+            sends: vec![vec![Vec::new(); np]; np],
+            matched: vec![0; np],
+        }
+    }
+
+    /// Prices the column expand of `raw` piece sizes (`encoded` on the
+    /// wire) and records it; returns the cost for the caller to charge.
+    fn expand(
+        &self,
+        lv: &mut Level<'_>,
+        raw: &[u64],
+        encoded: &[u64],
+    ) -> Result<CommCost, NbfsError> {
+        let (cost, mut stats) = self.engine.column_expand(encoded);
+        if lv.observed() {
+            if !self.engine.scenario.codec.is_raw() {
+                stats.raw_bytes = self.engine.column_expand(raw).1.wire_bytes;
+            }
+            lv.collective(CollectiveKind::Expand2d, cost, stats, Vec::new)?;
+        }
+        Ok(cost)
     }
 
     /// Folds the level's `(target, parent)` candidates to the owners,
-    /// min-merges them, and records the exchange plus the per-rank level
-    /// events. Returns the fold cost and the global discovery count.
-    #[allow(clippy::too_many_arguments)]
-    fn fold_adopt_record(
-        &self,
-        ranks: &mut [Rank2D],
-        sends: &[SendBuckets],
-        fold_ws: &mut AlltoallvWorkspace,
-        tracer: &mut Tracer,
-        level_idx: usize,
+    /// min-merges them, and charges the ranks' computation (`events`, with
+    /// what each owner adopted). Returns the fold cost for the caller to
+    /// charge and the global discovery count.
+    fn fold(
+        &mut self,
+        lv: &mut Level<'_>,
         events: &[ComputeEvents],
-        times: &[SimTime],
-        direction: Direction,
-    ) -> (CommCost, u64) {
+    ) -> Result<(CommCost, u64), NbfsError> {
+        let engine = self.engine;
         // Fold targets are always owned inside the producer's grid row;
         // under the natural mapping a row is one node, so the exchange is
         // strictly intra-node (the Fig. 7 property the mapping buys).
-        debug_assert!(sends.iter().enumerate().all(|(src, per_dst)| {
+        debug_assert!(self.sends.iter().enumerate().all(|(src, per_dst)| {
             per_dst.iter().enumerate().all(|(dst, msgs)| {
                 msgs.is_empty()
-                    || (dst / self.cols == src / self.cols
-                        && (self.rows != self.pmap.nodes()
-                            || self.cols != self.pmap.ppn()
-                            || self.pmap.same_node(src, dst)))
+                    || (dst / engine.cols == src / engine.cols
+                        && (engine.rows != engine.pmap.nodes()
+                            || engine.cols != engine.pmap.ppn()
+                            || engine.pmap.same_node(src, dst)))
             })
         }));
-        let rows_ref: Vec<&[Vec<(u32, u32)>]> = sends.iter().map(Vec::as_slice).collect();
+        let rows_ref: Vec<&[Vec<(u32, u32)>]> = self.sends.iter().map(Vec::as_slice).collect();
         let (fold_cost, fold_stats) = alltoallv_pairs_codec_into(
-            fold_ws,
+            &mut self.fold_ws,
             &rows_ref,
-            &self.pmap,
-            &self.net,
-            self.scenario.codec,
+            &engine.pmap,
+            &engine.net,
+            engine.scenario.codec,
         );
-        drop(rows_ref);
-        tracer.record(TraceEvent::Collective {
-            level: level_idx,
-            kind: CollectiveKind::Alltoallv,
-            cost: fold_cost,
-            stats: fold_stats,
-        });
-        let found_per_rank: Vec<u64> = ranks
+        lv.collective(CollectiveKind::Alltoallv, fold_cost, fold_stats, Vec::new)?;
+        let found: Vec<u64> = self
+            .ranks
             .par_iter_mut()
-            .zip(fold_ws.received.par_iter())
+            .zip(self.fold_ws.received.par_iter())
             .map(|(rk, inbox)| min_adopt(rk, inbox))
             .collect();
-        if tracer.enabled() {
-            for (r, ((e, t), &found)) in events.iter().zip(times).zip(&found_per_rank).enumerate() {
-                let (edges_scanned, summary_probes, inqueue_probes) = match direction {
-                    Direction::BottomUp => (
-                        e.edge_bytes / 4,
-                        e.probes.first().map_or(0, |p| p.count),
-                        e.probes.get(1).map_or(0, |p| p.count),
-                    ),
-                    Direction::TopDown => (e.edge_bytes / 8, 0, 0),
-                };
-                tracer.record_rank(
-                    r,
-                    TraceEvent::RankLevel {
-                        level: level_idx,
-                        rank: r,
-                        discovered: found,
-                        edges_scanned,
-                        summary_probes,
-                        inqueue_probes,
-                        write_bytes: e.write_bytes,
-                        comp: *t,
-                    },
-                );
-            }
-        }
-        (fold_cost, found_per_rank.iter().sum())
+        let discovered = lv.charge_ranks(events.iter().zip(found.iter().copied()));
+        Ok((fold_cost, discovered))
+    }
+}
+
+impl<G: GraphView> Exchange for TwoDim<'_, '_, G> {
+    fn owned(&self, rank: usize) -> &Owned {
+        &self.ranks[rank].own
     }
 
-    /// Identity block for this engine's trace reports.
-    fn run_meta(&self, root: usize) -> RunMeta {
-        RunMeta {
-            world: self.pmap.world_size(),
-            nodes: self.pmap.nodes(),
-            ppn: self.pmap.ppn(),
-            opt_label: self.scenario.opt.label(),
-            root: root as u64,
-        }
+    fn owned_mut(&mut self, rank: usize) -> &mut Owned {
+        &mut self.ranks[rank].own
     }
 
-    /// Runs a 2-D direction-optimizing BFS from `root`.
-    pub fn run(&self, root: usize) -> BfsRun {
-        self.run_instrumented(root, &mut Tracer::off())
+    fn degree(&self, rank: usize, v: usize) -> u64 {
+        let rk = &self.ranks[rank];
+        rk.deg[v - rk.first]
     }
 
-    /// Like [`Self::run`], also recording run events into a
-    /// [`TraceReport`] under the scenario's [`TraceConfig`]
-    /// (`Scenario::trace`).
-    ///
-    /// [`TraceConfig`]: nbfs_trace::TraceConfig
-    pub fn run_traced(&self, root: usize) -> (BfsRun, TraceReport) {
-        let mut tracer = Tracer::new(self.scenario.trace, self.pmap.world_size());
-        let run = self.run_instrumented(root, &mut tracer);
-        let report = tracer.finish(self.run_meta(root));
-        (run, report)
-    }
+    fn bottom_up(&mut self, lv: &mut Level<'_>) -> Result<u64, NbfsError> {
+        let engine = self.engine;
+        let codec = engine.scenario.codec;
 
-    fn run_instrumented(&self, root: usize, tracer: &mut Tracer) -> BfsRun {
-        let n = self.graph.num_vertices();
-        assert!(root < n, "root out of range");
-        let np = self.pmap.world_size();
-        let mut ranks = self.build_blocks();
-        // Row replicas of the visited bits, rebuilt from the owners' words
-        // at every bottom-up level (the functional result of the row
-        // update priced by `row_update`). Kept outside `Rank2D` so the
-        // rebuild can read the owners while writing the replicas.
-        let mut vis_rows: Vec<Bitmap> = (0..self.rows)
-            .map(|i| {
-                let (rs, re) = self.row_span(i);
-                Bitmap::new(re - rs)
+        // --- row visited-update ------------------------------------------
+        // Entering bottom-up, row peers need each other's full visited
+        // segments; on later consecutive levels only the last frontier's
+        // ids are news.
+        let update_bytes: Vec<u64> = self
+            .ranks
+            .iter()
+            .map(|r| {
+                if lv.switched {
+                    (r.own.visited.word_len() * 8) as u64
+                } else {
+                    r.own.frontier.len() as u64 * 4
+                }
             })
             .collect();
-        // Column frontier bitmaps and their summaries: global-length, only
-        // the column's owned bits ever set. Derived locally from the
-        // expanded frontier pieces — no extra charged collective, exactly
-        // like the 1-D engine derives its summary from the allgathered
-        // `in_queue` for free.
-        let mut col_q: Vec<Bitmap> = (0..self.cols).map(|_| Bitmap::new(n)).collect();
-        let mut col_sum: Vec<SummaryBitmap> = (0..self.cols)
-            .map(|_| SummaryBitmap::new_prevalidated(n, self.granularity))
+        let (upd_cost, upd_stats) = engine.row_update(&update_bytes);
+        lv.collective(
+            CollectiveKind::AllgatherWords,
+            upd_cost,
+            upd_stats,
+            Vec::new,
+        )?;
+        lv.detail += upd_cost;
+        lv.comm += upd_cost.total();
+        // Functional result: rebuild each row replica from its owners'
+        // words. Block starts are word-aligned, so the segments tile the
+        // replica exactly.
+        let ranks_ref = &self.ranks;
+        self.vis_rows
+            .par_iter_mut()
+            .enumerate()
+            .for_each(|(i, vr)| {
+                let (rs, _) = engine.row_span(i);
+                for j in 0..engine.cols {
+                    let rk = &ranks_ref[engine.rank_of(i, j)];
+                    vr.copy_words_from((rk.first - rs) / WORD_BITS, rk.own.visited.words());
+                }
+            });
+
+        // --- column expand of the frontier words -------------------------
+        let words_raw: Vec<u64> = self
+            .ranks
+            .iter()
+            .map(|r| (r.own.visited.word_len() * 8) as u64)
             .collect();
-
-        {
-            let owner = self.partition.owner(root);
-            let local = self.partition.to_local(root);
-            ranks[owner].parent[local] = vid::to_stored(root);
-            ranks[owner].visited.set(local);
-            ranks[owner].frontier.push(vid::to_stored(root));
-            let d = ranks[owner].deg[local];
-            ranks[owner].unexplored_degree -= d;
-        }
-
-        let mut profile = RunProfile::default();
-        let ctx = self.compute_context();
-
-        // Codec staging, recycled across levels: the expand payloads are
-        // cost-only (the functional unions below read the frontiers
-        // directly), so scratch buffers size each encoded piece; the fold
-        // exchange reuses a persistent workspace.
-        let codec = self.scenario.codec;
-        let mut codec_scratch: Vec<u8> = Vec::new();
-        let mut word_scratch: Vec<u64> = Vec::new();
-        let mut fold_ws = AlltoallvWorkspace::default();
-
-        let mut direction = Direction::TopDown;
-        let mut prev_direction: Option<Direction> = None;
-        let mut level_idx: usize = 0;
-        loop {
-            // --- per-level statistics and direction choice ---------------
-            let frontier_counts: Vec<u64> = ranks.iter().map(|r| r.frontier.len() as u64).collect();
-            // As in the 1-D engine, the real code packs (n_f, m_f, m_u)
-            // into one short vector allreduce; only one latency-bound
-            // collective is charged.
-            let m_f: u64 = ranks
+        let expand_cost = if codec.is_raw() {
+            self.expand(lv, &words_raw, &words_raw)?
+        } else {
+            let (word_scratch, codec_scratch) = (&mut self.word_scratch, &mut self.codec_scratch);
+            let encoded: Vec<u64> = self
+                .ranks
                 .iter()
                 .map(|r| {
-                    r.frontier
-                        .iter()
-                        .map(|&v| r.deg[v as usize - r.first])
-                        .sum::<u64>()
+                    word_scratch.clear();
+                    word_scratch.resize(r.own.visited.word_len(), 0);
+                    for &v in &r.own.frontier {
+                        let local = v as usize - r.first;
+                        word_scratch[local / WORD_BITS] |= 1u64 << (local % WORD_BITS);
+                    }
+                    encoded_words_size(codec, word_scratch, codec_scratch)
                 })
-                .sum();
-            let m_u: u64 = ranks.iter().map(|r| r.unexplored_degree).sum();
-            let n_f = allreduce_sum(&frontier_counts, &self.pmap, &self.net);
-            // Recorded before the termination check: the terminal allreduce
-            // belongs to a level that never commits, so the merge files it
-            // under `post_collectives` and the profile projection stays
-            // exact (the engine, too, discards its cost on termination).
-            tracer.record(TraceEvent::Collective {
-                level: level_idx,
-                kind: CollectiveKind::Allreduce,
-                cost: n_f.cost,
-                stats: n_f.stats,
-            });
-            if n_f.value == 0 {
-                break;
-            }
-            let prev = direction;
-            direction = self
-                .scenario
-                .switch_policy
-                .choose(direction, m_f, m_u, n_f.value, n as u64);
-            tracer.record(TraceEvent::Decision {
-                level: level_idx,
-                prev,
-                chosen: direction,
-                m_f,
-                m_u,
-                n_f: n_f.value,
-                n: n as u64,
-            });
-            // Per-level accumulators, committed once at the level tail; the
-            // Level trace event carries exactly the committed values, which
-            // keeps `TraceReport::run_profile` bitwise-exact.
-            let mut level_comm = n_f.cost.total();
-            let mut level_comp = SimTime::ZERO;
-            let mut level_stall = SimTime::ZERO;
-            let mut level_switch = SimTime::ZERO;
-            let mut level_detail = CommCost::ZERO;
-
-            let discovered_total;
-            match direction {
-                Direction::BottomUp => {
-                    let entering = prev_direction != Some(Direction::BottomUp);
-                    if entering {
-                        level_switch += self.conversion_time();
+                .collect();
+            self.expand(lv, &words_raw, &encoded)?
+        };
+        lv.detail += expand_cost;
+        lv.comm += expand_cost.total();
+        // Functional result: each column's frontier bitmap and summary
+        // over the global id space.
+        let ranks_ref = &self.ranks;
+        self.col_q
+            .par_iter_mut()
+            .zip(self.col_sum.par_iter_mut())
+            .enumerate()
+            .for_each(|(j, (q, s))| {
+                q.clear_all();
+                for i in 0..engine.rows {
+                    for &v in &ranks_ref[engine.rank_of(i, j)].own.frontier {
+                        q.set(v as usize);
                     }
+                }
+                s.rebuild_from(q);
+            });
 
-                    // --- row visited-update ------------------------------
-                    // Entering bottom-up, row peers need each other's full
-                    // visited segments; on later consecutive levels only
-                    // the last frontier's ids are news.
-                    let update_bytes: Vec<u64> = ranks
-                        .iter()
-                        .map(|r| {
-                            if entering {
-                                (r.visited.word_len() * 8) as u64
-                            } else {
-                                r.frontier.len() as u64 * 4
-                            }
-                        })
-                        .collect();
-                    let (upd_cost, upd_stats) = self.row_update(&update_bytes);
-                    tracer.record(TraceEvent::Collective {
-                        level: level_idx,
-                        kind: CollectiveKind::AllgatherWords,
-                        cost: upd_cost,
-                        stats: upd_stats,
-                    });
-                    level_detail += upd_cost;
-                    level_comm += upd_cost.total();
-                    // Functional result: rebuild each row replica from its
-                    // owners' words. Block starts are word-aligned, so the
-                    // segments tile the replica exactly.
-                    let ranks_ref = &ranks;
-                    vis_rows.par_iter_mut().enumerate().for_each(|(i, vr)| {
-                        let (rs, _) = self.row_span(i);
-                        for j in 0..self.cols {
-                            let rk = &ranks_ref[self.rank_of(i, j)];
-                            vr.copy_words_from((rk.first - rs) / WORD_BITS, rk.visited.words());
-                        }
-                    });
-
-                    // --- column expand of the frontier words -------------
-                    let words_raw: Vec<u64> = ranks
-                        .iter()
-                        .map(|r| (r.visited.word_len() * 8) as u64)
-                        .collect();
-                    let expand_bytes: Vec<u64> = if codec.is_raw() {
-                        words_raw.clone()
-                    } else {
-                        ranks
-                            .iter()
-                            .map(|r| {
-                                word_scratch.clear();
-                                word_scratch.resize(r.visited.word_len(), 0);
-                                for &v in &r.frontier {
-                                    let local = v as usize - r.first;
-                                    word_scratch[local / WORD_BITS] |= 1u64 << (local % WORD_BITS);
-                                }
-                                encoded_words_size(codec, &word_scratch, &mut codec_scratch)
-                            })
-                            .collect()
+        // --- bottom-up scan over the row group ---------------------------
+        let (vis_rows, col_q, col_sum) = (&self.vis_rows, &self.col_q, &self.col_sum);
+        let (ranks, sends) = (&mut self.ranks, &mut self.sends);
+        let events: Vec<ComputeEvents> = lv.kernel(|| {
+            ranks
+                .par_iter_mut()
+                .zip(sends.par_iter_mut())
+                .map(|(rk, buckets)| {
+                    let Rank2D {
+                        row,
+                        col,
+                        bwd,
+                        cand,
+                        scratch_parent,
+                        out_words,
+                        ..
+                    } = rk;
+                    let inputs = BuScanInputs {
+                        lg: &*bwd,
+                        visited: &vis_rows[*row],
+                        candidates: &*cand,
+                        in_queue: &col_q[*col],
+                        summary: &col_sum[*col],
                     };
-                    let (expand_cost, expand_stats) = self.column_expand(&expand_bytes);
-                    if tracer.enabled() {
-                        let mut stats = expand_stats;
-                        if !codec.is_raw() {
-                            stats.raw_bytes = self.column_expand(&words_raw).1.wire_bytes;
+                    // `degree_found` is column-restricted here and
+                    // deliberately unused: owners decrement their
+                    // unexplored degree from `deg` at adopt time.
+                    let scan = level::bu_scan(&inputs, scratch_parent, out_words);
+
+                    // Harvest: the set bits of `out_words` are the block's
+                    // adoptions, ascending; route each to its owner (inside
+                    // this grid row) and reset the touched scratch
+                    // (O(discovered) hygiene).
+                    for bucket in buckets.iter_mut() {
+                        bucket.clear();
+                    }
+                    let first = bwd.first_vertex;
+                    for (wo, w) in out_words.iter_mut().enumerate() {
+                        let mut word = *w;
+                        *w = 0;
+                        while word != 0 {
+                            let bit = word.trailing_zeros() as usize;
+                            word &= word - 1;
+                            let local = wo * WORD_BITS + bit;
+                            let u = scratch_parent[local];
+                            scratch_parent[local] = NO_PARENT;
+                            let v = first + local;
+                            buckets[engine.partition.owner(v)].push((vid::to_stored(v), u));
                         }
-                        tracer.record(TraceEvent::Collective {
-                            level: level_idx,
-                            kind: CollectiveKind::Expand2d,
-                            cost: expand_cost,
-                            stats,
-                        });
                     }
-                    level_detail += expand_cost;
-                    level_comm += expand_cost.total();
-                    // Functional result: each column's frontier bitmap and
-                    // summary over the global id space.
-                    col_q
-                        .par_iter_mut()
-                        .zip(col_sum.par_iter_mut())
-                        .enumerate()
-                        .for_each(|(j, (q, s))| {
-                            q.clear_all();
-                            for i in 0..self.rows {
-                                for &v in &ranks_ref[self.rank_of(i, j)].frontier {
-                                    q.set(v as usize);
-                                }
-                            }
-                            s.rebuild_from(q);
-                        });
+                    // The block only probes its own column's ids: ~1/C of
+                    // each structure is resident.
+                    level::bu_events(
+                        &engine.scenario,
+                        &scan,
+                        scratch_parent.len(),
+                        (col_sum[*col].size_bytes() / engine.cols).max(64),
+                        (col_q[*col].size_bytes() / engine.cols).max(64),
+                    )
+                })
+                .collect()
+        });
 
-                    // --- bottom-up scan over the row group ---------------
-                    let vis_rows_ref = &vis_rows;
-                    let col_q_ref = &col_q;
-                    let col_sum_ref = &col_sum;
-                    let results: Vec<(ComputeEvents, SendBuckets)> = ranks
-                        .par_iter_mut()
-                        .map(|rk| {
-                            let Rank2D {
-                                row,
-                                col,
-                                bwd,
-                                cand,
-                                scratch_parent,
-                                out_words,
-                                ..
-                            } = rk;
-                            let inputs = BuScanInputs {
-                                lg: &*bwd,
-                                visited: &vis_rows_ref[*row],
-                                candidates: &*cand,
-                                in_queue: &col_q_ref[*col],
-                                summary: &col_sum_ref[*col],
-                            };
-                            let chunk_bits = BU_CHUNK_WORDS * WORD_BITS;
-                            let tasks: Vec<(usize, &mut [u32], &mut [u64])> = scratch_parent
-                                .chunks_mut(chunk_bits)
-                                .zip(out_words.chunks_mut(BU_CHUNK_WORDS))
-                                .enumerate()
-                                .map(|(ci, (p, o))| (ci, p, o))
-                                .collect();
-                            let chunk_outs: Vec<BuChunkOut> = tasks
-                                .into_par_iter()
-                                .map(|(ci, parent_chunk, out_chunk)| {
-                                    bu_scan_chunk(&inputs, ci * chunk_bits, parent_chunk, out_chunk)
-                                })
-                                .collect();
-                            let mut summary_probes = 0u64;
-                            let mut inqueue_probes = 0u64;
-                            let mut edge_bytes = 0u64;
-                            let mut write_bytes = 0u64;
-                            let mut cpu_ops = 0u64;
-                            for c in &chunk_outs {
-                                summary_probes += c.summary_probes;
-                                inqueue_probes += c.inqueue_probes;
-                                edge_bytes += c.edge_bytes;
-                                write_bytes += c.write_bytes;
-                                cpu_ops += c.cpu_ops;
-                            }
-                            // `degree_found` is column-restricted here and
-                            // deliberately unused: owners decrement their
-                            // unexplored degree from `deg` at adopt time.
-
-                            // Harvest: the set bits of `out_words` are the
-                            // block's adoptions, ascending; route each to
-                            // its owner (inside this grid row) and reset
-                            // the touched scratch (O(discovered) hygiene).
-                            let first = bwd.first_vertex;
-                            let mut sends: SendBuckets = vec![Vec::new(); np];
-                            for (wo, w) in out_words.iter_mut().enumerate() {
-                                let mut word = *w;
-                                *w = 0;
-                                while word != 0 {
-                                    let bit = word.trailing_zeros() as usize;
-                                    word &= word - 1;
-                                    let local = wo * WORD_BITS + bit;
-                                    let u = scratch_parent[local];
-                                    scratch_parent[local] = NO_PARENT;
-                                    let v = first + local;
-                                    sends[self.partition.owner(v)].push((vid::to_stored(v), u));
-                                }
-                            }
-                            let events = ComputeEvents {
-                                vertex_scan_bytes: scratch_parent.len() as u64 * 4,
-                                edge_bytes,
-                                write_bytes,
-                                cpu_ops,
-                                probes: vec![
-                                    ProbeClass {
-                                        count: summary_probes,
-                                        // The block only probes its own
-                                        // column's ids, ~1/C of the
-                                        // structure is resident.
-                                        working_set: (col_sum_ref[*col].size_bytes() / self.cols)
-                                            .max(64),
-                                        residence: self.scenario.summary_residence(),
-                                    },
-                                    ProbeClass {
-                                        count: inqueue_probes,
-                                        working_set: (col_q_ref[*col].size_bytes() / self.cols)
-                                            .max(64),
-                                        residence: self.scenario.in_queue_residence(),
-                                    },
-                                ],
-                            };
-                            (events, sends)
-                        })
-                        .collect();
-                    let (events, sends): (Vec<ComputeEvents>, Vec<SendBuckets>) =
-                        results.into_iter().unzip();
-                    let times: Vec<SimTime> = events
-                        .iter()
-                        .map(|e| ctx.time(&self.scenario.machine, e))
-                        .collect();
-                    let (mean, stall) = mean_and_stall(&times);
-                    level_comp += mean;
-                    level_stall += stall;
-
-                    // --- fold + min-merge adopt --------------------------
-                    let (fold_cost, discovered) = self.fold_adopt_record(
-                        &mut ranks,
-                        &sends,
-                        &mut fold_ws,
-                        tracer,
-                        level_idx,
-                        &events,
-                        &times,
-                        direction,
-                    );
-                    level_detail += fold_cost;
-                    level_comm += fold_cost.total();
-                    discovered_total = discovered;
-                }
-                Direction::TopDown => {
-                    if prev_direction == Some(Direction::BottomUp) {
-                        level_switch += self.conversion_time();
-                    }
-
-                    // --- column expand of the frontier lists -------------
-                    let piece_raw: Vec<u64> =
-                        ranks.iter().map(|r| r.frontier.len() as u64 * 4).collect();
-                    let expand_bytes: Vec<u64> = if codec.is_raw() {
-                        piece_raw.clone()
-                    } else {
-                        let imp = codec.implementation();
-                        ranks
-                            .iter()
-                            .map(|r| {
-                                imp.encode_sorted_u32(&r.frontier, &mut codec_scratch);
-                                codec_scratch.len() as u64
-                            })
-                            .collect()
-                    };
-                    let (expand_cost, expand_stats) = self.column_expand(&expand_bytes);
-                    if tracer.enabled() {
-                        let mut stats = expand_stats;
-                        if !codec.is_raw() {
-                            stats.raw_bytes = self.column_expand(&piece_raw).1.wire_bytes;
-                        }
-                        tracer.record(TraceEvent::Collective {
-                            level: level_idx,
-                            kind: CollectiveKind::Expand2d,
-                            cost: expand_cost,
-                            stats,
-                        });
-                    }
-                    level_comm += expand_cost.total();
-                    // Functional result: the union of a column's pieces,
-                    // sorted — the merge-join input.
-                    let col_frontiers: Vec<Vec<u32>> = (0..self.cols)
-                        .map(|col| {
-                            let mut f: Vec<u32> = (0..self.rows)
-                                .flat_map(|row| {
-                                    ranks[self.rank_of(row, col)].frontier.iter().copied()
-                                })
-                                .collect();
-                            f.sort_unstable();
-                            f
-                        })
-                        .collect();
-
-                    // --- local multiply (chunked galloping merge-join) ---
-                    let col_ref = &col_frontiers;
-                    let results: Vec<(ComputeEvents, SendBuckets)> = ranks
-                        .par_iter()
-                        .map(|rk| {
-                            let f: &[u32] = &col_ref[rk.col];
-                            let mut sends: SendBuckets = vec![Vec::new(); np];
-                            let mut spans: Vec<(usize, usize)> = vec![(0, 0); TD_CHUNK_FRONTIER];
-                            let mut edge_bytes = 0u64;
-                            let mut cpu_ops = 0u64;
-                            for chunk in f.chunks(TD_CHUNK_FRONTIER) {
-                                let spans = &mut spans[..chunk.len()];
-                                td_match_chunk(&rk.fwd, chunk, spans);
-                                for (&u, &(start, len)) in chunk.iter().zip(spans.iter()) {
-                                    edge_bytes += 8; // merge-join skip through the block
-                                    cpu_ops += 8;
-                                    for &(_, v) in &rk.fwd[start..start + len] {
-                                        edge_bytes += 8;
-                                        cpu_ops += 3;
-                                        sends[self.partition.owner(v as usize)].push((v, u));
-                                    }
-                                }
-                            }
-                            let events = ComputeEvents {
-                                vertex_scan_bytes: f.len() as u64 * 4,
-                                edge_bytes,
-                                write_bytes: 8 * sends.iter().map(|s| s.len() as u64).sum::<u64>(),
-                                cpu_ops,
-                                probes: vec![ProbeClass {
-                                    count: f.len() as u64 / 8 + 1,
-                                    working_set: (rk.fwd.len() * 8).max(64),
-                                    residence: self.scenario.private_residence(),
-                                }],
-                            };
-                            (events, sends)
-                        })
-                        .collect();
-                    let (events, sends): (Vec<ComputeEvents>, Vec<SendBuckets>) =
-                        results.into_iter().unzip();
-                    let times: Vec<SimTime> = events
-                        .iter()
-                        .map(|e| ctx.time(&self.scenario.machine, e))
-                        .collect();
-                    let (mean, stall) = mean_and_stall(&times);
-                    level_comp += mean;
-                    level_stall += stall;
-
-                    // --- fold + min-merge adopt --------------------------
-                    let (fold_cost, discovered) = self.fold_adopt_record(
-                        &mut ranks,
-                        &sends,
-                        &mut fold_ws,
-                        tracer,
-                        level_idx,
-                        &events,
-                        &times,
-                        direction,
-                    );
-                    level_comm += fold_cost.total();
-                    discovered_total = discovered;
-                }
-            }
-
-            // --- level commit (the single write site for the profile) ----
-            profile.stall += level_stall;
-            profile.switch += level_switch;
-            match direction {
-                Direction::BottomUp => {
-                    profile.bu_comp += level_comp;
-                    profile.bu_comm += level_comm;
-                    profile.bu_comm_detail += level_detail;
-                    profile.bu_comm_phases += 1;
-                }
-                Direction::TopDown => {
-                    profile.td_comp += level_comp;
-                    profile.td_comm += level_comm;
-                }
-            }
-            tracer.record(TraceEvent::Level {
-                level: level_idx,
-                direction,
-                discovered: discovered_total,
-                comp: level_comp,
-                comm: level_comm,
-                stall: level_stall,
-                switch: level_switch,
-                detail: level_detail,
-                wall_comp_secs: 0.0,
-            });
-            profile.levels.push(LevelProfile {
-                direction,
-                discovered: discovered_total,
-                comp: level_comp,
-                comm: level_comm,
-                stall: level_stall,
-            });
-            prev_direction = Some(direction);
-            level_idx += 1;
-            if discovered_total == 0 {
-                break;
-            }
-        }
-
-        let mut parent = Vec::with_capacity(n);
-        for rk in &ranks {
-            parent.extend_from_slice(&rk.parent);
-        }
-        parent.truncate(n);
-        let visited = parent.iter().filter(|&&p| p != NO_PARENT).count();
-        BfsRun {
-            parent,
-            visited,
-            profile,
-        }
+        // --- fold + min-merge adopt --------------------------------------
+        let (fold_cost, discovered) = self.fold(lv, &events)?;
+        lv.detail += fold_cost;
+        lv.comm += fold_cost.total();
+        Ok(discovered)
     }
-}
 
-/// Frontier vertices per chunk of the top-down merge-join: the size of the
-/// span scratch a rank reuses across the chunks of one level.
-const TD_CHUNK_FRONTIER: usize = 4096;
+    fn top_down(&mut self, lv: &mut Level<'_>) -> Result<u64, NbfsError> {
+        let engine = self.engine;
+        let codec = engine.scenario.codec;
 
-/// Advances `lo` to the first index of `arcs` whose source is `>= target`.
-///
-/// Exponential (galloping) probe followed by a binary search inside the
-/// bracketed window: for the sorted-frontier sweep the boundary is usually
-/// a handful of entries away, so this touches O(log gap) cache lines where
-/// a from-scratch binary search would touch O(log n) cold ones.
-fn gallop_to(arcs: &[(u32, u32)], lo: usize, target: u32) -> usize {
-    // nbfs-analysis: hot-path
-    // Runs once per frontier vertex per top-down level (twice: range start
-    // and end); pure index arithmetic over a borrowed slice.
-    if lo >= arcs.len() || arcs[lo].0 >= target {
-        return lo;
+        // --- column expand of the frontier lists -------------------------
+        let piece_raw: Vec<u64> = self
+            .ranks
+            .iter()
+            .map(|r| r.own.frontier.len() as u64 * 4)
+            .collect();
+        let expand_cost = if codec.is_raw() {
+            self.expand(lv, &piece_raw, &piece_raw)?
+        } else {
+            let imp = codec.implementation();
+            let codec_scratch = &mut self.codec_scratch;
+            let encoded: Vec<u64> = self
+                .ranks
+                .iter()
+                .map(|r| {
+                    imp.encode_sorted_u32(&r.own.frontier, codec_scratch);
+                    codec_scratch.len() as u64
+                })
+                .collect();
+            self.expand(lv, &piece_raw, &encoded)?
+        };
+        lv.comm += expand_cost.total();
+
+        // --- local multiply: the row walk --------------------------------
+        let (ranks, sends, matched) = (&self.ranks, &mut self.sends, &mut self.matched);
+        let events = lv.kernel(|| engine.top_down_walk(ranks, sends, matched));
+
+        // --- fold + min-merge adopt --------------------------------------
+        let (fold_cost, discovered) = self.fold(lv, &events)?;
+        lv.comm += fold_cost.total();
+        Ok(discovered)
     }
-    // Invariant: arcs[prev].0 < target.
-    let mut prev = lo;
-    let mut step = 1usize;
-    loop {
-        let next = prev + step;
-        if next >= arcs.len() {
-            return prev + 1 + arcs[prev + 1..].partition_point(|&(s, _)| s < target);
-        }
-        if arcs[next].0 >= target {
-            return prev + 1 + arcs[prev + 1..next].partition_point(|&(s, _)| s < target);
-        }
-        prev = next;
-        step *= 2;
-    }
-    // nbfs-analysis: end-hot-path
-}
-
-/// Records, for every vertex of one frontier chunk, the `(start, len)` span
-/// of its matched arcs in the rank's source-sorted block. One binary search
-/// anchors the chunk; from there the sweep gallops, because both sides are
-/// sorted.
-fn td_match_chunk(arcs: &[(u32, u32)], frontier_chunk: &[u32], out: &mut [(usize, usize)]) {
-    // nbfs-analysis: hot-path
-    // The merge-join sweep: near-sequential galloping where a lookup per
-    // frontier vertex would be two full binary searches.
-    let Some(&first_u) = frontier_chunk.first() else {
-        return;
-    };
-    let mut pos = arcs.partition_point(|&(s, _)| s < first_u);
-    for (&u, span) in frontier_chunk.iter().zip(out.iter_mut()) {
-        pos = gallop_to(arcs, pos, u);
-        let start = pos;
-        // Stored vertex ids are < NO_PARENT = u32::MAX, so `u + 1` cannot
-        // wrap.
-        pos = gallop_to(arcs, pos, u + 1);
-        *span = (start, pos - start);
-    }
-    // nbfs-analysis: end-hot-path
-}
-
-/// Mean/max reduction: the mean is the busy slice, the skew (`max - mean`)
-/// is stall — same float-op order as the 1-D engine's reduction.
-fn mean_and_stall(times: &[SimTime]) -> (SimTime, SimTime) {
-    let max = times.iter().copied().fold(SimTime::ZERO, SimTime::max);
-    let mean = times.iter().copied().sum::<SimTime>() / times.len() as f64;
-    (mean, max - mean)
 }
 
 /// Owner-side merge of one fold inbox. The inbox interleaves candidates
@@ -1008,33 +754,30 @@ fn mean_and_stall(times: &[SimTime]) -> (SimTime, SimTime) {
 fn min_adopt(rk: &mut Rank2D, inbox: &[(u32, u32)]) -> u64 {
     let Rank2D {
         first,
-        parent,
-        visited,
-        frontier,
+        own,
         newly,
         deg,
-        unexplored_degree,
         ..
     } = rk;
     newly.clear_all();
     let mut found = 0u64;
     for &(v, u) in inbox {
         let local = v as usize - *first;
-        if visited.get(local) {
+        if own.visited.get(local) {
             continue;
         }
         if newly.set_returning_fresh(local) {
-            parent[local] = u;
+            own.parent[local] = u;
             found += 1;
-        } else if u < parent[local] {
-            parent[local] = u;
+        } else if u < own.parent[local] {
+            own.parent[local] = u;
         }
     }
-    frontier.clear();
+    own.frontier.clear();
     for local in newly.iter_ones() {
-        visited.set(local);
-        *unexplored_degree -= deg[local];
-        frontier.push(vid::to_stored(*first + local));
+        own.visited.set(local);
+        own.unexplored_degree -= deg[local];
+        own.frontier.push(vid::to_stored(*first + local));
     }
     found
 }
@@ -1043,11 +786,13 @@ fn min_adopt(rk: &mut Rank2D, inbox: &[(u32, u32)]) -> u64 {
 #[allow(clippy::unwrap_used, clippy::cast_possible_truncation)]
 mod tests {
     use super::*;
+    use crate::direction::Direction;
     use crate::engine::DistributedBfs;
     use crate::opt::OptLevel;
     use crate::seq;
     use nbfs_graph::validate::validate_bfs_tree;
     use nbfs_graph::{CompressedCsr, GraphBuilder};
+    use nbfs_util::SimTime;
 
     fn machine(nodes: usize) -> MachineConfig {
         MachineConfig::small_test_cluster(nodes, 4)

@@ -27,9 +27,10 @@ use nbfs_util::SimTime;
 
 use nbfs_trace::TraceReport;
 
-use crate::engine::{BfsRun, DistributedBfs, Scenario};
+use crate::engine::{BfsRun, DistributedBfs, Scenario, Search};
+use crate::level::fault_free;
 use crate::profile::RunProfile;
-use crate::query::{DistributedRunBackend, DistributedTracedBackend, QueryEngine};
+use crate::query::{QueryEngine, SearchBackend};
 
 /// Measurement configuration.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
@@ -221,34 +222,27 @@ impl<'g> Graph500Harness<'g> {
     /// Runs the full campaign.
     ///
     /// # Panics
-    /// If validation is enabled and any BFS tree is invalid.
+    /// As [`Self::run_traced`].
     pub fn run(&self, config: &HarnessConfig) -> HarnessResult {
-        let roots = self.sample_roots(config.roots, config.seed);
-        let service = QueryEngine::new(DistributedRunBackend::new(&self.engine));
-        let runs = service.run_batch(&roots);
-        let results: Vec<(RootResult, RunProfile)> = roots
-            .par_iter()
-            .zip(runs.into_par_iter())
-            .map(|(&root, run)| (self.root_result(root, &run, config.validate), run.profile))
-            .collect();
-        let (per_root, profiles): (Vec<RootResult>, Vec<RunProfile>) = results.into_iter().unzip();
-        Self::summarize(per_root, &profiles)
+        self.run_traced(config).0
     }
 
-    /// Runs the full campaign with run-event recording: every iteration
-    /// also yields its [`TraceReport`] (in root order, under the
-    /// scenario's `TraceConfig`).
+    /// Runs the full campaign, also yielding every iteration's
+    /// [`TraceReport`] (in root order; empty unless the scenario's
+    /// `TraceConfig` records).
     ///
     /// # Panics
-    /// If validation is enabled and any BFS tree is invalid.
+    /// If validation is enabled and any BFS tree is invalid, or the
+    /// scenario carries a fault plan that proves unrecoverable.
     pub fn run_traced(&self, config: &HarnessConfig) -> (HarnessResult, Vec<TraceReport>) {
         let roots = self.sample_roots(config.roots, config.seed);
-        let service = QueryEngine::new(DistributedTracedBackend::new(&self.engine));
-        let runs = service.run_batch(&roots);
+        let service = QueryEngine::new(SearchBackend::new(&self.engine));
+        let searches = service.run_batch(&roots);
         let results: Vec<(RootResult, RunProfile, TraceReport)> = roots
             .par_iter()
-            .zip(runs.into_par_iter())
-            .map(|(&root, (run, report))| {
+            .zip(searches.into_par_iter())
+            .map(|(&root, search)| {
+                let Search { run, report, .. } = fault_free(search);
                 (
                     self.root_result(root, &run, config.validate),
                     run.profile,

@@ -10,7 +10,9 @@
 //!   `Granularity`);
 //! * [`engine`] — the distributed hybrid BFS over the simulated cluster:
 //!   real partitioned traversal + counted-work cost model + the collective
-//!   algorithms of `nbfs-comm`;
+//!   algorithms of `nbfs-comm`; it and [`engine2d`] (the 2-D partitioned
+//!   engine of Section V) are two exchanges under one private level
+//!   driver, so both answer `search` with one contract;
 //! * [`profile`] — the Fig. 11 execution-time breakdown (top-down
 //!   computation, bottom-up computation, bottom-up communication, switch,
 //!   stall);
@@ -35,6 +37,7 @@ pub mod direction;
 pub mod engine;
 pub mod engine2d;
 pub mod harness;
+mod level;
 pub mod multi;
 pub mod opt;
 pub mod par;

@@ -18,8 +18,8 @@
 //!
 //! [`Graph500Harness`](crate::harness::Graph500Harness) rides the same
 //! machinery: its 64-root campaign is a [`QueryEngine::run_batch`] over a
-//! [`DistributedRunBackend`], so the measurement loop and the service
-//! path cannot drift apart.
+//! [`SearchBackend`], so the measurement loop and the service path cannot
+//! drift apart.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -27,11 +27,11 @@ use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 use rayon::prelude::*;
 
-use nbfs_graph::Csr;
-use nbfs_trace::TraceReport;
+use nbfs_graph::{Csr, GraphView};
 use nbfs_util::{ArenaPool, NbfsError};
 
-use crate::engine::{BfsRun, DistributedBfs};
+use crate::engine::{DistributedBfs, HostClock, NoClock, Search};
+use crate::engine2d::TwoDimBfs;
 use crate::multi::{multi_source_bfs_in, LaneAnswer, MultiWorkspace, MAX_LANES};
 
 /// One wave executor behind a [`QueryEngine`].
@@ -94,123 +94,60 @@ impl QueryBackend for BitParallelBackend<'_> {
     }
 }
 
+/// A distributed engine a [`SearchBackend`] can sweep: the 1-D
+/// [`DistributedBfs`] or the 2-D [`TwoDimBfs`].
+pub trait SearchEngine: Sync {
+    /// One search from `root` (see [`DistributedBfs::search`]).
+    ///
+    /// # Errors
+    /// As [`DistributedBfs::search`].
+    fn search(&self, root: usize, clock: &dyn HostClock) -> Result<Search, NbfsError>;
+}
+
+impl<G: GraphView> SearchEngine for DistributedBfs<'_, G> {
+    fn search(&self, root: usize, clock: &dyn HostClock) -> Result<Search, NbfsError> {
+        DistributedBfs::search(self, root, clock)
+    }
+}
+
+impl<G: GraphView> SearchEngine for TwoDimBfs<'_, G> {
+    fn search(&self, root: usize, clock: &dyn HostClock) -> Result<Search, NbfsError> {
+        TwoDimBfs::search(self, root, clock)
+    }
+}
+
 /// Distributed backend: one wave is a rayon sweep of independent
-/// fault-free [`DistributedBfs::run`]s. This is what the Graph500
-/// harness batches its campaign through.
-pub struct DistributedRunBackend<'e, 'g> {
-    engine: &'e DistributedBfs<'g>,
+/// searches, each yielding its run plus its [`TraceReport`] (per the
+/// engine scenario's trace configuration, fault records included) or a
+/// structured error — a bad root, or a fault the scenario's plan made
+/// unrecoverable. The Graph500 harness batches its campaign through this
+/// and unwraps; the chaos matrix batches a wave through an engine with
+/// injected faults and compares the recoverable cells bit for bit against
+/// a fault-free wave.
+///
+/// [`TraceReport`]: nbfs_trace::TraceReport
+pub struct SearchBackend<'e, E> {
+    engine: &'e E,
 }
 
-impl<'e, 'g> DistributedRunBackend<'e, 'g> {
+impl<'e, E: SearchEngine> SearchBackend<'e, E> {
     /// Wraps a prepared engine.
-    pub fn new(engine: &'e DistributedBfs<'g>) -> Self {
+    pub fn new(engine: &'e E) -> Self {
         Self { engine }
     }
 }
 
-impl QueryBackend for DistributedRunBackend<'_, '_> {
-    type Answer = BfsRun;
+impl<E: SearchEngine> QueryBackend for SearchBackend<'_, E> {
+    type Answer = Result<Search, NbfsError>;
 
     fn wave_capacity(&self) -> usize {
         MAX_LANES
     }
 
-    fn run_wave(&self, _wave: u64, roots: &[usize]) -> Vec<BfsRun> {
+    fn run_wave(&self, _wave: u64, roots: &[usize]) -> Vec<Self::Answer> {
         roots
             .par_iter()
-            .map(|&root| self.engine.run(root))
-            .collect()
-    }
-}
-
-/// Distributed backend that also records each query's [`TraceReport`]
-/// (under the engine scenario's trace configuration).
-pub struct DistributedTracedBackend<'e, 'g> {
-    engine: &'e DistributedBfs<'g>,
-}
-
-impl<'e, 'g> DistributedTracedBackend<'e, 'g> {
-    /// Wraps a prepared engine.
-    pub fn new(engine: &'e DistributedBfs<'g>) -> Self {
-        Self { engine }
-    }
-}
-
-impl QueryBackend for DistributedTracedBackend<'_, '_> {
-    type Answer = (BfsRun, TraceReport);
-
-    fn wave_capacity(&self) -> usize {
-        MAX_LANES
-    }
-
-    fn run_wave(&self, _wave: u64, roots: &[usize]) -> Vec<(BfsRun, TraceReport)> {
-        roots
-            .par_iter()
-            .map(|&root| self.engine.run_traced(root))
-            .collect()
-    }
-}
-
-/// Fallible distributed backend: queries in a faulted scenario surface
-/// structured [`NbfsError`]s instead of panicking, so the chaos matrix
-/// can batch a wave through an engine with injected faults and compare
-/// the recoverable cells bit for bit against a fault-free wave.
-pub struct DistributedTryRunBackend<'e, 'g> {
-    engine: &'e DistributedBfs<'g>,
-}
-
-impl<'e, 'g> DistributedTryRunBackend<'e, 'g> {
-    /// Wraps a prepared engine.
-    pub fn new(engine: &'e DistributedBfs<'g>) -> Self {
-        Self { engine }
-    }
-}
-
-impl QueryBackend for DistributedTryRunBackend<'_, '_> {
-    type Answer = Result<BfsRun, NbfsError>;
-
-    fn wave_capacity(&self) -> usize {
-        MAX_LANES
-    }
-
-    fn run_wave(&self, _wave: u64, roots: &[usize]) -> Vec<Result<BfsRun, NbfsError>> {
-        roots
-            .par_iter()
-            .map(|&root| self.engine.try_run(root))
-            .collect()
-    }
-}
-
-/// Fallible **and** traced distributed backend: each query yields its
-/// run plus its [`TraceReport`] (fault records included), or a
-/// structured error. The chaos matrix's batched-wave cells use this to
-/// count injected faults and to compare rerun trace logs byte for byte.
-pub struct DistributedTryTracedBackend<'e, 'g> {
-    engine: &'e DistributedBfs<'g>,
-}
-
-impl<'e, 'g> DistributedTryTracedBackend<'e, 'g> {
-    /// Wraps a prepared engine.
-    pub fn new(engine: &'e DistributedBfs<'g>) -> Self {
-        Self { engine }
-    }
-}
-
-impl QueryBackend for DistributedTryTracedBackend<'_, '_> {
-    type Answer = Result<(BfsRun, TraceReport), NbfsError>;
-
-    fn wave_capacity(&self) -> usize {
-        MAX_LANES
-    }
-
-    fn run_wave(
-        &self,
-        _wave: u64,
-        roots: &[usize],
-    ) -> Vec<Result<(BfsRun, TraceReport), NbfsError>> {
-        roots
-            .par_iter()
-            .map(|&root| self.engine.try_run_traced(root))
+            .map(|&root| self.engine.search(root, &NoClock))
             .collect()
     }
 }
@@ -485,9 +422,10 @@ mod tests {
         let scenario = Scenario::new(MachineConfig::small_test_cluster(2, 4), OptLevel::ShareAll);
         let bfs = DistributedBfs::new(&g, &scenario);
         let keys = roots(&g, 6, 9);
-        let engine = QueryEngine::new(DistributedRunBackend::new(&bfs));
+        let engine = QueryEngine::new(SearchBackend::new(&bfs));
         let batched = engine.run_batch(&keys);
-        for (&root, run) in keys.iter().zip(&batched) {
+        for (&root, answer) in keys.iter().zip(&batched) {
+            let run = &answer.as_ref().unwrap().run;
             let solo = bfs.run(root);
             assert_eq!(run.parent, solo.parent, "root {root}");
             assert_eq!(run.visited, solo.visited);
@@ -502,15 +440,28 @@ mod tests {
     }
 
     #[test]
-    fn try_run_backend_surfaces_ok_answers_fault_free() {
+    fn a_root_that_is_not_a_vertex_is_an_answer_not_a_panic() {
+        // `query` forwards caller-supplied roots to the wave leader; a bad
+        // one must come back as that caller's error and leave the wave's
+        // other answers (and the service) intact.
         let g = graph();
         let scenario = Scenario::new(MachineConfig::small_test_cluster(2, 4), OptLevel::ShareAll);
-        let bfs = DistributedBfs::new(&g, &scenario);
-        let keys = roots(&g, 3, 13);
-        let engine = QueryEngine::new(DistributedTryRunBackend::new(&bfs));
-        for (result, &root) in engine.run_batch(&keys).iter().zip(&keys) {
-            let run = result.as_ref().unwrap();
-            assert_eq!(run.parent, bfs.run(root).parent);
-        }
+        let one = DistributedBfs::new(&g, &scenario);
+        let two = TwoDimBfs::new(&g, &scenario);
+        let n = g.num_vertices();
+        let good = roots(&g, 1, 13)[0];
+        let wave = QueryEngine::new(SearchBackend::new(&one)).run_batch(&[good, n]);
+        assert_eq!(wave[0].as_ref().unwrap().run.parent, one.run(good).parent);
+        assert!(
+            matches!(wave[1], Err(NbfsError::Config(_))),
+            "{:?}",
+            wave[1]
+        );
+        let service = QueryEngine::new(SearchBackend::new(&two));
+        assert!(matches!(service.query(n + 7), Err(NbfsError::Config(_))));
+        assert_eq!(
+            service.query(good).unwrap().run.parent,
+            two.run(good).parent
+        );
     }
 }

@@ -115,9 +115,11 @@ fn markdown_files(dir: &std::path::Path, out: &mut Vec<String>) {
 
 #[test]
 fn retired_bench_system_is_gone_from_the_docs_and_quoted_metrics_exist() {
-    // The wall-clock snapshot went in PR 22. Only the project's history
-    // and plan (CHANGES, ROADMAP, the per-PR ISSUE) and the EXPERIMENTS
-    // "Retired variants" section may still name it.
+    // The wall-clock snapshot went in PR 22; the fallible/timed entry-point
+    // family, the per-flavour distributed backends and the 2-D merge-join
+    // went in PR 23. Only the project's history and plan (CHANGES,
+    // ROADMAP, the per-PR ISSUE) and the EXPERIMENTS "Retired variants"
+    // section may still name them.
     let mut files = Vec::new();
     markdown_files(std::path::Path::new(env!("CARGO_MANIFEST_DIR")), &mut files);
     assert!(files.contains(&"README.md".to_string()), "{files:?}");
@@ -129,7 +131,14 @@ fn retired_bench_system_is_gone_from_the_docs_and_quoted_metrics_exist() {
             if name == "EXPERIMENTS.md" && section.starts_with("Retired variants") {
                 continue;
             }
-            for retired in ["BENCH_BFS.json", "bench-snapshot", "serve-bench"] {
+            for retired in [
+                "BENCH_BFS.json",
+                "bench-snapshot",
+                "serve-bench",
+                "try_run_traced_timed",
+                "DistributedTryTracedBackend",
+                "td_match_chunk",
+            ] {
                 assert!(!section.contains(retired), "{name} still has {retired}");
             }
         }

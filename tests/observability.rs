@@ -8,17 +8,19 @@
 // denies both in library targets (see [workspace.lints] in Cargo.toml).
 #![allow(clippy::unwrap_used, clippy::cast_possible_truncation)]
 use numa_bfs::comm::codec::Codec;
+use numa_bfs::comm::{FaultPlan, FaultScope, FaultSpec};
 use numa_bfs::core::direction::SwitchPolicy;
-use numa_bfs::core::engine::{DistributedBfs, NoClock, Scenario};
+use numa_bfs::core::engine::{DistributedBfs, HostClock, NoClock, Scenario, Search};
 use numa_bfs::core::engine2d::TwoDimBfs;
 use numa_bfs::core::harness::HarnessConfig;
 use numa_bfs::core::opt::OptLevel;
 use numa_bfs::core::par::bfs_hybrid_parallel_traced;
 use numa_bfs::core::profile::{Phase, RunProfile};
+use numa_bfs::core::query::SearchEngine;
 use numa_bfs::graph::{Csr, GraphBuilder};
 use numa_bfs::simnet::compute::ModelParams;
 use numa_bfs::topology::{presets, MachineConfig};
-use numa_bfs::trace::{TraceConfig, TraceReport, SCHEMA_VERSION};
+use numa_bfs::trace::{FaultKind, FaultOp, TraceConfig, TraceReport, SCHEMA_VERSION};
 
 fn graph() -> Csr {
     GraphBuilder::rmat(11, 8).seed(5).build()
@@ -77,18 +79,58 @@ fn trace_projection_is_bitwise_exact_across_the_ladder() {
     }
 }
 
+/// A host clock that counts its reads: every read is one "second" later.
+struct CountingClock(std::cell::Cell<f64>);
+
+impl HostClock for CountingClock {
+    fn now_secs(&self) -> f64 {
+        self.0.set(self.0.get() + 1.0);
+        self.0.get()
+    }
+}
+
 #[test]
 fn trace_projection_is_bitwise_exact_for_2d_engine() {
     let g = graph();
-    let scenario = Scenario::builder(
-        MachineConfig::small_test_cluster(2, 2),
-        OptLevel::OriginalPpn8,
-    )
-    .trace(TraceConfig::Standard)
-    .build()
-    .unwrap();
-    let (run, report) = TwoDimBfs::new(&g, &scenario).run_traced(0);
-    assert_profiles_bitwise(&report.run_profile(), &run.profile, "2d");
+    let stall = FaultPlan::new(11).spec(FaultSpec::new(
+        FaultKind::Stall,
+        FaultScope::any().op(FaultOp::Rank),
+    ));
+    for (context, plan) in [("2d", None), ("2d under stalls", Some(stall))] {
+        let mut builder = Scenario::builder(
+            MachineConfig::small_test_cluster(2, 2),
+            OptLevel::OriginalPpn8,
+        )
+        .trace(TraceConfig::Standard);
+        if let Some(plan) = plan {
+            builder = builder.faults(plan);
+        }
+        let scenario = builder.build().unwrap();
+        let engines: [&dyn SearchEngine; 2] = [
+            &TwoDimBfs::new(&g, &scenario),
+            &DistributedBfs::new(&g, &scenario),
+        ];
+        for engine in engines {
+            let clock = CountingClock(std::cell::Cell::new(0.0));
+            let Search { run, wall, report } = engine.search(0, &clock).unwrap();
+            // Penalties flow through the accumulators the Level events
+            // carry, so the projection stays exact with them.
+            assert_eq!(report.faults.is_empty(), !context.contains("stalls"));
+            assert_profiles_bitwise(&report.run_profile(), &run.profile, context);
+            // Both engines time their kernels through the one driver: two
+            // clock reads a level, and every level is one or the other.
+            assert_eq!(
+                (wall.bottom_up_levels + wall.top_down_levels) as usize,
+                run.profile.levels.len(),
+                "{context}"
+            );
+            assert_eq!(
+                wall.bottom_up_secs + wall.top_down_secs,
+                run.profile.levels.len() as f64,
+                "{context}"
+            );
+        }
+    }
 }
 
 #[test]
