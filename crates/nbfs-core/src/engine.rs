@@ -32,6 +32,7 @@ use nbfs_trace::{CollectiveKind, CommCost, TraceConfig, TraceReport};
 use nbfs_util::{Bitmap, NbfsError, SummaryBitmap, WORD_BITS};
 
 use crate::direction::{Direction, SwitchPolicy};
+use crate::grain;
 use crate::level::{self, fault_free, Env, Exchange, Level, Owned};
 use crate::opt::OptLevel;
 use crate::profile::RunProfile;
@@ -934,14 +935,25 @@ impl<'e, 'g, G: GraphView> OneDim<'e, 'g, G> {
     /// Rewrites every rank's `out_words` segment from its frontier queue.
     fn queues_to_segments(&mut self) {
         let partition = self.engine.parts.partition();
-        self.states.par_iter_mut().enumerate().for_each(|(r, st)| {
-            let (bit_start, _) = partition.item_range(r);
-            st.out_words.fill(0);
-            for &v in &st.own.frontier {
-                let local_bit = v as usize - bit_start;
-                st.out_words[local_bit / 64] |= 1u64 << (local_bit % 64);
-            }
-        });
+        // A rank clears its segment and sets one bit per queued vertex.
+        let ops: usize = self
+            .states
+            .iter()
+            .map(|st| st.out_words.len() + st.own.frontier.len())
+            .sum();
+        let min_len = grain::min_len(self.states.len(), ops as u64);
+        self.states
+            .par_iter_mut()
+            .with_min_len(min_len)
+            .enumerate()
+            .for_each(|(r, st)| {
+                let (bit_start, _) = partition.item_range(r);
+                st.out_words.fill(0);
+                for &v in &st.own.frontier {
+                    let local_bit = v as usize - bit_start;
+                    st.out_words[local_bit / 64] |= 1u64 << (local_bit % 64);
+                }
+            });
     }
 
     /// Allgathers the ranks' `out_words` segments straight into the
@@ -1046,9 +1058,18 @@ impl<G: GraphView> Exchange for OneDim<'_, '_, G> {
 
         let (in_queue, summary) = (&self.in_queue, &self.summary);
         let states = &mut self.states;
+        // A scan walks the visited words and at most the arcs of the
+        // unvisited vertices.
+        let ops = in_queue.words().len() as u64
+            + states
+                .iter()
+                .map(|st| st.own.unexplored_degree)
+                .sum::<u64>();
+        let min_len = grain::min_len(states.len(), ops);
         let outs: Vec<KernelOut> = lv.kernel(|| {
             states
                 .par_iter_mut()
+                .with_min_len(min_len)
                 .enumerate()
                 .map(|(r, st)| {
                     let lg = engine.parts.local(r);

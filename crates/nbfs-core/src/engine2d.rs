@@ -52,6 +52,7 @@ use nbfs_trace::{CollectiveKind, CollectiveStats, CommCost, TraceConfig, TraceRe
 use nbfs_util::{Bitmap, BlockPartition, NbfsError, SummaryBitmap, WORD_BITS};
 
 use crate::engine::{BfsRun, BuRows, BuScanInputs, HostClock, NoClock, Scenario, Search};
+use crate::grain;
 use crate::level::{self, fault_free, Env, Exchange, Level, Owned};
 
 /// Per-destination buckets of `(vertex, parent)` records.
@@ -452,6 +453,12 @@ struct TwoDim<'e, 'g, G: GraphView> {
 }
 
 impl<'e, 'g, G: GraphView> TwoDim<'e, 'g, G> {
+    /// Words of one bitmap over all vertices: the unit the per-level rank
+    /// maps below size their grain in.
+    fn words(&self) -> usize {
+        self.engine.graph.num_vertices().div_ceil(WORD_BITS)
+    }
+
     fn new(engine: &'e TwoDimBfs<'g, G>) -> Self {
         let n = engine.graph.num_vertices();
         let np = engine.pmap.world_size();
@@ -525,10 +532,14 @@ impl<'e, 'g, G: GraphView> TwoDim<'e, 'g, G> {
             engine.scenario.codec,
         );
         lv.collective(CollectiveKind::Alltoallv, fold_cost, fold_stats, Vec::new)?;
+        // An owner clears its `newly` words and merges its inbox.
+        let inboxes = &self.fold_ws.received;
+        let ops = self.words() + inboxes.iter().map(Vec::len).sum::<usize>();
         let found: Vec<u64> = self
             .ranks
             .par_iter_mut()
-            .zip(self.fold_ws.received.par_iter())
+            .zip(inboxes.par_iter())
+            .with_min_len(grain::min_len(inboxes.len(), ops as u64))
             .map(|(rk, inbox)| min_adopt(rk, inbox))
             .collect();
         let discovered = lv.charge_ranks(events.iter().zip(found.iter().copied()));
@@ -582,8 +593,10 @@ impl<G: GraphView> Exchange for TwoDim<'_, '_, G> {
         // words. Block starts are word-aligned, so the segments tile the
         // replica exactly.
         let ranks_ref = &self.ranks;
+        let words = self.words();
         self.vis_rows
             .par_iter_mut()
+            .with_min_len(grain::min_len(engine.rows, words as u64))
             .enumerate()
             .for_each(|(i, vr)| {
                 let (rs, _) = engine.row_span(i);
@@ -622,10 +635,15 @@ impl<G: GraphView> Exchange for TwoDim<'_, '_, G> {
         lv.comm += expand_cost.total();
         // Functional result: each column's frontier bitmap and summary
         // over the global id space.
+        // A column clears its bitmap, sets its frontier's bits and reads
+        // the bitmap back into the summary.
         let ranks_ref = &self.ranks;
+        let n_f: usize = ranks_ref.iter().map(|r| r.own.frontier.len()).sum();
+        let ops = 2 * engine.cols * words + n_f;
         self.col_q
             .par_iter_mut()
             .zip(self.col_sum.par_iter_mut())
+            .with_min_len(grain::min_len(engine.cols, ops as u64))
             .enumerate()
             .for_each(|(j, (q, s))| {
                 q.clear_all();
@@ -640,10 +658,15 @@ impl<G: GraphView> Exchange for TwoDim<'_, '_, G> {
         // --- bottom-up scan over the row group ---------------------------
         let (vis_rows, col_q, col_sum) = (&self.vis_rows, &self.col_q, &self.col_sum);
         let (ranks, sends) = (&mut self.ranks, &mut self.sends);
+        // A block walks its row group's visited words and at most the arcs
+        // of the unvisited vertices.
+        let m_u: u64 = ranks.iter().map(|r| r.own.unexplored_degree).sum();
+        let min_len = grain::min_len(ranks.len(), (engine.cols * words) as u64 + m_u);
         let events: Vec<ComputeEvents> = lv.kernel(|| {
             ranks
                 .par_iter_mut()
                 .zip(sends.par_iter_mut())
+                .with_min_len(min_len)
                 .map(|(rk, buckets)| {
                     let Rank2D {
                         row,

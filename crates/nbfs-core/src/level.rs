@@ -35,6 +35,7 @@ use crate::engine::{
     bu_scan_chunk, BfsRun, BuChunkOut, BuRows, BuScanInputs, HostClock, Scenario, WallClock,
     BU_CHUNK_WORDS,
 };
+use crate::grain;
 use crate::profile::{LevelProfile, RunProfile};
 
 /// What one [`DistributedBfs::search`](crate::engine::DistributedBfs::search)
@@ -324,15 +325,15 @@ pub(crate) fn bu_scan<R: BuRows>(
     out: &mut [u64],
 ) -> BuChunkOut {
     let chunk_bits = BU_CHUNK_WORDS * WORD_BITS;
-    let tasks: Vec<(usize, &mut [u32], &mut [u64])> = parent
-        .chunks_mut(chunk_bits)
-        .zip(out.chunks_mut(BU_CHUNK_WORDS))
+    // The scan charges two ops a vertex before it reads an arc; a block
+    // with less than two pieces of that stays on its rank's own thread.
+    let min_len = grain::min_len(parent.len().div_ceil(chunk_bits), 2 * parent.len() as u64);
+    let chunk_outs: Vec<BuChunkOut> = parent
+        .par_chunks_mut(chunk_bits)
+        .zip(out.par_chunks_mut(BU_CHUNK_WORDS))
+        .with_min_len(min_len)
         .enumerate()
-        .map(|(ci, (p, o))| (ci, p, o))
-        .collect();
-    let chunk_outs: Vec<BuChunkOut> = tasks
-        .into_par_iter()
-        .map(|(ci, parent_chunk, out_chunk)| {
+        .map(|(ci, (parent_chunk, out_chunk))| {
             bu_scan_chunk(inputs, ci * chunk_bits, parent_chunk, out_chunk)
         })
         .collect();

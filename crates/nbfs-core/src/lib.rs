@@ -36,6 +36,7 @@
 pub mod direction;
 pub mod engine;
 pub mod engine2d;
+mod grain;
 pub mod harness;
 mod level;
 pub mod multi;

@@ -15,22 +15,29 @@
 //! * **Expand** — workers walk disjoint chunks of the active list; for
 //!   each frontier vertex `v` and neighbour `w`, the lanes newly reaching
 //!   `w` are `cur[v] & !reached[w]`, OR-ed into `next[w]` with one
-//!   `fetch_or_word` (idempotent, so the race is benign).
+//!   `fetch_or_word` (idempotent, so the race is benign). The old word it
+//!   returns tells exactly one claimer that it was first, and that one
+//!   sets `w`'s bit in the one-bit-per-vertex `touched` bitmap.
 //! * **Settle** — workers own disjoint fixed vertex ranges (chunking is a
-//!   pure function of the vertex count, never the thread count); each
-//!   newly-claimed vertex scans its *sorted* adjacency list ascending and
-//!   records, per lane, the first frontier neighbour carrying that lane —
-//!   the **minimum** frontier neighbour, the very parent
-//!   [`crate::par::bfs_hybrid_parallel`]'s `fetch_min` rule elects. Plain
-//!   stores suffice (one owner per vertex), and the whole parent table is
-//!   a deterministic function of graph + roots: bit-identical across
-//!   thread pools, batch compositions and admission orders.
+//!   pure function of the vertex count, never the thread count) and walk
+//!   their words of `touched`, clearing them — `n/64` words a level, not
+//!   the `n` lane words of `next`. Each newly-claimed vertex scans its
+//!   *sorted* adjacency list ascending and records, per lane, the first
+//!   frontier neighbour carrying that lane — the **minimum** frontier
+//!   neighbour, the very parent [`crate::par::bfs_hybrid_parallel`]'s
+//!   `fetch_min` rule elects. Plain stores suffice (one owner per vertex),
+//!   and the whole parent table is a deterministic function of graph +
+//!   roots: bit-identical across thread pools, batch compositions and
+//!   admission orders.
 //!
-//! Dense mid-wave levels run **bottom-up** instead (chosen by the Beamer
-//! α/β policy over lane-union frontier statistics): each owner task
-//! scans its still-missing vertices' sorted adjacency ascending with
-//! early exit once every missing lane found a frontier neighbour — the
-//! same minimum-parent rule, fused claim+settle, no atomics at all.
+//! Dense mid-wave levels run **bottom-up** instead, chosen by the Beamer
+//! α/β policy over the lane-union frontier statistics `m_f` / `m_u`. Those
+//! are running values — counted once at wave start, then moved by the
+//! integer degree tallies the settle tasks return — so every level decides
+//! on the numbers a recount would give. Each bottom-up owner task scans its
+//! still-missing vertices' sorted adjacency ascending with early exit once
+//! every missing lane found a frontier neighbour — the same minimum-parent
+//! rule, fused claim+settle, no atomics at all.
 //!
 //! The per-lane unpack at the end copies each lane's contiguous column
 //! of the lane-major parent table into an independent parent array, each
@@ -44,10 +51,11 @@ use rayon::prelude::*;
 
 use nbfs_graph::{vid, Csr, NO_PARENT};
 use nbfs_trace::{CommCost, QueryRecord, RunMeta, TraceConfig, TraceEvent, TraceReport, Tracer};
-use nbfs_util::{Bitmap, FrontierArena, FrontierSlot, LaneBitmap, SimTime};
+use nbfs_util::{AtomicBitmap, Bitmap, FrontierArena, FrontierSlot, LaneBitmap, SimTime};
 
 use crate::direction::{Direction, SwitchPolicy};
 use crate::engine::{HostClock, NoClock};
+use crate::grain;
 
 /// Lanes per wave: one per bit of the per-vertex lane word.
 pub const MAX_LANES: usize = 64;
@@ -58,6 +66,62 @@ const CHUNK: usize = 1024;
 /// Vertices per settle task — fixed, thread-count-independent chunking,
 /// like the distributed kernels' word blocks.
 const SETTLE_TASK: usize = 4096;
+
+/// Words of the `touched` bitmap per settle task.
+const SETTLE_TASK_WORDS: usize = SETTLE_TASK / 64;
+
+/// What one settle (or fused bottom-up) task hands the level tail.
+struct Settled<'a> {
+    /// The task's share of the next active list, ascending.
+    slot: FrontierSlot<'a, u32>,
+    /// Vertices each lane discovered.
+    counts: [u64; MAX_LANES],
+    /// Adjacency entries examined.
+    edges: u64,
+    /// Degree sum of `slot`'s vertices: the next level's `m_f` share.
+    frontier_degree: u64,
+    /// Degree sum of the vertices whose last missing lane arrived: what
+    /// leaves `m_u`.
+    completed_degree: u64,
+}
+
+impl<'a> Settled<'a> {
+    fn new(slot: FrontierSlot<'a, u32>) -> Self {
+        Self {
+            slot,
+            counts: [0; MAX_LANES],
+            edges: 0,
+            frontier_degree: 0,
+            completed_degree: 0,
+        }
+    }
+
+    /// Records `u` as `v`'s parent in every lane of `hit`.
+    #[inline]
+    fn adopt(&mut self, parent: &[AtomicU32], n: usize, v: usize, u: u32, hit: u64) {
+        let mut h = hit;
+        while h != 0 {
+            let lane = h.trailing_zeros() as usize;
+            h &= h - 1;
+            parent[lane * n + v].store(u, Ordering::Relaxed);
+            self.counts[lane] += 1;
+        }
+    }
+
+    /// Marks `v` reached in the lanes of `new`, queues it for the next
+    /// level and tallies its degree into the running `m_f` / `m_u`.
+    #[inline]
+    fn queue(&mut self, graph: &Csr, reached: &LaneBitmap, wave_mask: u64, v: usize, new: u64) {
+        let now = reached.load_word(v) | new;
+        reached.store_word(v, now);
+        self.slot.push(vid::to_stored(v));
+        let degree = graph.degree(v) as u64;
+        self.frontier_degree += degree;
+        if now == wave_mask {
+            self.completed_degree += degree;
+        }
+    }
+}
 
 /// One query's answer, unpacked from its lane of a wave.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -100,6 +164,11 @@ pub struct MultiWorkspace {
     reached: LaneBitmap,
     cur: LaneBitmap,
     next: LaneBitmap,
+    /// One bit per vertex: set by the expand's first claim of the vertex
+    /// in this level, cleared by the settle task that serves it — the
+    /// top-down level tail walks these `n/64` words, never the `n` lane
+    /// words of `next`.
+    touched: AtomicBitmap,
     /// Lane-major flattened parents: `parent[lane * n + v]`. Lane-major
     /// keeps each settle task's writes on up-to-64 ascending streams and
     /// makes the per-lane unpack a contiguous column read instead of a
@@ -127,6 +196,7 @@ impl MultiWorkspace {
             reached: LaneBitmap::new(0),
             cur: LaneBitmap::new(0),
             next: LaneBitmap::new(0),
+            touched: AtomicBitmap::new(0),
             parent: Vec::new(),
             parent_dirty: false,
             active: Vec::new(),
@@ -142,10 +212,12 @@ impl MultiWorkspace {
             self.reached = LaneBitmap::new(n);
             self.cur = LaneBitmap::new(n);
             self.next = LaneBitmap::new(n);
+            self.touched = AtomicBitmap::new(n);
         } else {
             self.reached.clear_all();
             self.cur.clear_all();
             self.next.clear_all();
+            self.touched.clear_all();
         }
         let need = n * lanes;
         if self.parent.len() != need {
@@ -242,6 +314,7 @@ pub(crate) fn multi_source_bfs_instrumented(
     );
 
     let num_tasks = n.div_ceil(SETTLE_TASK);
+    let num_words = ws.touched.word_len();
     let wave_mask: u64 = if lanes == MAX_LANES {
         u64::MAX
     } else {
@@ -256,118 +329,119 @@ pub(crate) fn multi_source_bfs_instrumented(
     let mut lane_levels: Vec<Vec<u64>> = vec![Vec::new(); lanes];
     let mut wave_levels = 0usize;
 
+    // --- direction statistics (Beamer α/β, lane-union) -------------------
+    // m_f: arcs incident to the union frontier. m_u: arcs incident to
+    // vertices still missing at least one lane. Both are running values:
+    // counted once here, then moved by the integer tallies the settle tasks
+    // return (the degrees of the vertices they queue, and of the vertices
+    // whose `reached` word became `wave_mask`). Integer sums are exact in
+    // any grouping, so the chosen direction — and hence every probe count
+    // — is what a per-level recount would give, on any schedule.
+    let mut m_f: u64 = ws
+        .active
+        .iter()
+        .map(|&v| graph.degree(v as usize) as u64)
+        .sum();
+    let mut m_u: u64 = (0..n)
+        .filter(|&v| ws.reached.load_word(v) != wave_mask)
+        .map(|v| graph.degree(v) as u64)
+        .sum();
+
     while !ws.active.is_empty() {
         let cur = &ws.cur;
         let reached = &ws.reached;
         let next = &ws.next;
+        let touched = &ws.touched;
         let parent = &ws.parent;
         let level_start = clock.now_secs();
-
-        // --- direction choice (Beamer α/β, lane-union statistics) --------
-        // m_f: arcs incident to the union frontier. m_u: arcs incident to
-        // vertices still missing at least one lane. Pure functions of the
-        // level-start state, so the chosen direction — and hence every
-        // probe count — is schedule-independent.
-        let m_f: u64 = ws
-            .active
-            .par_chunks(CHUNK)
-            .map(|chunk| {
-                chunk
-                    .iter()
-                    .map(|&v| graph.degree(v as usize) as u64)
-                    .sum::<u64>()
-            })
-            .sum();
-        let m_u: u64 = (0..num_tasks)
-            .into_par_iter()
-            .map(|task| {
-                let start = task * SETTLE_TASK;
-                let end = ((task + 1) * SETTLE_TASK).min(n);
-                (start..end)
-                    .filter(|&v| reached.load_word(v) != wave_mask)
-                    .map(|v| graph.degree(v) as u64)
-                    .sum::<u64>()
-            })
-            .sum();
         direction = policy.choose(direction, m_f, m_u, ws.active.len() as u64, n as u64);
+        let chunks = ws.active.len().div_ceil(CHUNK);
 
-        let filled: Vec<(FrontierSlot<'_, u32>, [u64; MAX_LANES], u64)> = if direction
-            == Direction::TopDown
-        {
+        let filled: Vec<Settled<'_>> = if direction == Direction::TopDown {
             // --- expand --------------------------------------------------
             // nbfs-analysis: hot-path
             // Per-edge work of the expand phase: one reached-word load and
-            // at most one fetch_or claim; allocation-free by construction
-            // (NBFS004).
-            ws.active.par_chunks(CHUNK).for_each(|chunk| {
-                let mut local_edges = 0u64;
-                for &v in chunk {
-                    let fv = cur.load_word(v as usize);
-                    for &w in graph.neighbours(v as usize) {
-                        local_edges += 1;
-                        let new = fv & !reached.load_word(w as usize);
-                        if new != 0 {
-                            next.fetch_or_word(w as usize, new);
+            // at most one fetch_or claim, whose returned old word tells the
+            // first claimer of a vertex to flag it in `touched`;
+            // allocation-free by construction (NBFS004).
+            ws.active
+                .par_chunks(CHUNK)
+                .with_min_len(grain::min_len(chunks, m_f))
+                .for_each(|chunk| {
+                    let mut local_edges = 0u64;
+                    for &v in chunk {
+                        let fv = cur.load_word(v as usize);
+                        for &w in graph.neighbours(v as usize) {
+                            local_edges += 1;
+                            let new = fv & !reached.load_word(w as usize);
+                            if new != 0 && next.fetch_or_word(w as usize, new) == 0 {
+                                touched.set(w as usize);
+                            }
                         }
                     }
-                }
-                edges.fetch_add(local_edges, Ordering::Relaxed);
-            });
+                    edges.fetch_add(local_edges, Ordering::Relaxed);
+                });
             // nbfs-analysis: end-hot-path
 
             // --- settle --------------------------------------------------
             // Fixed vertex-range tasks (pure function of n), so the merged
             // next frontier and every parent store are schedule-independent.
+            // A task walks its words of `touched`, so the level reads n/64
+            // words plus what the frontier reached.
             ws.caps.clear();
             ws.caps.extend((0..num_tasks).map(|task| {
-                let start = task * SETTLE_TASK;
-                let end = ((task + 1) * SETTLE_TASK).min(n);
-                (start..end).filter(|&v| next.load_word(v) != 0).count()
+                let w_start = task * SETTLE_TASK_WORDS;
+                let w_end = ((task + 1) * SETTLE_TASK_WORDS).min(num_words);
+                (w_start..w_end)
+                    .map(|wi| touched.load_word(wi).count_ones() as usize)
+                    .sum::<usize>()
             }));
             ws.arena
                 .begin(&ws.caps)
                 .into_par_iter()
+                .with_min_len(grain::min_len(num_tasks, num_words as u64 + m_f))
                 .enumerate()
-                .map(|(task, mut slot)| {
-                    let start = task * SETTLE_TASK;
-                    let end = ((task + 1) * SETTLE_TASK).min(n);
-                    let mut counts = [0u64; MAX_LANES];
-                    let mut local_edges = 0u64;
+                .map(|(task, slot)| {
+                    let w_start = task * SETTLE_TASK_WORDS;
+                    let w_end = ((task + 1) * SETTLE_TASK_WORDS).min(num_words);
+                    let mut out = Settled::new(slot);
                     // nbfs-analysis: hot-path
                     // Each claimed vertex scans its sorted adjacency
                     // ascending and takes, per lane, the first frontier
                     // neighbour — the minimum, i.e. the reference parent.
                     // One owner per vertex: plain stores, no RMW, no
                     // allocation (NBFS004).
-                    for v in start..end {
-                        let new = next.load_word(v);
-                        if new == 0 {
+                    for wi in w_start..w_end {
+                        let mut word = touched.load_word(wi);
+                        if word == 0 {
                             continue;
                         }
-                        reached.store_word(v, reached.load_word(v) | new);
-                        let mut pending = new;
-                        for &u in graph.neighbours(v) {
-                            local_edges += 1;
-                            let hit = cur.load_word(u as usize) & pending;
-                            if hit != 0 {
-                                let mut h = hit;
-                                while h != 0 {
-                                    let lane = h.trailing_zeros() as usize;
-                                    h &= h - 1;
-                                    parent[lane * n + v].store(u, Ordering::Relaxed);
-                                    counts[lane] += 1;
-                                }
-                                pending &= !hit;
-                                if pending == 0 {
-                                    break;
+                        touched.store_word(wi, 0);
+                        while word != 0 {
+                            let v = wi * 64 + word.trailing_zeros() as usize;
+                            word &= word - 1;
+                            let new = next.load_word(v);
+                            let mut pending = new;
+                            for &u in graph.neighbours(v) {
+                                out.edges += 1;
+                                let hit = cur.load_word(u as usize) & pending;
+                                if hit != 0 {
+                                    out.adopt(parent, n, v, u, hit);
+                                    pending &= !hit;
+                                    if pending == 0 {
+                                        break;
+                                    }
                                 }
                             }
+                            debug_assert_eq!(
+                                pending, 0,
+                                "every claimed lane has a frontier neighbour"
+                            );
+                            out.queue(graph, reached, wave_mask, v, new);
                         }
-                        debug_assert_eq!(pending, 0, "every claimed lane has a frontier neighbour");
-                        slot.push(vid::to_stored(v));
                     }
                     // nbfs-analysis: end-hot-path
-                    (slot, counts, local_edges)
+                    out
                 })
                 .collect()
         } else {
@@ -378,7 +452,9 @@ pub(crate) fn multi_source_bfs_instrumented(
             // parent the top-down settle elects. Early exit once every
             // missing lane is served makes the dense bulge cheap, exactly
             // like the scalar bottom-up of [`crate::par`]. The caps are the
-            // per-task missing-vertex counts (an upper bound on claims).
+            // per-task missing-vertex counts (an upper bound on claims);
+            // this arm must visit every missing vertex anyway, so it keeps
+            // its scan of the lane words.
             ws.caps.clear();
             ws.caps.extend((0..num_tasks).map(|task| {
                 let start = task * SETTLE_TASK;
@@ -391,11 +467,10 @@ pub(crate) fn multi_source_bfs_instrumented(
                 .begin(&ws.caps)
                 .into_par_iter()
                 .enumerate()
-                .map(|(task, mut slot)| {
+                .map(|(task, slot)| {
                     let start = task * SETTLE_TASK;
                     let end = ((task + 1) * SETTLE_TASK).min(n);
-                    let mut counts = [0u64; MAX_LANES];
-                    let mut local_edges = 0u64;
+                    let mut out = Settled::new(slot);
                     // nbfs-analysis: hot-path
                     // Owner-exclusive claim + settle: plain stores into
                     // reached/next/parent, no RMW, no allocation (NBFS004).
@@ -406,16 +481,10 @@ pub(crate) fn multi_source_bfs_instrumented(
                         }
                         let mut found = 0u64;
                         for &u in graph.neighbours(v) {
-                            local_edges += 1;
+                            out.edges += 1;
                             let hit = cur.load_word(u as usize) & pending;
                             if hit != 0 {
-                                let mut h = hit;
-                                while h != 0 {
-                                    let lane = h.trailing_zeros() as usize;
-                                    h &= h - 1;
-                                    parent[lane * n + v].store(u, Ordering::Relaxed);
-                                    counts[lane] += 1;
-                                }
+                                out.adopt(parent, n, v, u, hit);
                                 found |= hit;
                                 pending &= !hit;
                                 if pending == 0 {
@@ -425,12 +494,11 @@ pub(crate) fn multi_source_bfs_instrumented(
                         }
                         if found != 0 {
                             next.store_word(v, found);
-                            reached.store_word(v, reached.load_word(v) | found);
-                            slot.push(vid::to_stored(v));
+                            out.queue(graph, reached, wave_mask, v, found);
                         }
                     }
                     // nbfs-analysis: end-hot-path
-                    (slot, counts, local_edges)
+                    out
                 })
                 .collect()
         };
@@ -438,26 +506,32 @@ pub(crate) fn multi_source_bfs_instrumented(
         // --- level tail --------------------------------------------------
         let mut level_counts = [0u64; MAX_LANES];
         let mut settle_edges = 0u64;
-        for (_, counts, e) in &filled {
-            for (total, c) in level_counts.iter_mut().zip(counts.iter()) {
+        m_f = 0;
+        for out in &filled {
+            for (total, c) in level_counts.iter_mut().zip(out.counts.iter()) {
                 *total += c;
             }
-            settle_edges += e;
+            settle_edges += out.edges;
+            m_f += out.frontier_degree;
+            m_u -= out.completed_degree;
         }
         edges.fetch_add(settle_edges, Ordering::Relaxed);
 
         // Retire the old frontier, promote the claims, rebuild the active
         // list in task order (ascending vertex ids).
-        ws.active.par_chunks(CHUNK).for_each(|chunk| {
-            for &v in chunk {
-                cur.store_word(v as usize, 0);
-            }
-        });
+        ws.active
+            .par_chunks(CHUNK)
+            .with_min_len(grain::min_len(chunks, ws.active.len() as u64))
+            .for_each(|chunk| {
+                for &v in chunk {
+                    cur.store_word(v as usize, 0);
+                }
+            });
         ws.active.clear();
         ws.active
-            .reserve(filled.iter().map(|(slot, _, _)| slot.len()).sum());
-        for (slot, _, _) in &filled {
-            ws.active.extend_from_slice(slot.as_slice());
+            .reserve(filled.iter().map(|out| out.slot.len()).sum());
+        for out in &filled {
+            ws.active.extend_from_slice(out.slot.as_slice());
         }
         drop(filled);
         std::mem::swap(&mut ws.cur, &mut ws.next);

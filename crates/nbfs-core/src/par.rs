@@ -33,6 +33,7 @@ use nbfs_util::{AtomicBitmap, Bitmap, FrontierArena, FrontierSlot, SimTime};
 
 use crate::direction::{Direction, SwitchPolicy};
 use crate::engine::{HostClock, NoClock};
+use crate::grain;
 use crate::seq::{LevelTrace, SeqBfs};
 
 /// Chunk of vertices processed per work-stealing task.
@@ -103,8 +104,12 @@ fn bfs_hybrid_parallel_instrumented(
     let num_words = visited.word_len();
     let num_tasks = num_words.div_ceil(BU_TASK_WORDS);
 
+    // Arcs out of the frontier and arcs incident to unvisited vertices:
+    // running values, both moved by the degree sum the level tail takes of
+    // the vertices it queues.
+    let mut m_f = graph.degree(root) as u64;
     let total_degree: u64 = (0..n).map(|v| graph.degree(v) as u64).sum();
-    let mut m_u = total_degree - graph.degree(root) as u64;
+    let mut m_u = total_degree - m_f;
     let mut direction = Direction::TopDown;
     let mut levels = Vec::new();
     let mut level_idx: usize = 0;
@@ -114,10 +119,6 @@ fn bfs_hybrid_parallel_instrumented(
         if n_f == 0 {
             break;
         }
-        let m_f: u64 = frontier
-            .par_iter()
-            .map(|&u| graph.degree(u as usize) as u64)
-            .sum();
         let prev = direction;
         direction = policy.choose(direction, m_f, m_u, n_f, n as u64);
         tracer.record(TraceEvent::Decision {
@@ -228,7 +229,9 @@ fn bfs_hybrid_parallel_instrumented(
         // fetch_or_word per word — the bitmap is never re-derived) and
         // rebuild the next queue ascending through the recycled arena.
         // Task boundaries are a pure function of the vertex count, so the
-        // merged queue is bit-identical across thread pools.
+        // merged queue is bit-identical across thread pools. A task costs
+        // its words plus its discoveries, so a sparse level's rebuild runs
+        // inline (see `grain`).
         caps.clear();
         caps.extend((0..num_tasks).map(|task| {
             let w_start = task * BU_TASK_WORDS;
@@ -239,13 +242,16 @@ fn bfs_hybrid_parallel_instrumented(
         }));
         let out = &out_queue;
         let vis = &visited;
-        let filled: Vec<FrontierSlot<'_, u32>> = next_arena
+        let tail_ops = (num_words + caps.iter().sum::<usize>()) as u64;
+        let filled: Vec<(FrontierSlot<'_, u32>, u64)> = next_arena
             .begin(&caps)
             .into_par_iter()
+            .with_min_len(grain::min_len(num_tasks, tail_ops))
             .enumerate()
             .map(|(task, mut slot)| {
                 let w_start = task * BU_TASK_WORDS;
                 let w_end = ((task + 1) * BU_TASK_WORDS).min(num_words);
+                let mut degree = 0u64;
                 for wi in w_start..w_end {
                     let word = out.load_word(wi);
                     if word == 0 {
@@ -257,26 +263,26 @@ fn bfs_hybrid_parallel_instrumented(
                         let bit = w.trailing_zeros() as usize;
                         w &= w - 1;
                         slot.push(vid::to_stored(wi * 64 + bit));
+                        degree += graph.degree(wi * 64 + bit) as u64;
                     }
                 }
-                slot
+                (slot, degree)
             })
             .collect();
         frontier.clear();
-        frontier.reserve(filled.iter().map(FrontierSlot::len).sum());
-        for slot in &filled {
+        frontier.reserve(filled.iter().map(|(slot, _)| slot.len()).sum());
+        m_f = 0;
+        for (slot, degree) in &filled {
             frontier.extend_from_slice(slot.as_slice());
+            m_f += degree;
         }
         drop(filled);
+        m_u -= m_f;
         // The out bitmap becomes the next level's in-queue; the old
         // in-queue is recycled as the new (cleared) out bitmap.
         std::mem::swap(&mut in_queue, &mut out_queue);
         out_queue.clear_all();
 
-        m_u -= frontier
-            .par_iter()
-            .map(|&v| graph.degree(v as usize) as u64)
-            .sum::<u64>();
         let discovered = frontier.len() as u64;
         let edges_examined = edges.load(Ordering::Relaxed);
         if tracer.enabled() {

@@ -283,15 +283,19 @@ impl<B: QueryBackend> QueryEngine<B> {
             if !st.leader_busy && !st.pending.is_empty() {
                 st.leader_busy = true;
                 let take = st.pending.len().min(self.batch_limit);
-                let batch: Vec<(u64, usize)> = st.pending.drain(..take).collect();
+                let mut leading = Leading {
+                    engine: self,
+                    ticket,
+                    batch: st.pending.drain(..take).collect(),
+                };
                 drop(st);
-                let mut wave_roots = Vec::with_capacity(batch.len());
-                wave_roots.extend(batch.iter().map(|&(_, r)| r));
+                let mut wave_roots = Vec::with_capacity(take);
+                wave_roots.extend(leading.batch.iter().map(|&(_, r)| r));
                 let wave = self.waves.fetch_add(1, Ordering::Relaxed);
                 let answers = self.backend.run_wave(wave, &wave_roots);
-                debug_assert_eq!(answers.len(), batch.len());
+                debug_assert_eq!(answers.len(), take);
                 let mut posted = self.lock();
-                for ((t, _), answer) in batch.into_iter().zip(answers) {
+                for ((t, _), answer) in leading.batch.drain(..).zip(answers) {
                     posted.done.insert(t, answer);
                 }
                 posted.leader_busy = false;
@@ -302,6 +306,40 @@ impl<B: QueryBackend> QueryEngine<B> {
             }
             st = self.wait(st);
         }
+    }
+}
+
+/// A wave in flight, held by its leader across [`QueryBackend::run_wave`].
+///
+/// If the wave unwinds (a panicking piece of a parallel kernel is re-raised
+/// on the thread that dispatched it), the drop hands the unanswered
+/// tickets back to the *front* of the queue in ticket order, frees the
+/// leader seat and wakes every waiter, so the next one leads — and, if
+/// the fault repeats, fails in its own frame. Nobody sleeps on a leader
+/// that is gone. The dead leader's own ticket is dropped with it: no
+/// thread is left to collect that answer.
+struct Leading<'e, B: QueryBackend> {
+    engine: &'e QueryEngine<B>,
+    /// The leader's own ticket.
+    ticket: u64,
+    /// Tickets drained for this wave and not yet answered; empty once the
+    /// answers are posted.
+    batch: Vec<(u64, usize)>,
+}
+
+impl<B: QueryBackend> Drop for Leading<'_, B> {
+    fn drop(&mut self) {
+        if self.batch.is_empty() {
+            return;
+        }
+        let mut st = self.engine.lock();
+        for &pair in self.batch.iter().rev() {
+            st.pending.push_front(pair);
+        }
+        st.pending.retain(|&(t, _)| t != self.ticket);
+        st.leader_busy = false;
+        drop(st);
+        self.engine.progress.notify_all();
     }
 }
 
@@ -463,5 +501,61 @@ mod tests {
             service.query(good).unwrap().run.parent,
             two.run(good).parent
         );
+    }
+
+    /// A backend whose first wave panics, as a parallel kernel does when
+    /// one of its pieces panicked.
+    struct FirstWavePanics<'g> {
+        inner: BitParallelBackend<'g>,
+        tripped: std::sync::atomic::AtomicBool,
+    }
+
+    impl QueryBackend for FirstWavePanics<'_> {
+        type Answer = LaneAnswer;
+
+        fn wave_capacity(&self) -> usize {
+            self.inner.wave_capacity()
+        }
+
+        fn run_wave(&self, wave: u64, roots: &[usize]) -> Vec<LaneAnswer> {
+            assert!(
+                self.tripped.swap(true, Ordering::Relaxed),
+                "injected wave fault"
+            );
+            self.inner.run_wave(wave, roots)
+        }
+    }
+
+    #[test]
+    fn a_dying_wave_leader_does_not_strand_its_followers() {
+        let g = graph();
+        let keys = roots(&g, 8, 17);
+        let expect = QueryEngine::bit_parallel(&g).run_batch(&keys);
+        let engine = QueryEngine::new(FirstWavePanics {
+            inner: BitParallelBackend::new(&g),
+            tripped: std::sync::atomic::AtomicBool::new(false),
+        });
+        let (tx, rx) = std::sync::mpsc::channel();
+        let outcomes: Vec<bool> = std::thread::scope(|scope| {
+            let submitters: Vec<_> = keys
+                .iter()
+                .enumerate()
+                .map(|(i, &root)| {
+                    let (tx, engine) = (tx.clone(), &engine);
+                    scope.spawn(move || tx.send((i, engine.query(root))).unwrap())
+                })
+                .collect();
+            // Whoever led the first wave is gone; every other submitter is
+            // answered by a later leader, in bounded time.
+            for _ in 0..keys.len() - 1 {
+                let (i, answer) = rx
+                    .recv_timeout(std::time::Duration::from_secs(60))
+                    .expect("a follower was stranded behind the dead leader");
+                assert_eq!(answer, expect[i], "submitter {i}");
+            }
+            submitters.into_iter().map(|t| t.join().is_ok()).collect()
+        });
+        assert_eq!(outcomes.iter().filter(|&&ok| !ok).count(), 1);
+        assert!(rx.try_recv().is_err(), "the dead leader sent an answer");
     }
 }
