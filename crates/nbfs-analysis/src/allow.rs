@@ -176,9 +176,9 @@ mod tests {
 # comment
 [[allow]]
 code = "NBFS003"
-path = "crates/nbfs-comm/src/runtime.rs"
-line-contains = "receiver thread gone"
-justification = "channel lifetime invariant documented on RankHandle"
+path = "crates/nbfs-comm/src/allgather.rs"
+line-contains = "ring invariant broken"
+justification = "oracle invariant documented on ring_allgather_functional"
 
 [[allow]]
 code = "NBFS002"
@@ -203,7 +203,7 @@ justification = "legacy clock, tracked in ROADMAP"
         assert_eq!(entries[0].code, Code::Nbfs003);
         assert_eq!(
             entries[0].line_contains.as_deref(),
-            Some("receiver thread gone")
+            Some("ring invariant broken")
         );
         assert!(entries[1].line_contains.is_none());
     }
@@ -224,12 +224,12 @@ justification = "legacy clock, tracked in ROADMAP"
         let diags = vec![
             diag(
                 Code::Nbfs003,
-                "crates/nbfs-comm/src/runtime.rs",
-                "send(m).expect(\"receiver thread gone\")",
+                "crates/nbfs-comm/src/allgather.rs",
+                "slot.expect(\"ring invariant broken\")",
             ),
             diag(
                 Code::Nbfs003,
-                "crates/nbfs-comm/src/runtime.rs",
+                "crates/nbfs-comm/src/allgather.rs",
                 "other.unwrap()",
             ),
         ];

@@ -2,7 +2,8 @@
 //!
 //! Every rule of the invariant linter reports through a stable code so that
 //! allowlist entries, CI greps and DESIGN.md stay meaningful as the rules
-//! evolve. Codes are never reused or renumbered.
+//! evolve. Codes are never reused or renumbered: the retired `NBFS007` and
+//! `NBFS008` stay unassigned.
 
 use std::fmt;
 
@@ -27,13 +28,6 @@ pub enum Code {
     /// rank (rank-conditional or tainted by a rank-guarded early exit)
     /// outside a sanctioned `// nbfs-analysis: rank-local` region.
     Nbfs006,
-    /// Raw integer literal at a message-tag position; tags must be named
-    /// constants from the central `nbfs_comm::tags` registry.
-    Nbfs007,
-    /// Registry tag used by a `send` with no matching receive/consumer
-    /// anywhere in the tree (or a receive with no sender), resolved via
-    /// the cross-file call index.
-    Nbfs008,
     /// Allowlist entry in `analysis-allow.toml` that matched nothing
     /// (prevents the allowlist from rotting).
     Nbfs900,
@@ -41,15 +35,13 @@ pub enum Code {
 
 impl Code {
     /// All codes, in numeric order.
-    pub const ALL: [Code; 9] = [
+    pub const ALL: [Code; 7] = [
         Code::Nbfs001,
         Code::Nbfs002,
         Code::Nbfs003,
         Code::Nbfs004,
         Code::Nbfs005,
         Code::Nbfs006,
-        Code::Nbfs007,
-        Code::Nbfs008,
         Code::Nbfs900,
     ];
 
@@ -62,8 +54,6 @@ impl Code {
             Code::Nbfs004 => "NBFS004",
             Code::Nbfs005 => "NBFS005",
             Code::Nbfs006 => "NBFS006",
-            Code::Nbfs007 => "NBFS007",
-            Code::Nbfs008 => "NBFS008",
             Code::Nbfs900 => "NBFS900",
         }
     }
@@ -91,8 +81,6 @@ impl Code {
                 "collective call site not unconditionally reachable by every rank \
                  (outside a rank-local region)"
             }
-            Code::Nbfs007 => "raw integer literal at a message-tag position (use nbfs_comm::tags)",
-            Code::Nbfs008 => "send/recv tag pairing broken (unmatched registry tag)",
             Code::Nbfs900 => "allowlist entry matched nothing (stale allow)",
         }
     }

@@ -1,24 +1,17 @@
 //! nbfs-analysis: repo-specific static analysis and model checking.
 //!
-//! Three subsystems keep the paper's invariants honest as the codebase
-//! grows (see DESIGN.md, "Static analysis & race checking" and
-//! "Protocol analysis"):
+//! Two subsystems keep the paper's invariants honest as the codebase grows
+//! (see DESIGN.md, "Static analysis & race checking"):
 //!
 //! 1. **Invariant linter** ([`check_workspace`] / [`lint_source`]) — a
 //!    line/region-aware scanner with stable diagnostic codes
-//!    (`NBFS001`…`NBFS008`), an `analysis-allow.toml` allowlist that
+//!    (`NBFS001`…`NBFS006`), an `analysis-allow.toml` allowlist that
 //!    demands a justification per entry, human, JSON and SARIF output,
-//!    and exit-code gating in CI. Cross-file rules (tag send/recv
-//!    pairing) ride on the [`callindex`] built from the same scanner.
+//!    and exit-code gating in CI.
 //! 2. **Race checker** ([`checker`]) — an exhaustive-interleaving
 //!    model checker proving `AtomicBitmap`'s concurrent word path
 //!    linearizes against the scalar `Bitmap` model, plus a pinned
 //!    regression corpus that catches a lost-update mutant.
-//! 3. **Protocol checker** ([`protocol`]) — a sleep-set-pruned
-//!    exhaustive model checker for the threaded runtime's p2p/retry/
-//!    barrier protocol on bounded worlds: deadlock freedom,
-//!    exactly-once in-order admission, no lost delivery, and barrier
-//!    departability, with seeded mutants and pinned failing schedules.
 //!
 //! The crate is deliberately dependency-free (no `syn`, no `loom`): the
 //! workspace builds offline against `vendor/` stubs, so both subsystems
@@ -27,10 +20,8 @@
 #![forbid(unsafe_code)]
 
 pub mod allow;
-pub mod callindex;
 pub mod checker;
 pub mod diag;
-pub mod protocol;
 pub mod rules;
 pub mod scan;
 pub mod walk;
@@ -56,16 +47,10 @@ pub fn check_workspace(root: &Path) -> Result<Report, String> {
 
     let files = walk::rust_files(root).map_err(|e| format!("walking {}: {e}", root.display()))?;
     let mut diags = Vec::new();
-    let mut index = callindex::TagIndex::default();
     for rel in &files {
         let text = fs::read_to_string(root.join(rel)).map_err(|e| format!("{rel}: {e}"))?;
         diags.extend(rules::lint_source(rel, &text));
-        index.add_file(rel, &scan::scan(&text).lines);
     }
-    // NBFS008 needs the whole tree indexed before pairing can be judged;
-    // it joins the stream here so the allowlist can sanction deliberate
-    // one-sided probes.
-    diags.extend(index.pairing_diagnostics());
 
     let (diagnostics, allowed) = allow::apply_allowlist(diags, &entries);
     let mut diagnostics = diagnostics;
@@ -82,14 +67,8 @@ pub fn check_workspace(root: &Path) -> Result<Report, String> {
 /// allowlist is applied: fixtures must fire unconditionally.
 pub fn check_single_file(file: &Path, pretend_rel_path: &str) -> Result<Report, String> {
     let text = fs::read_to_string(file).map_err(|e| format!("{}: {e}", file.display()))?;
-    let mut diagnostics = rules::lint_source(pretend_rel_path, &text);
-    // Single-file mode judges NBFS008 pairing against just this file, so
-    // fixtures with a lone send fire deterministically.
-    let mut index = callindex::TagIndex::default();
-    index.add_file(pretend_rel_path, &scan::scan(&text).lines);
-    diagnostics.extend(index.pairing_diagnostics());
     Ok(Report {
-        diagnostics,
+        diagnostics: rules::lint_source(pretend_rel_path, &text),
         allowed: 0,
         checked_files: 1,
     })

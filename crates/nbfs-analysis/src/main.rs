@@ -9,10 +9,6 @@
 //! * `race [--full]` — run the exhaustive interleaving checker's fast
 //!   profile (plus the big scenarios with `--full`); exit 0 when every
 //!   schedule linearizes *and* the lost-update mutant is caught.
-//! * `protocol [--full]` — model-check the runtime's message protocol on
-//!   bounded worlds; exit 0 when the reference engine is clean on every
-//!   schedule *and* both seeded mutants are caught (including via the
-//!   pinned regression schedules).
 
 #![forbid(unsafe_code)]
 
@@ -23,10 +19,6 @@ use nbfs_analysis::checker::{
     check_scenario, corpus, full_profile_corpus, regression_corpus, run_schedule,
     sequential_outcomes, CheckOutcome, Engine, FAST_CAP, FULL_CAP,
 };
-use nbfs_analysis::protocol::{
-    check_protocol, protocol_corpus, protocol_full_corpus, protocol_regression_corpus, replay,
-    PCheckOutcome, PEngine, PROTOCOL_FAST_CAP, PROTOCOL_FULL_CAP,
-};
 use nbfs_analysis::{check_single_file, check_workspace};
 
 fn main() -> ExitCode {
@@ -34,7 +26,6 @@ fn main() -> ExitCode {
     match args.first().map(String::as_str) {
         Some("check") => cmd_check(&args[1..]),
         Some("race") => cmd_race(&args[1..]),
-        Some("protocol") => cmd_protocol(&args[1..]),
         Some("--help") | Some("-h") | Some("help") => {
             print!("{USAGE}");
             ExitCode::SUCCESS
@@ -47,18 +38,15 @@ fn main() -> ExitCode {
 }
 
 const USAGE: &str = "\
-nbfs-analysis — workspace invariant linter and exhaustive model checkers
+nbfs-analysis — workspace invariant linter and exhaustive race checker
 
 USAGE:
-    nbfs-analysis check    [--root DIR] [--json PATH|-] [--sarif PATH|-]
-                           [--file PATH --as REL]
-    nbfs-analysis race     [--full]
-    nbfs-analysis protocol [--full]
+    nbfs-analysis check [--root DIR] [--json PATH|-] [--sarif PATH|-]
+                        [--file PATH --as REL]
+    nbfs-analysis race  [--full]
 
-check    exits 0 when the tree is clean, 1 on findings, 2 on errors.
-race     exits 0 when all schedules linearize and the mutant is caught.
-protocol exits 0 when all message-protocol schedules are clean and both
-         seeded mutants (no-seq-check, non-departable barrier) are caught.
+check exits 0 when the tree is clean, 1 on findings, 2 on errors.
+race  exits 0 when all schedules linearize and the mutant is caught.
 ";
 
 fn cmd_check(args: &[String]) -> ExitCode {
@@ -229,100 +217,6 @@ fn cmd_race(args: &[String]) -> ExitCode {
         ExitCode::SUCCESS
     } else {
         println!("nbfs-analysis race: FAILURES");
-        ExitCode::FAILURE
-    }
-}
-
-fn cmd_protocol(args: &[String]) -> ExitCode {
-    let full = match args {
-        [] => false,
-        [a] if a == "--full" => true,
-        _ => return usage_err("protocol accepts only --full"),
-    };
-
-    let mut ok = true;
-
-    // 1. Every fast-profile scenario must be clean under the reference
-    // protocol: no deadlock, exactly-once in-order admission, nothing
-    // lost, barriers departable.
-    for s in protocol_corpus() {
-        match check_protocol(&s, PEngine::Reference, PROTOCOL_FAST_CAP) {
-            PCheckOutcome::Ok { states, terminals } => println!(
-                "ok   {:<32} {states} states, {terminals} terminal schedules",
-                s.name
-            ),
-            PCheckOutcome::Violation(v) => {
-                println!("FAIL {:<32} {v}", s.name);
-                ok = false;
-            }
-            PCheckOutcome::CapExceeded { explored, cap } => {
-                println!("FAIL {:<32} explored {explored} states, cap {cap}", s.name);
-                ok = false;
-            }
-        }
-    }
-
-    // 2. Both seeded mutants must be *caught* — a protocol checker that
-    // cannot see a dropped seq check or a stranded barrier is broken.
-    let mutants: [(&str, PEngine); 3] = [
-        ("duplicate_fate_dedup", PEngine::NoSeqCheck),
-        ("reorder_fate_resequence", PEngine::NoSeqCheck),
-        ("crash_barrier_departs", PEngine::NonDepartableBarrier),
-    ];
-    for (name, engine) in mutants {
-        let Some(s) = protocol_corpus().into_iter().find(|s| s.name == name) else {
-            println!("FAIL mutant-detection                   scenario {name} missing");
-            ok = false;
-            continue;
-        };
-        match check_protocol(&s, engine, PROTOCOL_FAST_CAP) {
-            PCheckOutcome::Violation(v) => {
-                println!("ok   mutant-detection                   caught: {v}");
-            }
-            other => {
-                println!("FAIL mutant-detection                   mutant escaped: {other:?}");
-                ok = false;
-            }
-        }
-    }
-
-    // 3. The pinned minimal schedules must still expose each mutant.
-    for (scenario, engine, schedule) in protocol_regression_corpus() {
-        if replay(&scenario, engine, &schedule).is_some() {
-            println!(
-                "ok   regression {:<21} schedule {schedule:?} exposes the mutant",
-                scenario.name
-            );
-        } else {
-            println!(
-                "FAIL regression {:<21} schedule {schedule:?} no longer exposes the mutant",
-                scenario.name
-            );
-            ok = false;
-        }
-    }
-
-    // 4. Optional full exhaustive profile.
-    if full {
-        for s in protocol_full_corpus() {
-            match check_protocol(&s, PEngine::Reference, PROTOCOL_FULL_CAP) {
-                PCheckOutcome::Ok { states, terminals } => println!(
-                    "ok   {:<32} {states} states, {terminals} terminal schedules",
-                    s.name
-                ),
-                other => {
-                    println!("FAIL {:<32} {other:?}", s.name);
-                    ok = false;
-                }
-            }
-        }
-    }
-
-    if ok {
-        println!("nbfs-analysis protocol: all checks passed");
-        ExitCode::SUCCESS
-    } else {
-        println!("nbfs-analysis protocol: FAILURES");
         ExitCode::FAILURE
     }
 }

@@ -1,12 +1,10 @@
-//! The invariant rules (NBFS001–NBFS008) applied to one scanned file.
+//! The invariant rules (NBFS001–NBFS006) applied to one scanned file.
 //!
 //! Each rule documents its scope (which paths it applies to) and its
 //! sanctioned exceptions. Rules match against [`ScanLine::code`] — the
 //! comment/literal-stripped text — so tokens inside strings or comments
-//! never fire. The cross-file half of NBFS008 lives in
-//! [`crate::callindex`]; this module hosts the per-file rules.
+//! never fire.
 
-use crate::callindex;
 use crate::diag::{Code, Diagnostic};
 use crate::scan::{scan, ScanLine, ScannedFile};
 
@@ -45,14 +43,9 @@ const VERTEX_IDENTS: [&str; 16] = [
     "parent",
 ];
 
-/// Collective operations every rank must reach together (NBFS006). The
-/// `.method(` forms are the threaded runtime's surface; the free-function
-/// forms are the BSP collectives the engines call.
-const COLLECTIVE_TOKENS: [&str; 10] = [
-    ".barrier()",
-    ".gather_bytes(",
-    ".broadcast_bytes(",
-    ".allgather_bytes(",
+/// Collective operations every rank must reach together (NBFS006): the
+/// BSP collectives the engines call.
+const COLLECTIVE_TOKENS: [&str; 6] = [
     "allreduce_sum(",
     "allgather_words(",
     "allgather_words_into(",
@@ -206,9 +199,6 @@ pub fn lint_source(rel_path: &str, text: &str) -> Vec<Diagnostic> {
     // --- NBFS006: collectives must be symmetric across ranks -------------
     collective_symmetry(rel_path, &scanned, &mut diags);
 
-    // --- NBFS007: message tags come from the registry --------------------
-    diags.extend(callindex::literal_tag_diagnostics(rel_path, &scanned.lines));
-
     diags
 }
 
@@ -301,7 +291,7 @@ fn collective_symmetry(rel_path: &str, scanned: &ScannedFile, diags: &mut Vec<Di
                 .iter()
                 .find(|t| starts_with_at(&chars, i, t))
             {
-                let boundary_ok = tok.starts_with('.') || i == 0 || !is_ident_char(chars[i - 1]);
+                let boundary_ok = i == 0 || !is_ident_char(chars[i - 1]);
                 if boundary_ok && preceding_word(&chars, i) != "fn" {
                     let why = if guards.is_empty() && taint_until.is_none() {
                         None
@@ -592,12 +582,12 @@ mod tests {
     #[test]
     fn nbfs006_rank_guarded_collectives() {
         // Symmetric call sites are clean.
-        assert!(codes("crates/x/src/m.rs", "fn f(c: &mut Ctx) { c.barrier(); }\n").is_empty());
+        assert!(codes("crates/x/src/m.rs", "fn f(p: &P) { allreduce_sum(p); }\n").is_empty());
         // Direct rank guard.
         assert_eq!(
             codes(
                 "crates/x/src/m.rs",
-                "fn f(c: &mut Ctx) { if c.rank() == 0 { c.barrier(); } }\n"
+                "fn f(p: &P) { if p.rank() == 0 { allreduce_sum(p); } }\n"
             ),
             vec![Code::Nbfs006]
         );
@@ -605,7 +595,7 @@ mod tests {
         assert_eq!(
             codes(
                 "crates/x/src/m.rs",
-                "fn f(c: &mut Ctx) {\n    if rank != 0 {\n        return;\n    }\n    c.barrier();\n}\n"
+                "fn f(p: &P) {\n    if rank != 0 {\n        return;\n    }\n    allreduce_sum(p);\n}\n"
             ),
             vec![Code::Nbfs006]
         );
@@ -613,11 +603,11 @@ mod tests {
         assert_eq!(
             codes(
                 "crates/x/src/m.rs",
-                "fn f(c: &mut Ctx) { if my_rank == 0 { note(); } else { c.barrier(); } }\n"
+                "fn f(p: &P) { if my_rank == 0 { note(); } else { allreduce_sum(p); } }\n"
             ),
             vec![Code::Nbfs006]
         );
-        // Free-function collectives are covered too.
+        // Every collective token is covered, not just the allreduce.
         assert_eq!(
             codes(
                 "crates/x/src/m.rs",
@@ -634,53 +624,32 @@ mod tests {
         // Non-rank conditions do not guard.
         assert!(codes(
             "crates/x/src/m.rs",
-            "fn f(c: &mut Ctx, done: bool) { if done { c.barrier(); } }\n"
+            "fn f(p: &P, done: bool) { if done { allreduce_sum(p); } }\n"
         )
         .is_empty());
         // Taint clears when the enclosing scope closes.
         assert!(codes(
             "crates/x/src/m.rs",
-            "fn g(c: &mut Ctx) {\n    { if rank == 0 { return; } }\n    c.barrier();\n}\n"
+            "fn g(p: &P) {\n    { if rank == 0 { return; } }\n    allreduce_sum(p);\n}\n"
         )
         .is_empty());
         // Match-arm `if` guards are recognised and ignored (no desync).
         assert!(codes(
             "crates/x/src/m.rs",
-            "fn f(c: &mut Ctx, x: u32) {\n    match x { 0 if rank == 0 => note(), _ => {} }\n    c.barrier();\n}\n"
+            "fn f(p: &P, x: u32) {\n    match x { 0 if rank == 0 => note(), _ => {} }\n    allreduce_sum(p);\n}\n"
         )
         .is_empty());
         // A sanctioned rank-local region silences the finding.
         assert!(codes(
             "crates/x/src/m.rs",
-            "fn f(c: &mut Ctx) {\n// nbfs-analysis: rank-local\nif rank == 0 { c.barrier(); }\n// nbfs-analysis: end-rank-local\n}\n"
+            "fn f(p: &P) {\n// nbfs-analysis: rank-local\nif rank == 0 { allreduce_sum(p); }\n// nbfs-analysis: end-rank-local\n}\n"
         )
         .is_empty());
-    }
-
-    #[test]
-    fn nbfs007_raw_tag_literals() {
-        assert_eq!(
-            codes(
-                "crates/x/src/m.rs",
-                "fn f(c: &mut Ctx) { c.send(1, 7, payload); }\n"
-            ),
-            vec![Code::Nbfs007]
-        );
-        assert_eq!(
-            codes(
-                "crates/x/src/m.rs",
-                "fn f(c: &mut Ctx) { let m = c.recv(0, 0x10); }\n"
-            ),
-            vec![Code::Nbfs007]
-        );
-        // Named registry tags are clean (pairing is checked workspace-wide,
-        // not by lint_source).
+        // A method call that merely ends in a collective's name is not one.
         assert!(codes(
             "crates/x/src/m.rs",
-            "fn f(c: &mut Ctx) { c.send(1, tags::FRONTIER_WORDS, payload); }\n"
+            "fn f(p: &P) { if rank == 0 { p.my_allreduce_sum(1); } }\n"
         )
         .is_empty());
-        // Arity mismatch means some other `send`; not a tag position.
-        assert!(codes("crates/x/src/m.rs", "fn f(tx: &Tx) { tx.send(5); }\n").is_empty());
     }
 }

@@ -4,20 +4,20 @@
 //! finding here.
 //! Linted as-if at `crates/nbfs-comm/src/fixture.rs`; must stay clean.
 
-pub fn red_herrings(ctx: &mut RankCtx) -> Result<(), NbfsError> {
+pub fn red_herrings(counts: &[u64], pmap: &ProcessMap, net: &NetworkModel) -> Result<u64, NbfsError> {
     // Raw strings swallow backslashes and quotes; the lint tokens inside
     // are data, not code.
-    let doc = r#"call .unwrap() then Instant::now(); if rank == 0 { ctx.barrier(); }"#;
-    let nested = r##"outer r#"inner "quoted" here"# and ctx.send(1, 7, x)"##;
+    let doc = r#"call .unwrap() then Instant::now(); if rank == 0 { allreduce_sum(c, p, n); }"#;
+    let nested = r##"outer r#"inner "quoted" here"# and root as u32"##;
     let bytes = br#"SystemTime::now() and panic!("boom")"#;
     /* block comments nest in Rust:
-       /* inner comment with ctx.recv(0, 99).unwrap() */
-       still commented: if rank != 0 { return; } ctx.barrier();
+       /* inner comment with allgather_words(parts).unwrap() */
+       still commented: if rank != 0 { return; } allreduce_sum(c, p, n);
     */
     let lifetime_then_string: &'static str = "not a raw string despite the r";
     let tick = 'r';
     keep(doc, nested, bytes, lifetime_then_string, tick);
-    ctx.send(1, tags::testing::HERRING, vec![0])?;
-    ctx.recv(0, tags::testing::HERRING)?;
-    Ok(())
+    // A real, symmetric collective: clean unless the comment above leaked
+    // its rank-guarded early exit into code.
+    Ok(allreduce_sum(counts, pmap, net).value)
 }

@@ -1,9 +1,11 @@
 //! Fixture: a rank-conditional collective — only rank 0 reaches the
-//! barrier, so every other rank arrives and waits forever.
+//! allreduce, so the other ranks' contributions are never summed and the
+//! BSP step cannot complete.
 //! Linted as-if at `crates/nbfs-cli/src/fixture.rs`; must fire NBFS006 once.
 
-pub fn lopsided(ctx: &mut RankCtx) {
-    if ctx.rank() == 0 {
-        let _ = ctx.barrier();
+pub fn lopsided(rank: usize, counts: &[u64], pmap: &ProcessMap, net: &NetworkModel) -> u64 {
+    if rank == 0 {
+        return allreduce_sum(counts, pmap, net).value;
     }
+    0
 }

@@ -44,16 +44,6 @@ const FIXTURES: &[(&str, &str, Code)] = &[
         "crates/nbfs-cli/src/fixture.rs",
         Code::Nbfs006,
     ),
-    (
-        "nbfs007_raw_tag.rs",
-        "crates/nbfs-cli/src/fixture.rs",
-        Code::Nbfs007,
-    ),
-    (
-        "nbfs008_unpaired_send.rs",
-        "crates/nbfs-cli/src/fixture.rs",
-        Code::Nbfs008,
-    ),
 ];
 
 fn fixture_path(name: &str) -> PathBuf {

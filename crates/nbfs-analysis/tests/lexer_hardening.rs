@@ -18,7 +18,7 @@ fn fixture_path(name: &str) -> PathBuf {
 #[test]
 fn red_herrings_inside_literals_and_comments_stay_silent() {
     // Pretend-path inside nbfs-comm: the strictest rule set (NBFS003
-    // no-panic discipline applies, plus every tag/collective rule).
+    // no-panic discipline applies, plus the collective rule).
     let report = check_single_file(
         &fixture_path("lexer_red_herrings.rs"),
         "crates/nbfs-comm/src/fixture.rs",

@@ -31,7 +31,6 @@
 use std::path::PathBuf;
 
 use nbfs_comm::codec::Codec;
-use nbfs_comm::runtime::run_spmd_faulted;
 use nbfs_comm::{FaultPlan, FaultScope, FaultSpec};
 use nbfs_core::engine::{BfsRun, DistributedBfs, NoClock, Scenario, Search};
 use nbfs_core::engine2d::TwoDimBfs;
@@ -905,7 +904,7 @@ fn storage_line(dense: &Csr, packed: &CompressedCsr) -> String {
 /// communication target.
 #[derive(Clone, Debug, Serialize)]
 pub struct ChaosCell {
-    /// Communication target (`p2p`, `ring-allgather`, `leader-allgather`,
+    /// Communication target (`ring-allgather`, `leader-allgather`,
     /// `par-allgather`, `ring-allgather+dv`, `query-wave-ring`).
     pub target: String,
     /// Fault kind injected (`drop`, `delay`, …).
@@ -980,20 +979,15 @@ fn recover_cell(
 }
 
 /// An `error` cell: passes when the run failed with a structured error
-/// (`outcome` then starts with `structured-error`).
-fn error_cell(
-    label: &str,
-    kind: FaultKind,
-    passed: bool,
-    outcome: String,
-    faults: u64,
-) -> ChaosCell {
+/// (`outcome` then starts with `structured-error`). A failed search returns
+/// no trace report, so an error cell logs no faults.
+fn error_cell(label: &str, kind: FaultKind, passed: bool, outcome: String) -> ChaosCell {
     ChaosCell {
         target: label.into(),
         kind: kind.label().into(),
         expectation: "error".into(),
         outcome,
-        faults,
+        faults: 0,
         identical: true,
         deterministic: true,
         passed,
@@ -1032,9 +1026,9 @@ fn engine_recover_cell<G: GraphView>(
     })
 }
 
-/// Runs the seeded fault matrix: every [`FaultKind`] against the
-/// point-to-point runtime and each engine in the collective ladder
-/// (ring, leader-based, parallelized allgather).
+/// Runs the seeded fault matrix: every [`FaultKind`] against each engine
+/// in the collective ladder (ring, leader-based, parallelized allgather),
+/// plus codec and query-wave cells.
 ///
 /// Recoverable cells must reproduce the fault-free results bit for bit and
 /// the same seed must reproduce the identical fault log; crash cells must
@@ -1042,44 +1036,6 @@ fn engine_recover_cell<G: GraphView>(
 /// no-hang check.
 pub fn run_chaos(scale: u32, nodes: usize, seed: u64) -> Result<ChaosReport, String> {
     let mut cells = Vec::new();
-
-    // --- point-to-point: the threaded SPMD runtime -----------------------
-    let world = 8usize;
-    let expect: Vec<Vec<u8>> = (0..world).map(|r| vec![r as u8; 4]).collect();
-    let ring = |ctx: &mut nbfs_comm::runtime::RankCtx| {
-        ctx.allgather_bytes(vec![ctx.rank() as u8; 4], nbfs_comm::tags::CHAOS_RING)
-    };
-    for kind in FaultKind::ALL {
-        let plan = chaos_plan(seed, kind);
-        let out = run_spmd_faulted(world, &plan, ring);
-        let faults = out.faults.len() as u64;
-        cells.push(if kind == FaultKind::Crash {
-            let all_structured = out
-                .results
-                .iter()
-                .all(|r| matches!(r, Err(NbfsError::RankFailed { .. })));
-            let outcome = if all_structured {
-                "structured-error"
-            } else {
-                "FAIL: expected RankFailed on every rank"
-            };
-            error_cell("p2p", kind, all_structured, outcome.into(), faults)
-        } else {
-            let identical = out
-                .results
-                .iter()
-                .all(|r| r.as_ref().map(|v| v == &expect).unwrap_or(false));
-            let rerun = run_spmd_faulted(world, &plan, ring);
-            recover_cell(
-                "p2p",
-                kind,
-                identical,
-                out.faults == rerun.faults,
-                faults,
-                "recovered results differ from fault-free",
-            )
-        });
-    }
 
     let g = GraphBuilder::rmat(scale, 16).seed(1).build();
     let machine = presets::xeon_x7550_cluster(nodes).scaled_to_graph(scale, 28);
@@ -1108,8 +1064,8 @@ pub fn run_chaos(scale: u32, nodes: usize, seed: u64) -> Result<ChaosReport, Str
             let faulted = DistributedBfs::new(&g, &faulted_scenario);
             cells.push(if kind == FaultKind::Crash {
                 match faulted.search(root, &NoClock) {
-                    Err(e) => error_cell(label, kind, true, format!("structured-error: {e}"), 0),
-                    Ok(_) => error_cell(label, kind, false, "FAIL: crash plan completed".into(), 0),
+                    Err(e) => error_cell(label, kind, true, format!("structured-error: {e}")),
+                    Ok(_) => error_cell(label, kind, false, "FAIL: crash plan completed".into()),
                 }
             } else {
                 engine_recover_cell(label, kind, &faulted, root, &baseline.parent)?
@@ -1585,8 +1541,8 @@ mod tests {
         let cells = doc["cells"].as_array().unwrap();
         assert_eq!(
             cells.len(),
-            6 + 3 * 6 + 2 + 2,
-            "6 p2p + 3 allgather families x 6 kinds + 2 codec + 2 query-wave"
+            3 * 6 + 2 + 2,
+            "3 allgather families x 6 kinds + 2 codec + 2 query-wave"
         );
         assert!(
             cells

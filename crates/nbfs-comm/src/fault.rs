@@ -1,24 +1,21 @@
-//! Deterministic fault injection for the simulated runtime.
+//! Deterministic fault injection for the simulated collectives.
 //!
 //! A [`FaultPlan`] is a seeded description of adversarial behaviour: which
 //! transfers drop, arrive late, duplicate, reorder, and which ranks stall
 //! or crash. Fates are *pure functions* of `(plan seed, fault site,
 //! attempt)` via the counter-based RNG ([`nbfs_util::rng::counter_f64`]),
 //! so the same plan replayed against the same communication schedule fires
-//! the same faults — regardless of thread interleaving, and across worlds
-//! of any size. That determinism is what makes chaos runs diffable: the
-//! conformance suite replays a seed and asserts byte-identical fault logs.
+//! the same faults, on worlds of any size. That determinism is what makes
+//! chaos runs diffable: the conformance suite replays a seed and asserts
+//! byte-identical fault logs.
 //!
-//! Two consumers thread a plan through their transfers:
-//!
-//! * the threaded SPMD runtime ([`crate::runtime`]) consults the plan on
-//!   every `send`, with bounded retry + exponential backoff on drops and
-//!   tombstone-based crash propagation (never a hang);
-//! * the one-shot BSP collectives walk a *third twin* of their round
-//!   structure ([`allgather_edges`] and friends mirror the cost/stats
-//!   twins in `allgather.rs`) and charge retry penalties into the level's
-//!   communication time without touching the data movement — recovered
-//!   runs stay bit-identical to fault-free runs by construction.
+//! The one-shot BSP collectives are the plan's one consumer: they walk a
+//! *third twin* of their round structure ([`allgather_edges`] and friends
+//! mirror the cost/stats twins in `allgather.rs`) and charge retry
+//! penalties (bounded retry + exponential backoff on drops) into the
+//! level's communication time without touching the data movement, so
+//! recovered runs stay bit-identical to fault-free runs by construction.
+//! [`inject_rank_faults`] resolves whole-rank stalls and crashes per level.
 //!
 //! Exhausted budgets and crashes degrade to structured errors
 //! ([`NbfsError::Fault`] / [`NbfsError::RankFailed`]) carrying the failing
@@ -30,7 +27,11 @@ use nbfs_util::{rng, NbfsError, SimTime};
 
 use crate::allgather::AllgatherAlgorithm;
 use crate::profile::CommCost;
-use crate::tags;
+
+/// Tag field of whole-rank fault sites. Fault fates hash the site,
+/// including this field, so changing it would reshuffle every seeded
+/// chaos schedule.
+const COLLECTIVE_SITE: u64 = 0;
 
 /// Which transfers a [`FaultSpec`] applies to. `None` fields match
 /// anything, so `FaultScope::default()` scopes to every site.
@@ -40,11 +41,11 @@ pub struct FaultScope {
     pub src: Option<usize>,
     /// Only edges entering this rank.
     pub dst: Option<usize>,
-    /// Only this message tag (p2p) or round index (collectives).
+    /// Only this collective round index.
     pub tag: Option<u64>,
-    /// Only this operation (p2p, one collective kind, or rank fates).
+    /// Only this operation (one collective kind, or rank fates).
     pub op: Option<FaultOp>,
-    /// Only this BFS level (never matches the level-less p2p runtime).
+    /// Only this BFS level.
     pub level: Option<usize>,
 }
 
@@ -68,7 +69,7 @@ impl FaultScope {
         self
     }
 
-    /// Restricts to one tag (p2p) or round index (collectives).
+    /// Restricts to one collective round index.
     #[must_use]
     pub fn tag(mut self, tag: u64) -> FaultScope {
         self.tag = Some(tag);
@@ -94,7 +95,7 @@ impl FaultScope {
             && self.dst.is_none_or(|d| d == site.dst)
             && self.tag.is_none_or(|t| t == site.tag)
             && self.op.is_none_or(|o| o == site.op)
-            && self.level.is_none_or(|l| Some(l) == site.level)
+            && self.level.is_none_or(|l| l == site.level)
     }
 }
 
@@ -230,41 +231,26 @@ impl FaultPlan {
     }
 }
 
-/// One place a fault can fire: an edge of an operation, plus enough
-/// context to make repeated sends on the same edge distinct (`salt` is the
-/// per-destination sequence number on p2p paths).
+/// One place a fault can fire: an edge of an operation at one level.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FaultSite {
     /// The operation.
     pub op: FaultOp,
-    /// BFS level, if the operation runs inside one.
-    pub level: Option<usize>,
+    /// BFS level the operation runs in.
+    pub level: usize,
     /// Source rank.
     pub src: usize,
     /// Destination rank.
     pub dst: usize,
-    /// Message tag (p2p) or round index (collectives).
+    /// Collective round index (`0` for whole-rank sites).
     pub tag: u64,
-    /// Disambiguator for repeated transfers on the same edge/tag.
-    pub salt: u64,
 }
 
 impl FaultSite {
-    /// A point-to-point send site.
-    pub fn p2p(src: usize, dst: usize, tag: u64, seq: u64) -> FaultSite {
-        FaultSite {
-            op: FaultOp::P2p,
-            level: None,
-            src,
-            dst,
-            tag,
-            salt: seq,
-        }
-    }
-
     /// Stable mixing key for the fate draw.
     fn key(&self) -> u64 {
         let op_code = match self.op {
+            // `P2p` has no producer; its code stays reserved.
             FaultOp::P2p => 1,
             FaultOp::Rank => 2,
             FaultOp::Collective(kind) => kind
@@ -273,11 +259,13 @@ impl FaultSite {
                 .fold(16u64, |h, b| h.wrapping_mul(131).wrapping_add(u64::from(b))),
         };
         let mut h = rng::splitmix64(op_code);
-        h = rng::splitmix64(h ^ self.level.map_or(u64::MAX, |l| l as u64));
+        h = rng::splitmix64(h ^ self.level as u64);
         h = rng::splitmix64(h ^ (self.src as u64));
         h = rng::splitmix64(h ^ (self.dst as u64));
         h = rng::splitmix64(h ^ self.tag);
-        rng::splitmix64(h ^ self.salt)
+        // The final round is part of the pinned hash: dropping it would
+        // reshuffle every seeded chaos schedule.
+        rng::splitmix64(h)
     }
 }
 
@@ -454,11 +442,10 @@ pub fn inject_collective(
     for edge in edges {
         let site = FaultSite {
             op,
-            level: Some(level),
+            level,
             src: edge.src,
             dst: edge.dst,
             tag: edge.round,
-            salt: 0,
         };
         let record =
             |kind: FaultKind, attempts: u32, recovered: bool, penalty: SimTime| FaultRecord {
@@ -487,13 +474,7 @@ pub fn inject_collective(
                     attempt += 1;
                     if attempt >= plan.max_attempts {
                         adj.push(record(FaultKind::Drop, attempt, false, penalty));
-                        adj.failure = Some(edge_failure(
-                            FaultKind::Drop,
-                            op,
-                            edge,
-                            Some(level),
-                            attempt,
-                        ));
+                        adj.failure = Some(edge_failure(FaultKind::Drop, op, edge, level, attempt));
                         return adj;
                     }
                 }
@@ -521,13 +502,8 @@ pub fn inject_collective(
                 }
                 FaultKind::Crash => {
                     adj.push(record(FaultKind::Crash, attempt + 1, false, penalty));
-                    adj.failure = Some(edge_failure(
-                        FaultKind::Crash,
-                        op,
-                        edge,
-                        Some(level),
-                        attempt + 1,
-                    ));
+                    adj.failure =
+                        Some(edge_failure(FaultKind::Crash, op, edge, level, attempt + 1));
                     return adj;
                 }
             }
@@ -548,11 +524,10 @@ pub fn inject_rank_faults(plan: &FaultPlan, level: usize, world: usize) -> Fault
     for rank in 0..world {
         let site = FaultSite {
             op: FaultOp::Rank,
-            level: Some(level),
+            level,
             src: rank,
             dst: rank,
-            tag: tags::COLLECTIVE_SITE,
-            salt: 0,
+            tag: COLLECTIVE_SITE,
         };
         match plan.fires(&site, 0) {
             Some(FaultKind::Stall) => {
@@ -562,7 +537,7 @@ pub fn inject_rank_faults(plan: &FaultPlan, level: usize, world: usize) -> Fault
                     op: FaultOp::Rank,
                     src: rank,
                     dst: rank,
-                    tag: tags::COLLECTIVE_SITE,
+                    tag: COLLECTIVE_SITE,
                     attempts: 1,
                     recovered: true,
                     penalty: plan.stall_penalty,
@@ -575,7 +550,7 @@ pub fn inject_rank_faults(plan: &FaultPlan, level: usize, world: usize) -> Fault
                     op: FaultOp::Rank,
                     src: rank,
                     dst: rank,
-                    tag: tags::COLLECTIVE_SITE,
+                    tag: COLLECTIVE_SITE,
                     attempts: 1,
                     recovered: false,
                     penalty: SimTime::ZERO,
@@ -593,7 +568,7 @@ fn edge_failure(
     kind: FaultKind,
     op: FaultOp,
     edge: &FaultEdge,
-    level: Option<usize>,
+    level: usize,
     attempts: u32,
 ) -> NbfsError {
     NbfsError::Fault {
@@ -602,7 +577,7 @@ fn edge_failure(
         src: edge.src,
         dst: edge.dst,
         tag: edge.round,
-        level,
+        level: Some(level),
         attempts,
     }
 }
@@ -636,11 +611,22 @@ mod tests {
         )
     }
 
+    /// A collective edge site (`tag` is the round index).
+    fn edge_site(level: usize, src: usize, dst: usize, round: u64) -> FaultSite {
+        FaultSite {
+            op: FaultOp::Collective(CollectiveKind::AllgatherWords),
+            level,
+            src,
+            dst,
+            tag: round,
+        }
+    }
+
     #[test]
     fn fates_are_pure_functions_of_seed_site_attempt() {
         let plan =
             FaultPlan::new(7).spec(FaultSpec::new(FaultKind::Drop, FaultScope::any()).rate(0.5));
-        let site = FaultSite::p2p(3, 4, 11, 0);
+        let site = edge_site(2, 3, 4, 11);
         for attempt in 0..4 {
             assert_eq!(plan.fires(&site, attempt), plan.fires(&site, attempt));
         }
@@ -649,7 +635,7 @@ mod tests {
             FaultPlan::new(8).spec(FaultSpec::new(FaultKind::Drop, FaultScope::any()).rate(0.5));
         let mut diverged = false;
         for s in 0..64u64 {
-            let site = FaultSite::p2p(0, 1, s, 0);
+            let site = edge_site(0, 0, 1, s);
             if plan.fires(&site, 0) != other.fires(&site, 0) {
                 diverged = true;
             }
@@ -659,15 +645,19 @@ mod tests {
 
     #[test]
     fn scopes_select_sites() {
-        let scope = FaultScope::any().src(1).tag(5).op(FaultOp::P2p);
-        assert!(scope.matches(&FaultSite::p2p(1, 2, 5, 0)));
-        assert!(!scope.matches(&FaultSite::p2p(2, 2, 5, 0)));
-        assert!(!scope.matches(&FaultSite::p2p(1, 2, 6, 0)));
+        let words = FaultOp::Collective(CollectiveKind::AllgatherWords);
+        let scope = FaultScope::any().src(1).tag(5).op(words);
+        assert!(scope.matches(&edge_site(0, 1, 2, 5)));
+        assert!(!scope.matches(&edge_site(0, 2, 2, 5)));
+        assert!(!scope.matches(&edge_site(0, 1, 2, 6)));
+        let rank_site = FaultSite {
+            op: FaultOp::Rank,
+            ..edge_site(0, 1, 2, 5)
+        };
+        assert!(!scope.matches(&rank_site), "op scope excludes rank sites");
         let level_scope = FaultScope::any().level(3);
-        assert!(
-            !level_scope.matches(&FaultSite::p2p(0, 1, 0, 0)),
-            "p2p has no level"
-        );
+        assert!(level_scope.matches(&edge_site(3, 0, 1, 0)));
+        assert!(!level_scope.matches(&edge_site(2, 0, 1, 0)));
     }
 
     #[test]

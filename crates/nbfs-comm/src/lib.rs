@@ -1,31 +1,29 @@
 //! Message passing substrate for the distributed hybrid BFS.
 //!
-//! Real MPI and InfiniBand are unavailable in this reproduction, so this
-//! crate supplies both halves of the substitution:
+//! Real MPI and InfiniBand are unavailable in this reproduction, so the
+//! BSP-style collectives here stand in for them: [`allgather`] /
+//! [`alltoallv`] / [`collectives`] perform the actual data movement over
+//! all ranks' buffers at once (so correctness is exercised end-to-end)
+//! while charging simulated time to the `nbfs-simnet` models per algorithm
+//! step. Both BFS engines run on them, because the paper's optimizations
+//! are precisely different collective algorithms:
 //!
-//! * [`runtime`] — a *functional* rank runtime: each rank is an OS thread
-//!   with a mailbox; point-to-point sends, barriers and a straightforward
-//!   allgather really move data between threads. This demonstrates the SPMD
-//!   programming surface and backs the runtime-focused tests and example.
-//! * [`allgather`] / [`alltoallv`] / [`collectives`] — BSP-style collective
-//!   *simulations*: they perform the actual data movement over all ranks'
-//!   buffers at once (so correctness is exercised end-to-end) while
-//!   charging simulated time to the `nbfs-simnet` models per algorithm
-//!   step. These are what the BFS engine uses, because the paper's
-//!   optimizations are precisely different collective algorithms:
+//! | paper | here |
+//! |---|---|
+//! | Open MPI 1.5.5 default allgather (ring for large messages) | [`allgather::AllgatherAlgorithm::Ring`] |
+//! | recursive doubling (Thakur & Gropp \[41\], small messages)   | [`allgather::AllgatherAlgorithm::RecursiveDoubling`] |
+//! | leader-based (Mamidala et al. \[31\], Fig. 5a)               | [`allgather::AllgatherAlgorithm::LeaderBased`] |
+//! | shared `in_queue` (Fig. 5b, Section III.A.1)               | [`allgather::AllgatherAlgorithm::SharedDest`] |
+//! | shared `in_queue` + `out_queue` (Section III.A.2)          | [`allgather::AllgatherAlgorithm::SharedBoth`] |
+//! | parallelized allgather (Fig. 7, Section III.B)             | [`allgather::AllgatherAlgorithm::ParallelSubgroup`] |
 //!
-//!   | paper | here |
-//!   |---|---|
-//!   | Open MPI 1.5.5 default allgather (ring for large messages) | [`allgather::AllgatherAlgorithm::Ring`] |
-//!   | recursive doubling (Thakur & Gropp \[41\], small messages)   | [`allgather::AllgatherAlgorithm::RecursiveDoubling`] |
-//!   | leader-based (Mamidala et al. \[31\], Fig. 5a)               | [`allgather::AllgatherAlgorithm::LeaderBased`] |
-//!   | shared `in_queue` (Fig. 5b, Section III.A.1)               | [`allgather::AllgatherAlgorithm::SharedDest`] |
-//!   | shared `in_queue` + `out_queue` (Section III.A.2)          | [`allgather::AllgatherAlgorithm::SharedBoth`] |
-//!   | parallelized allgather (Fig. 7, Section III.B)             | [`allgather::AllgatherAlgorithm::ParallelSubgroup`] |
+//! Alongside them:
 //!
 //! * [`codec`] — pluggable frontier/bitmap compression (delta-varint)
 //!   applied at the collective seams, with honest raw-vs-wire byte
 //!   accounting (Lv et al., arXiv:1208.5542).
+//! * [`fault`] — deterministic seeded fault injection over the
+//!   collectives' edge schedules.
 //! * [`profile`] — the per-step time split (intra-node gather, inter-node
 //!   exchange, intra-node broadcast) that Figs. 6 and 13 report.
 
@@ -39,13 +37,10 @@
 
 pub mod allgather;
 pub mod alltoallv;
-pub mod buffers;
 pub mod codec;
 pub mod collectives;
 pub mod fault;
 pub mod profile;
-pub mod runtime;
-pub mod tags;
 
 pub use allgather::{
     allgather_cost, allgather_cost_bytes, allgather_words, AllgatherAlgorithm, AllgatherOutcome,

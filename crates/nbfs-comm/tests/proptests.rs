@@ -6,16 +6,17 @@
 use proptest::prelude::*;
 
 use nbfs_comm::allgather::{
-    allgather_cost_bytes, allgather_words, allgatherv_items, AllgatherAlgorithm,
+    allgather_cost_bytes, allgather_stats_bytes, allgather_words, allgatherv_items,
+    AllgatherAlgorithm,
 };
 use nbfs_comm::alltoallv::{alltoallv_pairs_codec_into, AlltoallvWorkspace};
 use nbfs_comm::codec::{allgather_words_codec_into, allgatherv_u32_codec, Codec, CodecWorkspace};
-use nbfs_comm::runtime::run_spmd_faulted;
-use nbfs_comm::tags;
+use nbfs_comm::collectives::allreduce_sum;
+use nbfs_comm::fault::{allgather_edges, allreduce_edges, inject_collective};
 use nbfs_comm::{FaultPlan, FaultScope, FaultSpec};
 use nbfs_simnet::NetworkModel;
 use nbfs_topology::{presets, PlacementPolicy, ProcessMap};
-use nbfs_trace::{FaultKind, FaultRecord, RunMeta, TraceReport};
+use nbfs_trace::{CollectiveKind, FaultKind, FaultRecord, RunMeta, TraceReport};
 use nbfs_util::SimTime;
 
 fn setup(nodes: usize, ppn: usize) -> (ProcessMap, NetworkModel) {
@@ -124,53 +125,70 @@ proptest! {
         prop_assert!(cost.total() >= SimTime::ZERO);
     }
 
-    /// Fault fates are sender-side pure functions of (seed, site, attempt),
-    /// so the same plan produces the identical merged fault log — and the
-    /// byte-identical `TraceReport` JSON built from it — across repeated
-    /// `run_spmd` worlds of 1, 4 and 8 threads, no matter how the OS
-    /// interleaves them. Recoverable kinds must also leave the allgather
-    /// results untouched.
+    /// Fault fates are pure functions of (seed, site, attempt), so the
+    /// same plan resolved twice against the same collective schedule gives
+    /// the identical fault records, the identical penalty and the
+    /// byte-identical `TraceReport` JSON built from them: for every
+    /// allgather algorithm and the allreduce, on process maps of 1, 4 and
+    /// 8 ranks. First-attempt-only recoverable kinds never fail.
     #[test]
     fn fault_logs_are_seed_deterministic_across_worlds(
         seed in any::<u64>(),
         rate_pct in 0u32..=100,
     ) {
+        const LEVEL: usize = 3;
         let rate = f64::from(rate_pct) / 100.0;
         let plan = FaultPlan::new(seed)
             .spec(FaultSpec::new(FaultKind::Drop, FaultScope::any()).rate(rate * 0.4))
             .spec(FaultSpec::new(FaultKind::Delay, FaultScope::any()).rate(rate * 0.3))
             .spec(FaultSpec::new(FaultKind::Duplicate, FaultScope::any()).rate(rate * 0.2))
             .spec(FaultSpec::new(FaultKind::Reorder, FaultScope::any()).rate(rate * 0.2));
-        let report_json = |world: usize, faults: Vec<FaultRecord>| {
+        let report_json = |pmap: &ProcessMap, faults: Vec<FaultRecord>| {
             let meta = RunMeta {
-                world,
-                nodes: 1,
-                ppn: world,
-                opt_label: "spmd-proptest".to_string(),
+                world: pmap.world_size(),
+                nodes: pmap.nodes(),
+                ppn: pmap.ppn(),
+                opt_label: "fault-proptest".to_string(),
                 root: 0,
             };
             let mut report = TraceReport::empty(meta);
             report.faults = faults;
             report.to_json().unwrap()
         };
-        for world in [1usize, 4, 8] {
-            let expect: Vec<Vec<u8>> = (0..world).map(|r| vec![r as u8; 5]).collect();
-            let run = || run_spmd_faulted(world, &plan, |ctx| {
-                ctx.allgather_bytes(vec![ctx.rank() as u8; 5], tags::testing::FAULT_RING)
-            });
-            let a = run();
-            let b = run();
-            for r in &a.results {
-                prop_assert_eq!(r.as_ref().unwrap(), &expect, "world {}", world);
+        for (nodes, ppn) in [(1usize, 1usize), (4, 1), (2, 4)] {
+            let (pmap, net) = setup(nodes, ppn);
+            let world = pmap.world_size();
+            let bytes = vec![40u64; world];
+            let mut schedules: Vec<_> = ALGOS
+                .iter()
+                .map(|&algo| (
+                    CollectiveKind::AllgatherWords,
+                    allgather_edges(&pmap, algo),
+                    allgather_cost_bytes(&bytes, &pmap, &net, algo),
+                    allgather_stats_bytes(&bytes, &pmap, algo),
+                ))
+                .collect();
+            let reduce = allreduce_sum(&vec![1; world], &pmap, &net);
+            schedules.push((
+                CollectiveKind::Allreduce,
+                allreduce_edges(&pmap),
+                reduce.cost,
+                reduce.stats,
+            ));
+            for (kind, edges, cost, stats) in &schedules {
+                let a = inject_collective(&plan, LEVEL, *kind, edges, cost, stats);
+                let b = inject_collective(&plan, LEVEL, *kind, edges, cost, stats);
+                prop_assert!(a.failure.is_none(), "{:?} world {}", kind, world);
+                prop_assert_eq!(&a.records, &b.records, "{:?} world {}", kind, world);
+                prop_assert_eq!(a.penalty, b.penalty, "{:?} world {}", kind, world);
+                prop_assert_eq!(
+                    report_json(&pmap, a.records),
+                    report_json(&pmap, b.records),
+                    "{:?} world {}",
+                    kind,
+                    world
+                );
             }
-            prop_assert_eq!(&a.faults, &b.faults, "world {}", world);
-            prop_assert_eq!(a.fault_penalty, b.fault_penalty, "world {}", world);
-            prop_assert_eq!(
-                report_json(world, a.faults),
-                report_json(world, b.faults),
-                "world {}",
-                world
-            );
         }
     }
 
@@ -297,22 +315,4 @@ proptest! {
         }
     }
 
-    /// Whatever the seed, a crash plan terminates every world with
-    /// structured errors — the property run is itself the no-hang proof.
-    #[test]
-    fn crash_plans_never_hang(seed in any::<u64>()) {
-        let plan = FaultPlan::new(seed)
-            .spec(FaultSpec::new(FaultKind::Crash, FaultScope::any().src(0)));
-        let out = run_spmd_faulted(4, &plan, |ctx| {
-            let next = (ctx.rank() + 1) % ctx.world();
-            let prev = (ctx.rank() + ctx.world() - 1) % ctx.world();
-            ctx.send(next, tags::testing::CRASH_PAIR, vec![ctx.rank() as u8])?;
-            ctx.recv(prev, tags::testing::CRASH_PAIR)
-        });
-        // Rank 0 crashes on its first send; rank 1 loses its inbound
-        // message and must error rather than wait forever.
-        prop_assert!(out.results[0].is_err());
-        prop_assert!(out.results[1].is_err());
-        prop_assert_eq!(out.faults.len(), 1);
-    }
 }

@@ -97,7 +97,7 @@ impl FaultKind {
 /// Which operation a fault hit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum FaultOp {
-    /// A point-to-point `RankCtx::send` in the threaded runtime.
+    /// A point-to-point send. No producer; kept so schema-v4 traces load.
     P2p,
     /// An edge of a simulated collective.
     Collective(CollectiveKind),
@@ -121,7 +121,7 @@ impl FaultOp {
 /// `TraceReport::faults`.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct FaultRecord {
-    /// BFS level the fault fired in (0 for the level-less p2p runtime).
+    /// BFS level the fault fired in.
     pub level: usize,
     /// What the fault did.
     pub kind: FaultKind,
@@ -131,7 +131,7 @@ pub struct FaultRecord {
     pub src: usize,
     /// Destination rank of the affected edge.
     pub dst: usize,
-    /// Message tag (p2p) or round index (collectives).
+    /// Round index of the affected collective edge (0 for rank fates).
     pub tag: u64,
     /// Delivery attempts consumed, including the final successful one.
     pub attempts: u32,

@@ -19,13 +19,10 @@ pub enum NbfsError {
     /// An invalid configuration: machine shape, builder parameters,
     /// placement that does not fit the topology.
     Config(String),
-    /// A communication-runtime failure: a rank disconnected mid-run or a
-    /// collective could not complete.
-    Comm(String),
     /// A serialization or deserialization failure (JSON import/export).
     Serde(String),
-    /// A rank of the SPMD runtime died (panicked, or an injected crash
-    /// fault fired) and the BSP world cannot make progress without it.
+    /// An injected whole-rank crash fault fired, and the BSP world cannot
+    /// make progress without that rank.
     RankFailed {
         /// The rank that failed.
         rank: usize,
@@ -33,9 +30,9 @@ pub enum NbfsError {
     /// An injected communication fault exhausted its recovery budget.
     ///
     /// Carries the failing edge so chaos harnesses can pinpoint exactly
-    /// which transfer of which collective (or point-to-point tag) gave up.
+    /// which transfer of which collective gave up.
     Fault {
-        /// Operation label (`"p2p"`, a collective label, or `"rank"`).
+        /// Operation label (a collective label, or `"rank"`).
         op: String,
         /// Fault kind label (`"drop"`, `"crash"`, ...).
         kind: String,
@@ -43,7 +40,7 @@ pub enum NbfsError {
         src: usize,
         /// Destination rank of the failing edge.
         dst: usize,
-        /// Message tag (point-to-point) or round index (collectives).
+        /// Round index of the failing edge within its collective.
         tag: u64,
         /// BFS level the failure occurred in, when level-scoped.
         level: Option<usize>,
@@ -62,11 +59,6 @@ impl NbfsError {
     pub fn config(msg: impl Into<String>) -> Self {
         NbfsError::Config(msg.into())
     }
-
-    /// Shorthand for [`NbfsError::Comm`].
-    pub fn comm(msg: impl Into<String>) -> Self {
-        NbfsError::Comm(msg.into())
-    }
 }
 
 impl fmt::Display for NbfsError {
@@ -75,7 +67,6 @@ impl fmt::Display for NbfsError {
             NbfsError::Io(e) => write!(f, "i/o error: {e}"),
             NbfsError::InvalidData(msg) => write!(f, "invalid data: {msg}"),
             NbfsError::Config(msg) => write!(f, "invalid configuration: {msg}"),
-            NbfsError::Comm(msg) => write!(f, "communication error: {msg}"),
             NbfsError::Serde(msg) => write!(f, "serialization error: {msg}"),
             NbfsError::RankFailed { rank } => write!(f, "rank failure: rank {rank} died"),
             NbfsError::Fault {
@@ -135,10 +126,6 @@ mod tests {
             "invalid configuration: ppn exceeds cores"
         );
         assert_eq!(
-            NbfsError::comm("rank 3 disconnected").to_string(),
-            "communication error: rank 3 disconnected"
-        );
-        assert_eq!(
             NbfsError::Serde("eof".to_string()).to_string(),
             "serialization error: eof"
         );
@@ -168,8 +155,8 @@ mod tests {
             e.to_string(),
             "communication fault: drop on allgather-words edge 3->4 tag 2 level 5 after 4 attempt(s)"
         );
-        let p2p = NbfsError::Fault {
-            op: "p2p".to_string(),
+        let levelless = NbfsError::Fault {
+            op: "allreduce".to_string(),
             kind: "crash".to_string(),
             src: 1,
             dst: 0,
@@ -178,8 +165,8 @@ mod tests {
             attempts: 1,
         };
         assert_eq!(
-            p2p.to_string(),
-            "communication fault: crash on p2p edge 1->0 tag 42 after 1 attempt(s)"
+            levelless.to_string(),
+            "communication fault: crash on allreduce edge 1->0 tag 42 after 1 attempt(s)"
         );
         assert_eq!(
             NbfsError::RankFailed { rank: 7 }.to_string(),

@@ -115,10 +115,11 @@ fn markdown_files(dir: &std::path::Path, out: &mut Vec<String>) {
 
 #[test]
 fn retired_bench_system_is_gone_from_the_docs_and_quoted_metrics_exist() {
-    // The wall-clock snapshot went in PR 22; the fallible/timed entry-point
-    // family, the per-flavour distributed backends and the 2-D merge-join
-    // went in PR 23. Only the project's history and plan (CHANGES,
-    // ROADMAP, the per-PR ISSUE) and the EXPERIMENTS "Retired variants"
+    // Retired surfaces: the wall-clock snapshot, the fallible/timed
+    // entry-point family, the per-flavour distributed backends, the 2-D
+    // merge-join, and the threaded SPMD runtime with its node-shared
+    // frontier and tag registry. Only the project's history and plan
+    // (CHANGES, ROADMAP, ISSUE) and the EXPERIMENTS "Retired variants"
     // section may still name them.
     let mut files = Vec::new();
     markdown_files(std::path::Path::new(env!("CARGO_MANIFEST_DIR")), &mut files);
@@ -138,6 +139,10 @@ fn retired_bench_system_is_gone_from_the_docs_and_quoted_metrics_exist() {
                 "try_run_traced_timed",
                 "DistributedTryTracedBackend",
                 "td_match_chunk",
+                "run_spmd",
+                "RankCtx",
+                "SharedFrontier",
+                "nbfs_comm::tags",
             ] {
                 assert!(!section.contains(retired), "{name} still has {retired}");
             }
