@@ -87,7 +87,7 @@ pub fn lint_source(rel_path: &str, text: &str) -> Vec<Diagnostic> {
     let scanned = scan(text);
     let mut diags = Vec::new();
 
-    let in_test_tree = ["tests/", "benches/", "examples/"]
+    let in_test_tree = ["tests/", "examples/"]
         .iter()
         .any(|dir| rel_path.starts_with(dir) || rel_path.contains(&format!("/{dir}")));
 

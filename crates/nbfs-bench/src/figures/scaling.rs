@@ -6,7 +6,7 @@ use nbfs_core::opt::OptLevel;
 
 use crate::figures::teps_cell;
 use crate::report::FigureReport;
-use crate::scenarios::{graph, run_once, BenchConfig};
+use crate::scenarios::{graph, run_scenario, BenchConfig};
 
 const IMPLS: [OptLevel; 4] = [
     OptLevel::OriginalPpn8,
@@ -44,13 +44,12 @@ pub fn fig15(cfg: &BenchConfig) -> FigureReport {
         let mut row = vec![nodes.to_string(), scale.to_string()];
         for &opt in &IMPLS {
             let scenario = Scenario::new(machine.clone(), opt);
-            let (_, teps) = crate::scenarios::run_scenario(g, &scenario);
+            let (_, teps) = run_scenario(g, &scenario);
             row.push(teps_cell(teps));
         }
         r.push_row(row);
     }
     r.note("weak node (45% network) enabled only at 16 nodes, as in the paper's testbed");
-    let _ = run_once; // referenced for doc discoverability
     r
 }
 

@@ -1,5 +1,5 @@
 //! Regenerators for every table and figure of the paper's evaluation, plus
-//! shared scenario builders for the Criterion benchmarks.
+//! the host timer the repo benchmark (`perfbench/`) reads.
 //!
 //! Each `fig*` function in [`figures`] runs the corresponding experiment on
 //! the simulated cluster and returns a [`report::FigureReport`] whose rows

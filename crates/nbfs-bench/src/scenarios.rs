@@ -1,10 +1,9 @@
-//! Shared scenario builders for figures and benches.
+//! Shared scenario builders for the figure regenerators.
 
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 
 use nbfs_core::engine::{DistributedBfs, Scenario};
-use nbfs_core::opt::OptLevel;
 use nbfs_graph::{Csr, GraphBuilder};
 use nbfs_topology::{presets, MachineConfig};
 use nbfs_util::SimTime;
@@ -79,12 +78,6 @@ pub fn best_root(graph: &Csr) -> usize {
         .expect("non-empty graph")
 }
 
-/// Runs one BFS and returns (total simulated time, TEPS).
-pub fn run_once(graph: &Csr, machine: &MachineConfig, opt: OptLevel) -> (SimTime, f64) {
-    let scenario = Scenario::new(machine.clone(), opt);
-    run_scenario(graph, &scenario)
-}
-
 /// Runs one BFS for an explicit scenario and returns (time, TEPS).
 pub fn run_scenario(graph: &Csr, scenario: &Scenario) -> (SimTime, f64) {
     let root = best_root(graph);
@@ -98,6 +91,7 @@ pub fn run_scenario(graph: &Csr, scenario: &Scenario) -> (SimTime, f64) {
 #[allow(clippy::unwrap_used, clippy::cast_possible_truncation)]
 mod tests {
     use super::*;
+    use nbfs_core::opt::OptLevel;
 
     #[test]
     fn graph_cache_returns_same_instance() {
@@ -116,10 +110,11 @@ mod tests {
     }
 
     #[test]
-    fn run_once_produces_positive_teps() {
+    fn run_scenario_produces_positive_teps() {
         let cfg = BenchConfig::tiny();
         let g = graph(cfg.base_scale);
-        let (t, teps) = run_once(g, &cfg.machine(2), OptLevel::ShareAll);
+        let scenario = Scenario::new(cfg.machine(2), OptLevel::ShareAll);
+        let (t, teps) = run_scenario(g, &scenario);
         assert!(t > SimTime::ZERO);
         assert!(teps > 0.0);
     }

@@ -78,9 +78,9 @@ const TAG_ENCODED: u8 = 1;
 /// move: dense bitmap word segments, sorted `u32` vertex lists, and
 /// `(u32, u32)` record streams. Implementations must be exact inverses
 /// (`decode(encode(x)) == x`) — the engine routes real traffic through
-/// them — and should fall back to the [`TAG_RAW`] passthrough whenever
-/// encoding would not shrink the payload, capping every message at
-/// `raw + 1` bytes.
+/// them — and should fall back to the raw passthrough (a leading `0` tag
+/// byte, then the input's little-endian bytes) whenever encoding would not
+/// shrink the payload, capping every message at `raw + 1` bytes.
 pub trait FrontierCodec {
     /// Short label for tables and CLI flags.
     fn label(&self) -> &'static str;

@@ -310,21 +310,6 @@ struct TdTally {
     degree_found: u64,
 }
 
-/// Which bottom-up kernel implementation the engine runs.
-///
-/// Both produce bit-identical trees, frontiers, counters and therefore
-/// simulated times; they differ only in host wall-clock speed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum BottomUpKernel {
-    /// The original per-bit serial scan over `parent[]`. Kept as the
-    /// differential-test oracle.
-    Reference,
-    /// Word-level unvisited scan with probe-word caching and deterministic
-    /// chunked parallelism within each rank.
-    #[default]
-    WordLevel,
-}
-
 /// Host wall-clock timing of the real kernels, separate from simulated
 /// time. Nondeterministic by nature, so it is returned alongside — never
 /// inside — [`BfsRun`].
@@ -423,8 +408,8 @@ impl<R: BuRows> Copy for BuScanInputs<'_, R> {}
 /// Per-chunk output of the word-level bottom-up scan, merged in chunk order.
 /// The chunk's newly discovered vertices are not listed here: they are
 /// exactly the set bits of the chunk's `out` words, so the caller rebuilds
-/// the frontier queue from those (ascending — the reference push order)
-/// instead of growing a `Vec` inside the hot loop.
+/// the frontier queue from those (ascending) instead of growing a `Vec`
+/// inside the hot loop.
 #[derive(Clone, Copy, Default)]
 pub(crate) struct BuChunkOut {
     pub(crate) discovered: u64,
@@ -445,10 +430,11 @@ pub(crate) struct BuChunkOut {
 /// up, so masking them out is invisible to every counter: they contribute
 /// no edges, probes or writes, and the 2-op visited check is charged for
 /// the whole chunk regardless). Summary and `in_queue` probes go through
-/// word caches. Counters reproduce the per-bit reference kernel exactly:
-/// every examined neighbour pays its probe whether or not the probe word
-/// was cached, with the per-edge tallies hoisted out of the loop (the
-/// examined-prefix length is known once the scan of a vertex ends).
+/// direct word loads. Counters are those of a vertex-by-vertex scan
+/// (`tests/bottom_up_oracle.rs` recomputes them from the graph): every
+/// examined neighbour pays its summary probe, with the per-edge tallies
+/// hoisted out of the loop (the examined-prefix length is known once the
+/// scan of a vertex ends).
 pub(crate) fn bu_scan_chunk<R: BuRows>(
     inp: &BuScanInputs<'_, R>,
     base: usize,
@@ -543,7 +529,6 @@ pub struct DistributedBfs<'g, G: GraphView = Csr> {
     scenario: Scenario,
     pmap: ProcessMap,
     net: NetworkModel,
-    bu_kernel: BottomUpKernel,
     /// The scenario's effective summary granularity, contract-checked
     /// once here at construction; the per-root level loop builds its
     /// summaries prevalidated (a regression test pins that no per-run
@@ -577,16 +562,8 @@ impl<'g, G: GraphView> DistributedBfs<'g, G> {
             scenario: scenario.clone(),
             pmap,
             net,
-            bu_kernel: BottomUpKernel::default(),
             granularity,
         }
-    }
-
-    /// Selects the bottom-up kernel implementation (results are identical
-    /// either way; only wall-clock speed differs).
-    pub fn with_bottom_up_kernel(mut self, kernel: BottomUpKernel) -> Self {
-        self.bu_kernel = kernel;
-        self
     }
 
     /// The graph being searched.
@@ -670,12 +647,11 @@ impl<'g, G: GraphView> DistributedBfs<'g, G> {
     ///
     /// Word-level implementation: the vertex scan walks the zero words of
     /// the rank's `visited` bitmap (one load skips 64 explored vertices),
-    /// the summary and `in_queue` probes go through word caches (sorted
-    /// adjacency lists make consecutive neighbours hit the same word), and
-    /// the rank's vertex range is scanned in the fixed chunks of
+    /// the summary and `in_queue` probes are direct word loads, and the
+    /// rank's vertex range is scanned in the fixed chunks of
     /// [`level::bu_scan`], so parents, frontiers and every
-    /// [`ComputeEvents`] counter are bit-identical to
-    /// [`Self::bottom_up_kernel_reference`].
+    /// [`ComputeEvents`] counter are independent of the worker count
+    /// (`tests/bottom_up_oracle.rs` recomputes them from the graph).
     fn bottom_up_kernel(
         &self,
         lg: &LocalGraph,
@@ -703,8 +679,8 @@ impl<'g, G: GraphView> DistributedBfs<'g, G> {
 
         // nbfs-analysis: hot-path
         // The frontier queue is the set bits of `out_words` in ascending
-        // order — exactly the order the per-bit reference pushes them. It
-        // is rebuilt every bottom-up level into the recycled `frontier`
+        // order — the order a vertex-by-vertex scan adopts them. It is
+        // rebuilt every bottom-up level into the recycled `frontier`
         // (reserve on a recycled Vec is amortized-free, new heap blocks
         // are not — NBFS004).
         let first = lg.first_vertex();
@@ -720,70 +696,16 @@ impl<'g, G: GraphView> DistributedBfs<'g, G> {
         }
         // nbfs-analysis: end-hot-path
 
-        self.bu_kernel_out(lg, in_queue, summary, &scan)
-    }
-
-    /// Prices one rank's bottom-up scan against the whole `in_queue` and
-    /// summary.
-    fn bu_kernel_out(
-        &self,
-        lg: &LocalGraph,
-        in_queue: &Bitmap,
-        summary: &SummaryBitmap,
-        scan: &BuChunkOut,
-    ) -> KernelOut {
         KernelOut {
             events: level::bu_events(
                 &self.scenario,
-                scan,
+                &scan,
                 lg.num_local_vertices(),
                 summary.size_bytes(),
                 in_queue.size_bytes(),
             ),
             discovered: scan.discovered,
         }
-    }
-
-    /// The original per-bit serial bottom-up kernel, kept as the oracle for
-    /// the word-level rewrite (differential tests).
-    fn bottom_up_kernel_reference(
-        &self,
-        lg: &LocalGraph,
-        st: &mut RankState,
-        in_queue: &Bitmap,
-        summary: &SummaryBitmap,
-    ) -> KernelOut {
-        let first = lg.first_vertex();
-        st.out_words.fill(0);
-        st.own.frontier.clear();
-        let mut o = BuChunkOut::default();
-        for v in lg.vertex_range() {
-            let local = v - first;
-            o.cpu_ops += 2;
-            if st.own.parent[local] != NO_PARENT {
-                continue;
-            }
-            for &u in lg.neighbours_global(v) {
-                o.edge_bytes += 4;
-                o.summary_probes += 1;
-                o.cpu_ops += 4;
-                if !summary.maybe_set(u as usize) {
-                    continue; // the summary's fast path: provably not in frontier
-                }
-                o.inqueue_probes += 1;
-                if in_queue.get(u as usize) {
-                    st.own.parent[local] = u;
-                    st.out_words[local / 64] |= 1u64 << (local % 64);
-                    st.own.frontier.push(vid::to_stored(v));
-                    o.write_bytes += 12;
-                    o.discovered += 1;
-                    o.degree_found += lg.degree_global(v) as u64;
-                    break;
-                }
-            }
-        }
-        st.own.unexplored_degree -= o.degree_found;
-        self.bu_kernel_out(lg, in_queue, summary, &o)
     }
 
     /// One top-down level over all ranks: the owner walk.
@@ -1072,15 +994,7 @@ impl<G: GraphView> Exchange for OneDim<'_, '_, G> {
                 .with_min_len(min_len)
                 .enumerate()
                 .map(|(r, st)| {
-                    let lg = engine.parts.local(r);
-                    match engine.bu_kernel {
-                        BottomUpKernel::WordLevel => {
-                            engine.bottom_up_kernel(lg, st, in_queue, summary)
-                        }
-                        BottomUpKernel::Reference => {
-                            engine.bottom_up_kernel_reference(lg, st, in_queue, summary)
-                        }
-                    }
+                    engine.bottom_up_kernel(engine.parts.local(r), st, in_queue, summary)
                 })
                 .collect()
         });

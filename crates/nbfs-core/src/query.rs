@@ -47,6 +47,13 @@ pub trait QueryBackend: Sync {
     /// Most roots one wave may fuse.
     fn wave_capacity(&self) -> usize;
 
+    /// Checks one root in the submitting thread's own frame, before
+    /// [`QueryEngine::query`] enqueues it. A backend with no error answer
+    /// for a bad root must refuse it here (by panicking): once enqueued,
+    /// the root would fail whichever thread leads its wave. The default
+    /// admits every root.
+    fn admit(&self, _root: usize) {}
+
     /// Executes one wave. `wave` is a monotone sequence number (useful
     /// for tracing); `roots` holds 1..=[`Self::wave_capacity`] entries.
     fn run_wave(&self, wave: u64, roots: &[usize]) -> Vec<Self::Answer>;
@@ -86,6 +93,14 @@ impl QueryBackend for BitParallelBackend<'_> {
 
     fn wave_capacity(&self) -> usize {
         MAX_LANES
+    }
+
+    /// # Panics
+    /// If `root` is not a vertex: the bit-parallel kernel has no error
+    /// answer, so the caller that passed it is the one that fails.
+    fn admit(&self, root: usize) {
+        let n = self.graph.num_vertices();
+        assert!(root < n, "root {root} is not a vertex (graph has {n})");
     }
 
     fn run_wave(&self, _wave: u64, roots: &[usize]) -> Vec<LaneAnswer> {
@@ -267,7 +282,12 @@ impl<B: QueryBackend> QueryEngine<B> {
     /// the answers. Concurrent submitters therefore fuse into shared
     /// waves automatically, and a lone submitter degenerates to a direct
     /// call with one lock round-trip.
+    ///
+    /// # Panics
+    /// If the backend refuses `root` ([`QueryBackend::admit`]) — in this
+    /// thread, before the root reaches any wave.
     pub fn query(&self, root: usize) -> B::Answer {
+        self.backend.admit(root);
         let ticket = {
             let mut st = self.lock();
             let t = st.next_ticket;
@@ -557,5 +577,37 @@ mod tests {
         });
         assert_eq!(outcomes.iter().filter(|&&ok| !ok).count(), 1);
         assert!(rx.try_recv().is_err(), "the dead leader sent an answer");
+    }
+
+    #[test]
+    fn a_bad_root_fails_only_the_caller_that_passed_it() {
+        let g = graph();
+        let n = g.num_vertices();
+        let keys = roots(&g, 7, 19);
+        let expect = QueryEngine::bit_parallel(&g).run_batch(&keys);
+        let engine = QueryEngine::bit_parallel(&g);
+        // Hold the leader seat so that a bad root, were it enqueued, could
+        // only be drained by one of the valid submitters below.
+        engine.lock().leader_busy = true;
+        std::thread::scope(|scope| {
+            let engine = &engine;
+            let bad = scope.spawn(move || engine.query(n));
+            while !bad.is_finished() && engine.lock().pending.is_empty() {
+                std::thread::yield_now();
+            }
+            // Free the seat without waking anyone: the next valid
+            // submitter leads.
+            engine.lock().leader_busy = false;
+            let good: Vec<_> = keys
+                .iter()
+                .map(|&root| scope.spawn(move || engine.query(root)))
+                .collect();
+            for (i, (h, want)) in good.into_iter().zip(&expect).enumerate() {
+                let answer = h.join().expect("a valid submitter died");
+                assert_eq!(&answer, want, "submitter {i}");
+            }
+            assert!(bad.join().is_err(), "the bad root was answered");
+        });
+        assert_eq!(engine.stats().queries, 7);
     }
 }

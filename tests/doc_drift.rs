@@ -117,10 +117,11 @@ fn markdown_files(dir: &std::path::Path, out: &mut Vec<String>) {
 fn retired_bench_system_is_gone_from_the_docs_and_quoted_metrics_exist() {
     // Retired surfaces: the wall-clock snapshot, the fallible/timed
     // entry-point family, the per-flavour distributed backends, the 2-D
-    // merge-join, and the threaded SPMD runtime with its node-shared
-    // frontier and tag registry. Only the project's history and plan
-    // (CHANGES, ROADMAP, ISSUE) and the EXPERIMENTS "Retired variants"
-    // section may still name them.
+    // merge-join, the threaded SPMD runtime with its node-shared
+    // frontier and tag registry, the Criterion harness, and the per-bit
+    // bottom-up kernel with its equivalence test. Only the project's
+    // history and plan (CHANGES, ROADMAP, ISSUE) and the EXPERIMENTS
+    // "Retired variants" section may still name them.
     let mut files = Vec::new();
     markdown_files(std::path::Path::new(env!("CARGO_MANIFEST_DIR")), &mut files);
     assert!(files.contains(&"README.md".to_string()), "{files:?}");
@@ -143,6 +144,13 @@ fn retired_bench_system_is_gone_from_the_docs_and_quoted_metrics_exist() {
                 "RankCtx",
                 "SharedFrontier",
                 "nbfs_comm::tags",
+                "cargo bench",
+                "benches/",
+                "criterion",
+                "Criterion",
+                // Split so that the source tree itself never names the type.
+                concat!("BottomUp", "Kernel"),
+                "kernel_equivalence",
             ] {
                 assert!(!section.contains(retired), "{name} still has {retired}");
             }
