@@ -34,7 +34,7 @@ pub fn fig16(cfg: &BenchConfig) -> FigureReport {
         let summary_bytes = SummaryBitmap::new(g.num_vertices(), gran).size_bytes();
         r.push_row(vec![
             gran.to_string(),
-            format_bytes(summary_bytes),
+            format_bytes(summary_bytes as u64),
             teps_cell(teps),
             format!("{:+.1}%", 100.0 * (teps / b - 1.0)),
         ]);

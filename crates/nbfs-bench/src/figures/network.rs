@@ -27,7 +27,7 @@ pub fn fig4() -> FigureReport {
             .map(|&ppn| pairwise_bandwidth(&solver, ppn, size).bandwidth)
             .collect();
         r.push_row(vec![
-            format_bytes(size as usize),
+            format_bytes(size),
             format_bandwidth(row[0]),
             format_bandwidth(row[1]),
             format_bandwidth(row[2]),

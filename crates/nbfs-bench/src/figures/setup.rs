@@ -22,9 +22,12 @@ pub fn table1() -> FigureReport {
             "cores per socket",
             format!("{} @ {:.1} GHz (SMT off)", s.cores, s.ghz),
         ),
-        ("L1D per core", format_bytes(s.cache.l1_bytes)),
-        ("L2 per core", format_bytes(s.cache.l2_bytes)),
-        ("L3 per socket (shared)", format_bytes(s.cache.l3_bytes)),
+        ("L1D per core", format_bytes(s.cache.l1_bytes as u64)),
+        ("L2 per core", format_bytes(s.cache.l2_bytes as u64)),
+        (
+            "L3 per socket (shared)",
+            format_bytes(s.cache.l3_bytes as u64),
+        ),
         (
             "QPI links per socket",
             format!("{} x {}", s.qpi_links, format_bandwidth(s.qpi_bw)),

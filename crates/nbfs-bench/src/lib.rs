@@ -8,11 +8,6 @@
 //! `EXPERIMENTS.md` records a paper-vs-measured comparison for each.
 
 #![forbid(unsafe_code)]
-// u64 offsets and counters are indexed into slices throughout; usize is
-// 64 bits on every supported target (documented in DESIGN.md), so these
-// casts cannot truncate. Narrowing *vertex ids* to u32/u16 is the risky
-// direction, and that is gated by the nbfs-analysis NBFS005 rule instead.
-#![allow(clippy::cast_possible_truncation)]
 #![warn(missing_docs)]
 
 pub mod figures;

@@ -50,6 +50,10 @@ impl BenchConfig {
     }
 
     /// Graph scale for a `nodes`-node weak-scaling point.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "log2 of a usize node count is below 64"
+    )]
     pub fn weak_scale(&self, nodes: usize) -> u32 {
         self.base_scale + (nodes as f64).log2().round() as u32
     }

@@ -5,20 +5,24 @@
 //! host-clock number in the repository is a `perfbench` row (see
 //! `BENCHMARK.json`), and every one of them is read through the
 //! [`HostTimer`] below — the only code in the workspace allowed to touch
-//! `std::time` (diagnostic NBFS002 pins this file as the sanctuary).
+//! `std::time` (`clippy.toml` disallows `Instant::now` everywhere else).
 
 use std::time::Instant;
 
 use nbfs_core::engine::HostClock;
 
 /// The real host clock — the one [`HostClock`] implementation in the
-/// workspace that actually reads `std::time` (this module is the NBFS002
-/// sanctuary; see DESIGN.md, "Static analysis & race checking").
+/// workspace that actually reads `std::time` (see DESIGN.md, "Invariant
+/// gates").
 pub struct HostTimer(Instant);
 
 impl HostTimer {
     /// Starts a timer at the current instant.
     #[allow(clippy::new_without_default)]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the one sanctioned host-clock read behind every perfbench row"
+    )]
     pub fn new() -> Self {
         Self(Instant::now())
     }

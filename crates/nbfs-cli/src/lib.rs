@@ -21,11 +21,6 @@
 //! unit-testable; `main.rs` is a thin shim.
 
 #![forbid(unsafe_code)]
-// u64 offsets and counters are indexed into slices throughout; usize is
-// 64 bits on every supported target (documented in DESIGN.md), so these
-// casts cannot truncate. Narrowing *vertex ids* to u32/u16 is the risky
-// direction, and that is gated by the nbfs-analysis NBFS005 rule instead.
-#![allow(clippy::cast_possible_truncation)]
 #![warn(missing_docs)]
 
 use std::path::PathBuf;
@@ -220,11 +215,16 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
         }
         Ok(v)
     };
+    let count = |name: &'static str, default: u64, min: u64| -> Result<usize, String> {
+        let v = num(name, default, min)?;
+        usize::try_from(v).map_err(|_| format!("{name} is too large, got {v}"))
+    };
     // The R-MAT generator's supported range.
     let scale = |default: u64| -> Result<u32, String> {
-        match num("--scale", default, 0)? {
-            s @ 1..=31 => Ok(s as u32),
-            s => Err(format!("--scale must be in 1..=31, got {s}")),
+        let s = num("--scale", default, 0)?;
+        match u32::try_from(s) {
+            Ok(s @ 1..=31) => Ok(s),
+            _ => Err(format!("--scale must be in 1..=31, got {s}")),
         }
     };
     let path = |name: &'static str| Ok::<_, String>(flag(name)?.map(PathBuf::from));
@@ -269,7 +269,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
     let cmd = match sub {
         "generate" => Command::Generate {
             scale: scale(16)?,
-            edge_factor: num("--edge-factor", 16, 1)? as usize,
+            edge_factor: count("--edge-factor", 16, 1)?,
             seed: num("--seed", 1, 0)?,
             out: path("--out")?.ok_or_else(|| "generate needs --out FILE".to_string())?,
         },
@@ -283,7 +283,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
         "run" => Command::Run {
             scale: scale(16)?,
             graph: path("--graph")?,
-            nodes: num("--nodes", 16, 1)? as usize,
+            nodes: count("--nodes", 16, 1)?,
             opt: opt()?,
             root: root()?,
             summary_g: summary_g()?,
@@ -294,7 +294,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
         "trace" => Command::Trace {
             scale: scale(16)?,
             graph: path("--graph")?,
-            nodes: num("--nodes", 16, 1)? as usize,
+            nodes: count("--nodes", 16, 1)?,
             opt: opt()?,
             root: root()?,
             summary_g: summary_g()?,
@@ -305,21 +305,21 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
         },
         "bench" => Command::Bench {
             scale: scale(16)?,
-            nodes: num("--nodes", 16, 1)? as usize,
+            nodes: count("--nodes", 16, 1)?,
             opt: opt()?,
-            roots: num("--roots", 8, 1)? as usize,
+            roots: count("--roots", 8, 1)?,
             grid: grid()?,
             compressed: has("--compressed"),
         },
         "tune" => Command::Tune {
-            scale: num("--scale", 20, 0)? as u32,
+            scale: scale(20)?,
             density: flag("--density")?
                 .map(|v| v.parse().map_err(|e| format!("bad --density: {e}")))
                 .unwrap_or(Ok(0.02))?,
         },
         "chaos" => Command::Chaos {
             scale: scale(12)?,
-            nodes: num("--nodes", 4, 1)? as usize,
+            nodes: count("--nodes", 4, 1)?,
             seed: num("--seed", 2012, 0)?,
             json: path("--json")?,
         },
@@ -424,7 +424,7 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), String>
                 Some(path) => Csr::from_edge_list(&io::load(&path).map_err(|e| e.to_string())?),
                 None => GraphBuilder::rmat(scale, 16).seed(1).build(),
             };
-            let actual_scale = (g.num_vertices() as f64).log2().ceil() as u32;
+            let actual_scale = g.num_vertices().next_power_of_two().trailing_zeros();
             let machine = presets::xeon_x7550_cluster(nodes).scaled_to_graph(actual_scale, 28);
             let mut builder = Scenario::builder(machine, opt).codec(codec);
             if let Some(g) = summary_g {
@@ -483,7 +483,7 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), String>
                 Some(path) => Csr::from_edge_list(&io::load(&path).map_err(|e| e.to_string())?),
                 None => GraphBuilder::rmat(scale, 16).seed(1).build(),
             };
-            let actual_scale = (g.num_vertices() as f64).log2().ceil() as u32;
+            let actual_scale = g.num_vertices().next_power_of_two().trailing_zeros();
             let machine = presets::xeon_x7550_cluster(nodes).scaled_to_graph(actual_scale, 28);
             let mut builder = Scenario::builder(machine, opt)
                 .trace(TraceConfig::Standard)
@@ -601,9 +601,9 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), String>
                     calls,
                     stats.rounds,
                     stats.flows,
-                    format_bytes(stats.raw_bytes as usize),
-                    format_bytes(stats.wire_bytes as usize),
-                    format_bytes(stats.shm_bytes as usize),
+                    format_bytes(stats.raw_bytes),
+                    format_bytes(stats.wire_bytes),
+                    format_bytes(stats.shm_bytes),
                     ratio,
                     format!("{cost}")
                 )
@@ -618,8 +618,8 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), String>
                     "{:<18} {:>22} {:>11} {:>11} {:>11} {:>7}",
                     "total",
                     "",
-                    format_bytes(raw_total as usize),
-                    format_bytes(wire_total as usize),
+                    format_bytes(raw_total),
+                    format_bytes(wire_total),
                     "",
                     format!("{:.2}x", raw_total as f64 / wire_total as f64)
                 )
@@ -753,10 +753,16 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), String>
             let n = 1usize << scale.min(24);
             let mut frontier = Bitmap::new(n);
             let mut rng = nbfs_util::rng::Xoroshiro128::new(7);
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "density is in (0, 1), so the target is below n"
+            )]
             let target = ((n as f64) * density) as usize;
             let mut ones = 0;
             while ones < target {
-                if frontier.set_returning_fresh(rng.next_below(n as u64) as usize) {
+                #[expect(clippy::cast_possible_truncation, reason = "below n, a usize")]
+                let v = rng.next_below(n as u64) as usize;
+                if frontier.set_returning_fresh(v) {
                     ones += 1;
                 }
             }
@@ -894,8 +900,8 @@ fn resolve_root(g: &Csr, root: Option<usize>) -> Result<usize, String> {
 fn storage_line(dense: &Csr, packed: &CompressedCsr) -> String {
     format!(
         "compressed CSR: {} vs {} uncompressed ({:.2}x)",
-        format_bytes(packed.size_bytes()),
-        format_bytes(dense.size_bytes()),
+        format_bytes(packed.size_bytes() as u64),
+        format_bytes(dense.size_bytes() as u64),
         dense.size_bytes() as f64 / packed.size_bytes() as f64
     )
 }
@@ -1279,6 +1285,28 @@ mod tests {
         assert!(e.contains("--codec") && e.contains("--grid"), "{e}");
         // A flag of another subcommand is unknown here too.
         assert!(parse(&argv("tune --json /tmp/x")).is_err());
+    }
+
+    #[test]
+    fn every_scale_flag_is_range_checked() {
+        // 4294967312 is 2^32 + 16: a narrowing cast would read it as 16.
+        for sub in [
+            "generate --out g.bin",
+            "run",
+            "trace",
+            "bench",
+            "tune",
+            "chaos",
+        ] {
+            for bad in ["0", "32", "4294967312"] {
+                let e = parse(&argv(&format!("{sub} --scale {bad}"))).unwrap_err();
+                assert!(e.contains("--scale must be in 1..=31"), "{sub}: {e}");
+            }
+        }
+        match parse(&argv("tune --scale 31")).unwrap() {
+            Command::Tune { scale, .. } => assert_eq!(scale, 31),
+            other => panic!("wrong parse: {other:?}"),
+        }
     }
 
     #[test]

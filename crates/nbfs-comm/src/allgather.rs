@@ -85,6 +85,10 @@ const SHM_PIPELINE_TRAVERSALS: f64 = 1.5;
 /// pipelined copy-in + copy-out of `bytes`, `copiers` ranks of the node
 /// doing this concurrently, sources spread over `src_sockets` sockets.
 fn shm_msg(net: &NetworkModel, bytes: u64, copiers: usize, src_sockets: usize) -> SimTime {
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "1.5x a message's byte count stays far below 2^64"
+    )]
     let effective = (bytes as f64 * SHM_PIPELINE_TRAVERSALS) as u64;
     net.shm_copy_time(effective, copiers, src_sockets)
 }
@@ -143,16 +147,16 @@ pub fn allgather_words_into(
     // Per-rank byte sizes for the cost model: one small allocation, kept
     // out of the copy path below so the hot region stays allocation-free.
     let bytes: Vec<u64> = parts.iter().map(|p| p.len() as u64 * 8).collect();
-    // nbfs-analysis: hot-path
+    // hot-path
     // The allgather level loop: every bottom-up level concatenates all
     // ranks' out_queue segments into the receiving bitmap's own words.
-    // Persistent destination, caller-owned sources, no heap (NBFS004).
+    // Persistent destination, caller-owned sources, no heap.
     let mut at = 0usize;
     for p in parts {
         dst[at..at + p.len()].copy_from_slice(p);
         at += p.len();
     }
-    // nbfs-analysis: end-hot-path
+    // end-hot-path
     allgather_cost_bytes(&bytes, pmap, net, algo)
 }
 
@@ -618,34 +622,6 @@ pub fn allgatherv_items<T: Copy>(
     AllgathervOutcome { items, cost }
 }
 
-/// Test oracle: a *functional* flat-ring allgather that actually shuttles
-/// chunks between per-rank staging buffers round by round, returning every
-/// rank's final buffer. Used to prove the one-shot concatenation of
-/// [`allgather_words`] matches what the distributed algorithm would build.
-pub fn ring_allgather_functional(parts: &[Vec<u64>]) -> Vec<Vec<Vec<u64>>> {
-    let np = parts.len();
-    // have[i][c] = chunk c if rank i holds it.
-    let mut have: Vec<Vec<Option<Vec<u64>>>> = (0..np)
-        .map(|i| {
-            (0..np)
-                .map(|c| if c == i { Some(parts[c].clone()) } else { None })
-                .collect()
-        })
-        .collect();
-    for r in 0..np.saturating_sub(1) {
-        let moves: Vec<(usize, usize, usize)> = (0..np)
-            .map(|i| (i, (i + 1) % np, (i + np - r) % np))
-            .collect();
-        for (src, dst, chunk) in moves {
-            let data = have[src][chunk].clone().expect("ring invariant broken");
-            have[dst][chunk] = Some(data);
-        }
-    }
-    have.into_iter()
-        .map(|row| row.into_iter().map(|c| c.expect("chunk missing")).collect())
-        .collect()
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::cast_possible_truncation)]
 mod tests {
@@ -667,6 +643,34 @@ mod tests {
     fn equal_parts(np: usize, words_each: usize) -> Vec<Vec<u64>> {
         (0..np)
             .map(|i| (0..words_each).map(|w| (i * 1000 + w) as u64).collect())
+            .collect()
+    }
+
+    /// Test oracle: a *functional* flat-ring allgather that actually shuttles
+    /// chunks between per-rank staging buffers round by round, returning every
+    /// rank's final buffer. Used to prove the one-shot concatenation of
+    /// [`allgather_words`] matches what the distributed algorithm would build.
+    fn ring_allgather_functional(parts: &[Vec<u64>]) -> Vec<Vec<Vec<u64>>> {
+        let np = parts.len();
+        // have[i][c] = chunk c if rank i holds it.
+        let mut have: Vec<Vec<Option<Vec<u64>>>> = (0..np)
+            .map(|i| {
+                (0..np)
+                    .map(|c| if c == i { Some(parts[c].clone()) } else { None })
+                    .collect()
+            })
+            .collect();
+        for r in 0..np.saturating_sub(1) {
+            let moves: Vec<(usize, usize, usize)> = (0..np)
+                .map(|i| (i, (i + 1) % np, (i + np - r) % np))
+                .collect();
+            for (src, dst, chunk) in moves {
+                let data = have[src][chunk].clone().expect("ring invariant broken");
+                have[dst][chunk] = Some(data);
+            }
+        }
+        have.into_iter()
+            .map(|row| row.into_iter().map(|c| c.expect("chunk missing")).collect())
             .collect()
     }
 

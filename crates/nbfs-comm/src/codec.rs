@@ -209,6 +209,7 @@ impl FrontierCodec for DeltaVarint {
             at = next;
             let cur = prev.wrapping_add(delta);
             assert!(cur <= u64::from(u32::MAX), "decoded value overflows u32");
+            #[expect(clippy::cast_possible_truncation, reason = "asserted to fit in u32")]
             out.push(cur as u32);
             prev = cur;
         }
@@ -254,6 +255,7 @@ impl FrontierCodec for DeltaVarint {
                 range.contains(&cur_a) && range.contains(&cur_b),
                 "decoded pair overflows u32"
             );
+            #[expect(clippy::cast_possible_truncation, reason = "asserted to fit in u32")]
             out.push((cur_a as u32, cur_b as u32));
             prev_a = cur_a;
             prev_b = cur_b;

@@ -32,20 +32,22 @@ pub fn allreduce_sum(
 ) -> AllreduceOutcome {
     assert_eq!(contributions.len(), pmap.world_size());
     let value = contributions.iter().sum();
-    // 8-byte payloads: pure latency. log2(nodes) wire rounds + shm rounds.
-    let node_rounds = (pmap.nodes().max(1) as f64).log2().ceil();
-    let wire = SimTime::from_secs(net.machine().nic.latency_s * 2.0 * node_rounds);
-    let shm_rounds = (pmap.ppn().max(1) as f64).log2().ceil();
-    let shm = SimTime::from_secs(0.5 * net.machine().sw_overhead_s * shm_rounds);
+    // 8-byte payloads: pure latency. ceil(log2(nodes)) wire rounds + shm
+    // rounds.
+    let ceil_log2 = |k: usize| k.max(1).next_power_of_two().trailing_zeros();
+    let node_rounds = ceil_log2(pmap.nodes());
+    let wire = SimTime::from_secs(net.machine().nic.latency_s * 2.0 * f64::from(node_rounds));
+    let shm_rounds = ceil_log2(pmap.ppn());
+    let shm = SimTime::from_secs(0.5 * net.machine().sw_overhead_s * f64::from(shm_rounds));
     // Volume tally mirrors the tree shape: every wire round exchanges one
     // 8-byte value per node both ways; every shm round touches one value
     // per rank.
-    let wire_rounds = node_rounds as u64;
+    let wire_rounds = u64::from(node_rounds);
     let stats = CollectiveStats {
-        rounds: wire_rounds + shm_rounds as u64,
+        rounds: wire_rounds + u64::from(shm_rounds),
         flows: wire_rounds * pmap.nodes() as u64,
         wire_bytes: 8 * wire_rounds * pmap.nodes() as u64,
-        shm_bytes: 8 * shm_rounds as u64 * pmap.world_size() as u64,
+        shm_bytes: 8 * u64::from(shm_rounds) * pmap.world_size() as u64,
         // The 8-byte control values are never codec-compressed.
         raw_bytes: 8 * wire_rounds * pmap.nodes() as u64,
     };

@@ -95,8 +95,12 @@ impl Scenario {
     /// # Panics
     /// If `machine` fails [`MachineConfig::validate`] — simulated times
     /// over an inconsistent machine description would be meaningless, so
-    /// construction refuses up front (allowlisted NBFS003). Use
-    /// [`Scenario::builder`] for the fallible, fluent form.
+    /// construction refuses up front. Use [`Scenario::builder`] for the
+    /// fallible, fluent form.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented constructor contract: every MachineConfig preset validates by construction"
+    )]
     pub fn new(machine: MachineConfig, opt: OptLevel) -> Self {
         Self::builder(machine, opt)
             .build()
@@ -331,8 +335,8 @@ pub struct WallClock {
 
 /// A host clock the engine can read without touching `std::time`.
 ///
-/// The simulated-time discipline (DESIGN.md §2, enforced by diagnostic
-/// NBFS002) keeps `Instant::now`/`SystemTime` out of every crate except
+/// The simulated-time discipline (DESIGN.md §2, enforced by `clippy.toml`'s
+/// `disallowed-methods`) keeps `Instant::now`/`SystemTime` out of every crate except
 /// `nbfs-bench`'s wallclock module. The engine therefore takes the clock
 /// by injection: the repo benchmark (`perfbench/`) passes
 /// `nbfs_bench::wallclock::HostTimer` to `run_timed`, everything else
@@ -441,11 +445,11 @@ pub(crate) fn bu_scan_chunk<R: BuRows>(
     parent: &mut [u32],
     out: &mut [u64],
 ) -> BuChunkOut {
-    // nbfs-analysis: hot-path
+    // hot-path
     // The bottom-up word kernel: runs once per chunk per level over the
     // whole unvisited vertex set. Everything below works in caller-owned
     // slices; a heap allocation here would be per-level host time the
-    // simulated cost model cannot see (NBFS004 enforces this).
+    // simulated cost model cannot see (`tests/hot_path_alloc.rs` enforces this).
     let BuScanInputs {
         lg,
         visited,
@@ -503,7 +507,7 @@ pub(crate) fn bu_scan_chunk<R: BuRows>(
         }
     }
     o
-    // nbfs-analysis: end-hot-path
+    // end-hot-path
 }
 
 /// Result of one distributed BFS.
@@ -677,13 +681,17 @@ impl<'g, G: GraphView> DistributedBfs<'g, G> {
         let scan = level::bu_scan(&inputs, &mut own.parent, out_words);
         own.unexplored_degree -= scan.degree_found;
 
-        // nbfs-analysis: hot-path
+        // hot-path
         // The frontier queue is the set bits of `out_words` in ascending
         // order — the order a vertex-by-vertex scan adopts them. It is
         // rebuilt every bottom-up level into the recycled `frontier`
         // (reserve on a recycled Vec is amortized-free, new heap blocks
-        // are not — NBFS004).
+        // are not).
         let first = lg.first_vertex();
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "discovered counts owned vertices, a usize range"
+        )]
         own.frontier.reserve(scan.discovered as usize);
         for (wo, &word) in out_words.iter().enumerate() {
             let mut w = word;
@@ -694,7 +702,7 @@ impl<'g, G: GraphView> DistributedBfs<'g, G> {
                     .push(vid::to_stored(first + wo * WORD_BITS + bit));
             }
         }
-        // nbfs-analysis: end-hot-path
+        // end-hot-path
 
         KernelOut {
             events: level::bu_events(
@@ -731,11 +739,11 @@ impl<'g, G: GraphView> DistributedBfs<'g, G> {
             st.td = TdTally::default();
         }
         let partition = self.parts.partition();
-        // nbfs-analysis: hot-path
+        // hot-path
         // Every arc out of the frontier, once. Pushes land in the ranks'
         // recycled frontier queues and the counts in their run-scoped
         // tallies, so a level allocates only when a queue outgrows its
-        // high-water mark (NBFS004).
+        // high-water mark.
         for &u in full_frontier {
             let mut rest = self
                 .parts
@@ -761,7 +769,7 @@ impl<'g, G: GraphView> DistributedBfs<'g, G> {
                 }
             }
         }
-        // nbfs-analysis: end-hot-path
+        // end-hot-path
         let flen = full_frontier.len() as u64;
         states
             .iter_mut()
@@ -771,7 +779,8 @@ impl<'g, G: GraphView> DistributedBfs<'g, G> {
                 st.own.unexplored_degree -= st.td.degree_found;
                 let discovered = st.own.frontier.len() as u64;
                 let arcs = self.parts.local(p).num_local_arcs();
-                let lookup_ops = 8 + (arcs.max(2) as f64).log2().ceil() as u64;
+                // 8 + ceil(log2(arcs)).
+                let lookup_ops = 8 + u64::from(arcs.max(2).next_power_of_two().trailing_zeros());
                 let events = ComputeEvents {
                     vertex_scan_bytes: flen * 4,
                     edge_bytes: 8 * (flen + st.td.matched),
@@ -803,7 +812,7 @@ struct OneDim<'e, 'g, G: GraphView> {
     td_scratch: Bitmap,
     /// Per-level codec staging: encode buffers plus raw/encoded size
     /// vectors, recycled so compressed levels stay alloc-free after
-    /// warm-up (NBFS004).
+    /// warm-up.
     codec_ws: CodecWorkspace,
     codec_scratch: Vec<u8>,
     summary_enc_bytes: Vec<u64>,
@@ -998,14 +1007,14 @@ impl<G: GraphView> Exchange for OneDim<'_, '_, G> {
                 })
                 .collect()
         });
-        // nbfs-analysis: hot-path
+        // hot-path
         // Fold the level's discoveries into the visited bits the next
         // bottom-up scan will skip (word-parallel OR over persistent
-        // buffers; allocation-free by NBFS004).
+        // buffers; allocation-free).
         for st in self.states.iter_mut() {
             st.own.visited.or_words_from(0, &st.out_words);
         }
-        // nbfs-analysis: end-hot-path
+        // end-hot-path
         Ok(lv.charge_ranks(outs.iter().map(|o| (&o.events, o.discovered))))
     }
 

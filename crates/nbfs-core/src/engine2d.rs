@@ -76,6 +76,10 @@ impl BuRows for BuBlock {
         self.first_vertex
     }
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "offsets index an in-memory array, so they fit in usize"
+    )]
     fn neighbours_global(&self, v: usize) -> &[u32] {
         let l = v - self.first_vertex;
         &self.sources[self.offsets[l] as usize..self.offsets[l + 1] as usize]
@@ -333,10 +337,10 @@ impl<'g, G: GraphView> TwoDimBfs<'g, G> {
                 bucket.clear();
             }
         }
-        // nbfs-analysis: hot-path
+        // hot-path
         // Every arc out of the frontier, once. Pushes land in the
         // run-scoped buckets, so a level allocates only when a bucket
-        // outgrows its high-water mark (NBFS004).
+        // outgrows its high-water mark.
         for col in 0..self.cols {
             for row in 0..self.rows {
                 for &u in &ranks[self.rank_of(row, col)].own.frontier {
@@ -349,7 +353,7 @@ impl<'g, G: GraphView> TwoDimBfs<'g, G> {
                 }
             }
         }
-        // nbfs-analysis: end-hot-path
+        // end-hot-path
         ranks
             .iter()
             .zip(matched.iter())

@@ -174,6 +174,7 @@ impl<'g> Graph500Harness<'g> {
         let mut chosen = Vec::with_capacity(count);
         let mut seen = std::collections::HashSet::new();
         while chosen.len() < count {
+            #[expect(clippy::cast_possible_truncation, reason = "below n, a usize")]
             let v = rng.next_below(n as u64) as usize;
             if self.graph.degree(v) > 0 && seen.insert(v) {
                 chosen.push(v);
@@ -186,6 +187,11 @@ impl<'g> Graph500Harness<'g> {
     ///
     /// # Panics
     /// If validation is enabled and the BFS tree is invalid.
+    #[expect(
+        clippy::panic,
+        reason = "with config.validate the harness is a correctness gate: an invalid \
+                  tree aborts the campaign rather than being averaged into results"
+    )]
     fn root_result(&self, root: usize, run: &BfsRun, validate: bool) -> RootResult {
         if validate {
             let visited = validate_bfs_tree(self.graph, root, &run.parent)
@@ -204,6 +210,11 @@ impl<'g> Graph500Harness<'g> {
 
     /// Folds per-root results into the campaign aggregate. Profiles are
     /// averaged in root order for determinism.
+    #[expect(
+        clippy::expect_used,
+        reason = "every sampled root has positive component edges and every run a \
+                  positive simulated time, so each TEPS sample is positive"
+    )]
     fn summarize(per_root: Vec<RootResult>, profiles: &[RunProfile]) -> HarnessResult {
         let mut mean_profile = RunProfile::default();
         for p in profiles {

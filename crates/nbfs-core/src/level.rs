@@ -56,8 +56,13 @@ pub struct Search {
 
 /// Unwraps a search that can only fail when the scenario carries a
 /// [`FaultPlan`](nbfs_comm::FaultPlan) or the root is not a vertex; the
-/// infallible `run*` shims and the harness funnel through here
-/// (allowlisted NBFS003 — this is the one deliberate panic).
+/// infallible `run*` shims and the harness funnel through here (this is
+/// the one deliberate panic of a search).
+#[expect(
+    clippy::expect_used,
+    reason = "with no FaultPlan and a root that is a vertex a search has no failure path; \
+              faulted scenarios and caller-supplied roots go through search"
+)]
 pub(crate) fn fault_free(result: Result<Search, NbfsError>) -> Search {
     result.expect("a fault plan or a root that is not a vertex: call search")
 }

@@ -359,11 +359,11 @@ pub(crate) fn multi_source_bfs_instrumented(
 
         let filled: Vec<Settled<'_>> = if direction == Direction::TopDown {
             // --- expand --------------------------------------------------
-            // nbfs-analysis: hot-path
+            // hot-path
             // Per-edge work of the expand phase: one reached-word load and
             // at most one fetch_or claim, whose returned old word tells the
             // first claimer of a vertex to flag it in `touched`;
-            // allocation-free by construction (NBFS004).
+            // allocation-free by construction.
             ws.active
                 .par_chunks(CHUNK)
                 .with_min_len(grain::min_len(chunks, m_f))
@@ -381,7 +381,7 @@ pub(crate) fn multi_source_bfs_instrumented(
                     }
                     edges.fetch_add(local_edges, Ordering::Relaxed);
                 });
-            // nbfs-analysis: end-hot-path
+            // end-hot-path
 
             // --- settle --------------------------------------------------
             // Fixed vertex-range tasks (pure function of n), so the merged
@@ -405,12 +405,12 @@ pub(crate) fn multi_source_bfs_instrumented(
                     let w_start = task * SETTLE_TASK_WORDS;
                     let w_end = ((task + 1) * SETTLE_TASK_WORDS).min(num_words);
                     let mut out = Settled::new(slot);
-                    // nbfs-analysis: hot-path
+                    // hot-path
                     // Each claimed vertex scans its sorted adjacency
                     // ascending and takes, per lane, the first frontier
                     // neighbour — the minimum, i.e. the reference parent.
                     // One owner per vertex: plain stores, no RMW, no
-                    // allocation (NBFS004).
+                    // allocation.
                     for wi in w_start..w_end {
                         let mut word = touched.load_word(wi);
                         if word == 0 {
@@ -440,7 +440,7 @@ pub(crate) fn multi_source_bfs_instrumented(
                             out.queue(graph, reached, wave_mask, v, new);
                         }
                     }
-                    // nbfs-analysis: end-hot-path
+                    // end-hot-path
                     out
                 })
                 .collect()
@@ -471,9 +471,9 @@ pub(crate) fn multi_source_bfs_instrumented(
                     let start = task * SETTLE_TASK;
                     let end = ((task + 1) * SETTLE_TASK).min(n);
                     let mut out = Settled::new(slot);
-                    // nbfs-analysis: hot-path
+                    // hot-path
                     // Owner-exclusive claim + settle: plain stores into
-                    // reached/next/parent, no RMW, no allocation (NBFS004).
+                    // reached/next/parent, no RMW, no allocation.
                     for v in start..end {
                         let mut pending = wave_mask & !reached.load_word(v);
                         if pending == 0 {
@@ -497,7 +497,7 @@ pub(crate) fn multi_source_bfs_instrumented(
                             out.queue(graph, reached, wave_mask, v, found);
                         }
                     }
-                    // nbfs-analysis: end-hot-path
+                    // end-hot-path
                     out
                 })
                 .collect()
@@ -592,6 +592,10 @@ pub(crate) fn multi_source_bfs_instrumented(
     ws.parent_dirty = false;
     if tracer.enabled() {
         for (lane, answer) in lanes_out.iter().enumerate() {
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "lanes <= MAX_LANES and a search has fewer levels than its u32-id vertices"
+            )]
             tracer.record(TraceEvent::Query(QueryRecord {
                 wave,
                 lane: lane as u32,

@@ -143,10 +143,10 @@ fn bfs_hybrid_parallel_instrumented(
                 // atomic out-queue (idempotent), not per-chunk Vecs.
                 let out = &out_queue;
                 let vis = &visited;
-                // nbfs-analysis: hot-path
+                // hot-path
                 // Per-edge work of the top-down direction: one visited
                 // probe, at most one fetch_min + bitmap OR. Allocation-free
-                // by construction (NBFS004).
+                // by construction (checked by `tests/hot_path_alloc.rs`).
                 frontier.par_chunks(CHUNK).for_each(|chunk| {
                     let mut local_edges = 0u64;
                     for &u in chunk {
@@ -160,7 +160,7 @@ fn bfs_hybrid_parallel_instrumented(
                     }
                     edges.fetch_add(local_edges, Ordering::Relaxed);
                 });
-                // nbfs-analysis: end-hot-path
+                // end-hot-path
             }
             Direction::BottomUp => {
                 // Workers scan disjoint word-aligned unvisited ranges; each
@@ -175,11 +175,11 @@ fn bfs_hybrid_parallel_instrumented(
                 let out = &out_queue;
                 let vis = &visited;
                 let tail = n % 64;
-                // nbfs-analysis: hot-path
+                // hot-path
                 // Word-level bottom-up scan; discoveries accumulate in one
                 // local word per visited-word and land with a single
                 // fetch_or_word (task ranges are disjoint, so the RMW never
-                // contends). No heap allocation on any path (NBFS004).
+                // contends). No heap allocation on any path.
                 (0..num_tasks).into_par_iter().for_each(|task| {
                     let w_start = task * BU_TASK_WORDS;
                     let w_end = ((task + 1) * BU_TASK_WORDS).min(num_words);
@@ -218,7 +218,7 @@ fn bfs_hybrid_parallel_instrumented(
                     }
                     edges.fetch_add(local_edges, Ordering::Relaxed);
                 });
-                // nbfs-analysis: end-hot-path
+                // end-hot-path
             }
         }
 

@@ -43,7 +43,7 @@ pub fn auto_granularity(
 ) -> usize {
     // Plain fold (first minimum wins) instead of `min_by` + `expect`:
     // the candidate set is a non-empty literal and the comparison never
-    // needs a total order, so nothing here can panic (NBFS003).
+    // needs a total order, so nothing here can panic (`clippy::expect_used` is denied).
     let mut best = 64usize;
     let mut best_cost = expected_check_ns(
         machine,

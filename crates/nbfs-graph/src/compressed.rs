@@ -11,7 +11,7 @@
 //! before.
 //!
 //! Vertex ids pass through the [`vid`](crate::vid) sanctuary exactly like
-//! the uncompressed path; nothing here narrows an id by hand (NBFS005).
+//! the uncompressed path; nothing here narrows an id by hand.
 
 use serde::{Deserialize, Serialize};
 
@@ -155,6 +155,10 @@ impl CompressedCsr {
 
     /// Byte span of `v`'s encoded row.
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "byte offsets index the in-memory row data, so they fit in usize"
+    )]
     fn row_span(&self, v: VertexId) -> (usize, usize) {
         (
             self.offsets.get(v) as usize,
@@ -194,6 +198,10 @@ impl GraphView for CompressedCsr {
             // First value is absolute; subsequent deltas accumulate.
             acc = if pos == start { delta } else { acc + delta };
             pos = next;
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "the encoder widened a u32 id, which fits in usize"
+            )]
             f(crate::vid::to_stored(acc as usize));
         }
     }

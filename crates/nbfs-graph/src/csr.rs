@@ -23,6 +23,10 @@ impl Csr {
     /// Builds the CSR from an edge list. The list is deduplicated first
     /// (self loops dropped, duplicate edges collapsed), then both
     /// directions are inserted.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "offsets index an in-memory array, so they fit in usize"
+    )]
     pub fn from_edge_list(edges: &EdgeList) -> Self {
         let el = edges.deduplicated();
         let n = el.num_vertices;
@@ -87,12 +91,20 @@ impl Csr {
 
     /// Degree of vertex `v`.
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "offsets index an in-memory array, so they fit in usize"
+    )]
     pub fn degree(&self, v: VertexId) -> usize {
         (self.offsets[v + 1] - self.offsets[v]) as usize
     }
 
     /// Neighbours of `v`, ascending.
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "offsets index an in-memory array, so they fit in usize"
+    )]
     pub fn neighbours(&self, v: VertexId) -> &[u32] {
         &self.targets[self.offsets[v] as usize..self.offsets[v + 1] as usize]
     }

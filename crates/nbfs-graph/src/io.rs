@@ -45,16 +45,39 @@ pub fn read_binary<R: Read>(r: &mut R) -> Result<EdgeList> {
     }
     let mut buf8 = [0u8; 8];
     r.read_exact(&mut buf8)?;
-    let num_vertices = u64::from_le_bytes(buf8) as usize;
+    let num_vertices = u64::from_le_bytes(buf8);
+    // Ids are u32, so 2^32 vertices is the most a file can name.
+    let num_vertices = match usize::try_from(num_vertices) {
+        Ok(n) if num_vertices <= 1 << 32 => n,
+        _ => {
+            return Err(NbfsError::invalid_data(format!(
+                "{num_vertices} vertices exceed the u32 vertex-id width"
+            )))
+        }
+    };
     r.read_exact(&mut buf8)?;
-    let num_edges = u64::from_le_bytes(buf8) as usize;
-    let mut edges = Vec::with_capacity(num_edges);
-    let mut buf4 = [0u8; 4];
-    for _ in 0..num_edges {
-        r.read_exact(&mut buf4)?;
-        let u = u32::from_le_bytes(buf4);
-        r.read_exact(&mut buf4)?;
-        let v = u32::from_le_bytes(buf4);
+    let num_edges = u64::from_le_bytes(buf8);
+    let body_bytes = num_edges.checked_mul(8).ok_or_else(|| {
+        NbfsError::invalid_data(format!("{num_edges} edges overflow the file size"))
+    })?;
+    // The header is not trusted with an allocation: read the body that is
+    // actually there, then check it holds the edges the header claims.
+    let mut body = Vec::new();
+    r.take(body_bytes).read_to_end(&mut body)?;
+    if body.len() as u64 != body_bytes {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            format!(
+                "header claims {num_edges} edges, the file holds {}",
+                body.len() / 8
+            ),
+        )
+        .into());
+    }
+    let mut edges = Vec::with_capacity(body.len() / 8);
+    for pair in body.chunks_exact(8) {
+        let u = u32::from_le_bytes([pair[0], pair[1], pair[2], pair[3]]);
+        let v = u32::from_le_bytes([pair[4], pair[5], pair[6], pair[7]]);
         if u as usize >= num_vertices || v as usize >= num_vertices {
             return Err(NbfsError::invalid_data(format!(
                 "edge ({u}, {v}) out of range {num_vertices}"
@@ -183,6 +206,32 @@ mod tests {
         buf.truncate(buf.len() - 3);
         let err = read_binary(&mut buf.as_slice()).unwrap_err();
         assert!(matches!(err, NbfsError::Io(_)), "{err}");
+    }
+
+    /// A header is a claim, not an allocation: absurd counts over a short
+    /// body are errors, never a capacity overflow or an abort.
+    #[test]
+    fn untrusted_header_counts_are_rejected() {
+        let header = |vertices: u64, edges: u64| {
+            let mut buf = MAGIC.to_vec();
+            buf.extend_from_slice(&vertices.to_le_bytes());
+            buf.extend_from_slice(&edges.to_le_bytes());
+            buf
+        };
+        let err = read_binary(&mut header(4, 1 << 60).as_slice()).unwrap_err();
+        assert!(matches!(err, NbfsError::Io(_)), "{err}");
+        let err = read_binary(&mut header(4, u64::MAX).as_slice()).unwrap_err();
+        assert!(matches!(err, NbfsError::InvalidData(_)), "{err}");
+        let err = read_binary(&mut header((1 << 32) + 1, 0).as_slice()).unwrap_err();
+        assert!(matches!(err, NbfsError::InvalidData(_)), "{err}");
+        // 2^32 vertices is the u32 id range itself and stays legal.
+        assert!(read_binary(&mut header(1 << 32, 0).as_slice()).is_ok());
+
+        let mut short = header(4, 3);
+        short.extend_from_slice(&[0, 0, 0, 0, 1, 0, 0, 0]); // one edge of three
+        let err = read_binary(&mut short.as_slice()).unwrap_err();
+        assert!(matches!(err, NbfsError::Io(_)), "{err}");
+        assert!(err.to_string().contains("claims 3 edges"), "{err}");
     }
 
     #[test]

@@ -20,14 +20,9 @@
 //! * [`validate`] — the Graph500 BFS-tree validation rules;
 //! * [`stats`] — degree statistics used by tests and the figure printers;
 //! * [`vid`] — the sanctioned vertex-id width conversions (the only place
-//!   allowed to narrow a vertex id; see diagnostic NBFS005).
+//!   allowed to narrow a vertex id past `clippy::cast_possible_truncation`).
 
 #![forbid(unsafe_code)]
-// u64 offsets and counters are indexed into slices throughout; usize is
-// 64 bits on every supported target (documented in DESIGN.md), so these
-// casts cannot truncate. Narrowing *vertex ids* to u32/u16 is the risky
-// direction, and that is gated by the nbfs-analysis NBFS005 rule instead.
-#![allow(clippy::cast_possible_truncation)]
 #![warn(missing_docs)]
 
 pub mod builder;

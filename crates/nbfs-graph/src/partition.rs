@@ -46,6 +46,10 @@ impl LocalGraph {
 
     /// Degree of the owned vertex with *global* id `v`.
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "offsets index an in-memory array, so they fit in usize"
+    )]
     pub fn degree_global(&self, v: VertexId) -> usize {
         let l = v - self.first_vertex;
         (self.offsets[l + 1] - self.offsets[l]) as usize
@@ -54,6 +58,10 @@ impl LocalGraph {
     /// Neighbours (global ids, ascending) of the owned vertex with *global*
     /// id `v`.
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "offsets index an in-memory array, so they fit in usize"
+    )]
     pub fn neighbours_global(&self, v: VertexId) -> &[u32] {
         let l = v - self.first_vertex;
         &self.targets[self.offsets[l] as usize..self.offsets[l + 1] as usize]

@@ -182,6 +182,10 @@ pub fn scramble(x: u32, scale: u32, seed: u64) -> u32 {
         let mut l = (y >> half) & mask;
         let mut r = y & mask;
         for round in 0..4u64 {
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "the Feistel round keeps the hash's low bits on purpose"
+            )]
             let f = (splitmix64(seed ^ (round << 56) ^ u64::from(r)) as u32) & mask;
             let (nl, nr) = (r, l ^ f);
             l = nl;

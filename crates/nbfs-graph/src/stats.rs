@@ -34,6 +34,10 @@ impl DegreeStats {
         let n = graph.num_vertices();
         let mut degrees: Vec<usize> = (0..n).map(|v| graph.degree(v)).collect();
         degrees.sort_unstable();
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "p <= 1, so the rank is at most n - 1"
+        )]
         let pick = |p: f64| degrees[((n - 1) as f64 * p) as usize];
         Self {
             num_vertices: n,

@@ -5,9 +5,9 @@
 //! scale 31, matching the paper's largest runs). That narrowing is the
 //! single most dangerous cast in the codebase — a silently truncated id
 //! corrupts the BFS tree only at scales large enough that nobody is
-//! looking. The nbfs-analysis linter therefore bans `as u32` on vertex
-//! expressions everywhere (diagnostic NBFS005) *except* in this module:
-//! all narrowing funnels through [`to_stored`], which checks the range in
+//! looking. The workspace therefore denies `clippy::cast_possible_truncation`
+//! and this module holds its one sanctioned vertex-id `#[expect]`: all
+//! narrowing funnels through [`to_stored`], which checks the range in
 //! debug builds and documents the invariant in one place.
 
 use crate::VertexId;
@@ -18,6 +18,10 @@ use crate::VertexId;
 /// (scale ≤ 31 is enforced by the builder), so the narrowing is lossless
 /// for every id that names a real vertex. Debug builds verify it.
 #[inline]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "the sanctioned vertex-id narrowing: ids fit in u32 up to scale 31"
+)]
 pub fn to_stored(v: VertexId) -> u32 {
     debug_assert!(
         u32::try_from(v).is_ok(),

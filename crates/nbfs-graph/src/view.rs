@@ -4,7 +4,7 @@
 //! uncompressed [`Csr`](crate::Csr) and the delta-varint
 //! [`CompressedCsr`](crate::CompressedCsr) through the same monomorphized
 //! code paths — no `&dyn` indirection, so the hot kernels stay
-//! allocation-free and branch-predictable (NBFS004). Engines consume the
+//! allocation-free and branch-predictable. Engines consume the
 //! view once at construction time to build their internal per-rank
 //! structures; the per-level kernels never call back into it.
 

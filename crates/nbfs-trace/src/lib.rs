@@ -18,9 +18,9 @@
 //!   ad-hoc profiling structs this crate replaces.
 
 #![forbid(unsafe_code)]
-// u64 counters are folded into usize indices and f64 seconds throughout;
-// usize is 64 bits on every supported target (documented in DESIGN.md).
-#![allow(clippy::cast_possible_truncation)]
+// Library code propagates errors; a panic that encodes an invariant says
+// why at its site with #[expect(clippy::expect_used, reason = ..)].
+#![deny(clippy::expect_used, clippy::panic)]
 #![warn(missing_docs)]
 
 pub mod config;

@@ -123,6 +123,10 @@ impl RunProfile {
             },
             switch: self.switch / k,
             stall: self.stall / k,
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "the mean of usize phase counts fits in usize"
+            )]
             bu_comm_phases: ((self.bu_comm_phases as f64 / k).round()) as usize,
             levels: Vec::new(),
         }

@@ -34,7 +34,7 @@ impl EventRing {
 
     /// Records one event. Allocation-free: below capacity this pushes into
     /// reserved storage; at capacity it overwrites the oldest slot.
-    // nbfs-analysis: hot-path
+    // hot-path
     #[inline]
     pub fn push(&mut self, ev: TraceEvent) {
         if self.buf.len() < self.capacity {
@@ -48,7 +48,7 @@ impl EventRing {
             self.dropped += 1;
         }
     }
-    // nbfs-analysis: end-hot-path
+    // end-hot-path
 
     /// Number of events currently held.
     pub fn len(&self) -> usize {

@@ -53,7 +53,7 @@ impl Tracer {
     }
 
     /// Records a control-plane event (level spans, collectives, decisions).
-    // nbfs-analysis: hot-path
+    // hot-path
     #[inline]
     pub fn record(&mut self, ev: TraceEvent) {
         if let Some(inner) = self.inner.as_mut() {
@@ -71,7 +71,7 @@ impl Tracer {
             }
         }
     }
-    // nbfs-analysis: end-hot-path
+    // end-hot-path
 
     /// Merges the rings into a [`TraceReport`]. A disabled tracer yields
     /// [`TraceReport::empty`].

@@ -101,7 +101,7 @@ impl AtomicBitmap {
     /// This is the word-granular merge used when a whole remote frontier
     /// word is folded into the shared `out_queue`; the single `fetch_or`
     /// is what keeps concurrent merges lost-update-free (the property the
-    /// nbfs-analysis race checker exercises exhaustively).
+    /// `atomic_bitmap_linearizability` test checks exhaustively).
     #[inline]
     pub fn fetch_or_word(&self, w: usize, mask: u64) -> u64 {
         self.words[w].fetch_or(mask, Ordering::Relaxed)

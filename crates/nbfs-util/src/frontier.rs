@@ -100,13 +100,13 @@ impl<T: Copy> FrontierSlot<'_, T> {
     /// construction in every caller, so overflow is a caller logic error.
     #[inline]
     pub fn push(&mut self, item: T) {
-        // nbfs-analysis: hot-path
+        // hot-path
         // One bounds-checked store per discovered vertex; the whole point
         // of the arena is that this compiles to the body of a Vec::push
-        // without ever growing (NBFS004 keeps it that way).
+        // without ever growing (`tests/hot_path_alloc.rs` keeps it that way).
         self.buf[self.len] = item;
         self.len += 1;
-        // nbfs-analysis: end-hot-path
+        // end-hot-path
     }
 
     /// Items pushed so far, in push order.

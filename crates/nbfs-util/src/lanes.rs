@@ -10,7 +10,7 @@
 //! The concurrency contract mirrors the frontier bitmaps: expansion
 //! workers race `fetch_or_word` claims on shared vertices (the single RMW
 //! keeps concurrent lane merges lost-update-free — the property the
-//! nbfs-analysis race checker exercises), while settle phases that own
+//! `atomic_bitmap_linearizability` test checks), while settle phases that own
 //! disjoint vertex ranges may use plain `store_word`. All ordering is
 //! `Relaxed`; the level barrier between expand and settle provides the
 //! synchronization, exactly as the collectives do for the distributed

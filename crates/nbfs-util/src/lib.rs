@@ -28,11 +28,9 @@
 //! * [`NbfsError`] / [`Result`] — the workspace-wide error surface.
 
 #![forbid(unsafe_code)]
-// u64 offsets and counters are indexed into slices throughout; usize is
-// 64 bits on every supported target (documented in DESIGN.md), so these
-// casts cannot truncate. Narrowing *vertex ids* to u32/u16 is the risky
-// direction, and that is gated by the nbfs-analysis NBFS005 rule instead.
-#![allow(clippy::cast_possible_truncation)]
+// Library code propagates errors; a panic that encodes an invariant says
+// why at its site with #[expect(clippy::expect_used, reason = ..)].
+#![deny(clippy::expect_used, clippy::panic)]
 #![warn(missing_docs)]
 
 pub mod atomic_bitmap;

@@ -2,7 +2,7 @@
 
 /// Formats a byte count with binary units (KiB/MiB/GiB), matching the way
 /// the paper quotes bitmap sizes ("512 MB and 8 MB respectively").
-pub fn format_bytes(bytes: usize) -> String {
+pub fn format_bytes(bytes: u64) -> String {
     const UNITS: [&str; 5] = ["B", "KiB", "MiB", "GiB", "TiB"];
     let mut value = bytes as f64;
     let mut unit = 0;

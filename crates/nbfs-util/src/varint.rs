@@ -13,6 +13,10 @@ pub fn push_varint(buf: &mut Vec<u8>, mut value: u64) {
         buf.push((value & 0x7f) as u8 | 0x80);
         value >>= 7;
     }
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the loop leaves value < 0x80"
+    )]
     buf.push(value as u8);
 }
 

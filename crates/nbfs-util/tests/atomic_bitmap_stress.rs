@@ -6,7 +6,7 @@
 //! final bit pattern is order-independent: whatever the interleaving, it
 //! must equal a sequential replay on the scalar [`Bitmap`] oracle. The
 //! companion *exhaustive* check over small schedules lives in
-//! `nbfs-analysis::checker`; this test covers the large/concurrent regime
+//! `atomic_bitmap_linearizability.rs`; this test covers the large/concurrent regime
 //! the model checker cannot enumerate.
 
 // Test code opts back into unwrap/narrowing ergonomics; the workspace

@@ -80,7 +80,7 @@ fn main() {
         println!(
             "{:<14} {:>12} {:>11.1}%",
             g,
-            format_bytes(s.size_bytes()),
+            format_bytes(s.size_bytes() as u64),
             100.0 * s.zero_fraction()
         );
     }

@@ -12,6 +12,12 @@
 // Test code opts back into unwrap/narrowing ergonomics; the workspace
 // denies both in library targets (see [workspace.lints] in Cargo.toml).
 #![allow(clippy::unwrap_used, clippy::cast_possible_truncation)]
+// An example times its own run; only library code is held to the
+// simulated clock.
+#![allow(
+    clippy::disallowed_methods,
+    reason = "examples read the host clock to report their own run time"
+)]
 use numa_bfs::prelude::*;
 use numa_bfs::topology::presets;
 use numa_bfs::util::stats::format_teps;

@@ -118,8 +118,9 @@ fn retired_bench_system_is_gone_from_the_docs_and_quoted_metrics_exist() {
     // Retired surfaces: the wall-clock snapshot, the fallible/timed
     // entry-point family, the per-flavour distributed backends, the 2-D
     // merge-join, the threaded SPMD runtime with its node-shared
-    // frontier and tag registry, the Criterion harness, and the per-bit
-    // bottom-up kernel with its equivalence test. Only the project's
+    // frontier and tag registry, the Criterion harness, the per-bit
+    // bottom-up kernel with its equivalence test, and the bespoke
+    // invariant linter with its allowlist. Only the project's
     // history and plan (CHANGES, ROADMAP, ISSUE) and the EXPERIMENTS
     // "Retired variants" section may still name them.
     let mut files = Vec::new();
@@ -151,6 +152,8 @@ fn retired_bench_system_is_gone_from_the_docs_and_quoted_metrics_exist() {
                 // Split so that the source tree itself never names the type.
                 concat!("BottomUp", "Kernel"),
                 "kernel_equivalence",
+                "nbfs-analysis",
+                "analysis-allow",
             ] {
                 assert!(!section.contains(retired), "{name} still has {retired}");
             }
