@@ -40,6 +40,9 @@ pub const ALL_IDS: [&str; 15] = [
     "fig15", "fig16", "hybrid", "ext2d",
 ];
 
+/// The figures that return paper-vs-measured claim rows.
+pub const CLAIM_IDS: [&str; 7] = ["fig3", "fig9", "fig10", "fig12", "fig13", "fig14", "fig16"];
+
 /// Dispatches a figure by id.
 pub fn generate(id: &str, cfg: &BenchConfig) -> Option<FigureReport> {
     Some(match id {
@@ -84,6 +87,11 @@ mod tests {
             let r = generate(id, &cfg).unwrap_or_else(|| panic!("missing {id}"));
             assert!(!r.rows.is_empty(), "{id} produced no rows");
             assert!(!r.to_text().is_empty());
+            assert_eq!(
+                !r.claims.is_empty(),
+                CLAIM_IDS.contains(&id),
+                "{id}: CLAIM_IDS must name exactly the figures with claims"
+            );
         }
     }
 

@@ -7,7 +7,7 @@ use nbfs_core::profile::Phase;
 use nbfs_topology::{presets, MachineConfig, PlacementPolicy};
 
 use crate::figures::{ratio_cell, teps_cell};
-use crate::report::FigureReport;
+use crate::report::{above, FigureReport, Unit::Ratio};
 use crate::scenarios::{best_root, graph, run_scenario, BenchConfig};
 
 /// The `Original` code under an explicit `mpirun`/`numactl` flag
@@ -59,12 +59,34 @@ pub fn fig3(cfg: &BenchConfig) -> FigureReport {
             ratio_cell(teps / t8),
         ]);
     }
-    r.note(format!(
-        "paper: 6.98x / 2.77x / 6.31x — measured: {:.2}x / {:.2}x / {:.2}x",
-        t8 / t1,
+    r.claim("8 cores over 1 core", Some(6.98), t8 / t1, Ratio, None);
+    r.claim(
+        "64 cores interleaved over 8 cores",
+        Some(2.77),
         t64_inter / t8,
-        t64_bind / t8
-    ));
+        Ratio,
+        None,
+    );
+    r.claim(
+        "64 cores bound (ppn=8) over 8 cores",
+        Some(6.31),
+        t64_bind / t8,
+        Ratio,
+        None,
+    );
+    // Section II.D: "simply spawning and binding one MPI process for each
+    // socket can achieve the best performance" — 1.74x on one node
+    // (Fig. 10). Our loaded-QPI model penalizes the interleaved baseline
+    // harder than the real machine did at scale 28 (the same constants
+    // reproduce the scale-32 Fig. 9 headline), so the band is wider
+    // upward; see EXPERIMENTS.md.
+    r.claim(
+        "one node, ppn=8 bound over ppn=1 interleaved",
+        Some(1.74),
+        t64_bind / t64_inter,
+        Ratio,
+        Some((1.3, 4.5)),
+    );
     r.note(format!(
         "graph scale {}, regime of paper scale {}",
         cfg.base_scale, cfg.paper_base_scale
@@ -110,11 +132,29 @@ pub fn fig10(cfg: &BenchConfig) -> FigureReport {
             .expect("every ladder label was just computed")
             .1
     };
-    r.note(format!(
-        "paper: bind/interleave=1.74x, bind/noflag(ppn=8)=2.08x — measured: {:.2}x, {:.2}x",
-        find("ppn=8.bind-to-socket") / find("ppn=1.interleave"),
-        find("ppn=8.bind-to-socket") / find("ppn=8.noflag"),
-    ));
+    let bind = find("ppn=8.bind-to-socket");
+    // The band is wider upward for the interleave penalty (see fig3).
+    r.claim(
+        "ppn=8.bind-to-socket over ppn=1.interleave",
+        Some(1.74),
+        bind / find("ppn=1.interleave"),
+        Ratio,
+        Some((1.3, 4.5)),
+    );
+    r.claim(
+        "ppn=8.bind-to-socket over ppn=8.noflag",
+        Some(2.08),
+        bind / find("ppn=8.noflag"),
+        Ratio,
+        Some((above(1.0), f64::INFINITY)),
+    );
+    r.claim(
+        "ppn=1.interleave over ppn=1.noflag",
+        None,
+        find("ppn=1.interleave") / find("ppn=1.noflag"),
+        Ratio,
+        Some((above(1.0), f64::INFINITY)),
+    );
     r
 }
 

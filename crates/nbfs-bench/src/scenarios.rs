@@ -3,10 +3,9 @@
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 
-use nbfs_core::engine::{DistributedBfs, Scenario};
+use nbfs_core::engine::{BfsRun, DistributedBfs, Scenario};
 use nbfs_graph::{Csr, GraphBuilder};
 use nbfs_topology::{presets, MachineConfig};
-use nbfs_util::SimTime;
 
 /// Workload knobs for a figure run.
 #[derive(Clone, Copy, Debug)]
@@ -82,13 +81,14 @@ pub fn best_root(graph: &Csr) -> usize {
         .expect("non-empty graph")
 }
 
-/// Runs one BFS for an explicit scenario and returns (time, TEPS).
-pub fn run_scenario(graph: &Csr, scenario: &Scenario) -> (SimTime, f64) {
+/// Runs one BFS from [`best_root`] for an explicit scenario and returns
+/// the run with its TEPS.
+pub fn run_scenario(graph: &Csr, scenario: &Scenario) -> (BfsRun, f64) {
     let root = best_root(graph);
     let run = DistributedBfs::new(graph, scenario).run(root);
     let edges = graph.component_edges(root) as f64;
-    let t = run.profile.total();
-    (t, edges / t.as_secs())
+    let teps = edges / run.profile.total().as_secs();
+    (run, teps)
 }
 
 #[cfg(test)]
@@ -96,6 +96,7 @@ pub fn run_scenario(graph: &Csr, scenario: &Scenario) -> (SimTime, f64) {
 mod tests {
     use super::*;
     use nbfs_core::opt::OptLevel;
+    use nbfs_util::SimTime;
 
     #[test]
     fn graph_cache_returns_same_instance() {
@@ -118,8 +119,8 @@ mod tests {
         let cfg = BenchConfig::tiny();
         let g = graph(cfg.base_scale);
         let scenario = Scenario::new(cfg.machine(2), OptLevel::ShareAll);
-        let (t, teps) = run_scenario(g, &scenario);
-        assert!(t > SimTime::ZERO);
+        let (run, teps) = run_scenario(g, &scenario);
+        assert!(run.profile.total() > SimTime::ZERO);
         assert!(teps > 0.0);
     }
 }

@@ -374,8 +374,57 @@ CODEC: raw | delta-varint
              uncompressed one (identical results, ~half the graph memory)"
 }
 
-/// Executes a parsed command, writing human output to `out`.
+/// Executes a parsed command, writing human output to `out`. A reader
+/// that closes `out` early (`nbfs tune ... | head -1`) is not an error: the
+/// rest of the output is dropped, and the command still runs to the end,
+/// so its own failures (a chaos verdict, a `--json` write) still surface.
 pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), String> {
+    execute_into(
+        cmd,
+        &mut PipeWatch {
+            inner: out,
+            closed: false,
+        },
+    )
+}
+
+/// A writer that drops everything once its reader has gone away.
+struct PipeWatch<'a> {
+    inner: &'a mut dyn std::io::Write,
+    closed: bool,
+}
+
+impl PipeWatch<'_> {
+    fn watch<T>(&mut self, r: std::io::Result<T>, dropped: T) -> std::io::Result<T> {
+        match r {
+            Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => {
+                self.closed = true;
+                Ok(dropped)
+            }
+            r => r,
+        }
+    }
+}
+
+impl std::io::Write for PipeWatch<'_> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        if self.closed {
+            return Ok(buf.len());
+        }
+        let r = self.inner.write(buf);
+        self.watch(r, buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        if self.closed {
+            return Ok(());
+        }
+        let r = self.inner.flush();
+        self.watch(r, ())
+    }
+}
+
+fn execute_into(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), String> {
     let err = |e: std::io::Error| e.to_string();
     match cmd {
         Command::Help => writeln!(out, "{}", usage()).map_err(err)?,
@@ -1171,6 +1220,53 @@ mod tests {
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(str::to_string).collect()
+    }
+
+    /// A reader that has gone away.
+    struct ClosedPipe;
+
+    impl std::io::Write for ClosedPipe {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            Err(std::io::ErrorKind::BrokenPipe.into())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Err(std::io::ErrorKind::BrokenPipe.into())
+        }
+    }
+
+    /// Any other write failure still fails.
+    struct FullDisk;
+
+    impl std::io::Write for FullDisk {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            Err(std::io::ErrorKind::StorageFull.into())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_closed_stdout_is_a_clean_exit() {
+        let cmd = parse(&argv("tune --scale 10 --density 0.1")).unwrap();
+        assert_eq!(execute(cmd.clone(), &mut ClosedPipe), Ok(()));
+        assert!(execute(cmd, &mut FullDisk).is_err());
+        // The command still runs to the end: its `--json` export is written,
+        // and a failure after its table was printed is still reported.
+        let dir = std::env::temp_dir();
+        let path = dir.join("nbfs-cli-closed-stdout.json");
+        let _ = std::fs::remove_file(&path);
+        let trace = |json: &std::path::Path| {
+            let line = format!("trace --scale 10 --nodes 2 --json {}", json.display());
+            parse(&argv(&line)).unwrap()
+        };
+        assert_eq!(execute(trace(&path), &mut ClosedPipe), Ok(()));
+        assert!(path.exists(), "the --json export was skipped");
+        std::fs::remove_file(&path).unwrap();
+        let unwritable = dir.join("nbfs-cli-no-such-dir").join("t.json");
+        assert!(execute(trace(&unwritable), &mut ClosedPipe).is_err());
     }
 
     #[test]

@@ -1,11 +1,14 @@
 //! The docs are the reproduction record, so what they quote about the
 //! code's own surfaces — schema versions, the chaos matrix size, the
-//! codec list — must be what the code says. Each check takes the value
-//! from the code and looks for it at the sentence that states it.
+//! codec list, figure ids and the figures' measured values — must be what
+//! the code says. Each check takes the value from the code and looks for
+//! it at the sentence that states it.
 
 // Test code opts back into unwrap/narrowing ergonomics; the workspace
 // denies both in library targets (see [workspace.lints] in Cargo.toml).
 #![allow(clippy::unwrap_used, clippy::cast_possible_truncation)]
+use nbfs_bench::figures::{self, ALL_IDS, CLAIM_IDS};
+use nbfs_bench::scenarios::BenchConfig;
 use numa_bfs::comm::codec::Codec;
 
 fn doc(name: &str) -> String {
@@ -119,17 +122,20 @@ fn retired_bench_system_is_gone_from_the_docs_and_quoted_metrics_exist() {
     // entry-point family, the per-flavour distributed backends, the 2-D
     // merge-join, the threaded SPMD runtime with its node-shared
     // frontier and tag registry, the Criterion harness, the per-bit
-    // bottom-up kernel with its equivalence test, and the bespoke
-    // invariant linter with its allowlist. Only the project's
+    // bottom-up kernel with its equivalence test, the bespoke linter,
+    // and the four examples that re-ran figures. Only the project's
     // history and plan (CHANGES, ROADMAP, ISSUE) and the EXPERIMENTS
-    // "Retired variants" section may still name them.
+    // "Retired variants" section may still name them. Every other doc
+    // quotes only figure ids the `figures` bin knows.
     let mut files = Vec::new();
     markdown_files(std::path::Path::new(env!("CARGO_MANIFEST_DIR")), &mut files);
     assert!(files.contains(&"README.md".to_string()), "{files:?}");
+    let mut figure_ids_quoted = 0;
     for name in &files {
         if ["CHANGES.md", "ROADMAP.md", "ISSUE.md"].contains(&name.as_str()) {
             continue;
         }
+        figure_ids_quoted += assert_figure_ids_exist(name);
         for section in doc(name).split("\n## ") {
             if name == "EXPERIMENTS.md" && section.starts_with("Retired variants") {
                 continue;
@@ -154,6 +160,10 @@ fn retired_bench_system_is_gone_from_the_docs_and_quoted_metrics_exist() {
                 "kernel_equivalence",
                 "nbfs-analysis",
                 "analysis-allow",
+                "placement_study",
+                "comm_optimization_study",
+                "granularity_sweep",
+                "example graph500",
             ] {
                 assert!(!section.contains(retired), "{name} still has {retired}");
             }
@@ -191,4 +201,68 @@ fn retired_bench_system_is_gone_from_the_docs_and_quoted_metrics_exist() {
         }
     }
     assert!(quoted > 0, "the docs no longer quote any benchmark metric");
+    assert!(
+        figure_ids_quoted > 0,
+        "the docs no longer quote any figure id"
+    );
+}
+
+/// Asserts every `figures <id>` that `name` quotes in backticks names an
+/// id in `ALL_IDS` (or `all`); returns how many it quotes.
+fn assert_figure_ids_exist(name: &str) -> usize {
+    let text = doc(name);
+    let mut quoted = 0;
+    for span in text.split('`').skip(1).step_by(2) {
+        for (at, _) in span.match_indices("figures ") {
+            let ids = span[at + "figures ".len()..]
+                .split_whitespace()
+                .skip_while(|&t| t == "--")
+                .take_while(|t| !t.starts_with(['-', '#', '<']));
+            for id in ids {
+                assert!(
+                    id == "all" || ALL_IDS.contains(&id),
+                    "{name} quotes `figures {id}`; the bin knows {ALL_IDS:?}"
+                );
+                quoted += 1;
+            }
+        }
+    }
+    quoted
+}
+
+/// Every claim row a figure makes at the default configuration appears,
+/// formatted as the figure formats it, in the "Measured here" cell of that
+/// figure's row of EXPERIMENTS' summary table.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "the default-scale figure run is release-only"
+)]
+fn experiments_quotes_the_figure_rows() {
+    let experiments = doc("EXPERIMENTS.md");
+    let cfg = BenchConfig::default();
+    let mut checked = 0;
+    for id in CLAIM_IDS {
+        let report = figures::generate(id, &cfg).unwrap();
+        let exp = format!("| Fig. {} |", id.trim_start_matches("fig"));
+        let row = experiments
+            .lines()
+            .find(|l| l.starts_with(&exp))
+            .unwrap_or_else(|| panic!("EXPERIMENTS.md has no `{exp}` row"));
+        let measured = row.split('|').nth(3).unwrap();
+        for claim in &report.claims {
+            let ours = claim.unit.format(claim.ours);
+            // A whole number: `1.80×` must not match inside `11.80×`.
+            let quoted = measured
+                .match_indices(&ours)
+                .any(|(at, _)| !measured[..at].ends_with(|c: char| c.is_ascii_digit() || c == '.'));
+            assert!(
+                quoted,
+                "EXPERIMENTS.md {exp} \"Measured here\" lacks {ours} ({}):{measured}",
+                claim.quantity
+            );
+            checked += 1;
+        }
+    }
+    assert!(checked > 0, "no figure makes a claim");
 }
