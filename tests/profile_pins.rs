@@ -19,13 +19,14 @@
 // denies both in library targets (see [workspace.lints] in Cargo.toml).
 #![allow(clippy::unwrap_used, clippy::cast_possible_truncation)]
 use numa_bfs::comm::codec::Codec;
-use numa_bfs::core::engine::{BfsRun, DistributedBfs, Scenario};
+use numa_bfs::comm::{FaultPlan, FaultScope, FaultSpec};
+use numa_bfs::core::engine::{BfsRun, DistributedBfs, NoClock, Scenario};
 use numa_bfs::core::engine2d::TwoDimBfs;
 use numa_bfs::core::opt::OptLevel;
 use numa_bfs::core::profile::Phase;
 use numa_bfs::graph::{CompressedCsr, Csr, Edge, EdgeList, GraphBuilder};
 use numa_bfs::topology::MachineConfig;
-use numa_bfs::trace::Direction;
+use numa_bfs::trace::{Direction, FaultKind, FaultRecord, TraceConfig};
 use numa_bfs::util::rng::Xoroshiro128;
 
 /// Every grid shape that tiles the 8 ranks of the test cluster.
@@ -47,7 +48,31 @@ impl Fingerprint {
 }
 
 fn fingerprint(run: &BfsRun) -> u64 {
+    profile_fingerprint(run, Fingerprint::new())
+}
+
+/// The profile fingerprint continued over every fault record: a
+/// renumbered edge tag, a reordered edge or a changed round count (the
+/// retransmit penalty divides by it) moves the cell.
+fn faulted_fingerprint(run: &BfsRun, faults: &[FaultRecord]) -> u64 {
     let mut f = Fingerprint::new();
+    f.word(faults.len() as u64);
+    for record in faults {
+        f.word(record.level as u64);
+        for byte in record.kind.label().bytes().chain(record.op.label().bytes()) {
+            f.word(u64::from(byte));
+        }
+        f.word(record.src as u64);
+        f.word(record.dst as u64);
+        f.word(record.tag);
+        f.word(u64::from(record.attempts));
+        f.word(u64::from(record.recovered));
+        f.word(record.penalty.as_secs().to_bits());
+    }
+    profile_fingerprint(run, f)
+}
+
+fn profile_fingerprint(run: &BfsRun, mut f: Fingerprint) -> u64 {
     let p = &run.profile;
     for phase in Phase::ALL {
         f.word(p.phase(phase).as_secs().to_bits());
@@ -76,6 +101,20 @@ fn scenario(scale: u32, opt: OptLevel, codec: Codec) -> Scenario {
     let machine = MachineConfig::small_test_cluster(2, 4).scaled_to_graph(scale, 28);
     Scenario::builder(machine, opt)
         .codec(codec)
+        .build()
+        .unwrap()
+}
+
+/// Three nodes x four sockets = 12 ranks under a seeded plan that drops
+/// 30% and duplicates 20% of first attempts: every drop recovers.
+fn faulted_scenario(opt: OptLevel) -> Scenario {
+    let machine = MachineConfig::small_test_cluster(3, 4).scaled_to_graph(12, 28);
+    let plan = FaultPlan::new(2012)
+        .spec(FaultSpec::new(FaultKind::Drop, FaultScope::any()).rate(0.3))
+        .spec(FaultSpec::new(FaultKind::Duplicate, FaultScope::any()).rate(0.2));
+    Scenario::builder(machine, opt)
+        .trace(TraceConfig::Standard)
+        .faults(plan)
         .build()
         .unwrap()
 }
@@ -160,6 +199,13 @@ const TWO_DIM_RMAT: &[(&str, u64)] = &[
     ("2d 8x1 delta-varint compressed", 0x986da50f2bcda4ce),
 ];
 
+const FAULTED: &[(&str, u64)] = &[
+    ("1d faulted Original.ppn=8", 0x44301e1da00c2cf7),
+    ("1d faulted Share in_queue", 0x85de4f13270a7549),
+    ("1d faulted Share all", 0x2225ab0c817f2f9e),
+    ("1d faulted Par allgather", 0xe854efc003332400),
+];
+
 const TORUS: &[(&str, u64)] = &[
     ("1d torus", 0x1f905a8945f3aab4),
     ("2d 2x4 torus", 0x752a0247c554e9fa),
@@ -215,4 +261,29 @@ fn deep_torus_cells_are_pinned() {
         ("2d 2x4 torus".to_string(), fingerprint(&two)),
     ];
     check("TORUS", &cells, TORUS);
+}
+
+#[test]
+fn faulted_one_dim_cells_are_pinned() {
+    let g = GraphBuilder::rmat(12, 16).seed(23).build();
+    let root = hub(&g);
+    let mut cells = Vec::new();
+    for opt in [
+        OptLevel::OriginalPpn8,
+        OptLevel::ShareInQueue,
+        OptLevel::ShareAll,
+        OptLevel::ParAllgather,
+    ] {
+        let search = DistributedBfs::new(&g, &faulted_scenario(opt))
+            .search(root, &NoClock)
+            .unwrap();
+        let faults = &search.report.faults;
+        assert!(!faults.is_empty(), "{}: the plan never fired", opt.label());
+        assert_eq!(search.report.dropped_events, 0, "{}", opt.label());
+        cells.push((
+            format!("1d faulted {}", opt.label()),
+            faulted_fingerprint(&search.run, faults),
+        ));
+    }
+    check("FAULTED", &cells, FAULTED);
 }
