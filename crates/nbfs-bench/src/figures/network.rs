@@ -75,7 +75,6 @@ pub fn fig6() -> FigureReport {
         let default = allgather_cost_bytes(&bytes, &pmap, &net, AllgatherAlgorithm::Ring);
         for (algo, label) in [
             (AllgatherAlgorithm::Ring, "Open MPI default (ring)"),
-            (AllgatherAlgorithm::RecursiveDoubling, "recursive doubling"),
             (AllgatherAlgorithm::LeaderBased, "leader-based [31]"),
         ] {
             let c = allgather_cost_bytes(&bytes, &pmap, &net, algo);

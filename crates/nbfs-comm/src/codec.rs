@@ -21,10 +21,8 @@ use nbfs_topology::ProcessMap;
 use nbfs_trace::CollectiveStats;
 use nbfs_util::varint::{push_varint, read_varint, unzigzag, zigzag};
 
-use crate::allgather::{
-    allgather_cost_bytes, allgather_stats_bytes, allgather_words_into, allgatherv_items,
-    AllgatherAlgorithm, AllgathervOutcome,
-};
+use crate::allgather::{allgather_sizes, concat_into, AllgatherAlgorithm};
+use crate::fault::FaultEdge;
 use crate::profile::CommCost;
 
 /// Which codec a collective payload goes through. The enum is the
@@ -332,9 +330,9 @@ fn read_raw_pairs(payload: &[u8], out: &mut Vec<(u32, u32)>) {
 }
 
 /// Reusable per-rank staging for the codec-aware collectives: encoded
-/// payload buffers plus the raw/encoded size vectors the cost and stats
-/// walks consume. Buffers grow to the high-water mark of the run and stay
-/// there (the same treatment the allgather/alltoallv staging gets).
+/// payload buffers plus the raw/encoded size vectors the walk consumes.
+/// Buffers grow to the high-water mark of the run and stay there (the
+/// same treatment the allgather/alltoallv staging gets).
 #[derive(Debug, Default)]
 pub struct CodecWorkspace {
     bufs: Vec<Vec<u8>>,
@@ -343,17 +341,6 @@ pub struct CodecWorkspace {
 }
 
 impl CodecWorkspace {
-    /// Per-rank raw (pre-encoding) byte sizes of the last collective.
-    pub fn raw_sizes(&self) -> &[u64] {
-        &self.raw_bytes
-    }
-
-    /// Per-rank encoded (wire) byte sizes of the last collective. Equal
-    /// to [`CodecWorkspace::raw_sizes`] under [`Codec::Raw`].
-    pub fn enc_sizes(&self) -> &[u64] {
-        &self.enc_bytes
-    }
-
     /// Resets the size vectors for `np` ranks and makes sure `np` encode
     /// buffers exist (their allocations are kept).
     fn reset(&mut self, np: usize) {
@@ -365,16 +352,19 @@ impl CodecWorkspace {
     }
 }
 
-/// Codec-aware form of [`allgather_words_into`]: concatenates the
-/// per-rank word segments into `dst` and returns the cost of moving the
-/// *encoded* segments with `algo`.
+/// Codec-aware word allgather: concatenates the per-rank word segments
+/// into `dst` and returns the cost and volume tally of moving the
+/// *encoded* segments with `algo` (see [`allgather_sizes`]; `edges`
+/// receives the transfer schedule).
 ///
-/// Under [`Codec::Raw`] this delegates to [`allgather_words_into`]
-/// unchanged (bit-for-bit, cost included). Otherwise every segment is
-/// really encoded into the workspace and really decoded into its `dst`
-/// slice, so a codec defect corrupts the BFS rather than silently
-/// discounting bytes. `ws` retains the raw/encoded size vectors for the
-/// caller's stats ([`allgather_codec_stats`]).
+/// Under [`Codec::Raw`] the segments are copied as they are and priced
+/// at 8 bytes per word. Otherwise every segment is really encoded into
+/// the workspace and really decoded into its `dst` slice, so a codec
+/// defect corrupts the BFS rather than silently discounting bytes.
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the payload, the machine, the algorithm, the codec and the edge sink are independent"
+)]
 pub fn allgather_words_codec_into(
     dst: &mut [u64],
     parts: &[&[u64]],
@@ -383,15 +373,16 @@ pub fn allgather_words_codec_into(
     algo: AllgatherAlgorithm,
     codec: Codec,
     ws: &mut CodecWorkspace,
-) -> CommCost {
+    edges: Option<&mut Vec<FaultEdge>>,
+) -> (CommCost, CollectiveStats) {
     assert_eq!(parts.len(), pmap.world_size(), "need one segment per rank");
     ws.reset(parts.len());
     for (r, part) in parts.iter().enumerate() {
         ws.raw_bytes[r] = part.len() as u64 * 8;
     }
     if codec.is_raw() {
-        ws.enc_bytes.copy_from_slice(&ws.raw_bytes);
-        return allgather_words_into(dst, parts, pmap, net, algo);
+        concat_into(dst, parts, pmap);
+        return allgather_sizes(&ws.raw_bytes, &ws.raw_bytes, pmap, net, algo, edges);
     }
     let total: usize = parts.iter().map(|p| p.len()).sum();
     assert_eq!(dst.len(), total, "dst must hold the concatenated segments");
@@ -403,26 +394,20 @@ pub fn allgather_words_codec_into(
         imp.decode_words(&ws.bufs[r], &mut dst[at..at + part.len()]);
         at += part.len();
     }
-    allgather_cost_bytes(&ws.enc_bytes, pmap, net, algo)
+    allgather_sizes(&ws.enc_bytes, &ws.raw_bytes, pmap, net, algo, edges)
 }
 
-/// Stats twin of the codec-aware allgathers: the round/flow/byte tally of
-/// the *encoded* exchange, with `raw_bytes` carrying the wire volume the
-/// same exchange would have moved uncompressed.
-pub fn allgather_codec_stats(
-    ws: &CodecWorkspace,
-    pmap: &ProcessMap,
-    algo: AllgatherAlgorithm,
-) -> CollectiveStats {
-    let mut stats = allgather_stats_bytes(ws.enc_sizes(), pmap, algo);
-    stats.raw_bytes = allgather_stats_bytes(ws.raw_sizes(), pmap, algo).wire_bytes;
-    stats
-}
-
-/// Codec-aware form of [`allgatherv_items`] for sorted `u32` frontier
-/// lists: every list is encoded into the workspace and decoded into the
-/// concatenated result, and the cost prices the encoded sizes. Under
-/// [`Codec::Raw`] this delegates to [`allgatherv_items`] unchanged.
+/// Codec-aware allgatherv (MPI `allgatherv`) of sorted `u32` frontier
+/// lists: returns the rank-order concatenation of the lists plus the cost
+/// and volume tally of moving them with `algo` (`edges` receives the
+/// transfer schedule). The top-down phase exchanges newly discovered
+/// frontier *vertex lists* this way — sized by the frontier, not by the
+/// whole bitmap, which is why the paper's top-down communication stays
+/// cheap while its bottom-up allgathers dominate (Fig. 11).
+///
+/// Under [`Codec::Raw`] lists are priced at 4 bytes per vertex. Otherwise
+/// every list is really encoded into the workspace and decoded into the
+/// result, and the walk prices the encoded sizes.
 pub fn allgatherv_u32_codec(
     lists: &[impl AsRef<[u32]>],
     pmap: &ProcessMap,
@@ -430,26 +415,27 @@ pub fn allgatherv_u32_codec(
     algo: AllgatherAlgorithm,
     codec: Codec,
     ws: &mut CodecWorkspace,
-) -> AllgathervOutcome<u32> {
+    edges: Option<&mut Vec<FaultEdge>>,
+) -> (Vec<u32>, CommCost, CollectiveStats) {
     assert_eq!(lists.len(), pmap.world_size(), "one list per rank");
     ws.reset(lists.len());
-    for (r, list) in lists.iter().enumerate() {
-        ws.raw_bytes[r] = list.as_ref().len() as u64 * 4;
-    }
-    if codec.is_raw() {
-        ws.enc_bytes.copy_from_slice(&ws.raw_bytes);
-        return allgatherv_items(lists, 4, pmap, net, algo);
-    }
     let total: usize = lists.iter().map(|l| l.as_ref().len()).sum();
-    let imp = codec.implementation();
     let mut items: Vec<u32> = Vec::with_capacity(total);
+    let imp = codec.implementation();
     for (r, list) in lists.iter().enumerate() {
-        imp.encode_sorted_u32(list.as_ref(), &mut ws.bufs[r]);
-        ws.enc_bytes[r] = ws.bufs[r].len() as u64;
-        imp.decode_sorted_u32(&ws.bufs[r], &mut items);
+        let list = list.as_ref();
+        ws.raw_bytes[r] = list.len() as u64 * 4;
+        if codec.is_raw() {
+            items.extend_from_slice(list);
+            ws.enc_bytes[r] = ws.raw_bytes[r];
+        } else {
+            imp.encode_sorted_u32(list, &mut ws.bufs[r]);
+            ws.enc_bytes[r] = ws.bufs[r].len() as u64;
+            imp.decode_sorted_u32(&ws.bufs[r], &mut items);
+        }
     }
-    let cost = allgather_cost_bytes(&ws.enc_bytes, pmap, net, algo);
-    AllgathervOutcome { items, cost }
+    let (cost, stats) = allgather_sizes(&ws.enc_bytes, &ws.raw_bytes, pmap, net, algo, edges);
+    (items, cost, stats)
 }
 
 /// Encoded byte size of one word payload under `codec`, using `scratch`

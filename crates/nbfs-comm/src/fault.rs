@@ -9,10 +9,10 @@
 //! chaos runs diffable: the conformance suite replays a seed and asserts
 //! byte-identical fault logs.
 //!
-//! The one-shot BSP collectives are the plan's one consumer: they walk a
-//! *third twin* of their round structure ([`allgather_edges`] and friends
-//! mirror the cost/stats twins in `allgather.rs`) and charge retry
-//! penalties (bounded retry + exponential backoff on drops) into the
+//! The one-shot BSP collectives are the plan's one consumer: the walk
+//! that prices a collective's rounds also lists its transfers as
+//! [`FaultEdge`]s, and [`inject_collective`] charges retry penalties
+//! (bounded retry + exponential backoff on drops) for them into the
 //! level's communication time without touching the data movement, so
 //! recovered runs stay bit-identical to fault-free runs by construction.
 //! [`inject_rank_faults`] resolves whole-rank stalls and crashes per level.
@@ -21,11 +21,9 @@
 //! ([`NbfsError::Fault`] / [`NbfsError::RankFailed`]) carrying the failing
 //! edge and level.
 
-use nbfs_topology::ProcessMap;
 use nbfs_trace::{CollectiveKind, CollectiveStats, FaultKind, FaultOp, FaultRecord};
 use nbfs_util::{rng, NbfsError, SimTime};
 
-use crate::allgather::AllgatherAlgorithm;
 use crate::profile::CommCost;
 
 /// Tag field of whole-rank fault sites. Fault fates hash the site,
@@ -312,108 +310,9 @@ pub struct FaultEdge {
 }
 
 impl FaultEdge {
-    fn new(round: u64, src: usize, dst: usize) -> FaultEdge {
+    pub(crate) fn new(round: u64, src: usize, dst: usize) -> FaultEdge {
         FaultEdge { round, src, dst }
     }
-}
-
-/// The rank-to-rank transfer schedule of an allgather — the fault layer's
-/// third twin of the cost/stats walks in `allgather.rs`.
-pub fn allgather_edges(pmap: &ProcessMap, algo: AllgatherAlgorithm) -> Vec<FaultEdge> {
-    let np = pmap.world_size();
-    match algo {
-        AllgatherAlgorithm::Ring => ring_edges(np),
-        AllgatherAlgorithm::RecursiveDoubling => {
-            if np.is_power_of_two() {
-                recursive_doubling_edges(np)
-            } else {
-                // Mirrors the cost model's fallback to the ring schedule.
-                ring_edges(np)
-            }
-        }
-        AllgatherAlgorithm::LeaderBased
-        | AllgatherAlgorithm::SharedDest
-        | AllgatherAlgorithm::SharedBoth => leader_ring_edges(pmap),
-        AllgatherAlgorithm::ParallelSubgroup => subgroup_edges(pmap),
-    }
-}
-
-fn ring_edges(np: usize) -> Vec<FaultEdge> {
-    let mut edges = Vec::new();
-    for round in 0..np.saturating_sub(1) {
-        for i in 0..np {
-            edges.push(FaultEdge::new(round as u64, i, (i + 1) % np));
-        }
-    }
-    edges
-}
-
-fn recursive_doubling_edges(np: usize) -> Vec<FaultEdge> {
-    let mut edges = Vec::new();
-    let mut round = 0u64;
-    let mut dist = 1usize;
-    while dist < np {
-        for i in 0..np {
-            edges.push(FaultEdge::new(round, i, i ^ dist));
-        }
-        dist <<= 1;
-        round += 1;
-    }
-    edges
-}
-
-fn leader_ring_edges(pmap: &ProcessMap) -> Vec<FaultEdge> {
-    let nodes = pmap.nodes();
-    let mut edges = Vec::new();
-    for round in 0..nodes.saturating_sub(1) {
-        for n in 0..nodes {
-            edges.push(FaultEdge::new(
-                round as u64,
-                pmap.leader_of_node(n),
-                pmap.leader_of_node((n + 1) % nodes),
-            ));
-        }
-    }
-    edges
-}
-
-fn subgroup_edges(pmap: &ProcessMap) -> Vec<FaultEdge> {
-    let nodes = pmap.nodes();
-    let mut edges = Vec::new();
-    for round in 0..nodes.saturating_sub(1) {
-        for n in 0..nodes {
-            let src0 = pmap.ranks_of_node(n).start;
-            let dst0 = pmap.ranks_of_node((n + 1) % nodes).start;
-            for j in 0..pmap.ppn() {
-                edges.push(FaultEdge::new(round as u64, src0 + j, dst0 + j));
-            }
-        }
-    }
-    edges
-}
-
-/// The leader-level transfer schedule of the scalar allreduce
-/// (recursive doubling over nodes, like its wire-round cost model).
-pub fn allreduce_edges(pmap: &ProcessMap) -> Vec<FaultEdge> {
-    let nodes = pmap.nodes();
-    let mut edges = Vec::new();
-    let mut round = 0u64;
-    let mut dist = 1usize;
-    while dist < nodes {
-        for n in 0..nodes {
-            let partner = n ^ dist;
-            if partner < nodes {
-                edges.push(FaultEdge::new(
-                    round,
-                    pmap.leader_of_node(n),
-                    pmap.leader_of_node(partner),
-                ));
-            }
-        }
-        dist <<= 1;
-        round += 1;
-    }
-    edges
 }
 
 /// Walks a collective's edge schedule under `plan`, resolving each edge's
@@ -586,16 +485,13 @@ fn edge_failure(
 #[allow(clippy::unwrap_used, clippy::cast_possible_truncation)]
 mod tests {
     use super::*;
-    use nbfs_topology::{presets, PlacementPolicy, ProcessMap};
 
-    fn pmap(nodes: usize, ppn: usize) -> ProcessMap {
-        let m = presets::xeon_x7550_cluster(nodes);
-        let policy = if ppn == m.sockets_per_node {
-            PlacementPolicy::BindToSocket
-        } else {
-            PlacementPolicy::Interleave
-        };
-        ProcessMap::new(&m, ppn, policy)
+    /// The flat ring's schedule over `np` ranks: every rank forwards to
+    /// its successor in each of `np - 1` rounds.
+    fn ring_edges(np: usize) -> Vec<FaultEdge> {
+        (0..np.saturating_sub(1))
+            .flat_map(|round| (0..np).map(move |i| FaultEdge::new(round as u64, i, (i + 1) % np)))
+            .collect()
     }
 
     fn unit_cost(rounds: u64) -> (CommCost, CollectiveStats) {
@@ -752,29 +648,6 @@ mod tests {
             adj.failure,
             Some(NbfsError::RankFailed { rank: 3 })
         ));
-    }
-
-    #[test]
-    fn edge_schedules_cover_every_algorithm() {
-        let pm = pmap(4, 8);
-        let np = pm.world_size();
-        let ring = allgather_edges(&pm, AllgatherAlgorithm::Ring);
-        assert_eq!(ring.len(), (np - 1) * np);
-        let rd = allgather_edges(&pm, AllgatherAlgorithm::RecursiveDoubling);
-        assert_eq!(rd.len(), np * np.ilog2() as usize);
-        let leader = allgather_edges(&pm, AllgatherAlgorithm::SharedDest);
-        assert_eq!(leader.len(), 3 * 4);
-        assert!(leader
-            .iter()
-            .all(|e| pm.is_leader(e.src) && pm.is_leader(e.dst)));
-        let par = allgather_edges(&pm, AllgatherAlgorithm::ParallelSubgroup);
-        assert_eq!(par.len(), 3 * 4 * 8);
-        let red = allreduce_edges(&pm);
-        assert_eq!(red.len(), 4 * 2);
-        // Single-rank / single-node worlds have no wire edges.
-        let solo = pmap(1, 1);
-        assert!(allgather_edges(&solo, AllgatherAlgorithm::Ring).is_empty());
-        assert!(allreduce_edges(&solo).is_empty());
     }
 
     #[test]

@@ -6,12 +6,13 @@
 //! all ranks' buffers at once (so correctness is exercised end-to-end)
 //! while charging simulated time to the `nbfs-simnet` models per algorithm
 //! step. Both BFS engines run on them, because the paper's optimizations
-//! are precisely different collective algorithms:
+//! are precisely different collective algorithms, each walked once per
+//! call: the round loop that prices it also tallies its volume and lists
+//! its fault edges.
 //!
 //! | paper | here |
 //! |---|---|
 //! | Open MPI 1.5.5 default allgather (ring for large messages) | [`allgather::AllgatherAlgorithm::Ring`] |
-//! | recursive doubling (Thakur & Gropp \[41\], small messages)   | [`allgather::AllgatherAlgorithm::RecursiveDoubling`] |
 //! | leader-based (Mamidala et al. \[31\], Fig. 5a)               | [`allgather::AllgatherAlgorithm::LeaderBased`] |
 //! | shared `in_queue` (Fig. 5b, Section III.A.1)               | [`allgather::AllgatherAlgorithm::SharedDest`] |
 //! | shared `in_queue` + `out_queue` (Section III.A.2)          | [`allgather::AllgatherAlgorithm::SharedBoth`] |
@@ -22,8 +23,8 @@
 //! * [`codec`] — pluggable frontier/bitmap compression (delta-varint)
 //!   applied at the collective seams, with honest raw-vs-wire byte
 //!   accounting (Lv et al., arXiv:1208.5542).
-//! * [`fault`] — deterministic seeded fault injection over the
-//!   collectives' edge schedules.
+//! * [`fault`] — deterministic seeded fault injection over the edge
+//!   schedules the collectives' walks list.
 //! * [`profile`] — the per-step time split (intra-node gather, inter-node
 //!   exchange, intra-node broadcast) that Figs. 6 and 13 report.
 
@@ -40,9 +41,7 @@ pub mod collectives;
 pub mod fault;
 pub mod profile;
 
-pub use allgather::{
-    allgather_cost, allgather_cost_bytes, allgather_words, AllgatherAlgorithm, AllgatherOutcome,
-};
+pub use allgather::{allgather_cost_bytes, AllgatherAlgorithm};
 pub use codec::{Codec, CodecWorkspace, FrontierCodec};
 pub use fault::{FaultAdjustment, FaultPlan, FaultScope, FaultSpec};
 pub use profile::CommCost;

@@ -6,13 +6,12 @@
 use proptest::prelude::*;
 
 use nbfs_comm::allgather::{
-    allgather_cost_bytes, allgather_stats_bytes, allgather_words, allgatherv_items,
-    AllgatherAlgorithm,
+    allgather_cost_bytes, allgather_sizes, allgather_words_into, AllgatherAlgorithm,
 };
 use nbfs_comm::alltoallv::{alltoallv_pairs_codec_into, AlltoallvWorkspace};
 use nbfs_comm::codec::{allgather_words_codec_into, allgatherv_u32_codec, Codec, CodecWorkspace};
 use nbfs_comm::collectives::allreduce_sum;
-use nbfs_comm::fault::{allgather_edges, allreduce_edges, inject_collective};
+use nbfs_comm::fault::inject_collective;
 use nbfs_comm::{FaultPlan, FaultScope, FaultSpec};
 use nbfs_simnet::NetworkModel;
 use nbfs_topology::{presets, PlacementPolicy, ProcessMap};
@@ -29,9 +28,8 @@ fn setup(nodes: usize, ppn: usize) -> (ProcessMap, NetworkModel) {
     (ProcessMap::new(&m, ppn, policy), NetworkModel::new(&m))
 }
 
-const ALGOS: [AllgatherAlgorithm; 6] = [
+const ALGOS: [AllgatherAlgorithm; 5] = [
     AllgatherAlgorithm::Ring,
-    AllgatherAlgorithm::RecursiveDoubling,
     AllgatherAlgorithm::LeaderBased,
     AllgatherAlgorithm::SharedDest,
     AllgatherAlgorithm::SharedBoth,
@@ -58,10 +56,12 @@ proptest! {
             .map(|i| (0..lens[i % lens.len()]).map(|_| next()).collect())
             .collect();
         let expect: Vec<u64> = parts.iter().flatten().copied().collect();
+        let refs: Vec<&[u64]> = parts.iter().map(Vec::as_slice).collect();
         for algo in ALGOS {
-            let out = allgather_words(&parts, &pmap, &net, algo);
-            prop_assert_eq!(&out.words, &expect, "{:?} nodes={} ppn={}", algo, nodes, ppn);
-            prop_assert!(out.cost.total().as_secs().is_finite());
+            let mut words = vec![0; expect.len()];
+            let cost = allgather_words_into(&mut words, &refs, &pmap, &net, algo);
+            prop_assert_eq!(&words, &expect, "{:?} nodes={} ppn={}", algo, nodes, ppn);
+            prop_assert!(cost.total().as_secs().is_finite());
         }
     }
 
@@ -86,9 +86,12 @@ proptest! {
     ) {
         let (pmap, net) = setup(2, 4);
         prop_assume!(lists.len() == pmap.world_size());
-        let out = allgatherv_items(&lists, 4, &pmap, &net, AllgatherAlgorithm::Ring);
+        let mut ws = CodecWorkspace::default();
+        let (items, _, _) = allgatherv_u32_codec(
+            &lists, &pmap, &net, AllgatherAlgorithm::Ring, Codec::Raw, &mut ws, None,
+        );
         let expect: Vec<u32> = lists.iter().flatten().copied().collect();
-        prop_assert_eq!(out.items, expect);
+        prop_assert_eq!(items, expect);
     }
 
     /// alltoallv routes every record to exactly its addressee, in sender
@@ -161,20 +164,16 @@ proptest! {
             let bytes = vec![40u64; world];
             let mut schedules: Vec<_> = ALGOS
                 .iter()
-                .map(|&algo| (
-                    CollectiveKind::AllgatherWords,
-                    allgather_edges(&pmap, algo),
-                    allgather_cost_bytes(&bytes, &pmap, &net, algo),
-                    allgather_stats_bytes(&bytes, &pmap, algo),
-                ))
+                .map(|&algo| {
+                    let mut edges = Vec::new();
+                    let (cost, stats) =
+                        allgather_sizes(&bytes, &bytes, &pmap, &net, algo, Some(&mut edges));
+                    (CollectiveKind::AllgatherWords, edges, cost, stats)
+                })
                 .collect();
-            let reduce = allreduce_sum(&vec![1; world], &pmap, &net);
-            schedules.push((
-                CollectiveKind::Allreduce,
-                allreduce_edges(&pmap),
-                reduce.cost,
-                reduce.stats,
-            ));
+            let mut edges = Vec::new();
+            let reduce = allreduce_sum(&vec![1; world], &pmap, &net, Some(&mut edges));
+            schedules.push((CollectiveKind::Allreduce, edges, reduce.cost, reduce.stats));
             for (kind, edges, cost, stats) in &schedules {
                 let a = inject_collective(&plan, LEVEL, *kind, edges, cost, stats);
                 let b = inject_collective(&plan, LEVEL, *kind, edges, cost, stats);
@@ -305,13 +304,13 @@ proptest! {
         for c in Codec::ALL {
             let mut dst = vec![0u64; flat_words.len()];
             allgather_words_codec_into(
-                &mut dst, &parts_ref, &pmap, &net, AllgatherAlgorithm::Ring, c, &mut ws,
+                &mut dst, &parts_ref, &pmap, &net, AllgatherAlgorithm::Ring, c, &mut ws, None,
             );
             prop_assert_eq!(&dst, &flat_words, "{:?} words", c);
-            let gathered = allgatherv_u32_codec(
-                &lists, &pmap, &net, AllgatherAlgorithm::Ring, c, &mut ws,
+            let (items, _, _) = allgatherv_u32_codec(
+                &lists, &pmap, &net, AllgatherAlgorithm::Ring, c, &mut ws, None,
             );
-            prop_assert_eq!(&gathered.items, &flat_lists, "{:?} lists", c);
+            prop_assert_eq!(&items, &flat_lists, "{:?} lists", c);
         }
     }
 

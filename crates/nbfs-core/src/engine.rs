@@ -16,19 +16,18 @@
 
 use rayon::prelude::*;
 
-use nbfs_comm::allgather::{allgather_cost_bytes, allgather_stats_bytes};
+use nbfs_comm::allgather::allgather_sizes;
 use nbfs_comm::codec::{
-    allgather_codec_stats, allgather_words_codec_into, allgatherv_u32_codec, encoded_words_size,
-    Codec, CodecWorkspace,
+    allgather_words_codec_into, allgatherv_u32_codec, encoded_words_size, Codec, CodecWorkspace,
 };
-use nbfs_comm::fault::allgather_edges;
+use nbfs_comm::fault::FaultEdge;
 use nbfs_comm::FaultPlan;
 use nbfs_graph::partition::LocalGraph;
 use nbfs_graph::{vid, Csr, GraphView, PartitionedGraph, NO_PARENT};
 use nbfs_simnet::compute::{ModelParams, ProbeClass};
 use nbfs_simnet::{ComputeEvents, NetworkModel, Residence};
 use nbfs_topology::{MachineConfig, PlacementPolicy, ProcessMap};
-use nbfs_trace::{CollectiveKind, CommCost, TraceConfig, TraceReport};
+use nbfs_trace::{CollectiveKind, CollectiveStats, CommCost, TraceConfig, TraceReport};
 use nbfs_util::{Bitmap, NbfsError, SummaryBitmap, WORD_BITS};
 
 use crate::direction::{Direction, SwitchPolicy};
@@ -889,16 +888,19 @@ impl<'e, 'g, G: GraphView> OneDim<'e, 'g, G> {
 
     /// Allgathers the ranks' `out_words` segments straight into the
     /// persistent `in_queue` words (bottom-up) or the dense top-down
-    /// staging bitmap — no per-level staging vectors. Leaves the volume
-    /// in `codec_ws` for [`allgather_codec_stats`].
-    fn gather_segments(&mut self, direction: Direction) -> CommCost {
+    /// staging bitmap — no per-level staging vectors.
+    fn gather_segments(
+        &mut self,
+        direction: Direction,
+        edges: Option<&mut Vec<FaultEdge>>,
+    ) -> (CommCost, CollectiveStats) {
         let engine = self.engine;
         let dest = match direction {
             Direction::BottomUp => &mut self.in_queue,
             Direction::TopDown => &mut self.td_scratch,
         };
         let parts_ref: Vec<&[u64]> = self.states.iter().map(|s| s.out_words.as_slice()).collect();
-        let cost = allgather_words_codec_into(
+        let walked = allgather_words_codec_into(
             dest.words_mut(),
             &parts_ref,
             &engine.pmap,
@@ -906,9 +908,10 @@ impl<'e, 'g, G: GraphView> OneDim<'e, 'g, G> {
             engine.scenario.opt.allgather_algorithm(),
             engine.scenario.codec,
             &mut self.codec_ws,
+            edges,
         );
         dest.repair_padding();
-        cost
+        walked
     }
 }
 
@@ -947,7 +950,9 @@ impl<G: GraphView> Exchange for OneDim<'_, '_, G> {
         }
 
         // The two allgathers of Fig. 1: in_queue, then summary.
-        let words_cost = self.gather_segments(Direction::BottomUp);
+        let mut words_edges = lv.edge_sink();
+        let (words_cost, words_stats) =
+            self.gather_segments(Direction::BottomUp, words_edges.as_mut());
         self.summary.rebuild_from(&self.in_queue);
         // The summary allgather is cost-only (no payload is materialized),
         // so a codec charges the even split of the encoded whole-summary
@@ -960,28 +965,27 @@ impl<G: GraphView> Exchange for OneDim<'_, '_, G> {
             even_split(enc_total, &mut self.summary_enc_bytes);
             &self.summary_enc_bytes
         };
-        let summary_cost = allgather_cost_bytes(summary_wire, pmap, net, algo);
-        if lv.observed() {
-            let words_stats = allgather_codec_stats(&self.codec_ws, pmap, algo);
-            let mut summary_stats = allgather_stats_bytes(summary_wire, pmap, algo);
-            if !codec.is_raw() {
-                summary_stats.raw_bytes =
-                    allgather_stats_bytes(&self.summary_bytes, pmap, algo).wire_bytes;
-            }
-            let edges = || allgather_edges(pmap, algo);
-            lv.collective(
-                CollectiveKind::AllgatherWords,
-                words_cost,
-                words_stats,
-                edges,
-            )?;
-            lv.collective(
-                CollectiveKind::AllgatherSummary,
-                summary_cost,
-                summary_stats,
-                edges,
-            )?;
-        }
+        let mut summary_edges = lv.edge_sink();
+        let (summary_cost, summary_stats) = allgather_sizes(
+            summary_wire,
+            &self.summary_bytes,
+            pmap,
+            net,
+            algo,
+            summary_edges.as_mut(),
+        );
+        lv.collective(
+            CollectiveKind::AllgatherWords,
+            words_cost,
+            words_stats,
+            || words_edges.unwrap_or_default(),
+        )?;
+        lv.collective(
+            CollectiveKind::AllgatherSummary,
+            summary_cost,
+            summary_stats,
+            || summary_edges.unwrap_or_default(),
+        )?;
         // Added once, after the penalties: the pinned operand order.
         let comm = words_cost + summary_cost;
         lv.detail += comm;
@@ -1020,46 +1024,41 @@ impl<G: GraphView> Exchange for OneDim<'_, '_, G> {
 
     fn top_down(&mut self, lv: &mut Level<'_>) -> Result<u64, NbfsError> {
         let engine = self.engine;
-        let (pmap, net) = (&engine.pmap, &engine.net);
-        let codec = engine.scenario.codec;
         // Replicate the frontier: sparse allgatherv of the newly
         // discovered vertex lists when the frontier is sparse (why
         // top-down communication stays off the Fig. 11 radar), or the
         // frontier *bitmap* when the list would be larger than the bitmap
         // — the dense/sparse frontier-representation switch of [9].
-        let algo = engine.scenario.opt.allgather_algorithm();
-        let edges = || allgather_edges(pmap, algo);
+        let mut edges = lv.edge_sink();
         let list_bytes: usize = self.states.iter().map(|s| s.own.frontier.len() * 4).sum();
         let bitmap_bytes = engine.parts.num_vertices().div_ceil(8);
-        let full_frontier: Vec<u32>;
-        let exchange_cost;
-        if list_bytes > bitmap_bytes {
+        let (kind, (cost, stats), full_frontier) = if list_bytes > bitmap_bytes {
             // Dense path: allgather the out_words segments and extract
             // the sorted vertex list locally.
             self.queues_to_segments();
-            let cost = self.gather_segments(Direction::TopDown);
-            full_frontier = self.td_scratch.iter_ones().map(vid::to_stored).collect();
-            if lv.observed() {
-                let stats = allgather_codec_stats(&self.codec_ws, pmap, algo);
-                lv.collective(CollectiveKind::AllgatherWords, cost, stats, edges)?;
-            }
-            exchange_cost = cost.total();
+            let walked = self.gather_segments(Direction::TopDown, edges.as_mut());
             lv.charge_conversion();
+            let frontier = self.td_scratch.iter_ones().map(vid::to_stored).collect();
+            (CollectiveKind::AllgatherWords, walked, frontier)
         } else {
             let lists: Vec<&[u32]> = self
                 .states
                 .iter()
                 .map(|s| s.own.frontier.as_slice())
                 .collect();
-            let gathered = allgatherv_u32_codec(&lists, pmap, net, algo, codec, &mut self.codec_ws);
-            if lv.observed() {
-                let stats = allgather_codec_stats(&self.codec_ws, pmap, algo);
-                lv.collective(CollectiveKind::Allgatherv, gathered.cost, stats, edges)?;
-            }
-            full_frontier = gathered.items;
-            exchange_cost = gathered.cost.total();
-        }
-        lv.comm += exchange_cost;
+            let (items, cost, stats) = allgatherv_u32_codec(
+                &lists,
+                &engine.pmap,
+                &engine.net,
+                engine.scenario.opt.allgather_algorithm(),
+                engine.scenario.codec,
+                &mut self.codec_ws,
+                edges.as_mut(),
+            );
+            (CollectiveKind::Allgatherv, (cost, stats), items)
+        };
+        lv.collective(kind, cost, stats, || edges.unwrap_or_default())?;
+        lv.comm += cost.total();
 
         let states = &mut self.states;
         let outs = lv.kernel(|| engine.top_down_level(states, &full_frontier));

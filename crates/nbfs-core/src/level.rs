@@ -18,7 +18,7 @@
 use rayon::prelude::*;
 
 use nbfs_comm::collectives::allreduce_sum;
-use nbfs_comm::fault::{allreduce_edges, inject_collective, inject_rank_faults, FaultEdge};
+use nbfs_comm::fault::{inject_collective, inject_rank_faults, FaultEdge};
 use nbfs_comm::FaultAdjustment;
 use nbfs_graph::{vid, NO_PARENT};
 use nbfs_simnet::compute::ProbeClass;
@@ -219,9 +219,15 @@ impl Level<'_> {
         self.tracer.enabled() || self.env.scenario.faults.is_some()
     }
 
+    /// Where a collective's walk lists its transfer schedule: an empty
+    /// list under a fault plan, `None` (no listing) otherwise.
+    pub(crate) fn edge_sink(&self) -> Option<Vec<FaultEdge>> {
+        self.env.scenario.faults.as_ref().map(|_| Vec::new())
+    }
+
     /// Records one collective of this level and, under a fault plan,
     /// resolves the plan against the collective's transfer schedule
-    /// (`edges`, built only then): recovery penalties land in
+    /// (`edges`, called only then): recovery penalties land in
     /// [`Self::comm`], an unrecoverable fault ends the search.
     pub(crate) fn collective(
         &mut self,
@@ -389,9 +395,9 @@ pub(crate) fn bu_events(
 /// root is checked, so a bad root costs nothing), recording per `trace`.
 ///
 /// Fault injection (when the scenario carries a plan) resolves against
-/// the same collective schedules the cost twins walk, so a recovered
-/// search is bit-identical to a fault-free one but for the time it
-/// charges.
+/// the transfer schedules the collectives' pricing walks list, so a
+/// recovered search is bit-identical to a fault-free one but for the time
+/// it charges.
 pub(crate) fn search<X: Exchange>(
     env: &Env<'_>,
     make: impl FnOnce() -> X,
@@ -444,9 +450,6 @@ pub(crate) fn search<X: Exchange>(
                 .sum::<u64>();
             m_u += own.unexplored_degree;
         }
-        // The real code packs (n_f, m_f, m_u) into one short vector
-        // allreduce, so only one latency-bound collective is charged.
-        let n_f = allreduce_sum(&frontier_counts, env.pmap, env.net);
         let mut lv = Level {
             env,
             tracer: &mut tracer,
@@ -463,13 +466,17 @@ pub(crate) fn search<X: Exchange>(
             kernel_secs: 0.0,
             bu_edges: 0,
         };
-        // The control allreduce really runs on the terminal level too, so
-        // it is recorded and its faults resolve before the termination
-        // check. That level never commits: the merge files the record
-        // under `post_collectives`, and cost and penalty are discarded
-        // with `lv`, so the profile projection stays exact.
+        // The real code packs (n_f, m_f, m_u) into one short vector
+        // allreduce, so only one latency-bound collective is charged. It
+        // really runs on the terminal level too, so it is recorded and its
+        // faults resolve before the termination check. That level never
+        // commits: the merge files the record under `post_collectives`,
+        // and cost and penalty are discarded with `lv`, so the profile
+        // projection stays exact.
+        let mut edges = lv.edge_sink();
+        let n_f = allreduce_sum(&frontier_counts, env.pmap, env.net, edges.as_mut());
         lv.collective(CollectiveKind::Allreduce, n_f.cost, n_f.stats, || {
-            allreduce_edges(env.pmap)
+            edges.unwrap_or_default()
         })?;
         if n_f.value == 0 {
             break;
