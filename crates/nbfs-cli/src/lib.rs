@@ -32,7 +32,7 @@ use nbfs_core::engine2d::TwoDimBfs;
 use nbfs_core::harness::{Graph500Harness, HarnessConfig};
 use nbfs_core::opt::OptLevel;
 use nbfs_core::profile::Phase;
-use nbfs_core::query::{QueryEngine, SearchBackend};
+use nbfs_core::query::{QueryEngine, SearchBackend, SearchEngine};
 use nbfs_graph::stats::DegreeStats;
 use nbfs_graph::validate::validate_bfs_tree;
 use nbfs_graph::{io, CompressedCsr, Csr, GraphBuilder, GraphView};
@@ -490,7 +490,7 @@ fn execute_into(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), String
             }
             let BfsRun {
                 visited, profile, ..
-            } = search(&g, packed.as_ref(), &scenario, grid, root)?.run;
+            } = search(&*build_engine(&g, packed.as_ref(), &scenario, grid), root)?.run;
             let engine_label = match grid {
                 Some((r, c)) => format!("2-D {r}x{c}"),
                 None => "1-D".to_string(),
@@ -546,7 +546,8 @@ fn execute_into(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), String
                 check_grid(&scenario, shape)?;
             }
             let packed = compressed.then(|| CompressedCsr::from_csr(&g));
-            let Search { run, report, .. } = search(&g, packed.as_ref(), &scenario, grid, root)?;
+            let Search { run, report, .. } =
+                search(&*build_engine(&g, packed.as_ref(), &scenario, grid), root)?;
             let (visited, engine_profile) = (run.visited, run.profile);
             let engine_label = match grid {
                 Some((r, c)) => format!("2-D {r}x{c}"),
@@ -742,6 +743,7 @@ fn execute_into(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), String
                 // validated against the uncompressed graph.
                 let keys = harness.sample_roots(roots, 2012);
                 let packed = compressed.then(|| CompressedCsr::from_csr(&g));
+                let engine = build_engine(&g, packed.as_ref(), &scenario, grid);
                 let profiles: Vec<_> = keys
                     .iter()
                     .map(|&root| {
@@ -749,7 +751,7 @@ fn execute_into(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), String
                             parent,
                             visited,
                             profile,
-                        } = search(&g, packed.as_ref(), &scenario, grid, root)?.run;
+                        } = search(&*engine, root)?.run;
                         let checked = validate_bfs_tree(&g, root, &parent)
                             .map_err(|e| format!("validation failed at root {root}: {e}"))?;
                         if checked != visited {
@@ -906,31 +908,26 @@ fn check_grid(scenario: &Scenario, (rows, cols): (usize, usize)) -> Result<(), S
     Ok(())
 }
 
-/// One search of `run` / `trace` / `bench`: on the packed image when there
-/// is one, by the 2-D engine when a (checked) grid is given.
-fn search(
-    dense: &Csr,
-    packed: Option<&CompressedCsr>,
+/// The engine of `run` / `trace` / `bench`, built once per command: on the
+/// packed image when there is one, the 2-D engine when a (checked) grid is
+/// given.
+fn build_engine<'g>(
+    dense: &'g Csr,
+    packed: Option<&'g CompressedCsr>,
     scenario: &Scenario,
     grid: Option<(usize, usize)>,
-    root: usize,
-) -> Result<Search, String> {
-    fn on<G: GraphView>(
-        g: &G,
-        scenario: &Scenario,
-        grid: Option<(usize, usize)>,
-        root: usize,
-    ) -> Result<Search, NbfsError> {
-        match grid {
-            Some((r, c)) => TwoDimBfs::with_grid(g, scenario, r, c).search(root, &NoClock),
-            None => DistributedBfs::new(g, scenario).search(root, &NoClock),
-        }
+) -> Box<dyn SearchEngine + 'g> {
+    match (packed, grid) {
+        (Some(packed), Some((r, c))) => Box::new(TwoDimBfs::with_grid(packed, scenario, r, c)),
+        (Some(packed), None) => Box::new(DistributedBfs::new(packed, scenario)),
+        (None, Some((r, c))) => Box::new(TwoDimBfs::with_grid(dense, scenario, r, c)),
+        (None, None) => Box::new(DistributedBfs::new(dense, scenario)),
     }
-    match packed {
-        Some(packed) => on(packed, scenario, grid, root),
-        None => on(dense, scenario, grid, root),
-    }
-    .map_err(|e| e.to_string())
+}
+
+/// One search on `engine`, its error as the CLI prints it.
+fn search(engine: &dyn SearchEngine, root: usize) -> Result<Search, String> {
+    engine.search(root, &NoClock).map_err(|e| e.to_string())
 }
 
 /// The search root of `run`/`trace`: `--root` checked against the graph
@@ -1519,6 +1516,35 @@ mod tests {
         let text = String::from_utf8(buf).unwrap();
         assert!(text.contains("harmonic-mean TEPS"), "{text}");
         assert!(text.contains("2-D 2x8"), "{text}");
+    }
+
+    #[test]
+    fn compressed_campaigns_report_what_dense_ones_do() {
+        // CI's 2-D campaign smoke step. Storage changes no simulated
+        // second, so a packed campaign prints the dense one's numbers.
+        let bench = |args: &str| {
+            let cmd = parse(&argv(&format!(
+                "bench --scale 12 --nodes 2 --roots 4 {args}"
+            )))
+            .unwrap();
+            let mut buf = Vec::new();
+            execute(cmd, &mut buf).unwrap();
+            let text = String::from_utf8(buf).unwrap();
+            let lines: Vec<String> = text.lines().map(str::to_string).collect();
+            assert_eq!(lines.len(), 3, "{text}");
+            lines
+        };
+        for engine in ["--grid 2x8", ""] {
+            let packed = bench(&format!("{engine} --compressed"));
+            let dense = bench(engine);
+            assert!(packed[0].ends_with("| compressed CSR"), "{}", packed[0]);
+            assert!(
+                packed[1].starts_with("harmonic-mean TEPS: "),
+                "{}",
+                packed[1]
+            );
+            assert_eq!(packed[1..], dense[1..], "{engine}");
+        }
     }
 
     #[test]
