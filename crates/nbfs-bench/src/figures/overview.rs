@@ -2,7 +2,7 @@
 //! hybrid-vs-pure-algorithm comparison.
 
 use nbfs_core::direction::SwitchPolicy;
-use nbfs_core::engine::Scenario;
+use nbfs_core::engine::{DistributedBfs, Scenario};
 use nbfs_core::harness::{Graph500Harness, HarnessConfig};
 use nbfs_core::opt::OptLevel;
 use nbfs_core::seq;
@@ -34,14 +34,15 @@ pub fn fig9(cfg: &BenchConfig) -> FigureReport {
         ],
     );
     let teps = OptLevel::LADDER.map(|opt| {
-        let scenario = Scenario::new(machine.clone(), opt);
-        let config = HarnessConfig::builder()
-            .roots(cfg.roots)
-            .seed(2012)
-            .validate(false)
-            .build();
-        Graph500Harness::new(g, &scenario)
+        let engine = DistributedBfs::new(g, &Scenario::new(machine.clone(), opt));
+        let config = HarnessConfig {
+            roots: cfg.roots,
+            seed: 2012,
+            validate: false,
+        };
+        Graph500Harness::new(g, &engine)
             .run(&config)
+            .expect("a fault-free campaign over sampled roots succeeds")
             .harmonic_teps()
     });
     for (i, (opt, &t)) in OptLevel::LADDER.iter().zip(&teps).enumerate() {

@@ -9,7 +9,8 @@
 //! * `trace` — one run-event-recorded BFS: the per-level span table, the
 //!   collective volume ledger and the Fig. 11 phase totals projected from
 //!   the trace (optionally exported as versioned JSON);
-//! * `bench` — a Graph500-style campaign (N roots, harmonic-mean TEPS);
+//! * `bench` — a Graph500-style campaign (N roots, harmonic-mean TEPS),
+//!   run by `nbfs_core::harness` over the same engine `run` would search;
 //! * `tune` — the analytic summary-granularity recommendation of
 //!   `nbfs_core::tuning` for a given frontier density.
 //! * `chaos` — the seeded fault-injection conformance matrix: every fault
@@ -17,24 +18,28 @@
 //!   required to reproduce the fault-free BFS parents bit for bit and
 //!   unrecoverable cells required to fail with a structured error.
 //!
-//! The library half exists so argument parsing and command execution are
+//! `run` and `trace` take the same [`SearchArgs`] and share one setup
+//! (graph, scenario, root, grid, storage, engine, header line); every
+//! subcommand is one function that [`execute`] dispatches to. The library
+//! half exists so argument parsing and command execution are
 //! unit-testable; `main.rs` is a thin shim.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::path::PathBuf;
+use std::error::Error;
+use std::io::Write;
+use std::path::{Path, PathBuf};
 
 use nbfs_comm::codec::Codec;
 use nbfs_comm::{FaultPlan, FaultScope, FaultSpec};
-use nbfs_core::engine::{BfsRun, DistributedBfs, NoClock, Scenario, Search};
+use nbfs_core::engine::{DistributedBfs, NoClock, Scenario, Search};
 use nbfs_core::engine2d::TwoDimBfs;
 use nbfs_core::harness::{Graph500Harness, HarnessConfig};
 use nbfs_core::opt::OptLevel;
-use nbfs_core::profile::Phase;
+use nbfs_core::profile::{Phase, RunProfile};
 use nbfs_core::query::{QueryEngine, SearchBackend, SearchEngine};
 use nbfs_graph::stats::DegreeStats;
-use nbfs_graph::validate::validate_bfs_tree;
 use nbfs_graph::{io, CompressedCsr, Csr, GraphBuilder, GraphView};
 use nbfs_simnet::Residence;
 use nbfs_topology::presets;
@@ -65,50 +70,11 @@ pub enum Command {
         path: PathBuf,
     },
     /// `run [--scale N | --graph FILE] [--nodes N] [--opt NAME] [--root V] [--summary-g G] [--codec C] [--grid RxC] [--compressed]`
-    Run {
-        /// Scale to generate (ignored with `--graph`).
-        scale: u32,
-        /// Optional edge-list file instead of generation.
-        graph: Option<PathBuf>,
-        /// Simulated node count.
-        nodes: usize,
-        /// Optimization level.
-        opt: OptLevel,
-        /// Root (default: max-degree vertex).
-        root: Option<usize>,
-        /// Summary-bitmap granularity override (Fig. 16 sweep); default is
-        /// the opt rung's own granularity.
-        summary_g: Option<usize>,
-        /// Wire codec for the per-level collectives.
-        codec: Codec,
-        /// Run the 2-D engine on this processor grid (`RxC` must tile the
-        /// rank count).
-        grid: Option<(usize, usize)>,
-        /// Traverse the delta-varint compressed CSR instead of the
-        /// uncompressed one.
-        compressed: bool,
-    },
-    /// `trace [--scale N | --graph FILE] [--nodes N] [--opt NAME] [--root V] [--summary-g G] [--codec C] [--json PATH]`
+    Run(SearchArgs),
+    /// `trace`: the flags of `run`, plus `[--json PATH]`
     Trace {
-        /// Scale to generate (ignored with `--graph`).
-        scale: u32,
-        /// Optional edge-list file instead of generation.
-        graph: Option<PathBuf>,
-        /// Simulated node count.
-        nodes: usize,
-        /// Optimization level.
-        opt: OptLevel,
-        /// Root (default: max-degree vertex).
-        root: Option<usize>,
-        /// Summary-bitmap granularity override (Fig. 16 sweep); default is
-        /// the opt rung's own granularity.
-        summary_g: Option<usize>,
-        /// Wire codec for the per-level collectives.
-        codec: Codec,
-        /// Trace the 2-D engine on this processor grid.
-        grid: Option<(usize, usize)>,
-        /// Traverse the delta-varint compressed CSR.
-        compressed: bool,
+        /// The search to trace.
+        search: SearchArgs,
         /// Also export the full `TraceReport` as versioned JSON.
         json: Option<PathBuf>,
     },
@@ -149,6 +115,31 @@ pub enum Command {
     Help,
 }
 
+/// The one search that `run` and `trace` make.
+#[derive(Clone, Debug, PartialEq)]
+pub struct SearchArgs {
+    /// Scale to generate (ignored with `--graph`).
+    pub scale: u32,
+    /// Optional edge-list file instead of generation.
+    pub graph: Option<PathBuf>,
+    /// Simulated node count.
+    pub nodes: usize,
+    /// Optimization level.
+    pub opt: OptLevel,
+    /// Root (default: max-degree vertex).
+    pub root: Option<usize>,
+    /// Summary-bitmap granularity override (Fig. 16 sweep); default is
+    /// the opt rung's own granularity.
+    pub summary_g: Option<usize>,
+    /// Wire codec for the per-level collectives.
+    pub codec: Codec,
+    /// Run the 2-D engine on this processor grid (`RxC` must tile the
+    /// rank count).
+    pub grid: Option<(usize, usize)>,
+    /// Traverse the delta-varint compressed CSR instead of the
+    /// uncompressed one.
+    pub compressed: bool,
+}
 /// Parses a summary-bitmap granularity (`--summary-g G`, `--opt
 /// granularity=G`) under `SummaryBitmap::new`'s contract, so a bad value
 /// is a parse error and never reaches the engine's assertion.
@@ -265,6 +256,19 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             })
             .transpose()
     };
+    let search = || -> Result<SearchArgs, String> {
+        Ok(SearchArgs {
+            scale: scale(16)?,
+            graph: path("--graph")?,
+            nodes: count("--nodes", 16, 1)?,
+            opt: opt()?,
+            root: root()?,
+            summary_g: summary_g()?,
+            codec: codec()?,
+            grid: grid()?,
+            compressed: has("--compressed"),
+        })
+    };
 
     let cmd = match sub {
         "generate" => Command::Generate {
@@ -280,27 +284,9 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                     .ok_or_else(|| "info needs a FILE".to_string())?,
             ),
         },
-        "run" => Command::Run {
-            scale: scale(16)?,
-            graph: path("--graph")?,
-            nodes: count("--nodes", 16, 1)?,
-            opt: opt()?,
-            root: root()?,
-            summary_g: summary_g()?,
-            codec: codec()?,
-            grid: grid()?,
-            compressed: has("--compressed"),
-        },
+        "run" => Command::Run(search()?),
         "trace" => Command::Trace {
-            scale: scale(16)?,
-            graph: path("--graph")?,
-            nodes: count("--nodes", 16, 1)?,
-            opt: opt()?,
-            root: root()?,
-            summary_g: summary_g()?,
-            codec: codec()?,
-            grid: grid()?,
-            compressed: has("--compressed"),
+            search: search()?,
             json: path("--json")?,
         },
         "bench" => Command::Bench {
@@ -374,23 +360,51 @@ CODEC: raw | delta-varint
              uncompressed one (identical results, ~half the graph memory)"
 }
 
+/// What a subcommand function returns; [`execute`] prints its error.
+type Outcome = Result<(), Box<dyn Error>>;
+
 /// Executes a parsed command, writing human output to `out`. A reader
 /// that closes `out` early (`nbfs tune ... | head -1`) is not an error: the
 /// rest of the output is dropped, and the command still runs to the end,
 /// so its own failures (a chaos verdict, a `--json` write) still surface.
-pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), String> {
-    execute_into(
-        cmd,
-        &mut PipeWatch {
-            inner: out,
-            closed: false,
-        },
-    )
+pub fn execute(cmd: Command, out: &mut dyn Write) -> Result<(), String> {
+    let out = &mut PipeWatch {
+        inner: out,
+        closed: false,
+    };
+    match cmd {
+        Command::Help => writeln!(out, "{}", usage()).map_err(Into::into),
+        Command::Generate {
+            scale,
+            edge_factor,
+            seed,
+            out: path,
+        } => generate(scale, edge_factor, seed, &path, out),
+        Command::Info { path } => info(&path, out),
+        Command::Run(args) => run(&args, out),
+        Command::Trace { search, json } => trace(&search, json.as_deref(), out),
+        Command::Bench {
+            scale,
+            nodes,
+            opt,
+            roots,
+            grid,
+            compressed,
+        } => bench(scale, nodes, opt, roots, grid, compressed, out),
+        Command::Tune { scale, density } => tune(scale, density, out),
+        Command::Chaos {
+            scale,
+            nodes,
+            seed,
+            json,
+        } => chaos(scale, nodes, seed, json.as_deref(), out),
+    }
+    .map_err(|e| e.to_string())
 }
 
 /// A writer that drops everything once its reader has gone away.
 struct PipeWatch<'a> {
-    inner: &'a mut dyn std::io::Write,
+    inner: &'a mut dyn Write,
     closed: bool,
 }
 
@@ -406,7 +420,7 @@ impl PipeWatch<'_> {
     }
 }
 
-impl std::io::Write for PipeWatch<'_> {
+impl Write for PipeWatch<'_> {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
         if self.closed {
             return Ok(buf.len());
@@ -424,471 +438,382 @@ impl std::io::Write for PipeWatch<'_> {
     }
 }
 
-fn execute_into(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), String> {
-    let err = |e: std::io::Error| e.to_string();
-    match cmd {
-        Command::Help => writeln!(out, "{}", usage()).map_err(err)?,
-        Command::Generate {
-            scale,
-            edge_factor,
-            seed,
-            out: path,
-        } => {
-            let el = GraphBuilder::rmat(scale, edge_factor)
-                .seed(seed)
-                .build_edge_list();
-            io::save(&path, &el).map_err(|e| e.to_string())?;
-            writeln!(
-                out,
-                "wrote {} raw edges over {} vertices to {}",
-                el.len(),
-                el.num_vertices,
-                path.display()
-            )
-            .map_err(err)?;
-        }
-        Command::Info { path } => {
-            let el = io::load(&path).map_err(|e| e.to_string())?;
-            let g = Csr::from_edge_list(&el);
-            let s = DegreeStats::compute(&g);
-            writeln!(
-                out,
-                "{}",
-                serde_json::to_string_pretty(&s).map_err(|e| e.to_string())?
-            )
-            .map_err(err)?;
-        }
-        Command::Run {
-            scale,
-            graph,
-            nodes,
-            opt,
-            root,
-            summary_g,
-            codec,
-            grid,
-            compressed,
-        } => {
-            let g = match graph {
-                Some(path) => Csr::from_edge_list(&io::load(&path).map_err(|e| e.to_string())?),
-                None => GraphBuilder::rmat(scale, 16).seed(1).build(),
-            };
-            let actual_scale = g.num_vertices().next_power_of_two().trailing_zeros();
-            let machine = presets::xeon_x7550_cluster(nodes).scaled_to_graph(actual_scale, 28);
-            let mut builder = Scenario::builder(machine, opt).codec(codec);
-            if let Some(g) = summary_g {
-                builder = builder.summary_granularity(g);
-            }
-            let scenario = builder.build().map_err(|e| e.to_string())?;
-            let root = resolve_root(&g, root)?;
-            if let Some(shape) = grid {
-                check_grid(&scenario, shape)?;
-            }
-            let packed = compressed.then(|| CompressedCsr::from_csr(&g));
-            if let Some(packed) = &packed {
-                writeln!(out, "{}", storage_line(&g, packed)).map_err(err)?;
-            }
-            let BfsRun {
-                visited, profile, ..
-            } = search(&*build_engine(&g, packed.as_ref(), &scenario, grid), root)?.run;
-            let engine_label = match grid {
-                Some((r, c)) => format!("2-D {r}x{c}"),
-                None => "1-D".to_string(),
-            };
-            writeln!(
-                out,
-                "{} ({engine_label}) on {nodes} nodes, root {root}: visited {visited} of {} vertices",
-                opt.label(),
-                g.num_vertices()
-            )
-            .map_err(err)?;
-            for phase in Phase::ALL {
-                let t = profile.phase(phase);
-                writeln!(
-                    out,
-                    "  {:<16} {:>12}  {:>5.1}%",
-                    phase.label(),
-                    format!("{t}"),
-                    100.0 * (t / profile.total())
-                )
-                .map_err(err)?;
-            }
-            let teps = g.component_edges(root) as f64 / profile.total().as_secs();
-            writeln!(out, "  total {} -> {}", profile.total(), format_teps(teps)).map_err(err)?;
-        }
-        Command::Trace {
-            scale,
-            graph,
-            nodes,
-            opt,
-            root,
-            summary_g,
-            codec,
-            grid,
-            compressed,
-            json,
-        } => {
-            let g = match graph {
-                Some(path) => Csr::from_edge_list(&io::load(&path).map_err(|e| e.to_string())?),
-                None => GraphBuilder::rmat(scale, 16).seed(1).build(),
-            };
-            let actual_scale = g.num_vertices().next_power_of_two().trailing_zeros();
-            let machine = presets::xeon_x7550_cluster(nodes).scaled_to_graph(actual_scale, 28);
-            let mut builder = Scenario::builder(machine, opt)
-                .trace(TraceConfig::Standard)
-                .codec(codec);
-            if let Some(g) = summary_g {
-                builder = builder.summary_granularity(g);
-            }
-            let scenario = builder.build().map_err(|e| e.to_string())?;
-            let root = resolve_root(&g, root)?;
-            if let Some(shape) = grid {
-                check_grid(&scenario, shape)?;
-            }
-            let packed = compressed.then(|| CompressedCsr::from_csr(&g));
-            let Search { run, report, .. } =
-                search(&*build_engine(&g, packed.as_ref(), &scenario, grid), root)?;
-            let (visited, engine_profile) = (run.visited, run.profile);
-            let engine_label = match grid {
-                Some((r, c)) => format!("2-D {r}x{c}"),
-                None => "1-D".to_string(),
-            };
-            writeln!(
-                out,
-                "{} ({engine_label}) on {nodes} nodes, root {root}: visited {visited} of {} vertices",
-                opt.label(),
-                g.num_vertices()
-            )
-            .map_err(err)?;
+/// `nbfs generate`.
+fn generate(
+    scale: u32,
+    edge_factor: usize,
+    seed: u64,
+    path: &Path,
+    out: &mut dyn Write,
+) -> Outcome {
+    let el = GraphBuilder::rmat(scale, edge_factor)
+        .seed(seed)
+        .build_edge_list();
+    io::save(path, &el)?;
+    writeln!(
+        out,
+        "wrote {} raw edges over {} vertices to {}",
+        el.len(),
+        el.num_vertices,
+        path.display()
+    )?;
+    Ok(())
+}
 
-            writeln!(out, "\nper-level spans (simulated time):").map_err(err)?;
-            writeln!(
-                out,
-                "{:>5}  {:<10} {:>10} {:>11} {:>11} {:>11} {:>11} {:>11}",
-                "level", "direction", "discovered", "comp", "comm", "stall", "switch", "total"
-            )
-            .map_err(err)?;
-            for lv in &report.levels {
-                writeln!(
-                    out,
-                    "{:>5}  {:<10} {:>10} {:>11} {:>11} {:>11} {:>11} {:>11}",
-                    lv.level,
-                    lv.direction.label(),
-                    lv.discovered,
-                    format!("{}", lv.comp),
-                    format!("{}", lv.comm),
-                    format!("{}", lv.stall),
-                    format!("{}", lv.switch),
-                    format!("{}", lv.total())
-                )
-                .map_err(err)?;
-            }
+/// `nbfs info`.
+fn info(path: &Path, out: &mut dyn Write) -> Outcome {
+    let g = Csr::from_edge_list(&io::load(path)?);
+    let stats = DegreeStats::compute(&g);
+    writeln!(out, "{}", serde_json::to_string_pretty(&stats)?)?;
+    Ok(())
+}
 
-            let flips: Vec<_> = report
-                .decisions
-                .iter()
-                .filter(|d| d.prev != d.chosen)
-                .collect();
-            if !flips.is_empty() {
-                writeln!(out, "\ndirection switches:").map_err(err)?;
-                for d in flips {
-                    writeln!(
-                        out,
-                        "  level {:>2}: {} -> {}  (m_f={}, m_u={}, n_f={}, n={})",
-                        d.level,
-                        d.prev.label(),
-                        d.chosen.label(),
-                        d.m_f,
-                        d.m_u,
-                        d.n_f,
-                        d.n
-                    )
-                    .map_err(err)?;
-                }
-            }
+/// `nbfs run`: the search and its Fig. 11 breakdown.
+fn run(args: &SearchArgs, out: &mut dyn Write) -> Outcome {
+    let (g, root, search) = search_once(args, TraceConfig::Off, out)?;
+    let profile = search.run.profile;
+    phase_rows(&profile, out)?;
+    let teps = g.component_edges(root) as f64 / profile.total().as_secs();
+    writeln!(out, "  total {} -> {}", profile.total(), format_teps(teps))?;
+    Ok(())
+}
 
-            // Aggregate every collective sample (per-level plus the terminal
-            // allreduce) into one volume ledger, keyed by kind in order of
-            // first appearance.
-            let mut ledger: Vec<(CollectiveKind, u64, CollectiveStats, SimTime)> = Vec::new();
-            let samples = report
-                .levels
-                .iter()
-                .flat_map(|l| l.collectives.iter())
-                .chain(report.post_collectives.iter());
-            for rec in samples {
-                match ledger.iter_mut().find(|(k, ..)| *k == rec.kind) {
-                    Some(entry) => {
-                        entry.1 += 1;
-                        entry.2.merge(rec.stats);
-                        entry.3 += rec.cost.total();
-                    }
-                    None => ledger.push((rec.kind, 1, rec.stats, rec.cost.total())),
-                }
-            }
-            writeln!(
-                out,
-                "\ncollective volume ledger (codec: {}):",
-                codec.label()
-            )
-            .map_err(err)?;
-            writeln!(
-                out,
-                "{:<18} {:>6} {:>7} {:>7} {:>11} {:>11} {:>11} {:>7} {:>11}",
-                "collective", "calls", "rounds", "flows", "raw", "wire", "shm", "ratio", "sim time"
-            )
-            .map_err(err)?;
-            for (kind, calls, stats, cost) in &ledger {
-                let ratio = if stats.wire_bytes > 0 {
-                    format!("{:.2}x", stats.raw_bytes as f64 / stats.wire_bytes as f64)
-                } else {
-                    "-".to_string()
-                };
-                writeln!(
-                    out,
-                    "{:<18} {:>6} {:>7} {:>7} {:>11} {:>11} {:>11} {:>7} {:>11}",
-                    kind.label(),
-                    calls,
-                    stats.rounds,
-                    stats.flows,
-                    format_bytes(stats.raw_bytes),
-                    format_bytes(stats.wire_bytes),
-                    format_bytes(stats.shm_bytes),
-                    ratio,
-                    format!("{cost}")
-                )
-                .map_err(err)?;
-            }
-            let (raw_total, wire_total) = ledger.iter().fold((0u64, 0u64), |(r, w), e| {
-                (r + e.2.raw_bytes, w + e.2.wire_bytes)
-            });
-            if wire_total > 0 {
-                writeln!(
-                    out,
-                    "{:<18} {:>22} {:>11} {:>11} {:>11} {:>7}",
-                    "total",
-                    "",
-                    format_bytes(raw_total),
-                    format_bytes(wire_total),
-                    "",
-                    format!("{:.2}x", raw_total as f64 / wire_total as f64)
-                )
-                .map_err(err)?;
-            }
+/// `nbfs trace`: the search's per-level spans, direction switches,
+/// collective volume ledger and the Fig. 11 totals projected from the
+/// trace, optionally exported as JSON.
+fn trace(args: &SearchArgs, json: Option<&Path>, out: &mut dyn Write) -> Outcome {
+    let (_, _, Search { run, report, .. }) = search_once(args, TraceConfig::Standard, out)?;
 
-            let projected = report.run_profile();
-            writeln!(out, "\nFig. 11 phase totals (projected from the trace):").map_err(err)?;
-            for phase in Phase::ALL {
-                let t = projected.phase(phase);
-                writeln!(
-                    out,
-                    "  {:<16} {:>12}  {:>5.1}%",
-                    phase.label(),
-                    format!("{t}"),
-                    100.0 * (t / projected.total())
-                )
-                .map_err(err)?;
-            }
-            let exact = Phase::ALL
-                .iter()
-                .all(|&p| projected.phase(p) == engine_profile.phase(p));
+    writeln!(out, "\nper-level spans (simulated time):")?;
+    writeln!(
+        out,
+        "{:>5}  {:<10} {:>10} {:>11} {:>11} {:>11} {:>11} {:>11}",
+        "level", "direction", "discovered", "comp", "comm", "stall", "switch", "total"
+    )?;
+    for lv in &report.levels {
+        writeln!(
+            out,
+            "{:>5}  {:<10} {:>10} {:>11} {:>11} {:>11} {:>11} {:>11}",
+            lv.level,
+            lv.direction.label(),
+            lv.discovered,
+            format!("{}", lv.comp),
+            format!("{}", lv.comm),
+            format!("{}", lv.stall),
+            format!("{}", lv.switch),
+            format!("{}", lv.total())
+        )?;
+    }
+
+    let flips: Vec<_> = report
+        .decisions
+        .iter()
+        .filter(|d| d.prev != d.chosen)
+        .collect();
+    if !flips.is_empty() {
+        writeln!(out, "\ndirection switches:")?;
+        for d in flips {
             writeln!(
                 out,
-                "  total {} (projection == engine profile: {exact})",
-                projected.total()
-            )
-            .map_err(err)?;
-            if report.dropped_events > 0 {
-                writeln!(
-                    out,
-                    "warning: {} event(s) dropped; rerun with a larger ring",
-                    report.dropped_events
-                )
-                .map_err(err)?;
-            }
-            if let Some(path) = json {
-                std::fs::write(&path, report.to_json().map_err(|e| e.to_string())?).map_err(err)?;
-                writeln!(out, "wrote {}", path.display()).map_err(err)?;
-            }
+                "  level {:>2}: {} -> {}  (m_f={}, m_u={}, n_f={}, n={})",
+                d.level,
+                d.prev.label(),
+                d.chosen.label(),
+                d.m_f,
+                d.m_u,
+                d.n_f,
+                d.n
+            )?;
         }
-        Command::Bench {
-            scale,
-            nodes,
-            opt,
-            roots,
-            grid,
-            compressed,
-        } => {
-            let g = GraphBuilder::rmat(scale, 16).seed(1).build();
-            // Search keys are distinct and non-isolated (the harness
-            // asserts on a graph that has too few).
-            let candidates = (0..g.num_vertices()).filter(|&v| g.degree(v) > 0).count();
-            if roots > candidates {
-                return Err(format!(
-                    "bad --roots: {roots} search keys, but the graph has only {candidates} \
-                     non-isolated vertices"
-                ));
+    }
+
+    // Aggregate every collective sample (per-level plus the terminal
+    // allreduce) into one volume ledger, keyed by kind in order of first
+    // appearance.
+    let mut ledger: Vec<(CollectiveKind, u64, CollectiveStats, SimTime)> = Vec::new();
+    let samples = report
+        .levels
+        .iter()
+        .flat_map(|l| l.collectives.iter())
+        .chain(report.post_collectives.iter());
+    for rec in samples {
+        match ledger.iter_mut().find(|(k, ..)| *k == rec.kind) {
+            Some(entry) => {
+                entry.1 += 1;
+                entry.2.merge(rec.stats);
+                entry.3 += rec.cost.total();
             }
-            let machine = presets::xeon_x7550_cluster(nodes).scaled_to_graph(scale, 28);
-            let scenario = Scenario::builder(machine, opt)
-                .build()
-                .map_err(|e| e.to_string())?;
-            if let Some(shape) = grid {
-                check_grid(&scenario, shape)?;
-            }
-            let harness = Graph500Harness::new(&g, &scenario);
-            let (harmonic_teps, bu_share) = if grid.is_some() || compressed {
-                // The 2-D and compressed-storage campaigns run outside the
-                // 1-D harness: same sampled search keys, every tree
-                // validated against the uncompressed graph.
-                let keys = harness.sample_roots(roots, 2012);
-                let packed = compressed.then(|| CompressedCsr::from_csr(&g));
-                let engine = build_engine(&g, packed.as_ref(), &scenario, grid);
-                let profiles: Vec<_> = keys
-                    .iter()
-                    .map(|&root| {
-                        let BfsRun {
-                            parent,
-                            visited,
-                            profile,
-                        } = search(&*engine, root)?.run;
-                        let checked = validate_bfs_tree(&g, root, &parent)
-                            .map_err(|e| format!("validation failed at root {root}: {e}"))?;
-                        if checked != visited {
-                            return Err(format!("root {root}: visited count mismatch"));
-                        }
-                        Ok(profile)
-                    })
-                    .collect::<Result<_, String>>()?;
-                let inv_sum: f64 = keys
-                    .iter()
-                    .zip(&profiles)
-                    .map(|(&root, p)| p.total().as_secs() / g.component_edges(root) as f64)
-                    .sum();
-                let mut mean = nbfs_core::profile::RunProfile::default();
-                for p in &profiles {
-                    mean.accumulate(p);
-                }
-                let mean = mean.scaled(profiles.len() as f64);
-                (keys.len() as f64 / inv_sum, mean.bu_comm_fraction())
-            } else {
-                let config = HarnessConfig::builder()
-                    .roots(roots)
-                    .seed(2012)
-                    .validate(true)
-                    .build();
-                let result = harness.run(&config);
-                (
-                    result.harmonic_teps(),
-                    result.mean_profile.bu_comm_fraction(),
-                )
-            };
-            let engine_label = match grid {
-                Some((r, c)) => format!(" | 2-D {r}x{c}"),
-                None => String::new(),
-            };
-            let storage_label = if compressed { " | compressed CSR" } else { "" };
-            writeln!(
-                out,
-                "{} | scale {scale} | {nodes} nodes | {roots} roots (all validated){engine_label}{storage_label}",
-                opt.label()
-            )
-            .map_err(err)?;
-            writeln!(out, "harmonic-mean TEPS: {}", format_teps(harmonic_teps)).map_err(err)?;
-            writeln!(out, "bottom-up comm share: {:.1}%", 100.0 * bu_share).map_err(err)?;
+            None => ledger.push((rec.kind, 1, rec.stats, rec.cost.total())),
         }
-        Command::Tune { scale, density } => {
-            if !(0.0..1.0).contains(&density) || density <= 0.0 {
-                return Err("--density must be in (0, 1)".into());
-            }
-            let n = 1usize << scale.min(24);
-            let mut frontier = Bitmap::new(n);
-            let mut rng = nbfs_util::rng::Xoroshiro128::new(7);
-            #[expect(
-                clippy::cast_possible_truncation,
-                reason = "density is in (0, 1), so the target is below n"
-            )]
-            let target = ((n as f64) * density) as usize;
-            let mut ones = 0;
-            while ones < target {
-                #[expect(clippy::cast_possible_truncation, reason = "below n, a usize")]
-                let v = rng.next_below(n as u64) as usize;
-                if frontier.set_returning_fresh(v) {
-                    ones += 1;
-                }
-            }
-            let machine = presets::cluster2012().scaled_to_graph(scale.min(24), 32);
-            let g = nbfs_core::tuning::auto_granularity(
-                &machine,
-                &frontier,
-                Residence::NodeShared,
-                Residence::NodeShared,
-            );
-            writeln!(
-                out,
-                "frontier density {density}: recommended in_queue_summary granularity = {g}"
-            )
-            .map_err(err)?;
-            for cand in [64usize, 128, 256, 512, 1024, 2048, 4096] {
-                let c = nbfs_core::tuning::expected_check_ns(
-                    &machine,
-                    &frontier,
-                    cand,
-                    Residence::NodeShared,
-                    Residence::NodeShared,
-                );
-                writeln!(out, "  g={cand:<5} expected check cost {c:.1} ns").map_err(err)?;
-            }
+    }
+    writeln!(
+        out,
+        "\ncollective volume ledger (codec: {}):",
+        args.codec.label()
+    )?;
+    writeln!(
+        out,
+        "{:<18} {:>6} {:>7} {:>7} {:>11} {:>11} {:>11} {:>7} {:>11}",
+        "collective", "calls", "rounds", "flows", "raw", "wire", "shm", "ratio", "sim time"
+    )?;
+    for (kind, calls, stats, cost) in &ledger {
+        let ratio = if stats.wire_bytes > 0 {
+            format!("{:.2}x", stats.raw_bytes as f64 / stats.wire_bytes as f64)
+        } else {
+            "-".to_string()
+        };
+        writeln!(
+            out,
+            "{:<18} {:>6} {:>7} {:>7} {:>11} {:>11} {:>11} {:>7} {:>11}",
+            kind.label(),
+            calls,
+            stats.rounds,
+            stats.flows,
+            format_bytes(stats.raw_bytes),
+            format_bytes(stats.wire_bytes),
+            format_bytes(stats.shm_bytes),
+            ratio,
+            format!("{cost}")
+        )?;
+    }
+    let (raw_total, wire_total) = ledger.iter().fold((0u64, 0u64), |(r, w), e| {
+        (r + e.2.raw_bytes, w + e.2.wire_bytes)
+    });
+    if wire_total > 0 {
+        writeln!(
+            out,
+            "{:<18} {:>22} {:>11} {:>11} {:>11} {:>7}",
+            "total",
+            "",
+            format_bytes(raw_total),
+            format_bytes(wire_total),
+            "",
+            format!("{:.2}x", raw_total as f64 / wire_total as f64)
+        )?;
+    }
+
+    let projected = report.run_profile();
+    writeln!(out, "\nFig. 11 phase totals (projected from the trace):")?;
+    phase_rows(&projected, out)?;
+    let exact = Phase::ALL
+        .iter()
+        .all(|&p| projected.phase(p) == run.profile.phase(p));
+    writeln!(
+        out,
+        "  total {} (projection == engine profile: {exact})",
+        projected.total()
+    )?;
+    if report.dropped_events > 0 {
+        writeln!(
+            out,
+            "warning: {} event(s) dropped; rerun with a larger ring",
+            report.dropped_events
+        )?;
+    }
+    if let Some(path) = json {
+        std::fs::write(path, report.to_json()?)?;
+        writeln!(out, "wrote {}", path.display())?;
+    }
+    Ok(())
+}
+
+/// `nbfs bench`: the Graph500 campaign of [`Graph500Harness`] over the
+/// engine `run` would search, every tree validated against the dense
+/// graph.
+fn bench(
+    scale: u32,
+    nodes: usize,
+    opt: OptLevel,
+    roots: usize,
+    grid: Option<(usize, usize)>,
+    compressed: bool,
+    out: &mut dyn Write,
+) -> Outcome {
+    let g = GraphBuilder::rmat(scale, 16).seed(1).build();
+    let machine = presets::xeon_x7550_cluster(nodes).scaled_to_graph(scale, 28);
+    let scenario = Scenario::builder(machine, opt).build()?;
+    if let Some(shape) = grid {
+        check_grid(&scenario, shape)?;
+    }
+    let packed = compressed.then(|| CompressedCsr::from_csr(&g));
+    let engine = build_engine(&g, packed.as_ref(), &scenario, grid);
+    let config = HarnessConfig {
+        roots,
+        seed: 2012,
+        validate: true,
+    };
+    let result = Graph500Harness::new(&g, &*engine).run(&config)?;
+    let engine_label = match grid {
+        Some((r, c)) => format!(" | 2-D {r}x{c}"),
+        None => String::new(),
+    };
+    let storage_label = if compressed { " | compressed CSR" } else { "" };
+    writeln!(
+        out,
+        "{} | scale {scale} | {nodes} nodes | {roots} roots (all validated){engine_label}{storage_label}",
+        opt.label()
+    )?;
+    writeln!(
+        out,
+        "harmonic-mean TEPS: {}",
+        format_teps(result.harmonic_teps())
+    )?;
+    writeln!(
+        out,
+        "bottom-up comm share: {:.1}%",
+        100.0 * result.mean_profile.bu_comm_fraction()
+    )?;
+    Ok(())
+}
+
+/// `nbfs tune`: the analytic granularity recommendation for a random
+/// frontier of the given density.
+fn tune(scale: u32, density: f64, out: &mut dyn Write) -> Outcome {
+    if !(0.0..1.0).contains(&density) || density <= 0.0 {
+        return Err("--density must be in (0, 1)".into());
+    }
+    let n = 1usize << scale.min(24);
+    let mut frontier = Bitmap::new(n);
+    let mut rng = nbfs_util::rng::Xoroshiro128::new(7);
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "density is in (0, 1), so the target is below n"
+    )]
+    let target = ((n as f64) * density) as usize;
+    let mut ones = 0;
+    while ones < target {
+        #[expect(clippy::cast_possible_truncation, reason = "below n, a usize")]
+        let v = rng.next_below(n as u64) as usize;
+        if frontier.set_returning_fresh(v) {
+            ones += 1;
         }
-        Command::Chaos {
-            scale,
-            nodes,
-            seed,
-            json,
-        } => {
-            let report = run_chaos(scale, nodes, seed)?;
-            writeln!(
-                out,
-                "chaos matrix: seed {seed}, scale {scale}, {nodes} nodes"
-            )
-            .map_err(err)?;
-            writeln!(
-                out,
-                "{:<18} {:<10} {:<8} {:>7} {:>10} {:>14}  outcome",
-                "target", "kind", "expect", "faults", "identical", "deterministic"
-            )
-            .map_err(err)?;
-            for c in &report.cells {
-                writeln!(
-                    out,
-                    "{:<18} {:<10} {:<8} {:>7} {:>10} {:>14}  {}",
-                    c.target,
-                    c.kind,
-                    c.expectation,
-                    c.faults,
-                    if c.identical { "yes" } else { "NO" },
-                    if c.deterministic { "yes" } else { "NO" },
-                    c.outcome
-                )
-                .map_err(err)?;
-            }
-            let passed = report.cells.iter().filter(|c| c.passed).count();
-            writeln!(out, "chaos: {passed}/{} cells passed", report.cells.len()).map_err(err)?;
-            if let Some(path) = json {
-                std::fs::write(
-                    &path,
-                    serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?,
-                )
-                .map_err(err)?;
-                writeln!(out, "wrote {}", path.display()).map_err(err)?;
-            }
-            if !report.passed {
-                return Err(format!(
-                    "chaos: {} cell(s) failed",
-                    report.cells.len() - passed
-                ));
-            }
-        }
+    }
+    let machine = presets::cluster2012().scaled_to_graph(scale.min(24), 32);
+    let g = nbfs_core::tuning::auto_granularity(
+        &machine,
+        &frontier,
+        Residence::NodeShared,
+        Residence::NodeShared,
+    );
+    writeln!(
+        out,
+        "frontier density {density}: recommended in_queue_summary granularity = {g}"
+    )?;
+    for cand in [64usize, 128, 256, 512, 1024, 2048, 4096] {
+        let c = nbfs_core::tuning::expected_check_ns(
+            &machine,
+            &frontier,
+            cand,
+            Residence::NodeShared,
+            Residence::NodeShared,
+        );
+        writeln!(out, "  g={cand:<5} expected check cost {c:.1} ns")?;
+    }
+    Ok(())
+}
+
+/// `nbfs chaos`: the fault matrix of [`run_chaos`] as a table, failing
+/// when any cell failed.
+fn chaos(scale: u32, nodes: usize, seed: u64, json: Option<&Path>, out: &mut dyn Write) -> Outcome {
+    let report = run_chaos(scale, nodes, seed)?;
+    writeln!(
+        out,
+        "chaos matrix: seed {seed}, scale {scale}, {nodes} nodes"
+    )?;
+    writeln!(
+        out,
+        "{:<18} {:<10} {:<8} {:>7} {:>10} {:>14}  outcome",
+        "target", "kind", "expect", "faults", "identical", "deterministic"
+    )?;
+    for c in &report.cells {
+        writeln!(
+            out,
+            "{:<18} {:<10} {:<8} {:>7} {:>10} {:>14}  {}",
+            c.target,
+            c.kind,
+            c.expectation,
+            c.faults,
+            if c.identical { "yes" } else { "NO" },
+            if c.deterministic { "yes" } else { "NO" },
+            c.outcome
+        )?;
+    }
+    let passed = report.cells.iter().filter(|c| c.passed).count();
+    writeln!(out, "chaos: {passed}/{} cells passed", report.cells.len())?;
+    if let Some(path) = json {
+        std::fs::write(path, serde_json::to_string_pretty(&report)?)?;
+        writeln!(out, "wrote {}", path.display())?;
+    }
+    if !report.passed {
+        return Err(format!("chaos: {} cell(s) failed", report.cells.len() - passed).into());
+    }
+    Ok(())
+}
+
+/// The one search of `run` and `trace`: the graph (`--graph` or the
+/// generated R-MAT), the scenario, the checked root and grid, the packed
+/// image under `--compressed` (its storage line printed first) and the
+/// engine over it. Prints the header line and returns the graph, the root
+/// and the search.
+fn search_once(
+    args: &SearchArgs,
+    trace: TraceConfig,
+    out: &mut dyn Write,
+) -> Result<(Csr, usize, Search), Box<dyn Error>> {
+    let g = match &args.graph {
+        Some(path) => Csr::from_edge_list(&io::load(path)?),
+        None => GraphBuilder::rmat(args.scale, 16).seed(1).build(),
+    };
+    let actual_scale = g.num_vertices().next_power_of_two().trailing_zeros();
+    let machine = presets::xeon_x7550_cluster(args.nodes).scaled_to_graph(actual_scale, 28);
+    let mut builder = Scenario::builder(machine, args.opt)
+        .trace(trace)
+        .codec(args.codec);
+    if let Some(g) = args.summary_g {
+        builder = builder.summary_granularity(g);
+    }
+    let scenario = builder.build()?;
+    let root = resolve_root(&g, args.root)?;
+    if let Some(shape) = args.grid {
+        check_grid(&scenario, shape)?;
+    }
+    let packed = args.compressed.then(|| CompressedCsr::from_csr(&g));
+    if let Some(packed) = &packed {
+        writeln!(
+            out,
+            "compressed CSR: {} vs {} uncompressed ({:.2}x)",
+            format_bytes(packed.size_bytes() as u64),
+            format_bytes(g.size_bytes() as u64),
+            g.size_bytes() as f64 / packed.size_bytes() as f64
+        )?;
+    }
+    let search = build_engine(&g, packed.as_ref(), &scenario, args.grid).search(root, &NoClock)?;
+    let engine_label = match args.grid {
+        Some((r, c)) => format!("2-D {r}x{c}"),
+        None => "1-D".to_string(),
+    };
+    writeln!(
+        out,
+        "{} ({engine_label}) on {} nodes, root {root}: visited {} of {} vertices",
+        args.opt.label(),
+        args.nodes,
+        search.run.visited,
+        g.num_vertices()
+    )?;
+    Ok((g, root, search))
+}
+
+/// The Fig. 11 rows of `profile`: each phase's time and share.
+fn phase_rows(profile: &RunProfile, out: &mut dyn Write) -> std::io::Result<()> {
+    for phase in Phase::ALL {
+        let t = profile.phase(phase);
+        writeln!(
+            out,
+            "  {:<16} {:>12}  {:>5.1}%",
+            phase.label(),
+            format!("{t}"),
+            100.0 * (t / profile.total())
+        )?;
     }
     Ok(())
 }
@@ -925,11 +850,6 @@ fn build_engine<'g>(
     }
 }
 
-/// One search on `engine`, its error as the CLI prints it.
-fn search(engine: &dyn SearchEngine, root: usize) -> Result<Search, String> {
-    engine.search(root, &NoClock).map_err(|e| e.to_string())
-}
-
 /// The search root of `run`/`trace`: `--root` checked against the graph
 /// (the engines assert on an id that is not a vertex), or the
 /// highest-degree vertex when the flag is absent.
@@ -940,16 +860,6 @@ fn resolve_root(g: &Csr, root: Option<usize>) -> Result<usize, String> {
         Some(v) => Ok(v),
         None => Ok(nbfs_bench::scenarios::best_root(g)),
     }
-}
-
-/// The `--compressed` storage summary line.
-fn storage_line(dense: &Csr, packed: &CompressedCsr) -> String {
-    format!(
-        "compressed CSR: {} vs {} uncompressed ({:.2}x)",
-        format_bytes(packed.size_bytes() as u64),
-        format_bytes(dense.size_bytes() as u64),
-        dense.size_bytes() as f64 / packed.size_bytes() as f64
-    )
 }
 
 /// One cell of the chaos matrix: a fault kind injected into one
@@ -1284,9 +1194,9 @@ mod tests {
     fn parse_run_flags() {
         let cmd = parse(&argv("run --scale 14 --nodes 4 --opt share-all")).unwrap();
         match cmd {
-            Command::Run {
+            Command::Run(SearchArgs {
                 scale, nodes, opt, ..
-            } => {
+            }) => {
                 assert_eq!(scale, 14);
                 assert_eq!(nodes, 4);
                 assert_eq!(opt, OptLevel::ShareAll);
@@ -1336,15 +1246,17 @@ mod tests {
         assert_eq!(
             cmd,
             Command::Trace {
-                scale: 12,
-                graph: None,
-                nodes: 4,
-                opt: OptLevel::OriginalPpn8,
-                root: None,
-                summary_g: None,
-                codec: Codec::Raw,
-                grid: None,
-                compressed: false,
+                search: SearchArgs {
+                    scale: 12,
+                    graph: None,
+                    nodes: 4,
+                    opt: OptLevel::OriginalPpn8,
+                    root: None,
+                    summary_g: None,
+                    codec: Codec::Raw,
+                    grid: None,
+                    compressed: false,
+                },
                 json: Some(PathBuf::from("/tmp/t.json")),
             }
         );
@@ -1353,16 +1265,19 @@ mod tests {
     #[test]
     fn parse_codec() {
         match parse(&argv("run --scale 14 --codec delta-varint")).unwrap() {
-            Command::Run { codec, .. } => assert_eq!(codec, Codec::DeltaVarint),
+            Command::Run(SearchArgs { codec, .. }) => assert_eq!(codec, Codec::DeltaVarint),
             other => panic!("wrong parse: {other:?}"),
         }
         match parse(&argv("trace --scale 14 --codec raw")).unwrap() {
-            Command::Trace { codec, .. } => assert_eq!(codec, Codec::Raw),
+            Command::Trace {
+                search: SearchArgs { codec, .. },
+                ..
+            } => assert_eq!(codec, Codec::Raw),
             other => panic!("wrong parse: {other:?}"),
         }
         // Default is raw; unknown names are rejected with the option list.
         match parse(&argv("run --scale 14")).unwrap() {
-            Command::Run { codec, .. } => assert_eq!(codec, Codec::Raw),
+            Command::Run(SearchArgs { codec, .. }) => assert_eq!(codec, Codec::Raw),
             other => panic!("wrong parse: {other:?}"),
         }
         for name in ["zstd", "sieve", "word-rle"] {
@@ -1405,11 +1320,14 @@ mod tests {
     #[test]
     fn parse_summary_g() {
         match parse(&argv("run --scale 14 --summary-g 256")).unwrap() {
-            Command::Run { summary_g, .. } => assert_eq!(summary_g, Some(256)),
+            Command::Run(SearchArgs { summary_g, .. }) => assert_eq!(summary_g, Some(256)),
             other => panic!("wrong parse: {other:?}"),
         }
         match parse(&argv("trace --scale 14 --summary-g 1024")).unwrap() {
-            Command::Trace { summary_g, .. } => assert_eq!(summary_g, Some(1024)),
+            Command::Trace {
+                search: SearchArgs { summary_g, .. },
+                ..
+            } => assert_eq!(summary_g, Some(1024)),
             other => panic!("wrong parse: {other:?}"),
         }
         // Validation mirrors SummaryBitmap::new's contract.
@@ -1422,9 +1340,9 @@ mod tests {
     #[test]
     fn parse_grid_and_compressed() {
         match parse(&argv("run --scale 12 --grid 2x4 --compressed")).unwrap() {
-            Command::Run {
+            Command::Run(SearchArgs {
                 grid, compressed, ..
-            } => {
+            }) => {
                 assert_eq!(grid, Some((2, 4)));
                 assert!(compressed);
             }
@@ -1432,7 +1350,10 @@ mod tests {
         }
         match parse(&argv("trace --scale 12 --grid 8x1")).unwrap() {
             Command::Trace {
-                grid, compressed, ..
+                search: SearchArgs {
+                    grid, compressed, ..
+                },
+                ..
             } => {
                 assert_eq!(grid, Some((8, 1)));
                 assert!(!compressed);
@@ -1490,19 +1411,27 @@ mod tests {
 
     #[test]
     fn trace_with_grid_keeps_projection_exact() {
-        let cmd = parse(&argv(
-            "trace --scale 10 --nodes 2 --opt share-all --grid 2x8",
-        ))
-        .unwrap();
-        let mut buf = Vec::new();
-        execute(cmd, &mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        assert!(text.contains("2-D 2x8"), "{text}");
-        // The 2-D engine meets the same observability bar as the 1-D one.
-        assert!(
-            text.contains("projection == engine profile: true"),
-            "{text}"
-        );
+        for storage in ["", "--compressed"] {
+            let cmd = parse(&argv(&format!(
+                "trace --scale 10 --nodes 2 --opt share-all --grid 2x8 {storage}"
+            )))
+            .unwrap();
+            let mut buf = Vec::new();
+            execute(cmd, &mut buf).unwrap();
+            let text = String::from_utf8(buf).unwrap();
+            assert!(text.contains("2-D 2x8"), "{text}");
+            // `trace` prints the storage line that `run` prints.
+            assert_eq!(
+                text.starts_with("compressed CSR: "),
+                !storage.is_empty(),
+                "{text}"
+            );
+            // The 2-D engine meets the same observability bar as the 1-D one.
+            assert!(
+                text.contains("projection == engine profile: true"),
+                "{text}"
+            );
+        }
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub mod seq;
 pub mod tuning;
 
 pub use engine::{BfsRun, DistributedBfs, Scenario, ScenarioBuilder};
-pub use harness::{Graph500Harness, HarnessConfig, HarnessConfigBuilder};
+pub use harness::{Graph500Harness, HarnessConfig};
 pub use multi::{LaneAnswer, MultiSourceRun, MultiWorkspace, MAX_LANES};
 pub use opt::OptLevel;
 pub use profile::{Phase, RunProfile};

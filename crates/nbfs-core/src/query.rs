@@ -18,8 +18,8 @@
 //!
 //! [`Graph500Harness`](crate::harness::Graph500Harness) rides the same
 //! machinery: its 64-root campaign is a [`QueryEngine::run_batch`] over a
-//! [`SearchBackend`], so the measurement loop and the service path cannot
-//! drift apart.
+//! [`SearchBackend`] of any engine, so the measurement loop and the
+//! service path cannot drift apart.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -136,23 +136,23 @@ impl<G: GraphView> SearchEngine for TwoDimBfs<'_, G> {
 /// engine scenario's trace configuration, fault records included) or a
 /// structured error — a bad root, or a fault the scenario's plan made
 /// unrecoverable. The Graph500 harness batches its campaign through this
-/// and unwraps; the chaos matrix batches a wave through an engine with
-/// injected faults and compares the recoverable cells bit for bit against
-/// a fault-free wave.
+/// and stops at the first error; the chaos matrix batches a wave through
+/// an engine with injected faults and compares the recoverable cells bit
+/// for bit against a fault-free wave.
 ///
 /// [`TraceReport`]: nbfs_trace::TraceReport
-pub struct SearchBackend<'e, E> {
+pub struct SearchBackend<'e, E: ?Sized> {
     engine: &'e E,
 }
 
-impl<'e, E: SearchEngine> SearchBackend<'e, E> {
+impl<'e, E: SearchEngine + ?Sized> SearchBackend<'e, E> {
     /// Wraps a prepared engine.
     pub fn new(engine: &'e E) -> Self {
         Self { engine }
     }
 }
 
-impl<E: SearchEngine> QueryBackend for SearchBackend<'_, E> {
+impl<E: SearchEngine + ?Sized> QueryBackend for SearchBackend<'_, E> {
     type Answer = Result<Search, NbfsError>;
 
     fn wave_capacity(&self) -> usize {

@@ -50,13 +50,6 @@ impl GraphBuilder {
         Csr::from_edge_list(&self.build_edge_list())
     }
 
-    /// Generates the delta-varint compressed CSR via the streaming
-    /// per-block path — never materializes the global edge list, so large
-    /// scales build in a fraction of [`Self::build`]'s peak memory.
-    pub fn build_compressed(&self) -> crate::CompressedCsr {
-        rmat::generate_compressed(&self.params, rmat::streaming_passes(&self.params))
-    }
-
     /// The parameters this builder will use.
     pub fn params(&self) -> &RmatParams {
         &self.params

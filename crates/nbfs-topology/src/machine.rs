@@ -199,12 +199,6 @@ impl MachineConfig {
         self
     }
 
-    /// Returns a copy without any weak node.
-    pub fn without_weak_node(mut self) -> Self {
-        self.weak_node = None;
-        self
-    }
-
     /// A small, fast configuration for unit tests: `nodes` nodes of
     /// `sockets` sockets with 2 cores each and deliberately tiny caches.
     pub fn small_test_cluster(nodes: usize, sockets: usize) -> Self {

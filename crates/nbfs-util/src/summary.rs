@@ -220,11 +220,6 @@ impl SummaryBitmap {
     pub fn as_bitmap(&self) -> &Bitmap {
         &self.bits
     }
-
-    /// Mutable view of the summary's own bitmap (for allgather installs).
-    pub fn as_bitmap_mut(&mut self) -> &mut Bitmap {
-        &mut self.bits
-    }
 }
 
 /// Word-caching summary probe; see [`SummaryBitmap::probe`].

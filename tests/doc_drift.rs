@@ -125,10 +125,10 @@ fn retired_bench_system_is_gone_from_the_docs_and_quoted_metrics_exist() {
     // bottom-up kernel with its equivalence test, the bespoke linter,
     // the four examples that re-ran figures, and the recursive-doubling
     // allgather with the counting and edge twins of the collective
-    // walks. Only the project's history and plan files skipped below
-    // and the EXPERIMENTS "Retired variants" section may still name
-    // them. Every other doc quotes only figure ids the `figures` bin
-    // knows.
+    // walks, and the harness config builder. Only the project's history
+    // and plan files skipped below and the EXPERIMENTS "Retired variants"
+    // section may still name them. Every other doc quotes only figure ids
+    // the `figures` bin knows.
     let mut files = Vec::new();
     markdown_files(std::path::Path::new(env!("CARGO_MANIFEST_DIR")), &mut files);
     assert!(files.contains(&"README.md".to_string()), "{files:?}");
@@ -170,6 +170,7 @@ fn retired_bench_system_is_gone_from_the_docs_and_quoted_metrics_exist() {
                 "allgather_stats_bytes",
                 "inject_allgather_faults",
                 "third twin",
+                "HarnessConfigBuilder",
             ] {
                 assert!(!section.contains(retired), "{name} still has {retired}");
             }

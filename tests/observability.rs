@@ -12,7 +12,6 @@ use numa_bfs::comm::{FaultPlan, FaultScope, FaultSpec};
 use numa_bfs::core::direction::SwitchPolicy;
 use numa_bfs::core::engine::{DistributedBfs, HostClock, NoClock, Scenario, Search};
 use numa_bfs::core::engine2d::TwoDimBfs;
-use numa_bfs::core::harness::HarnessConfig;
 use numa_bfs::core::opt::OptLevel;
 use numa_bfs::core::par::bfs_hybrid_parallel_traced;
 use numa_bfs::core::profile::{Phase, RunProfile};
@@ -244,14 +243,6 @@ fn scenario_builder_defaults_equal_scenario_new() {
 
 #[test]
 fn harness_config_builder_matches_the_literal() {
-    let built = HarnessConfig::builder()
-        .roots(3)
-        .seed(7)
-        .validate(false)
-        .build();
-    assert_eq!(built.roots, 3);
-    assert_eq!(built.seed, 7);
-    assert!(!built.validate);
     // An invalid machine is a builder error, not a panic.
     let mut bad = MachineConfig::small_test_cluster(2, 2);
     bad.nodes = 0;

@@ -38,8 +38,10 @@ fn run_profile_serializes_with_all_phases() {
 fn harness_result_serializes() {
     let g = GraphBuilder::rmat(10, 8).seed(2).build();
     let scenario = Scenario::new(MachineConfig::small_test_cluster(2, 2), OptLevel::ShareAll);
-    let harness = Graph500Harness::new(&g, &scenario);
-    let result = harness.run(&HarnessConfig::quick(2));
+    let engine = DistributedBfs::new(&g, &scenario);
+    let result = Graph500Harness::new(&g, &engine)
+        .run(&HarnessConfig::quick(2))
+        .unwrap();
     let json = serde_json::to_value(&result).unwrap();
     assert!(json["teps"]["harmonic_mean"].as_f64().unwrap() > 0.0);
     assert_eq!(json["per_root"].as_array().unwrap().len(), 2);
