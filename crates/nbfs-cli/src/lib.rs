@@ -603,13 +603,6 @@ fn trace(args: &SearchArgs, json: Option<&Path>, out: &mut dyn Write) -> Outcome
         "  total {} (projection == engine profile: {exact})",
         projected.total()
     )?;
-    if report.dropped_events > 0 {
-        writeln!(
-            out,
-            "warning: {} event(s) dropped; rerun with a larger ring",
-            report.dropped_events
-        )?;
-    }
     if let Some(path) = json {
         std::fs::write(path, report.to_json()?)?;
         writeln!(out, "wrote {}", path.display())?;

@@ -601,9 +601,9 @@ impl<'g, G: GraphView> DistributedBfs<'g, G> {
     ///
     /// The report's [`TraceReport::run_profile`] projection reproduces
     /// `run.profile` bit for bit: each level's times are committed from
-    /// per-level accumulators and emitted, the same values, in the level's
-    /// trace event. Fault penalties flow through those same accumulators,
-    /// so the invariant holds for faulted runs too.
+    /// per-level accumulators and recorded, the same values, in the
+    /// level's trace `LevelReport`. Fault penalties flow through those same
+    /// accumulators, so the invariant holds for faulted runs too.
     ///
     /// # Errors
     /// [`NbfsError::Config`] when `root` is not a vertex;

@@ -4,8 +4,8 @@
 //! its exchange step, and so does this crate: [`search`] owns the level
 //! protocol — root installation, the per-level `(n_f, m_f, m_u)` control
 //! allreduce, the direction decision, the per-level accumulators, the
-//! fault sites, the one profile-commit site with its
-//! [`TraceEvent::Level`], the [`WallClock`] and the parent assembly — and
+//! fault sites, the one profile-commit site with its trace
+//! [`LevelReport`], the [`WallClock`] and the parent assembly — and
 //! is generic over an [`Exchange`]: the 1-D rank state (allgathers of
 //! `in_queue` / the frontier lists, owner walk) or the 2-D one (column
 //! expand, row fold). An exchange runs one level in one direction and
@@ -25,8 +25,8 @@ use nbfs_simnet::compute::ProbeClass;
 use nbfs_simnet::{ComputeContext, ComputeEvents, NetworkModel};
 use nbfs_topology::ProcessMap;
 use nbfs_trace::{
-    CollectiveKind, CollectiveStats, CommCost, RunMeta, TraceConfig, TraceEvent, TraceReport,
-    Tracer,
+    CollectiveKind, CollectiveRecord, CollectiveStats, CommCost, DecisionRecord, LevelReport,
+    RankLevelRecord, RunMeta, TraceConfig, TraceReport, Tracer,
 };
 use nbfs_util::{Bitmap, BlockPartition, NbfsError, SimTime, WORD_BITS};
 
@@ -166,10 +166,10 @@ fn mean_and_stall(times: &[SimTime]) -> (SimTime, SimTime) {
 }
 
 /// Applies one injection site's [`FaultAdjustment`]: every fault is
-/// recorded as a trace event, the recovery penalty folds into the caller's
-/// accumulator (the same one the level commit and the Level trace event
-/// read, preserving the profile-projection invariant), and an
-/// unrecoverable fault aborts the run.
+/// recorded in the trace, the recovery penalty folds into the caller's
+/// accumulator (the same one the level commit and its trace
+/// [`LevelReport`] read, preserving the profile-projection invariant), and
+/// an unrecoverable fault aborts the run.
 fn apply_faults(
     tracer: &mut Tracer,
     adjustment: FaultAdjustment,
@@ -177,7 +177,7 @@ fn apply_faults(
 ) -> Result<(), NbfsError> {
     *accumulator += adjustment.penalty;
     for record in adjustment.records {
-        tracer.record(TraceEvent::Fault(record));
+        tracer.fault(record);
     }
     match adjustment.failure {
         Some(error) => Err(error),
@@ -236,7 +236,7 @@ impl Level<'_> {
         stats: CollectiveStats,
         edges: impl FnOnce() -> Vec<FaultEdge>,
     ) -> Result<(), NbfsError> {
-        self.tracer.record(TraceEvent::Collective {
+        self.tracer.collective(CollectiveRecord {
             level: self.index,
             kind,
             cost,
@@ -266,8 +266,8 @@ impl Level<'_> {
     }
 
     /// Charges the level's computation from the ranks' `(events,
-    /// discovered)` in rank order: prices each rank, emits its
-    /// [`TraceEvent::RankLevel`], and splits the times into the busy mean
+    /// discovered)` in rank order: prices each rank, records its
+    /// [`RankLevelRecord`], and splits the times into the busy mean
     /// and the stall. Returns the vertices discovered in total.
     pub(crate) fn charge_ranks<'e>(
         &mut self,
@@ -292,21 +292,15 @@ impl Level<'_> {
             if self.direction == Direction::BottomUp {
                 self.bu_edges += edges_scanned;
             }
-            if self.tracer.enabled() {
-                self.tracer.record_rank(
-                    rank,
-                    TraceEvent::RankLevel {
-                        level: self.index,
-                        rank,
-                        discovered,
-                        edges_scanned,
-                        summary_probes,
-                        inqueue_probes,
-                        write_bytes: events.write_bytes,
-                        comp,
-                    },
-                );
-            }
+            self.tracer.rank(RankLevelRecord {
+                rank,
+                discovered,
+                edges_scanned,
+                summary_probes,
+                inqueue_probes,
+                write_bytes: events.write_bytes,
+                comp,
+            });
         }
         let (mean, stall) = mean_and_stall(self.times);
         self.comp += mean;
@@ -414,7 +408,7 @@ pub(crate) fn search<X: Exchange>(
     }
     let np = env.pmap.world_size();
     let faults = env.scenario.faults.as_ref();
-    let mut tracer = Tracer::new(trace, np);
+    let mut tracer = Tracer::new(trace);
     let mut ex = make();
 
     // Root installation.
@@ -470,7 +464,7 @@ pub(crate) fn search<X: Exchange>(
         // allreduce, so only one latency-bound collective is charged. It
         // really runs on the terminal level too, so it is recorded and its
         // faults resolve before the termination check. That level never
-        // commits: the merge files the record under `post_collectives`,
+        // commits: the tracer files the record under `post_collectives`,
         // and cost and penalty are discarded with `lv`, so the profile
         // projection stays exact.
         let mut edges = lv.edge_sink();
@@ -488,7 +482,7 @@ pub(crate) fn search<X: Exchange>(
             .scenario
             .switch_policy
             .choose(direction, m_f, m_u, n_f.value, n as u64);
-        lv.tracer.record(TraceEvent::Decision {
+        lv.tracer.decision(DecisionRecord {
             level: index,
             prev: direction,
             chosen,
@@ -523,7 +517,7 @@ pub(crate) fn search<X: Exchange>(
         }
 
         // --- level commit (the single write site for the profile) --------
-        // The trace event carries exactly the values committed here, which
+        // The trace level carries exactly the values committed here, which
         // is what keeps `TraceReport::run_profile` bitwise-exact.
         profile.stall += lv.stall;
         profile.switch += lv.switch;
@@ -544,7 +538,7 @@ pub(crate) fn search<X: Exchange>(
                 wall.top_down_levels += 1;
             }
         }
-        lv.tracer.record(TraceEvent::Level {
+        lv.tracer.commit_level(LevelReport {
             level: index,
             direction,
             discovered,
@@ -554,6 +548,8 @@ pub(crate) fn search<X: Exchange>(
             switch: lv.switch,
             detail: lv.detail,
             wall_comp_secs: lv.kernel_secs,
+            collectives: Vec::new(),
+            ranks: Vec::new(),
         });
         profile.levels.push(LevelProfile {
             direction,

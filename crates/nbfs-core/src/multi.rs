@@ -50,7 +50,7 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use rayon::prelude::*;
 
 use nbfs_graph::{vid, Csr, NO_PARENT};
-use nbfs_trace::{CommCost, QueryRecord, RunMeta, TraceConfig, TraceEvent, TraceReport, Tracer};
+use nbfs_trace::{CommCost, LevelReport, QueryRecord, RunMeta, TraceConfig, TraceReport, Tracer};
 use nbfs_util::{AtomicBitmap, Bitmap, FrontierArena, FrontierSlot, LaneBitmap, SimTime};
 
 use crate::direction::{Direction, SwitchPolicy};
@@ -255,7 +255,7 @@ pub fn multi_source_bfs_in(
     multi_source_bfs_instrumented(graph, roots, ws, 0, &NoClock, &mut Tracer::off())
 }
 
-/// Like [`multi_source_bfs`], also recording run events: one `Level` span
+/// Like [`multi_source_bfs`], also recording run events: one `LevelReport`
 /// per wave level and one [`QueryRecord`] per lane (schema v4). This
 /// kernel runs for real, so simulated-time fields stay zero and
 /// `wall_comp_secs` carries host seconds when `clock` is a real timer.
@@ -265,7 +265,7 @@ pub fn multi_source_bfs_traced(
     trace: TraceConfig,
     clock: &dyn HostClock,
 ) -> (MultiSourceRun, TraceReport) {
-    let mut tracer = Tracer::new(trace, 1);
+    let mut tracer = Tracer::new(trace);
     let mut ws = MultiWorkspace::new();
     let run = multi_source_bfs_instrumented(graph, roots, &mut ws, 0, clock, &mut tracer);
     let meta = RunMeta {
@@ -546,7 +546,7 @@ pub(crate) fn multi_source_bfs_instrumented(
                 recording &= !(1u64 << lane);
             }
         }
-        tracer.record(TraceEvent::Level {
+        tracer.commit_level(LevelReport {
             level: wave_levels,
             direction,
             discovered,
@@ -556,6 +556,8 @@ pub(crate) fn multi_source_bfs_instrumented(
             switch: SimTime::ZERO,
             detail: CommCost::ZERO,
             wall_comp_secs: clock.now_secs() - level_start,
+            collectives: Vec::new(),
+            ranks: Vec::new(),
         });
         wave_levels += 1;
     }
@@ -596,7 +598,7 @@ pub(crate) fn multi_source_bfs_instrumented(
                 clippy::cast_possible_truncation,
                 reason = "lanes <= MAX_LANES and a search has fewer levels than its u32-id vertices"
             )]
-            tracer.record(TraceEvent::Query(QueryRecord {
+            tracer.query(QueryRecord {
                 wave,
                 lane: lane as u32,
                 batch: lanes as u32,
@@ -605,7 +607,7 @@ pub(crate) fn multi_source_bfs_instrumented(
                 visited: answer.visited,
                 edges_scanned,
                 wall_secs,
-            }));
+            });
         }
     }
     MultiSourceRun {

@@ -28,7 +28,10 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use rayon::prelude::*;
 
 use nbfs_graph::{vid, Csr, NO_PARENT};
-use nbfs_trace::{CommCost, RunMeta, TraceConfig, TraceEvent, TraceReport, Tracer};
+use nbfs_trace::{
+    CommCost, DecisionRecord, LevelReport, RankLevelRecord, RunMeta, TraceConfig, TraceReport,
+    Tracer,
+};
 use nbfs_util::{AtomicBitmap, Bitmap, FrontierArena, FrontierSlot, SimTime};
 
 use crate::direction::{Direction, SwitchPolicy};
@@ -61,7 +64,7 @@ pub fn bfs_hybrid_parallel_traced(
     trace: TraceConfig,
     clock: &dyn HostClock,
 ) -> (SeqBfs, TraceReport) {
-    let mut tracer = Tracer::new(trace, 1);
+    let mut tracer = Tracer::new(trace);
     let run = bfs_hybrid_parallel_instrumented(graph, root, policy, clock, &mut tracer);
     let meta = RunMeta {
         world: 1,
@@ -121,7 +124,7 @@ fn bfs_hybrid_parallel_instrumented(
         }
         let prev = direction;
         direction = policy.choose(direction, m_f, m_u, n_f, n as u64);
-        tracer.record(TraceEvent::Decision {
+        tracer.decision(DecisionRecord {
             level: level_idx,
             prev,
             chosen: direction,
@@ -285,22 +288,16 @@ fn bfs_hybrid_parallel_instrumented(
 
         let discovered = frontier.len() as u64;
         let edges_examined = edges.load(Ordering::Relaxed);
-        if tracer.enabled() {
-            tracer.record_rank(
-                0,
-                TraceEvent::RankLevel {
-                    level: level_idx,
-                    rank: 0,
-                    discovered,
-                    edges_scanned: edges_examined,
-                    summary_probes: 0,
-                    inqueue_probes: 0,
-                    write_bytes: discovered * 4,
-                    comp: SimTime::ZERO,
-                },
-            );
-        }
-        tracer.record(TraceEvent::Level {
+        tracer.rank(RankLevelRecord {
+            rank: 0,
+            discovered,
+            edges_scanned: edges_examined,
+            summary_probes: 0,
+            inqueue_probes: 0,
+            write_bytes: discovered * 4,
+            comp: SimTime::ZERO,
+        });
+        tracer.commit_level(LevelReport {
             level: level_idx,
             direction,
             discovered,
@@ -310,6 +307,8 @@ fn bfs_hybrid_parallel_instrumented(
             switch: SimTime::ZERO,
             detail: CommCost::ZERO,
             wall_comp_secs: kernel_secs,
+            collectives: Vec::new(),
+            ranks: Vec::new(),
         });
         levels.push(LevelTrace {
             direction,

@@ -69,7 +69,6 @@ fn assert_matches_oracle(g: &Csr, scenario: &Scenario, root: usize, label: &str)
     let mut traced = scenario.clone();
     traced.trace = TraceConfig::Standard;
     let (run, report) = DistributedBfs::new(g, &traced).run_traced(root);
-    assert_eq!(report.dropped_events, 0, "{label}: trace ring wrapped");
 
     let oracle = reference_single_source(g, root);
     assert_eq!(run.parent, oracle.parent, "{label}: parents differ");

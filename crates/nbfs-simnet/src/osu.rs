@@ -46,19 +46,6 @@ pub fn pairwise_bandwidth(solver: &FlowSolver, ppn: usize, message_bytes: u64) -
     }
 }
 
-/// Sweeps message sizes for each ppn, producing the Fig. 4 curve family.
-pub fn fig4_sweep(solver: &FlowSolver) -> Vec<BandwidthPoint> {
-    let mut out = Vec::new();
-    for ppn in [1usize, 2, 4, 8] {
-        let mut size = 1u64 << 10; // 1 KiB
-        while size <= (4u64 << 20) {
-            out.push(pairwise_bandwidth(solver, ppn, size));
-            size *= 4;
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::cast_possible_truncation)]
 mod tests {
@@ -113,14 +100,5 @@ mod tests {
         let aggregate = s.machine().node_net_bw(0);
         assert!(peak <= aggregate * 1.001);
         assert!(peak >= aggregate * 0.9, "8 streams should saturate the NIC");
-    }
-
-    #[test]
-    fn sweep_covers_all_ppn() {
-        let pts = fig4_sweep(&solver());
-        for ppn in [1, 2, 4, 8] {
-            assert!(pts.iter().any(|p| p.ppn == ppn));
-        }
-        assert!(pts.len() >= 24);
     }
 }

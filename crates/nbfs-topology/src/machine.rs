@@ -124,12 +124,6 @@ impl MachineConfig {
         }
     }
 
-    /// Combined L3 capacity of one node (the paper's reason (b): sharing
-    /// `in_queue` lets it use every socket's L3).
-    pub fn node_l3_bytes(&self) -> usize {
-        self.socket.cache.l3_bytes * self.sockets_per_node
-    }
-
     /// Returns a copy with every cache capacity multiplied by `factor`.
     ///
     /// Used to run paper-scale *regimes* on laptop-scale graphs: scaling the
@@ -313,6 +307,5 @@ mod tests {
     fn node_aggregates() {
         let m = presets::cluster2012();
         assert!((m.node_mem_bw() - 8.0 * m.socket.mem_bw).abs() < 1.0);
-        assert_eq!(m.node_l3_bytes(), 8 * m.socket.cache.l3_bytes);
     }
 }

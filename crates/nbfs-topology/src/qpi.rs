@@ -66,11 +66,6 @@ impl QpiTopology {
         &self.links[s]
     }
 
-    /// Number of QPI links per socket in this topology.
-    pub fn links_per_socket(&self) -> usize {
-        self.links.first().map_or(0, Vec::len)
-    }
-
     /// Hop count between two sockets (0 for `a == b`).
     pub fn hops(&self, a: usize, b: usize) -> usize {
         assert!(a < self.sockets && b < self.sockets);
@@ -127,9 +122,8 @@ mod tests {
     #[test]
     fn eight_socket_matches_fig2_shape() {
         let t = QpiTopology::for_sockets(8);
-        assert_eq!(t.links_per_socket(), 4, "X7550 has four QPI links");
         for s in 0..8 {
-            assert_eq!(t.neighbours(s).len(), 4);
+            assert_eq!(t.neighbours(s).len(), 4, "X7550 has four QPI links");
             assert!(!t.neighbours(s).contains(&s), "no self links");
         }
         assert_eq!(t.diameter(), 2, "glueless 8-socket is 2-hop");

@@ -2,14 +2,6 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Default per-ring event capacity used by [`TraceConfig::Standard`].
-///
-/// A BFS on an R-MAT graph runs ~6–10 levels; the control plane records a
-/// handful of events per level and each rank exactly one, so 4096 slots
-/// per ring never wrap in practice while staying a fixed, small
-/// pre-allocation (events are small `Copy` values).
-pub const DEFAULT_RING_CAPACITY: usize = 4096;
-
 /// How much run-event recording a scenario performs.
 ///
 /// The default is [`TraceConfig::Off`], which must cost near-zero work on
@@ -20,27 +12,15 @@ pub enum TraceConfig {
     /// No recording. `Tracer::off()` — the engine's default.
     #[default]
     Off,
-    /// Record into rings of [`DEFAULT_RING_CAPACITY`] events.
+    /// Record every level, collective, rank counter, decision, fault and
+    /// query of the run into the report the search returns.
     Standard,
-    /// Record into rings of the given capacity (clamped to at least 1).
-    /// When a ring is full the oldest events are overwritten and counted
-    /// in `TraceReport::dropped_events`.
-    Ring(usize),
 }
 
 impl TraceConfig {
     /// Whether this configuration records anything at all.
     pub fn is_enabled(&self) -> bool {
         !matches!(self, TraceConfig::Off)
-    }
-
-    /// Per-ring event capacity implied by this configuration (meaningful
-    /// only when enabled).
-    pub fn ring_capacity(&self) -> usize {
-        match self {
-            TraceConfig::Off | TraceConfig::Standard => DEFAULT_RING_CAPACITY,
-            TraceConfig::Ring(n) => (*n).max(1),
-        }
     }
 }
 
@@ -54,23 +34,11 @@ mod tests {
         assert_eq!(TraceConfig::default(), TraceConfig::Off);
         assert!(!TraceConfig::Off.is_enabled());
         assert!(TraceConfig::Standard.is_enabled());
-        assert!(TraceConfig::Ring(16).is_enabled());
-    }
-
-    #[test]
-    fn ring_capacity_is_clamped() {
-        assert_eq!(TraceConfig::Ring(0).ring_capacity(), 1);
-        assert_eq!(TraceConfig::Ring(64).ring_capacity(), 64);
-        assert_eq!(TraceConfig::Standard.ring_capacity(), DEFAULT_RING_CAPACITY);
     }
 
     #[test]
     fn serde_round_trip() {
-        for cfg in [
-            TraceConfig::Off,
-            TraceConfig::Standard,
-            TraceConfig::Ring(128),
-        ] {
+        for cfg in [TraceConfig::Off, TraceConfig::Standard] {
             let v = serde_json::to_value(cfg).unwrap();
             let back: TraceConfig = serde_json::from_value(v).unwrap();
             assert_eq!(back, cfg);

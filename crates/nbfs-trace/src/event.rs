@@ -1,16 +1,13 @@
-//! The run-event taxonomy.
+//! The record vocabulary a trace shares with its producers.
 //!
-//! Events are small `Copy` values so that recording one into a pre-sized
-//! [`crate::EventRing`] is a store, not an allocation. [`TraceEvent`] is the
-//! in-ring representation and is deliberately **not** serialized; the merged
-//! [`crate::TraceReport`] is the exchange format.
+//! Collective kinds and statistics, fault records and query records: the
+//! engines build these values and the [`crate::Tracer`] appends them to
+//! the [`crate::TraceReport`] as they are, so the type recorded is the
+//! type serialized.
 
 use serde::{Deserialize, Serialize};
 
 use nbfs_util::SimTime;
-
-use crate::cost::CommCost;
-use crate::direction::Direction;
 
 /// Which collective operation a cost sample came from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -25,10 +22,6 @@ pub enum CollectiveKind {
     Alltoallv,
     /// A scalar allreduce (frontier size / termination vote).
     Allreduce,
-    /// A broadcast.
-    Broadcast,
-    /// A barrier.
-    Barrier,
     /// The row-ring frontier expansion of the 2-D engine.
     Expand2d,
 }
@@ -42,8 +35,6 @@ impl CollectiveKind {
             CollectiveKind::Allgatherv => "allgatherv",
             CollectiveKind::Alltoallv => "alltoallv",
             CollectiveKind::Allreduce => "allreduce",
-            CollectiveKind::Broadcast => "broadcast",
-            CollectiveKind::Barrier => "barrier",
             CollectiveKind::Expand2d => "expand-2d",
         }
     }
@@ -116,8 +107,7 @@ impl FaultOp {
     }
 }
 
-/// One injected fault and how it resolved. `Copy`, so it doubles as the
-/// in-ring payload of [`TraceEvent::Fault`] and the serialized record of
+/// One injected fault and how it resolved: an entry of
 /// `TraceReport::faults`.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct FaultRecord {
@@ -142,9 +132,7 @@ pub struct FaultRecord {
 }
 
 /// Per-query statistics for one lane of a batched multi-source BFS wave
-/// (schema v4). `Copy`, so it doubles as the in-ring payload of
-/// [`TraceEvent::Query`] and the serialized record of
-/// `TraceReport::queries`.
+/// (schema v4): an entry of `TraceReport::queries`.
 ///
 /// A wave fuses up to 64 admitted roots into one bit-parallel traversal;
 /// each lane is one independent query riding that shared sweep, so the
@@ -245,108 +233,6 @@ impl CollectiveStats {
     }
 }
 
-/// One record in an event ring.
-///
-/// Not serialized (see module docs); the variants carry everything the
-/// report merge needs, keyed by `level` so that a wrapped ring still merges
-/// correctly.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum TraceEvent {
-    /// The α/β heuristic chose a direction for a level.
-    Decision {
-        /// BFS level the decision applies to.
-        level: usize,
-        /// Direction of the previous level.
-        prev: Direction,
-        /// Direction chosen.
-        chosen: Direction,
-        /// Edges incident to the current frontier.
-        m_f: u64,
-        /// Edges incident to still-unvisited vertices.
-        m_u: u64,
-        /// Vertices in the current frontier.
-        n_f: u64,
-        /// Total vertices.
-        n: u64,
-    },
-    /// One collective operation completed during a level.
-    Collective {
-        /// BFS level it ran in (the level *about* to be committed; the
-        /// terminal allreduce carries the level that was never executed).
-        level: usize,
-        /// Which operation.
-        kind: CollectiveKind,
-        /// Step-wise simulated cost.
-        cost: CommCost,
-        /// Byte/round/flow counters.
-        stats: CollectiveStats,
-    },
-    /// One rank's computation counters for one level.
-    RankLevel {
-        /// BFS level.
-        level: usize,
-        /// Rank id.
-        rank: usize,
-        /// Vertices this rank discovered.
-        discovered: u64,
-        /// Edges scanned (CSR adjacency entries touched).
-        edges_scanned: u64,
-        /// Summary-bitmap word probes issued (each non-zero result saved a
-        /// full `in_queue` word load — the Section III.C instrument).
-        summary_probes: u64,
-        /// `in_queue` bitmap probes issued.
-        inqueue_probes: u64,
-        /// Bytes written to queues / parent entries.
-        write_bytes: u64,
-        /// Simulated computation time of this rank.
-        comp: SimTime,
-    },
-    /// A committed BFS level: the per-level span whose fields sum to the
-    /// Fig. 11 slices exactly (see `TraceReport::run_profile`).
-    Level {
-        /// BFS level index.
-        level: usize,
-        /// Direction executed.
-        direction: Direction,
-        /// Vertices discovered across all ranks.
-        discovered: u64,
-        /// Mean per-rank computation time.
-        comp: SimTime,
-        /// Communication time (collectives plus control allreduce).
-        comm: SimTime,
-        /// Barrier skew absorbed at the end of the level.
-        stall: SimTime,
-        /// Data-structure conversion time charged to this level.
-        switch: SimTime,
-        /// Step split of the bottom-up collectives (zero for top-down).
-        detail: CommCost,
-        /// Host wall-clock seconds spent in the kernels of this level
-        /// (zero under `NoClock`).
-        wall_comp_secs: f64,
-    },
-    /// An injected fault fired (schema v2). Carries the full record so the
-    /// report merge is a copy.
-    Fault(FaultRecord),
-    /// One query lane of a batched multi-source wave completed (schema
-    /// v4). Carries the full record so the report merge is a copy.
-    Query(QueryRecord),
-}
-
-impl TraceEvent {
-    /// The BFS level this event is keyed to. Query records span a whole
-    /// wave rather than one level; they key to level 0.
-    pub fn level(&self) -> usize {
-        match *self {
-            TraceEvent::Decision { level, .. }
-            | TraceEvent::Collective { level, .. }
-            | TraceEvent::RankLevel { level, .. }
-            | TraceEvent::Level { level, .. } => level,
-            TraceEvent::Fault(record) => record.level,
-            TraceEvent::Query(_) => 0,
-        }
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
@@ -381,18 +267,7 @@ mod tests {
     }
 
     #[test]
-    fn events_expose_their_level() {
-        let ev = TraceEvent::Collective {
-            level: 7,
-            kind: CollectiveKind::Allreduce,
-            cost: CommCost::ZERO,
-            stats: CollectiveStats::ZERO,
-        };
-        assert_eq!(ev.level(), 7);
-    }
-
-    #[test]
-    fn fault_events_expose_their_level_and_labels() {
+    fn fault_labels_are_distinct() {
         let rec = FaultRecord {
             level: 3,
             kind: FaultKind::Drop,
@@ -404,7 +279,6 @@ mod tests {
             recovered: true,
             penalty: SimTime::ZERO,
         };
-        assert_eq!(TraceEvent::Fault(rec).level(), 3);
         assert_eq!(rec.op.label(), "allgather-words");
         assert_eq!(FaultOp::P2p.label(), "p2p");
         assert_eq!(FaultOp::Rank.label(), "rank");
@@ -424,8 +298,6 @@ mod tests {
             CollectiveKind::Allgatherv,
             CollectiveKind::Alltoallv,
             CollectiveKind::Allreduce,
-            CollectiveKind::Broadcast,
-            CollectiveKind::Barrier,
             CollectiveKind::Expand2d,
         ];
         for (i, a) in kinds.iter().enumerate() {

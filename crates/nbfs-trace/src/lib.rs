@@ -5,14 +5,14 @@
 //! communication proportions. This crate makes that instrument a
 //! first-class subsystem instead of a bench-only artifact:
 //!
-//! * [`TraceEvent`] — the event taxonomy (per-level spans, per-rank
-//!   counters, collective cost samples, switch decisions),
-//! * [`EventRing`] — a pre-sized ring buffer recorded into without heap
-//!   allocation on the hot path,
-//! * [`Tracer`] — the recording facade the engines thread through a run;
-//!   [`Tracer::off`] compiles to a `None` check and nothing else,
-//! * [`TraceReport`] — the merged, serializable output; the retained
-//!   [`RunProfile`] is a projection of it ([`TraceReport::run_profile`]),
+//! * [`TraceReport`] — the serializable output: per-level spans with their
+//!   collective cost samples and per-rank counters, switch decisions,
+//!   faults and query lanes; the retained [`RunProfile`] is a projection
+//!   of it ([`TraceReport::run_profile`]),
+//! * [`Tracer`] — the recording facade the engines thread through a run.
+//!   It appends the report's own records to the report it will return, so
+//!   every level a run commits is in the report; [`Tracer::off`] compiles
+//!   to a `None` check and nothing else,
 //! * [`RunProfile`] / [`LevelProfile`] / [`Phase`] / [`CommCost`] /
 //!   [`Direction`] — the breakdown vocabulary, moved here from the three
 //!   ad-hoc profiling structs this crate replaces.
@@ -30,20 +30,16 @@ pub mod event;
 pub mod phase;
 pub mod profile;
 pub mod report;
-pub mod ring;
 pub mod tracer;
 
 pub use config::TraceConfig;
 pub use cost::CommCost;
 pub use direction::Direction;
-pub use event::{
-    CollectiveKind, CollectiveStats, FaultKind, FaultOp, FaultRecord, QueryRecord, TraceEvent,
-};
+pub use event::{CollectiveKind, CollectiveStats, FaultKind, FaultOp, FaultRecord, QueryRecord};
 pub use phase::Phase;
 pub use profile::{LevelProfile, RunProfile};
 pub use report::{
     CollectiveRecord, DecisionRecord, LevelReport, RankLevelRecord, RunMeta, TraceReport,
     MIN_SCHEMA_VERSION, SCHEMA_VERSION,
 };
-pub use ring::EventRing;
 pub use tracer::Tracer;

@@ -1,4 +1,4 @@
-//! The merged, serializable output of a traced run.
+//! The serializable output of a traced run.
 //!
 //! [`TraceReport`] is the superset the three sinks share: the in-memory
 //! structure itself, the versioned JSON exporter
@@ -30,7 +30,8 @@ pub const SCHEMA_VERSION: u32 = 4;
 /// Oldest schema version [`TraceReport::from_json`] still imports.
 pub const MIN_SCHEMA_VERSION: u32 = 1;
 
-/// Identity of a traced run, supplied by the engine at merge time.
+/// Identity of a traced run, supplied by the engine when it finishes the
+/// trace.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RunMeta {
     /// MPI world size (ranks).
@@ -48,7 +49,8 @@ pub struct RunMeta {
 /// One collective cost sample attached to a level.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct CollectiveRecord {
-    /// Level the collective ran in.
+    /// Level the collective ran in (the terminal allreduce carries the
+    /// level that never executed).
     pub level: usize,
     /// Which operation.
     pub kind: CollectiveKind,
@@ -67,7 +69,8 @@ pub struct RankLevelRecord {
     pub discovered: u64,
     /// Edges scanned (CSR adjacency entries touched).
     pub edges_scanned: u64,
-    /// Summary-bitmap word probes issued.
+    /// Summary-bitmap word probes issued (each zero result saved a full
+    /// `in_queue` word load — the Section III.C instrument).
     pub summary_probes: u64,
     /// `in_queue` bitmap probes issued.
     pub inqueue_probes: u64,
@@ -147,7 +150,7 @@ impl LevelReport {
     }
 }
 
-/// The merged output of a traced run.
+/// The output of a traced run.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct TraceReport {
     /// JSON layout version ([`SCHEMA_VERSION`]).
@@ -161,11 +164,11 @@ pub struct TraceReport {
     /// Collectives that ran outside any committed level (the terminal
     /// allreduce that detected the empty frontier).
     pub post_collectives: Vec<CollectiveRecord>,
-    /// Events lost to ring overwrites (0 unless a ring was undersized).
+    /// Always 0: the tracer keeps every record. Kept so schema-v4
+    /// readers that check it still load.
     pub dropped_events: u64,
-    /// Injected faults and how they resolved, in deterministic order
-    /// (control ring first, then rank rings in rank order). Empty for
-    /// fault-free runs and for imported v1 reports.
+    /// Injected faults and how they resolved, in recording order. Empty
+    /// for fault-free runs and for imported v1 reports.
     #[serde(default)]
     pub faults: Vec<FaultRecord>,
     /// Per-lane records of batched multi-source waves, in recording order

@@ -1,26 +1,37 @@
 //! The recording facade the engines thread through a run.
 //!
-//! A [`Tracer`] is either off (`inner: None`) or holds one control-plane
-//! ring plus one ring per rank. The engines drive simulated ranks from a
-//! single thread (rayon parallelism lives *inside* kernels, which do not
-//! record), so no synchronization is needed: recording is an `Option`
-//! check and a ring store.
+//! A [`Tracer`] is either off (`inner: None`) or holds the [`TraceReport`]
+//! it will return, plus the collectives and rank records of the level in
+//! flight. Producers record the report's own record types, so each record
+//! is stored once, where the report keeps it:
+//! [`Tracer::commit_level`] moves the level's records into its
+//! [`LevelReport`], and [`Tracer::finish`] files the collectives of a level
+//! that never committed (the terminal allreduce) under `post_collectives`.
+//! The engines drive simulated ranks from a single thread (rayon
+//! parallelism lives *inside* kernels, which do not record), so recording
+//! is an `Option` check and a push, with no synchronization.
+
+use std::mem;
 
 use crate::config::TraceConfig;
-use crate::event::TraceEvent;
-use crate::report::{RunMeta, TraceReport};
-use crate::ring::EventRing;
+use crate::event::{FaultRecord, QueryRecord};
+use crate::report::{
+    CollectiveRecord, DecisionRecord, LevelReport, RankLevelRecord, RunMeta, TraceReport,
+};
 
-struct Inner {
-    control: EventRing,
-    ranks: Vec<EventRing>,
+struct Recording {
+    report: TraceReport,
+    /// Collectives of the level in flight, in execution order.
+    collectives: Vec<CollectiveRecord>,
+    /// Rank records of the level in flight, in recording (rank) order.
+    ranks: Vec<RankLevelRecord>,
 }
 
 /// Run-event recorder. Construct with [`Tracer::off`] (free) or
-/// [`Tracer::new`]; feed with [`Tracer::record`] / [`Tracer::record_rank`];
-/// merge with [`Tracer::finish`].
+/// [`Tracer::new`]; feed with the record methods and
+/// [`Tracer::commit_level`]; take the report with [`Tracer::finish`].
 pub struct Tracer {
-    inner: Option<Inner>,
+    inner: Option<Recording>,
 }
 
 impl Tracer {
@@ -30,176 +41,105 @@ impl Tracer {
         Tracer { inner: None }
     }
 
-    /// A tracer for `world` ranks per `config`
-    /// ([`TraceConfig::Off`] yields a disabled tracer).
-    pub fn new(config: TraceConfig, world: usize) -> Tracer {
+    /// A tracer per `config` ([`TraceConfig::Off`] yields a disabled
+    /// tracer).
+    pub fn new(config: TraceConfig) -> Tracer {
         if !config.is_enabled() {
             return Tracer::off();
         }
-        let cap = config.ring_capacity();
         Tracer {
-            inner: Some(Inner {
-                control: EventRing::with_capacity(cap),
-                ranks: (0..world).map(|_| EventRing::with_capacity(cap)).collect(),
+            inner: Some(Recording {
+                report: TraceReport::empty(RunMeta::default()),
+                collectives: Vec::new(),
+                ranks: Vec::new(),
             }),
         }
     }
 
-    /// Whether events are being kept. Callers may use this to skip
-    /// building events whose inputs are not otherwise needed.
+    /// Whether records are being kept. Callers may use this to skip
+    /// building records whose inputs are not otherwise needed.
     #[inline]
     pub fn enabled(&self) -> bool {
         self.inner.is_some()
     }
 
-    /// Records a control-plane event (level spans, collectives, decisions).
     // hot-path
+    /// Records an α/β switch decision.
     #[inline]
-    pub fn record(&mut self, ev: TraceEvent) {
-        if let Some(inner) = self.inner.as_mut() {
-            inner.control.push(ev);
+    pub fn decision(&mut self, record: DecisionRecord) {
+        if let Some(rec) = self.inner.as_mut() {
+            rec.report.decisions.push(record);
         }
     }
 
-    /// Records a per-rank event. Out-of-range ranks are ignored rather
-    /// than panicking (the engine owns the world size it was built with).
+    /// Records a collective of the level in flight.
     #[inline]
-    pub fn record_rank(&mut self, rank: usize, ev: TraceEvent) {
-        if let Some(inner) = self.inner.as_mut() {
-            if let Some(ring) = inner.ranks.get_mut(rank) {
-                ring.push(ev);
-            }
+    pub fn collective(&mut self, record: CollectiveRecord) {
+        if let Some(rec) = self.inner.as_mut() {
+            rec.collectives.push(record);
+        }
+    }
+
+    /// Records one rank's counters for the level in flight; call in rank
+    /// order.
+    #[inline]
+    pub fn rank(&mut self, record: RankLevelRecord) {
+        if let Some(rec) = self.inner.as_mut() {
+            rec.ranks.push(record);
+        }
+    }
+
+    /// Records an injected fault and how it resolved.
+    #[inline]
+    pub fn fault(&mut self, record: FaultRecord) {
+        if let Some(rec) = self.inner.as_mut() {
+            rec.report.faults.push(record);
+        }
+    }
+
+    /// Records one query lane of a batched multi-source wave.
+    #[inline]
+    pub fn query(&mut self, record: QueryRecord) {
+        if let Some(rec) = self.inner.as_mut() {
+            rec.report.queries.push(record);
+        }
+    }
+
+    /// Commits a level: appends `level` to the report with the collectives
+    /// and rank records recorded since the last commit (whatever `level`
+    /// carried in those two fields is replaced).
+    #[inline]
+    pub fn commit_level(&mut self, mut level: LevelReport) {
+        if let Some(rec) = self.inner.as_mut() {
+            level.collectives = mem::take(&mut rec.collectives);
+            level.ranks = mem::take(&mut rec.ranks);
+            rec.report.levels.push(level);
         }
     }
     // end-hot-path
 
-    /// Merges the rings into a [`TraceReport`]. A disabled tracer yields
-    /// [`TraceReport::empty`].
+    /// The recorded report, stamped with `meta`. Collectives of a level
+    /// that never committed go to `post_collectives`; its rank records
+    /// have no level to belong to and are discarded. A disabled tracer
+    /// yields [`TraceReport::empty`].
     pub fn finish(self, meta: RunMeta) -> TraceReport {
-        let mut report = TraceReport::empty(meta);
-        let Some(inner) = self.inner else {
-            return report;
+        let Some(rec) = self.inner else {
+            return TraceReport::empty(meta);
         };
-        report.dropped_events =
-            inner.control.dropped() + inner.ranks.iter().map(EventRing::dropped).sum::<u64>();
-
-        // Pass 1: Level events define the committed levels, in order.
-        for ev in inner.control.iter_in_order() {
-            if let TraceEvent::Level {
-                level,
-                direction,
-                discovered,
-                comp,
-                comm,
-                stall,
-                switch,
-                detail,
-                wall_comp_secs,
-            } = *ev
-            {
-                report.levels.push(crate::report::LevelReport {
-                    level,
-                    direction,
-                    discovered,
-                    comp,
-                    comm,
-                    stall,
-                    switch,
-                    detail,
-                    wall_comp_secs,
-                    collectives: Vec::new(),
-                    ranks: Vec::new(),
-                });
-            }
-        }
-
-        // Pass 2: attach collectives (by level) and collect decisions.
-        for ev in inner.control.iter_in_order() {
-            match *ev {
-                TraceEvent::Collective {
-                    level,
-                    kind,
-                    cost,
-                    stats,
-                } => {
-                    let rec = crate::report::CollectiveRecord {
-                        level,
-                        kind,
-                        cost,
-                        stats,
-                    };
-                    match report.levels.iter_mut().find(|l| l.level == level) {
-                        Some(lv) => lv.collectives.push(rec),
-                        None => report.post_collectives.push(rec),
-                    }
-                }
-                TraceEvent::Decision {
-                    level,
-                    prev,
-                    chosen,
-                    m_f,
-                    m_u,
-                    n_f,
-                    n,
-                } => report.decisions.push(crate::report::DecisionRecord {
-                    level,
-                    prev,
-                    chosen,
-                    m_f,
-                    m_u,
-                    n_f,
-                    n,
-                }),
-                TraceEvent::Fault(record) => report.faults.push(record),
-                TraceEvent::Query(record) => report.queries.push(record),
-                _ => {}
-            }
-        }
-
-        // Pass 3: attach per-rank counters (rings are already in rank
-        // order, and each ring is in level order). Faults recorded on rank
-        // rings land after the control-plane ones, still deterministically.
-        for ring in &inner.ranks {
-            for ev in ring.iter_in_order() {
-                match *ev {
-                    TraceEvent::RankLevel {
-                        level,
-                        rank,
-                        discovered,
-                        edges_scanned,
-                        summary_probes,
-                        inqueue_probes,
-                        write_bytes,
-                        comp,
-                    } => {
-                        if let Some(lv) = report.levels.iter_mut().find(|l| l.level == level) {
-                            lv.ranks.push(crate::report::RankLevelRecord {
-                                rank,
-                                discovered,
-                                edges_scanned,
-                                summary_probes,
-                                inqueue_probes,
-                                write_bytes,
-                                comp,
-                            });
-                        }
-                    }
-                    TraceEvent::Fault(record) => report.faults.push(record),
-                    _ => {}
-                }
-            }
-        }
+        let mut report = rec.report;
+        report.meta = meta;
+        report.post_collectives = rec.collectives;
         report
     }
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::cast_possible_truncation)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use crate::cost::CommCost;
     use crate::direction::Direction;
-    use crate::event::{CollectiveKind, CollectiveStats};
+    use crate::event::{CollectiveKind, CollectiveStats, FaultKind, FaultOp};
     use nbfs_util::SimTime;
 
     fn meta() -> RunMeta {
@@ -212,8 +152,8 @@ mod tests {
         }
     }
 
-    fn level_event(level: usize) -> TraceEvent {
-        TraceEvent::Level {
+    fn level(level: usize) -> LevelReport {
+        LevelReport {
             level,
             direction: Direction::TopDown,
             discovered: 5,
@@ -223,30 +163,53 @@ mod tests {
             switch: SimTime::ZERO,
             detail: CommCost::ZERO,
             wall_comp_secs: 0.0,
+            collectives: Vec::new(),
+            ranks: Vec::new(),
+        }
+    }
+
+    fn allreduce(level: usize) -> CollectiveRecord {
+        CollectiveRecord {
+            level,
+            kind: CollectiveKind::Allreduce,
+            cost: CommCost::ZERO,
+            stats: CollectiveStats::ZERO,
+        }
+    }
+
+    fn rank(rank: usize) -> RankLevelRecord {
+        RankLevelRecord {
+            rank,
+            discovered: 2,
+            edges_scanned: 8,
+            summary_probes: 1,
+            inqueue_probes: 1,
+            write_bytes: 16,
+            comp: SimTime::from_millis(1.0),
         }
     }
 
     #[test]
-    fn off_tracer_records_nothing_and_is_cheap() {
+    fn off_tracer_records_nothing() {
         let mut t = Tracer::off();
         assert!(!t.enabled());
-        t.record(level_event(0));
-        t.record_rank(0, level_event(0));
+        t.collective(allreduce(0));
+        t.rank(rank(0));
+        t.commit_level(level(0));
         let r = t.finish(meta());
-        assert!(r.levels.is_empty());
-        assert_eq!(r.dropped_events, 0);
+        assert_eq!(r, TraceReport::empty(meta()));
     }
 
     #[test]
     fn off_config_yields_disabled_tracer() {
-        assert!(!Tracer::new(TraceConfig::Off, 4).enabled());
-        assert!(Tracer::new(TraceConfig::Standard, 4).enabled());
+        assert!(!Tracer::new(TraceConfig::Off).enabled());
+        assert!(Tracer::new(TraceConfig::Standard).enabled());
     }
 
     #[test]
-    fn merge_groups_by_level() {
-        let mut t = Tracer::new(TraceConfig::Ring(64), 2);
-        t.record(TraceEvent::Decision {
+    fn commit_moves_the_level_in_flight() {
+        let mut t = Tracer::new(TraceConfig::Standard);
+        t.decision(DecisionRecord {
             level: 0,
             prev: Direction::TopDown,
             chosen: Direction::TopDown,
@@ -255,53 +218,44 @@ mod tests {
             n_f: 1,
             n: 64,
         });
-        t.record(TraceEvent::Collective {
-            level: 0,
-            kind: CollectiveKind::Allreduce,
-            cost: CommCost::ZERO,
-            stats: CollectiveStats::ZERO,
-        });
-        for rank in 0..2usize {
-            t.record_rank(
-                rank,
-                TraceEvent::RankLevel {
-                    level: 0,
-                    rank,
-                    discovered: 2,
-                    edges_scanned: 8,
-                    summary_probes: 1,
-                    inqueue_probes: 1,
-                    write_bytes: 16,
-                    comp: SimTime::from_millis(1.0),
-                },
-            );
-        }
-        t.record(level_event(0));
+        t.collective(allreduce(0));
+        t.rank(rank(0));
+        t.rank(rank(1));
+        t.commit_level(level(0));
         // Terminal allreduce: level 1 never commits.
-        t.record(TraceEvent::Collective {
-            level: 1,
-            kind: CollectiveKind::Allreduce,
-            cost: CommCost::ZERO,
-            stats: CollectiveStats::ZERO,
-        });
+        t.collective(allreduce(1));
         let r = t.finish(meta());
+        assert_eq!(r.meta, meta());
         assert_eq!(r.levels.len(), 1);
         assert_eq!(r.decisions.len(), 1);
-        assert_eq!(r.levels[0].collectives.len(), 1);
-        assert_eq!(r.levels[0].ranks.len(), 2);
-        assert_eq!(r.levels[0].ranks[1].rank, 1);
-        assert_eq!(r.post_collectives.len(), 1);
-        assert_eq!(r.post_collectives[0].level, 1);
-        assert_eq!(r.dropped_events, 0);
+        assert_eq!(r.levels[0].collectives, vec![allreduce(0)]);
+        assert_eq!(r.levels[0].ranks, vec![rank(0), rank(1)]);
+        assert_eq!(r.post_collectives, vec![allreduce(1)]);
     }
 
     #[test]
-    fn fault_events_merge_control_first_then_ranks() {
-        use crate::event::{FaultKind, FaultOp, FaultRecord};
-        let rec = |src: usize| FaultRecord {
+    fn every_level_is_kept() {
+        let mut t = Tracer::new(TraceConfig::Standard);
+        for i in 0..10_000 {
+            t.collective(allreduce(i));
+            t.commit_level(level(i));
+        }
+        let r = t.finish(meta());
+        assert_eq!(r.levels.len(), 10_000);
+        assert!(r
+            .levels
+            .iter()
+            .enumerate()
+            .all(|(i, lv)| lv.level == i && lv.collectives == [allreduce(i)]));
+        assert!(r.post_collectives.is_empty());
+    }
+
+    #[test]
+    fn faults_and_queries_keep_recording_order() {
+        let fault = |src: usize| FaultRecord {
             level: 0,
             kind: FaultKind::Drop,
-            op: FaultOp::P2p,
+            op: FaultOp::Rank,
             src,
             dst: 0,
             tag: 1,
@@ -309,22 +263,12 @@ mod tests {
             recovered: true,
             penalty: SimTime::ZERO,
         };
-        let mut t = Tracer::new(TraceConfig::Ring(8), 2);
-        t.record_rank(1, TraceEvent::Fault(rec(11)));
-        t.record(TraceEvent::Fault(rec(99)));
-        t.record_rank(0, TraceEvent::Fault(rec(10)));
-        t.record(level_event(0));
-        let r = t.finish(meta());
-        let srcs: Vec<usize> = r.faults.iter().map(|f| f.src).collect();
-        assert_eq!(srcs, vec![99, 10, 11]);
-    }
-
-    #[test]
-    fn query_events_merge_in_recording_order() {
-        use crate::event::QueryRecord;
-        let mut t = Tracer::new(TraceConfig::Ring(16), 1);
+        let mut t = Tracer::new(TraceConfig::Standard);
+        for src in [11, 99, 10] {
+            t.fault(fault(src));
+        }
         for lane in 0..4u32 {
-            t.record(TraceEvent::Query(QueryRecord {
+            t.query(QueryRecord {
                 wave: 0,
                 lane,
                 batch: 4,
@@ -333,31 +277,12 @@ mod tests {
                 visited: 100,
                 edges_scanned: 999,
                 wall_secs: 0.0,
-            }));
+            });
         }
         let r = t.finish(meta());
-        assert_eq!(r.queries.len(), 4);
+        let srcs: Vec<usize> = r.faults.iter().map(|f| f.src).collect();
+        assert_eq!(srcs, vec![11, 99, 10]);
         let lanes: Vec<u32> = r.queries.iter().map(|q| q.lane).collect();
         assert_eq!(lanes, vec![0, 1, 2, 3]);
-        assert_eq!(r.queries[3].root, 30);
-    }
-
-    #[test]
-    fn out_of_range_rank_is_ignored() {
-        let mut t = Tracer::new(TraceConfig::Ring(8), 1);
-        t.record_rank(5, level_event(0));
-        let r = t.finish(meta());
-        assert!(r.levels.is_empty());
-    }
-
-    #[test]
-    fn dropped_events_are_summed() {
-        let mut t = Tracer::new(TraceConfig::Ring(2), 1);
-        for i in 0..5 {
-            t.record(level_event(i));
-        }
-        let r = t.finish(meta());
-        assert_eq!(r.dropped_events, 3);
-        assert_eq!(r.levels.len(), 2);
     }
 }

@@ -129,13 +129,6 @@ impl AtomicBitmap {
         }
     }
 
-    /// Copies a plain word slice into the range starting at `word_start`.
-    pub fn import_words(&self, word_start: usize, src: &[u64]) {
-        for (i, &s) in src.iter().enumerate() {
-            self.words[word_start + i].store(s, Ordering::Relaxed);
-        }
-    }
-
     /// Snapshot into an owned, non-atomic [`Bitmap`].
     pub fn snapshot(&self) -> Bitmap {
         let mut bm = Bitmap::new(self.len_bits);
@@ -143,15 +136,6 @@ impl AtomicBitmap {
             bm.words_mut()[i] = w.load(Ordering::Relaxed);
         }
         bm
-    }
-
-    /// Builds an atomic bitmap from a plain one.
-    pub fn from_bitmap(bm: &Bitmap) -> Self {
-        let out = Self::new(bm.len());
-        for (i, &w) in bm.words().iter().enumerate() {
-            out.words[i].store(w, Ordering::Relaxed);
-        }
-        out
     }
 }
 
@@ -190,15 +174,13 @@ mod tests {
         bm.set(129);
         let snap = bm.snapshot();
         assert_eq!(snap.iter_ones().collect::<Vec<_>>(), vec![0, 64, 129]);
-        let back = AtomicBitmap::from_bitmap(&snap);
-        assert_eq!(back.count_ones(), 3);
-        assert!(back.get(129));
     }
 
     #[test]
-    fn export_import_words_disjoint_segments() {
+    fn export_words_reads_one_segment() {
         let bm = AtomicBitmap::new(256);
-        bm.import_words(1, &[0xdead, 0xbeef]);
+        bm.store_word(1, 0xdead);
+        bm.store_word(2, 0xbeef);
         let mut out = [0u64; 2];
         bm.export_words(1, &mut out);
         assert_eq!(out, [0xdead, 0xbeef]);

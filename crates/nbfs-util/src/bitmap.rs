@@ -127,11 +127,6 @@ impl Bitmap {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// `true` when no bit is set.
-    pub fn all_zero(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-
     /// Bitwise OR of `other` into `self`. Lengths must match.
     pub fn or_assign(&mut self, other: &Bitmap) {
         assert_eq!(self.len_bits, other.len_bits, "bitmap length mismatch");
@@ -384,7 +379,6 @@ mod tests {
         let bm = Bitmap::new(130);
         assert_eq!(bm.len(), 130);
         assert_eq!(bm.word_len(), 3);
-        assert!(bm.all_zero());
         assert_eq!(bm.count_ones(), 0);
     }
 

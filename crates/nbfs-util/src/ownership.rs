@@ -97,11 +97,6 @@ impl BlockPartition {
         debug_assert!(local < end - start, "local {local} out of part {part}");
         start + local
     }
-
-    /// Largest number of items any part owns (load-balance bound).
-    pub fn max_items(&self) -> usize {
-        (0..self.parts).map(|p| self.items_of(p)).max().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -167,16 +162,6 @@ mod tests {
         for rank in 2..16 {
             assert_eq!(part.items_of(rank), 0, "rank {rank} should be empty");
         }
-    }
-
-    #[test]
-    fn max_items_bounds_all_parts() {
-        let part = BlockPartition::new(123_456, 9);
-        let max = part.max_items();
-        for rank in 0..9 {
-            assert!(part.items_of(rank) <= max);
-        }
-        assert!(max >= 123_456 / 9);
     }
 
     #[test]

@@ -65,12 +65,6 @@ impl SimTime {
         self.0 * 1e6
     }
 
-    /// Value in nanoseconds.
-    #[inline]
-    pub fn as_nanos(self) -> f64 {
-        self.0 * 1e9
-    }
-
     /// The later of two instants.
     #[inline]
     pub fn max(self, other: SimTime) -> SimTime {
@@ -170,7 +164,6 @@ mod tests {
     fn construction_and_conversion() {
         assert!((SimTime::from_millis(1.5).as_micros() - 1500.0).abs() < 1e-9);
         assert!((SimTime::from_nanos(100.0).as_secs() - 1e-7).abs() < 1e-18);
-        assert!((SimTime::from_micros(2.0).as_nanos() - 2000.0).abs() < 1e-9);
     }
 
     #[test]

@@ -53,12 +53,6 @@ pub fn unzigzag(value: u64) -> i64 {
     ((value >> 1) as i64) ^ -((value & 1) as i64)
 }
 
-/// Number of bytes [`push_varint`] emits for `value`.
-pub fn varint_len(value: u64) -> usize {
-    // ceil(bits / 7) with a one-byte floor for zero.
-    (64 - value.leading_zeros() as usize).max(1).div_ceil(7)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,14 +91,5 @@ mod tests {
         // Small magnitudes stay small: the codec depends on this.
         assert!(zigzag(-1) < 0x80);
         assert!(zigzag(1) < 0x80);
-    }
-
-    #[test]
-    fn varint_len_matches_encoder() {
-        for v in [0u64, 1, 0x7f, 0x80, 0x3fff, 0x4000, u64::MAX] {
-            let mut buf = Vec::new();
-            push_varint(&mut buf, v);
-            assert_eq!(varint_len(v), buf.len(), "value {v:#x}");
-        }
     }
 }

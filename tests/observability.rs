@@ -16,13 +16,27 @@ use numa_bfs::core::opt::OptLevel;
 use numa_bfs::core::par::bfs_hybrid_parallel_traced;
 use numa_bfs::core::profile::{Phase, RunProfile};
 use numa_bfs::core::query::SearchEngine;
-use numa_bfs::graph::{Csr, GraphBuilder};
+use numa_bfs::graph::{Csr, Edge, EdgeList, GraphBuilder};
 use numa_bfs::simnet::compute::ModelParams;
 use numa_bfs::topology::{presets, MachineConfig};
 use numa_bfs::trace::{FaultKind, FaultOp, TraceConfig, TraceReport, SCHEMA_VERSION};
 
 fn graph() -> Csr {
     GraphBuilder::rmat(11, 8).seed(5).build()
+}
+
+/// The path `0 - 1 - … - n-1`: searched from 0 it commits `n` levels, far
+/// more than any R-MAT search, so a tracer that loses levels shows here.
+fn path(n: usize) -> Csr {
+    Csr::from_edge_list(&EdgeList::new(
+        n,
+        (0..n - 1).map(|v| Edge::new(v, v + 1)).collect(),
+    ))
+}
+
+/// The projection inputs: an R-MAT graph and a 1,500-level path.
+fn inputs() -> [(&'static str, Csr); 2] {
+    [("rmat", graph()), ("path", path(1500))]
 }
 
 /// Bitwise (not approximate) equality of two profiles: every phase slice,
@@ -65,16 +79,22 @@ fn assert_profiles_bitwise(projected: &RunProfile, engine: &RunProfile, context:
 
 #[test]
 fn trace_projection_is_bitwise_exact_across_the_ladder() {
-    let g = graph();
     let machine = presets::xeon_x7550_cluster(2).scaled_to_graph(11, 28);
-    for opt in OptLevel::LADDER {
-        let scenario = Scenario::builder(machine.clone(), opt)
-            .trace(TraceConfig::Standard)
-            .build()
-            .unwrap();
-        let (run, report) = DistributedBfs::new(&g, &scenario).run_traced(0);
-        assert_eq!(report.dropped_events, 0, "{}", opt.label());
-        assert_profiles_bitwise(&report.run_profile(), &run.profile, &opt.label());
+    for (input, g) in inputs() {
+        for opt in OptLevel::LADDER {
+            let scenario = Scenario::builder(machine.clone(), opt)
+                .trace(TraceConfig::Standard)
+                .build()
+                .unwrap();
+            let (run, report) = DistributedBfs::new(&g, &scenario).run_traced(0);
+            let context = format!("{input} {}", opt.label());
+            assert_eq!(
+                report.levels.len(),
+                run.profile.levels.len(),
+                "{context}: level count"
+            );
+            assert_profiles_bitwise(&report.run_profile(), &run.profile, &context);
+        }
     }
 }
 
@@ -90,44 +110,52 @@ impl HostClock for CountingClock {
 
 #[test]
 fn trace_projection_is_bitwise_exact_for_2d_engine() {
-    let g = graph();
     let stall = FaultPlan::new(11).spec(FaultSpec::new(
         FaultKind::Stall,
         FaultScope::any().op(FaultOp::Rank),
     ));
-    for (context, plan) in [("2d", None), ("2d under stalls", Some(stall))] {
-        let mut builder = Scenario::builder(
-            MachineConfig::small_test_cluster(2, 2),
-            OptLevel::OriginalPpn8,
-        )
-        .trace(TraceConfig::Standard);
-        if let Some(plan) = plan {
-            builder = builder.faults(plan);
-        }
-        let scenario = builder.build().unwrap();
-        let engines: [&dyn SearchEngine; 2] = [
-            &TwoDimBfs::new(&g, &scenario),
-            &DistributedBfs::new(&g, &scenario),
-        ];
-        for engine in engines {
-            let clock = CountingClock(std::cell::Cell::new(0.0));
-            let Search { run, wall, report } = engine.search(0, &clock).unwrap();
-            // Penalties flow through the accumulators the Level events
-            // carry, so the projection stays exact with them.
-            assert_eq!(report.faults.is_empty(), !context.contains("stalls"));
-            assert_profiles_bitwise(&report.run_profile(), &run.profile, context);
-            // Both engines time their kernels through the one driver: two
-            // clock reads a level, and every level is one or the other.
-            assert_eq!(
-                (wall.bottom_up_levels + wall.top_down_levels) as usize,
-                run.profile.levels.len(),
-                "{context}"
-            );
-            assert_eq!(
-                wall.bottom_up_secs + wall.top_down_secs,
-                run.profile.levels.len() as f64,
-                "{context}"
-            );
+    for (input, g) in inputs() {
+        for (plan_label, plan) in [("2d", None), ("2d under stalls", Some(stall.clone()))] {
+            let context = format!("{input} {plan_label}");
+            let mut builder = Scenario::builder(
+                MachineConfig::small_test_cluster(2, 2),
+                OptLevel::OriginalPpn8,
+            )
+            .trace(TraceConfig::Standard);
+            if let Some(plan) = plan {
+                builder = builder.faults(plan);
+            }
+            let scenario = builder.build().unwrap();
+            let engines: [&dyn SearchEngine; 2] = [
+                &TwoDimBfs::new(&g, &scenario),
+                &DistributedBfs::new(&g, &scenario),
+            ];
+            for engine in engines {
+                let clock = CountingClock(std::cell::Cell::new(0.0));
+                let Search { run, wall, report } = engine.search(0, &clock).unwrap();
+                // Penalties flow through the accumulators the committed
+                // levels carry, so the projection stays exact with them.
+                assert_eq!(report.faults.is_empty(), !context.contains("stalls"));
+                assert_eq!(
+                    report.levels.len(),
+                    run.profile.levels.len(),
+                    "{context}: level count"
+                );
+                assert_profiles_bitwise(&report.run_profile(), &run.profile, &context);
+                // Both engines time their kernels through the one driver:
+                // two clock reads a level, and every level is one or the
+                // other.
+                assert_eq!(
+                    (wall.bottom_up_levels + wall.top_down_levels) as usize,
+                    run.profile.levels.len(),
+                    "{context}"
+                );
+                assert_eq!(
+                    wall.bottom_up_secs + wall.top_down_secs,
+                    run.profile.levels.len() as f64,
+                    "{context}"
+                );
+            }
         }
     }
 }
