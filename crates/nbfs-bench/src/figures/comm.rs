@@ -2,7 +2,7 @@
 
 use nbfs_core::engine::{DistributedBfs, Scenario};
 use nbfs_core::opt::OptLevel;
-use nbfs_core::profile::RunProfile;
+use nbfs_trace::RunProfile;
 
 use crate::report::Unit::{Ratio, Share};
 use crate::report::{above, below, FigureReport};

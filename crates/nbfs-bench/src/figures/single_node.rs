@@ -3,8 +3,8 @@
 
 use nbfs_core::engine::{DistributedBfs, Scenario};
 use nbfs_core::opt::OptLevel;
-use nbfs_core::profile::Phase;
 use nbfs_topology::{presets, MachineConfig, PlacementPolicy};
+use nbfs_trace::Phase;
 
 use crate::figures::{ratio_cell, teps_cell};
 use crate::report::{above, FigureReport, Unit::Ratio};

@@ -37,13 +37,12 @@ use nbfs_core::engine::{DistributedBfs, NoClock, Scenario, Search};
 use nbfs_core::engine2d::TwoDimBfs;
 use nbfs_core::harness::{Graph500Harness, HarnessConfig};
 use nbfs_core::opt::OptLevel;
-use nbfs_core::profile::{Phase, RunProfile};
 use nbfs_core::query::{QueryEngine, SearchBackend, SearchEngine};
 use nbfs_graph::stats::DegreeStats;
 use nbfs_graph::{io, CompressedCsr, Csr, GraphBuilder, GraphView};
 use nbfs_simnet::Residence;
 use nbfs_topology::presets;
-use nbfs_trace::{CollectiveKind, CollectiveStats, FaultKind, TraceConfig};
+use nbfs_trace::{CollectiveKind, CollectiveStats, FaultKind, Phase, RunProfile, TraceConfig};
 use nbfs_util::stats::format_teps;
 use nbfs_util::units::format_bytes;
 use nbfs_util::NbfsError;

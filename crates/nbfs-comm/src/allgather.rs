@@ -27,12 +27,11 @@
 
 use nbfs_simnet::{Flow, NetworkModel};
 use nbfs_topology::ProcessMap;
-use nbfs_trace::CollectiveStats;
+use nbfs_trace::{CollectiveStats, CommCost};
 use nbfs_util::SimTime;
 use serde::{Deserialize, Serialize};
 
 use crate::fault::FaultEdge;
-use crate::profile::CommCost;
 
 /// The allgather algorithm ladder (see crate docs for the paper mapping).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]

@@ -8,11 +8,10 @@
 
 use nbfs_simnet::{Flow, FlowRoundSummary, NetworkModel};
 use nbfs_topology::ProcessMap;
-use nbfs_trace::CollectiveStats;
+use nbfs_trace::{CollectiveStats, CommCost};
 use nbfs_util::SimTime;
 
 use crate::codec::Codec;
-use crate::profile::CommCost;
 
 /// Reusable staging for [`alltoallv_pairs_codec_into`]: the receive
 /// inboxes, the per-message transfer list and the encode buffer.

@@ -18,12 +18,11 @@ use serde::{Deserialize, Serialize};
 
 use nbfs_simnet::NetworkModel;
 use nbfs_topology::ProcessMap;
-use nbfs_trace::CollectiveStats;
+use nbfs_trace::{CollectiveStats, CommCost};
 use nbfs_util::varint::{push_varint, read_varint, unzigzag, zigzag};
 
 use crate::allgather::{allgather_sizes, concat_into, AllgatherAlgorithm};
 use crate::fault::FaultEdge;
-use crate::profile::CommCost;
 
 /// Which codec a collective payload goes through. The enum is the
 /// selector carried by scenarios / CLI flags; [`Codec::implementation`]

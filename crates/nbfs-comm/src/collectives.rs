@@ -7,11 +7,10 @@
 
 use nbfs_simnet::NetworkModel;
 use nbfs_topology::ProcessMap;
-use nbfs_trace::CollectiveStats;
+use nbfs_trace::{CollectiveStats, CommCost};
 use nbfs_util::SimTime;
 
 use crate::fault::FaultEdge;
-use crate::profile::CommCost;
 
 /// Result of an allreduce.
 #[derive(Clone, Debug, PartialEq)]

@@ -21,10 +21,8 @@
 //! ([`NbfsError::Fault`] / [`NbfsError::RankFailed`]) carrying the failing
 //! edge and level.
 
-use nbfs_trace::{CollectiveKind, CollectiveStats, FaultKind, FaultOp, FaultRecord};
+use nbfs_trace::{CollectiveKind, CollectiveStats, CommCost, FaultKind, FaultOp, FaultRecord};
 use nbfs_util::{rng, NbfsError, SimTime};
-
-use crate::profile::CommCost;
 
 /// Tag field of whole-rank fault sites. Fault fates hash the site,
 /// including this field, so changing it would reshuffle every seeded
@@ -248,8 +246,7 @@ impl FaultSite {
     /// Stable mixing key for the fate draw.
     fn key(&self) -> u64 {
         let op_code = match self.op {
-            // `P2p` has no producer; its code stays reserved.
-            FaultOp::P2p => 1,
+            // Code 1 stays reserved (it keyed point-to-point sends).
             FaultOp::Rank => 2,
             FaultOp::Collective(kind) => kind
                 .label()
@@ -285,11 +282,6 @@ impl FaultAdjustment {
     /// No faults fired.
     pub fn clean() -> FaultAdjustment {
         FaultAdjustment::default()
-    }
-
-    /// Whether nothing happened.
-    pub fn is_clean(&self) -> bool {
-        self.records.is_empty() && self.failure.is_none()
     }
 
     fn push(&mut self, record: FaultRecord) {
@@ -654,7 +646,7 @@ mod tests {
     fn uncovered_ops_short_circuit() {
         let plan = FaultPlan::new(9).spec(FaultSpec::new(
             FaultKind::Drop,
-            FaultScope::any().op(FaultOp::P2p),
+            FaultScope::any().op(FaultOp::Collective(CollectiveKind::Expand2d)),
         ));
         let edges = ring_edges(8);
         let (cost, stats) = unit_cost(7);
@@ -666,7 +658,8 @@ mod tests {
             &cost,
             &stats,
         );
-        assert!(adj.is_clean());
-        assert!(inject_rank_faults(&plan, 0, 8).is_clean());
+        assert!(adj.records.is_empty() && adj.failure.is_none());
+        let rank = inject_rank_faults(&plan, 0, 8);
+        assert!(rank.records.is_empty() && rank.failure.is_none());
     }
 }

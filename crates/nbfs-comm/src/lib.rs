@@ -25,8 +25,10 @@
 //!   accounting (Lv et al., arXiv:1208.5542).
 //! * [`fault`] — deterministic seeded fault injection over the edge
 //!   schedules the collectives' walks list.
-//! * [`profile`] — the per-step time split (intra-node gather, inter-node
-//!   exchange, intra-node broadcast) that Figs. 6 and 13 report.
+//!
+//! Each collective's cost is an [`nbfs_trace::CommCost`]: the per-step
+//! time split (intra-node gather, inter-node exchange, intra-node
+//! broadcast) that Figs. 6 and 13 report.
 
 #![forbid(unsafe_code)]
 // Library code propagates errors; a panic that encodes an invariant says
@@ -39,9 +41,7 @@ pub mod alltoallv;
 pub mod codec;
 pub mod collectives;
 pub mod fault;
-pub mod profile;
 
 pub use allgather::{allgather_cost_bytes, AllgatherAlgorithm};
 pub use codec::{Codec, CodecWorkspace, FrontierCodec};
 pub use fault::{FaultAdjustment, FaultPlan, FaultScope, FaultSpec};
-pub use profile::CommCost;

@@ -21,10 +21,9 @@
 use nbfs_comm::allgather::{allgather_sizes, AllgatherAlgorithm};
 use nbfs_comm::collectives::allreduce_sum;
 use nbfs_comm::fault::FaultEdge;
-use nbfs_comm::CommCost;
 use nbfs_simnet::NetworkModel;
 use nbfs_topology::{presets, PlacementPolicy, ProcessMap};
-use nbfs_trace::CollectiveStats;
+use nbfs_trace::{CollectiveStats, CommCost};
 
 /// The allgather algorithms an `OptLevel` or a figure uses.
 const ALGOS: [AllgatherAlgorithm; 5] = [

@@ -7,7 +7,7 @@
 //! per-rank computation time; the frontier reassembly goes through the
 //! `nbfs-comm` collective whose algorithm the chosen [`OptLevel`] dictates.
 //! Per-level times accumulate into the Fig. 11 breakdown
-//! ([`crate::profile::RunProfile`]).
+//! ([`RunProfile`]).
 //!
 //! Bottom-up rank kernels execute in parallel via rayon for wall-clock
 //! speed; a top-down level is one serial walk over the frontier's arcs.
@@ -27,14 +27,13 @@ use nbfs_graph::{vid, Csr, GraphView, PartitionedGraph, NO_PARENT};
 use nbfs_simnet::compute::{ModelParams, ProbeClass};
 use nbfs_simnet::{ComputeEvents, NetworkModel, Residence};
 use nbfs_topology::{MachineConfig, PlacementPolicy, ProcessMap};
-use nbfs_trace::{CollectiveKind, CollectiveStats, CommCost, TraceConfig, TraceReport};
+use nbfs_trace::{CollectiveKind, CollectiveStats, CommCost, RunProfile, TraceConfig, TraceReport};
 use nbfs_util::{Bitmap, NbfsError, SummaryBitmap, WORD_BITS};
 
 use crate::direction::{Direction, SwitchPolicy};
 use crate::grain;
 use crate::level::{self, fault_free, Env, Exchange, Level, Owned};
 use crate::opt::OptLevel;
-use crate::profile::RunProfile;
 
 pub use crate::level::Search;
 
@@ -599,11 +598,10 @@ impl<'g, G: GraphView> DistributedBfs<'g, G> {
     /// not matter), and the run's events recorded per the scenario's
     /// [`TraceConfig`]. Faults are injected per [`Scenario::faults`].
     ///
-    /// The report's [`TraceReport::run_profile`] projection reproduces
-    /// `run.profile` bit for bit: each level's times are committed from
-    /// per-level accumulators and recorded, the same values, in the
-    /// level's trace `LevelReport`. Fault penalties flow through those same
-    /// accumulators, so the invariant holds for faulted runs too.
+    /// `run.profile` is the report's [`TraceReport::run_profile`]: each
+    /// level's times are committed once, in the level's `LevelReport`,
+    /// which every [`TraceConfig`] keeps. Fault penalties flow through the
+    /// same per-level accumulators, so faulted runs are no exception.
     ///
     /// # Errors
     /// [`NbfsError::Config`] when `root` is not a vertex;
@@ -613,8 +611,8 @@ impl<'g, G: GraphView> DistributedBfs<'g, G> {
         self.drive(root, clock, self.scenario.trace)
     }
 
-    /// [`Self::search`] without a clock or a recording, for scenarios that
-    /// cannot fail.
+    /// [`Self::search`] without a clock or a detailed trace, for scenarios
+    /// that cannot fail.
     ///
     /// # Panics
     /// If `root` is not a vertex, or the scenario carries a [`FaultPlan`]
@@ -634,8 +632,8 @@ impl<'g, G: GraphView> DistributedBfs<'g, G> {
         (search.run, search.report)
     }
 
-    /// [`Self::search`] without a recording, for scenarios that cannot
-    /// fail.
+    /// [`Self::search`] without a detailed trace, for scenarios that
+    /// cannot fail.
     ///
     /// # Panics
     /// As [`Self::run`].

@@ -433,8 +433,8 @@ impl<'g, G: GraphView> TwoDimBfs<'g, G> {
         self.drive(root, clock, self.scenario.trace)
     }
 
-    /// [`Self::search`] without a clock or a recording, for scenarios that
-    /// cannot fail.
+    /// [`Self::search`] without a clock or a detailed trace, for scenarios
+    /// that cannot fail.
     ///
     /// # Panics
     /// If `root` is not a vertex, or the scenario carries a fault plan

@@ -29,12 +29,12 @@ use serde::{Deserialize, Serialize};
 
 use nbfs_graph::validate::validate_bfs_tree;
 use nbfs_graph::Csr;
+use nbfs_trace::RunProfile;
 use nbfs_util::rng::Xoroshiro128;
 use nbfs_util::stats::RateSummary;
 use nbfs_util::{NbfsError, SimTime};
 
 use crate::engine::BfsRun;
-use crate::profile::RunProfile;
 use crate::query::{QueryEngine, SearchBackend, SearchEngine};
 
 /// Measurement configuration.

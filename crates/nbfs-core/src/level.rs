@@ -4,16 +4,20 @@
 //! its exchange step, and so does this crate: [`search`] owns the level
 //! protocol — root installation, the per-level `(n_f, m_f, m_u)` control
 //! allreduce, the direction decision, the per-level accumulators, the
-//! fault sites, the one profile-commit site with its trace
-//! [`LevelReport`], the [`WallClock`] and the parent assembly — and
+//! fault sites, the one level-commit site with its [`LevelReport`], the
+//! [`WallClock`] and the parent assembly — and
 //! is generic over an [`Exchange`]: the 1-D rank state (allgathers of
 //! `in_queue` / the frontier lists, owner walk) or the 2-D one (column
 //! expand, row fold). An exchange runs one level in one direction and
 //! charges it through the [`Level`] it is handed.
 //!
-//! Every accumulator keeps the operand order the simulated clock was
-//! pinned with (`tests/profile_pins.rs`): an exchange adds a collective's
-//! cost itself, after the fault penalties [`Level::collective`] folded in.
+//! The committed [`LevelReport`]s are the one per-level record: the
+//! tracer keeps them under every [`TraceConfig`], and the run's
+//! [`RunProfile`](nbfs_trace::RunProfile) is
+//! [`TraceReport::run_profile`] of them. Every accumulator keeps the
+//! operand order the simulated clock was pinned with
+//! (`tests/profile_pins.rs`): an exchange adds a collective's cost itself,
+//! after the fault penalties [`Level::collective`] folded in.
 
 use rayon::prelude::*;
 
@@ -36,7 +40,6 @@ use crate::engine::{
     BU_CHUNK_WORDS,
 };
 use crate::grain;
-use crate::profile::{LevelProfile, RunProfile};
 
 /// What one [`DistributedBfs::search`](crate::engine::DistributedBfs::search)
 /// or [`TwoDimBfs::search`](crate::engine2d::TwoDimBfs::search) returns.
@@ -48,9 +51,10 @@ pub struct Search {
     /// search was given (all zero under
     /// [`NoClock`](crate::engine::NoClock)).
     pub wall: WallClock,
-    /// The run's events, recorded per [`Scenario::trace`] (empty when it is
-    /// [`TraceConfig::Off`]). [`TraceReport::run_profile`] reproduces
-    /// `run.profile` bit for bit, fault penalties included.
+    /// The run's committed levels (`run.profile` is
+    /// [`TraceReport::run_profile`] of them, fault penalties included) and,
+    /// under [`TraceConfig::Standard`], its decisions, collectives, rank
+    /// counters and faults.
     pub report: TraceReport,
 }
 
@@ -167,9 +171,8 @@ fn mean_and_stall(times: &[SimTime]) -> (SimTime, SimTime) {
 
 /// Applies one injection site's [`FaultAdjustment`]: every fault is
 /// recorded in the trace, the recovery penalty folds into the caller's
-/// accumulator (the same one the level commit and its trace
-/// [`LevelReport`] read, preserving the profile-projection invariant), and
-/// an unrecoverable fault aborts the run.
+/// accumulator (the one the committed [`LevelReport`] reads, so the
+/// profile carries it), and an unrecoverable fault aborts the run.
 fn apply_faults(
     tracer: &mut Tracer,
     adjustment: FaultAdjustment,
@@ -213,10 +216,10 @@ pub(crate) struct Level<'a> {
 }
 
 impl Level<'_> {
-    /// Whether collective volume statistics have a reader (a recording
-    /// tracer or a fault plan). Exchanges skip computing them otherwise.
+    /// Whether collective volume statistics have a reader (a detailed
+    /// trace or a fault plan). Exchanges skip computing them otherwise.
     pub(crate) fn observed(&self) -> bool {
-        self.tracer.enabled() || self.env.scenario.faults.is_some()
+        self.tracer.detailed() || self.env.scenario.faults.is_some()
     }
 
     /// Where a collective's walk lists its transfer schedule: an empty
@@ -423,7 +426,6 @@ pub(crate) fn search<X: Exchange>(
         own.unexplored_degree -= degree;
     }
 
-    let mut profile = RunProfile::default();
     let mut wall = WallClock::default();
     let mut frontier_counts = vec![0u64; np];
     let mut times: Vec<SimTime> = Vec::with_capacity(np);
@@ -466,7 +468,7 @@ pub(crate) fn search<X: Exchange>(
         // faults resolve before the termination check. That level never
         // commits: the tracer files the record under `post_collectives`,
         // and cost and penalty are discarded with `lv`, so the profile
-        // projection stays exact.
+        // charges neither.
         let mut edges = lv.edge_sink();
         let n_f = allreduce_sum(&frontier_counts, env.pmap, env.net, edges.as_mut());
         lv.collective(CollectiveKind::Allreduce, n_f.cost, n_f.stats, || {
@@ -517,23 +519,15 @@ pub(crate) fn search<X: Exchange>(
         }
 
         // --- level commit (the single write site for the profile) --------
-        // The trace level carries exactly the values committed here, which
-        // is what keeps `TraceReport::run_profile` bitwise-exact.
-        profile.stall += lv.stall;
-        profile.switch += lv.switch;
+        // The committed level is what `TraceReport::run_profile` folds into
+        // the run's profile. Host time stays a running tally.
         match direction {
             Direction::BottomUp => {
-                profile.bu_comp += lv.comp;
-                profile.bu_comm += lv.comm;
-                profile.bu_comm_detail += lv.detail;
-                profile.bu_comm_phases += 1;
                 wall.bottom_up_secs += lv.kernel_secs;
                 wall.bottom_up_levels += 1;
                 wall.bottom_up_edges += lv.bu_edges;
             }
             Direction::TopDown => {
-                profile.td_comp += lv.comp;
-                profile.td_comm += lv.comm;
                 wall.top_down_secs += lv.kernel_secs;
                 wall.top_down_levels += 1;
             }
@@ -551,13 +545,6 @@ pub(crate) fn search<X: Exchange>(
             collectives: Vec::new(),
             ranks: Vec::new(),
         });
-        profile.levels.push(LevelProfile {
-            direction,
-            discovered,
-            comp: lv.comp,
-            comm: lv.comm,
-            stall: lv.stall,
-        });
         prev_direction = Some(direction);
         index += 1;
         if discovered == 0 {
@@ -573,13 +560,14 @@ pub(crate) fn search<X: Exchange>(
     parent.truncate(n);
     let visited = parent.iter().filter(|&&p| p != NO_PARENT).count();
     wall.total_secs = clock.now_secs() - run_start;
+    let report = tracer.finish(run_meta(env, root));
     Ok(Search {
         run: BfsRun {
             parent,
-            profile,
+            profile: report.run_profile(),
             visited,
         },
         wall,
-        report: tracer.finish(run_meta(env, root)),
+        report,
     })
 }

@@ -12,8 +12,8 @@
 //!   real partitioned traversal + counted-work cost model + the collective
 //!   algorithms of `nbfs-comm`; it and [`engine2d`] (the 2-D partitioned
 //!   engine of Section V) are two exchanges under one private level
-//!   driver, so both answer `search` with one contract;
-//! * [`profile`] — the Fig. 11 execution-time breakdown (top-down
+//!   driver, so both answer `search` with one contract and return the
+//!   Fig. 11 execution-time breakdown ([`nbfs_trace::RunProfile`]: top-down
 //!   computation, bottom-up computation, bottom-up communication, switch,
 //!   stall);
 //! * [`harness`] — the Graph500 measurement harness: N random roots,
@@ -40,7 +40,6 @@ mod level;
 pub mod multi;
 pub mod opt;
 pub mod par;
-pub mod profile;
 pub mod query;
 pub mod seq;
 pub mod tuning;
@@ -49,5 +48,4 @@ pub use engine::{BfsRun, DistributedBfs, Scenario, ScenarioBuilder};
 pub use harness::{Graph500Harness, HarnessConfig};
 pub use multi::{LaneAnswer, MultiSourceRun, MultiWorkspace, MAX_LANES};
 pub use opt::OptLevel;
-pub use profile::{Phase, RunProfile};
 pub use query::{BitParallelBackend, EngineStats, QueryBackend, QueryEngine};

@@ -50,11 +50,9 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use rayon::prelude::*;
 
 use nbfs_graph::{vid, Csr, NO_PARENT};
-use nbfs_trace::{CommCost, LevelReport, QueryRecord, RunMeta, TraceConfig, TraceReport, Tracer};
-use nbfs_util::{AtomicBitmap, Bitmap, FrontierArena, FrontierSlot, LaneBitmap, SimTime};
+use nbfs_util::{AtomicBitmap, Bitmap, FrontierArena, FrontierSlot, LaneBitmap};
 
 use crate::direction::{Direction, SwitchPolicy};
-use crate::engine::{HostClock, NoClock};
 use crate::grain;
 
 /// Lanes per wave: one per bit of the per-vertex lane word.
@@ -136,13 +134,6 @@ pub struct LaneAnswer {
     /// Vertices discovered per committed level, ending with the empty
     /// level — the same shape as the single-source engines' level traces.
     pub level_discovered: Vec<u64>,
-}
-
-impl LaneAnswer {
-    /// Committed levels, including the final empty one.
-    pub fn levels(&self) -> usize {
-        self.level_discovered.len()
-    }
 }
 
 /// Result of one bit-parallel wave.
@@ -252,40 +243,6 @@ pub fn multi_source_bfs_in(
     roots: &[usize],
     ws: &mut MultiWorkspace,
 ) -> MultiSourceRun {
-    multi_source_bfs_instrumented(graph, roots, ws, 0, &NoClock, &mut Tracer::off())
-}
-
-/// Like [`multi_source_bfs`], also recording run events: one `LevelReport`
-/// per wave level and one [`QueryRecord`] per lane (schema v4). This
-/// kernel runs for real, so simulated-time fields stay zero and
-/// `wall_comp_secs` carries host seconds when `clock` is a real timer.
-pub fn multi_source_bfs_traced(
-    graph: &Csr,
-    roots: &[usize],
-    trace: TraceConfig,
-    clock: &dyn HostClock,
-) -> (MultiSourceRun, TraceReport) {
-    let mut tracer = Tracer::new(trace);
-    let mut ws = MultiWorkspace::new();
-    let run = multi_source_bfs_instrumented(graph, roots, &mut ws, 0, clock, &mut tracer);
-    let meta = RunMeta {
-        world: 1,
-        nodes: 1,
-        ppn: 1,
-        opt_label: "multi-source".to_string(),
-        root: roots.first().map_or(0, |&r| r as u64),
-    };
-    (run, tracer.finish(meta))
-}
-
-pub(crate) fn multi_source_bfs_instrumented(
-    graph: &Csr,
-    roots: &[usize],
-    ws: &mut MultiWorkspace,
-    wave: u64,
-    clock: &dyn HostClock,
-    tracer: &mut Tracer,
-) -> MultiSourceRun {
     let n = graph.num_vertices();
     let lanes = roots.len();
     assert!(
@@ -295,7 +252,6 @@ pub(crate) fn multi_source_bfs_instrumented(
     for &root in roots {
         assert!(root < n, "root {root} out of range");
     }
-    let wave_start = clock.now_secs();
     ws.prepare(n, lanes);
 
     // Root installation: lane l starts at roots[l]. Duplicate roots simply
@@ -353,7 +309,6 @@ pub(crate) fn multi_source_bfs_instrumented(
         let next = &ws.next;
         let touched = &ws.touched;
         let parent = &ws.parent;
-        let level_start = clock.now_secs();
         direction = policy.choose(direction, m_f, m_u, ws.active.len() as u64, n as u64);
         let chunks = ws.active.len().div_ceil(CHUNK);
 
@@ -536,7 +491,6 @@ pub(crate) fn multi_source_bfs_instrumented(
         drop(filled);
         std::mem::swap(&mut ws.cur, &mut ws.next);
 
-        let discovered: u64 = level_counts.iter().sum();
         let mut rec = recording;
         while rec != 0 {
             let lane = rec.trailing_zeros() as usize;
@@ -546,25 +500,10 @@ pub(crate) fn multi_source_bfs_instrumented(
                 recording &= !(1u64 << lane);
             }
         }
-        tracer.commit_level(LevelReport {
-            level: wave_levels,
-            direction,
-            discovered,
-            comp: SimTime::ZERO,
-            comm: SimTime::ZERO,
-            stall: SimTime::ZERO,
-            switch: SimTime::ZERO,
-            detail: CommCost::ZERO,
-            wall_comp_secs: clock.now_secs() - level_start,
-            collectives: Vec::new(),
-            ranks: Vec::new(),
-        });
         wave_levels += 1;
     }
 
     // --- deterministic per-lane unpack -----------------------------------
-    let edges_scanned = edges.load(Ordering::Relaxed);
-    let wall_secs = clock.now_secs() - wave_start;
     let parent = &ws.parent;
     // Each lane owns a contiguous column of the lane-major table, so the
     // unpack is a parallel sequential copy (rayon's indexed collect
@@ -592,28 +531,10 @@ pub(crate) fn multi_source_bfs_instrumented(
         })
         .collect();
     ws.parent_dirty = false;
-    if tracer.enabled() {
-        for (lane, answer) in lanes_out.iter().enumerate() {
-            #[expect(
-                clippy::cast_possible_truncation,
-                reason = "lanes <= MAX_LANES and a search has fewer levels than its u32-id vertices"
-            )]
-            tracer.query(QueryRecord {
-                wave,
-                lane: lane as u32,
-                batch: lanes as u32,
-                root: answer.root as u64,
-                levels: answer.levels() as u32,
-                visited: answer.visited,
-                edges_scanned,
-                wall_secs,
-            });
-        }
-    }
     MultiSourceRun {
         lanes: lanes_out,
         wave_levels,
-        edges_scanned,
+        edges_scanned: edges.load(Ordering::Relaxed),
     }
 }
 
@@ -768,26 +689,6 @@ mod tests {
                 assert_eq!(answer, &baseline.lanes[lane], "threads={threads}");
             }
         }
-    }
-
-    #[test]
-    fn traced_wave_emits_one_query_record_per_lane() {
-        let g = graph();
-        let roots = sample_roots(&g, 5, 2);
-        let (run, report) =
-            multi_source_bfs_traced(&g, &roots, nbfs_trace::TraceConfig::Standard, &NoClock);
-        assert_eq!(report.queries.len(), 5);
-        assert_eq!(report.levels.len(), run.wave_levels);
-        for (lane, q) in report.queries.iter().enumerate() {
-            assert_eq!(q.lane as usize, lane);
-            assert_eq!(q.batch, 5);
-            assert_eq!(q.root, roots[lane] as u64);
-            assert_eq!(q.visited, run.lanes[lane].visited);
-            assert_eq!(q.edges_scanned, run.edges_scanned);
-        }
-        let discovered: u64 = report.levels.iter().map(|l| l.discovered).sum();
-        let total_visited: u64 = run.lanes.iter().map(|l| l.visited).sum();
-        assert_eq!(discovered + roots.len() as u64, total_visited);
     }
 
     #[test]

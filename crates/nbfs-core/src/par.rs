@@ -28,14 +28,9 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use rayon::prelude::*;
 
 use nbfs_graph::{vid, Csr, NO_PARENT};
-use nbfs_trace::{
-    CommCost, DecisionRecord, LevelReport, RankLevelRecord, RunMeta, TraceConfig, TraceReport,
-    Tracer,
-};
-use nbfs_util::{AtomicBitmap, Bitmap, FrontierArena, FrontierSlot, SimTime};
+use nbfs_util::{AtomicBitmap, FrontierArena, FrontierSlot};
 
 use crate::direction::{Direction, SwitchPolicy};
-use crate::engine::{HostClock, NoClock};
 use crate::grain;
 use crate::seq::{LevelTrace, SeqBfs};
 
@@ -49,40 +44,6 @@ const BU_TASK_WORDS: usize = 64;
 
 /// Runs the hybrid BFS from `root` using the current rayon thread pool.
 pub fn bfs_hybrid_parallel(graph: &Csr, root: usize, policy: SwitchPolicy) -> SeqBfs {
-    bfs_hybrid_parallel_instrumented(graph, root, policy, &NoClock, &mut Tracer::off())
-}
-
-/// Like [`bfs_hybrid_parallel`], also recording run events. This kernel
-/// runs for real (no cost model), so the trace carries the direction
-/// decisions, per-level discoveries/edge counts, and — when `clock` is a
-/// real timer — wall-clock kernel seconds; the simulated-time fields stay
-/// zero.
-pub fn bfs_hybrid_parallel_traced(
-    graph: &Csr,
-    root: usize,
-    policy: SwitchPolicy,
-    trace: TraceConfig,
-    clock: &dyn HostClock,
-) -> (SeqBfs, TraceReport) {
-    let mut tracer = Tracer::new(trace);
-    let run = bfs_hybrid_parallel_instrumented(graph, root, policy, clock, &mut tracer);
-    let meta = RunMeta {
-        world: 1,
-        nodes: 1,
-        ppn: 1,
-        opt_label: "shared-memory".to_string(),
-        root: root as u64,
-    };
-    (run, tracer.finish(meta))
-}
-
-fn bfs_hybrid_parallel_instrumented(
-    graph: &Csr,
-    root: usize,
-    policy: SwitchPolicy,
-    clock: &dyn HostClock,
-    tracer: &mut Tracer,
-) -> SeqBfs {
     let n = graph.num_vertices();
     assert!(root < n, "root out of range");
     let parent: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(NO_PARENT)).collect();
@@ -115,27 +76,15 @@ fn bfs_hybrid_parallel_instrumented(
     let mut m_u = total_degree - m_f;
     let mut direction = Direction::TopDown;
     let mut levels = Vec::new();
-    let mut level_idx: usize = 0;
 
     loop {
         let n_f = frontier.len() as u64;
         if n_f == 0 {
             break;
         }
-        let prev = direction;
         direction = policy.choose(direction, m_f, m_u, n_f, n as u64);
-        tracer.decision(DecisionRecord {
-            level: level_idx,
-            prev,
-            chosen: direction,
-            m_f,
-            m_u,
-            n_f,
-            n: n as u64,
-        });
 
         let edges = AtomicU64::new(0);
-        let t0 = clock.now_secs();
         match direction {
             Direction::TopDown => {
                 // Workers expand disjoint frontier chunks. The claim is
@@ -225,8 +174,6 @@ fn bfs_hybrid_parallel_instrumented(
             }
         }
 
-        let kernel_secs = clock.now_secs() - t0;
-
         // --- level tail: alloc-free frontier pipeline --------------------
         // Fold the level's discoveries into the visited words (one
         // fetch_or_word per word — the bitmap is never re-derived) and
@@ -286,53 +233,17 @@ fn bfs_hybrid_parallel_instrumented(
         std::mem::swap(&mut in_queue, &mut out_queue);
         out_queue.clear_all();
 
-        let discovered = frontier.len() as u64;
-        let edges_examined = edges.load(Ordering::Relaxed);
-        tracer.rank(RankLevelRecord {
-            rank: 0,
-            discovered,
-            edges_scanned: edges_examined,
-            summary_probes: 0,
-            inqueue_probes: 0,
-            write_bytes: discovered * 4,
-            comp: SimTime::ZERO,
-        });
-        tracer.commit_level(LevelReport {
-            level: level_idx,
-            direction,
-            discovered,
-            comp: SimTime::ZERO,
-            comm: SimTime::ZERO,
-            stall: SimTime::ZERO,
-            switch: SimTime::ZERO,
-            detail: CommCost::ZERO,
-            wall_comp_secs: kernel_secs,
-            collectives: Vec::new(),
-            ranks: Vec::new(),
-        });
         levels.push(LevelTrace {
             direction,
-            discovered,
-            edges_examined,
+            discovered: frontier.len() as u64,
+            edges_examined: edges.load(Ordering::Relaxed),
         });
-        level_idx += 1;
     }
 
     SeqBfs {
         parent: parent.into_iter().map(AtomicU32::into_inner).collect(),
         levels,
     }
-}
-
-/// Convenience: the visited set as a bitmap.
-pub fn visited_bitmap(run: &SeqBfs) -> Bitmap {
-    let mut bm = Bitmap::new(run.parent.len());
-    for (v, &p) in run.parent.iter().enumerate() {
-        if p != NO_PARENT {
-            bm.set(v);
-        }
-    }
-    bm
 }
 
 #[cfg(test)]
@@ -362,12 +273,17 @@ mod tests {
         assert_eq!(pd, sd);
     }
 
+    /// Whether each vertex was reached.
+    fn reached(run: &SeqBfs) -> Vec<bool> {
+        run.parent.iter().map(|&p| p != NO_PARENT).collect()
+    }
+
     #[test]
     fn parallel_visited_set_equals_sequential() {
         let g = graph();
         let par = bfs_hybrid_parallel(&g, 3, SwitchPolicy::default());
         let seq = seq::bfs_top_down(&g, 3);
-        assert_eq!(visited_bitmap(&par), visited_bitmap(&seq));
+        assert_eq!(reached(&par), reached(&seq));
     }
 
     #[test]
@@ -380,7 +296,7 @@ mod tests {
             .build()
             .unwrap();
         let single = pool.install(|| bfs_hybrid_parallel(&g, root, SwitchPolicy::default()));
-        assert_eq!(visited_bitmap(&multi), visited_bitmap(&single));
+        assert_eq!(reached(&multi), reached(&single));
         assert_eq!(multi.levels.len(), single.levels.len());
     }
 

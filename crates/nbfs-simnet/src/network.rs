@@ -64,18 +64,6 @@ impl NetworkModel {
         SimTime::from_secs(self.machine.sw_overhead_s + bytes_per_copier as f64 / per_copier_bw)
     }
 
-    /// Time for one rank to *scan* (read-only) `bytes` from another rank's
-    /// shared segment on the same node — half the traffic of a copy.
-    pub fn shm_read_time(&self, bytes: u64, readers: usize) -> SimTime {
-        if bytes == 0 || readers == 0 {
-            return SimTime::ZERO;
-        }
-        let per_core = self.machine.shm_copy_bw * 1.6; // reads stream faster
-        let aggregate = self.machine.node_mem_bw();
-        let bw = per_core.min(aggregate / readers as f64);
-        SimTime::from_secs(0.4 * self.machine.sw_overhead_s + bytes as f64 / bw)
-    }
-
     /// The modelled machine.
     pub fn machine(&self) -> &MachineConfig {
         &self.machine
@@ -119,14 +107,6 @@ mod tests {
     fn copy_zero_is_free() {
         assert_eq!(model().shm_copy_time(0, 8, 1), SimTime::ZERO);
         assert_eq!(model().shm_copy_time(100, 0, 1), SimTime::ZERO);
-        assert_eq!(model().shm_read_time(0, 1), SimTime::ZERO);
-    }
-
-    #[test]
-    fn read_cheaper_than_copy() {
-        let m = model();
-        let bytes = 256u64 << 20;
-        assert!(m.shm_read_time(bytes, 1) < m.shm_copy_time(bytes, 1, 8));
     }
 
     #[test]

@@ -4,24 +4,18 @@ use serde::{Deserialize, Serialize};
 
 /// How much run-event recording a scenario performs.
 ///
-/// The default is [`TraceConfig::Off`], which must cost near-zero work on
-/// the hot path: every record call reduces to one `Option` discriminant
-/// check (see DESIGN.md §8 for the guarantee and the bench that pins it).
+/// Both values keep every committed level: the search's `RunProfile` is
+/// computed from the level records. The default, [`TraceConfig::Off`],
+/// keeps nothing else, so on the hot path every other record call reduces
+/// to one `Option` discriminant check (see DESIGN.md §8).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TraceConfig {
-    /// No recording. `Tracer::off()` — the engine's default.
+    /// Level records only — the engine's default.
     #[default]
     Off,
-    /// Record every level, collective, rank counter, decision, fault and
-    /// query of the run into the report the search returns.
+    /// Also record every decision, collective, rank counter and fault of
+    /// the run into the report the search returns.
     Standard,
-}
-
-impl TraceConfig {
-    /// Whether this configuration records anything at all.
-    pub fn is_enabled(&self) -> bool {
-        !matches!(self, TraceConfig::Off)
-    }
 }
 
 #[cfg(test)]
@@ -30,10 +24,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn off_is_default_and_disabled() {
+    fn off_is_default() {
         assert_eq!(TraceConfig::default(), TraceConfig::Off);
-        assert!(!TraceConfig::Off.is_enabled());
-        assert!(TraceConfig::Standard.is_enabled());
     }
 
     #[test]

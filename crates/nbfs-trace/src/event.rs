@@ -1,7 +1,7 @@
 //! The record vocabulary a trace shares with its producers.
 //!
-//! Collective kinds and statistics, fault records and query records: the
-//! engines build these values and the [`crate::Tracer`] appends them to
+//! Collective kinds and statistics and fault records: the level driver
+//! builds these values and the [`crate::Tracer`] appends them to
 //! the [`crate::TraceReport`] as they are, so the type recorded is the
 //! type serialized.
 
@@ -88,8 +88,6 @@ impl FaultKind {
 /// Which operation a fault hit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum FaultOp {
-    /// A point-to-point send. No producer; kept so schema-v4 traces load.
-    P2p,
     /// An edge of a simulated collective.
     Collective(CollectiveKind),
     /// A whole-rank fate (stall / crash), not tied to a transfer.
@@ -100,7 +98,6 @@ impl FaultOp {
     /// Short label for tables and reports.
     pub fn label(self) -> &'static str {
         match self {
-            FaultOp::P2p => "p2p",
             FaultOp::Collective(kind) => kind.label(),
             FaultOp::Rank => "rank",
         }
@@ -129,37 +126,6 @@ pub struct FaultRecord {
     pub recovered: bool,
     /// Simulated time charged for retries / backoff / stalls.
     pub penalty: SimTime,
-}
-
-/// Per-query statistics for one lane of a batched multi-source BFS wave
-/// (schema v4): an entry of `TraceReport::queries`.
-///
-/// A wave fuses up to 64 admitted roots into one bit-parallel traversal;
-/// each lane is one independent query riding that shared sweep, so the
-/// record carries both the lane's own answer shape (`levels`, `visited`)
-/// and the shared wave identity (`wave`, `batch`, `edges_scanned`).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct QueryRecord {
-    /// Wave (batch) index within the engine's lifetime.
-    pub wave: u64,
-    /// Lane index within the wave's 64-bit lane word.
-    pub lane: u32,
-    /// Number of lanes fused into the wave.
-    pub batch: u32,
-    /// BFS root this lane searched from.
-    pub root: u64,
-    /// Committed BFS levels of this lane, including the final empty one
-    /// (matches the per-root reference engines' level count).
-    pub levels: u32,
-    /// Vertices this lane reached (root included).
-    pub visited: u64,
-    /// CSR adjacency entries the *whole wave* examined. Shared across the
-    /// batch — the sharing is the point of bit-parallel fusion — so every
-    /// lane of a wave carries the same value.
-    pub edges_scanned: u64,
-    /// Host wall-clock seconds of the wave this lane rode (zero under
-    /// `NoClock`). Shared across the batch like `edges_scanned`.
-    pub wall_secs: f64,
 }
 
 /// Integer byproducts of a collective cost evaluation: how the algorithm
@@ -280,7 +246,6 @@ mod tests {
             penalty: SimTime::ZERO,
         };
         assert_eq!(rec.op.label(), "allgather-words");
-        assert_eq!(FaultOp::P2p.label(), "p2p");
         assert_eq!(FaultOp::Rank.label(), "rank");
         // Labels are distinct across the whole kind matrix.
         for (i, a) in FaultKind::ALL.iter().enumerate() {

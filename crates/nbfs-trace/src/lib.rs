@@ -6,13 +6,14 @@
 //! first-class subsystem instead of a bench-only artifact:
 //!
 //! * [`TraceReport`] — the serializable output: per-level spans with their
-//!   collective cost samples and per-rank counters, switch decisions,
-//!   faults and query lanes; the retained [`RunProfile`] is a projection
-//!   of it ([`TraceReport::run_profile`]),
-//! * [`Tracer`] — the recording facade the engines thread through a run.
-//!   It appends the report's own records to the report it will return, so
-//!   every level a run commits is in the report; [`Tracer::off`] compiles
-//!   to a `None` check and nothing else,
+//!   collective cost samples and per-rank counters, switch decisions and
+//!   faults; a search's [`RunProfile`] is computed from its levels
+//!   ([`TraceReport::run_profile`]),
+//! * [`Tracer`] — the recording facade the level driver threads through a
+//!   search. It appends the report's own records to the report it will
+//!   return, so every level a search commits is in the report; under
+//!   [`TraceConfig::Off`] it keeps the levels only, and every other record
+//!   call is a `None` check and nothing else,
 //! * [`RunProfile`] / [`LevelProfile`] / [`Phase`] / [`CommCost`] /
 //!   [`Direction`] — the breakdown vocabulary, moved here from the three
 //!   ad-hoc profiling structs this crate replaces.
@@ -35,7 +36,7 @@ pub mod tracer;
 pub use config::TraceConfig;
 pub use cost::CommCost;
 pub use direction::Direction;
-pub use event::{CollectiveKind, CollectiveStats, FaultKind, FaultOp, FaultRecord, QueryRecord};
+pub use event::{CollectiveKind, CollectiveStats, FaultKind, FaultOp, FaultRecord};
 pub use phase::Phase;
 pub use profile::{LevelProfile, RunProfile};
 pub use report::{

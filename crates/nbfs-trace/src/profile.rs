@@ -3,8 +3,8 @@
 //! Mirrors the slices of the paper's Fig. 11 — top-down computation,
 //! bottom-up computation, top-down communication, bottom-up communication,
 //! switch and stall — plus the step split of the bottom-up collectives that
-//! Figs. 6/13 need. Since the trace layer landed, [`RunProfile`] is a
-//! *projection* of the richer [`crate::TraceReport`]
+//! Figs. 6/13 need. A search computes its [`RunProfile`] from the level
+//! records of its [`crate::TraceReport`]
 //! ([`crate::TraceReport::run_profile`]); it remains the compact type the
 //! harness averages across roots and the figures consume.
 

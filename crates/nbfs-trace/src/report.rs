@@ -3,10 +3,10 @@
 //! [`TraceReport`] is the superset the three sinks share: the in-memory
 //! structure itself, the versioned JSON exporter
 //! ([`TraceReport::to_json`] / [`TraceReport::from_json`], guarded by
-//! [`SCHEMA_VERSION`]), and the `nbfs trace` CLI table, which formats it. The retained [`RunProfile`] is a projection:
-//! [`TraceReport::run_profile`] folds the per-level spans in level order
-//! with the same `f64` additions the engine used to perform itself, so the
-//! phase totals match the legacy accounting bit-for-bit.
+//! [`SCHEMA_VERSION`]), and the `nbfs trace` CLI table, which formats it.
+//! A search's [`RunProfile`] is computed from it:
+//! [`TraceReport::run_profile`] folds the per-level spans in level order,
+//! one addition per field per level.
 
 use serde::{Deserialize, Serialize};
 
@@ -14,18 +14,20 @@ use nbfs_util::{NbfsError, SimTime};
 
 use crate::cost::CommCost;
 use crate::direction::Direction;
-use crate::event::{CollectiveKind, CollectiveStats, FaultRecord, QueryRecord};
+use crate::event::{CollectiveKind, CollectiveStats, FaultRecord};
 use crate::profile::{LevelProfile, RunProfile};
 
 /// Version stamp of the JSON layout. Bump when renaming or removing fields.
 ///
-/// v4 added the `queries` array (per-lane records of batched multi-source
-/// waves); v3 and older reports deserialize with it empty.
+/// v5 removed the `queries` array (per-lane records of batched
+/// multi-source waves, which nothing produced); a v4 report's `queries`
+/// key is ignored on import.
+/// v4 added the `queries` array.
 /// v3 added `CollectiveStats::raw_bytes` (codec-aware compression
 /// accounting); v2 reports deserialize with `raw_bytes = wire_bytes`.
 /// v2 added the `faults` array (deterministic fault-injection records);
 /// v1 reports deserialize with it empty ([`MIN_SCHEMA_VERSION`]).
-pub const SCHEMA_VERSION: u32 = 4;
+pub const SCHEMA_VERSION: u32 = 5;
 
 /// Oldest schema version [`TraceReport::from_json`] still imports.
 pub const MIN_SCHEMA_VERSION: u32 = 1;
@@ -133,21 +135,6 @@ impl LevelReport {
     pub fn total(&self) -> SimTime {
         self.comp + self.comm + self.stall + self.switch
     }
-
-    /// Maximum per-rank computation time minus the mean — the skew the
-    /// barrier absorbed, reconstructed from the rank records.
-    pub fn rank_skew(&self) -> SimTime {
-        let max = self
-            .ranks
-            .iter()
-            .map(|r| r.comp)
-            .fold(SimTime::ZERO, SimTime::max);
-        if max > self.comp {
-            max - self.comp
-        } else {
-            SimTime::ZERO
-        }
-    }
 }
 
 /// The output of a traced run.
@@ -164,23 +151,17 @@ pub struct TraceReport {
     /// Collectives that ran outside any committed level (the terminal
     /// allreduce that detected the empty frontier).
     pub post_collectives: Vec<CollectiveRecord>,
-    /// Always 0: the tracer keeps every record. Kept so schema-v4
-    /// readers that check it still load.
+    /// Always 0: the tracer keeps every record. Kept so readers that
+    /// check it still load.
     pub dropped_events: u64,
     /// Injected faults and how they resolved, in recording order. Empty
     /// for fault-free runs and for imported v1 reports.
     #[serde(default)]
     pub faults: Vec<FaultRecord>,
-    /// Per-lane records of batched multi-source waves, in recording order
-    /// (wave order, then lane order within a wave). Empty for
-    /// single-source runs and for imported pre-v4 reports.
-    #[serde(default)]
-    pub queries: Vec<QueryRecord>,
 }
 
 impl TraceReport {
-    /// An empty report carrying only identity — what a disabled tracer
-    /// produces.
+    /// An empty report carrying only identity.
     pub fn empty(meta: RunMeta) -> Self {
         TraceReport {
             schema_version: SCHEMA_VERSION,
@@ -190,7 +171,6 @@ impl TraceReport {
             post_collectives: Vec::new(),
             dropped_events: 0,
             faults: Vec::new(),
-            queries: Vec::new(),
         }
     }
 
@@ -205,12 +185,13 @@ impl TraceReport {
         self.faults.iter().map(|f| f.penalty).sum()
     }
 
-    /// Projects the legacy [`RunProfile`] out of the per-level spans.
+    /// The [`RunProfile`] of the per-level spans: what a search returns as
+    /// its profile.
     ///
     /// Folds levels in execution order with one addition per field per
-    /// level — the same sequence of `f64` additions the engine applies to
-    /// its own `RunProfile` — so every phase total matches the engine's
-    /// accounting bit-for-bit (IEEE 754 addition is deterministic).
+    /// level, so the phase totals are a deterministic function of the
+    /// level records (IEEE 754 addition is deterministic) and a report
+    /// read back from JSON reproduces its search's profile bit for bit.
     pub fn run_profile(&self) -> RunProfile {
         let mut p = RunProfile::default();
         for lv in &self.levels {
@@ -257,9 +238,9 @@ impl TraceReport {
     /// Accepts versions [`MIN_SCHEMA_VERSION`]`..=`[`SCHEMA_VERSION`]: a v1
     /// report (pre-fault-layer) imports with an empty `faults` array, a v2
     /// report (pre-codec) with `raw_bytes = wire_bytes` on every
-    /// collective record (uncompressed exchanges move their raw volume), a
-    /// v3 report (pre-multi-query) with an empty `queries` array; future
-    /// versions are refused, not misread.
+    /// collective record (uncompressed exchanges move their raw volume),
+    /// and a v4 report's `queries` array is skipped; future versions are
+    /// refused, not misread.
     pub fn from_json(text: &str) -> nbfs_util::Result<TraceReport> {
         let report: TraceReport =
             serde_json::from_str(text).map_err(|e| NbfsError::Serde(e.to_string()))?;
@@ -386,38 +367,22 @@ mod tests {
     }
 
     #[test]
-    fn v3_reports_import_with_empty_queries() {
+    fn v4_reports_import_without_their_queries() {
         let mut r = sample();
-        r.schema_version = 3;
+        r.schema_version = 4;
         let text = r.to_json().unwrap();
-        // A v3 exporter never wrote a `queries` key at all.
-        let v3 = text.replace(",\n  \"queries\": []", "");
-        assert!(!v3.contains("queries"), "{v3}");
-        let back = TraceReport::from_json(&v3).unwrap();
-        assert_eq!(back.schema_version, 3);
-        assert!(back.queries.is_empty());
+        // A v4 exporter wrote one record per lane of each multi-source
+        // wave after the faults.
+        let record = "{ \"wave\": 2, \"lane\": 0, \"batch\": 1, \"root\": 100, \
+                      \"levels\": 5, \"visited\": 4000, \"edges_scanned\": 123456, \
+                      \"wall_secs\": 0.25 }";
+        let end = text.rfind('}').unwrap();
+        let v4 = format!("{},\n  \"queries\": [{record}]\n}}", text[..end].trim_end());
+        assert!(v4.contains("\"queries\": [{"), "{v4}");
+        let back = TraceReport::from_json(&v4).unwrap();
+        assert_eq!(back.schema_version, 4);
         assert_eq!(back.levels, r.levels);
-    }
-
-    #[test]
-    fn query_records_survive_a_round_trip() {
-        let mut r = sample();
-        for lane in 0..3u32 {
-            r.queries.push(QueryRecord {
-                wave: 2,
-                lane,
-                batch: 3,
-                root: 100 + u64::from(lane),
-                levels: 5,
-                visited: 4000,
-                edges_scanned: 123_456,
-                wall_secs: 0.25,
-            });
-        }
-        let back = TraceReport::from_json(&r.to_json().unwrap()).unwrap();
-        assert_eq!(back.queries, r.queries);
-        assert_eq!(back.queries[1].lane, 1);
-        assert_eq!(back.queries[2].root, 102);
+        assert_eq!(back.to_json().unwrap(), text);
     }
 
     #[test]
@@ -432,7 +397,7 @@ mod tests {
             r.faults.push(FaultRecord {
                 level: 1,
                 kind,
-                op: FaultOp::P2p,
+                op: FaultOp::Rank,
                 src: 0,
                 dst: 1,
                 tag: 9,
@@ -446,23 +411,5 @@ mod tests {
         // And the records survive a round trip.
         let back = TraceReport::from_json(&r.to_json().unwrap()).unwrap();
         assert_eq!(back.faults, r.faults);
-    }
-
-    #[test]
-    fn rank_skew_reconstructs_stall() {
-        let mut lv = level(0, Direction::BottomUp, 2.0);
-        for (rank, ms) in [(0usize, 1.0), (1, 3.0)] {
-            lv.ranks.push(RankLevelRecord {
-                rank,
-                discovered: 1,
-                edges_scanned: 10,
-                summary_probes: 4,
-                inqueue_probes: 2,
-                write_bytes: 8,
-                comp: SimTime::from_millis(ms),
-            });
-        }
-        // mean comp is 2ms, max is 3ms → skew 1ms.
-        assert!((lv.rank_skew().as_millis() - 1.0).abs() < 1e-9);
     }
 }

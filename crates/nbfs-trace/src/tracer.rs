@@ -1,82 +1,76 @@
-//! The recording facade the engines thread through a run.
+//! The recording facade the level driver threads through a search.
 //!
-//! A [`Tracer`] is either off (`inner: None`) or holds the [`TraceReport`]
-//! it will return, plus the collectives and rank records of the level in
-//! flight. Producers record the report's own record types, so each record
-//! is stored once, where the report keeps it:
-//! [`Tracer::commit_level`] moves the level's records into its
-//! [`LevelReport`], and [`Tracer::finish`] files the collectives of a level
-//! that never committed (the terminal allreduce) under `post_collectives`.
-//! The engines drive simulated ranks from a single thread (rayon
-//! parallelism lives *inside* kernels, which do not record), so recording
-//! is an `Option` check and a push, with no synchronization.
+//! A [`Tracer`] holds the [`TraceReport`] it will return. Every
+//! configuration keeps each committed [`LevelReport`]: the search's
+//! [`RunProfile`](crate::RunProfile) is computed from them
+//! ([`TraceReport::run_profile`]), so the level records are the one
+//! per-level accumulator. [`TraceConfig::Standard`] also keeps the
+//! decisions, faults, and the collectives and rank records of the level in
+//! flight; [`Tracer::commit_level`] moves those into the level, and
+//! [`Tracer::finish`] files the collectives of a level that never
+//! committed (the terminal allreduce) under `post_collectives`. The driver
+//! runs simulated ranks from a single thread (rayon parallelism lives
+//! *inside* kernels, which do not record), so recording is an `Option`
+//! check and a push, with no synchronization.
 
 use std::mem;
 
 use crate::config::TraceConfig;
-use crate::event::{FaultRecord, QueryRecord};
+use crate::event::FaultRecord;
 use crate::report::{
     CollectiveRecord, DecisionRecord, LevelReport, RankLevelRecord, RunMeta, TraceReport,
 };
 
-struct Recording {
-    report: TraceReport,
-    /// Collectives of the level in flight, in execution order.
+/// The records [`TraceConfig::Standard`] keeps beside the levels, for the
+/// level in flight.
+#[derive(Default)]
+struct InFlight {
+    /// Collectives, in execution order.
     collectives: Vec<CollectiveRecord>,
-    /// Rank records of the level in flight, in recording (rank) order.
+    /// Rank records, in recording (rank) order.
     ranks: Vec<RankLevelRecord>,
 }
 
-/// Run-event recorder. Construct with [`Tracer::off`] (free) or
-/// [`Tracer::new`]; feed with the record methods and
-/// [`Tracer::commit_level`]; take the report with [`Tracer::finish`].
+/// Run-event recorder. Construct with [`Tracer::new`]; feed with the
+/// record methods and [`Tracer::commit_level`]; take the report with
+/// [`Tracer::finish`].
 pub struct Tracer {
-    inner: Option<Recording>,
+    report: TraceReport,
+    /// `None` under [`TraceConfig::Off`]: levels only.
+    detail: Option<InFlight>,
 }
 
 impl Tracer {
-    /// A disabled tracer: every record call reduces to one discriminant
-    /// check. This is the `TraceConfig::Off` fast path.
-    pub fn off() -> Tracer {
-        Tracer { inner: None }
-    }
-
-    /// A tracer per `config` ([`TraceConfig::Off`] yields a disabled
-    /// tracer).
+    /// A tracer per `config`: [`TraceConfig::Off`] keeps the committed
+    /// levels and nothing else.
     pub fn new(config: TraceConfig) -> Tracer {
-        if !config.is_enabled() {
-            return Tracer::off();
-        }
         Tracer {
-            inner: Some(Recording {
-                report: TraceReport::empty(RunMeta::default()),
-                collectives: Vec::new(),
-                ranks: Vec::new(),
-            }),
+            report: TraceReport::empty(RunMeta::default()),
+            detail: (config == TraceConfig::Standard).then(InFlight::default),
         }
     }
 
-    /// Whether records are being kept. Callers may use this to skip
-    /// building records whose inputs are not otherwise needed.
+    /// Whether records beyond the levels are kept. Callers may use this to
+    /// skip building records whose inputs are not otherwise needed.
     #[inline]
-    pub fn enabled(&self) -> bool {
-        self.inner.is_some()
+    pub fn detailed(&self) -> bool {
+        self.detail.is_some()
     }
 
     // hot-path
     /// Records an α/β switch decision.
     #[inline]
     pub fn decision(&mut self, record: DecisionRecord) {
-        if let Some(rec) = self.inner.as_mut() {
-            rec.report.decisions.push(record);
+        if self.detail.is_some() {
+            self.report.decisions.push(record);
         }
     }
 
     /// Records a collective of the level in flight.
     #[inline]
     pub fn collective(&mut self, record: CollectiveRecord) {
-        if let Some(rec) = self.inner.as_mut() {
-            rec.collectives.push(record);
+        if let Some(detail) = self.detail.as_mut() {
+            detail.collectives.push(record);
         }
     }
 
@@ -84,51 +78,42 @@ impl Tracer {
     /// order.
     #[inline]
     pub fn rank(&mut self, record: RankLevelRecord) {
-        if let Some(rec) = self.inner.as_mut() {
-            rec.ranks.push(record);
+        if let Some(detail) = self.detail.as_mut() {
+            detail.ranks.push(record);
         }
     }
 
     /// Records an injected fault and how it resolved.
     #[inline]
     pub fn fault(&mut self, record: FaultRecord) {
-        if let Some(rec) = self.inner.as_mut() {
-            rec.report.faults.push(record);
-        }
-    }
-
-    /// Records one query lane of a batched multi-source wave.
-    #[inline]
-    pub fn query(&mut self, record: QueryRecord) {
-        if let Some(rec) = self.inner.as_mut() {
-            rec.report.queries.push(record);
+        if self.detail.is_some() {
+            self.report.faults.push(record);
         }
     }
 
     /// Commits a level: appends `level` to the report with the collectives
     /// and rank records recorded since the last commit (whatever `level`
-    /// carried in those two fields is replaced).
+    /// carried in those two fields is replaced; under
+    /// [`TraceConfig::Off`] both stay as given).
     #[inline]
     pub fn commit_level(&mut self, mut level: LevelReport) {
-        if let Some(rec) = self.inner.as_mut() {
-            level.collectives = mem::take(&mut rec.collectives);
-            level.ranks = mem::take(&mut rec.ranks);
-            rec.report.levels.push(level);
+        if let Some(detail) = self.detail.as_mut() {
+            level.collectives = mem::take(&mut detail.collectives);
+            level.ranks = mem::take(&mut detail.ranks);
         }
+        self.report.levels.push(level);
     }
     // end-hot-path
 
     /// The recorded report, stamped with `meta`. Collectives of a level
     /// that never committed go to `post_collectives`; its rank records
-    /// have no level to belong to and are discarded. A disabled tracer
-    /// yields [`TraceReport::empty`].
+    /// have no level to belong to and are discarded.
     pub fn finish(self, meta: RunMeta) -> TraceReport {
-        let Some(rec) = self.inner else {
-            return TraceReport::empty(meta);
-        };
-        let mut report = rec.report;
+        let mut report = self.report;
         report.meta = meta;
-        report.post_collectives = rec.collectives;
+        if let Some(detail) = self.detail {
+            report.post_collectives = detail.collectives;
+        }
         report
     }
 }
@@ -189,21 +174,43 @@ mod tests {
         }
     }
 
-    #[test]
-    fn off_tracer_records_nothing() {
-        let mut t = Tracer::off();
-        assert!(!t.enabled());
-        t.collective(allreduce(0));
-        t.rank(rank(0));
-        t.commit_level(level(0));
-        let r = t.finish(meta());
-        assert_eq!(r, TraceReport::empty(meta()));
+    fn fault(src: usize) -> FaultRecord {
+        FaultRecord {
+            level: 0,
+            kind: FaultKind::Drop,
+            op: FaultOp::Rank,
+            src,
+            dst: 0,
+            tag: 1,
+            attempts: 2,
+            recovered: true,
+            penalty: SimTime::ZERO,
+        }
     }
 
     #[test]
-    fn off_config_yields_disabled_tracer() {
-        assert!(!Tracer::new(TraceConfig::Off).enabled());
-        assert!(Tracer::new(TraceConfig::Standard).enabled());
+    fn off_tracer_keeps_levels_only() {
+        let mut t = Tracer::new(TraceConfig::Off);
+        assert!(!t.detailed());
+        assert!(Tracer::new(TraceConfig::Standard).detailed());
+        t.decision(DecisionRecord {
+            level: 0,
+            prev: Direction::TopDown,
+            chosen: Direction::TopDown,
+            m_f: 1,
+            m_u: 100,
+            n_f: 1,
+            n: 64,
+        });
+        t.collective(allreduce(0));
+        t.rank(rank(0));
+        t.fault(fault(0));
+        t.commit_level(level(0));
+        t.collective(allreduce(1));
+        let r = t.finish(meta());
+        let mut expected = TraceReport::empty(meta());
+        expected.levels.push(level(0));
+        assert_eq!(r, expected);
     }
 
     #[test]
@@ -251,38 +258,13 @@ mod tests {
     }
 
     #[test]
-    fn faults_and_queries_keep_recording_order() {
-        let fault = |src: usize| FaultRecord {
-            level: 0,
-            kind: FaultKind::Drop,
-            op: FaultOp::Rank,
-            src,
-            dst: 0,
-            tag: 1,
-            attempts: 2,
-            recovered: true,
-            penalty: SimTime::ZERO,
-        };
+    fn faults_keep_recording_order() {
         let mut t = Tracer::new(TraceConfig::Standard);
         for src in [11, 99, 10] {
             t.fault(fault(src));
         }
-        for lane in 0..4u32 {
-            t.query(QueryRecord {
-                wave: 0,
-                lane,
-                batch: 4,
-                root: u64::from(lane) * 10,
-                levels: 3,
-                visited: 100,
-                edges_scanned: 999,
-                wall_secs: 0.0,
-            });
-        }
         let r = t.finish(meta());
         let srcs: Vec<usize> = r.faults.iter().map(|f| f.src).collect();
         assert_eq!(srcs, vec![11, 99, 10]);
-        let lanes: Vec<u32> = r.queries.iter().map(|q| q.lane).collect();
-        assert_eq!(lanes, vec![0, 1, 2, 3]);
     }
 }

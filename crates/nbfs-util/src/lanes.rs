@@ -93,15 +93,6 @@ impl LaneBitmap {
             .count()
     }
 
-    /// Total number of set lane bits across all slots (racy if writers
-    /// are active).
-    pub fn count_lane_bits(&self) -> u64 {
-        self.words
-            .iter()
-            .map(|w| u64::from(w.load(Ordering::Relaxed).count_ones()))
-            .sum()
-    }
-
     /// Snapshot into an owned plain vector of lane words.
     pub fn snapshot(&self) -> Vec<u64> {
         self.words
@@ -139,7 +130,7 @@ mod tests {
         }
         let total: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
         assert_eq!(total, 256 * 64, "each lane must have exactly one claimer");
-        assert_eq!(lanes.count_lane_bits(), 256 * 64);
+        assert!(lanes.snapshot().iter().all(|&w| w == u64::MAX));
         assert_eq!(lanes.count_active(), 256);
     }
 
@@ -163,6 +154,5 @@ mod tests {
         assert_eq!(lanes.count_active(), 10);
         lanes.clear_all();
         assert_eq!(lanes.count_active(), 0);
-        assert_eq!(lanes.count_lane_bits(), 0);
     }
 }

@@ -71,12 +71,6 @@ impl Xoroshiro128 {
         result
     }
 
-    /// Uniform `f64` in `[0, 1)` with 53 bits of precision.
-    #[inline]
-    pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
     /// Uniform integer in `[0, bound)` via Lemire's multiply-shift method
     /// (unbiased enough for workload generation; bound must be non-zero).
     #[inline]
@@ -129,24 +123,6 @@ mod tests {
         assert_eq!(a, b);
         let c = SplitMix64::new(43).next_u64();
         assert_ne!(a[0], c);
-    }
-
-    #[test]
-    fn xoroshiro_f64_in_unit_interval() {
-        let mut g = Xoroshiro128::new(7);
-        for _ in 0..10_000 {
-            let x = g.next_f64();
-            assert!((0.0..1.0).contains(&x));
-        }
-    }
-
-    #[test]
-    fn xoroshiro_mean_is_reasonable() {
-        let mut g = Xoroshiro128::new(123);
-        let n = 100_000;
-        let sum: f64 = (0..n).map(|_| g.next_f64()).sum();
-        let mean = sum / n as f64;
-        assert!((mean - 0.5).abs() < 0.01, "mean {mean} too far from 0.5");
     }
 
     #[test]

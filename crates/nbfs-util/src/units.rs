@@ -31,30 +31,6 @@ pub fn format_bandwidth(bytes_per_sec: f64) -> String {
     }
 }
 
-/// Parses a size written like `64MiB`, `512 MB`, `8kB`, `1024`.
-/// Decimal (kB/MB/GB) and binary (KiB/MiB/GiB) suffixes are supported.
-// Truncation to whole bytes is the intended rounding for fractional sizes.
-#[allow(clippy::cast_possible_truncation)]
-pub fn parse_bytes(s: &str) -> Option<usize> {
-    let s = s.trim();
-    let Some(split) = s.find(|c: char| !c.is_ascii_digit() && c != '.') else {
-        return s.parse().ok();
-    };
-    let (num, suffix) = s.split_at(split);
-    let num: f64 = num.parse().ok()?;
-    let mult: f64 = match suffix.trim() {
-        "B" => 1.0,
-        "kB" | "KB" => 1e3,
-        "MB" => 1e6,
-        "GB" => 1e9,
-        "KiB" => 1024.0,
-        "MiB" => 1024.0 * 1024.0,
-        "GiB" => 1024.0 * 1024.0 * 1024.0,
-        _ => return None,
-    };
-    Some((num * mult) as usize)
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::cast_possible_truncation)]
 mod tests {
@@ -74,16 +50,5 @@ mod tests {
         assert_eq!(format_bandwidth(1.5e6), "1.50 MB/s");
         assert_eq!(format_bandwidth(2.0e3), "2.00 kB/s");
         assert_eq!(format_bandwidth(10.0), "10.00 B/s");
-    }
-
-    #[test]
-    fn parse_roundtrips() {
-        assert_eq!(parse_bytes("64MiB"), Some(64 * 1024 * 1024));
-        assert_eq!(parse_bytes("512 MB"), Some(512_000_000));
-        assert_eq!(parse_bytes("8kB"), Some(8000));
-        assert_eq!(parse_bytes("123B"), Some(123));
-        assert_eq!(parse_bytes("1024"), Some(1024));
-        assert_eq!(parse_bytes("junk"), None);
-        assert_eq!(parse_bytes("12XB"), None);
     }
 }

@@ -45,13 +45,13 @@ pub mod prelude {
     pub use nbfs_core::engine::{DistributedBfs, Scenario, ScenarioBuilder};
     pub use nbfs_core::harness::{Graph500Harness, HarnessConfig};
     pub use nbfs_core::opt::OptLevel;
-    pub use nbfs_core::profile::{Phase, RunProfile};
     pub use nbfs_core::seq::{bfs_bottom_up, bfs_hybrid, bfs_top_down};
     pub use nbfs_graph::builder::GraphBuilder;
     pub use nbfs_graph::csr::Csr;
     pub use nbfs_graph::validate::validate_bfs_tree;
     pub use nbfs_topology::machine::MachineConfig;
     pub use nbfs_topology::placement::{PlacementPolicy, ProcessMap};
+    pub use nbfs_trace::{Phase, RunProfile};
     pub use nbfs_trace::{TraceConfig, TraceReport};
     pub use nbfs_util::stats::format_teps;
     pub use nbfs_util::{Bitmap, NbfsError, SimTime, SummaryBitmap};

@@ -28,10 +28,9 @@ use numa_bfs::core::engine2d::TwoDimBfs;
 use numa_bfs::core::multi::{multi_source_bfs, reference_single_source, MAX_LANES};
 use numa_bfs::core::opt::OptLevel;
 use numa_bfs::core::par::bfs_hybrid_parallel;
-use numa_bfs::core::profile::Phase;
 use numa_bfs::graph::{Csr, Edge, EdgeList};
 use numa_bfs::topology::MachineConfig;
-use numa_bfs::trace::Direction;
+use numa_bfs::trace::{Direction, Phase};
 use numa_bfs::util::rng::Xoroshiro128;
 
 /// Pool widths: inline, the host's two cores, and two that oversubscribe.

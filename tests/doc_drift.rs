@@ -125,8 +125,9 @@ fn retired_bench_system_is_gone_from_the_docs_and_quoted_metrics_exist() {
     // bottom-up kernel with its equivalence test, the bespoke linter,
     // the four examples that re-ran figures, and the recursive-doubling
     // allgather with the counting and edge twins of the collective
-    // walks, the harness config builder, and the trace's event rings
-    // with their event type and ring-size setting. Only the project's history
+    // walks, the harness config builder, the trace's event rings with
+    // their event type and ring-size setting, and the traced twins of the
+    // shared-memory kernels with their per-query record. Only the project's history
     // and plan files skipped below and the EXPERIMENTS "Retired variants"
     // section may still name them. Every other doc quotes only figure ids
     // the `figures` bin knows.
@@ -175,6 +176,9 @@ fn retired_bench_system_is_gone_from_the_docs_and_quoted_metrics_exist() {
                 concat!("Event", "Ring"),
                 concat!("Trace", "Event"),
                 concat!("TraceConfig::", "Ring"),
+                "bfs_hybrid_parallel_traced",
+                "multi_source_bfs_traced",
+                concat!("Query", "Record"),
             ] {
                 assert!(!section.contains(retired), "{name} still has {retired}");
             }

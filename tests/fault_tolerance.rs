@@ -11,11 +11,10 @@ use numa_bfs::comm::{FaultPlan, FaultScope, FaultSpec};
 use numa_bfs::core::engine::{DistributedBfs, NoClock, Scenario};
 use numa_bfs::core::engine2d::TwoDimBfs;
 use numa_bfs::core::opt::OptLevel;
-use numa_bfs::core::profile::Phase;
 use numa_bfs::core::query::SearchEngine;
 use numa_bfs::graph::{Csr, GraphBuilder};
 use numa_bfs::topology::presets;
-use numa_bfs::trace::{FaultKind, FaultOp, TraceConfig};
+use numa_bfs::trace::{FaultKind, FaultOp, Phase, TraceConfig};
 use numa_bfs::util::{NbfsError, SimTime};
 
 fn graph() -> Csr {

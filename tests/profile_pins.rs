@@ -23,10 +23,9 @@ use numa_bfs::comm::{FaultPlan, FaultScope, FaultSpec};
 use numa_bfs::core::engine::{BfsRun, DistributedBfs, NoClock, Scenario};
 use numa_bfs::core::engine2d::TwoDimBfs;
 use numa_bfs::core::opt::OptLevel;
-use numa_bfs::core::profile::Phase;
 use numa_bfs::graph::{CompressedCsr, Csr, Edge, EdgeList, GraphBuilder};
 use numa_bfs::topology::MachineConfig;
-use numa_bfs::trace::{Direction, FaultKind, FaultRecord, TraceConfig};
+use numa_bfs::trace::{Direction, FaultKind, FaultRecord, Phase, TraceConfig};
 use numa_bfs::util::rng::Xoroshiro128;
 
 /// Every grid shape that tiles the 8 ranks of the test cluster.
