@@ -34,10 +34,21 @@ const ALGOS: [AllgatherAlgorithm; 5] = [
     AllgatherAlgorithm::ParallelSubgroup,
 ];
 
-/// `(nodes, ppn)`: one node, the smallest wire, an odd node count (the
-/// allreduce tree has missing partners), the paper's 16 nodes, and one
-/// rank per node.
-const MAPS: [(usize, usize); 5] = [(1, 8), (2, 8), (3, 8), (16, 8), (4, 1)];
+/// `(nodes, ppn, weak node)`: one node, the smallest wire, an odd node
+/// count (the allreduce tree has missing partners), the paper's 16 nodes,
+/// one rank per node, and four nodes of which one has 40 % of the NIC
+/// bandwidth (Section IV.A's weak node: its flows bind on its own share).
+const MAPS: [(usize, usize, Option<usize>); 6] = [
+    (1, 8, None),
+    (2, 8, None),
+    (3, 8, None),
+    (16, 8, None),
+    (4, 1, None),
+    (4, 8, Some(2)),
+];
+
+/// Bandwidth factor of the weak node in [`MAPS`].
+const WEAK_FACTOR: f64 = 0.4;
 
 /// Bytes every rank contributes in the `equal` pattern.
 const SEGMENT: u64 = 8 * 512;
@@ -87,15 +98,21 @@ fn pattern(name: &str, np: usize) -> Vec<u64> {
             // Zero-byte segments still cost a latency but carry no volume.
             "alternate" if r % 2 == 1 => 0,
             "alternate" => SEGMENT,
+            // Sizes that differ inside a node (rank 14 sends nothing), so a
+            // round's price depends on the largest of a node's segments.
+            "skewed" => 8 * 29 * ((r as u64 * 37 + 11) % 23),
             _ => unreachable!("unknown pattern {name}"),
         })
         .collect()
 }
 
-const PATTERNS: [&str; 3] = ["equal", "ragged", "alternate"];
+const PATTERNS: [&str; 4] = ["equal", "ragged", "alternate", "skewed"];
 
-fn setup(nodes: usize, ppn: usize) -> (ProcessMap, NetworkModel) {
-    let m = presets::xeon_x7550_cluster(nodes);
+fn setup(nodes: usize, ppn: usize, weak: Option<usize>) -> (ProcessMap, NetworkModel) {
+    let mut m = presets::xeon_x7550_cluster(nodes);
+    if let Some(node) = weak {
+        m = m.with_weak_node(node, WEAK_FACTOR);
+    }
     let policy = if ppn == m.sockets_per_node {
         PlacementPolicy::BindToSocket
     } else {
@@ -104,7 +121,9 @@ fn setup(nodes: usize, ppn: usize) -> (ProcessMap, NetworkModel) {
     (ProcessMap::new(&m, ppn, policy), NetworkModel::new(&m))
 }
 
-/// One allgather's price, tally and edge schedule.
+/// One allgather's price, tally and edge schedule. The walk that lists no
+/// edges must price and tally exactly like the one that does, so a fast
+/// path taken only without a sink is pinned too.
 fn allgather(
     bytes: &[u64],
     pmap: &ProcessMap,
@@ -113,6 +132,12 @@ fn allgather(
 ) -> (CommCost, CollectiveStats, Vec<FaultEdge>) {
     let mut edges = Vec::new();
     let (cost, stats) = allgather_sizes(bytes, bytes, pmap, net, algo, Some(&mut edges));
+    let (plain_cost, plain_stats) = allgather_sizes(bytes, bytes, pmap, net, algo, None);
+    assert_eq!(
+        fingerprint(&plain_cost, &plain_stats, &[]),
+        fingerprint(&cost, &stats, &[]),
+        "{algo:?}: the edge-free walk moved the price or the tally"
+    );
     (cost, stats, edges)
 }
 
@@ -124,26 +149,31 @@ fn allreduce(
 ) -> (u64, CommCost, CollectiveStats, Vec<FaultEdge>) {
     let mut edges = Vec::new();
     let out = allreduce_sum(values, pmap, net, Some(&mut edges));
+    assert_eq!(allreduce_sum(values, pmap, net, None), out);
     (out.value, out.cost, out.stats, edges)
 }
 
 fn cells() -> Vec<(String, u64)> {
     let mut cells = Vec::new();
-    for (nodes, ppn) in MAPS {
-        let (pmap, net) = setup(nodes, ppn);
+    for (nodes, ppn, weak) in MAPS {
+        let (pmap, net) = setup(nodes, ppn, weak);
+        let map = match weak {
+            Some(node) => format!("{nodes}x{ppn} weak{node}"),
+            None => format!("{nodes}x{ppn}"),
+        };
         for name in PATTERNS {
             let bytes = pattern(name, pmap.world_size());
             for algo in ALGOS {
                 let (cost, stats, edges) = allgather(&bytes, &pmap, &net, algo);
                 cells.push((
-                    format!("{algo:?} {nodes}x{ppn} {name}"),
+                    format!("{algo:?} {map} {name}"),
                     fingerprint(&cost, &stats, &edges),
                 ));
             }
             let (value, cost, stats, edges) = allreduce(&bytes, &pmap, &net);
             let mut f = Fingerprint(fingerprint(&cost, &stats, &edges));
             f.word(value);
-            cells.push((format!("allreduce {nodes}x{ppn} {name}"), f.0));
+            cells.push((format!("allreduce {map} {name}"), f.0));
         }
     }
     cells
@@ -170,6 +200,12 @@ const PINS: &[(&str, u64)] = &[
     ("SharedBoth 1x8 alternate", 0x3ecb33e15783bec5),
     ("ParallelSubgroup 1x8 alternate", 0x3ecb33e15783bec5),
     ("allreduce 1x8 alternate", 0x231c2ad8d29b90d3),
+    ("Ring 1x8 skewed", 0xdffa3673ac00d3c3),
+    ("LeaderBased 1x8 skewed", 0x4915706a87d94dc9),
+    ("SharedDest 1x8 skewed", 0x15ccc4645c047f40),
+    ("SharedBoth 1x8 skewed", 0x3ecb33e15783bec5),
+    ("ParallelSubgroup 1x8 skewed", 0x3ecb33e15783bec5),
+    ("allreduce 1x8 skewed", 0x6a1ff0f687db4d6b),
     ("Ring 2x8 equal", 0xdaf054d301682af4),
     ("LeaderBased 2x8 equal", 0x1e973af677a04ecd),
     ("SharedDest 2x8 equal", 0x757d2c047befaae3),
@@ -188,6 +224,12 @@ const PINS: &[(&str, u64)] = &[
     ("SharedBoth 2x8 alternate", 0x22700d93966e4533),
     ("ParallelSubgroup 2x8 alternate", 0x8193fa649928a2b2),
     ("allreduce 2x8 alternate", 0x12ed3b9d0505e27e),
+    ("Ring 2x8 skewed", 0xd66355660f281140),
+    ("LeaderBased 2x8 skewed", 0x3502a82f91292e31),
+    ("SharedDest 2x8 skewed", 0x7adadb0099069f42),
+    ("SharedBoth 2x8 skewed", 0xdcf48af886dfd8f2),
+    ("ParallelSubgroup 2x8 skewed", 0x229f5577ec380b89),
+    ("allreduce 2x8 skewed", 0x5020732bd0fa7a36),
     ("Ring 3x8 equal", 0x8d1d95abf305d6d8),
     ("LeaderBased 3x8 equal", 0x6cd461ddd0dd1cb9),
     ("SharedDest 3x8 equal", 0xd1f84eb738ebef1a),
@@ -206,6 +248,12 @@ const PINS: &[(&str, u64)] = &[
     ("SharedBoth 3x8 alternate", 0x3baba019eb447f41),
     ("ParallelSubgroup 3x8 alternate", 0x0f7ce8c0d3a471d1),
     ("allreduce 3x8 alternate", 0x7a5361603eaccb13),
+    ("Ring 3x8 skewed", 0xeacc6a9cfec03697),
+    ("LeaderBased 3x8 skewed", 0x5c2c2b7356982584),
+    ("SharedDest 3x8 skewed", 0x20ebb8d054c15004),
+    ("SharedBoth 3x8 skewed", 0xd41444eb1f75c924),
+    ("ParallelSubgroup 3x8 skewed", 0x6eedd890e69f3937),
+    ("allreduce 3x8 skewed", 0xbd140aaf10a0b762),
     ("Ring 16x8 equal", 0x1ae5a2c98ac14c29),
     ("LeaderBased 16x8 equal", 0x8fffe00386c8a771),
     ("SharedDest 16x8 equal", 0xbe18dbd94fae4f0d),
@@ -224,6 +272,12 @@ const PINS: &[(&str, u64)] = &[
     ("SharedBoth 16x8 alternate", 0xafa5816f493fde1c),
     ("ParallelSubgroup 16x8 alternate", 0x3bce3d8b01ac4ccc),
     ("allreduce 16x8 alternate", 0xcdad517fd94f9bc4),
+    ("Ring 16x8 skewed", 0xa4a5e36702b99845),
+    ("LeaderBased 16x8 skewed", 0xf3225ca91f31a328),
+    ("SharedDest 16x8 skewed", 0x817b0592e6adc7b7),
+    ("SharedBoth 16x8 skewed", 0x5d71c9ce6a12a85b),
+    ("ParallelSubgroup 16x8 skewed", 0x9e0f3087a22ea73f),
+    ("allreduce 16x8 skewed", 0xb314b6588a00d842),
     ("Ring 4x1 equal", 0xf7eed8df86e595c6),
     ("LeaderBased 4x1 equal", 0xf7eed8df86e595c6),
     ("SharedDest 4x1 equal", 0xf7eed8df86e595c6),
@@ -242,6 +296,36 @@ const PINS: &[(&str, u64)] = &[
     ("SharedBoth 4x1 alternate", 0x9829ed4d924c728c),
     ("ParallelSubgroup 4x1 alternate", 0x9829ed4d924c728c),
     ("allreduce 4x1 alternate", 0x9318ef4b80f29638),
+    ("Ring 4x1 skewed", 0x6a3a8d37e33199ec),
+    ("LeaderBased 4x1 skewed", 0x6a3a8d37e33199ec),
+    ("SharedDest 4x1 skewed", 0x6a3a8d37e33199ec),
+    ("SharedBoth 4x1 skewed", 0x6a3a8d37e33199ec),
+    ("ParallelSubgroup 4x1 skewed", 0x6a3a8d37e33199ec),
+    ("allreduce 4x1 skewed", 0xa06f6952f2421318),
+    ("Ring 4x8 weak2 equal", 0xf8140baa6ec79f4a),
+    ("LeaderBased 4x8 weak2 equal", 0xd6bf7492c57b5c68),
+    ("SharedDest 4x8 weak2 equal", 0xdffdb6cbb5e972aa),
+    ("SharedBoth 4x8 weak2 equal", 0xc2f5b44d65fe8244),
+    ("ParallelSubgroup 4x8 weak2 equal", 0x1f03eabee2d0e204),
+    ("allreduce 4x8 weak2 equal", 0x012bda78a233692a),
+    ("Ring 4x8 weak2 ragged", 0xb752f7e0e7367eb5),
+    ("LeaderBased 4x8 weak2 ragged", 0x2fa124d9254b14df),
+    ("SharedDest 4x8 weak2 ragged", 0xfe146a407729704d),
+    ("SharedBoth 4x8 weak2 ragged", 0x764a825d5ec7a0e4),
+    ("ParallelSubgroup 4x8 weak2 ragged", 0x2b4fd6640b66fa64),
+    ("allreduce 4x8 weak2 ragged", 0x0576037ca8221462),
+    ("Ring 4x8 weak2 alternate", 0xb2f369f9d6bd92c2),
+    ("LeaderBased 4x8 weak2 alternate", 0xed01c502b81e677e),
+    ("SharedDest 4x8 weak2 alternate", 0x7baa2304596f461a),
+    ("SharedBoth 4x8 weak2 alternate", 0x0b81a39f669237ad),
+    ("ParallelSubgroup 4x8 weak2 alternate", 0xd39debf15e12683d),
+    ("allreduce 4x8 weak2 alternate", 0x24957645b441a2f1),
+    ("Ring 4x8 weak2 skewed", 0x0ab059511a8d6ffd),
+    ("LeaderBased 4x8 weak2 skewed", 0xf5ac930629973ca8),
+    ("SharedDest 4x8 weak2 skewed", 0x143b30479a5c64cc),
+    ("SharedBoth 4x8 weak2 skewed", 0x91848b424c656c23),
+    ("ParallelSubgroup 4x8 weak2 skewed", 0x81da30f20277de4c),
+    ("allreduce 4x8 weak2 skewed", 0xa193a233f341e56e),
 ];
 
 #[test]

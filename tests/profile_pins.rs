@@ -24,7 +24,7 @@ use numa_bfs::core::engine::{BfsRun, DistributedBfs, NoClock, Scenario};
 use numa_bfs::core::engine2d::TwoDimBfs;
 use numa_bfs::core::opt::OptLevel;
 use numa_bfs::graph::{CompressedCsr, Csr, Edge, EdgeList, GraphBuilder};
-use numa_bfs::topology::MachineConfig;
+use numa_bfs::topology::{presets, MachineConfig};
 use numa_bfs::trace::{Direction, FaultKind, FaultRecord, Phase, TraceConfig};
 use numa_bfs::util::rng::Xoroshiro128;
 
@@ -114,6 +114,17 @@ fn faulted_scenario(opt: OptLevel) -> Scenario {
     Scenario::builder(machine, opt)
         .trace(TraceConfig::Standard)
         .faults(plan)
+        .build()
+        .unwrap()
+}
+
+/// The benchmark's cluster map: sixteen 8-socket nodes, 128 ranks, at the
+/// `Granularity(256)` rung (the Fig. 7 parallel allgather), scaled to a
+/// graph of `2^scale` vertices.
+fn cluster_scenario(scale: u32, codec: Codec) -> Scenario {
+    let machine = presets::xeon_x7550_cluster(16).scaled_to_graph(scale, 28);
+    Scenario::builder(machine, OptLevel::Granularity(256))
+        .codec(codec)
         .build()
         .unwrap()
 }
@@ -209,6 +220,33 @@ const TORUS: &[(&str, u64)] = &[
     ("1d torus", 0x1f905a8945f3aab4),
     ("2d 2x4 torus", 0x752a0247c554e9fa),
 ];
+
+/// The only cells on more than three nodes: sixteen, where the parallel
+/// allgather runs fifteen rounds of 128 flows.
+const CLUSTER: &[(&str, u64)] = &[
+    ("1d torus raw", 0xef1775dd394aad5a),
+    ("1d rmat12 raw", 0x0c8c4041cb79240a),
+    ("1d rmat12 delta-varint", 0xfe6c3eab10b7df7d),
+    ("2d 16x8 rmat12 raw", 0x6002d874ca417ec0),
+];
+
+#[test]
+fn cluster_cells_are_pinned() {
+    let torus = torus();
+    let rmat = GraphBuilder::rmat(12, 16).seed(23).build();
+    let root = hub(&rmat);
+    let one_torus = DistributedBfs::new(&torus, &cluster_scenario(16, Codec::Raw)).run(0);
+    assert_eq!(one_torus.profile.levels.len(), 545);
+    let mut cells = vec![("1d torus raw".to_string(), fingerprint(&one_torus))];
+    for codec in Codec::ALL {
+        let run = DistributedBfs::new(&rmat, &cluster_scenario(12, codec)).run(root);
+        cells.push((format!("1d rmat12 {}", codec.label()), fingerprint(&run)));
+    }
+    let s = cluster_scenario(12, Codec::Raw);
+    let two = TwoDimBfs::with_grid(&rmat, &s, 16, 8).run(root);
+    cells.push(("2d 16x8 rmat12 raw".to_string(), fingerprint(&two)));
+    check("CLUSTER", &cells, CLUSTER);
+}
 
 #[test]
 fn one_dim_rmat_cells_are_pinned() {
