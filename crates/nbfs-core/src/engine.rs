@@ -783,11 +783,14 @@ impl<'g, G: GraphView> DistributedBfs<'g, G> {
                     edge_bytes: 8 * (flen + st.td.matched),
                     write_bytes: 12 * discovered,
                     cpu_ops: flen * lookup_ops + 3 * st.td.matched,
-                    probes: vec![ProbeClass {
-                        count: flen / 8 + 1,
-                        working_set: (arcs * 8).max(64),
-                        residence: self.scenario.private_residence(),
-                    }],
+                    probes: [
+                        ProbeClass {
+                            count: flen / 8 + 1,
+                            working_set: (arcs * 8).max(64),
+                            residence: self.scenario.private_residence(),
+                        },
+                        ProbeClass::NONE,
+                    ],
                 };
                 KernelOut { events, discovered }
             })

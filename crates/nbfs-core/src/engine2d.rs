@@ -390,11 +390,14 @@ impl<'g, G: GraphView> TwoDimBfs<'g, G> {
                     edge_bytes: 8 * (flen + matched),
                     write_bytes: 8 * matched,
                     cpu_ops: 8 * flen + 3 * matched,
-                    probes: vec![ProbeClass {
-                        count: flen / 8 + 1,
-                        working_set: (block.bwd.sources.len() * 8).max(64),
-                        residence: self.scenario.private_residence(),
-                    }],
+                    probes: [
+                        ProbeClass {
+                            count: flen / 8 + 1,
+                            working_set: (block.bwd.sources.len() * 8).max(64),
+                            residence: self.scenario.private_residence(),
+                        },
+                        ProbeClass::NONE,
+                    ],
                 }
             })
             .collect()

@@ -141,6 +141,7 @@ impl<'a> Env<'a> {
 
 fn compute_context(scenario: &Scenario, pmap: &ProcessMap) -> ComputeContext {
     let mut ctx = ComputeContext::new(
+        &scenario.machine,
         pmap.threads_per_rank(),
         pmap.memory_profile(&scenario.machine),
         pmap.ppn(),
@@ -278,8 +279,12 @@ impl Level<'_> {
     ) -> u64 {
         self.times.clear();
         let mut total = 0u64;
+        // hot-path
+        // Prices every rank of every level: events are fixed-size, the
+        // context holds its cache model, and the times land in run-scoped
+        // scratch.
         for (rank, (events, discovered)) in ranks.enumerate() {
-            let comp = self.env.ctx.time(&self.env.scenario.machine, events);
+            let comp = self.env.ctx.time(events);
             self.times.push(comp);
             total += discovered;
             // A bottom-up scan streams 4-byte neighbour ids, a top-down one
@@ -287,8 +292,8 @@ impl Level<'_> {
             let (edges_scanned, summary_probes, inqueue_probes) = match self.direction {
                 Direction::BottomUp => (
                     events.edge_bytes / 4,
-                    events.probes.first().map_or(0, |p| p.count),
-                    events.probes.get(1).map_or(0, |p| p.count),
+                    events.probes[0].count,
+                    events.probes[1].count,
                 ),
                 Direction::TopDown => (events.edge_bytes / 8, 0, 0),
             };
@@ -305,6 +310,7 @@ impl Level<'_> {
                 comp,
             });
         }
+        // end-hot-path
         let (mean, stall) = mean_and_stall(self.times);
         self.comp += mean;
         self.stall += stall;
@@ -319,7 +325,7 @@ fn conversion_time(env: &Env<'_>) -> SimTime {
         vertex_scan_bytes: ((we - ws) * 8) as u64 * 2,
         ..ComputeEvents::default()
     };
-    env.ctx.time(&env.scenario.machine, &events)
+    env.ctx.time(&events)
 }
 
 /// Scans a vertex block bottom-up in fixed word-aligned chunks on the
@@ -373,7 +379,7 @@ pub(crate) fn bu_events(
         edge_bytes: scan.edge_bytes,
         write_bytes: scan.write_bytes,
         cpu_ops: scan.cpu_ops,
-        probes: vec![
+        probes: [
             ProbeClass {
                 count: scan.summary_probes,
                 working_set: summary_bytes,
@@ -414,6 +420,13 @@ pub(crate) fn search<X: Exchange>(
     let mut tracer = Tracer::new(trace);
     let mut ex = make();
 
+    // `m_f` is a running tally: a level's frontier is what the last level
+    // discovered, and discovering a vertex takes its degree off its
+    // owner's `unexplored_degree`, so `m_f` is the last level's `m_u`
+    // minus this one's (exact in `u64`). Before the root, `m_u` is every
+    // degree.
+    let mut prev_m_u: u64 = (0..np).map(|r| ex.owned(r).unexplored_degree).sum();
+
     // Root installation.
     {
         let owner = env.partition.owner(root);
@@ -435,17 +448,14 @@ pub(crate) fn search<X: Exchange>(
 
     loop {
         // --- per-level statistics and direction choice -------------------
-        let (mut m_f, mut m_u) = (0u64, 0u64);
+        let mut m_u = 0u64;
         for (r, count) in frontier_counts.iter_mut().enumerate() {
             let own = ex.owned(r);
             *count = own.frontier.len() as u64;
-            m_f += own
-                .frontier
-                .iter()
-                .map(|&v| ex.degree(r, v as usize))
-                .sum::<u64>();
             m_u += own.unexplored_degree;
         }
+        let m_f = prev_m_u - m_u;
+        prev_m_u = m_u;
         let mut lv = Level {
             env,
             tracer: &mut tracer,

@@ -70,8 +70,23 @@ pub struct ProbeClass {
     pub residence: Residence,
 }
 
+impl ProbeClass {
+    /// No probes: the filler of an unused [`ComputeEvents::probes`] slot.
+    pub const NONE: Self = Self {
+        count: 0,
+        working_set: 0,
+        residence: Residence::SocketPrivate,
+    };
+}
+
+impl Default for ProbeClass {
+    fn default() -> Self {
+        Self::NONE
+    }
+}
+
 /// Work counted for one rank during one computation phase.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ComputeEvents {
     /// Bytes streamed sequentially over per-vertex state (parent array,
     /// visited bitmap words).
@@ -82,20 +97,14 @@ pub struct ComputeEvents {
     pub write_bytes: u64,
     /// Abstract ALU/branch operations retired.
     pub cpu_ops: u64,
-    /// Random-probe classes (summary bitmap, frontier bitmap, ...).
-    pub probes: Vec<ProbeClass>,
+    /// Random-probe classes: a bottom-up scan's summary and `in_queue`
+    /// probes, a top-down scan's index lookups and [`ProbeClass::NONE`].
+    /// A fixed size keeps the record off the heap; a class with no probes
+    /// costs nothing.
+    pub probes: [ProbeClass; 2],
 }
 
 impl ComputeEvents {
-    /// Merges another event record into this one (same rank, same context).
-    pub fn merge(&mut self, other: &ComputeEvents) {
-        self.vertex_scan_bytes += other.vertex_scan_bytes;
-        self.edge_bytes += other.edge_bytes;
-        self.write_bytes += other.write_bytes;
-        self.cpu_ops += other.cpu_ops;
-        self.probes.extend(other.probes.iter().copied());
-    }
-
     /// Total sequentially streamed bytes.
     pub fn stream_bytes(&self) -> u64 {
         self.vertex_scan_bytes + self.edge_bytes + self.write_bytes
@@ -105,6 +114,8 @@ impl ComputeEvents {
 /// Execution context of one rank during a computation phase.
 #[derive(Clone, Debug)]
 pub struct ComputeContext {
+    /// The probe model of the machine the rank runs on.
+    cache: CacheModel,
     /// Cores driving this rank ("OpenMP threads" of the paper's hybrid
     /// programming model).
     pub cores: usize,
@@ -118,10 +129,16 @@ pub struct ComputeContext {
 }
 
 impl ComputeContext {
-    /// Context with default parameters.
-    pub fn new(cores: usize, graph_profile: MemoryProfile, ranks_on_node: usize) -> Self {
+    /// Context with default parameters on `machine`.
+    pub fn new(
+        machine: &MachineConfig,
+        cores: usize,
+        graph_profile: MemoryProfile,
+        ranks_on_node: usize,
+    ) -> Self {
         assert!(cores >= 1 && ranks_on_node >= 1);
         Self {
+            cache: CacheModel::new(machine),
             cores,
             graph_profile,
             ranks_on_node,
@@ -129,9 +146,10 @@ impl ComputeContext {
         }
     }
 
-    /// Simulated duration of the counted work on `machine`.
-    pub fn time(&self, machine: &MachineConfig, events: &ComputeEvents) -> SimTime {
-        let cache = CacheModel::new(machine);
+    /// Simulated duration of the counted work.
+    pub fn time(&self, events: &ComputeEvents) -> SimTime {
+        let cache = &self.cache;
+        let machine = cache.machine();
         let p = self.params;
         let cores = self.cores as f64;
         let prof = &self.graph_profile;
@@ -142,7 +160,8 @@ impl ComputeContext {
         let mut loaded_qpi_bytes = 0.0;
         let mut shared_qpi_bytes = 0.0;
         let line = machine.socket.cache.line_bytes as f64;
-        for pc in &events.probes {
+        // A class with no probes would add +0.0 to every sum: skip it.
+        for pc in events.probes.iter().filter(|pc| pc.count > 0) {
             let b = cache.probe_breakdown(pc.working_set, pc.residence);
             probe_ns_total += pc.count as f64 * b.mean_ns;
             probe_miss_bytes += pc.count as f64 * b.dram_fraction * line;
@@ -267,11 +286,14 @@ mod tests {
             edge_bytes: 16 * n,
             write_bytes: n / 4,
             cpu_ops: 20 * n,
-            probes: vec![ProbeClass {
-                count: 2 * n,
-                working_set: scale_bytes,
-                residence: Residence::SocketPrivate,
-            }],
+            probes: [
+                ProbeClass {
+                    count: 2 * n,
+                    working_set: scale_bytes,
+                    residence: Residence::SocketPrivate,
+                },
+                ProbeClass::NONE,
+            ],
         }
     }
 
@@ -280,8 +302,8 @@ mod tests {
         let m = machine();
         let prof = ProcessMap::new(&m, 8, PlacementPolicy::BindToSocket).memory_profile(&m);
         let ev = workload(64 << 20);
-        let t1 = ComputeContext::new(1, prof, 1).time(&m, &ev);
-        let t8 = ComputeContext::new(8, prof, 1).time(&m, &ev);
+        let t1 = ComputeContext::new(&m, 1, prof, 1).time(&ev);
+        let t8 = ComputeContext::new(&m, 8, prof, 1).time(&ev);
         let speedup = t1 / t8;
         assert!(
             (4.0..=8.0).contains(&speedup),
@@ -297,12 +319,12 @@ mod tests {
         let bind = ProcessMap::new(&m, 8, PlacementPolicy::BindToSocket).memory_profile(&m);
         let inter = ProcessMap::new(&m, 1, PlacementPolicy::Interleave).memory_profile(&m);
         let mut ev = workload(64 << 20);
-        let t_bind = ComputeContext::new(8, bind, 8).time(&m, &ev);
+        let t_bind = ComputeContext::new(&m, 8, bind, 8).time(&ev);
         // Interleaved run probes a full-size in_queue with remote DRAM mix.
         for pc in &mut ev.probes {
             pc.residence = Residence::InterleavedPrivateCache;
         }
-        let t_inter = ComputeContext::new(8, inter, 8).time(&m, &ev);
+        let t_inter = ComputeContext::new(&m, 8, inter, 8).time(&ev);
         let ratio = t_inter / t_bind;
         assert!(
             ratio > 1.3,
@@ -311,20 +333,10 @@ mod tests {
     }
 
     #[test]
-    fn merge_accumulates() {
-        let mut a = workload(1 << 20);
-        let b = workload(1 << 20);
-        let edge_before = a.edge_bytes;
-        a.merge(&b);
-        assert_eq!(a.edge_bytes, 2 * edge_before);
-        assert_eq!(a.probes.len(), 2);
-    }
-
-    #[test]
     fn empty_events_cost_nothing() {
         let m = machine();
         let prof = ProcessMap::new(&m, 8, PlacementPolicy::BindToSocket).memory_profile(&m);
-        let t = ComputeContext::new(8, prof, 8).time(&m, &ComputeEvents::default());
+        let t = ComputeContext::new(&m, 8, prof, 8).time(&ComputeEvents::default());
         assert_eq!(t, SimTime::ZERO);
     }
 
@@ -368,7 +380,7 @@ mod tests {
         let prof = ProcessMap::new(&m, 1, PlacementPolicy::Interleave).memory_profile(&m);
         let ev = workload(64 << 20);
         // Must not panic or produce infinite time.
-        let t = ComputeContext::new(8, prof, 1).time(&m, &ev);
+        let t = ComputeContext::new(&m, 8, prof, 1).time(&ev);
         assert!(t.as_secs().is_finite() && t.as_secs() > 0.0);
     }
 }

@@ -10,7 +10,7 @@
 use nbfs_topology::MachineConfig;
 use nbfs_util::SimTime;
 
-use crate::flows::{Flow, FlowSolver};
+use crate::flows::{Flow, FlowGroup, FlowSolver, RoundScratch};
 
 /// Communication cost model for one machine.
 #[derive(Clone, Debug)]
@@ -31,6 +31,12 @@ impl NetworkModel {
     /// Completion time of one round of concurrent inter-node flows.
     pub fn round_time(&self, flows: &[Flow]) -> SimTime {
         self.solver.round_time(flows)
+    }
+
+    /// Completion time of one round given as node-pair flow groups (see
+    /// [`FlowSolver::round_time_grouped`]).
+    pub fn round_time_grouped(&self, groups: &[FlowGroup], scratch: &mut RoundScratch) -> SimTime {
+        self.solver.round_time_grouped(groups, scratch)
     }
 
     /// Time for `copiers` concurrent threads (across one node) to each copy
