@@ -153,7 +153,7 @@ fn parse_granularity(what: &str, value: &str) -> Result<usize, String> {
 }
 
 /// Parses an optimization-level name.
-pub fn parse_opt(name: &str) -> Result<OptLevel, String> {
+fn parse_opt(name: &str) -> Result<OptLevel, String> {
     Ok(match name {
         "ppn1" => OptLevel::OriginalPpn1,
         "ppn8" => OptLevel::OriginalPpn8,

@@ -196,7 +196,7 @@ impl FaultPlan {
     }
 
     /// Backoff charged before retry `retry` (0-based).
-    pub fn backoff_for(&self, retry: u32) -> SimTime {
+    fn backoff_for(&self, retry: u32) -> SimTime {
         SimTime::from_secs(self.backoff_base.as_secs() * self.backoff_factor.powi(retry as i32))
     }
 
@@ -210,7 +210,7 @@ impl FaultPlan {
     /// The fate of delivery attempt `attempt` (0-based) at `site`: the
     /// first rule that matches and draws under its rate. Pure in
     /// `(seed, site, attempt)`.
-    pub fn fires(&self, site: &FaultSite, attempt: u32) -> Option<FaultKind> {
+    fn fires(&self, site: &FaultSite, attempt: u32) -> Option<FaultKind> {
         for (index, spec) in self.specs.iter().enumerate() {
             if attempt > 0 && !spec.every_attempt {
                 continue;

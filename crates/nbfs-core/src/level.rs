@@ -140,14 +140,13 @@ impl<'a> Env<'a> {
 }
 
 fn compute_context(scenario: &Scenario, pmap: &ProcessMap) -> ComputeContext {
-    let mut ctx = ComputeContext::new(
+    ComputeContext::new(
         &scenario.machine,
         pmap.threads_per_rank(),
         pmap.memory_profile(&scenario.machine),
         pmap.ppn(),
-    );
-    ctx.params = scenario.params;
-    ctx
+        scenario.params,
+    )
 }
 
 /// Identity block of a search's [`TraceReport`].

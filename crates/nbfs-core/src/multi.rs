@@ -9,26 +9,29 @@
 //! instead of once per query — the sharing that makes a batched wave beat
 //! 64 sequential single-source runs on queries/sec.
 //!
-//! Every level is two phases, mirroring the alloc-free pipeline of
-//! [`crate::par`]:
+//! Every top-down level is three phases, mirroring the alloc-free pipeline
+//! of [`crate::par`]:
 //!
 //! * **Expand** — workers walk disjoint chunks of the active list; for
 //!   each frontier vertex `v` and neighbour `w`, the lanes newly reaching
-//!   `w` are `cur[v] & !reached[w]`, OR-ed into `next[w]` with one
-//!   `fetch_or_word` (idempotent, so the race is benign). The old word it
-//!   returns tells exactly one claimer that it was first, and that one
-//!   sets `w`'s bit in the one-bit-per-vertex `touched` bitmap.
+//!   `w` are `cur[v] & !reached[w]`, pushed as a `(w, lanes)` candidate
+//!   onto the chunk's own recycled list. The expand only reads shared
+//!   words.
+//! * **Claim** — one pass over the lists in chunk order ORs each
+//!   candidate's lanes into `next[w]`; the first claim of a vertex (its
+//!   `next` word was zero) sets `w`'s bit in the one-bit-per-vertex
+//!   `touched` bitmap.
 //! * **Settle** — workers own disjoint fixed vertex ranges (chunking is a
 //!   pure function of the vertex count, never the thread count) and walk
-//!   their words of `touched`, clearing them — `n/64` words a level, not
-//!   the `n` lane words of `next`. Each newly-claimed vertex scans its
+//!   their own words of `touched`, clearing them — `n/64` words a level,
+//!   not the `n` lane words of `next`. Each newly-claimed vertex scans its
 //!   *sorted* adjacency list ascending and records, per lane, the first
 //!   frontier neighbour carrying that lane — the **minimum** frontier
 //!   neighbour, the very parent [`crate::par::bfs_hybrid_parallel`]'s
-//!   `fetch_min` rule elects. Plain stores suffice (one owner per vertex),
-//!   and the whole parent table is a deterministic function of graph +
-//!   roots: bit-identical across thread pools, batch compositions and
-//!   admission orders.
+//!   min rule keeps. Plain stores suffice (one owner per vertex), and the
+//!   whole parent table is a deterministic function of graph + roots:
+//!   bit-identical across thread pools, batch compositions and admission
+//!   orders.
 //!
 //! Dense mid-wave levels run **bottom-up** instead, chosen by the Beamer
 //! α/β policy over the lane-union frontier statistics `m_f` / `m_u`. Those
@@ -37,7 +40,12 @@
 //! on the numbers a recount would give. Each bottom-up owner task scans its
 //! still-missing vertices' sorted adjacency ascending with early exit once
 //! every missing lane found a frontier neighbour — the same minimum-parent
-//! rule, fused claim+settle, no atomics at all.
+//! rule, fused claim+settle.
+//!
+//! No write is an atomic read-modify-write: every word has one writer per
+//! phase (DESIGN.md §6). The lane tables and the parent table stay
+//! `Relaxed` atomic cells only because the settle's owners store into
+//! them through shared references.
 //!
 //! The per-lane unpack at the end copies each lane's contiguous column
 //! of the lane-major parent table into an independent parent array, each
@@ -45,12 +53,12 @@
 //! `tests/multi_source_equivalence` pins across scales, batch sizes and
 //! pools.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 
 use rayon::prelude::*;
 
 use nbfs_graph::{vid, Csr, NO_PARENT};
-use nbfs_util::{AtomicBitmap, Bitmap, FrontierArena, FrontierSlot, LaneBitmap};
+use nbfs_util::{Bitmap, FrontierArena, FrontierSlot, LaneBitmap};
 
 use crate::direction::{Direction, SwitchPolicy};
 use crate::grain;
@@ -155,11 +163,11 @@ pub struct MultiWorkspace {
     reached: LaneBitmap,
     cur: LaneBitmap,
     next: LaneBitmap,
-    /// One bit per vertex: set by the expand's first claim of the vertex
-    /// in this level, cleared by the settle task that serves it — the
-    /// top-down level tail walks these `n/64` words, never the `n` lane
-    /// words of `next`.
-    touched: AtomicBitmap,
+    /// One bit per vertex: set by the claim pass's first claim of the
+    /// vertex in this level, cleared by the settle task that owns its word
+    /// — the top-down level tail walks these `n/64` words, never the `n`
+    /// lane words of `next`.
+    touched: Bitmap,
     /// Lane-major flattened parents: `parent[lane * n + v]`. Lane-major
     /// keeps each settle task's writes on up-to-64 ascending streams and
     /// makes the per-lane unpack a contiguous column read instead of a
@@ -170,6 +178,9 @@ pub struct MultiWorkspace {
     /// table clean and the next `prepare` can skip the refill sweep.
     parent_dirty: bool,
     active: Vec<u32>,
+    /// One `(vertex, lanes)` candidate list per expand chunk, recycled
+    /// across levels and waves.
+    candidates: Vec<Vec<(u32, u64)>>,
     arena: FrontierArena<u32>,
     caps: Vec<usize>,
 }
@@ -187,10 +198,11 @@ impl MultiWorkspace {
             reached: LaneBitmap::new(0),
             cur: LaneBitmap::new(0),
             next: LaneBitmap::new(0),
-            touched: AtomicBitmap::new(0),
+            touched: Bitmap::new(0),
             parent: Vec::new(),
             parent_dirty: false,
             active: Vec::new(),
+            candidates: Vec::new(),
             arena: FrontierArena::new(),
             caps: Vec::new(),
         }
@@ -203,7 +215,7 @@ impl MultiWorkspace {
             self.reached = LaneBitmap::new(n);
             self.cur = LaneBitmap::new(n);
             self.next = LaneBitmap::new(n);
-            self.touched = AtomicBitmap::new(n);
+            self.touched = Bitmap::new(n);
         } else {
             self.reached.clear_all();
             self.cur.clear_all();
@@ -258,8 +270,9 @@ pub fn multi_source_bfs_in(
     // share a vertex — their lanes advance identically.
     for (lane, &root) in roots.iter().enumerate() {
         let mask = 1u64 << lane;
-        ws.cur.fetch_or_word(root, mask);
-        ws.reached.fetch_or_word(root, mask);
+        ws.cur.store_word(root, ws.cur.load_word(root) | mask);
+        ws.reached
+            .store_word(root, ws.reached.load_word(root) | mask);
         ws.parent[lane * n + root].store(vid::to_stored(root), Ordering::Relaxed);
     }
     ws.active.extend(
@@ -278,7 +291,7 @@ pub fn multi_source_bfs_in(
     };
     let policy = SwitchPolicy::default();
     let mut direction = Direction::TopDown;
-    let edges = AtomicU64::new(0);
+    let mut edges = 0u64;
     // Lanes still emitting level counts; a lane stops after its first
     // empty level, mirroring the single-source engines' trailing zero.
     let mut recording: u64 = wave_mask;
@@ -307,58 +320,79 @@ pub fn multi_source_bfs_in(
         let cur = &ws.cur;
         let reached = &ws.reached;
         let next = &ws.next;
-        let touched = &ws.touched;
         let parent = &ws.parent;
         direction = policy.choose(direction, m_f, m_u, ws.active.len() as u64, n as u64);
         let chunks = ws.active.len().div_ceil(CHUNK);
 
         let filled: Vec<Settled<'_>> = if direction == Direction::TopDown {
             // --- expand --------------------------------------------------
+            if ws.candidates.len() < chunks {
+                ws.candidates.resize_with(chunks, Vec::new);
+            }
             // hot-path
             // Per-edge work of the expand phase: one reached-word load and
-            // at most one fetch_or claim, whose returned old word tells the
-            // first claimer of a vertex to flag it in `touched`;
-            // allocation-free by construction.
-            ws.active
+            // at most one push onto the chunk's own recycled list. Reads
+            // only; allocation-free by construction.
+            edges += ws
+                .active
                 .par_chunks(CHUNK)
+                .zip(ws.candidates[..chunks].par_iter_mut())
                 .with_min_len(grain::min_len(chunks, m_f))
-                .for_each(|chunk| {
+                .map(|(chunk, list)| {
+                    list.clear();
                     let mut local_edges = 0u64;
                     for &v in chunk {
                         let fv = cur.load_word(v as usize);
                         for &w in graph.neighbours(v as usize) {
                             local_edges += 1;
                             let new = fv & !reached.load_word(w as usize);
-                            if new != 0 && next.fetch_or_word(w as usize, new) == 0 {
-                                touched.set(w as usize);
+                            if new != 0 {
+                                list.push((w, new));
                             }
                         }
                     }
-                    edges.fetch_add(local_edges, Ordering::Relaxed);
-                });
+                    local_edges
+                })
+                .sum::<u64>();
+            // end-hot-path
+
+            // --- claim ---------------------------------------------------
+            // hot-path
+            // One pass in chunk order ORs the candidates into `next`; a
+            // vertex's first claim (its `next` word was zero) flags it in
+            // `touched`. Bitwise OR is order-free, so `next` and `touched`
+            // are the same on any pool.
+            for list in &ws.candidates[..chunks] {
+                for &(w, new) in list {
+                    let old = next.load_word(w as usize);
+                    next.store_word(w as usize, old | new);
+                    if old == 0 {
+                        ws.touched.set(w as usize);
+                    }
+                }
+            }
             // end-hot-path
 
             // --- settle --------------------------------------------------
             // Fixed vertex-range tasks (pure function of n), so the merged
             // next frontier and every parent store are schedule-independent.
-            // A task walks its words of `touched`, so the level reads n/64
-            // words plus what the frontier reached.
+            // A task walks (and clears) its own words of `touched`, so the
+            // level reads n/64 words plus what the frontier reached.
             ws.caps.clear();
-            ws.caps.extend((0..num_tasks).map(|task| {
-                let w_start = task * SETTLE_TASK_WORDS;
-                let w_end = ((task + 1) * SETTLE_TASK_WORDS).min(num_words);
-                (w_start..w_end)
-                    .map(|wi| touched.load_word(wi).count_ones() as usize)
-                    .sum::<usize>()
-            }));
+            ws.caps.extend(
+                ws.touched
+                    .words()
+                    .chunks(SETTLE_TASK_WORDS)
+                    .map(|words| words.iter().map(|w| w.count_ones() as usize).sum::<usize>()),
+            );
             ws.arena
                 .begin(&ws.caps)
                 .into_par_iter()
+                .zip(ws.touched.words_mut().par_chunks_mut(SETTLE_TASK_WORDS))
                 .with_min_len(grain::min_len(num_tasks, num_words as u64 + m_f))
                 .enumerate()
-                .map(|(task, slot)| {
+                .map(|(task, (slot, touched))| {
                     let w_start = task * SETTLE_TASK_WORDS;
-                    let w_end = ((task + 1) * SETTLE_TASK_WORDS).min(num_words);
                     let mut out = Settled::new(slot);
                     // hot-path
                     // Each claimed vertex scans its sorted adjacency
@@ -366,12 +400,13 @@ pub fn multi_source_bfs_in(
                     // neighbour — the minimum, i.e. the reference parent.
                     // One owner per vertex: plain stores, no RMW, no
                     // allocation.
-                    for wi in w_start..w_end {
-                        let mut word = touched.load_word(wi);
+                    for (i, t) in touched.iter_mut().enumerate() {
+                        let mut word = *t;
                         if word == 0 {
                             continue;
                         }
-                        touched.store_word(wi, 0);
+                        *t = 0;
+                        let wi = w_start + i;
                         while word != 0 {
                             let v = wi * 64 + word.trailing_zeros() as usize;
                             word &= word - 1;
@@ -460,17 +495,15 @@ pub fn multi_source_bfs_in(
 
         // --- level tail --------------------------------------------------
         let mut level_counts = [0u64; MAX_LANES];
-        let mut settle_edges = 0u64;
         m_f = 0;
         for out in &filled {
             for (total, c) in level_counts.iter_mut().zip(out.counts.iter()) {
                 *total += c;
             }
-            settle_edges += out.edges;
+            edges += out.edges;
             m_f += out.frontier_degree;
             m_u -= out.completed_degree;
         }
-        edges.fetch_add(settle_edges, Ordering::Relaxed);
 
         // Retire the old frontier, promote the claims, rebuild the active
         // list in task order (ascending vertex ids).
@@ -534,7 +567,7 @@ pub fn multi_source_bfs_in(
     MultiSourceRun {
         lanes: lanes_out,
         wave_levels,
-        edges_scanned: edges.load(Ordering::Relaxed),
+        edges_scanned: edges,
     }
 }
 

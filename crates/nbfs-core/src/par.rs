@@ -3,64 +3,69 @@
 //!
 //! The distributed engine models intra-rank parallelism as a core count in
 //! the cost model (keeping simulated time deterministic); this module is
-//! the *actual* multithreaded kernel a rank would run: rayon workers share
-//! [`AtomicBitmap`] frontier queues and claim parents with a fixed rule,
-//! exactly the intra-node scheme of Beamer et al. \[9\] that the paper
-//! adopts ("8 MPI processes, each of 8 OMP threads").
+//! the *actual* multithreaded kernel a rank would run: rayon workers split
+//! every level into fixed tasks, exactly the intra-node scheme of Beamer
+//! et al. \[9\] that the paper adopts ("8 MPI processes, each of 8 OMP
+//! threads").
 //!
-//! The claim rule makes the whole run schedule-independent: top-down
-//! workers race with `fetch_min`, so the *minimum* frontier neighbour wins
-//! no matter the interleaving, and the bottom-up scan breaks at the first
-//! set in-queue bit of the sorted adjacency list — the same minimum. The
-//! resulting parent array is therefore bit-identical across thread pools
+//! Every word has one writer per phase (DESIGN.md §6), so no write is an
+//! atomic read-modify-write. Top-down, each frontier chunk pushes the
+//! `(v, u)` pairs of its unvisited neighbours into its own recycled
+//! candidate list, and one pass applies the lists in chunk order, keeping
+//! the *minimum* `u` per `v`. Bottom-up, each task owns a fixed range of
+//! vertices with their parent, out-queue and visited words, and its scan
+//! breaks at the first in-queue bit of the sorted adjacency list — the same
+//! minimum. The parent array is therefore bit-identical across thread pools
 //! (and across direction schedules), which the tests pin. Parents may
 //! still differ from the sequential engines, whose rule is
 //! first-frontier-vertex-in-queue-order; both are valid BFS parents.
 //!
-//! Frontiers flow through an alloc-free pipeline shared with the
-//! distributed engine's kernels: discoveries land as bits in an atomic
-//! out-queue, the visited words absorb them with one `fetch_or_word` per
-//! word, and the next queue is rebuilt ascending through a recycled
+//! Frontiers flow through an alloc-free pipeline: discoveries land as bits
+//! in the out-queue, the level tail folds each out word into its visited
+//! word and rebuilds the next queue ascending through a recycled
 //! [`FrontierArena`] — no per-chunk `Vec::new` in any hot path.
-
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 use rayon::prelude::*;
 
 use nbfs_graph::{vid, Csr, NO_PARENT};
-use nbfs_util::{AtomicBitmap, FrontierArena, FrontierSlot};
+use nbfs_util::{Bitmap, FrontierArena, FrontierSlot};
 
 use crate::direction::{Direction, SwitchPolicy};
 use crate::grain;
 use crate::seq::{LevelTrace, SeqBfs};
 
-/// Chunk of vertices processed per work-stealing task.
+/// Chunk of frontier vertices expanded per top-down task.
 const CHUNK: usize = 1024;
 
-/// Words of the visited bitmap per bottom-up task (4096 vertices) — the
-/// same fixed, thread-count-independent chunking as the distributed
-/// engine's kernel.
+/// Words of the visited bitmap per bottom-up or level-tail task — the same
+/// fixed, thread-count-independent chunking as the distributed engine's
+/// kernel.
 const BU_TASK_WORDS: usize = 64;
+
+/// Vertices per bottom-up or level-tail task.
+const BU_TASK: usize = BU_TASK_WORDS * 64;
 
 /// Runs the hybrid BFS from `root` using the current rayon thread pool.
 pub fn bfs_hybrid_parallel(graph: &Csr, root: usize, policy: SwitchPolicy) -> SeqBfs {
     let n = graph.num_vertices();
     assert!(root < n, "root out of range");
-    let parent: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(NO_PARENT)).collect();
-    parent[root].store(vid::to_stored(root), Ordering::Relaxed);
+    let mut parent = vec![NO_PARENT; n];
+    parent[root] = vid::to_stored(root);
 
     let mut frontier: Vec<u32> = vec![vid::to_stored(root)];
-    let mut in_queue = AtomicBitmap::new(n);
+    let mut in_queue = Bitmap::new(n);
     in_queue.set(root);
     // Discoveries of the running level; swapped into `in_queue` at the
     // level tail, so neither bitmap is ever re-derived from scratch.
-    let mut out_queue = AtomicBitmap::new(n);
+    let mut out_queue = Bitmap::new(n);
     // Visited words let bottom-up workers skip 64 explored vertices with a
-    // single load; the kernels keep them incrementally updated (one
-    // `fetch_or_word` per word at each level tail), so scans see a stable
-    // view and no level rebuilds the bitmap from the queue.
-    let visited = AtomicBitmap::new(n);
+    // single load; the level tail ORs each out word into its visited word,
+    // so scans see a stable view and no level rebuilds the bitmap.
+    let mut visited = Bitmap::new(n);
     visited.set(root);
+    // One `(vertex, parent)` candidate list per top-down chunk, recycled
+    // across levels: a list holds at most its chunk's arcs.
+    let mut candidates: Vec<Vec<(u32, u32)>> = Vec::new();
     // Alloc-free next-queue pipeline: per-task slots carved from one
     // recycled arena, merged in task order (ascending vertex ids).
     let mut next_arena: FrontierArena<u32> = FrontierArena::new();
@@ -84,136 +89,151 @@ pub fn bfs_hybrid_parallel(graph: &Csr, root: usize, policy: SwitchPolicy) -> Se
         }
         direction = policy.choose(direction, m_f, m_u, n_f, n as u64);
 
-        let edges = AtomicU64::new(0);
-        match direction {
+        let edges: u64 = match direction {
             Direction::TopDown => {
-                // Workers expand disjoint frontier chunks. The claim is
-                // `fetch_min` on the parent word: NO_PARENT is u32::MAX,
-                // so after the level every discovered vertex holds its
-                // *minimum* frontier neighbour — independent of worker
-                // count and interleaving. Discoveries are bits in the
-                // atomic out-queue (idempotent), not per-chunk Vecs.
-                let out = &out_queue;
+                let chunks = frontier.len().div_ceil(CHUNK);
+                if candidates.len() < chunks {
+                    candidates.resize_with(chunks, Vec::new);
+                }
                 let vis = &visited;
                 // hot-path
                 // Per-edge work of the top-down direction: one visited
-                // probe, at most one fetch_min + bitmap OR. Allocation-free
-                // by construction (checked by `tests/hot_path_alloc.rs`).
-                frontier.par_chunks(CHUNK).for_each(|chunk| {
-                    let mut local_edges = 0u64;
-                    for &u in chunk {
-                        for &v in graph.neighbours(u as usize) {
-                            local_edges += 1;
-                            if !vis.get(v as usize) {
-                                parent[v as usize].fetch_min(u, Ordering::Relaxed);
-                                out.set(v as usize);
+                // probe, at most one push onto the chunk's own recycled
+                // list. Reads only; no shared word is written.
+                let edges = frontier
+                    .par_chunks(CHUNK)
+                    .zip(candidates[..chunks].par_iter_mut())
+                    .map(|(chunk, list)| {
+                        list.clear();
+                        let mut local_edges = 0u64;
+                        for &u in chunk {
+                            for &v in graph.neighbours(u as usize) {
+                                local_edges += 1;
+                                if !vis.get(v as usize) {
+                                    list.push((v, u));
+                                }
                             }
                         }
-                    }
-                    edges.fetch_add(local_edges, Ordering::Relaxed);
-                });
+                        local_edges
+                    })
+                    .sum();
                 // end-hot-path
+                // hot-path
+                // Apply the lists in chunk order under the min rule:
+                // NO_PARENT is u32::MAX, so every discovered vertex ends
+                // the level holding its *minimum* frontier neighbour,
+                // whatever the pool.
+                for list in &candidates[..chunks] {
+                    for &(v, u) in list {
+                        let p = &mut parent[v as usize];
+                        if u < *p {
+                            *p = u;
+                            out_queue.set(v as usize);
+                        }
+                    }
+                }
+                // end-hot-path
+                edges
             }
             Direction::BottomUp => {
-                // Workers scan disjoint word-aligned unvisited ranges; each
-                // vertex is touched by exactly one worker, so a plain store
-                // suffices. The scan walks zero words of `visited` and
-                // serves in_queue probes from a cached word — consecutive
-                // sorted neighbours rarely leave it. Adjacency lists are
-                // sorted ascending, so the break lands on the *minimum*
-                // frontier neighbour: the same parent the top-down
-                // `fetch_min` rule would pick.
-                let in_q = &in_queue;
-                let out = &out_queue;
-                let vis = &visited;
+                // Each task owns a word-aligned range of vertices: their
+                // parents, their out words and (read-only) their visited
+                // words. The scan walks zero words of `visited` and serves
+                // in_queue probes from a cached word — consecutive sorted
+                // neighbours rarely leave it. Adjacency lists are sorted
+                // ascending, so the break lands on the *minimum* frontier
+                // neighbour: the same parent the top-down apply keeps.
+                let in_words = in_queue.words();
                 let tail = n % 64;
                 // hot-path
                 // Word-level bottom-up scan; discoveries accumulate in one
-                // local word per visited-word and land with a single
-                // fetch_or_word (task ranges are disjoint, so the RMW never
-                // contends). No heap allocation on any path.
-                (0..num_tasks).into_par_iter().for_each(|task| {
-                    let w_start = task * BU_TASK_WORDS;
-                    let w_end = ((task + 1) * BU_TASK_WORDS).min(num_words);
-                    let mut local_edges = 0u64;
-                    let mut cached_wi = usize::MAX;
-                    let mut cached_word = 0u64;
-                    for wi in w_start..w_end {
-                        let mask = if tail != 0 && wi + 1 == num_words {
-                            (1u64 << tail) - 1
-                        } else {
-                            u64::MAX
-                        };
-                        let mut pending = !vis.load_word(wi) & mask;
-                        let mut found = 0u64;
-                        while pending != 0 {
-                            let bit = pending.trailing_zeros() as usize;
-                            pending &= pending - 1;
-                            let v = wi * 64 + bit;
-                            for &u in graph.neighbours(v) {
-                                local_edges += 1;
-                                let uw = u as usize / 64;
-                                if uw != cached_wi {
-                                    cached_wi = uw;
-                                    cached_word = in_q.load_word(uw);
-                                }
-                                if (cached_word >> (u as usize % 64)) & 1 == 1 {
-                                    parent[v].store(u, Ordering::Relaxed);
-                                    found |= 1u64 << bit;
-                                    break;
+                // local word per visited word and land with one plain store
+                // into the task's own out word. No heap allocation on any
+                // path.
+                parent
+                    .par_chunks_mut(BU_TASK)
+                    .zip(out_queue.words_mut().par_chunks_mut(BU_TASK_WORDS))
+                    .zip(visited.words().par_chunks(BU_TASK_WORDS))
+                    .enumerate()
+                    .map(|(task, ((parents, out), vis))| {
+                        let w_start = task * BU_TASK_WORDS;
+                        let mut local_edges = 0u64;
+                        let mut cached_wi = usize::MAX;
+                        let mut cached_word = 0u64;
+                        for (i, (out_word, &vis_word)) in out.iter_mut().zip(vis).enumerate() {
+                            let wi = w_start + i;
+                            let mask = if tail != 0 && wi + 1 == num_words {
+                                (1u64 << tail) - 1
+                            } else {
+                                u64::MAX
+                            };
+                            let mut pending = !vis_word & mask;
+                            let mut found = 0u64;
+                            while pending != 0 {
+                                let bit = pending.trailing_zeros() as usize;
+                                pending &= pending - 1;
+                                for &u in graph.neighbours(wi * 64 + bit) {
+                                    local_edges += 1;
+                                    let uw = u as usize / 64;
+                                    if uw != cached_wi {
+                                        cached_wi = uw;
+                                        cached_word = in_words[uw];
+                                    }
+                                    if (cached_word >> (u as usize % 64)) & 1 == 1 {
+                                        parents[i * 64 + bit] = u;
+                                        found |= 1u64 << bit;
+                                        break;
+                                    }
                                 }
                             }
+                            if found != 0 {
+                                *out_word = found;
+                            }
                         }
-                        if found != 0 {
-                            out.fetch_or_word(wi, found);
-                        }
-                    }
-                    edges.fetch_add(local_edges, Ordering::Relaxed);
-                });
+                        local_edges
+                    })
+                    .sum()
                 // end-hot-path
             }
-        }
+        };
 
         // --- level tail: alloc-free frontier pipeline --------------------
-        // Fold the level's discoveries into the visited words (one
-        // fetch_or_word per word — the bitmap is never re-derived) and
-        // rebuild the next queue ascending through the recycled arena.
-        // Task boundaries are a pure function of the vertex count, so the
-        // merged queue is bit-identical across thread pools. A task costs
-        // its words plus its discoveries, so a sparse level's rebuild runs
-        // inline (see `grain`).
+        // Fold the level's discoveries into the visited words (each task
+        // owns its words — the bitmap is never re-derived) and rebuild the
+        // next queue ascending through the recycled arena. Task boundaries
+        // are a pure function of the vertex count, so the merged queue is
+        // bit-identical across thread pools. A task costs its words plus
+        // its discoveries, so a sparse level's rebuild runs inline (see
+        // `grain`).
         caps.clear();
-        caps.extend((0..num_tasks).map(|task| {
-            let w_start = task * BU_TASK_WORDS;
-            let w_end = ((task + 1) * BU_TASK_WORDS).min(num_words);
-            (w_start..w_end)
-                .map(|wi| out_queue.load_word(wi).count_ones() as usize)
-                .sum::<usize>()
-        }));
-        let out = &out_queue;
-        let vis = &visited;
+        caps.extend(
+            out_queue
+                .words()
+                .chunks(BU_TASK_WORDS)
+                .map(|words| words.iter().map(|w| w.count_ones() as usize).sum::<usize>()),
+        );
         let tail_ops = (num_words + caps.iter().sum::<usize>()) as u64;
         let filled: Vec<(FrontierSlot<'_, u32>, u64)> = next_arena
             .begin(&caps)
             .into_par_iter()
+            .zip(visited.words_mut().par_chunks_mut(BU_TASK_WORDS))
+            .zip(out_queue.words().par_chunks(BU_TASK_WORDS))
             .with_min_len(grain::min_len(num_tasks, tail_ops))
             .enumerate()
-            .map(|(task, mut slot)| {
+            .map(|(task, ((mut slot, vis), out))| {
                 let w_start = task * BU_TASK_WORDS;
-                let w_end = ((task + 1) * BU_TASK_WORDS).min(num_words);
                 let mut degree = 0u64;
-                for wi in w_start..w_end {
-                    let word = out.load_word(wi);
+                for (i, (vis_word, &word)) in vis.iter_mut().zip(out).enumerate() {
                     if word == 0 {
                         continue;
                     }
-                    vis.fetch_or_word(wi, word);
+                    *vis_word |= word;
                     let mut w = word;
                     while w != 0 {
-                        let bit = w.trailing_zeros() as usize;
+                        let v = (w_start + i) * 64 + w.trailing_zeros() as usize;
                         w &= w - 1;
-                        slot.push(vid::to_stored(wi * 64 + bit));
-                        degree += graph.degree(wi * 64 + bit) as u64;
+                        slot.push(vid::to_stored(v));
+                        degree += graph.degree(v) as u64;
                     }
                 }
                 (slot, degree)
@@ -236,21 +256,18 @@ pub fn bfs_hybrid_parallel(graph: &Csr, root: usize, policy: SwitchPolicy) -> Se
         levels.push(LevelTrace {
             direction,
             discovered: frontier.len() as u64,
-            edges_examined: edges.load(Ordering::Relaxed),
+            edges_examined: edges,
         });
     }
 
-    SeqBfs {
-        parent: parent.into_iter().map(AtomicU32::into_inner).collect(),
-        levels,
-    }
+    SeqBfs { parent, levels }
 }
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::cast_possible_truncation)]
 mod tests {
     use super::*;
-    use crate::seq;
+    use crate::{multi, seq};
     use nbfs_graph::validate::validate_bfs_tree;
     use nbfs_graph::GraphBuilder;
 
@@ -302,20 +319,34 @@ mod tests {
 
     #[test]
     fn parents_are_bit_identical_across_thread_pools() {
-        // The fetch_min claim rule (and the sorted-adjacency break of the
-        // bottom-up scan) pins every parent to the minimum frontier
-        // neighbour, so the whole parent array — not just the visited set —
-        // is schedule-independent.
+        // The min rule of the top-down apply (and the sorted-adjacency
+        // break of the bottom-up scan) pins every parent to the minimum
+        // frontier neighbour, so under every policy the whole parent array
+        // — not just the visited set — equals the scalar reference on any
+        // pool. The pure policies keep every level in one direction, so the
+        // multi-chunk top-down apply and the bottom-up tasks are each held
+        // to it alone.
         let g = graph();
         let root = (0..g.num_vertices()).max_by_key(|&v| g.degree(v)).unwrap();
-        let multi = bfs_hybrid_parallel(&g, root, SwitchPolicy::default());
-        for threads in [1usize, 3, 7] {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap();
-            let run = pool.install(|| bfs_hybrid_parallel(&g, root, SwitchPolicy::default()));
-            assert_eq!(multi.parent, run.parent, "threads={threads}");
+        let reference = multi::reference_single_source(&g, root);
+        for policy in [
+            SwitchPolicy::default(),
+            SwitchPolicy::always_top_down(),
+            SwitchPolicy::always_bottom_up(),
+        ] {
+            for threads in [1usize, 3, 7] {
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .unwrap();
+                let run = pool.install(|| bfs_hybrid_parallel(&g, root, policy));
+                assert_eq!(run.parent, reference.parent, "{policy:?} threads={threads}");
+                let discovered: Vec<u64> = run.levels.iter().map(|l| l.discovered).collect();
+                assert_eq!(
+                    discovered, reference.level_discovered,
+                    "{policy:?} threads={threads}"
+                );
+            }
         }
     }
 

@@ -80,12 +80,6 @@ impl<'g> BitParallelBackend<'g> {
     pub fn graph(&self) -> &'g Csr {
         self.graph
     }
-
-    /// Workspaces currently parked in the pool (observability for the
-    /// recycling tests).
-    pub fn idle_workspaces(&self) -> usize {
-        self.pool.idle_len()
-    }
 }
 
 impl QueryBackend for BitParallelBackend<'_> {
@@ -211,7 +205,7 @@ impl<B: QueryBackend> QueryEngine<B> {
 
     /// An engine fusing at most `batch_limit` roots per wave (clamped to
     /// `1..=backend.wave_capacity()`).
-    pub fn with_batch_limit(backend: B, batch_limit: usize) -> Self {
+    fn with_batch_limit(backend: B, batch_limit: usize) -> Self {
         let batch_limit = batch_limit.clamp(1, backend.wave_capacity());
         Self {
             backend,
@@ -231,11 +225,6 @@ impl<B: QueryBackend> QueryEngine<B> {
     /// The backend.
     pub fn backend(&self) -> &B {
         &self.backend
-    }
-
-    /// Roots fused per wave at most.
-    pub fn batch_limit(&self) -> usize {
-        self.batch_limit
     }
 
     /// Lifetime counters.
@@ -260,7 +249,7 @@ impl<B: QueryBackend> QueryEngine<B> {
     }
 
     /// Runs one batch of roots directly: chunks of at most
-    /// [`Self::batch_limit`] roots each execute as one wave, bypassing
+    /// `batch_limit` roots each execute as one wave, bypassing
     /// the admission queue (the caller already holds the whole batch).
     /// Answers come back in root order.
     pub fn run_batch(&self, roots: &[usize]) -> Vec<B::Answer> {
@@ -277,7 +266,7 @@ impl<B: QueryBackend> QueryEngine<B> {
     ///
     /// The calling thread parks on a ticket. Whenever no wave is in
     /// flight, one waiter promotes itself to leader, drains up to
-    /// [`Self::batch_limit`] pending roots (FIFO, oldest first) and runs
+    /// `batch_limit` pending roots (FIFO, oldest first) and runs
     /// them as a single wave; everyone else sleeps until the leader posts
     /// the answers. Concurrent submitters therefore fuse into shared
     /// waves automatically, and a lone submitter degenerates to a direct
@@ -429,7 +418,7 @@ mod tests {
         let g = graph();
         let keys = roots(&g, 11, 3);
         let engine = QueryEngine::with_batch_limit(BitParallelBackend::new(&g), 4);
-        assert_eq!(engine.batch_limit(), 4);
+        assert_eq!(engine.batch_limit, 4);
         let answers = engine.run_batch(&keys);
         assert_eq!(answers.len(), keys.len());
         for (answer, &root) in answers.iter().zip(&keys) {
@@ -464,14 +453,14 @@ mod tests {
         let g = graph();
         let keys = roots(&g, 8, 5);
         let engine = QueryEngine::bit_parallel(&g);
-        assert_eq!(engine.backend().idle_workspaces(), 0);
+        assert_eq!(engine.backend().pool.idle_len(), 0);
         engine.run_batch(&keys);
-        assert_eq!(engine.backend().idle_workspaces(), 1);
+        assert_eq!(engine.backend().pool.idle_len(), 1);
         // Sequential waves reuse the parked workspace instead of growing
         // the pool.
         engine.run_batch(&keys);
         engine.run_batch(&keys[..3]);
-        assert_eq!(engine.backend().idle_workspaces(), 1);
+        assert_eq!(engine.backend().pool.idle_len(), 1);
     }
 
     #[test]

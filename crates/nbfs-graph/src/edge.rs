@@ -24,7 +24,7 @@ impl Edge {
     }
 
     /// Is this a self loop?
-    pub fn is_self_loop(&self) -> bool {
+    fn is_self_loop(&self) -> bool {
         self.u == self.v
     }
 

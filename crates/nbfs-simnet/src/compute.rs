@@ -106,7 +106,7 @@ pub struct ComputeEvents {
 
 impl ComputeEvents {
     /// Total sequentially streamed bytes.
-    pub fn stream_bytes(&self) -> u64 {
+    fn stream_bytes(&self) -> u64 {
         self.vertex_scan_bytes + self.edge_bytes + self.write_bytes
     }
 }
@@ -125,16 +125,17 @@ pub struct ComputeContext {
     /// memory channels and QPI fabric).
     pub ranks_on_node: usize,
     /// Model constants.
-    pub params: ModelParams,
+    params: ModelParams,
 }
 
 impl ComputeContext {
-    /// Context with default parameters on `machine`.
+    /// Context on `machine` with the model constants `params`.
     pub fn new(
         machine: &MachineConfig,
         cores: usize,
         graph_profile: MemoryProfile,
         ranks_on_node: usize,
+        params: ModelParams,
     ) -> Self {
         assert!(cores >= 1 && ranks_on_node >= 1);
         Self {
@@ -142,7 +143,7 @@ impl ComputeContext {
             cores,
             graph_profile,
             ranks_on_node,
-            params: ModelParams::default(),
+            params,
         }
     }
 
@@ -302,8 +303,8 @@ mod tests {
         let m = machine();
         let prof = ProcessMap::new(&m, 8, PlacementPolicy::BindToSocket).memory_profile(&m);
         let ev = workload(64 << 20);
-        let t1 = ComputeContext::new(&m, 1, prof, 1).time(&ev);
-        let t8 = ComputeContext::new(&m, 8, prof, 1).time(&ev);
+        let t1 = ComputeContext::new(&m, 1, prof, 1, ModelParams::default()).time(&ev);
+        let t8 = ComputeContext::new(&m, 8, prof, 1, ModelParams::default()).time(&ev);
         let speedup = t1 / t8;
         assert!(
             (4.0..=8.0).contains(&speedup),
@@ -319,12 +320,12 @@ mod tests {
         let bind = ProcessMap::new(&m, 8, PlacementPolicy::BindToSocket).memory_profile(&m);
         let inter = ProcessMap::new(&m, 1, PlacementPolicy::Interleave).memory_profile(&m);
         let mut ev = workload(64 << 20);
-        let t_bind = ComputeContext::new(&m, 8, bind, 8).time(&ev);
+        let t_bind = ComputeContext::new(&m, 8, bind, 8, ModelParams::default()).time(&ev);
         // Interleaved run probes a full-size in_queue with remote DRAM mix.
         for pc in &mut ev.probes {
             pc.residence = Residence::InterleavedPrivateCache;
         }
-        let t_inter = ComputeContext::new(&m, 8, inter, 8).time(&ev);
+        let t_inter = ComputeContext::new(&m, 8, inter, 8, ModelParams::default()).time(&ev);
         let ratio = t_inter / t_bind;
         assert!(
             ratio > 1.3,
@@ -336,7 +337,8 @@ mod tests {
     fn empty_events_cost_nothing() {
         let m = machine();
         let prof = ProcessMap::new(&m, 8, PlacementPolicy::BindToSocket).memory_profile(&m);
-        let t = ComputeContext::new(&m, 8, prof, 8).time(&ComputeEvents::default());
+        let t = ComputeContext::new(&m, 8, prof, 8, ModelParams::default())
+            .time(&ComputeEvents::default());
         assert_eq!(t, SimTime::ZERO);
     }
 
@@ -380,7 +382,7 @@ mod tests {
         let prof = ProcessMap::new(&m, 1, PlacementPolicy::Interleave).memory_profile(&m);
         let ev = workload(64 << 20);
         // Must not panic or produce infinite time.
-        let t = ComputeContext::new(&m, 8, prof, 1).time(&ev);
+        let t = ComputeContext::new(&m, 8, prof, 1, ModelParams::default()).time(&ev);
         assert!(t.as_secs().is_finite() && t.as_secs() > 0.0);
     }
 }

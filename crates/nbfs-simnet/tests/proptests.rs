@@ -6,7 +6,7 @@
 #![allow(clippy::unwrap_used, clippy::cast_possible_truncation)]
 use proptest::prelude::*;
 
-use nbfs_simnet::compute::ProbeClass;
+use nbfs_simnet::compute::{ModelParams, ProbeClass};
 use nbfs_simnet::{
     CacheModel, ComputeContext, ComputeEvents, Flow, FlowGroup, FlowSolver, NetworkModel,
     Residence, RoundScratch,
@@ -54,7 +54,7 @@ proptest! {
         let m = presets::xeon_x7550_node();
         let pmap = ProcessMap::new(&m, 8, PlacementPolicy::BindToSocket);
         let prof = pmap.memory_profile(&m);
-        let ctx = ComputeContext::new(&m, 8, prof, 8);
+        let ctx = ComputeContext::new(&m, 8, prof, 8, ModelParams::default());
         let ev = |edges: u64, p: u64| ComputeEvents {
             vertex_scan_bytes: 1000,
             edge_bytes: edges,
@@ -96,8 +96,8 @@ proptest! {
                 ProbeClass::NONE,
             ],
         };
-        let t_few = ComputeContext::new(&m, cores, prof, 8).time(&ev);
-        let t_more = ComputeContext::new(&m, cores + 1, prof, 8).time(&ev);
+        let t_few = ComputeContext::new(&m, cores, prof, 8, ModelParams::default()).time(&ev);
+        let t_more = ComputeContext::new(&m, cores + 1, prof, 8, ModelParams::default()).time(&ev);
         prop_assert!(t_more <= t_few + SimTime::from_nanos(1.0));
     }
 

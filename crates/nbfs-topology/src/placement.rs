@@ -142,14 +142,6 @@ impl ProcessMap {
         rank % self.ppn
     }
 
-    /// The socket `rank` is pinned to, if the policy pins at all.
-    pub fn socket_of(&self, rank: RankId) -> Option<usize> {
-        match self.policy {
-            PlacementPolicy::BindToSocket => Some(self.local_index(rank) % self.sockets_per_node),
-            _ => None,
-        }
-    }
-
     /// All ranks living on `node`, in rank order.
     pub fn ranks_of_node(&self, node: usize) -> std::ops::Range<RankId> {
         debug_assert!(node < self.nodes);
@@ -302,8 +294,9 @@ mod tests {
     fn bind_to_socket_pins_round_robin() {
         let pm = ProcessMap::one_rank_per_socket(&machine());
         assert_eq!(pm.ppn(), 8);
+        assert_eq!(pm.policy(), PlacementPolicy::BindToSocket);
         for rank in 0..pm.world_size() {
-            assert_eq!(pm.socket_of(rank), Some(rank % 8));
+            assert_eq!(pm.local_index(rank), rank % 8);
         }
         assert_eq!(pm.threads_per_rank(), 8, "8 OMP threads per socket rank");
     }
@@ -313,7 +306,7 @@ mod tests {
         let pm = ProcessMap::one_rank_per_node(&machine());
         assert_eq!(pm.ppn(), 1);
         assert_eq!(pm.threads_per_rank(), 64);
-        assert_eq!(pm.socket_of(0), None);
+        assert_eq!(pm.policy(), PlacementPolicy::Interleave);
     }
 
     #[test]

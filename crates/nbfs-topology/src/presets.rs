@@ -13,7 +13,7 @@ use crate::machine::{CacheSpec, MachineConfig, NicSpec, SocketSpec};
 /// * 32 KB L1D + 256 KB L2 per core, 18 MB shared L3
 /// * four SMI channels → 17.1 GB/s peak per socket (footnote 1 of Table I)
 /// * four 6.4 GT/s full-width QPI links (~12.8 GB/s each per direction)
-pub fn xeon_x7550_socket() -> SocketSpec {
+fn xeon_x7550_socket() -> SocketSpec {
     SocketSpec {
         cores: 8,
         ghz: 2.0,
@@ -40,7 +40,7 @@ pub fn xeon_x7550_socket() -> SocketSpec {
 /// 40 Gbps QDR IB delivers ≈3.2 GB/s of payload per port after 8b/10b and
 /// protocol overhead. `per_stream_bw` is calibrated to Fig. 4: one process
 /// per node achieves about half of what eight processes achieve.
-pub fn dual_qdr_ib() -> NicSpec {
+fn dual_qdr_ib() -> NicSpec {
     NicSpec {
         ports: 2,
         port_bw: 3.2e9,

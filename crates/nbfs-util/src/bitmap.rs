@@ -166,7 +166,7 @@ impl Bitmap {
     /// Mask of addressable bits in word `w`: all-ones everywhere except the
     /// final partial word, where only the low `len % 64` bits are live.
     #[inline]
-    pub fn word_mask(&self, w: usize) -> u64 {
+    fn word_mask(&self, w: usize) -> u64 {
         let tail = self.len_bits % WORD_BITS;
         if tail != 0 && w + 1 == self.words.len() {
             (1u64 << tail) - 1
@@ -349,7 +349,7 @@ impl<'a> CachedWordProbe<'a> {
     }
 
     /// Probe over a raw word slice (e.g. a rank-local segment).
-    pub fn over_words(words: &'a [u64]) -> Self {
+    fn over_words(words: &'a [u64]) -> Self {
         Self {
             words,
             word_idx: usize::MAX,

@@ -4,21 +4,19 @@
 //! word-level at heart: up to 64 independent BFS queries can share one
 //! traversal by giving every vertex a single `u64` whose bit *l* means
 //! "query lane *l* has reached this vertex". A [`LaneBitmap`] is exactly
-//! that table — one atomic word per *vertex* (where [`crate::AtomicBitmap`]
-//! packs 64 *vertices* per word, this packs 64 *queries* per vertex).
+//! that table — one word per *vertex* (where [`crate::Bitmap`] packs 64
+//! *vertices* per word, this packs 64 *queries* per vertex).
 //!
-//! The concurrency contract mirrors the frontier bitmaps: expansion
-//! workers race `fetch_or_word` claims on shared vertices (the single RMW
-//! keeps concurrent lane merges lost-update-free — the property the
-//! `atomic_bitmap_linearizability` test checks), while settle phases that own
-//! disjoint vertex ranges may use plain `store_word`. All ordering is
-//! `Relaxed`; the level barrier between expand and settle provides the
-//! synchronization, exactly as the collectives do for the distributed
-//! frontier words.
+//! The table offers loads and stores, never a read-modify-write: every
+//! word has one writer per phase. Expansion workers only read it; settle
+//! phases own disjoint vertex ranges and store into them through a shared
+//! reference, which is why the words are `Relaxed` atomic cells. The level
+//! barrier between phases provides the synchronization, exactly as the
+//! collectives do for the distributed frontier words.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// One atomic `u64` lane word per slot (vertex).
+/// One `u64` lane word per slot (vertex).
 pub struct LaneBitmap {
     words: Vec<AtomicU64>,
 }
@@ -27,7 +25,6 @@ impl std::fmt::Debug for LaneBitmap {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LaneBitmap")
             .field("len", &self.words.len())
-            .field("active", &self.count_active())
             .finish()
     }
 }
@@ -58,23 +55,11 @@ impl LaneBitmap {
         self.words[v].load(Ordering::Relaxed)
     }
 
-    /// Stores slot `v`'s lane word. Callers must not race this with
-    /// concurrent writers of the same slot (settle phases own disjoint
-    /// vertex ranges, so a plain store suffices there).
+    /// Stores slot `v`'s lane word. The caller must be the slot's only
+    /// writer in this phase (settle phases own disjoint vertex ranges).
     #[inline]
     pub fn store_word(&self, v: usize, value: u64) {
         self.words[v].store(value, Ordering::Relaxed);
-    }
-
-    /// Atomically ORs `mask` into slot `v`, returning the previous word.
-    ///
-    /// `prev` tells the caller exactly which lanes it newly claimed
-    /// (`mask & !prev`): concurrent expanders agree on one claimer per
-    /// lane, the multi-source analogue of `AtomicBitmap::fetch_set`'s
-    /// "first writer wins" parent election.
-    #[inline]
-    pub fn fetch_or_word(&self, v: usize, mask: u64) -> u64 {
-        self.words[v].fetch_or(mask, Ordering::Relaxed)
     }
 
     /// Resets every lane word to zero. Requires external quiescence.
@@ -82,15 +67,6 @@ impl LaneBitmap {
         for w in &self.words {
             w.store(0, Ordering::Relaxed);
         }
-    }
-
-    /// Number of slots with at least one live lane (racy if writers are
-    /// active).
-    pub fn count_active(&self) -> usize {
-        self.words
-            .iter()
-            .filter(|w| w.load(Ordering::Relaxed) != 0)
-            .count()
     }
 
     /// Snapshot into an owned plain vector of lane words.
@@ -103,36 +79,8 @@ impl LaneBitmap {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::cast_possible_truncation)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
-
-    #[test]
-    fn fetch_or_word_reports_exactly_one_claimer_per_lane() {
-        // 8 threads race the same 64-lane claim on every slot; the prev
-        // word each RMW returns partitions the lanes, so summing the
-        // newly-claimed bits across threads must count each lane once.
-        let lanes = Arc::new(LaneBitmap::new(256));
-        let mut handles = Vec::new();
-        for t in 0..8u64 {
-            let lanes = Arc::clone(&lanes);
-            handles.push(std::thread::spawn(move || {
-                let mut claimed = 0u64;
-                for v in 0..256 {
-                    // Every thread tries a different (overlapping) mask.
-                    let mask = u64::MAX.rotate_left((t * 8) as u32);
-                    let prev = lanes.fetch_or_word(v, mask);
-                    claimed += u64::from((mask & !prev).count_ones());
-                }
-                claimed
-            }));
-        }
-        let total: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
-        assert_eq!(total, 256 * 64, "each lane must have exactly one claimer");
-        assert!(lanes.snapshot().iter().all(|&w| w == u64::MAX));
-        assert_eq!(lanes.count_active(), 256);
-    }
 
     #[test]
     fn store_and_load_roundtrip() {
@@ -149,10 +97,9 @@ mod tests {
     fn clear_all_resets() {
         let lanes = LaneBitmap::new(10);
         for v in 0..10 {
-            lanes.fetch_or_word(v, 1 << v);
+            lanes.store_word(v, 1 << v);
         }
-        assert_eq!(lanes.count_active(), 10);
         lanes.clear_all();
-        assert_eq!(lanes.count_active(), 0);
+        assert_eq!(lanes.snapshot(), vec![0; 10]);
     }
 }

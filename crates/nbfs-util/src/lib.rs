@@ -5,7 +5,6 @@
 //! structures are made of:
 //!
 //! * [`Bitmap`] — the `in_queue` / `out_queue` frontier bitmaps of Fig. 1,
-//! * [`AtomicBitmap`] — a thread-safe variant for shared `out_queue` segments,
 //! * [`SummaryBitmap`] — the `in_queue_summary` structure whose granularity
 //!   Section III.C of the paper tunes,
 //! * [`FrontierArena`] — reusable per-chunk next-queue slots with an
@@ -33,7 +32,6 @@
 #![deny(clippy::expect_used, clippy::panic)]
 #![warn(missing_docs)]
 
-pub mod atomic_bitmap;
 pub mod bitmap;
 pub mod error;
 pub mod frontier;
@@ -47,7 +45,6 @@ pub mod summary;
 pub mod units;
 pub mod varint;
 
-pub use atomic_bitmap::AtomicBitmap;
 pub use bitmap::{Bitmap, CachedWordProbe};
 pub use error::{NbfsError, Result};
 pub use frontier::{FrontierArena, FrontierSlot};

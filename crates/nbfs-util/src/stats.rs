@@ -29,7 +29,7 @@ pub fn mean(values: &[f64]) -> Option<f64> {
 }
 
 /// Sample standard deviation; `None` when fewer than two samples.
-pub fn stddev(values: &[f64]) -> Option<f64> {
+fn stddev(values: &[f64]) -> Option<f64> {
     if values.len() < 2 {
         return None;
     }

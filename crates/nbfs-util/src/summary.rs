@@ -132,12 +132,6 @@ impl SummaryBitmap {
         }
     }
 
-    /// The number of underlying bits this summary covers.
-    #[inline]
-    pub fn covered_bits(&self) -> usize {
-        self.covered_bits
-    }
-
     /// Number of bits in the summary itself.
     #[inline]
     pub fn len(&self) -> usize {
