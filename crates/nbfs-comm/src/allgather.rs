@@ -352,9 +352,17 @@ impl Walk<'_> {
     /// segment `j` to node `n + 1`, so the round's flows from `n` are
     /// exactly the origin node's `ppn` segments: each origin is summarised
     /// into one [`FlowGroup`] once, and a round prices `nodes` groups.
+    ///
+    /// Every round sends each origin group once, and each node sends one
+    /// group and receives one. With no weak node every node has the same
+    /// network bandwidth, so a group's price depends on the group alone
+    /// and every round prices to the bits of round 0 (DESIGN.md §2): round
+    /// 0 is priced and its wire time is added once per round, in round
+    /// order. A weak-node map prices every round.
     fn parallel(&mut self, bytes: &[u64]) {
         let pmap = self.pmap;
         let (nodes, ppn) = (pmap.nodes(), pmap.ppn());
+        let uniform = self.net.is_none_or(|net| net.machine().weak_node.is_none());
         // The node pair of an origin's group is set per round.
         let origins: Vec<FlowGroup> = (0..nodes)
             .map(|o| {
@@ -365,24 +373,45 @@ impl Walk<'_> {
                 group
             })
             .collect();
+        // What every round carries: each origin group once.
+        let (round_flows, round_bytes) = origins.iter().fold((0, 0), |(flows, bytes), g| {
+            (flows + u64::from(g.streams()), bytes + g.bytes())
+        });
+        let mut round_wire = None;
         // hot-path
-        // The grouped round loop: every top-down level of a cluster run
-        // walks it (`nodes - 1` rounds of `nodes` groups). Groups and the
-        // solver's tallies live in the walk's recycled buffers.
+        // The round loop: every top-down level of a cluster run walks it
+        // (`nodes - 1` rounds). A priced round costs `nodes` groups in the
+        // walk's recycled buffers; a repeated one costs a few additions.
         for r in 0..nodes.saturating_sub(1) {
-            for n in 0..nodes {
-                let next = (n + 1) % nodes;
-                if self.edges.is_some() {
+            if self.edges.is_some() {
+                for n in 0..nodes {
+                    let next = (n + 1) % nodes;
                     let (src, dst) = (pmap.leader_of_node(n), pmap.leader_of_node(next));
                     for j in 0..ppn {
                         self.edge(r, src + j, dst + j);
                     }
                 }
-                let mut group = origins[(n + nodes - r) % nodes];
-                (group.src_node, group.dst_node) = (n, next);
-                self.wire_group(group);
             }
-            let wire = self.end_round();
+            let wire = match round_wire {
+                Some(wire) => {
+                    self.stats.rounds += 1;
+                    self.stats.flows += round_flows;
+                    self.stats.wire_bytes += round_bytes;
+                    wire
+                }
+                None => {
+                    for n in 0..nodes {
+                        let mut group = origins[(n + nodes - r) % nodes];
+                        (group.src_node, group.dst_node) = (n, (n + 1) % nodes);
+                        self.wire_group(group);
+                    }
+                    let wire = self.end_round();
+                    if uniform {
+                        round_wire = Some(wire);
+                    }
+                    wire
+                }
+            };
             self.cost.inter += wire;
         }
         // end-hot-path

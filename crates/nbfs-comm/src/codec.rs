@@ -397,17 +397,23 @@ pub fn allgather_words_codec_into(
 }
 
 /// Codec-aware allgatherv (MPI `allgatherv`) of sorted `u32` frontier
-/// lists: returns the rank-order concatenation of the lists plus the cost
-/// and volume tally of moving them with `algo` (`edges` receives the
-/// transfer schedule). The top-down phase exchanges newly discovered
-/// frontier *vertex lists* this way — sized by the frontier, not by the
-/// whole bitmap, which is why the paper's top-down communication stays
-/// cheap while its bottom-up allgathers dominate (Fig. 11).
+/// lists: replaces `items` with the rank-order concatenation of the lists
+/// (its allocation is kept) and returns the cost and volume tally of
+/// moving them with `algo` (`edges` receives the transfer schedule). The
+/// top-down phase exchanges newly discovered frontier *vertex lists* this
+/// way — sized by the frontier, not by the whole bitmap, which is why the
+/// paper's top-down communication stays cheap while its bottom-up
+/// allgathers dominate (Fig. 11).
 ///
 /// Under [`Codec::Raw`] lists are priced at 4 bytes per vertex. Otherwise
 /// every list is really encoded into the workspace and decoded into the
 /// result, and the walk prices the encoded sizes.
-pub fn allgatherv_u32_codec(
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the destination, the payload, the machine, the algorithm, the codec and the edge sink are independent"
+)]
+pub fn allgatherv_u32_codec_into(
+    items: &mut Vec<u32>,
     lists: &[impl AsRef<[u32]>],
     pmap: &ProcessMap,
     net: &NetworkModel,
@@ -415,12 +421,16 @@ pub fn allgatherv_u32_codec(
     codec: Codec,
     ws: &mut CodecWorkspace,
     edges: Option<&mut Vec<FaultEdge>>,
-) -> (Vec<u32>, CommCost, CollectiveStats) {
+) -> (CommCost, CollectiveStats) {
     assert_eq!(lists.len(), pmap.world_size(), "one list per rank");
     ws.reset(lists.len());
     let total: usize = lists.iter().map(|l| l.as_ref().len()).sum();
-    let mut items: Vec<u32> = Vec::with_capacity(total);
     let imp = codec.implementation();
+    // hot-path
+    // Every sparse top-down level: the lists land in the caller's
+    // recycled vector and the encodings in the workspace's buffers.
+    items.clear();
+    items.reserve(total);
     for (r, list) in lists.iter().enumerate() {
         let list = list.as_ref();
         ws.raw_bytes[r] = list.len() as u64 * 4;
@@ -430,11 +440,11 @@ pub fn allgatherv_u32_codec(
         } else {
             imp.encode_sorted_u32(list, &mut ws.bufs[r]);
             ws.enc_bytes[r] = ws.bufs[r].len() as u64;
-            imp.decode_sorted_u32(&ws.bufs[r], &mut items);
+            imp.decode_sorted_u32(&ws.bufs[r], items);
         }
     }
-    let (cost, stats) = allgather_sizes(&ws.enc_bytes, &ws.raw_bytes, pmap, net, algo, edges);
-    (items, cost, stats)
+    // end-hot-path
+    allgather_sizes(&ws.enc_bytes, &ws.raw_bytes, pmap, net, algo, edges)
 }
 
 /// Encoded byte size of one word payload under `codec`, using `scratch`

@@ -9,13 +9,17 @@ use nbfs_comm::allgather::{
     allgather_cost_bytes, allgather_sizes, allgather_words_into, AllgatherAlgorithm,
 };
 use nbfs_comm::alltoallv::{alltoallv_pairs_codec_into, AlltoallvWorkspace};
-use nbfs_comm::codec::{allgather_words_codec_into, allgatherv_u32_codec, Codec, CodecWorkspace};
+use nbfs_comm::codec::{
+    allgather_words_codec_into, allgatherv_u32_codec_into, Codec, CodecWorkspace,
+};
 use nbfs_comm::collectives::allreduce_sum;
-use nbfs_comm::fault::inject_collective;
+use nbfs_comm::fault::{inject_collective, FaultEdge};
 use nbfs_comm::{FaultPlan, FaultScope, FaultSpec};
-use nbfs_simnet::NetworkModel;
+use nbfs_simnet::{Flow, NetworkModel};
 use nbfs_topology::{presets, PlacementPolicy, ProcessMap};
-use nbfs_trace::{CollectiveKind, FaultKind, FaultRecord, RunMeta, TraceReport};
+use nbfs_trace::{
+    CollectiveKind, CollectiveStats, CommCost, FaultKind, FaultRecord, RunMeta, TraceReport,
+};
 use nbfs_util::SimTime;
 
 fn setup(nodes: usize, ppn: usize) -> (ProcessMap, NetworkModel) {
@@ -26,6 +30,47 @@ fn setup(nodes: usize, ppn: usize) -> (ProcessMap, NetworkModel) {
         PlacementPolicy::Interleave
     };
     (ProcessMap::new(&m, ppn, policy), NetworkModel::new(&m))
+}
+
+/// The parallel allgather walked the long way: every round lists its
+/// explicit rank-to-rank flows (`ppn` a node pair, the segments of the
+/// origin node `n - r` forwarded from `n` to `n + 1`), prices them with
+/// `NetworkModel::round_time` and adds the round's time, its tally and
+/// its edges.
+fn parallel_by_round(
+    bytes: &[u64],
+    pmap: &ProcessMap,
+    net: &NetworkModel,
+) -> (CommCost, CollectiveStats, Vec<FaultEdge>) {
+    let (nodes, ppn) = (pmap.nodes(), pmap.ppn());
+    let mut cost = CommCost::ZERO;
+    let mut stats = CollectiveStats::ZERO;
+    let mut edges = Vec::new();
+    for r in 0..nodes.saturating_sub(1) {
+        let mut flows = Vec::new();
+        for n in 0..nodes {
+            let next = (n + 1) % nodes;
+            let origin = pmap.leader_of_node((n + nodes - r) % nodes);
+            let (src, dst) = (pmap.leader_of_node(n), pmap.leader_of_node(next));
+            for j in 0..ppn {
+                edges.push(FaultEdge {
+                    round: r as u64,
+                    src: src + j,
+                    dst: dst + j,
+                });
+                let b = bytes[origin + j];
+                flows.push(Flow::new(n, next, b));
+                if b > 0 {
+                    stats.flows += 1;
+                    stats.wire_bytes += b;
+                }
+            }
+        }
+        stats.rounds += 1;
+        cost.inter += net.round_time(&flows);
+    }
+    stats.raw_bytes = stats.wire_bytes;
+    (cost, stats, edges)
 }
 
 const ALGOS: [AllgatherAlgorithm; 5] = [
@@ -87,8 +132,9 @@ proptest! {
         let (pmap, net) = setup(2, 4);
         prop_assume!(lists.len() == pmap.world_size());
         let mut ws = CodecWorkspace::default();
-        let (items, _, _) = allgatherv_u32_codec(
-            &lists, &pmap, &net, AllgatherAlgorithm::Ring, Codec::Raw, &mut ws, None,
+        let mut items = vec![7];
+        allgatherv_u32_codec_into(
+            &mut items, &lists, &pmap, &net, AllgatherAlgorithm::Ring, Codec::Raw, &mut ws, None,
         );
         let expect: Vec<u32> = lists.iter().flatten().copied().collect();
         prop_assert_eq!(items, expect);
@@ -307,11 +353,67 @@ proptest! {
                 &mut dst, &parts_ref, &pmap, &net, AllgatherAlgorithm::Ring, c, &mut ws, None,
             );
             prop_assert_eq!(&dst, &flat_words, "{:?} words", c);
-            let (items, _, _) = allgatherv_u32_codec(
-                &lists, &pmap, &net, AllgatherAlgorithm::Ring, c, &mut ws, None,
+            let mut items = Vec::new();
+            allgatherv_u32_codec_into(
+                &mut items, &lists, &pmap, &net, AllgatherAlgorithm::Ring, c, &mut ws, None,
             );
             prop_assert_eq!(&items, &flat_lists, "{:?} lists", c);
         }
     }
+}
 
+proptest! {
+    #![proptest_config(proptest::test_runner::Config::with_cases(256))]
+
+    /// The parallel allgather prices one round and repeats it when no
+    /// node is weak, and prices every round otherwise. Either way it must
+    /// equal the flow-by-flow walk of every round, bit for bit, with the
+    /// same tally and the same edge list: on 1–16 nodes of 1–8 ranks,
+    /// with empty segments (every one of them when `empty == 0`) and
+    /// with a weak node when `weak < nodes`.
+    #[test]
+    fn parallel_walk_matches_a_per_round_flow_oracle(
+        nodes in 1usize..17,
+        ppn in 1usize..9,
+        sizes in prop::collection::vec((0u8..4, 1u64..(1 << 24)), 128),
+        empty in 0u8..4,
+        weak in 0usize..32,
+        factor in 0.1f64..1.0,
+    ) {
+        let mut machine = presets::xeon_x7550_cluster(nodes);
+        if weak < nodes {
+            machine = machine.with_weak_node(weak, factor);
+        }
+        let policy = if ppn == machine.sockets_per_node {
+            PlacementPolicy::BindToSocket
+        } else {
+            PlacementPolicy::Interleave
+        };
+        let pmap = ProcessMap::new(&machine, ppn, policy);
+        let net = NetworkModel::new(&machine);
+        let bytes: Vec<u64> = (0..pmap.world_size())
+            .map(|r| match sizes[r % sizes.len()] {
+                _ if empty == 0 => 0,
+                (0, _) => 0,
+                (1, b) => b % 64 + 1,
+                (_, b) => b,
+            })
+            .collect();
+        let mut edges = Vec::new();
+        let (cost, stats) = allgather_sizes(
+            &bytes,
+            &bytes,
+            &pmap,
+            &net,
+            AllgatherAlgorithm::ParallelSubgroup,
+            Some(&mut edges),
+        );
+        let (want_cost, want_stats, want_edges) = parallel_by_round(&bytes, &pmap, &net);
+        let bits = |c: CommCost| {
+            [c.intra_gather, c.inter, c.intra_bcast].map(|t| t.as_secs().to_bits())
+        };
+        prop_assert_eq!(bits(cost), bits(want_cost), "nodes={} ppn={}", nodes, ppn);
+        prop_assert_eq!(stats, want_stats, "nodes={} ppn={}", nodes, ppn);
+        prop_assert_eq!(edges, want_edges, "nodes={} ppn={}", nodes, ppn);
+    }
 }

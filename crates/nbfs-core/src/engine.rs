@@ -18,12 +18,13 @@ use rayon::prelude::*;
 
 use nbfs_comm::allgather::allgather_sizes;
 use nbfs_comm::codec::{
-    allgather_words_codec_into, allgatherv_u32_codec, encoded_words_size, Codec, CodecWorkspace,
+    allgather_words_codec_into, allgatherv_u32_codec_into, encoded_words_size, Codec,
+    CodecWorkspace,
 };
 use nbfs_comm::fault::FaultEdge;
 use nbfs_comm::FaultPlan;
 use nbfs_graph::partition::LocalGraph;
-use nbfs_graph::{vid, Csr, GraphView, PartitionedGraph, NO_PARENT};
+use nbfs_graph::{vid, Csr, GraphView, PartitionedGraph};
 use nbfs_simnet::compute::{ModelParams, ProbeClass};
 use nbfs_simnet::{ComputeEvents, NetworkModel, Residence};
 use nbfs_topology::{MachineConfig, PlacementPolicy, ProcessMap};
@@ -297,9 +298,22 @@ struct RankState {
     has_edges: Bitmap,
     /// Owned slice of the next-frontier bitmap (word-aligned segment).
     out_words: Vec<u64>,
+    /// First vertex of the rank's block: a global id minus it is the
+    /// vertex's index into `own`.
+    first: usize,
     /// This rank's counts of the current top-down level, reset at level
     /// entry (run-scoped, so the walk allocates nothing per level).
     td: TdTally,
+    /// What the rank's kernel did in the latest level, overwritten by each
+    /// level's kernel and read by `Level::charge_ranks`.
+    out: KernelOut,
+}
+
+/// A rank's list in the sparse top-down allgatherv: its frontier queue.
+impl AsRef<[u32]> for RankState {
+    fn as_ref(&self) -> &[u32] {
+        &self.own.frontier
+    }
 }
 
 /// Per-rank counts of one top-down level ([`DistributedBfs::top_down_level`]).
@@ -355,6 +369,7 @@ impl HostClock for NoClock {
 }
 
 /// Output of one rank's level kernel.
+#[derive(Clone, Copy, Default)]
 struct KernelOut {
     events: ComputeEvents,
     discovered: u64,
@@ -713,24 +728,26 @@ impl<'g, G: GraphView> DistributedBfs<'g, G> {
         }
     }
 
-    /// One top-down level over all ranks: the owner walk.
+    /// One top-down level over all ranks: the owner walk. Each rank's
+    /// [`KernelOut`] lands in its state.
     ///
     /// The graph is symmetric, so the arcs from frontier vertex `u` into
-    /// rank `p`'s block are `u`'s own row cut at `p`'s block boundaries —
-    /// rows ascend, so each owner's bucket is contiguous. The walk takes
-    /// each `u` of the gathered frontier in order, reads its row from its
-    /// owner and claims the unvisited targets of every bucket in that
-    /// bucket's rank. `full_frontier` ascends (rank-order concatenation of
-    /// sorted per-rank queues, or `iter_ones` of the gathered bitmap), so
-    /// the first claim of a vertex is its minimum frontier neighbour.
+    /// rank `p`'s block are the arcs of `u`'s own row that `p` owns. The
+    /// walk takes each `u` of the gathered frontier in order, reads its row
+    /// from its owner and, arc by arc, claims each unvisited target in the
+    /// rank that owns it. `full_frontier` ascends (rank-order
+    /// concatenation of sorted per-rank queues, or `iter_ones` of the
+    /// gathered bitmap), so the first claim of a vertex is its minimum
+    /// frontier neighbour.
     ///
     /// The *simulated* cost is still the paper's replicated algorithm:
     /// every rank is charged for sweeping the whole frontier against a
     /// transposed `(source, owned target)` index of `8 * arcs` bytes. That
     /// index is no longer built — its lookups are a closed form in the
-    /// frontier length, the rank's bucket sizes and its arc count — so the
-    /// host does the work once where the model charges it `np` times.
-    fn top_down_level(&self, states: &mut [RankState], full_frontier: &[u32]) -> Vec<KernelOut> {
+    /// frontier length, the rank's matched-arc count and its arc count —
+    /// so the host does the work once where the model charges it `np`
+    /// times.
+    fn top_down_level(&self, states: &mut [RankState], full_frontier: &[u32]) {
         for st in states.iter_mut() {
             st.own.frontier.clear();
             st.td = TdTally::default();
@@ -742,59 +759,52 @@ impl<'g, G: GraphView> DistributedBfs<'g, G> {
         // tallies, so a level allocates only when a queue outgrows its
         // high-water mark.
         for &u in full_frontier {
-            let mut rest = self
+            let row = self
                 .parts
                 .local(partition.owner(u as usize))
                 .neighbours_global(u as usize);
-            while let Some(&v0) = rest.first() {
-                let p = partition.owner(v0 as usize);
-                let lg = self.parts.local(p);
-                let block = lg.vertex_range();
-                let (bucket, tail) =
-                    rest.split_at(rest.partition_point(|&v| (v as usize) < block.end));
-                rest = tail;
+            for &v in row {
+                let p = partition.owner(v as usize);
                 let st = &mut states[p];
-                st.td.matched += bucket.len() as u64;
-                for &v in bucket {
-                    let local = v as usize - block.start;
-                    if st.own.parent[local] == NO_PARENT {
-                        st.own.parent[local] = u;
-                        st.own.visited.set(local);
-                        st.own.frontier.push(v);
-                        st.td.degree_found += lg.degree_global(v as usize) as u64;
-                    }
+                st.td.matched += 1;
+                let local = v as usize - st.first;
+                if !st.own.visited.get(local) {
+                    st.own.parent[local] = u;
+                    st.own.visited.set(local);
+                    st.own.frontier.push(v);
+                    st.td.degree_found += self.parts.local(p).degree_global(v as usize) as u64;
                 }
             }
         }
         // end-hot-path
         let flen = full_frontier.len() as u64;
-        states
-            .iter_mut()
-            .enumerate()
-            .map(|(p, st)| {
-                st.own.frontier.sort_unstable();
-                st.own.unexplored_degree -= st.td.degree_found;
-                let discovered = st.own.frontier.len() as u64;
-                let arcs = self.parts.local(p).num_local_arcs();
-                // 8 + ceil(log2(arcs)).
-                let lookup_ops = 8 + u64::from(arcs.max(2).next_power_of_two().trailing_zeros());
-                let events = ComputeEvents {
-                    vertex_scan_bytes: flen * 4,
-                    edge_bytes: 8 * (flen + st.td.matched),
-                    write_bytes: 12 * discovered,
-                    cpu_ops: flen * lookup_ops + 3 * st.td.matched,
-                    probes: [
-                        ProbeClass {
-                            count: flen / 8 + 1,
-                            working_set: (arcs * 8).max(64),
-                            residence: self.scenario.private_residence(),
-                        },
-                        ProbeClass::NONE,
-                    ],
-                };
-                KernelOut { events, discovered }
-            })
-            .collect()
+        // hot-path
+        // Each rank's events, written into its own state: no per-level
+        // vector of outputs.
+        for (p, st) in states.iter_mut().enumerate() {
+            st.own.frontier.sort_unstable();
+            st.own.unexplored_degree -= st.td.degree_found;
+            let discovered = st.own.frontier.len() as u64;
+            let arcs = self.parts.local(p).num_local_arcs();
+            // 8 + ceil(log2(arcs)).
+            let lookup_ops = 8 + u64::from(arcs.max(2).next_power_of_two().trailing_zeros());
+            let events = ComputeEvents {
+                vertex_scan_bytes: flen * 4,
+                edge_bytes: 8 * (flen + st.td.matched),
+                write_bytes: 12 * discovered,
+                cpu_ops: flen * lookup_ops + 3 * st.td.matched,
+                probes: [
+                    ProbeClass {
+                        count: flen / 8 + 1,
+                        working_set: (arcs * 8).max(64),
+                        residence: self.scenario.private_residence(),
+                    },
+                    ProbeClass::NONE,
+                ],
+            };
+            st.out = KernelOut { events, discovered };
+        }
+        // end-hot-path
     }
 }
 
@@ -810,6 +820,9 @@ struct OneDim<'e, 'g, G: GraphView> {
     /// Persistent staging for the dense top-down exchange, so no level
     /// allocates a full-length bitmap.
     td_scratch: Bitmap,
+    /// The gathered frontier of the current top-down level (ascending),
+    /// recycled across levels.
+    full_frontier: Vec<u32>,
     /// Per-level codec staging: encode buffers plus raw/encoded size
     /// vectors, recycled so compressed levels stay alloc-free after
     /// warm-up.
@@ -840,7 +853,9 @@ impl<'e, 'g, G: GraphView> OneDim<'e, 'g, G> {
                     own: Owned::new(lg.vertex_range().map(|v| lg.degree_global(v) as u64)),
                     has_edges,
                     out_words: vec![0u64; we - ws],
+                    first: lg.first_vertex(),
                     td: TdTally::default(),
+                    out: KernelOut::default(),
                 }
             })
             .collect();
@@ -856,11 +871,22 @@ impl<'e, 'g, G: GraphView> OneDim<'e, 'g, G> {
             in_queue: Bitmap::new(n),
             summary,
             td_scratch: Bitmap::new(n),
+            full_frontier: Vec::new(),
             codec_ws: CodecWorkspace::default(),
             codec_scratch: Vec::new(),
             summary_enc_bytes: vec![0; np],
             summary_bytes,
         }
+    }
+
+    /// Charges the level's computation from every rank's latest
+    /// [`KernelOut`], in rank order.
+    fn charge(&self, lv: &mut Level<'_>) -> u64 {
+        lv.charge_ranks(
+            self.states
+                .iter()
+                .map(|st| (&st.out.events, st.out.discovered)),
+        )
     }
 
     /// Rewrites every rank's `out_words` segment from its frontier queue.
@@ -1002,25 +1028,25 @@ impl<G: GraphView> Exchange for OneDim<'_, '_, G> {
                 .map(|st| st.own.unexplored_degree)
                 .sum::<u64>();
         let min_len = grain::min_len(states.len(), ops);
-        let outs: Vec<KernelOut> = lv.kernel(|| {
+        // hot-path
+        // Each rank's kernel output lands in its own state, so the level
+        // collects no vector of outputs. Then fold the level's discoveries
+        // into the visited bits the next bottom-up scan will skip
+        // (word-parallel OR over persistent buffers).
+        lv.kernel(|| {
             states
                 .par_iter_mut()
                 .with_min_len(min_len)
                 .enumerate()
-                .map(|(r, st)| {
-                    engine.bottom_up_kernel(engine.parts.local(r), st, in_queue, summary)
-                })
-                .collect()
+                .for_each(|(r, st)| {
+                    st.out = engine.bottom_up_kernel(engine.parts.local(r), st, in_queue, summary);
+                });
         });
-        // hot-path
-        // Fold the level's discoveries into the visited bits the next
-        // bottom-up scan will skip (word-parallel OR over persistent
-        // buffers; allocation-free).
         for st in self.states.iter_mut() {
             st.own.visited.or_words_from(0, &st.out_words);
         }
         // end-hot-path
-        Ok(lv.charge_ranks(outs.iter().map(|o| (&o.events, o.discovered))))
+        Ok(self.charge(lv))
     }
 
     fn top_down(&mut self, lv: &mut Level<'_>) -> Result<u64, NbfsError> {
@@ -1033,22 +1059,20 @@ impl<G: GraphView> Exchange for OneDim<'_, '_, G> {
         let mut edges = lv.edge_sink();
         let list_bytes: usize = self.states.iter().map(|s| s.own.frontier.len() * 4).sum();
         let bitmap_bytes = engine.parts.num_vertices().div_ceil(8);
-        let (kind, (cost, stats), full_frontier) = if list_bytes > bitmap_bytes {
+        let (kind, (cost, stats)) = if list_bytes > bitmap_bytes {
             // Dense path: allgather the out_words segments and extract
             // the sorted vertex list locally.
             self.queues_to_segments();
             let walked = self.gather_segments(Direction::TopDown, edges.as_mut());
             lv.charge_conversion();
-            let frontier = self.td_scratch.iter_ones().map(vid::to_stored).collect();
-            (CollectiveKind::AllgatherWords, walked, frontier)
+            self.full_frontier.clear();
+            self.full_frontier
+                .extend(self.td_scratch.iter_ones().map(vid::to_stored));
+            (CollectiveKind::AllgatherWords, walked)
         } else {
-            let lists: Vec<&[u32]> = self
-                .states
-                .iter()
-                .map(|s| s.own.frontier.as_slice())
-                .collect();
-            let (items, cost, stats) = allgatherv_u32_codec(
-                &lists,
+            let walked = allgatherv_u32_codec_into(
+                &mut self.full_frontier,
+                &self.states,
                 &engine.pmap,
                 &engine.net,
                 engine.scenario.opt.allgather_algorithm(),
@@ -1056,14 +1080,14 @@ impl<G: GraphView> Exchange for OneDim<'_, '_, G> {
                 &mut self.codec_ws,
                 edges.as_mut(),
             );
-            (CollectiveKind::Allgatherv, (cost, stats), items)
+            (CollectiveKind::Allgatherv, walked)
         };
         lv.collective(kind, cost, stats, || edges.unwrap_or_default())?;
         lv.comm += cost.total();
 
-        let states = &mut self.states;
-        let outs = lv.kernel(|| engine.top_down_level(states, &full_frontier));
-        Ok(lv.charge_ranks(outs.iter().map(|o| (&o.events, o.discovered))))
+        let (states, full_frontier) = (&mut self.states, &self.full_frontier);
+        lv.kernel(|| engine.top_down_level(states, full_frontier));
+        Ok(self.charge(lv))
     }
 }
 
@@ -1072,7 +1096,7 @@ impl<G: GraphView> Exchange for OneDim<'_, '_, G> {
 mod tests {
     use super::*;
     use nbfs_graph::validate::validate_bfs_tree;
-    use nbfs_graph::GraphBuilder;
+    use nbfs_graph::{GraphBuilder, NO_PARENT};
     use nbfs_topology::presets;
     use nbfs_util::SimTime;
 

@@ -112,24 +112,42 @@ impl ComputeEvents {
 }
 
 /// Execution context of one rank during a computation phase.
+///
+/// Everything [`Self::time`] divides by is a constant of the context, so
+/// [`Self::new`] computes the denominators once, with the expressions and
+/// operand order the model was pinned with; `time` keeps every division,
+/// and `x / d` with `d` computed ahead is the same IEEE operation.
 #[derive(Clone, Debug)]
 pub struct ComputeContext {
     /// The probe model of the machine the rank runs on.
     cache: CacheModel,
-    /// Cores driving this rank ("OpenMP threads" of the paper's hybrid
-    /// programming model).
-    pub cores: usize,
-    /// Placement profile of the rank's graph data.
-    pub graph_profile: MemoryProfile,
-    /// Ranks concurrently active on the same node (they share the node's
-    /// memory channels and QPI fabric).
-    pub ranks_on_node: usize,
-    /// Model constants.
-    params: ModelParams,
+    /// Line size of the machine's caches, bytes.
+    line: f64,
+    /// Misses the rank's cores overlap: `cores · mlp`.
+    overlapped_misses: f64,
+    /// The placement's scheduling efficiency.
+    scheduling_efficiency: f64,
+    /// Streaming bandwidth of the rank: its cores' own, capped by its
+    /// share of the node's.
+    stream_bw: f64,
+    /// The rank's share of the node's DRAM bandwidth.
+    dram_bw: f64,
+    /// Share of streamed bytes that cross a QPI link: `1 − local_fraction`.
+    remote_stream_fraction: f64,
+    /// The rank's share of the fabric under loaded mixed traffic and under
+    /// read-only sharing; `None` on a single-socket node, which has no QPI
+    /// term.
+    qpi_bw: Option<(f64, f64)>,
+    /// Operations the rank's cores retire per second.
+    ops_per_sec: f64,
 }
 
 impl ComputeContext {
-    /// Context on `machine` with the model constants `params`.
+    /// Context on `machine` for a rank driven by `cores` cores ("OpenMP
+    /// threads" of the paper's hybrid programming model), whose graph data
+    /// is placed as `graph_profile`, among `ranks_on_node` ranks active on
+    /// its node (they share the node's memory channels and QPI fabric),
+    /// with the model constants `params`.
     pub fn new(
         machine: &MachineConfig,
         cores: usize,
@@ -138,29 +156,47 @@ impl ComputeContext {
         params: ModelParams,
     ) -> Self {
         assert!(cores >= 1 && ranks_on_node >= 1);
+        let prof = &graph_profile;
+        let cores = cores as f64;
+        let ranks = ranks_on_node as f64;
+        // Raw node fabric: every socket's links, each link shared by its
+        // two endpoints.
+        let raw_fabric = machine.sockets_per_node as f64
+            * machine.socket.qpi_links as f64
+            * machine.socket.qpi_bw
+            / 2.0;
+        // Unbound threads (noflag) migrate between sockets, dragging
+        // cached lines behind them — the scheduling haircut applies to
+        // fabric efficiency too.
+        let qpi_bw = (machine.sockets_per_node > 1).then(|| {
+            (
+                raw_fabric * params.qpi_loaded_efficiency * prof.scheduling_efficiency / ranks,
+                raw_fabric * params.qpi_shared_read_efficiency / ranks,
+            )
+        });
         Self {
             cache: CacheModel::new(machine),
-            cores,
-            graph_profile,
-            ranks_on_node,
-            params,
+            line: machine.socket.cache.line_bytes as f64,
+            overlapped_misses: cores * params.mlp,
+            scheduling_efficiency: prof.scheduling_efficiency,
+            stream_bw: (cores * params.core_stream_bw).min(prof.node_stream_bw(machine) / ranks),
+            dram_bw: machine.socket.mem_bw * prof.channels / ranks,
+            remote_stream_fraction: 1.0 - prof.local_fraction,
+            qpi_bw,
+            ops_per_sec: cores * machine.socket.ghz * 1e9 * params.ipc,
         }
     }
 
     /// Simulated duration of the counted work.
     pub fn time(&self, events: &ComputeEvents) -> SimTime {
         let cache = &self.cache;
-        let machine = cache.machine();
-        let p = self.params;
-        let cores = self.cores as f64;
-        let prof = &self.graph_profile;
 
         // --- exposed probe latency -------------------------------------
         let mut probe_ns_total = 0.0;
         let mut probe_miss_bytes = 0.0;
         let mut loaded_qpi_bytes = 0.0;
         let mut shared_qpi_bytes = 0.0;
-        let line = machine.socket.cache.line_bytes as f64;
+        let line = self.line;
         // A class with no probes would add +0.0 to every sum: skip it.
         for pc in events.probes.iter().filter(|pc| pc.count > 0) {
             let b = cache.probe_breakdown(pc.working_set, pc.residence);
@@ -172,48 +208,31 @@ impl ComputeContext {
                 _ => loaded_qpi_bytes += qpi,
             }
         }
-        let t_lat =
-            SimTime::from_nanos(probe_ns_total / (cores * p.mlp) / prof.scheduling_efficiency);
+        let t_lat = SimTime::from_nanos(
+            probe_ns_total / self.overlapped_misses / self.scheduling_efficiency,
+        );
 
         // --- streaming bandwidth ----------------------------------------
         let stream_bytes = events.stream_bytes() as f64;
-        let rank_stream_bw = (cores * p.core_stream_bw)
-            .min(prof.node_stream_bw(machine) / self.ranks_on_node as f64);
-        let t_stream = SimTime::from_secs(stream_bytes / rank_stream_bw);
+        let t_stream = SimTime::from_secs(stream_bytes / self.stream_bw);
 
         // --- DRAM bandwidth (random misses + streams) --------------------
         let dram_bytes = probe_miss_bytes + stream_bytes;
-        let node_dram_bw = machine.socket.mem_bw * prof.channels;
-        let t_dram = SimTime::from_secs(dram_bytes / (node_dram_bw / self.ranks_on_node as f64));
+        let t_dram = SimTime::from_secs(dram_bytes / self.dram_bw);
 
         // --- QPI fabric ---------------------------------------------------
-        // Raw node fabric: every socket's links, each link shared by its
-        // two endpoints.
-        let raw_fabric = machine.sockets_per_node as f64
-            * machine.socket.qpi_links as f64
-            * machine.socket.qpi_bw
-            / 2.0;
-        let t_qpi = if machine.sockets_per_node > 1 {
-            let loaded = loaded_qpi_bytes + (1.0 - prof.local_fraction) * stream_bytes;
-            let ranks = self.ranks_on_node as f64;
-            // Unbound threads (noflag) migrate between sockets, dragging
-            // cached lines behind them — the scheduling haircut applies to
-            // fabric efficiency too.
-            let t_loaded = SimTime::from_secs(
-                loaded
-                    / (raw_fabric * p.qpi_loaded_efficiency * prof.scheduling_efficiency / ranks),
-            );
-            let t_shared = SimTime::from_secs(
-                shared_qpi_bytes / (raw_fabric * p.qpi_shared_read_efficiency / ranks),
-            );
-            t_loaded.max(t_shared)
-        } else {
-            SimTime::ZERO
+        let t_qpi = match self.qpi_bw {
+            Some((loaded_bw, shared_bw)) => {
+                let loaded = loaded_qpi_bytes + self.remote_stream_fraction * stream_bytes;
+                let t_loaded = SimTime::from_secs(loaded / loaded_bw);
+                let t_shared = SimTime::from_secs(shared_qpi_bytes / shared_bw);
+                t_loaded.max(t_shared)
+            }
+            None => SimTime::ZERO,
         };
 
         // --- instruction throughput --------------------------------------
-        let t_cpu =
-            SimTime::from_secs(events.cpu_ops as f64 / (cores * machine.socket.ghz * 1e9 * p.ipc));
+        let t_cpu = SimTime::from_secs(events.cpu_ops as f64 / self.ops_per_sec);
 
         t_lat.max(t_stream).max(t_dram).max(t_qpi).max(t_cpu)
     }

@@ -11,7 +11,7 @@ use nbfs_simnet::{
     CacheModel, ComputeContext, ComputeEvents, Flow, FlowGroup, FlowSolver, NetworkModel,
     Residence, RoundScratch,
 };
-use nbfs_topology::{presets, PlacementPolicy, ProcessMap};
+use nbfs_topology::{presets, MachineConfig, MemoryProfile, PlacementPolicy, ProcessMap};
 use nbfs_util::SimTime;
 
 fn residences() -> impl Strategy<Value = Residence> {
@@ -20,6 +20,132 @@ fn residences() -> impl Strategy<Value = Residence> {
         Just(Residence::NodeShared),
         Just(Residence::InterleavedPrivateCache),
     ]
+}
+
+/// `ComputeContext::time` as one expression per bottleneck, every
+/// denominator computed in place: the formula the simulated clock was
+/// pinned with, kept here as the oracle of the context's precomputed form.
+fn time_by_formula(
+    machine: &MachineConfig,
+    cores: usize,
+    prof: &MemoryProfile,
+    ranks_on_node: usize,
+    p: ModelParams,
+    events: &ComputeEvents,
+) -> SimTime {
+    let cache = CacheModel::new(machine);
+    let cores = cores as f64;
+    let mut probe_ns_total = 0.0;
+    let mut probe_miss_bytes = 0.0;
+    let mut loaded_qpi_bytes = 0.0;
+    let mut shared_qpi_bytes = 0.0;
+    let line = machine.socket.cache.line_bytes as f64;
+    for pc in events.probes.iter().filter(|pc| pc.count > 0) {
+        let b = cache.probe_breakdown(pc.working_set, pc.residence);
+        probe_ns_total += pc.count as f64 * b.mean_ns;
+        probe_miss_bytes += pc.count as f64 * b.dram_fraction * line;
+        let qpi = pc.count as f64 * b.cross_socket_fraction * line;
+        match pc.residence {
+            Residence::NodeShared => shared_qpi_bytes += qpi,
+            _ => loaded_qpi_bytes += qpi,
+        }
+    }
+    let t_lat = SimTime::from_nanos(probe_ns_total / (cores * p.mlp) / prof.scheduling_efficiency);
+    let stream_bytes = (events.vertex_scan_bytes + events.edge_bytes + events.write_bytes) as f64;
+    let rank_stream_bw =
+        (cores * p.core_stream_bw).min(prof.node_stream_bw(machine) / ranks_on_node as f64);
+    let t_stream = SimTime::from_secs(stream_bytes / rank_stream_bw);
+    let dram_bytes = probe_miss_bytes + stream_bytes;
+    let node_dram_bw = machine.socket.mem_bw * prof.channels;
+    let t_dram = SimTime::from_secs(dram_bytes / (node_dram_bw / ranks_on_node as f64));
+    let raw_fabric =
+        machine.sockets_per_node as f64 * machine.socket.qpi_links as f64 * machine.socket.qpi_bw
+            / 2.0;
+    let t_qpi = if machine.sockets_per_node > 1 {
+        let loaded = loaded_qpi_bytes + (1.0 - prof.local_fraction) * stream_bytes;
+        let ranks = ranks_on_node as f64;
+        let t_loaded = SimTime::from_secs(
+            loaded / (raw_fabric * p.qpi_loaded_efficiency * prof.scheduling_efficiency / ranks),
+        );
+        let t_shared = SimTime::from_secs(
+            shared_qpi_bytes / (raw_fabric * p.qpi_shared_read_efficiency / ranks),
+        );
+        t_loaded.max(t_shared)
+    } else {
+        SimTime::ZERO
+    };
+    let t_cpu =
+        SimTime::from_secs(events.cpu_ops as f64 / (cores * machine.socket.ghz * 1e9 * p.ipc));
+    t_lat.max(t_stream).max(t_dram).max(t_qpi).max(t_cpu)
+}
+
+/// One probe class from its draw, with no probes when `sel == 0`.
+fn probe_class((sel, count, working_set, residence): (u8, u64, usize, Residence)) -> ProbeClass {
+    ProbeClass {
+        count: if sel == 0 { 0 } else { count },
+        working_set,
+        residence,
+    }
+}
+
+proptest! {
+    #![proptest_config(proptest::test_runner::Config::with_cases(512))]
+
+    /// The context computes its denominators once, at construction, and
+    /// must still price every event record to the bits of the formula it
+    /// replaced: on one 8-socket node, a cluster and a single-socket node,
+    /// under every placement, with random cores, ranks per node, cache
+    /// scales, model constants and events.
+    #[test]
+    fn context_time_matches_the_formula_bit_for_bit(
+        shape in 0u8..3,
+        nodes in 2usize..17,
+        cache_shift in 0u32..16,
+        policy in 0u8..3,
+        ppn in 1usize..17,
+        cores in 1usize..65,
+        ranks_on_node in 1usize..65,
+        params in (0.5f64..4.0, 1e9f64..1e10, 0.5f64..3.0, 0.01f64..1.0, 0.1f64..1.0),
+        bytes in (0u64..(1 << 40), 0u64..(1 << 40), 0u64..(1 << 40), 0u64..(1 << 40)),
+        first in (0u8..4, 1u64..(1 << 32), 1usize..(1 << 32), residences()),
+        second in (0u8..4, 1u64..(1 << 32), 1usize..(1 << 32), residences()),
+    ) {
+        let machine = match shape {
+            0 => presets::xeon_x7550_node(),
+            1 => presets::xeon_x7550_cluster(nodes),
+            _ => presets::xeon_x7550_node().with_sockets_per_node(1),
+        }
+        .scaled_to_graph(28 - cache_shift, 28);
+        let (policy, ppn) = match policy {
+            0 => (PlacementPolicy::BindToSocket, machine.sockets_per_node),
+            1 => (PlacementPolicy::Interleave, ppn),
+            _ => (PlacementPolicy::Noflag, ppn),
+        };
+        let prof = ProcessMap::new(&machine, ppn, policy).memory_profile(&machine);
+        let (mlp, core_stream_bw, ipc, qpi_loaded_efficiency, qpi_shared_read_efficiency) = params;
+        let params = ModelParams {
+            mlp,
+            core_stream_bw,
+            ipc,
+            qpi_loaded_efficiency,
+            qpi_shared_read_efficiency,
+        };
+        let (vertex_scan_bytes, edge_bytes, write_bytes, cpu_ops) = bytes;
+        let events = ComputeEvents {
+            vertex_scan_bytes,
+            edge_bytes,
+            write_bytes,
+            cpu_ops,
+            probes: [probe_class(first), probe_class(second)],
+        };
+        let ctx = ComputeContext::new(&machine, cores, prof, ranks_on_node, params);
+        let want = time_by_formula(&machine, cores, &prof, ranks_on_node, params, &events);
+        prop_assert_eq!(ctx.time(&events).as_secs().to_bits(), want.as_secs().to_bits());
+        // An empty record and a recycled context price the same way.
+        let empty = ComputeEvents::default();
+        let want_empty = time_by_formula(&machine, cores, &prof, ranks_on_node, params, &empty);
+        prop_assert_eq!(ctx.time(&empty).as_secs().to_bits(), want_empty.as_secs().to_bits());
+    }
 }
 
 proptest! {

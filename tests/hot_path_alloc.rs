@@ -15,8 +15,9 @@
 #![allow(clippy::unwrap_used)]
 
 /// Every file that holds a hot-path region, relative to the repo root.
-const FILES: [&str; 8] = [
+const FILES: [&str; 9] = [
     "crates/nbfs-comm/src/allgather.rs",
+    "crates/nbfs-comm/src/codec.rs",
     "crates/nbfs-core/src/engine.rs",
     "crates/nbfs-core/src/engine2d.rs",
     "crates/nbfs-core/src/level.rs",
@@ -27,14 +28,15 @@ const FILES: [&str; 8] = [
 ];
 
 /// Regions across [`FILES`]; a marker that goes missing fails here.
-const REGIONS: usize = 17;
+const REGIONS: usize = 19;
 
 /// Heap-allocation tokens banned inside a region.
-const ALLOC_TOKENS: [&str; 10] = [
+const ALLOC_TOKENS: [&str; 11] = [
     "Vec::new",
     "vec![",
     ".to_vec()",
     "collect::<Vec",
+    ".collect()",
     "with_capacity",
     "Box::new",
     "String::new",
@@ -105,6 +107,13 @@ fn scan_flags_allocations_and_unbalanced_markers() {
     assert_eq!(
         found,
         ["alloc.rs:2: `collect::<Vec` inside a hot-path region"]
+    );
+    // An inferred collect builds a new container just the same.
+    let inferred = "// hot-path\nlet w: Vec<u8> = xs.iter().copied().collect();\n// end-hot-path\n";
+    let (_, found) = scan("inferred.rs", inferred).unwrap();
+    assert_eq!(
+        found,
+        ["inferred.rs:2: `.collect()` inside a hot-path region"]
     );
 
     let unclosed = "// hot-path\nlet x = 1;\n";
