@@ -122,7 +122,13 @@ fn faulted_scenario(opt: OptLevel) -> Scenario {
 /// `Granularity(256)` rung (the Fig. 7 parallel allgather), scaled to a
 /// graph of `2^scale` vertices.
 fn cluster_scenario(scale: u32, codec: Codec) -> Scenario {
-    let machine = presets::xeon_x7550_cluster(16).scaled_to_graph(scale, 28);
+    cluster_scenario_on(presets::xeon_x7550_cluster(16), scale, codec)
+}
+
+/// [`cluster_scenario`] on `machine` (a sixteen-node cluster, perhaps with
+/// a weak node).
+fn cluster_scenario_on(machine: MachineConfig, scale: u32, codec: Codec) -> Scenario {
+    let machine = machine.scaled_to_graph(scale, 28);
     Scenario::builder(machine, OptLevel::Granularity(256))
         .codec(codec)
         .build()
@@ -222,12 +228,17 @@ const TORUS: &[(&str, u64)] = &[
 ];
 
 /// The only cells on more than three nodes: sixteen, where the parallel
-/// allgather runs fifteen rounds of 128 flows.
+/// allgather runs fifteen rounds of 128 flows and the 16x8 grid's column
+/// expand fifteen ring rounds. The weak-node cell prices every round of
+/// both.
 const CLUSTER: &[(&str, u64)] = &[
     ("1d torus raw", 0xef1775dd394aad5a),
     ("1d rmat12 raw", 0x0c8c4041cb79240a),
     ("1d rmat12 delta-varint", 0xfe6c3eab10b7df7d),
     ("2d 16x8 rmat12 raw", 0x6002d874ca417ec0),
+    ("2d 16x8 rmat12 delta-varint", 0xd4fd4d0ae55c7b59),
+    ("2d 16x8 rmat12 raw weak node", 0xc5a24fdf44d1791e),
+    ("2d 16x8 torus raw", 0x40d1a005683c4199),
 ];
 
 #[test]
@@ -242,9 +253,25 @@ fn cluster_cells_are_pinned() {
         let run = DistributedBfs::new(&rmat, &cluster_scenario(12, codec)).run(root);
         cells.push((format!("1d rmat12 {}", codec.label()), fingerprint(&run)));
     }
-    let s = cluster_scenario(12, Codec::Raw);
+    for codec in Codec::ALL {
+        let s = cluster_scenario(12, codec);
+        let two = TwoDimBfs::with_grid(&rmat, &s, 16, 8).run(root);
+        cells.push((
+            format!("2d 16x8 rmat12 {}", codec.label()),
+            fingerprint(&two),
+        ));
+    }
+    let weak = presets::xeon_x7550_cluster(16).with_weak_node(15, 0.45);
+    let s = cluster_scenario_on(weak, 12, Codec::Raw);
     let two = TwoDimBfs::with_grid(&rmat, &s, 16, 8).run(root);
-    cells.push(("2d 16x8 rmat12 raw".to_string(), fingerprint(&two)));
+    cells.push((
+        "2d 16x8 rmat12 raw weak node".to_string(),
+        fingerprint(&two),
+    ));
+    let two_torus = TwoDimBfs::with_grid(&torus, &cluster_scenario(16, Codec::Raw), 16, 8).run(0);
+    assert_eq!(two_torus.profile.levels.len(), 545);
+    assert_eq!(two_torus.parent, one_torus.parent);
+    cells.push(("2d 16x8 torus raw".to_string(), fingerprint(&two_torus)));
     check("CLUSTER", &cells, CLUSTER);
 }
 
