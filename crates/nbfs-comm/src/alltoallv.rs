@@ -6,7 +6,7 @@
 //! to validate, and it is priced like every other collective: the bytes
 //! that really cross each medium.
 
-use nbfs_simnet::{Flow, FlowRoundSummary, NetworkModel};
+use nbfs_simnet::{Flow, FlowGroup, NetworkModel, RoundScratch};
 use nbfs_topology::ProcessMap;
 use nbfs_trace::{CollectiveStats, CommCost};
 use nbfs_util::SimTime;
@@ -14,7 +14,8 @@ use nbfs_util::SimTime;
 use crate::codec::Codec;
 
 /// Reusable staging for [`alltoallv_pairs_codec_into`]: the receive
-/// inboxes, the per-message transfer list and the encode buffer.
+/// inboxes, the per-message transfer list, the encode buffer and the
+/// pricing tallies.
 ///
 /// The fold runs one exchange per level; with a workspace the inboxes are
 /// cleared and refilled rather than reallocated.
@@ -27,6 +28,25 @@ pub struct AlltoallvWorkspace {
     pub received: Vec<Vec<(u32, u32)>>,
     transfers: Vec<(usize, usize, u64)>,
     scratch: Vec<u8>,
+    pricing: ExchangeScratch,
+}
+
+/// The tallies [`exchange_round_cost`] fills on every call, held by the
+/// caller so that pricing a round allocates nothing once they have grown
+/// to the machine. [`ExchangeScratch::default`] is empty.
+#[derive(Debug, Default)]
+pub struct ExchangeScratch {
+    /// Inter-node bytes per `(src node, dst node)`, row-major.
+    wire: Vec<u64>,
+    /// Intra-node bytes per node.
+    shm_bytes: Vec<u64>,
+    /// Whether each rank sends some intra-node bytes.
+    sender_intra: Vec<bool>,
+    /// Intra-node senders per node.
+    shm_copiers: Vec<usize>,
+    /// The round's node-pair flows, one group each.
+    flows: Vec<FlowGroup>,
+    round: RoundScratch,
 }
 
 /// Prices one round of concurrent rank-to-rank transfers
@@ -35,15 +55,34 @@ pub struct AlltoallvWorkspace {
 /// round (each sending rank is one copier). The round ends when the
 /// slower medium finishes. `stats.raw_bytes` equals `stats.wire_bytes`;
 /// a caller that compressed the payloads overwrites it.
+///
+/// Each node pair's aggregate is one flow, and each flow is its own
+/// [`FlowGroup`], priced with the caller's tallies: the price
+/// `NetworkModel::round_time` gives the same flows.
 pub fn exchange_round_cost(
     transfers: &[(usize, usize, u64)],
     pmap: &ProcessMap,
     net: &NetworkModel,
+    scratch: &mut ExchangeScratch,
 ) -> (CommCost, CollectiveStats) {
     let nodes = pmap.nodes();
-    let mut wire = vec![0u64; nodes * nodes];
-    let mut shm_bytes = vec![0u64; nodes];
-    let mut sender_intra = vec![false; pmap.world_size()];
+    let ExchangeScratch {
+        wire,
+        shm_bytes,
+        sender_intra,
+        shm_copiers,
+        flows,
+        round,
+    } = scratch;
+    // hot-path
+    // Every expand, row update and fold round of the 2-D engine is priced
+    // here; the tallies are the caller's recycled buffers.
+    wire.clear();
+    wire.resize(nodes * nodes, 0);
+    shm_bytes.clear();
+    shm_bytes.resize(nodes, 0);
+    sender_intra.clear();
+    sender_intra.resize(pmap.world_size(), false);
     for &(src, dst, bytes) in transfers {
         if bytes == 0 {
             continue;
@@ -57,18 +96,22 @@ pub fn exchange_round_cost(
             wire[sn * nodes + dn] += bytes;
         }
     }
-    let mut shm_copiers = vec![0usize; nodes];
+    shm_copiers.clear();
+    shm_copiers.resize(nodes, 0);
     for (r, &intra) in sender_intra.iter().enumerate() {
         if intra {
             shm_copiers[pmap.node_of(r)] += 1;
         }
     }
-    let flows: Vec<Flow> = (0..nodes)
-        .flat_map(|s| (0..nodes).map(move |d| (s, d)))
-        .filter(|&(s, d)| s != d && wire[s * nodes + d] > 0)
-        .map(|(s, d)| Flow::new(s, d, wire[s * nodes + d]))
-        .collect();
-    let t_wire = net.round_time(&flows);
+    flows.clear();
+    let mut wire_bytes = 0u64;
+    for s in 0..nodes {
+        for d in (0..nodes).filter(|&d| d != s && wire[s * nodes + d] > 0) {
+            flows.push(FlowGroup::from(Flow::new(s, d, wire[s * nodes + d])));
+            wire_bytes += wire[s * nodes + d];
+        }
+    }
+    let t_wire = net.round_time_grouped(flows, round);
     let sockets = net.machine().sockets_per_node;
     let t_shm = (0..nodes)
         .filter(|&n| shm_copiers[n] > 0)
@@ -81,20 +124,26 @@ pub fn exchange_round_cost(
             )
         })
         .fold(SimTime::ZERO, SimTime::max);
-    let round = FlowRoundSummary::of(&flows);
+    // end-hot-path
     let stats = CollectiveStats {
         rounds: 1,
-        flows: round.flows,
-        wire_bytes: round.bytes,
+        flows: flows.len() as u64,
+        wire_bytes,
         shm_bytes: shm_bytes.iter().sum(),
-        raw_bytes: round.bytes,
+        raw_bytes: wire_bytes,
     };
     (CommCost::inter_only(t_wire.max(t_shm)), stats)
 }
 
-/// Exchanges `rows[i][j]` (the `(vertex, parent)` records rank `i`
-/// addresses to rank `j`) into `ws.received`, returning the simulated
-/// cost ([`exchange_round_cost`] of the messages) and volume stats.
+/// Exchanges the `(vertex, parent)` records of a send matrix into
+/// `ws.received`, returning the simulated cost ([`exchange_round_cost`]
+/// of the messages) and volume stats.
+///
+/// `rows[i]` is rank `i`'s send row. Every row has the same length `g`,
+/// which divides the world size, and `rows[i][k]` is the message rank `i`
+/// addresses to rank `i / g * g + k`: `g` equal to the world size is the
+/// dense matrix, a smaller `g` lets each rank address only its own group
+/// of `g` consecutive ranks (the 2-D fold's grid row).
 ///
 /// Under [`Codec::Raw`] messages are copied as they are and priced at 8
 /// bytes per record. Otherwise every non-empty message is really encoded
@@ -103,17 +152,30 @@ pub fn exchange_round_cost(
 /// than silently discounting bytes — and the *encoded* message sizes are
 /// what is priced. `stats.raw_bytes` carries the wire volume the same
 /// exchange would have moved uncompressed.
-pub fn alltoallv_pairs_codec_into(
+///
+/// # Panics
+/// If there is not one row per rank, or the rows differ in length or
+/// their length does not divide the world size.
+pub fn alltoallv_pairs_codec_into<R: AsRef<[Vec<(u32, u32)>]>>(
     ws: &mut AlltoallvWorkspace,
-    rows: &[&[Vec<(u32, u32)>]],
+    rows: &[R],
     pmap: &ProcessMap,
     net: &NetworkModel,
     codec: Codec,
 ) -> (CommCost, CollectiveStats) {
     let np = pmap.world_size();
     assert_eq!(rows.len(), np, "need a send matrix row per rank");
+    let g = rows[0].as_ref().len();
+    assert!(
+        g > 0 && np % g == 0,
+        "a send row of {g} ranks does not tile {np} ranks"
+    );
     for (i, row) in rows.iter().enumerate() {
-        assert_eq!(row.len(), np, "rank {i}'s send row must cover all ranks");
+        assert_eq!(
+            row.as_ref().len(),
+            g,
+            "rank {i}'s send row must cover {g} ranks"
+        );
     }
     let imp = codec.implementation();
 
@@ -123,13 +185,17 @@ pub fn alltoallv_pairs_codec_into(
     }
     ws.transfers.clear();
 
-    // Sender-major walk: each inbox fills in sender-rank order.
+    // hot-path
+    // Sender-major walk: each inbox fills in sender-rank order. Inboxes,
+    // transfer list and encode buffer are the workspace's.
     let mut raw_wire = 0u64;
     for (i, row) in rows.iter().enumerate() {
-        for (j, msg) in row.iter().enumerate() {
+        let first = i / g * g;
+        for (k, msg) in row.as_ref().iter().enumerate() {
             if msg.is_empty() {
                 continue;
             }
+            let j = first + k;
             let inbox = &mut ws.received[j];
             let raw_bytes = (msg.len() * 8) as u64;
             let bytes = if codec.is_raw() {
@@ -148,8 +214,9 @@ pub fn alltoallv_pairs_codec_into(
             }
         }
     }
+    // end-hot-path
 
-    let (cost, mut stats) = exchange_round_cost(&ws.transfers, pmap, net);
+    let (cost, mut stats) = exchange_round_cost(&ws.transfers, pmap, net, &mut ws.pricing);
     stats.raw_bytes = raw_wire;
     (cost, stats)
 }
@@ -257,6 +324,14 @@ mod tests {
     fn bad_matrix_rejected() {
         let (pmap, net) = setup(2, 1);
         let sends: Sends = vec![vec![Vec::new(); 2]];
+        exchange(&sends, &pmap, &net, Codec::Raw);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not tile")]
+    fn row_length_must_divide_the_world() {
+        let (pmap, net) = setup(2, 8);
+        let sends: Sends = vec![vec![Vec::new(); 3]; pmap.world_size()];
         exchange(&sends, &pmap, &net, Codec::Raw);
     }
 

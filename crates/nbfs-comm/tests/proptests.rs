@@ -174,6 +174,54 @@ proptest! {
         prop_assert!(cost.total() >= SimTime::ZERO);
     }
 
+    /// A row-local send matrix (each rank addresses only its group of `g`
+    /// consecutive ranks, `g` dividing the world) is the dense matrix with
+    /// every message outside the sender's group empty: the same inboxes,
+    /// cost bits and tally as the padded dense call, under both codecs.
+    #[test]
+    fn row_local_sends_match_the_padded_dense_matrix(
+        nodes in 1usize..9,
+        ppn in 1usize..9,
+        pick in 0usize..8,
+        density in prop::collection::vec(0usize..5, 64),
+    ) {
+        let (pmap, net) = setup(nodes, ppn);
+        let np = pmap.world_size();
+        let divisors: Vec<usize> = (1..=np).filter(|g| np % g == 0).collect();
+        let g = divisors[pick % divisors.len()];
+        let local: Vec<Vec<Vec<(u32, u32)>>> = (0..np)
+            .map(|i| {
+                (0..g)
+                    .map(|k| {
+                        (0..density[(i * g + k) % density.len()])
+                            .map(|r| ((k * 64 + r) as u32, i as u32))
+                            .collect()
+                    })
+                    .collect()
+            })
+            .collect();
+        let dense: Vec<Vec<Vec<(u32, u32)>>> = (0..np)
+            .map(|i| {
+                (0..np)
+                    .map(|j| if j / g == i / g { local[i][j % g].clone() } else { Vec::new() })
+                    .collect()
+            })
+            .collect();
+        let bits = |c: CommCost| {
+            [c.intra_gather, c.inter, c.intra_bcast].map(|t| t.as_secs().to_bits())
+        };
+        for codec in Codec::ALL {
+            let mut ws = AlltoallvWorkspace::default();
+            let (cost, stats) = alltoallv_pairs_codec_into(&mut ws, &local, &pmap, &net, codec);
+            let mut want_ws = AlltoallvWorkspace::default();
+            let (want, want_stats) =
+                alltoallv_pairs_codec_into(&mut want_ws, &dense, &pmap, &net, codec);
+            prop_assert_eq!(&ws.received, &want_ws.received, "{:?} g={}", codec, g);
+            prop_assert_eq!(bits(cost), bits(want), "{:?} g={}", codec, g);
+            prop_assert_eq!(stats, want_stats, "{:?} g={}", codec, g);
+        }
+    }
+
     /// Fault fates are pure functions of (seed, site, attempt), so the
     /// same plan resolved twice against the same collective schedule gives
     /// the identical fault records, the identical penalty and the

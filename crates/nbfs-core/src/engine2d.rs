@@ -44,7 +44,9 @@ use std::sync::OnceLock;
 
 use rayon::prelude::*;
 
-use nbfs_comm::alltoallv::{alltoallv_pairs_codec_into, exchange_round_cost, AlltoallvWorkspace};
+use nbfs_comm::alltoallv::{
+    alltoallv_pairs_codec_into, exchange_round_cost, AlltoallvWorkspace, ExchangeScratch,
+};
 use nbfs_comm::codec::encoded_words_size;
 use nbfs_graph::{vid, Csr, GraphView, NO_PARENT};
 use nbfs_simnet::compute::ProbeClass;
@@ -57,8 +59,17 @@ use crate::engine::{BfsRun, BuRows, BuScanInputs, HostClock, NoClock, Scenario, 
 use crate::grain;
 use crate::level::{self, fault_free, Env, Exchange, Level, Owned};
 
-/// Per-destination buckets of `(vertex, parent)` records.
+/// One rank's fold buckets of `(vertex, parent)` records, one per rank of
+/// its grid row: bucket `k` goes to the row's rank in column `k`.
 type SendBuckets = Vec<Vec<(u32, u32)>>;
+
+/// Recycled staging for the grid's priced rounds (column expand and row
+/// update): a round's transfer list and its pricing tallies.
+#[derive(Default)]
+struct RoundStaging {
+    transfers: Vec<(usize, usize, u64)>,
+    tallies: ExchangeScratch,
+}
 
 /// Block `A[row][col]` rowed by target: for each vertex of the row group,
 /// the ascending column-`col` sources that reach it. This is the adjacency
@@ -277,32 +288,72 @@ impl<'g, G: GraphView> TwoDimBfs<'g, G> {
     /// round is priced like one exchange round, so grids that stack column
     /// peers on one node get shared-memory rates and the natural mapping
     /// gets pure wire — the caller does not special-case either.
-    fn column_expand(&self, piece_bytes: &[u64]) -> (CommCost, CollectiveStats) {
+    ///
+    /// On the natural grid (row `i` is node `i`) of a machine with no weak
+    /// node, every round prices to the bits of round 0 (DESIGN.md §2): in
+    /// round `r` node `i` sends row `i - r`'s piece total to node `i + 1`
+    /// as one flow, so each node sends one flow and receives one, the round
+    /// carries every row total once, and with equal node bandwidths a
+    /// flow's price depends on its bytes alone. There round 0 is priced
+    /// and its cost and tally are added once per round, in round order.
+    /// Every other grid, and every weak-node map, prices each round.
+    fn column_expand(
+        &self,
+        piece_bytes: &[u64],
+        staging: &mut RoundStaging,
+    ) -> (CommCost, CollectiveStats) {
+        let repeat = self.rows == self.pmap.nodes()
+            && self.cols == self.pmap.ppn()
+            && self.net.machine().weak_node.is_none();
+        self.ring_expand(piece_bytes, repeat, staging)
+    }
+
+    /// The column ring of [`Self::column_expand`]: prices every round, or
+    /// with `repeat` round 0 only, and adds each round's cost and tally.
+    fn ring_expand(
+        &self,
+        piece_bytes: &[u64],
+        repeat: bool,
+        staging: &mut RoundStaging,
+    ) -> (CommCost, CollectiveStats) {
         if self.rows <= 1 {
             return (CommCost::ZERO, CollectiveStats::ZERO);
         }
         let mut cost = CommCost::ZERO;
         let mut stats = CollectiveStats::ZERO;
-        let mut transfers: Vec<(usize, usize, u64)> = Vec::with_capacity(self.rows * self.cols);
+        let mut round = (CommCost::ZERO, CollectiveStats::ZERO);
+        // hot-path
+        // Every level walks the ring: a priced round lists `rows * cols`
+        // transfers into the staging buffers, a repeated one costs a few
+        // additions.
         for r in 0..self.rows - 1 {
-            transfers.clear();
-            for i in 0..self.rows {
-                let origin = (i + self.rows - r) % self.rows;
-                for j in 0..self.cols {
-                    transfers.push((
-                        self.rank_of(i, j),
-                        self.rank_of((i + 1) % self.rows, j),
-                        piece_bytes[self.rank_of(origin, j)],
-                    ));
+            if r == 0 || !repeat {
+                staging.transfers.clear();
+                for i in 0..self.rows {
+                    let origin = (i + self.rows - r) % self.rows;
+                    for j in 0..self.cols {
+                        staging.transfers.push((
+                            self.rank_of(i, j),
+                            self.rank_of((i + 1) % self.rows, j),
+                            piece_bytes[self.rank_of(origin, j)],
+                        ));
+                    }
                 }
+                round = exchange_round_cost(
+                    &staging.transfers,
+                    &self.pmap,
+                    &self.net,
+                    &mut staging.tallies,
+                );
             }
-            let (c, s) = exchange_round_cost(&transfers, &self.pmap, &self.net);
+            let (c, s) = round;
             cost += c;
             stats.flows += s.flows;
             stats.wire_bytes += s.wire_bytes;
             stats.shm_bytes += s.shm_bytes;
             stats.raw_bytes += s.raw_bytes;
         }
+        // end-hot-path
         stats.rounds = (self.rows - 1) as u64;
         (cost, stats)
     }
@@ -312,12 +363,16 @@ impl<'g, G: GraphView> TwoDimBfs<'g, G> {
     /// natural mapping). At bottom-up entry the news is the full owned
     /// visited segment; between consecutive bottom-up levels it is the
     /// frontier delta.
-    fn row_update(&self, per_rank_bytes: &[u64]) -> (CommCost, CollectiveStats) {
+    fn row_update(
+        &self,
+        per_rank_bytes: &[u64],
+        staging: &mut RoundStaging,
+    ) -> (CommCost, CollectiveStats) {
         if self.cols <= 1 {
             return (CommCost::ZERO, CollectiveStats::ZERO);
         }
-        let mut transfers: Vec<(usize, usize, u64)> =
-            Vec::with_capacity(self.pmap.world_size() * (self.cols - 1));
+        let transfers = &mut staging.transfers;
+        transfers.clear();
         for i in 0..self.rows {
             for j in 0..self.cols {
                 let src = self.rank_of(i, j);
@@ -328,79 +383,7 @@ impl<'g, G: GraphView> TwoDimBfs<'g, G> {
                 }
             }
         }
-        exchange_round_cost(&transfers, &self.pmap, &self.net)
-    }
-
-    /// One top-down level's local multiply, for every rank at once: the
-    /// row walk.
-    ///
-    /// The graph is symmetric, so the arcs of block `A[i][j]` out of a
-    /// frontier vertex `u` of column `j` are `u`'s own row cut at row
-    /// group `i`'s boundaries. The walk takes each column's frontier in
-    /// ascending order (ranks of a column hold ascending blocks and each
-    /// queue ascends), reads each `u`'s row once and files `(v, u)` under
-    /// the rank of `v`'s row group in `u`'s column, bucketed by `v`'s
-    /// owner — per bucket the `(u asc, v asc)` order a source-sorted block
-    /// index would give, so the fold payload is the same bytes.
-    ///
-    /// The *simulated* cost is still the per-rank merge-join of the
-    /// column's frontier against a source-sorted index of the block: its
-    /// lookups are a closed form in the frontier length, the arcs matched
-    /// and the block's arc count.
-    fn top_down_walk(
-        &self,
-        ranks: &[Rank2D],
-        blocks: &[Block],
-        sends: &mut [SendBuckets],
-        matched: &mut [u64],
-    ) -> Vec<ComputeEvents> {
-        matched.fill(0);
-        for buckets in sends.iter_mut() {
-            for bucket in buckets.iter_mut() {
-                bucket.clear();
-            }
-        }
-        // hot-path
-        // Every arc out of the frontier, once. Pushes land in the
-        // run-scoped buckets, so a level allocates only when a bucket
-        // outgrows its high-water mark.
-        for col in 0..self.cols {
-            for row in 0..self.rows {
-                for &u in &ranks[self.rank_of(row, col)].own.frontier {
-                    self.graph.for_each_neighbour(u as usize, |v| {
-                        let dst = self.partition.owner(v as usize);
-                        let src = self.rank_of(dst / self.cols, col);
-                        sends[src][dst].push((v, u));
-                        matched[src] += 1;
-                    });
-                }
-            }
-        }
-        // end-hot-path
-        ranks
-            .iter()
-            .zip(blocks)
-            .zip(matched.iter())
-            .map(|((rk, block), &matched)| {
-                let flen: u64 = (0..self.rows)
-                    .map(|row| ranks[self.rank_of(row, rk.col)].own.frontier.len() as u64)
-                    .sum();
-                ComputeEvents {
-                    vertex_scan_bytes: flen * 4,
-                    edge_bytes: 8 * (flen + matched),
-                    write_bytes: 8 * matched,
-                    cpu_ops: 8 * flen + 3 * matched,
-                    probes: [
-                        ProbeClass {
-                            count: flen / 8 + 1,
-                            working_set: (block.bwd.sources.len() * 8).max(64),
-                            residence: self.scenario.private_residence(),
-                        },
-                        ProbeClass::NONE,
-                    ],
-                }
-            })
-            .collect()
+        exchange_round_cost(transfers, &self.pmap, &self.net, &mut staging.tallies)
     }
 
     fn drive(
@@ -482,11 +465,24 @@ struct TwoDim<'e, 'g, G: GraphView> {
     codec_scratch: Vec<u8>,
     word_scratch: Vec<u64>,
     fold_ws: AlltoallvWorkspace,
-    /// `sends[src][dst]`: the level's fold records, cleared — not
-    /// reallocated — every level.
+    /// Transfer list and pricing tallies of the expand and row update.
+    staging: RoundStaging,
+    /// Per rank, the raw bytes of this level's piece (expand or row
+    /// update) and, under a compressing codec, the encoded expand piece.
+    raw_bytes: Vec<u64>,
+    encoded_bytes: Vec<u64>,
+    /// `sends[src][k]`: the level's fold records from rank `src` to the
+    /// rank of its grid row in column `k` (a fold target is always owned
+    /// inside the producer's grid row), cleared — not reallocated — every
+    /// level.
     sends: Vec<SendBuckets>,
     /// Per rank, the arcs its block matched this top-down level.
     matched: Vec<u64>,
+    /// Per grid column, the length of its expanded frontier.
+    col_len: Vec<u64>,
+    /// Per rank, the level's computation and the vertices it adopted.
+    events: Vec<ComputeEvents>,
+    found: Vec<u64>,
 }
 
 impl<'e, 'g, G: GraphView> TwoDim<'e, 'g, G> {
@@ -534,72 +530,167 @@ impl<'e, 'g, G: GraphView> TwoDim<'e, 'g, G> {
             codec_scratch: Vec::new(),
             word_scratch: Vec::new(),
             fold_ws: AlltoallvWorkspace::default(),
-            sends: vec![vec![Vec::new(); np]; np],
+            staging: RoundStaging::default(),
+            raw_bytes: vec![0; np],
+            encoded_bytes: vec![0; np],
+            sends: vec![vec![Vec::new(); engine.cols]; np],
             matched: vec![0; np],
+            col_len: vec![0; engine.cols],
+            events: vec![ComputeEvents::default(); np],
+            found: vec![0; np],
         }
     }
 
-    /// Prices the column expand of `raw` piece sizes (`encoded` on the
-    /// wire) and records it; returns the cost for the caller to charge.
-    fn expand(
-        &self,
-        lv: &mut Level<'_>,
-        raw: &[u64],
-        encoded: &[u64],
-    ) -> Result<CommCost, NbfsError> {
-        let (cost, mut stats) = self.engine.column_expand(encoded);
+    /// Prices the column expand of the level's pieces (`raw_bytes`, and
+    /// `encoded_bytes` on the wire under a compressing codec) and records
+    /// it; returns the cost for the caller to charge.
+    fn expand(&mut self, lv: &mut Level<'_>) -> Result<CommCost, NbfsError> {
+        let Self {
+            engine,
+            staging,
+            raw_bytes,
+            encoded_bytes,
+            ..
+        } = self;
+        let raw_codec = engine.scenario.codec.is_raw();
+        let wire = if raw_codec {
+            &*raw_bytes
+        } else {
+            &*encoded_bytes
+        };
+        let (cost, mut stats) = engine.column_expand(wire, staging);
         if lv.observed() {
-            if !self.engine.scenario.codec.is_raw() {
-                stats.raw_bytes = self.engine.column_expand(raw).1.wire_bytes;
+            if !raw_codec {
+                stats.raw_bytes = engine.column_expand(raw_bytes, staging).1.wire_bytes;
             }
             lv.collective(CollectiveKind::Expand2d, cost, stats, Vec::new)?;
         }
         Ok(cost)
     }
 
+    /// One top-down level's local multiply, for every rank at once: the
+    /// row walk. Fills `sends`, `matched` and `events`.
+    ///
+    /// The graph is symmetric, so the arcs of block `A[i][j]` out of a
+    /// frontier vertex `u` of column `j` are `u`'s own row cut at row
+    /// group `i`'s boundaries. The walk takes each column's frontier in
+    /// ascending order (ranks of a column hold ascending blocks and each
+    /// queue ascends), reads each `u`'s row once and files `(v, u)` under
+    /// the rank of `v`'s row group in `u`'s column, in the bucket of `v`'s
+    /// owner among that rank's row peers — per bucket the `(u asc, v asc)`
+    /// order a source-sorted block index would give, so the fold payload
+    /// is the same bytes.
+    ///
+    /// The *simulated* cost is still the per-rank merge-join of the
+    /// column's frontier against a source-sorted index of the block: its
+    /// lookups are a closed form in the frontier length, the arcs matched
+    /// and the block's arc count.
+    fn top_down_walk(&mut self) {
+        let Self {
+            engine,
+            blocks,
+            ranks,
+            sends,
+            matched,
+            col_len,
+            events,
+            ..
+        } = self;
+        let cols = engine.cols;
+        // hot-path
+        // Every arc out of the frontier, once. Pushes land in the
+        // run-scoped buckets, so a level allocates only when a bucket
+        // outgrows its high-water mark.
+        matched.fill(0);
+        for buckets in sends.iter_mut() {
+            for bucket in buckets.iter_mut() {
+                bucket.clear();
+            }
+        }
+        for (col, len) in col_len.iter_mut().enumerate() {
+            *len = 0;
+            for row in 0..engine.rows {
+                let frontier = &ranks[engine.rank_of(row, col)].own.frontier;
+                *len += frontier.len() as u64;
+                for &u in frontier {
+                    engine.graph.for_each_neighbour(u as usize, |v| {
+                        let dst = engine.partition.owner(v as usize);
+                        let src = engine.rank_of(dst / cols, col);
+                        sends[src][dst % cols].push((v, u));
+                        matched[src] += 1;
+                    });
+                }
+            }
+        }
+        for (((ev, rk), block), &matched) in events
+            .iter_mut()
+            .zip(ranks.iter())
+            .zip(blocks.iter())
+            .zip(matched.iter())
+        {
+            let flen = col_len[rk.col];
+            *ev = ComputeEvents {
+                vertex_scan_bytes: flen * 4,
+                edge_bytes: 8 * (flen + matched),
+                write_bytes: 8 * matched,
+                cpu_ops: 8 * flen + 3 * matched,
+                probes: [
+                    ProbeClass {
+                        count: flen / 8 + 1,
+                        working_set: (block.bwd.sources.len() * 8).max(64),
+                        residence: engine.scenario.private_residence(),
+                    },
+                    ProbeClass::NONE,
+                ],
+            };
+        }
+        // end-hot-path
+    }
+
     /// Folds the level's `(target, parent)` candidates to the owners,
     /// min-merges them, and charges the ranks' computation (`events`, with
     /// what each owner adopted). Returns the fold cost for the caller to
     /// charge and the global discovery count.
-    fn fold(
-        &mut self,
-        lv: &mut Level<'_>,
-        events: &[ComputeEvents],
-    ) -> Result<(CommCost, u64), NbfsError> {
-        let engine = self.engine;
-        // Fold targets are always owned inside the producer's grid row;
-        // under the natural mapping a row is one node, so the exchange is
-        // strictly intra-node (the Fig. 7 property the mapping buys).
-        debug_assert!(self.sends.iter().enumerate().all(|(src, per_dst)| {
-            per_dst.iter().enumerate().all(|(dst, msgs)| {
-                msgs.is_empty()
-                    || (dst / engine.cols == src / engine.cols
-                        && (engine.rows != engine.pmap.nodes()
-                            || engine.cols != engine.pmap.ppn()
-                            || engine.pmap.same_node(src, dst)))
-            })
-        }));
-        let rows_ref: Vec<&[Vec<(u32, u32)>]> = self.sends.iter().map(Vec::as_slice).collect();
+    ///
+    /// Each rank's buckets address only its grid row, so under the natural
+    /// mapping (a row is one node) the exchange is strictly intra-node, the
+    /// Fig. 7 property the mapping buys.
+    fn fold(&mut self, lv: &mut Level<'_>) -> Result<(CommCost, u64), NbfsError> {
+        let words = self.words();
+        let Self {
+            engine,
+            blocks,
+            ranks,
+            fold_ws,
+            sends,
+            events,
+            found,
+            ..
+        } = self;
         let (fold_cost, fold_stats) = alltoallv_pairs_codec_into(
-            &mut self.fold_ws,
-            &rows_ref,
+            fold_ws,
+            sends,
             &engine.pmap,
             &engine.net,
             engine.scenario.codec,
         );
         lv.collective(CollectiveKind::Alltoallv, fold_cost, fold_stats, Vec::new)?;
-        // An owner clears its `newly` words and merges its inbox.
-        let inboxes = &self.fold_ws.received;
-        let ops = self.words() + inboxes.iter().map(Vec::len).sum::<usize>();
-        let found: Vec<u64> = self
-            .ranks
+        // hot-path
+        // An owner clears its `newly` words and merges its inbox into its
+        // recycled `found` slot.
+        let inboxes = &fold_ws.received;
+        let ops = words + inboxes.iter().map(Vec::len).sum::<usize>();
+        ranks
             .par_iter_mut()
-            .zip(self.blocks.par_iter())
+            .zip(blocks.par_iter())
             .zip(inboxes.par_iter())
+            .zip(found.par_iter_mut())
             .with_min_len(grain::min_len(inboxes.len(), ops as u64))
-            .map(|((rk, block), inbox)| min_adopt(rk, &block.deg, inbox))
-            .collect();
+            .for_each(|(((rk, block), inbox), found)| {
+                *found = min_adopt(rk, &block.deg, inbox);
+            });
         let discovered = lv.charge_ranks(events.iter().zip(found.iter().copied()));
+        // end-hot-path
         Ok((fold_cost, discovered))
     }
 }
@@ -625,18 +716,15 @@ impl<G: GraphView> Exchange for TwoDim<'_, '_, G> {
         // Entering bottom-up, row peers need each other's full visited
         // segments; on later consecutive levels only the last frontier's
         // ids are news.
-        let update_bytes: Vec<u64> = self
-            .ranks
-            .iter()
-            .map(|r| {
-                if lv.switched {
-                    (r.own.visited.word_len() * 8) as u64
-                } else {
-                    r.own.frontier.len() as u64 * 4
-                }
-            })
-            .collect();
-        let (upd_cost, upd_stats) = engine.row_update(&update_bytes);
+        let switched = lv.switched;
+        for (bytes, r) in self.raw_bytes.iter_mut().zip(&self.ranks) {
+            *bytes = if switched {
+                (r.own.visited.word_len() * 8) as u64
+            } else {
+                r.own.frontier.len() as u64 * 4
+            };
+        }
+        let (upd_cost, upd_stats) = engine.row_update(&self.raw_bytes, &mut self.staging);
         lv.collective(
             CollectiveKind::AllgatherWords,
             upd_cost,
@@ -663,30 +751,22 @@ impl<G: GraphView> Exchange for TwoDim<'_, '_, G> {
             });
 
         // --- column expand of the frontier words -------------------------
-        let words_raw: Vec<u64> = self
-            .ranks
-            .iter()
-            .map(|r| (r.own.visited.word_len() * 8) as u64)
-            .collect();
-        let expand_cost = if codec.is_raw() {
-            self.expand(lv, &words_raw, &words_raw)?
-        } else {
+        for (bytes, r) in self.raw_bytes.iter_mut().zip(&self.ranks) {
+            *bytes = (r.own.visited.word_len() * 8) as u64;
+        }
+        if !codec.is_raw() {
             let (word_scratch, codec_scratch) = (&mut self.word_scratch, &mut self.codec_scratch);
-            let encoded: Vec<u64> = self
-                .ranks
-                .iter()
-                .map(|r| {
-                    word_scratch.clear();
-                    word_scratch.resize(r.own.visited.word_len(), 0);
-                    for &v in &r.own.frontier {
-                        let local = v as usize - r.first;
-                        word_scratch[local / WORD_BITS] |= 1u64 << (local % WORD_BITS);
-                    }
-                    encoded_words_size(codec, word_scratch, codec_scratch)
-                })
-                .collect();
-            self.expand(lv, &words_raw, &encoded)?
-        };
+            for (bytes, r) in self.encoded_bytes.iter_mut().zip(&self.ranks) {
+                word_scratch.clear();
+                word_scratch.resize(r.own.visited.word_len(), 0);
+                for &v in &r.own.frontier {
+                    let local = v as usize - r.first;
+                    word_scratch[local / WORD_BITS] |= 1u64 << (local % WORD_BITS);
+                }
+                *bytes = encoded_words_size(codec, word_scratch, codec_scratch);
+            }
+        }
+        let expand_cost = self.expand(lv)?;
         lv.detail += expand_cost;
         lv.comm += expand_cost.total();
         // Functional result: each column's frontier bitmap and summary
@@ -714,17 +794,19 @@ impl<G: GraphView> Exchange for TwoDim<'_, '_, G> {
         // --- bottom-up scan over the row group ---------------------------
         let (vis_rows, col_q, col_sum) = (&self.vis_rows, &self.col_q, &self.col_sum);
         let (blocks, ranks, sends) = (self.blocks, &mut self.ranks, &mut self.sends);
+        let events = &mut self.events;
         // A block walks its row group's visited words and at most the arcs
         // of the unvisited vertices.
         let m_u: u64 = ranks.iter().map(|r| r.own.unexplored_degree).sum();
         let min_len = grain::min_len(ranks.len(), (engine.cols * words) as u64 + m_u);
-        let events: Vec<ComputeEvents> = lv.kernel(|| {
+        lv.kernel(|| {
             ranks
                 .par_iter_mut()
                 .zip(blocks.par_iter())
                 .zip(sends.par_iter_mut())
+                .zip(events.par_iter_mut())
                 .with_min_len(min_len)
-                .map(|((rk, block), buckets)| {
+                .for_each(|(((rk, block), buckets), events)| {
                     let Rank2D {
                         row,
                         col,
@@ -747,12 +829,13 @@ impl<G: GraphView> Exchange for TwoDim<'_, '_, G> {
 
                     // Harvest: the set bits of `out_words` are the block's
                     // adoptions, ascending; route each to its owner (inside
-                    // this grid row) and reset the touched scratch
-                    // (O(discovered) hygiene).
+                    // this grid row, whose first rank is `row_first`) and
+                    // reset the touched scratch (O(discovered) hygiene).
                     for bucket in buckets.iter_mut() {
                         bucket.clear();
                     }
                     let first = bwd.first_vertex;
+                    let row_first = engine.rank_of(*row, 0);
                     for (wo, w) in out_words.iter_mut().enumerate() {
                         let mut word = *w;
                         *w = 0;
@@ -763,62 +846,56 @@ impl<G: GraphView> Exchange for TwoDim<'_, '_, G> {
                             let u = scratch_parent[local];
                             scratch_parent[local] = NO_PARENT;
                             let v = first + local;
-                            buckets[engine.partition.owner(v)].push((vid::to_stored(v), u));
+                            buckets[engine.partition.owner(v) - row_first]
+                                .push((vid::to_stored(v), u));
                         }
                     }
                     // The block only probes its own column's ids: ~1/C of
                     // each structure is resident.
-                    level::bu_events(
+                    *events = level::bu_events(
                         &engine.scenario,
                         &scan,
                         scratch_parent.len(),
                         (col_sum[*col].size_bytes() / engine.cols).max(64),
                         (col_q[*col].size_bytes() / engine.cols).max(64),
-                    )
-                })
-                .collect()
+                    );
+                });
         });
 
         // --- fold + min-merge adopt --------------------------------------
-        let (fold_cost, discovered) = self.fold(lv, &events)?;
+        let (fold_cost, discovered) = self.fold(lv)?;
         lv.detail += fold_cost;
         lv.comm += fold_cost.total();
         Ok(discovered)
     }
 
     fn top_down(&mut self, lv: &mut Level<'_>) -> Result<u64, NbfsError> {
-        let engine = self.engine;
-        let codec = engine.scenario.codec;
+        let codec = self.engine.scenario.codec;
 
         // --- column expand of the frontier lists -------------------------
-        let piece_raw: Vec<u64> = self
-            .ranks
-            .iter()
-            .map(|r| r.own.frontier.len() as u64 * 4)
-            .collect();
-        let expand_cost = if codec.is_raw() {
-            self.expand(lv, &piece_raw, &piece_raw)?
-        } else {
+        // hot-path
+        // Each rank's piece: its frontier list, raw and (under a
+        // compressing codec) encoded into the recycled scratch.
+        for (bytes, r) in self.raw_bytes.iter_mut().zip(&self.ranks) {
+            *bytes = r.own.frontier.len() as u64 * 4;
+        }
+        if !codec.is_raw() {
             let imp = codec.implementation();
             let codec_scratch = &mut self.codec_scratch;
-            let encoded: Vec<u64> = self
-                .ranks
-                .iter()
-                .map(|r| {
-                    imp.encode_sorted_u32(&r.own.frontier, codec_scratch);
-                    codec_scratch.len() as u64
-                })
-                .collect();
-            self.expand(lv, &piece_raw, &encoded)?
-        };
+            for (bytes, r) in self.encoded_bytes.iter_mut().zip(&self.ranks) {
+                imp.encode_sorted_u32(&r.own.frontier, codec_scratch);
+                *bytes = codec_scratch.len() as u64;
+            }
+        }
+        // end-hot-path
+        let expand_cost = self.expand(lv)?;
         lv.comm += expand_cost.total();
 
         // --- local multiply: the row walk --------------------------------
-        let (ranks, sends, matched) = (&self.ranks, &mut self.sends, &mut self.matched);
-        let events = lv.kernel(|| engine.top_down_walk(ranks, self.blocks, sends, matched));
+        lv.kernel(|| self.top_down_walk());
 
         // --- fold + min-merge adopt --------------------------------------
-        let (fold_cost, discovered) = self.fold(lv, &events)?;
+        let (fold_cost, discovered) = self.fold(lv)?;
         lv.comm += fold_cost.total();
         Ok(discovered)
     }
@@ -834,6 +911,10 @@ fn min_adopt(rk: &mut Rank2D, deg: &[u64], inbox: &[(u32, u32)]) -> u64 {
     let Rank2D {
         first, own, newly, ..
     } = rk;
+    own.frontier.clear();
+    if inbox.is_empty() {
+        return 0;
+    }
     newly.clear_all();
     let mut found = 0u64;
     for &(v, u) in inbox {
@@ -848,7 +929,6 @@ fn min_adopt(rk: &mut Rank2D, deg: &[u64], inbox: &[(u32, u32)]) -> u64 {
             own.parent[local] = u;
         }
     }
-    own.frontier.clear();
     for local in newly.iter_ones() {
         own.visited.set(local);
         own.unexplored_degree -= deg[local];
@@ -867,6 +947,8 @@ mod tests {
     use crate::seq;
     use nbfs_graph::validate::validate_bfs_tree;
     use nbfs_graph::{CompressedCsr, Edge, EdgeList, GraphBuilder};
+    use nbfs_topology::{presets, PlacementPolicy};
+    use nbfs_util::rng::Xoroshiro128;
     use nbfs_util::SimTime;
 
     fn machine(nodes: usize) -> MachineConfig {
@@ -972,15 +1054,93 @@ mod tests {
         let _ = TwoDimBfs::with_grid(&g, &scenario, 3, 3);
     }
 
+    /// The fold's wire and shared-memory bytes over a traced hybrid run's
+    /// `Alltoallv` records, on `nodes` test nodes and the given grid.
+    fn fold_bytes(g: &Csr, nodes: usize, rows: usize, cols: usize) -> (u64, u64) {
+        let scenario = Scenario::builder(machine(nodes), OptLevel::ShareAll)
+            .trace(TraceConfig::Standard)
+            .build()
+            .unwrap();
+        let (run, report) = TwoDimBfs::with_grid(g, &scenario, rows, cols).run_traced(hub_root(g));
+        let folds: Vec<&CollectiveStats> = report
+            .levels
+            .iter()
+            .flat_map(|l| &l.collectives)
+            .filter(|c| c.kind == CollectiveKind::Alltoallv)
+            .map(|c| &c.stats)
+            .collect();
+        // Every level folds once, both directions included.
+        assert_eq!(folds.len(), run.profile.levels.len());
+        let has = |d: Direction| run.profile.levels.iter().any(|l| l.direction == d);
+        assert!(has(Direction::TopDown) && has(Direction::BottomUp));
+        let sum = |f: fn(&CollectiveStats) -> u64| folds.iter().map(|s| f(s)).sum();
+        (sum(|s| s.wire_bytes), sum(|s| s.shm_bytes))
+    }
+
     #[test]
     fn fold_is_strictly_intra_node() {
-        // With the natural mapping every fold message stays inside a node;
-        // the debug_assert in the fold path enforces it, so a debug-mode
-        // hybrid run (both directions fold) suffices.
-        let g = GraphBuilder::rmat(10, 8).seed(3).build();
-        let scenario = Scenario::new(machine(3), OptLevel::ShareAll);
-        let run = TwoDimBfs::new(&g, &scenario).run(0);
-        assert!(run.visited >= 1);
+        // On the natural grid a grid row is one node, so no fold record
+        // crosses the wire; a 1x8 grid on two nodes spans both, and its
+        // fold must.
+        let g = GraphBuilder::rmat(12, 16).seed(3).build();
+        for nodes in [2usize, 3] {
+            let (wire, shm) = fold_bytes(&g, nodes, nodes, 4);
+            assert_eq!(
+                wire, 0,
+                "{nodes} nodes: the natural grid's fold used the wire"
+            );
+            assert!(shm > 0, "{nodes} nodes: the fold moved nothing");
+        }
+        let (wire, _) = fold_bytes(&g, 2, 1, 8);
+        assert!(
+            wire > 0,
+            "a 1x8 grid on two nodes folded nothing over the wire"
+        );
+    }
+
+    /// The column expand prices round 0 once and repeats it on a natural
+    /// grid with no weak node. It must equal the ring priced round by
+    /// round, cost bits and tally, on 2–16 nodes of 1–8 ranks, with empty
+    /// pieces (every one of them on a first draw) and with a weak node.
+    #[test]
+    fn one_round_expand_matches_the_per_round_ring() {
+        let g = GraphBuilder::rmat(10, 8).seed(5).build();
+        let mut rng = Xoroshiro128::new(0x2d2d);
+        let bits =
+            |c: CommCost| [c.intra_gather, c.inter, c.intra_bcast].map(|t| t.as_secs().to_bits());
+        let mut staging = RoundStaging::default();
+        for nodes in 2usize..=16 {
+            for ppn in 1usize..=8 {
+                let weak = rng.next_below(nodes as u64) as usize;
+                for weak in [None, Some(weak)] {
+                    let mut m = presets::xeon_x7550_cluster(nodes);
+                    if let Some(w) = weak {
+                        m = m.with_weak_node(w, 0.45);
+                    }
+                    let scenario = Scenario::builder(m, OptLevel::ShareAll)
+                        .placement(ppn, PlacementPolicy::Interleave)
+                        .build()
+                        .unwrap();
+                    let e = TwoDimBfs::new(&g, &scenario);
+                    assert_eq!(e.grid(), (nodes, ppn));
+                    for draw in 0..4 {
+                        let pieces: Vec<u64> = (0..nodes * ppn)
+                            .map(|_| match rng.next_below(4) {
+                                _ if draw == 0 => 0,
+                                0 => 0,
+                                1 => rng.next_below(64) + 1,
+                                _ => rng.next_below(1 << 24),
+                            })
+                            .collect();
+                        let at = format!("{nodes}x{ppn} weak {weak:?} draw {draw}");
+                        let (cost, stats) = e.column_expand(&pieces, &mut staging);
+                        let (want, want_stats) = e.ring_expand(&pieces, false, &mut staging);
+                        assert_eq!(bits(cost), bits(want), "{at}");
+                        assert_eq!(stats, want_stats, "{at}");
+                    }
+                }
+            }
+        }
     }
 
     /// A block as the per-rank filter built it before the one-pass build:

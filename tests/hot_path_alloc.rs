@@ -15,8 +15,9 @@
 #![allow(clippy::unwrap_used)]
 
 /// Every file that holds a hot-path region, relative to the repo root.
-const FILES: [&str; 9] = [
+const FILES: [&str; 10] = [
     "crates/nbfs-comm/src/allgather.rs",
+    "crates/nbfs-comm/src/alltoallv.rs",
     "crates/nbfs-comm/src/codec.rs",
     "crates/nbfs-core/src/engine.rs",
     "crates/nbfs-core/src/engine2d.rs",
@@ -28,7 +29,7 @@ const FILES: [&str; 9] = [
 ];
 
 /// Regions across [`FILES`]; a marker that goes missing fails here.
-const REGIONS: usize = 19;
+const REGIONS: usize = 24;
 
 /// Heap-allocation tokens banned inside a region.
 const ALLOC_TOKENS: [&str; 11] = [
