@@ -3,11 +3,11 @@
 //! Buluç & Madduri (arXiv:1104.4518) observe that frontier work is
 //! word-level at heart, so 64 independent BFS queries can be fused into
 //! one traversal by giving every vertex a single `u64` whose bit *l*
-//! means "query lane *l* has reached this vertex"
-//! ([`nbfs_util::LaneBitmap`]). One wave then advances all lanes level by
-//! level: vertices touched by several queries are scanned once per level
-//! instead of once per query — the sharing that makes a batched wave beat
-//! 64 sequential single-source runs on queries/sec.
+//! means "query lane *l* has reached this vertex". One wave then advances
+//! all lanes level by level: vertices touched by several queries are
+//! scanned once per level instead of once per query — the sharing that
+//! makes a batched wave beat 64 sequential single-source runs on
+//! queries/sec.
 //!
 //! Every top-down level is three phases, mirroring the alloc-free pipeline
 //! of [`crate::par`]:
@@ -28,10 +28,9 @@
 //!   *sorted* adjacency list ascending and records, per lane, the first
 //!   frontier neighbour carrying that lane — the **minimum** frontier
 //!   neighbour, the very parent [`crate::par::bfs_hybrid_parallel`]'s
-//!   min rule keeps. Plain stores suffice (one owner per vertex), and the
-//!   whole parent table is a deterministic function of graph + roots:
-//!   bit-identical across thread pools, batch compositions and admission
-//!   orders.
+//!   min rule keeps. The whole parent table is therefore a deterministic
+//!   function of graph + roots: bit-identical across thread pools, batch
+//!   compositions and admission orders.
 //!
 //! Dense mid-wave levels run **bottom-up** instead, chosen by the Beamer
 //! α/β policy over the lane-union frontier statistics `m_f` / `m_u`. Those
@@ -42,23 +41,20 @@
 //! every missing lane found a frontier neighbour — the same minimum-parent
 //! rule, fused claim+settle.
 //!
-//! No write is an atomic read-modify-write: every word has one writer per
-//! phase (DESIGN.md §6). The lane tables and the parent table stay
-//! `Relaxed` atomic cells only because the settle's owners store into
-//! them through shared references.
-//!
-//! The per-lane unpack at the end copies each lane's contiguous column
-//! of the lane-major parent table into an independent parent array, each
+//! Every word has one owner per phase (DESIGN.md §6), and the owner holds
+//! it as `&mut`: a settle or bottom-up task takes its vertex range of
+//! `reached`, `next`, `touched` and of every lane's answer array through
+//! `par_chunks_mut`, and pushes its discoveries onto its own recycled list.
+//! The lists, concatenated in task order, are the next active list
+//! (ascending vertex ids). Parents land straight in each lane's answer,
 //! bitwise identical to a per-root reference run — the property
 //! `tests/multi_source_equivalence` pins across scales, batch sizes and
 //! pools.
 
-use std::sync::atomic::{AtomicU32, Ordering};
-
 use rayon::prelude::*;
 
 use nbfs_graph::{vid, Csr, NO_PARENT};
-use nbfs_util::{Bitmap, FrontierArena, FrontierSlot, LaneBitmap};
+use nbfs_util::Bitmap;
 
 use crate::direction::{Direction, SwitchPolicy};
 use crate::grain;
@@ -76,25 +72,26 @@ const SETTLE_TASK: usize = 4096;
 /// Words of the `touched` bitmap per settle task.
 const SETTLE_TASK_WORDS: usize = SETTLE_TASK / 64;
 
-/// What one settle (or fused bottom-up) task hands the level tail.
-struct Settled<'a> {
+/// One settle (or fused bottom-up) task's discoveries and tallies,
+/// recycled across levels and waves.
+struct Settled {
     /// The task's share of the next active list, ascending.
-    slot: FrontierSlot<'a, u32>,
+    list: Vec<u32>,
     /// Vertices each lane discovered.
     counts: [u64; MAX_LANES],
     /// Adjacency entries examined.
     edges: u64,
-    /// Degree sum of `slot`'s vertices: the next level's `m_f` share.
+    /// Degree sum of `list`'s vertices: the next level's `m_f` share.
     frontier_degree: u64,
     /// Degree sum of the vertices whose last missing lane arrived: what
     /// leaves `m_u`.
     completed_degree: u64,
 }
 
-impl<'a> Settled<'a> {
-    fn new(slot: FrontierSlot<'a, u32>) -> Self {
+impl Settled {
+    fn new() -> Self {
         Self {
-            slot,
+            list: Vec::new(),
             counts: [0; MAX_LANES],
             edges: 0,
             frontier_degree: 0,
@@ -102,14 +99,24 @@ impl<'a> Settled<'a> {
         }
     }
 
-    /// Records `u` as `v`'s parent in every lane of `hit`.
+    /// Empties the list and zeroes the tallies for a new level.
+    fn reset(&mut self) {
+        self.list.clear();
+        self.counts = [0; MAX_LANES];
+        self.edges = 0;
+        self.frontier_degree = 0;
+        self.completed_degree = 0;
+    }
+
+    /// Records `u` as the parent of the task's `i`-th vertex in every lane
+    /// of `hit`; `parents` holds the task's piece of each lane's answer.
     #[inline]
-    fn adopt(&mut self, parent: &[AtomicU32], n: usize, v: usize, u: u32, hit: u64) {
+    fn adopt(&mut self, parents: &mut [&mut [u32]], i: usize, u: u32, hit: u64) {
         let mut h = hit;
         while h != 0 {
             let lane = h.trailing_zeros() as usize;
             h &= h - 1;
-            parent[lane * n + v].store(u, Ordering::Relaxed);
+            parents[lane][i] = u;
             self.counts[lane] += 1;
         }
     }
@@ -117,13 +124,12 @@ impl<'a> Settled<'a> {
     /// Marks `v` reached in the lanes of `new`, queues it for the next
     /// level and tallies its degree into the running `m_f` / `m_u`.
     #[inline]
-    fn queue(&mut self, graph: &Csr, reached: &LaneBitmap, wave_mask: u64, v: usize, new: u64) {
-        let now = reached.load_word(v) | new;
-        reached.store_word(v, now);
-        self.slot.push(vid::to_stored(v));
+    fn queue(&mut self, graph: &Csr, reached: &mut u64, wave_mask: u64, v: usize, new: u64) {
+        *reached |= new;
+        self.list.push(vid::to_stored(v));
         let degree = graph.degree(v) as u64;
         self.frontier_degree += degree;
-        if now == wave_mask {
+        if *reached == wave_mask {
             self.completed_degree += degree;
         }
     }
@@ -156,33 +162,29 @@ pub struct MultiSourceRun {
     pub edges_scanned: u64,
 }
 
-/// Recyclable state of one wave: lane tables, the flattened parent table
-/// and the frontier pipeline. Pool these (see [`nbfs_util::ArenaPool`])
-/// so a long-lived engine allocates nothing per wave at steady state.
+/// Recyclable state of one wave: the lane tables and the frontier
+/// pipeline. Pool these (see [`nbfs_util::ArenaPool`]) so a long-lived
+/// engine reuses them; a wave still allocates what it returns — one parent
+/// array and one level vector per lane — and the table of per-task pieces
+/// those parent arrays are split into.
 pub struct MultiWorkspace {
-    reached: LaneBitmap,
-    cur: LaneBitmap,
-    next: LaneBitmap,
+    /// Word `v`: the lanes that have reached vertex `v`.
+    reached: Vec<u64>,
+    /// Word `v`: the lanes for which `v` is on the current frontier.
+    cur: Vec<u64>,
+    /// Word `v`: the lanes that claimed `v` this level.
+    next: Vec<u64>,
     /// One bit per vertex: set by the claim pass's first claim of the
     /// vertex in this level, cleared by the settle task that owns its word
     /// — the top-down level tail walks these `n/64` words, never the `n`
     /// lane words of `next`.
     touched: Bitmap,
-    /// Lane-major flattened parents: `parent[lane * n + v]`. Lane-major
-    /// keeps each settle task's writes on up-to-64 ascending streams and
-    /// makes the per-lane unpack a contiguous column read instead of a
-    /// strided transpose.
-    parent: Vec<AtomicU32>,
-    /// Whether `parent` may hold non-`NO_PARENT` entries. The unpack
-    /// restores every column it reads, so a completed wave leaves the
-    /// table clean and the next `prepare` can skip the refill sweep.
-    parent_dirty: bool,
     active: Vec<u32>,
     /// One `(vertex, lanes)` candidate list per expand chunk, recycled
     /// across levels and waves.
     candidates: Vec<Vec<(u32, u64)>>,
-    arena: FrontierArena<u32>,
-    caps: Vec<usize>,
+    /// One discovery list and tally set per settle task.
+    settled: Vec<Settled>,
 }
 
 impl Default for MultiWorkspace {
@@ -195,48 +197,32 @@ impl MultiWorkspace {
     /// An empty workspace; sized lazily by the first wave.
     pub fn new() -> Self {
         Self {
-            reached: LaneBitmap::new(0),
-            cur: LaneBitmap::new(0),
-            next: LaneBitmap::new(0),
+            reached: Vec::new(),
+            cur: Vec::new(),
+            next: Vec::new(),
             touched: Bitmap::new(0),
-            parent: Vec::new(),
-            parent_dirty: false,
             active: Vec::new(),
             candidates: Vec::new(),
-            arena: FrontierArena::new(),
-            caps: Vec::new(),
+            settled: Vec::new(),
         }
     }
 
-    /// Sizes (or recycles) the tables for an `n`-vertex, `lanes`-wide wave
-    /// and resets them to the all-unreached state.
-    fn prepare(&mut self, n: usize, lanes: usize) {
+    /// Sizes (or recycles) the tables for an `n`-vertex wave and resets
+    /// them to the all-unreached state.
+    fn prepare(&mut self, n: usize) {
         if self.reached.len() != n {
-            self.reached = LaneBitmap::new(n);
-            self.cur = LaneBitmap::new(n);
-            self.next = LaneBitmap::new(n);
+            self.reached = vec![0; n];
+            self.cur = vec![0; n];
+            self.next = vec![0; n];
             self.touched = Bitmap::new(n);
         } else {
-            self.reached.clear_all();
-            self.cur.clear_all();
-            self.next.clear_all();
+            self.reached.fill(0);
+            self.cur.fill(0);
+            self.next.fill(0);
             self.touched.clear_all();
         }
-        let need = n * lanes;
-        if self.parent.len() != need {
-            let mut parent = Vec::with_capacity(need);
-            parent.resize_with(need, || AtomicU32::new(NO_PARENT));
-            self.parent = parent;
-        } else if self.parent_dirty {
-            // Only reached after a wave aborted between prepare and
-            // unpack; completed waves restore the table as they unpack.
-            self.parent.par_chunks(SETTLE_TASK).for_each(|chunk| {
-                chunk
-                    .iter()
-                    .for_each(|p| p.store(NO_PARENT, Ordering::Relaxed))
-            });
-        }
-        self.parent_dirty = true;
+        self.settled
+            .resize_with(n.div_ceil(SETTLE_TASK), Settled::new);
         self.active.clear();
     }
 }
@@ -264,25 +250,37 @@ pub fn multi_source_bfs_in(
     for &root in roots {
         assert!(root < n, "root {root} out of range");
     }
-    ws.prepare(n, lanes);
+    ws.prepare(n);
 
+    // One answer array per lane; the settle owners write parents into it.
+    let mut parents: Vec<Vec<u32>> = (0..lanes)
+        .into_par_iter()
+        .map(|_| vec![NO_PARENT; n])
+        .collect();
     // Root installation: lane l starts at roots[l]. Duplicate roots simply
     // share a vertex — their lanes advance identically.
     for (lane, &root) in roots.iter().enumerate() {
         let mask = 1u64 << lane;
-        ws.cur.store_word(root, ws.cur.load_word(root) | mask);
-        ws.reached
-            .store_word(root, ws.reached.load_word(root) | mask);
-        ws.parent[lane * n + root].store(vid::to_stored(root), Ordering::Relaxed);
+        ws.cur[root] |= mask;
+        ws.reached[root] |= mask;
+        parents[lane][root] = vid::to_stored(root);
+        ws.active.push(vid::to_stored(root));
     }
-    ws.active.extend(
-        roots
-            .iter()
-            .map(|&r| vid::to_stored(r))
-            .collect::<std::collections::BTreeSet<u32>>(),
-    );
+    ws.active.sort_unstable();
+    ws.active.dedup();
 
+    // Each lane's answer split into SETTLE_TASK-vertex pieces, task-major:
+    // `par_chunks_mut(lanes)` hands settle task t its piece of every lane.
     let num_tasks = n.div_ceil(SETTLE_TASK);
+    let mut columns: Vec<_> = parents
+        .iter_mut()
+        .map(|parent| parent.chunks_mut(SETTLE_TASK))
+        .collect();
+    let mut pieces: Vec<&mut [u32]> = Vec::with_capacity(num_tasks * lanes);
+    for _ in 0..num_tasks {
+        pieces.extend(columns.iter_mut().filter_map(Iterator::next));
+    }
+
     let num_words = ws.touched.word_len();
     let wave_mask: u64 = if lanes == MAX_LANES {
         u64::MAX
@@ -300,35 +298,33 @@ pub fn multi_source_bfs_in(
 
     // --- direction statistics (Beamer α/β, lane-union) -------------------
     // m_f: arcs incident to the union frontier. m_u: arcs incident to
-    // vertices still missing at least one lane. Both are running values:
-    // counted once here, then moved by the integer tallies the settle tasks
-    // return (the degrees of the vertices they queue, and of the vertices
-    // whose `reached` word became `wave_mask`). Integer sums are exact in
-    // any grouping, so the chosen direction — and hence every probe count
-    // — is what a per-level recount would give, on any schedule.
-    let mut m_f: u64 = ws
-        .active
-        .iter()
-        .map(|&v| graph.degree(v as usize) as u64)
-        .sum();
-    let mut m_u: u64 = (0..n)
-        .filter(|&v| ws.reached.load_word(v) != wave_mask)
-        .map(|v| graph.degree(v) as u64)
-        .sum();
+    // vertices still missing at least one lane — every arc but those of a
+    // root that all lanes share. Both are running values: counted once
+    // here, then moved by the integer tallies the settle tasks return (the
+    // degrees of the vertices they queue, and of the vertices whose
+    // `reached` word became `wave_mask`). Integer sums are exact in any
+    // grouping, so the chosen direction — and hence every probe count — is
+    // what a per-level recount would give, on any schedule.
+    let degree = |v: &u32| graph.degree(*v as usize) as u64;
+    let mut m_f: u64 = ws.active.iter().map(degree).sum();
+    let mut m_u: u64 = graph.num_arcs() as u64
+        - ws.active
+            .iter()
+            .filter(|&&v| ws.reached[v as usize] == wave_mask)
+            .map(degree)
+            .sum::<u64>();
 
     while !ws.active.is_empty() {
         let cur = &ws.cur;
-        let reached = &ws.reached;
-        let next = &ws.next;
-        let parent = &ws.parent;
         direction = policy.choose(direction, m_f, m_u, ws.active.len() as u64, n as u64);
         let chunks = ws.active.len().div_ceil(CHUNK);
 
-        let filled: Vec<Settled<'_>> = if direction == Direction::TopDown {
+        if direction == Direction::TopDown {
             // --- expand --------------------------------------------------
             if ws.candidates.len() < chunks {
                 ws.candidates.resize_with(chunks, Vec::new);
             }
+            let reached = &ws.reached;
             // hot-path
             // Per-edge work of the expand phase: one reached-word load and
             // at most one push onto the chunk's own recycled list. Reads
@@ -342,10 +338,10 @@ pub fn multi_source_bfs_in(
                     list.clear();
                     let mut local_edges = 0u64;
                     for &v in chunk {
-                        let fv = cur.load_word(v as usize);
+                        let fv = cur[v as usize];
                         for &w in graph.neighbours(v as usize) {
                             local_edges += 1;
-                            let new = fv & !reached.load_word(w as usize);
+                            let new = fv & !reached[w as usize];
                             if new != 0 {
                                 list.push((w, new));
                             }
@@ -364,8 +360,8 @@ pub fn multi_source_bfs_in(
             // are the same on any pool.
             for list in &ws.candidates[..chunks] {
                 for &(w, new) in list {
-                    let old = next.load_word(w as usize);
-                    next.store_word(w as usize, old | new);
+                    let old = ws.next[w as usize];
+                    ws.next[w as usize] = old | new;
                     if old == 0 {
                         ws.touched.set(w as usize);
                     }
@@ -378,45 +374,39 @@ pub fn multi_source_bfs_in(
             // next frontier and every parent store are schedule-independent.
             // A task walks (and clears) its own words of `touched`, so the
             // level reads n/64 words plus what the frontier reached.
-            ws.caps.clear();
-            ws.caps.extend(
-                ws.touched
-                    .words()
-                    .chunks(SETTLE_TASK_WORDS)
-                    .map(|words| words.iter().map(|w| w.count_ones() as usize).sum::<usize>()),
-            );
-            ws.arena
-                .begin(&ws.caps)
-                .into_par_iter()
+            ws.settled
+                .par_iter_mut()
+                .zip(ws.reached.par_chunks_mut(SETTLE_TASK))
+                .zip(ws.next.par_chunks(SETTLE_TASK))
                 .zip(ws.touched.words_mut().par_chunks_mut(SETTLE_TASK_WORDS))
+                .zip(pieces.par_chunks_mut(lanes))
                 .with_min_len(grain::min_len(num_tasks, num_words as u64 + m_f))
                 .enumerate()
-                .map(|(task, (slot, touched))| {
-                    let w_start = task * SETTLE_TASK_WORDS;
-                    let mut out = Settled::new(slot);
+                .for_each(|(task, ((((out, reached), next), touched), parents))| {
+                    let start = task * SETTLE_TASK;
+                    out.reset();
                     // hot-path
                     // Each claimed vertex scans its sorted adjacency
                     // ascending and takes, per lane, the first frontier
                     // neighbour — the minimum, i.e. the reference parent.
-                    // One owner per vertex: plain stores, no RMW, no
-                    // allocation.
-                    for (i, t) in touched.iter_mut().enumerate() {
+                    // The task owns every word it writes; pushes go onto
+                    // its own recycled list.
+                    for (wi, t) in touched.iter_mut().enumerate() {
                         let mut word = *t;
                         if word == 0 {
                             continue;
                         }
                         *t = 0;
-                        let wi = w_start + i;
                         while word != 0 {
-                            let v = wi * 64 + word.trailing_zeros() as usize;
+                            let i = wi * 64 + word.trailing_zeros() as usize;
                             word &= word - 1;
-                            let new = next.load_word(v);
+                            let new = next[i];
                             let mut pending = new;
-                            for &u in graph.neighbours(v) {
+                            for &u in graph.neighbours(start + i) {
                                 out.edges += 1;
-                                let hit = cur.load_word(u as usize) & pending;
+                                let hit = cur[u as usize] & pending;
                                 if hit != 0 {
-                                    out.adopt(parent, n, v, u, hit);
+                                    out.adopt(parents, i, u, hit);
                                     pending &= !hit;
                                     if pending == 0 {
                                         break;
@@ -427,13 +417,11 @@ pub fn multi_source_bfs_in(
                                 pending, 0,
                                 "every claimed lane has a frontier neighbour"
                             );
-                            out.queue(graph, reached, wave_mask, v, new);
+                            out.queue(graph, &mut reached[i], wave_mask, start + i, new);
                         }
                     }
                     // end-hot-path
-                    out
-                })
-                .collect()
+                });
         } else {
             // --- bottom-up -----------------------------------------------
             // One fused claim+settle pass: each owner task scans its
@@ -441,40 +429,32 @@ pub fn multi_source_bfs_in(
             // frontier neighbour per lane is again the minimum — the same
             // parent the top-down settle elects. Early exit once every
             // missing lane is served makes the dense bulge cheap, exactly
-            // like the scalar bottom-up of [`crate::par`]. The caps are the
-            // per-task missing-vertex counts (an upper bound on claims);
-            // this arm must visit every missing vertex anyway, so it keeps
-            // its scan of the lane words.
-            ws.caps.clear();
-            ws.caps.extend((0..num_tasks).map(|task| {
-                let start = task * SETTLE_TASK;
-                let end = ((task + 1) * SETTLE_TASK).min(n);
-                (start..end)
-                    .filter(|&v| reached.load_word(v) != wave_mask)
-                    .count()
-            }));
-            ws.arena
-                .begin(&ws.caps)
-                .into_par_iter()
+            // like the scalar bottom-up of [`crate::par`].
+            ws.settled
+                .par_iter_mut()
+                .zip(ws.reached.par_chunks_mut(SETTLE_TASK))
+                .zip(ws.next.par_chunks_mut(SETTLE_TASK))
+                .zip(pieces.par_chunks_mut(lanes))
                 .enumerate()
-                .map(|(task, slot)| {
+                .for_each(|(task, (((out, reached), next), parents))| {
                     let start = task * SETTLE_TASK;
-                    let end = ((task + 1) * SETTLE_TASK).min(n);
-                    let mut out = Settled::new(slot);
+                    out.reset();
                     // hot-path
-                    // Owner-exclusive claim + settle: plain stores into
-                    // reached/next/parent, no RMW, no allocation.
-                    for v in start..end {
-                        let mut pending = wave_mask & !reached.load_word(v);
+                    // Owner-exclusive claim + settle: plain stores into the
+                    // task's own reached/next/parent words and pushes onto
+                    // its own recycled list.
+                    for (i, (seen, claimed)) in reached.iter_mut().zip(next.iter_mut()).enumerate()
+                    {
+                        let mut pending = wave_mask & !*seen;
                         if pending == 0 {
                             continue;
                         }
                         let mut found = 0u64;
-                        for &u in graph.neighbours(v) {
+                        for &u in graph.neighbours(start + i) {
                             out.edges += 1;
-                            let hit = cur.load_word(u as usize) & pending;
+                            let hit = cur[u as usize] & pending;
                             if hit != 0 {
-                                out.adopt(parent, n, v, u, hit);
+                                out.adopt(parents, i, u, hit);
                                 found |= hit;
                                 pending &= !hit;
                                 if pending == 0 {
@@ -483,20 +463,18 @@ pub fn multi_source_bfs_in(
                             }
                         }
                         if found != 0 {
-                            next.store_word(v, found);
-                            out.queue(graph, reached, wave_mask, v, found);
+                            *claimed = found;
+                            out.queue(graph, seen, wave_mask, start + i, found);
                         }
                     }
                     // end-hot-path
-                    out
-                })
-                .collect()
-        };
+                });
+        }
 
         // --- level tail --------------------------------------------------
         let mut level_counts = [0u64; MAX_LANES];
         m_f = 0;
-        for out in &filled {
+        for out in &ws.settled {
             for (total, c) in level_counts.iter_mut().zip(out.counts.iter()) {
                 *total += c;
             }
@@ -505,23 +483,27 @@ pub fn multi_source_bfs_in(
             m_u -= out.completed_degree;
         }
 
-        // Retire the old frontier, promote the claims, rebuild the active
-        // list in task order (ascending vertex ids).
-        ws.active
-            .par_chunks(CHUNK)
-            .with_min_len(grain::min_len(chunks, ws.active.len() as u64))
-            .for_each(|chunk| {
-                for &v in chunk {
-                    cur.store_word(v as usize, 0);
+        // Retire the old frontier by owner range: the active list is
+        // ascending, so each task's share of it is one `partition_point`
+        // away. Then promote the claims and rebuild the active list in task
+        // order (ascending vertex ids).
+        let active = &ws.active;
+        ws.cur
+            .par_chunks_mut(SETTLE_TASK)
+            .with_min_len(grain::min_len(num_tasks, active.len() as u64))
+            .enumerate()
+            .for_each(|(task, words)| {
+                let start = task * SETTLE_TASK;
+                let lo = active.partition_point(|&v| (v as usize) < start);
+                let hi = active.partition_point(|&v| (v as usize) < start + words.len());
+                for &v in &active[lo..hi] {
+                    words[v as usize - start] = 0;
                 }
             });
         ws.active.clear();
-        ws.active
-            .reserve(filled.iter().map(|out| out.slot.len()).sum());
-        for out in &filled {
-            ws.active.extend_from_slice(out.slot.as_slice());
+        for out in &ws.settled {
+            ws.active.extend_from_slice(&out.list);
         }
-        drop(filled);
         std::mem::swap(&mut ws.cur, &mut ws.next);
 
         let mut rec = recording;
@@ -536,34 +518,17 @@ pub fn multi_source_bfs_in(
         wave_levels += 1;
     }
 
-    // --- deterministic per-lane unpack -----------------------------------
-    let parent = &ws.parent;
-    // Each lane owns a contiguous column of the lane-major table, so the
-    // unpack is a parallel sequential copy (rayon's indexed collect
-    // preserves lane order) that also restores its column to NO_PARENT —
-    // leaving the pooled workspace clean for the next wave's `prepare`.
     let lanes_out: Vec<LaneAnswer> = roots
-        .par_iter()
-        .enumerate()
-        .map(|(lane, &root)| {
-            let parent_arr: Vec<u32> = parent[lane * n..(lane + 1) * n]
-                .iter()
-                .map(|p| {
-                    let stored = p.load(Ordering::Relaxed);
-                    p.store(NO_PARENT, Ordering::Relaxed);
-                    stored
-                })
-                .collect();
-            let level_discovered = lane_levels[lane].clone();
-            LaneAnswer {
-                root,
-                visited: 1 + level_discovered.iter().sum::<u64>(),
-                parent: parent_arr,
-                level_discovered,
-            }
+        .iter()
+        .zip(parents)
+        .zip(lane_levels)
+        .map(|((&root, parent), level_discovered)| LaneAnswer {
+            root,
+            visited: 1 + level_discovered.iter().sum::<u64>(),
+            parent,
+            level_discovered,
         })
         .collect();
-    ws.parent_dirty = false;
     MultiSourceRun {
         lanes: lanes_out,
         wave_levels,

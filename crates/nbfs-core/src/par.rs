@@ -21,14 +21,15 @@
 //! first-frontier-vertex-in-queue-order; both are valid BFS parents.
 //!
 //! Frontiers flow through an alloc-free pipeline: discoveries land as bits
-//! in the out-queue, the level tail folds each out word into its visited
-//! word and rebuilds the next queue ascending through a recycled
-//! [`FrontierArena`] — no per-chunk `Vec::new` in any hot path.
+//! in the out-queue, and the level tail folds each out word into its
+//! visited word and pushes the task's discoveries onto its own recycled
+//! list; the lists, concatenated in task order, are the next queue
+//! (ascending) — no per-chunk `Vec::new` in any hot path.
 
 use rayon::prelude::*;
 
 use nbfs_graph::{vid, Csr, NO_PARENT};
-use nbfs_util::{Bitmap, FrontierArena, FrontierSlot};
+use nbfs_util::Bitmap;
 
 use crate::direction::{Direction, SwitchPolicy};
 use crate::grain;
@@ -66,19 +67,17 @@ pub fn bfs_hybrid_parallel(graph: &Csr, root: usize, policy: SwitchPolicy) -> Se
     // One `(vertex, parent)` candidate list per top-down chunk, recycled
     // across levels: a list holds at most its chunk's arcs.
     let mut candidates: Vec<Vec<(u32, u32)>> = Vec::new();
-    // Alloc-free next-queue pipeline: per-task slots carved from one
-    // recycled arena, merged in task order (ascending vertex ids).
-    let mut next_arena: FrontierArena<u32> = FrontierArena::new();
-    let mut caps: Vec<usize> = Vec::new();
     let num_words = visited.word_len();
     let num_tasks = num_words.div_ceil(BU_TASK_WORDS);
+    // One next-queue list and degree tally per level-tail task, recycled
+    // across levels and concatenated in task order (ascending vertex ids).
+    let mut tails: Vec<(Vec<u32>, u64)> = vec![(Vec::new(), 0); num_tasks];
 
     // Arcs out of the frontier and arcs incident to unvisited vertices:
     // running values, both moved by the degree sum the level tail takes of
     // the vertices it queues.
     let mut m_f = graph.degree(root) as u64;
-    let total_degree: u64 = (0..n).map(|v| graph.degree(v) as u64).sum();
-    let mut m_u = total_degree - m_f;
+    let mut m_u = graph.num_arcs() as u64 - m_f;
     let mut direction = Direction::TopDown;
     let mut levels = Vec::new();
 
@@ -199,30 +198,26 @@ pub fn bfs_hybrid_parallel(graph: &Csr, root: usize, policy: SwitchPolicy) -> Se
 
         // --- level tail: alloc-free frontier pipeline --------------------
         // Fold the level's discoveries into the visited words (each task
-        // owns its words — the bitmap is never re-derived) and rebuild the
-        // next queue ascending through the recycled arena. Task boundaries
-        // are a pure function of the vertex count, so the merged queue is
+        // owns its words — the bitmap is never re-derived) and push them
+        // onto the task's own recycled list. Task boundaries are a pure
+        // function of the vertex count, so the concatenated queue is
         // bit-identical across thread pools. A task costs its words plus
-        // its discoveries, so a sparse level's rebuild runs inline (see
-        // `grain`).
-        caps.clear();
-        caps.extend(
-            out_queue
-                .words()
-                .chunks(BU_TASK_WORDS)
-                .map(|words| words.iter().map(|w| w.count_ones() as usize).sum::<usize>()),
-        );
-        let tail_ops = (num_words + caps.iter().sum::<usize>()) as u64;
-        let filled: Vec<(FrontierSlot<'_, u32>, u64)> = next_arena
-            .begin(&caps)
-            .into_par_iter()
+        // its discoveries, at most the arcs the level examined, so a
+        // sparse level's rebuild runs inline (see `grain`).
+        let tail_ops = num_words as u64 + edges;
+        // hot-path
+        // One word walk and at most one push per discovery onto the task's
+        // own recycled list.
+        tails
+            .par_iter_mut()
             .zip(visited.words_mut().par_chunks_mut(BU_TASK_WORDS))
             .zip(out_queue.words().par_chunks(BU_TASK_WORDS))
             .with_min_len(grain::min_len(num_tasks, tail_ops))
             .enumerate()
-            .map(|(task, ((mut slot, vis), out))| {
+            .for_each(|(task, (((list, degree), vis), out))| {
                 let w_start = task * BU_TASK_WORDS;
-                let mut degree = 0u64;
+                list.clear();
+                *degree = 0;
                 for (i, (vis_word, &word)) in vis.iter_mut().zip(out).enumerate() {
                     if word == 0 {
                         continue;
@@ -232,21 +227,18 @@ pub fn bfs_hybrid_parallel(graph: &Csr, root: usize, policy: SwitchPolicy) -> Se
                     while w != 0 {
                         let v = (w_start + i) * 64 + w.trailing_zeros() as usize;
                         w &= w - 1;
-                        slot.push(vid::to_stored(v));
-                        degree += graph.degree(v) as u64;
+                        list.push(vid::to_stored(v));
+                        *degree += graph.degree(v) as u64;
                     }
                 }
-                (slot, degree)
-            })
-            .collect();
+            });
         frontier.clear();
-        frontier.reserve(filled.iter().map(|(slot, _)| slot.len()).sum());
         m_f = 0;
-        for (slot, degree) in &filled {
-            frontier.extend_from_slice(slot.as_slice());
+        for (list, degree) in &tails {
+            frontier.extend_from_slice(list);
             m_f += degree;
         }
-        drop(filled);
+        // end-hot-path
         m_u -= m_f;
         // The out bitmap becomes the next level's in-queue; the old
         // in-queue is recycled as the new (cleared) out bitmap.

@@ -22,7 +22,6 @@
 //! service path cannot drift apart.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 use rayon::prelude::*;
@@ -61,7 +60,8 @@ pub trait QueryBackend: Sync {
 
 /// The shared-memory backend: waves run the bit-parallel multi-source
 /// kernel, recycling [`MultiWorkspace`]s through an [`ArenaPool`] so a
-/// sustained query stream allocates nothing per wave at steady state.
+/// sustained query stream reuses its lane tables; a wave allocates its
+/// answers and their level vectors (see [`MultiWorkspace`]).
 pub struct BitParallelBackend<'g> {
     graph: &'g Csr,
     pool: ArenaPool<MultiWorkspace>,
@@ -180,6 +180,10 @@ struct Admission<A> {
     done: BTreeMap<u64, A>,
     /// Whether some thread is currently off executing a wave.
     leader_busy: bool,
+    /// Waves started: the next wave's sequence number.
+    waves: u64,
+    /// Queries answered.
+    served: u64,
 }
 
 /// The service: one backend plus a leader/follower batching queue.
@@ -192,8 +196,6 @@ pub struct QueryEngine<B: QueryBackend> {
     batch_limit: usize,
     state: Mutex<Admission<B::Answer>>,
     progress: Condvar,
-    waves: AtomicU64,
-    served: AtomicU64,
 }
 
 impl<B: QueryBackend> QueryEngine<B> {
@@ -215,10 +217,10 @@ impl<B: QueryBackend> QueryEngine<B> {
                 pending: VecDeque::new(),
                 done: BTreeMap::new(),
                 leader_busy: false,
+                waves: 0,
+                served: 0,
             }),
             progress: Condvar::new(),
-            waves: AtomicU64::new(0),
-            served: AtomicU64::new(0),
         }
     }
 
@@ -229,9 +231,10 @@ impl<B: QueryBackend> QueryEngine<B> {
 
     /// Lifetime counters.
     pub fn stats(&self) -> EngineStats {
+        let st = self.lock();
         EngineStats {
-            waves: self.waves.load(Ordering::Relaxed),
-            queries: self.served.load(Ordering::Relaxed),
+            waves: st.waves,
+            queries: st.served,
         }
     }
 
@@ -251,13 +254,18 @@ impl<B: QueryBackend> QueryEngine<B> {
     /// Runs one batch of roots directly: chunks of at most
     /// `batch_limit` roots each execute as one wave, bypassing
     /// the admission queue (the caller already holds the whole batch).
-    /// Answers come back in root order.
+    /// Each chunk takes the admission lock once, to count itself. Answers
+    /// come back in root order.
     pub fn run_batch(&self, roots: &[usize]) -> Vec<B::Answer> {
         let mut answers = Vec::with_capacity(roots.len());
         for chunk in roots.chunks(self.batch_limit) {
-            let wave = self.waves.fetch_add(1, Ordering::Relaxed);
+            let wave = {
+                let mut st = self.lock();
+                st.served += chunk.len() as u64;
+                st.waves += 1;
+                st.waves - 1
+            };
             answers.extend(self.backend.run_wave(wave, chunk));
-            self.served.fetch_add(chunk.len() as u64, Ordering::Relaxed);
         }
         answers
     }
@@ -292,6 +300,8 @@ impl<B: QueryBackend> QueryEngine<B> {
             if !st.leader_busy && !st.pending.is_empty() {
                 st.leader_busy = true;
                 let take = st.pending.len().min(self.batch_limit);
+                let wave = st.waves;
+                st.waves += 1;
                 let mut leading = Leading {
                     engine: self,
                     ticket,
@@ -300,7 +310,6 @@ impl<B: QueryBackend> QueryEngine<B> {
                 drop(st);
                 let mut wave_roots = Vec::with_capacity(take);
                 wave_roots.extend(leading.batch.iter().map(|&(_, r)| r));
-                let wave = self.waves.fetch_add(1, Ordering::Relaxed);
                 let answers = self.backend.run_wave(wave, &wave_roots);
                 debug_assert_eq!(answers.len(), take);
                 let mut posted = self.lock();
@@ -308,7 +317,7 @@ impl<B: QueryBackend> QueryEngine<B> {
                     posted.done.insert(t, answer);
                 }
                 posted.leader_busy = false;
-                self.served.fetch_add(take as u64, Ordering::Relaxed);
+                posted.served += take as u64;
                 self.progress.notify_all();
                 st = posted;
                 continue;
@@ -369,6 +378,7 @@ mod tests {
     use crate::opt::OptLevel;
     use nbfs_graph::GraphBuilder;
     use nbfs_topology::MachineConfig;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     fn graph() -> Csr {
         GraphBuilder::rmat(11, 16).seed(41).build()
@@ -516,7 +526,7 @@ mod tests {
     /// one of its pieces panicked.
     struct FirstWavePanics<'g> {
         inner: BitParallelBackend<'g>,
-        tripped: std::sync::atomic::AtomicBool,
+        tripped: AtomicBool,
     }
 
     impl QueryBackend for FirstWavePanics<'_> {
@@ -542,7 +552,7 @@ mod tests {
         let expect = QueryEngine::bit_parallel(&g).run_batch(&keys);
         let engine = QueryEngine::new(FirstWavePanics {
             inner: BitParallelBackend::new(&g),
-            tripped: std::sync::atomic::AtomicBool::new(false),
+            tripped: AtomicBool::new(false),
         });
         let (tx, rx) = std::sync::mpsc::channel();
         let outcomes: Vec<bool> = std::thread::scope(|scope| {

@@ -7,13 +7,9 @@
 //! * [`Bitmap`] — the `in_queue` / `out_queue` frontier bitmaps of Fig. 1,
 //! * [`SummaryBitmap`] — the `in_queue_summary` structure whose granularity
 //!   Section III.C of the paper tunes,
-//! * [`FrontierArena`] — reusable per-chunk next-queue slots with an
-//!   order-preserving merge, the alloc-free frontier pipeline shared by the
-//!   parallel kernels,
-//! * [`LaneBitmap`] — one `u64` of query lanes per vertex, the bit-parallel
-//!   multi-source frontier table (Buluç & Madduri),
 //! * [`ArenaPool`] — checked-out/checked-in reusable workspaces so a
-//!   long-lived query engine allocates nothing per wave,
+//!   long-lived query engine reuses its scratch state across waves (a wave
+//!   still allocates its answers and their level vectors),
 //! * [`ownership`] — the contiguous 1-D block partition arithmetic used to
 //!   split vertices (and therefore bitmap words) across ranks,
 //! * [`rng`] — deterministic, counter-based random number generation so that
@@ -34,8 +30,6 @@
 
 pub mod bitmap;
 pub mod error;
-pub mod frontier;
-pub mod lanes;
 pub mod ownership;
 pub mod pool;
 pub mod rng;
@@ -47,8 +41,6 @@ pub mod varint;
 
 pub use bitmap::{Bitmap, CachedWordProbe};
 pub use error::{NbfsError, Result};
-pub use frontier::{FrontierArena, FrontierSlot};
-pub use lanes::LaneBitmap;
 pub use ownership::BlockPartition;
 pub use pool::{ArenaPool, PoolGuard};
 pub use simtime::SimTime;

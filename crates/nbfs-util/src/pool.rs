@@ -1,13 +1,13 @@
 //! A reusable-workspace pool for long-lived query services.
 //!
 //! A BFS query engine that serves many waves over one shared graph should
-//! not re-allocate its frontier arenas, lane tables and scratch vectors on
-//! every wave. [`ArenaPool`] keeps finished workspaces and hands them back
-//! out: [`ArenaPool::acquire_with`] pops a recycled workspace (or builds a
+//! not re-allocate its lane tables and scratch vectors on every wave.
+//! [`ArenaPool`] keeps finished workspaces and hands them back out:
+//! [`ArenaPool::acquire_with`] pops a recycled workspace (or builds a
 //! fresh one via the caller's factory when the pool is dry) and the
 //! returned [`PoolGuard`] automatically checks the workspace back in on
-//! drop — so steady-state waves allocate nothing, the same discipline
-//! [`crate::FrontierArena`] applies within one run.
+//! drop — so a steady-state wave allocates what it hands back (its
+//! answers and their level vectors), never its scratch state.
 //!
 //! The pool is deliberately dumb: a mutex around a stack. Waves are
 //! long (milliseconds of traversal) and acquisitions rare (one per wave),

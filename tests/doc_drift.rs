@@ -126,11 +126,12 @@ fn retired_bench_system_is_gone_from_the_docs_and_quoted_metrics_exist() {
     // the four examples that re-ran figures, and the recursive-doubling
     // allgather with the counting and edge twins of the collective
     // walks, the harness config builder, the trace's event rings with
-    // their event type and ring-size setting, and the traced twins of the
-    // shared-memory kernels with their per-query record. Only the project's history
-    // and plan files skipped below and the EXPERIMENTS "Retired variants"
-    // section may still name them. Every other doc quotes only figure ids
-    // the `figures` bin knows.
+    // their event type and ring-size setting, the traced twins of the
+    // shared-memory kernels with their per-query record, and those
+    // kernels' frontier arena, lane table and atomic bitmap. Only the
+    // project's history and plan files skipped below and the EXPERIMENTS
+    // "Retired variants" section may still name them. Every other doc
+    // quotes only figure ids the `figures` bin knows.
     let mut files = Vec::new();
     markdown_files(std::path::Path::new(env!("CARGO_MANIFEST_DIR")), &mut files);
     assert!(files.contains(&"README.md".to_string()), "{files:?}");
@@ -179,6 +180,10 @@ fn retired_bench_system_is_gone_from_the_docs_and_quoted_metrics_exist() {
                 "bfs_hybrid_parallel_traced",
                 "multi_source_bfs_traced",
                 concat!("Query", "Record"),
+                concat!("Frontier", "Arena"),
+                concat!("Frontier", "Slot"),
+                concat!("Lane", "Bitmap"),
+                concat!("Atomic", "Bitmap"),
             ] {
                 assert!(!section.contains(retired), "{name} still has {retired}");
             }

@@ -15,7 +15,7 @@
 #![allow(clippy::unwrap_used)]
 
 /// Every file that holds a hot-path region, relative to the repo root.
-const FILES: [&str; 10] = [
+const FILES: [&str; 9] = [
     "crates/nbfs-comm/src/allgather.rs",
     "crates/nbfs-comm/src/alltoallv.rs",
     "crates/nbfs-comm/src/codec.rs",
@@ -25,7 +25,6 @@ const FILES: [&str; 10] = [
     "crates/nbfs-core/src/multi.rs",
     "crates/nbfs-core/src/par.rs",
     "crates/nbfs-trace/src/tracer.rs",
-    "crates/nbfs-util/src/frontier.rs",
 ];
 
 /// Regions across [`FILES`]; a marker that goes missing fails here.

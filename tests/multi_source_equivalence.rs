@@ -203,3 +203,28 @@ fn query_engine_answers_match_reference_under_concurrency() {
         stats.waves
     );
 }
+
+/// One workspace carries waves of every shape: 64, 1, 17 and 64 lanes on one
+/// graph, then a wave on a graph with a different vertex count. Each shape
+/// change re-sizes what the previous wave left behind, and every lane must
+/// still equal its per-root `Reference` run.
+#[test]
+fn one_workspace_serves_every_wave_shape_and_graph_size() {
+    let g = rmat(12, 120);
+    let mut ws = MultiWorkspace::new();
+    for (i, &lanes) in [MAX_LANES, 1, 17, MAX_LANES].iter().enumerate() {
+        let roots = sample_roots(&g, lanes, 0x5A9E + i as u64);
+        let run = multi_source_bfs_in(&g, &roots, &mut ws);
+        assert_wave_matches_reference(
+            &g,
+            &roots,
+            &run.lanes,
+            &format!("wave {i}: {lanes} lanes on R-MAT 12"),
+        );
+    }
+    let other = rmat(11, 121);
+    assert_ne!(other.num_vertices(), g.num_vertices());
+    let roots = sample_roots(&other, 9, 0x5A9F);
+    let run = multi_source_bfs_in(&other, &roots, &mut ws);
+    assert_wave_matches_reference(&other, &roots, &run.lanes, "9 lanes on R-MAT 11");
+}
