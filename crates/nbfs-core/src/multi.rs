@@ -208,7 +208,11 @@ impl MultiWorkspace {
     }
 
     /// Sizes (or recycles) the tables for an `n`-vertex wave and resets
-    /// them to the all-unreached state.
+    /// them to the all-unreached state. A completed wave leaves `cur`,
+    /// `next` and `touched` zero (its last level claims nothing, and the
+    /// level tail retires every `cur` word it set), so only `reached` is
+    /// refilled. A workspace whose wave unwound is never reused:
+    /// [`nbfs_util::ArenaPool`] discards it.
     fn prepare(&mut self, n: usize) {
         if self.reached.len() != n {
             self.reached = vec![0; n];
@@ -217,9 +221,14 @@ impl MultiWorkspace {
             self.touched = Bitmap::new(n);
         } else {
             self.reached.fill(0);
-            self.cur.fill(0);
-            self.next.fill(0);
-            self.touched.clear_all();
+            debug_assert!(
+                self.cur.iter().chain(&self.next).all(|&w| w == 0),
+                "a completed wave leaves cur and next zero"
+            );
+            debug_assert!(
+                self.touched.words().iter().all(|&w| w == 0),
+                "a completed wave leaves touched clear"
+            );
         }
         self.settled
             .resize_with(n.div_ceil(SETTLE_TASK), Settled::new);
@@ -235,7 +244,8 @@ pub fn multi_source_bfs(graph: &Csr, roots: &[usize]) -> MultiSourceRun {
     multi_source_bfs_in(graph, roots, &mut ws)
 }
 
-/// Runs one bit-parallel wave for `roots` in the caller's workspace.
+/// Runs one bit-parallel wave for `roots` in the caller's workspace. A
+/// workspace whose wave panicked is dirty: drop it rather than reuse it.
 pub fn multi_source_bfs_in(
     graph: &Csr,
     roots: &[usize],

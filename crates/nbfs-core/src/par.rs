@@ -16,9 +16,8 @@
 //! vertices with their parent, out-queue and visited words, and its scan
 //! breaks at the first in-queue bit of the sorted adjacency list — the same
 //! minimum. The parent array is therefore bit-identical across thread pools
-//! (and across direction schedules), which the tests pin. Parents may
-//! still differ from the sequential engines, whose rule is
-//! first-frontier-vertex-in-queue-order; both are valid BFS parents.
+//! (and across direction schedules) and equal to the sequential engines'
+//! of [`crate::seq`], which the tests pin.
 //!
 //! Frontiers flow through an alloc-free pipeline: discoveries land as bits
 //! in the out-queue, and the level tail folds each out word into its
@@ -275,8 +274,12 @@ mod tests {
         let visited = validate_bfs_tree(&g, root, &par.parent).expect("valid tree");
         let seq = seq::bfs_hybrid(&g, root, SwitchPolicy::default());
         assert_eq!(visited, seq.visited());
-        // Same level structure: per-level discovery counts must agree
-        // (parents may differ, depths may not).
+        // Both elect the minimum frontier neighbour, so the trees agree
+        // word for word under any direction schedule, and so do the
+        // per-level discovery counts.
+        assert_eq!(par.parent, seq.parent);
+        let top_down = seq::bfs_hybrid(&g, root, SwitchPolicy::always_top_down());
+        assert_eq!(par.parent, top_down.parent);
         let pd: Vec<u64> = par.levels.iter().map(|l| l.discovered).collect();
         let sd: Vec<u64> = seq.levels.iter().map(|l| l.discovered).collect();
         assert_eq!(pd, sd);

@@ -8,13 +8,16 @@
 //! traversal — the bit-parallel kernel of [`crate::multi`] for the
 //! shared-memory backend, a parallel sweep of per-root runs for the
 //! distributed ones. Followers sleep on a condvar until the leader posts
-//! their answers.
+//! their answers. The shared-memory backend answers a wave of one root
+//! with [`crate::par`]'s one-bit-per-vertex kernel instead: lanes only pay
+//! when they share a sweep, and a lone lane would move a `u64` per vertex
+//! where `par` moves a bit.
 //!
 //! Determinism is the contract the differential suite pins: an answer is
 //! a function of (graph, root) only. Batch composition, admission order
-//! and pool recycling never change a single parent word, because the
-//! kernel's min-parent settle rule (see [`crate::multi`]) elects the same
-//! tree no matter which lanes share the wave.
+//! and pool recycling never change a single parent word, because both
+//! kernels elect the minimum frontier neighbour (see [`crate::multi`]),
+//! the same tree no matter which lanes, if any, share the wave.
 //!
 //! [`Graph500Harness`](crate::harness::Graph500Harness) rides the same
 //! machinery: its 64-root campaign is a [`QueryEngine::run_batch`] over a
@@ -29,9 +32,11 @@ use rayon::prelude::*;
 use nbfs_graph::{Csr, GraphView};
 use nbfs_util::{ArenaPool, NbfsError};
 
+use crate::direction::SwitchPolicy;
 use crate::engine::{DistributedBfs, HostClock, NoClock, Search};
 use crate::engine2d::TwoDimBfs;
 use crate::multi::{multi_source_bfs_in, LaneAnswer, MultiWorkspace, MAX_LANES};
+use crate::par::bfs_hybrid_parallel;
 
 /// One wave executor behind a [`QueryEngine`].
 ///
@@ -58,10 +63,12 @@ pub trait QueryBackend: Sync {
     fn run_wave(&self, wave: u64, roots: &[usize]) -> Vec<Self::Answer>;
 }
 
-/// The shared-memory backend: waves run the bit-parallel multi-source
-/// kernel, recycling [`MultiWorkspace`]s through an [`ArenaPool`] so a
-/// sustained query stream reuses its lane tables; a wave allocates its
-/// answers and their level vectors (see [`MultiWorkspace`]).
+/// The shared-memory backend: waves of two or more roots run the
+/// bit-parallel multi-source kernel, recycling [`MultiWorkspace`]s through
+/// an [`ArenaPool`] so a sustained query stream reuses its lane tables; a
+/// wave allocates its answers and their level vectors (see
+/// [`MultiWorkspace`]). A wave of one root runs
+/// [`bfs_hybrid_parallel`] on the current pool and takes no workspace.
 pub struct BitParallelBackend<'g> {
     graph: &'g Csr,
     pool: ArenaPool<MultiWorkspace>,
@@ -98,8 +105,25 @@ impl QueryBackend for BitParallelBackend<'_> {
     }
 
     fn run_wave(&self, _wave: u64, roots: &[usize]) -> Vec<LaneAnswer> {
+        if let &[root] = roots {
+            return vec![solo_answer(self.graph, root)];
+        }
         let mut ws = self.pool.acquire_with(MultiWorkspace::new);
         multi_source_bfs_in(self.graph, roots, &mut ws).lanes
+    }
+}
+
+/// One root on [`bfs_hybrid_parallel`], in a lane's answer shape: its
+/// parent array moved, not copied, and its level counts, which end with
+/// the empty level as a lane's do.
+fn solo_answer(graph: &Csr, root: usize) -> LaneAnswer {
+    let run = bfs_hybrid_parallel(graph, root, SwitchPolicy::default());
+    let level_discovered: Vec<u64> = run.levels.iter().map(|l| l.discovered).collect();
+    LaneAnswer {
+        root,
+        visited: 1 + level_discovered.iter().sum::<u64>(),
+        parent: run.parent,
+        level_discovered,
     }
 }
 
@@ -363,7 +387,8 @@ impl<B: QueryBackend> Drop for Leading<'_, B> {
 
 impl<'g> QueryEngine<BitParallelBackend<'g>> {
     /// A shared-memory service over `graph`, fusing up to 64 concurrent
-    /// queries per bit-parallel wave.
+    /// queries per bit-parallel wave; a query that finds no company runs
+    /// alone on `par`'s kernel.
     pub fn bit_parallel(graph: &'g Csr) -> Self {
         Self::new(BitParallelBackend::new(graph))
     }
@@ -471,6 +496,45 @@ mod tests {
         engine.run_batch(&keys);
         engine.run_batch(&keys[..3]);
         assert_eq!(engine.backend().pool.idle_len(), 1);
+    }
+
+    #[test]
+    fn solo_queries_run_on_the_bitmap_kernel_and_match_reference() {
+        let g = graph();
+        let engine = QueryEngine::bit_parallel(&g);
+        for root in roots(&g, 6, 23) {
+            assert_eq!(engine.query(root), reference_single_source(&g, root));
+        }
+        let isolated = (0..g.num_vertices()).find(|&v| g.degree(v) == 0).unwrap();
+        let lone = engine.query(isolated);
+        assert_eq!(lone, reference_single_source(&g, isolated));
+        assert_eq!((lone.visited, &lone.level_discovered[..]), (1, &[0][..]));
+        // A one-root wave never takes a lane workspace.
+        assert_eq!(engine.backend().pool.idle_len(), 0);
+        assert_eq!(
+            engine.stats(),
+            EngineStats {
+                waves: 7,
+                queries: 7
+            }
+        );
+    }
+
+    #[test]
+    fn a_one_root_tail_chunk_matches_its_root_inside_a_full_wave() {
+        let g = graph();
+        let keys = roots(&g, MAX_LANES + 1, 29);
+        let engine = QueryEngine::bit_parallel(&g);
+        // 65 roots at the default limit: one 64-lane wave, then the last
+        // root alone on the bitmap kernel.
+        let tail = engine.run_batch(&keys).pop().unwrap();
+        assert_eq!(engine.stats().waves, 2);
+        assert_eq!(tail.root, keys[MAX_LANES]);
+        // The same root as the last lane of a full wave, then as the first.
+        let mut inside = keys[1..].to_vec();
+        assert_eq!(tail, engine.run_batch(&inside)[MAX_LANES - 1]);
+        inside.rotate_right(1);
+        assert_eq!(tail, engine.run_batch(&inside)[0]);
     }
 
     #[test]

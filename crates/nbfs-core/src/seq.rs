@@ -6,8 +6,12 @@
 //! single-node study, and the edges-examined comparison behind the paper's
 //! "hybrid is 27.3× faster than top-down, 4.7× than bottom-up" observation
 //! (the hybrid's advantage is precisely that it examines far fewer edges).
-
-use serde::{Deserialize, Serialize};
+//!
+//! Every engine here elects a vertex's **minimum** frontier neighbour as its
+//! parent, the rule of [`crate::par`] and [`crate::multi`]: a top-down level
+//! leaves its next frontier ascending, so the first discoverer of a vertex
+//! is its smallest frontier neighbour, and a bottom-up level scans sorted
+//! rows and stops at the first hit.
 
 use nbfs_graph::{vid, Csr, NO_PARENT};
 use nbfs_util::{Bitmap, CachedWordProbe, WORD_BITS};
@@ -15,7 +19,7 @@ use nbfs_util::{Bitmap, CachedWordProbe, WORD_BITS};
 use crate::direction::{Direction, SwitchPolicy};
 
 /// Per-level trace of a sequential BFS run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct LevelTrace {
     /// Direction used for the level.
     pub direction: Direction,
@@ -26,7 +30,7 @@ pub struct LevelTrace {
 }
 
 /// Result of a sequential BFS.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SeqBfs {
     /// Parent array (`NO_PARENT` = unvisited; the root is its own parent).
     pub parent: Vec<u32>,
@@ -47,7 +51,7 @@ impl SeqBfs {
     }
 }
 
-/// Classic queue-based top-down BFS.
+/// Classic queue-based top-down BFS, its queue kept ascending.
 pub fn bfs_top_down(graph: &Csr, root: usize) -> SeqBfs {
     let n = graph.num_vertices();
     let mut parent = vec![NO_PARENT; n];
@@ -66,6 +70,7 @@ pub fn bfs_top_down(graph: &Csr, root: usize) -> SeqBfs {
                 }
             }
         }
+        next.sort_unstable();
         levels.push(LevelTrace {
             direction: Direction::TopDown,
             discovered: next.len() as u64,
@@ -138,13 +143,11 @@ pub fn bfs_hybrid(graph: &Csr, root: usize, policy: SwitchPolicy) -> SeqBfs {
     let mut frontier: Vec<u32> = vec![vid::to_stored(root)];
     // The next-queue is recycled across levels (clear + swap keeps the
     // allocation), the same alloc-free frontier discipline as the parallel
-    // kernels. Push order per level is untouched, so parents are identical
-    // to the historical per-level-Vec implementation.
+    // kernels, and leaves every level ascending.
     let mut next: Vec<u32> = Vec::new();
     let mut in_queue = Bitmap::new(n);
     in_queue.set(root);
-    let mut m_u: u64 = (0..n).map(|v| graph.degree(v) as u64).sum();
-    m_u -= graph.degree(root) as u64;
+    let mut m_u = graph.num_arcs() as u64 - graph.degree(root) as u64;
     let mut direction = Direction::TopDown;
     let mut levels = Vec::new();
 
@@ -172,6 +175,7 @@ pub fn bfs_hybrid(graph: &Csr, root: usize, policy: SwitchPolicy) -> SeqBfs {
                         }
                     }
                 }
+                next.sort_unstable();
             }
             Direction::BottomUp => {
                 // Word-level unvisited scan with a cached in_queue probe
@@ -304,12 +308,10 @@ mod tests {
         let pure_td = bfs_top_down(&g, root);
         let forced_td = bfs_hybrid(&g, root, SwitchPolicy::always_top_down());
         assert_eq!(pure_td.parent, forced_td.parent);
+        // Bottom-up elects the same minimum frontier neighbours.
         let forced_bu = bfs_hybrid(&g, root, SwitchPolicy::always_bottom_up());
-        // Bottom-up visits the same set (parents may differ).
-        assert_eq!(
-            pure_td.parent.iter().filter(|&&p| p != NO_PARENT).count(),
-            forced_bu.parent.iter().filter(|&&p| p != NO_PARENT).count()
-        );
+        assert_eq!(pure_td.parent, forced_bu.parent);
+        assert_eq!(pure_td.parent, bfs_bottom_up(&g, root).parent);
     }
 
     #[test]

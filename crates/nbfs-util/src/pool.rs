@@ -7,7 +7,10 @@
 //! fresh one via the caller's factory when the pool is dry) and the
 //! returned [`PoolGuard`] automatically checks the workspace back in on
 //! drop — so a steady-state wave allocates what it hands back (its
-//! answers and their level vectors), never its scratch state.
+//! answers and their level vectors), never its scratch state. A guard
+//! dropped while its thread unwinds discards its workspace instead: only
+//! holders that finished put state back, so a recycled workspace is always
+//! one a completed wave left behind.
 //!
 //! The pool is deliberately dumb: a mutex around a stack. Waves are
 //! long (milliseconds of traversal) and acquisitions rare (one per wave),
@@ -18,7 +21,8 @@
 
 use std::sync::Mutex;
 
-/// A checked-out workspace; returns itself to the pool on drop.
+/// A checked-out workspace; returns itself to the pool on drop, unless the
+/// holder is unwinding from a panic.
 pub struct PoolGuard<'p, T> {
     pool: &'p ArenaPool<T>,
     item: Option<T>,
@@ -50,7 +54,9 @@ impl<T> std::ops::DerefMut for PoolGuard<'_, T> {
 impl<T> Drop for PoolGuard<'_, T> {
     fn drop(&mut self) {
         if let Some(item) = self.item.take() {
-            self.pool.release(item);
+            if !std::thread::panicking() {
+                self.pool.release(item);
+            }
         }
     }
 }
@@ -124,6 +130,23 @@ mod tests {
         let ws = pool.acquire_with(Vec::new);
         assert_eq!(*ws, vec![7]);
         assert_eq!(pool.idle_len(), 0);
+    }
+
+    #[test]
+    fn a_holder_that_panics_does_not_return_its_workspace() {
+        let pool: ArenaPool<Vec<u32>> = ArenaPool::new();
+        drop(pool.acquire_with(Vec::new));
+        assert_eq!(pool.idle_len(), 1);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut ws = pool.acquire_with(Vec::new);
+            ws.push(7);
+            std::panic::resume_unwind(Box::new("holder died mid-use"));
+        }));
+        assert!(unwound.is_err());
+        // The half-written workspace is gone, not parked for the next
+        // holder; a dry pool builds a fresh one.
+        assert_eq!(pool.idle_len(), 0);
+        assert!(pool.acquire_with(Vec::new).is_empty());
     }
 
     #[test]
