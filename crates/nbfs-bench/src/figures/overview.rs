@@ -108,9 +108,9 @@ pub fn hybrid_vs_pure(cfg: &BenchConfig) -> FigureReport {
         .scaled_to_graph(cfg.base_scale, cfg.paper_base_scale);
     let root = best_root(g);
 
-    // Work comparison from the sequential oracles.
+    // Work comparison from the sequential engines.
     let td_edges = seq::bfs_top_down(g, root).edges_examined();
-    let bu_edges = seq::bfs_bottom_up(g, root).edges_examined();
+    let bu_edges = seq::bfs_hybrid(g, root, SwitchPolicy::always_bottom_up()).edges_examined();
     let hy_edges = seq::bfs_hybrid(g, root, SwitchPolicy::default()).edges_examined();
 
     // End-to-end comparison on the simulated 64-core node.

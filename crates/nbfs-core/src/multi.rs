@@ -47,9 +47,9 @@
 //! `par_chunks_mut`, and pushes its discoveries onto its own recycled list.
 //! The lists, concatenated in task order, are the next active list
 //! (ascending vertex ids). Parents land straight in each lane's answer,
-//! bitwise identical to a per-root reference run — the property
-//! `tests/multi_source_equivalence` pins across scales, batch sizes and
-//! pools.
+//! bitwise identical to [`crate::seq::bfs_top_down`] from the lane's root
+//! — the property `tests/multi_source_equivalence` pins across scales,
+//! batch sizes and pools.
 
 use rayon::prelude::*;
 
@@ -58,6 +58,7 @@ use nbfs_util::Bitmap;
 
 use crate::direction::{Direction, SwitchPolicy};
 use crate::grain;
+use crate::seq::SeqBfs;
 
 /// Lanes per wave: one per bit of the per-vertex lane word.
 pub const MAX_LANES: usize = 64;
@@ -141,13 +142,28 @@ pub struct LaneAnswer {
     /// The search key this lane ran from.
     pub root: usize,
     /// Parent array (global ids; `NO_PARENT` = unreached; the root is its
-    /// own parent). Bitwise identical to a per-root reference run.
+    /// own parent). Bitwise identical to [`crate::seq::bfs_top_down`]'s.
     pub parent: Vec<u32>,
     /// Vertices reached, root included.
     pub visited: u64,
     /// Vertices discovered per committed level, ending with the empty
     /// level — the same shape as the single-source engines' level traces.
     pub level_discovered: Vec<u64>,
+}
+
+impl LaneAnswer {
+    /// One single-source run from `root` in a lane's answer shape: its
+    /// parent array moved, not copied, and its level counts, which end
+    /// with the empty level as a lane's do.
+    pub fn from_run(root: usize, run: SeqBfs) -> Self {
+        let level_discovered: Vec<u64> = run.levels.iter().map(|l| l.discovered).collect();
+        Self {
+            root,
+            visited: 1 + level_discovered.iter().sum::<u64>(),
+            parent: run.parent,
+            level_discovered,
+        }
+    }
 }
 
 /// Result of one bit-parallel wave.
@@ -546,67 +562,23 @@ pub fn multi_source_bfs_in(
     }
 }
 
-/// Scalar per-root oracle: a sequential level-synchronous BFS electing
-/// the **minimum** frontier neighbour as parent — the same rule as
-/// [`crate::par::bfs_hybrid_parallel`] and the settle phase above, so all
-/// three produce bitwise-identical parent arrays. The differential suite
-/// compares every lane of a wave against this.
-pub fn reference_single_source(graph: &Csr, root: usize) -> LaneAnswer {
-    let n = graph.num_vertices();
-    assert!(root < n, "root {root} out of range");
-    let mut parent = vec![NO_PARENT; n];
-    parent[root] = vid::to_stored(root);
-    let mut visited_bm = Bitmap::new(n);
-    visited_bm.set(root);
-    let mut frontier: Vec<usize> = vec![root];
-    let mut next: Vec<usize> = Vec::new();
-    let mut level_discovered: Vec<u64> = Vec::new();
-    loop {
-        next.clear();
-        for &u in &frontier {
-            let us = vid::to_stored(u);
-            for &w in graph.neighbours(u) {
-                let wi = w as usize;
-                if visited_bm.get(wi) {
-                    continue;
-                }
-                if parent[wi] == NO_PARENT {
-                    next.push(wi);
-                }
-                if us < parent[wi] {
-                    parent[wi] = us;
-                }
-            }
-        }
-        next.sort_unstable();
-        for &w in &next {
-            visited_bm.set(w);
-        }
-        level_discovered.push(next.len() as u64);
-        if next.is_empty() {
-            break;
-        }
-        std::mem::swap(&mut frontier, &mut next);
-    }
-    LaneAnswer {
-        root,
-        visited: 1 + level_discovered.iter().sum::<u64>(),
-        parent,
-        level_discovered,
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::cast_possible_truncation)]
 mod tests {
     use super::*;
     use crate::direction::SwitchPolicy;
     use crate::par::bfs_hybrid_parallel;
+    use crate::seq::bfs_top_down;
     use nbfs_graph::validate::validate_bfs_tree;
     use nbfs_graph::GraphBuilder;
 
     fn graph() -> Csr {
         GraphBuilder::rmat(12, 16).seed(23).build()
+    }
+
+    /// The serial top-down run from `root`, as a lane's answer.
+    fn oracle(g: &Csr, root: usize) -> LaneAnswer {
+        LaneAnswer::from_run(root, bfs_top_down(g, root))
     }
 
     fn sample_roots(g: &Csr, count: usize, seed: u64) -> Vec<usize> {
@@ -628,8 +600,7 @@ mod tests {
         let run = multi_source_bfs(&g, &roots);
         assert_eq!(run.lanes.len(), roots.len());
         for (lane, &root) in roots.iter().enumerate() {
-            let reference = reference_single_source(&g, root);
-            assert_eq!(run.lanes[lane], reference, "lane {lane} root {root}");
+            assert_eq!(run.lanes[lane], oracle(&g, root), "lane {lane} root {root}");
         }
     }
 
@@ -640,10 +611,12 @@ mod tests {
         let run = multi_source_bfs(&g, &roots);
         for (lane, &root) in roots.iter().enumerate() {
             let par = bfs_hybrid_parallel(&g, root, SwitchPolicy::default());
-            assert_eq!(run.lanes[lane].parent, par.parent, "lane {lane}");
             assert_eq!(run.lanes[lane].visited, par.visited() as u64);
-            let pd: Vec<u64> = par.levels.iter().map(|l| l.discovered).collect();
-            assert_eq!(run.lanes[lane].level_discovered, pd, "lane {lane}");
+            assert_eq!(
+                run.lanes[lane],
+                LaneAnswer::from_run(root, par),
+                "lane {lane}"
+            );
         }
     }
 
@@ -666,7 +639,7 @@ mod tests {
         let run = multi_source_bfs(&g, &[r, r, r]);
         assert_eq!(run.lanes[0], run.lanes[1]);
         assert_eq!(run.lanes[1], run.lanes[2]);
-        assert_eq!(run.lanes[0], reference_single_source(&g, r));
+        assert_eq!(run.lanes[0], oracle(&g, r));
     }
 
     #[test]
@@ -677,7 +650,7 @@ mod tests {
         let run = multi_source_bfs(&g, &[isolated, connected]);
         assert_eq!(run.lanes[0].visited, 1);
         assert_eq!(run.lanes[0].level_discovered, vec![0]);
-        assert_eq!(run.lanes[0], reference_single_source(&g, isolated));
+        assert_eq!(run.lanes[0], oracle(&g, isolated));
         assert!(run.lanes[1].visited > 1);
     }
 

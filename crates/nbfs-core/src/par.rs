@@ -258,7 +258,8 @@ pub fn bfs_hybrid_parallel(graph: &Csr, root: usize, policy: SwitchPolicy) -> Se
 #[allow(clippy::unwrap_used, clippy::cast_possible_truncation)]
 mod tests {
     use super::*;
-    use crate::{multi, seq};
+    use crate::multi::LaneAnswer;
+    use crate::seq;
     use nbfs_graph::validate::validate_bfs_tree;
     use nbfs_graph::GraphBuilder;
 
@@ -285,62 +286,36 @@ mod tests {
         assert_eq!(pd, sd);
     }
 
-    /// Whether each vertex was reached.
-    fn reached(run: &SeqBfs) -> Vec<bool> {
-        run.parent.iter().map(|&p| p != NO_PARENT).collect()
-    }
-
-    #[test]
-    fn parallel_visited_set_equals_sequential() {
-        let g = graph();
-        let par = bfs_hybrid_parallel(&g, 3, SwitchPolicy::default());
-        let seq = seq::bfs_top_down(&g, 3);
-        assert_eq!(reached(&par), reached(&seq));
-    }
-
-    #[test]
-    fn single_thread_pool_gives_same_visited_set() {
-        let g = graph();
-        let root = 3;
-        let multi = bfs_hybrid_parallel(&g, root, SwitchPolicy::default());
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(1)
-            .build()
-            .unwrap();
-        let single = pool.install(|| bfs_hybrid_parallel(&g, root, SwitchPolicy::default()));
-        assert_eq!(reached(&multi), reached(&single));
-        assert_eq!(multi.levels.len(), single.levels.len());
-    }
-
     #[test]
     fn parents_are_bit_identical_across_thread_pools() {
         // The min rule of the top-down apply (and the sorted-adjacency
         // break of the bottom-up scan) pins every parent to the minimum
         // frontier neighbour, so under every policy the whole parent array
-        // — not just the visited set — equals the scalar reference on any
-        // pool. The pure policies keep every level in one direction, so the
-        // multi-chunk top-down apply and the bottom-up tasks are each held
-        // to it alone.
+        // — not just the visited set — and the level counts equal
+        // `seq::bfs_top_down`'s on any pool. The pure policies keep every
+        // level in one direction, so the multi-chunk top-down apply and the
+        // bottom-up tasks are each held to it alone.
         let g = graph();
-        let root = (0..g.num_vertices()).max_by_key(|&v| g.degree(v)).unwrap();
-        let reference = multi::reference_single_source(&g, root);
-        for policy in [
-            SwitchPolicy::default(),
-            SwitchPolicy::always_top_down(),
-            SwitchPolicy::always_bottom_up(),
-        ] {
-            for threads in [1usize, 3, 7] {
-                let pool = rayon::ThreadPoolBuilder::new()
-                    .num_threads(threads)
-                    .build()
-                    .unwrap();
-                let run = pool.install(|| bfs_hybrid_parallel(&g, root, policy));
-                assert_eq!(run.parent, reference.parent, "{policy:?} threads={threads}");
-                let discovered: Vec<u64> = run.levels.iter().map(|l| l.discovered).collect();
-                assert_eq!(
-                    discovered, reference.level_discovered,
-                    "{policy:?} threads={threads}"
-                );
+        let hub = (0..g.num_vertices()).max_by_key(|&v| g.degree(v)).unwrap();
+        for root in [hub, 3] {
+            let reference = LaneAnswer::from_run(root, seq::bfs_top_down(&g, root));
+            for policy in [
+                SwitchPolicy::default(),
+                SwitchPolicy::always_top_down(),
+                SwitchPolicy::always_bottom_up(),
+            ] {
+                for threads in [1usize, 3, 7] {
+                    let pool = rayon::ThreadPoolBuilder::new()
+                        .num_threads(threads)
+                        .build()
+                        .unwrap();
+                    let run = pool.install(|| bfs_hybrid_parallel(&g, root, policy));
+                    assert_eq!(
+                        LaneAnswer::from_run(root, run),
+                        reference,
+                        "root {root} {policy:?} threads={threads}"
+                    );
+                }
             }
         }
     }

@@ -48,9 +48,6 @@ pub trait QueryBackend: Sync {
     /// What one query returns.
     type Answer: Send;
 
-    /// Most roots one wave may fuse.
-    fn wave_capacity(&self) -> usize;
-
     /// Checks one root in the submitting thread's own frame, before
     /// [`QueryEngine::query`] enqueues it. A backend with no error answer
     /// for a bad root must refuse it here (by panicking): once enqueued,
@@ -58,9 +55,8 @@ pub trait QueryBackend: Sync {
     /// admits every root.
     fn admit(&self, _root: usize) {}
 
-    /// Executes one wave. `wave` is a monotone sequence number (useful
-    /// for tracing); `roots` holds 1..=[`Self::wave_capacity`] entries.
-    fn run_wave(&self, wave: u64, roots: &[usize]) -> Vec<Self::Answer>;
+    /// Executes one wave; `roots` holds 1..=[`MAX_LANES`] entries.
+    fn run_wave(&self, roots: &[usize]) -> Vec<Self::Answer>;
 }
 
 /// The shared-memory backend: waves of two or more roots run the
@@ -92,10 +88,6 @@ impl<'g> BitParallelBackend<'g> {
 impl QueryBackend for BitParallelBackend<'_> {
     type Answer = LaneAnswer;
 
-    fn wave_capacity(&self) -> usize {
-        MAX_LANES
-    }
-
     /// # Panics
     /// If `root` is not a vertex: the bit-parallel kernel has no error
     /// answer, so the caller that passed it is the one that fails.
@@ -104,26 +96,13 @@ impl QueryBackend for BitParallelBackend<'_> {
         assert!(root < n, "root {root} is not a vertex (graph has {n})");
     }
 
-    fn run_wave(&self, _wave: u64, roots: &[usize]) -> Vec<LaneAnswer> {
+    fn run_wave(&self, roots: &[usize]) -> Vec<LaneAnswer> {
         if let &[root] = roots {
-            return vec![solo_answer(self.graph, root)];
+            let run = bfs_hybrid_parallel(self.graph, root, SwitchPolicy::default());
+            return vec![LaneAnswer::from_run(root, run)];
         }
         let mut ws = self.pool.acquire_with(MultiWorkspace::new);
         multi_source_bfs_in(self.graph, roots, &mut ws).lanes
-    }
-}
-
-/// One root on [`bfs_hybrid_parallel`], in a lane's answer shape: its
-/// parent array moved, not copied, and its level counts, which end with
-/// the empty level as a lane's do.
-fn solo_answer(graph: &Csr, root: usize) -> LaneAnswer {
-    let run = bfs_hybrid_parallel(graph, root, SwitchPolicy::default());
-    let level_discovered: Vec<u64> = run.levels.iter().map(|l| l.discovered).collect();
-    LaneAnswer {
-        root,
-        visited: 1 + level_discovered.iter().sum::<u64>(),
-        parent: run.parent,
-        level_discovered,
     }
 }
 
@@ -173,11 +152,7 @@ impl<'e, E: SearchEngine + ?Sized> SearchBackend<'e, E> {
 impl<E: SearchEngine + ?Sized> QueryBackend for SearchBackend<'_, E> {
     type Answer = Result<Search, NbfsError>;
 
-    fn wave_capacity(&self) -> usize {
-        MAX_LANES
-    }
-
-    fn run_wave(&self, _wave: u64, roots: &[usize]) -> Vec<Self::Answer> {
+    fn run_wave(&self, roots: &[usize]) -> Vec<Self::Answer> {
         roots
             .par_iter()
             .map(|&root| self.engine.search(root, &NoClock))
@@ -204,7 +179,7 @@ struct Admission<A> {
     done: BTreeMap<u64, A>,
     /// Whether some thread is currently off executing a wave.
     leader_busy: bool,
-    /// Waves started: the next wave's sequence number.
+    /// Waves started.
     waves: u64,
     /// Queries answered.
     served: u64,
@@ -223,16 +198,15 @@ pub struct QueryEngine<B: QueryBackend> {
 }
 
 impl<B: QueryBackend> QueryEngine<B> {
-    /// An engine fusing up to the backend's full wave capacity.
+    /// An engine fusing up to [`MAX_LANES`] roots per wave.
     pub fn new(backend: B) -> Self {
-        let batch_limit = backend.wave_capacity();
-        Self::with_batch_limit(backend, batch_limit)
+        Self::with_batch_limit(backend, MAX_LANES)
     }
 
     /// An engine fusing at most `batch_limit` roots per wave (clamped to
-    /// `1..=backend.wave_capacity()`).
+    /// `1..=MAX_LANES`).
     fn with_batch_limit(backend: B, batch_limit: usize) -> Self {
-        let batch_limit = batch_limit.clamp(1, backend.wave_capacity());
+        let batch_limit = batch_limit.clamp(1, MAX_LANES);
         Self {
             backend,
             batch_limit,
@@ -283,13 +257,12 @@ impl<B: QueryBackend> QueryEngine<B> {
     pub fn run_batch(&self, roots: &[usize]) -> Vec<B::Answer> {
         let mut answers = Vec::with_capacity(roots.len());
         for chunk in roots.chunks(self.batch_limit) {
-            let wave = {
+            {
                 let mut st = self.lock();
                 st.served += chunk.len() as u64;
                 st.waves += 1;
-                st.waves - 1
-            };
-            answers.extend(self.backend.run_wave(wave, chunk));
+            }
+            answers.extend(self.backend.run_wave(chunk));
         }
         answers
     }
@@ -324,7 +297,6 @@ impl<B: QueryBackend> QueryEngine<B> {
             if !st.leader_busy && !st.pending.is_empty() {
                 st.leader_busy = true;
                 let take = st.pending.len().min(self.batch_limit);
-                let wave = st.waves;
                 st.waves += 1;
                 let mut leading = Leading {
                     engine: self,
@@ -334,7 +306,7 @@ impl<B: QueryBackend> QueryEngine<B> {
                 drop(st);
                 let mut wave_roots = Vec::with_capacity(take);
                 wave_roots.extend(leading.batch.iter().map(|&(_, r)| r));
-                let answers = self.backend.run_wave(wave, &wave_roots);
+                let answers = self.backend.run_wave(&wave_roots);
                 debug_assert_eq!(answers.len(), take);
                 let mut posted = self.lock();
                 for ((t, _), answer) in leading.batch.drain(..).zip(answers) {
@@ -399,14 +371,19 @@ impl<'g> QueryEngine<BitParallelBackend<'g>> {
 mod tests {
     use super::*;
     use crate::engine::Scenario;
-    use crate::multi::reference_single_source;
     use crate::opt::OptLevel;
+    use crate::seq::bfs_top_down;
     use nbfs_graph::GraphBuilder;
     use nbfs_topology::MachineConfig;
     use std::sync::atomic::{AtomicBool, Ordering};
 
     fn graph() -> Csr {
         GraphBuilder::rmat(11, 16).seed(41).build()
+    }
+
+    /// The serial top-down run from `root`, as a lane's answer.
+    fn oracle(g: &Csr, root: usize) -> LaneAnswer {
+        LaneAnswer::from_run(root, bfs_top_down(g, root))
     }
 
     fn roots(g: &Csr, count: usize, seed: u64) -> Vec<usize> {
@@ -437,7 +414,7 @@ mod tests {
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
         for (answer, &root) in answers.iter().zip(&keys) {
-            assert_eq!(answer, &reference_single_source(&g, root), "root {root}");
+            assert_eq!(answer, &oracle(&g, root), "root {root}");
         }
         let stats = engine.stats();
         assert_eq!(stats.queries, 16);
@@ -458,7 +435,7 @@ mod tests {
         assert_eq!(answers.len(), keys.len());
         for (answer, &root) in answers.iter().zip(&keys) {
             assert_eq!(answer.root, root);
-            assert_eq!(answer, &reference_single_source(&g, root));
+            assert_eq!(answer, &oracle(&g, root));
         }
         // 11 roots at limit 4 → ceil(11/4) = 3 waves.
         assert_eq!(
@@ -478,8 +455,7 @@ mod tests {
         let fused = QueryEngine::bit_parallel(&g);
         let fused_answers = fused.run_batch(&keys);
         for (&root, fused_answer) in keys.iter().zip(&fused_answers) {
-            let solo_answer = solo.query(root);
-            assert_eq!(&solo_answer, fused_answer, "root {root}");
+            assert_eq!(&solo.query(root), fused_answer, "root {root}");
         }
     }
 
@@ -503,11 +479,11 @@ mod tests {
         let g = graph();
         let engine = QueryEngine::bit_parallel(&g);
         for root in roots(&g, 6, 23) {
-            assert_eq!(engine.query(root), reference_single_source(&g, root));
+            assert_eq!(engine.query(root), oracle(&g, root));
         }
         let isolated = (0..g.num_vertices()).find(|&v| g.degree(v) == 0).unwrap();
         let lone = engine.query(isolated);
-        assert_eq!(lone, reference_single_source(&g, isolated));
+        assert_eq!(lone, oracle(&g, isolated));
         assert_eq!((lone.visited, &lone.level_discovered[..]), (1, &[0][..]));
         // A one-root wave never takes a lane workspace.
         assert_eq!(engine.backend().pool.idle_len(), 0);
@@ -596,16 +572,12 @@ mod tests {
     impl QueryBackend for FirstWavePanics<'_> {
         type Answer = LaneAnswer;
 
-        fn wave_capacity(&self) -> usize {
-            self.inner.wave_capacity()
-        }
-
-        fn run_wave(&self, wave: u64, roots: &[usize]) -> Vec<LaneAnswer> {
+        fn run_wave(&self, roots: &[usize]) -> Vec<LaneAnswer> {
             assert!(
                 self.tripped.swap(true, Ordering::Relaxed),
                 "injected wave fault"
             );
-            self.inner.run_wave(wave, roots)
+            self.inner.run_wave(roots)
         }
     }
 

@@ -1,7 +1,7 @@
 //! The bottom-up level against its definition.
 //!
-//! Parents must equal the min-parent oracle
-//! (`nbfs_core::multi::reference_single_source`), and every bottom-up
+//! Parents must equal the serial min-parent oracle
+//! (`nbfs_core::seq::bfs_top_down`), and every bottom-up
 //! level's per-rank counters must equal Beamer's summary-then-`in_queue`
 //! scan with early exit (Section III.C; Buluç et al., arXiv:1705.04590):
 //! rank `p` walks each of its unvisited vertices with at least one edge in
@@ -19,8 +19,9 @@
 #![allow(clippy::unwrap_used, clippy::cast_possible_truncation)]
 use nbfs_core::direction::Direction;
 use nbfs_core::engine::{BfsRun, DistributedBfs, Scenario};
-use nbfs_core::multi::reference_single_source;
+use nbfs_core::multi::LaneAnswer;
 use nbfs_core::opt::OptLevel;
+use nbfs_core::seq::bfs_top_down;
 use nbfs_graph::{Csr, GraphBuilder};
 use nbfs_topology::presets;
 use nbfs_trace::TraceConfig;
@@ -112,7 +113,7 @@ fn assert_matches_oracle(g: &Csr, scenario: &Scenario, root: usize, label: &str)
     traced.trace = TraceConfig::Standard;
     let (run, report) = DistributedBfs::new(g, &traced).run_traced(root);
 
-    let oracle = reference_single_source(g, root);
+    let oracle = LaneAnswer::from_run(root, bfs_top_down(g, root));
     assert_eq!(run.parent, oracle.parent, "{label}: parents differ");
     assert_eq!(run.visited as u64, oracle.visited, "{label}: visited");
 

@@ -1,7 +1,7 @@
 //! The top-down level against its definition.
 //!
-//! Parents must equal the min-parent oracle
-//! (`nbfs_core::multi::reference_single_source`), and every top-down
+//! Parents must equal the serial min-parent oracle
+//! (`nbfs_core::seq::bfs_top_down`), and every top-down
 //! level's per-rank counters must equal what the replicated algorithm the
 //! model charges would scan: rank `p` sweeps the whole frontier `F` and
 //! touches every arc from `F` into its block,
@@ -19,8 +19,9 @@ use proptest::prelude::*;
 
 use nbfs_core::direction::{Direction, SwitchPolicy};
 use nbfs_core::engine::{BfsRun, DistributedBfs, Scenario};
-use nbfs_core::multi::reference_single_source;
+use nbfs_core::multi::LaneAnswer;
 use nbfs_core::opt::OptLevel;
+use nbfs_core::seq::bfs_top_down;
 use nbfs_graph::edge::EdgeList;
 use nbfs_graph::{Csr, GraphBuilder, NO_PARENT};
 use nbfs_topology::presets;
@@ -70,7 +71,7 @@ fn assert_matches_oracle(g: &Csr, scenario: &Scenario, root: usize, label: &str)
     traced.trace = TraceConfig::Standard;
     let (run, report) = DistributedBfs::new(g, &traced).run_traced(root);
 
-    let oracle = reference_single_source(g, root);
+    let oracle = LaneAnswer::from_run(root, bfs_top_down(g, root));
     assert_eq!(run.parent, oracle.parent, "{label}: parents differ");
     assert_eq!(run.visited as u64, oracle.visited, "{label}: visited");
 

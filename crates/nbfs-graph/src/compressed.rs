@@ -13,8 +13,6 @@
 //! Vertex ids pass through the [`vid`](crate::vid) sanctuary exactly like
 //! the uncompressed path; nothing here narrows an id by hand.
 
-use serde::{Deserialize, Serialize};
-
 use nbfs_util::varint::{push_varint, read_varint};
 
 use crate::csr::Csr;
@@ -25,7 +23,7 @@ use crate::VertexId;
 const OFFSET_BYTES: usize = 5;
 
 /// `n + 1` byte offsets packed 5 bytes (little-endian) each.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 struct PackedOffsets {
     raw: Vec<u8>,
 }
@@ -67,7 +65,7 @@ impl PackedOffsets {
 /// [`Csr`], and [`rmat::generate_compressed`](crate::rmat::generate_compressed)
 /// streams R-MAT blocks straight into this representation without ever
 /// materializing the global edge list.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CompressedCsr {
     num_vertices: usize,
     num_arcs: usize,

@@ -7,13 +7,12 @@
 //! the bottom-up "first set neighbour wins" parent rule deterministic).
 
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 use crate::edge::EdgeList;
 use crate::VertexId;
 
 /// Undirected graph in CSR form.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Csr {
     offsets: Vec<u64>,
     targets: Vec<u32>,

@@ -1,12 +1,10 @@
 //! Edge lists — the raw output of the generator.
 
-use serde::{Deserialize, Serialize};
-
 use crate::VertexId;
 
 /// An undirected edge between two vertices (stored as an ordered pair;
 /// direction carries no meaning).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Edge {
     /// One endpoint.
     pub u: u32,
@@ -39,7 +37,7 @@ impl Edge {
 }
 
 /// A list of undirected edges over `num_vertices` vertices.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EdgeList {
     /// Number of vertices in the id space.
     pub num_vertices: usize,

@@ -7,15 +7,13 @@
 //! vertices; neighbour ids remain global, because frontier bitmaps are
 //! full-length and reassembled by allgather.
 
-use serde::{Deserialize, Serialize};
-
 use nbfs_util::BlockPartition;
 
 use crate::view::GraphView;
 use crate::VertexId;
 
 /// The rows of the CSR owned by one rank.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LocalGraph {
     rank: usize,
     first_vertex: VertexId,
@@ -79,7 +77,7 @@ impl LocalGraph {
 }
 
 /// The whole graph, split into per-rank [`LocalGraph`]s.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PartitionedGraph {
     num_vertices: usize,
     num_edges: usize,

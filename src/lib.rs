@@ -45,7 +45,7 @@ pub mod prelude {
     pub use nbfs_core::engine::{DistributedBfs, Scenario, ScenarioBuilder};
     pub use nbfs_core::harness::{Graph500Harness, HarnessConfig};
     pub use nbfs_core::opt::OptLevel;
-    pub use nbfs_core::seq::{bfs_bottom_up, bfs_hybrid, bfs_top_down};
+    pub use nbfs_core::seq::{bfs_hybrid, bfs_top_down};
     pub use nbfs_graph::builder::GraphBuilder;
     pub use nbfs_graph::csr::Csr;
     pub use nbfs_graph::validate::validate_bfs_tree;

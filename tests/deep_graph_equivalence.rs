@@ -25,9 +25,10 @@ use numa_bfs::comm::codec::Codec;
 use numa_bfs::core::direction::SwitchPolicy;
 use numa_bfs::core::engine::{BfsRun, DistributedBfs, Scenario};
 use numa_bfs::core::engine2d::TwoDimBfs;
-use numa_bfs::core::multi::{multi_source_bfs, reference_single_source, MAX_LANES};
+use numa_bfs::core::multi::{multi_source_bfs, LaneAnswer, MAX_LANES};
 use numa_bfs::core::opt::OptLevel;
 use numa_bfs::core::par::bfs_hybrid_parallel;
+use numa_bfs::core::seq::bfs_top_down;
 use numa_bfs::graph::{Csr, Edge, EdgeList};
 use numa_bfs::topology::MachineConfig;
 use numa_bfs::trace::{Direction, Phase};
@@ -128,15 +129,13 @@ fn run_fingerprint(run: &BfsRun) -> u64 {
 fn parallel_kernel_parents_match_the_oracle_under_every_pool() {
     for (name, g) in graphs() {
         for root in [0, g.num_vertices() / 2, g.num_vertices() - 1] {
-            let oracle = reference_single_source(&g, root);
+            let oracle = LaneAnswer::from_run(root, bfs_top_down(&g, root));
             for threads in POOLS {
                 let run = in_pool(threads, || {
                     bfs_hybrid_parallel(&g, root, SwitchPolicy::default())
                 });
                 let label = format!("{name} root {root}, {threads} threads");
-                assert_eq!(run.parent, oracle.parent, "{label}: parents");
-                let discovered: Vec<u64> = run.levels.iter().map(|l| l.discovered).collect();
-                assert_eq!(discovered, oracle.level_discovered, "{label}: levels");
+                assert_eq!(LaneAnswer::from_run(root, run), oracle, "{label}");
             }
         }
     }
@@ -162,7 +161,7 @@ fn waves_match_per_root_runs_and_the_pinned_counts_under_every_pool() {
             let roots = roots(&g, batch, 0xDEE9 + i as u64);
             let oracles: Vec<_> = roots
                 .iter()
-                .map(|&root| reference_single_source(&g, root))
+                .map(|&root| LaneAnswer::from_run(root, bfs_top_down(&g, root)))
                 .collect();
             let mut first = None;
             for threads in POOLS {
@@ -210,7 +209,7 @@ fn distributed_engines_are_pool_independent_on_deep_graphs() {
         .unwrap();
     for (name, g) in graphs() {
         let root = g.num_vertices() / 2;
-        let oracle = reference_single_source(&g, root);
+        let oracle = bfs_top_down(&g, root);
         let mut first = None;
         for threads in POOLS {
             let (one, two) = in_pool(threads, || {

@@ -2,8 +2,9 @@
 //!
 //! Pins the contract behind the `QueryEngine` (timed by the repo
 //! benchmark's `query_waves` workload): every lane of a fused wave —
-//! parents, visited counts, and per-level traces — is **bitwise identical** to a per-root run of the scalar `Reference` oracle
-//! (`numa_bfs::core::multi::reference_single_source`), regardless of batch
+//! parents, visited counts, and per-level traces — is **bitwise identical**
+//! to a per-root run of the serial oracle (`numa_bfs::core::seq::bfs_top_down`
+//! as a `LaneAnswer::from_run`), regardless of batch
 //! size, batch composition, thread-pool width, workspace reuse, duplicate
 //! roots, or isolated-vertex roots. Scales 14-18 are covered: the full
 //! batch x pool matrix at scale 14, and a per-scale spot sweep above that so
@@ -14,10 +15,10 @@
 #![allow(clippy::unwrap_used, clippy::cast_possible_truncation)]
 
 use numa_bfs::core::multi::{
-    multi_source_bfs, multi_source_bfs_in, reference_single_source, LaneAnswer, MultiWorkspace,
-    MAX_LANES,
+    multi_source_bfs, multi_source_bfs_in, LaneAnswer, MultiWorkspace, MAX_LANES,
 };
 use numa_bfs::core::query::QueryEngine;
+use numa_bfs::core::seq::bfs_top_down;
 use numa_bfs::graph::{Csr, GraphBuilder};
 use numa_bfs::util::rng::Xoroshiro128;
 
@@ -48,7 +49,7 @@ fn sample_roots(g: &Csr, count: usize, seed: u64) -> Vec<usize> {
     roots
 }
 
-/// Assert every lane of a fused wave equals the scalar `Reference` oracle,
+/// Assert every lane of a fused wave equals the serial oracle,
 /// reusing oracle answers for duplicated roots.
 fn assert_wave_matches_reference(g: &Csr, roots: &[usize], lanes: &[LaneAnswer], label: &str) {
     assert_eq!(lanes.len(), roots.len(), "{label}: lane count");
@@ -57,7 +58,7 @@ fn assert_wave_matches_reference(g: &Csr, roots: &[usize], lanes: &[LaneAnswer],
         let reference = match oracle.iter().find(|(r, _)| *r == root) {
             Some((_, cached)) => cached.clone(),
             None => {
-                let fresh = reference_single_source(g, root);
+                let fresh = LaneAnswer::from_run(root, bfs_top_down(g, root));
                 oracle.push((root, fresh.clone()));
                 fresh
             }
@@ -79,8 +80,8 @@ fn assert_wave_matches_reference(g: &Csr, roots: &[usize], lanes: &[LaneAnswer],
 }
 
 /// Scale 14, full matrix: batch sizes 1/7/64 under 1/3/7-thread pools, with a
-/// reused workspace, must all be bitwise identical to per-root `Reference`
-/// runs — and to each other.
+/// reused workspace, must all be bitwise identical to per-root
+/// `bfs_top_down` runs — and to each other.
 #[test]
 fn scale_14_full_batch_by_pool_matrix_matches_reference() {
     let g = rmat(14, 140);
@@ -121,9 +122,9 @@ fn scale_14_full_batch_by_pool_matrix_matches_reference() {
     }
 }
 
-/// Scales 15-18: one mid-size batch per scale must match per-root `Reference`
-/// runs bit for bit. Keeps the large-graph portion of the matrix to a single
-/// wave per scale so the suite stays fast in debug builds.
+/// Scales 15-18: one mid-size batch per scale must match per-root
+/// `bfs_top_down` runs bit for bit. Keeps the large-graph portion of the
+/// matrix to a single wave per scale so the suite stays fast in debug builds.
 #[test]
 fn scales_15_through_18_match_reference() {
     for scale in 15u32..=18 {
@@ -157,7 +158,7 @@ fn duplicate_roots_are_lane_for_lane_identical() {
 }
 
 /// Isolated-vertex roots (degree 0) terminate after one empty level and match
-/// the `Reference` oracle, even when mixed into a batch of connected roots.
+/// the serial oracle, even when mixed into a batch of connected roots.
 #[test]
 fn isolated_roots_match_reference_inside_mixed_batches() {
     let g = rmat(14, 140);
@@ -178,7 +179,7 @@ fn isolated_roots_match_reference_inside_mixed_batches() {
 }
 
 /// Concurrent submitters through the `QueryEngine` receive the same answers
-/// as per-root `Reference` runs — admission/batching never alters a result.
+/// as per-root `bfs_top_down` runs — admission/batching never alters a result.
 #[test]
 fn query_engine_answers_match_reference_under_concurrency() {
     let g = rmat(14, 142);
@@ -207,7 +208,7 @@ fn query_engine_answers_match_reference_under_concurrency() {
 /// One workspace carries waves of every shape: 64, 1, 17 and 64 lanes on one
 /// graph, then a wave on a graph with a different vertex count. Each shape
 /// change re-sizes what the previous wave left behind, and every lane must
-/// still equal its per-root `Reference` run.
+/// still equal its per-root `bfs_top_down` run.
 #[test]
 fn one_workspace_serves_every_wave_shape_and_graph_size() {
     let g = rmat(12, 120);

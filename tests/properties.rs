@@ -8,9 +8,10 @@ use proptest::prelude::*;
 
 use numa_bfs::comm::allgather::{allgather_words_into, AllgatherAlgorithm};
 use numa_bfs::core::engine::{DistributedBfs, Scenario};
-use numa_bfs::core::multi::reference_single_source;
+use numa_bfs::core::multi::LaneAnswer;
 use numa_bfs::core::opt::OptLevel;
 use numa_bfs::core::query::QueryEngine;
+use numa_bfs::core::seq::bfs_top_down;
 use numa_bfs::graph::validate::validate_bfs_tree;
 use numa_bfs::graph::{Csr, Edge, EdgeList, GraphBuilder};
 use numa_bfs::simnet::NetworkModel;
@@ -167,11 +168,9 @@ proptest! {
             prop_assert_eq!(&b[j].level_discovered, &a[i].level_discovered);
         }
 
-        // And the batch answer for the first root is the scalar Reference
+        // And the batch answer for the first root is the serial top-down
         // answer — batching is invisible to each individual query.
-        let oracle = reference_single_source(&graph, roots[0]);
-        prop_assert_eq!(&a[0].parent, &oracle.parent);
-        prop_assert_eq!(a[0].visited, oracle.visited);
-        prop_assert_eq!(&a[0].level_discovered, &oracle.level_discovered);
+        let oracle = LaneAnswer::from_run(roots[0], bfs_top_down(&graph, roots[0]));
+        prop_assert_eq!(&a[0], &oracle);
     }
 }
