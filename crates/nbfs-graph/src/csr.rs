@@ -5,10 +5,15 @@
 //! cache-friendly. Graphs are undirected: every deduplicated edge appears
 //! in both endpoints' adjacency lists, sorted ascending (which also makes
 //! the bottom-up "first set neighbour wins" parent rule deterministic).
-
-use rayon::prelude::*;
+//!
+//! [`Csr::from_edge_list`] is a counting sort by source over the raw edges
+//! (the crate's row builder, shared with the streamed packed build): count
+//! degrees, scatter both directions of every non-loop edge, then sort and
+//! deduplicate each row in parallel and compact the rows in place. No
+//! deduplicated copy of the edge list is made.
 
 use crate::edge::EdgeList;
+use crate::rows::{build_rows, Rows};
 use crate::VertexId;
 
 /// Undirected graph in CSR form.
@@ -19,45 +24,16 @@ pub struct Csr {
 }
 
 impl Csr {
-    /// Builds the CSR from an edge list. The list is deduplicated first
-    /// (self loops dropped, duplicate edges collapsed), then both
-    /// directions are inserted.
-    #[expect(
-        clippy::cast_possible_truncation,
-        reason = "offsets index an in-memory array, so they fit in usize"
-    )]
+    /// Builds the CSR from an edge list: self loops dropped, duplicate
+    /// edges (in either orientation) collapsed, both directions of every
+    /// other edge inserted.
+    ///
+    /// # Panics
+    ///
+    /// If an edge names a vertex outside `0..edges.num_vertices`.
     pub fn from_edge_list(edges: &EdgeList) -> Self {
-        let el = edges.deduplicated();
-        let n = el.num_vertices;
-        let mut degree = vec![0u64; n];
-        for e in &el.edges {
-            degree[e.u as usize] += 1;
-            degree[e.v as usize] += 1;
-        }
-        let mut offsets = vec![0u64; n + 1];
-        for i in 0..n {
-            offsets[i + 1] = offsets[i] + degree[i];
-        }
-        let mut targets = vec![0u32; offsets[n] as usize];
-        let mut cursor = offsets.clone();
-        for e in &el.edges {
-            targets[cursor[e.u as usize] as usize] = e.v;
-            cursor[e.u as usize] += 1;
-            targets[cursor[e.v as usize] as usize] = e.u;
-            cursor[e.v as usize] += 1;
-        }
-        // Sort each adjacency list for deterministic traversal order.
-        {
-            let mut rows: Vec<&mut [u32]> = Vec::with_capacity(n);
-            let mut rest: &mut [u32] = &mut targets;
-            for i in 0..n {
-                let len = (offsets[i + 1] - offsets[i]) as usize;
-                let (row, tail) = rest.split_at_mut(len);
-                rows.push(row);
-                rest = tail;
-            }
-            rows.par_iter_mut().for_each(|row| row.sort_unstable());
-        }
+        let n = edges.num_vertices;
+        let Rows { offsets, targets } = build_rows(n, 0..n, std::slice::from_ref(&edges.edges));
         Csr { offsets, targets }
     }
 

@@ -21,11 +21,6 @@ impl Edge {
         }
     }
 
-    /// Is this a self loop?
-    fn is_self_loop(&self) -> bool {
-        self.u == self.v
-    }
-
     /// The edge with endpoints ordered `min, max` (canonical form for
     /// undirected dedup).
     pub fn canonical(&self) -> Edge {
@@ -65,21 +60,6 @@ impl EdgeList {
         self.edges.is_empty()
     }
 
-    /// Returns a cleaned copy: self loops dropped, duplicates (in either
-    /// orientation) collapsed. This mirrors what the Graph500 reference
-    /// kernel 1 does while building its data structure.
-    pub fn deduplicated(&self) -> EdgeList {
-        let mut canon: Vec<Edge> = self
-            .edges
-            .iter()
-            .filter(|e| !e.is_self_loop())
-            .map(Edge::canonical)
-            .collect();
-        canon.sort_unstable_by_key(|e| (e.u, e.v));
-        canon.dedup();
-        EdgeList::new(self.num_vertices, canon)
-    }
-
     /// Validates that every endpoint is within range.
     pub fn check_bounds(&self) -> Result<(), String> {
         for (i, e) in self.edges.iter().enumerate() {
@@ -103,22 +83,6 @@ mod tests {
     fn canonical_orders_endpoints() {
         assert_eq!(Edge::new(5, 2).canonical(), Edge::new(2, 5));
         assert_eq!(Edge::new(2, 5).canonical(), Edge::new(2, 5));
-    }
-
-    #[test]
-    fn dedup_removes_loops_and_doubles() {
-        let el = EdgeList::new(
-            10,
-            vec![
-                Edge::new(1, 2),
-                Edge::new(2, 1), // same undirected edge
-                Edge::new(3, 3), // self loop
-                Edge::new(4, 5),
-                Edge::new(4, 5), // exact duplicate
-            ],
-        );
-        let d = el.deduplicated();
-        assert_eq!(d.edges, vec![Edge::new(1, 2), Edge::new(4, 5)]);
     }
 
     #[test]

@@ -32,6 +32,7 @@ pub mod edge;
 pub mod io;
 pub mod partition;
 pub mod rmat;
+mod rows;
 pub mod stats;
 pub mod validate;
 pub mod vid;

@@ -7,16 +7,25 @@
 //! with nothing — the reference implementation does the same so kernels
 //! cannot exploit generation locality.
 //!
-//! Randomness is counter-based ([`nbfs_util::rng::counter_u64`]): edge `i`'s
-//! draws are a pure function of `(seed, i)`, so generation is reproducible,
-//! order-independent and embarrassingly parallel.
+//! Randomness is counter-based ([`nbfs_util::rng::CounterStream`]): edge
+//! `i`'s draws are a pure function of `(seed, i)`, so generation is
+//! reproducible, order-independent and embarrassingly parallel. The index
+//! is hashed once per edge, the quadrant thresholds are computed once per
+//! parameter set, and the scramble is a table of `n` labels built once, so
+//! an edge costs `2 * scale + 1` mixes and two table reads.
+//!
+//! [`generate`] writes the raw edge list; [`generate_compressed`] streams
+//! the same edges through the crate's row builder (the one behind
+//! [`Csr::from_edge_list`](crate::Csr::from_edge_list)) into a
+//! [`CompressedCsr`], one vertex block per pass.
 
 use rayon::prelude::*;
 
-use nbfs_util::rng::{counter_u64, splitmix64};
+use nbfs_util::rng::{splitmix64, CounterStream};
 
 use crate::compressed::{CompressedCsr, RowEncoder};
 use crate::edge::{Edge, EdgeList};
+use crate::rows::build_rows;
 
 /// Graph500 R-MAT parameters.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -65,71 +74,65 @@ impl RmatParams {
 /// Graph500 edge file). Runs in parallel; output is independent of thread
 /// count.
 pub fn generate(params: &RmatParams) -> EdgeList {
-    let n = params.num_vertices();
-    let m = params.num_edges();
-    let edges: Vec<Edge> = (0..m as u64)
-        .into_par_iter()
-        .map(|i| {
-            let (u, v) = rmat_edge(params, i);
-            Edge {
-                u: scramble(u, params.scale, params.seed),
-                v: scramble(v, params.scale, params.seed),
+    let sampler = Sampler::new(params);
+    let mut edges = vec![Edge { u: 0, v: 0 }; params.num_edges()];
+    edges
+        .par_chunks_mut(FILL_CHUNK)
+        .enumerate()
+        .for_each(|(c, chunk)| {
+            let first = (c * FILL_CHUNK) as u64;
+            for (i, e) in (first..).zip(chunk) {
+                *e = sampler.edge(i);
             }
-        })
-        .collect();
-    EdgeList::new(n, edges)
+        });
+    EdgeList::new(params.num_vertices(), edges)
 }
 
 /// Builds the delta-varint [`CompressedCsr`] straight from the counter
 /// stream, one contiguous vertex block per pass, without ever holding the
 /// global edge list (or the uncompressed CSR) in memory.
 ///
-/// Each pass regenerates the whole deterministic edge stream and keeps
-/// only the arcs whose *source* falls in the pass's vertex block — both
-/// directions of every raw edge are considered, self loops dropped and
-/// duplicates collapsed per row, so the result is structurally identical
-/// to `Csr::from_edge_list(&generate(params))` re-encoded. Peak transient
-/// memory is `O(num_arcs / passes)` instead of `O(num_edges)`; the price
-/// is `passes` regenerations of the (embarrassingly parallel, cheap)
-/// counter stream.
+/// Each pass regenerates the whole deterministic edge stream, keeps the
+/// edges with an endpoint in the pass's vertex block (self loops dropped)
+/// and hands them to the same row builder as
+/// [`Csr::from_edge_list`](crate::Csr::from_edge_list), which scatters both
+/// directions into the block's rows and collapses duplicates per row. The
+/// result is byte-identical to `CompressedCsr::from_csr` of the dense build.
+/// Peak transient memory is 8 bytes per kept edge plus 4 per arc of the
+/// block, `O(num_arcs / passes)` instead of `O(num_edges)`; the price is
+/// `passes` regenerations of the (embarrassingly parallel) counter stream.
 pub fn generate_compressed(params: &RmatParams, passes: usize) -> CompressedCsr {
     let n = params.num_vertices();
     let m = params.num_edges() as u64;
     let passes = passes.clamp(1, n);
+    let sampler = Sampler::new(params);
+    let pieces = rayon::current_num_threads() as u64;
     let mut enc = RowEncoder::new(n);
-    let mut row: Vec<u32> = Vec::new();
     for pass in 0..passes {
-        let lo = (n * pass / passes) as u64;
-        let hi = (n * (pass + 1) / passes) as u64;
-        let mut arcs: Vec<(u32, u32)> = (0..m)
+        let block = n * pass / passes..n * (pass + 1) / passes;
+        let touches = |e: &Edge| {
+            e.u != e.v && (block.contains(&(e.u as usize)) || block.contains(&(e.v as usize)))
+        };
+        let kept: Vec<Vec<Edge>> = (0..pieces)
             .into_par_iter()
-            .flat_map_iter(|i| {
-                let (u, v) = rmat_edge(params, i);
-                let u = scramble(u, params.scale, params.seed);
-                let v = scramble(v, params.scale, params.seed);
-                let keep =
-                    |s: u32, t: u32| (s != t && (lo..hi).contains(&u64::from(s))).then_some((s, t));
-                keep(u, v).into_iter().chain(keep(v, u))
+            .map(|p| {
+                (m * p / pieces..m * (p + 1) / pieces)
+                    .map(|i| sampler.edge(i))
+                    .filter(touches)
+                    .collect()
             })
             .collect();
-        arcs.sort_unstable();
-        let mut cursor = 0usize;
-        for v in lo..hi {
-            row.clear();
-            while cursor < arcs.len() && u64::from(arcs[cursor].0) == v {
-                row.push(arcs[cursor].1);
-                cursor += 1;
-            }
-            row.dedup();
-            enc.push_row(&row);
+        let rows = build_rows(n, block.clone(), &kept);
+        drop(kept);
+        for i in 0..block.len() {
+            enc.push_row(rows.row(i));
         }
-        debug_assert_eq!(cursor, arcs.len(), "arcs outside pass block");
     }
     enc.finish()
 }
 
-/// Pass count for [`generate_compressed`] that bounds the per-pass arc
-/// buffer near 16 M entries (~128 MB transient).
+/// Pass count for [`generate_compressed`] that bounds a pass's raw arcs
+/// near 16 M: at most ~192 MB transient (8 bytes per kept edge, 4 per arc).
 pub fn streaming_passes(params: &RmatParams) -> usize {
     const TARGET_ARCS_PER_PASS: usize = 1 << 24;
     // Raw arcs (before dedup) upper-bound the per-pass buffer.
@@ -138,30 +141,87 @@ pub fn streaming_passes(params: &RmatParams) -> usize {
         .max(1)
 }
 
-/// The unscrambled endpoints of edge `i`.
-fn rmat_edge(params: &RmatParams, i: u64) -> (u32, u32) {
-    let mut u: u32 = 0;
-    let mut v: u32 = 0;
-    let ab = params.a + params.b;
-    let c_norm = params.c / (1.0 - ab);
-    let a_norm = params.a / ab;
-    for level in 0..params.scale {
-        // Two independent uniforms per level from the counter stream.
-        let r1 = to_f64(counter_u64(params.seed, i, 2 * level));
-        let r2 = to_f64(counter_u64(params.seed, i, 2 * level + 1));
-        // Standard Graph500 formulation with per-level noise-free choice:
-        // first decide top/bottom half, then left/right within it.
-        let bottom = r1 > ab;
-        let right = r2 > if bottom { c_norm } else { a_norm };
-        u = (u << 1) | u32::from(bottom);
-        v = (v << 1) | u32::from(right);
-    }
-    (u, v)
+/// Entries one parallel fill task writes (edges in [`generate`], labels in
+/// the scramble table).
+const FILL_CHUNK: usize = 1 << 14;
+
+/// What edge `i` of one parameter set needs besides `i`: the quadrant
+/// thresholds and the vertex labels.
+struct Sampler {
+    seed: u64,
+    scale: u32,
+    /// `P(bottom half)`, then `P(right | top)` and `P(right | bottom)`, on
+    /// the 53-bit scale of a draw (see [`threshold`]).
+    ab: u64,
+    a_norm: u64,
+    c_norm: u64,
+    /// `scramble` of every vertex id, computed once: 4 bytes a vertex in
+    /// place of two Feistel evaluations an edge.
+    labels: Vec<u32>,
 }
 
-#[inline]
-fn to_f64(x: u64) -> f64 {
-    (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+impl Sampler {
+    fn new(params: &RmatParams) -> Self {
+        let ab = params.a + params.b;
+        let mut labels = vec![0u32; params.num_vertices()];
+        labels
+            .par_chunks_mut(FILL_CHUNK)
+            .enumerate()
+            .for_each(|(c, chunk)| {
+                let first = crate::vid::to_stored(c * FILL_CHUNK);
+                for (x, label) in (first..).zip(chunk) {
+                    *label = scramble(x, params.scale, params.seed);
+                }
+            });
+        Self {
+            seed: params.seed,
+            scale: params.scale,
+            ab: threshold(ab),
+            a_norm: threshold(params.a / ab),
+            c_norm: threshold(params.c / (1.0 - ab)),
+            labels,
+        }
+    }
+
+    /// Edge `i`, labelled.
+    #[inline]
+    fn edge(&self, i: u64) -> Edge {
+        let (u, v) = self.rmat_edge(i);
+        Edge {
+            u: self.labels[u as usize],
+            v: self.labels[v as usize],
+        }
+    }
+
+    /// The unlabelled endpoints of edge `i`: per level, two draws of `i`'s
+    /// counter stream pick the top/bottom half, then left/right within it
+    /// (the standard Graph500 formulation, without per-level noise).
+    #[inline]
+    fn rmat_edge(&self, i: u64) -> (u32, u32) {
+        let stream = CounterStream::new(self.seed, i);
+        let mut u: u32 = 0;
+        let mut v: u32 = 0;
+        for level in 0..self.scale {
+            let bottom = stream.draw(2 * level) >> 11 > self.ab;
+            let right =
+                stream.draw(2 * level + 1) >> 11 > if bottom { self.c_norm } else { self.a_norm };
+            u = (u << 1) | u32::from(bottom);
+            v = (v << 1) | u32::from(right);
+        }
+        (u, v)
+    }
+}
+
+/// The integer `t` with `k > t` exactly when `k * 2^-53 > p`, for every
+/// 53-bit `k`: a draw's top 53 bits compared with `t` make the same choice
+/// as the uniform `(draw >> 11) * 2^-53` compared with `p`. Scaling by
+/// `2^53` is exact, and for integer `k`, `k > x` is `k > floor(x)`.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "p is a probability, so p * 2^53 lies in [0, 2^53]"
+)]
+fn threshold(p: f64) -> u64 {
+    (p * (1u64 << 53) as f64).floor() as u64
 }
 
 /// Pseudorandom permutation of the vertex id space `[0, 2^scale)`.
@@ -250,13 +310,8 @@ mod tests {
     fn skew_produces_heavy_hitters() {
         // R-MAT with A=0.57 is scale-free-ish: the max degree must be far
         // above the mean degree.
-        let p = RmatParams::graph500(12, 16, 3);
-        let el = generate(&p).deduplicated();
-        let mut deg = vec![0usize; el.num_vertices];
-        for e in &el.edges {
-            deg[e.u as usize] += 1;
-            deg[e.v as usize] += 1;
-        }
+        let g = crate::Csr::from_edge_list(&generate(&RmatParams::graph500(12, 16, 3)));
+        let deg: Vec<usize> = (0..g.num_vertices()).map(|v| g.degree(v)).collect();
         let max = *deg.iter().max().unwrap();
         let mean = deg.iter().sum::<usize>() as f64 / deg.len() as f64;
         assert!(

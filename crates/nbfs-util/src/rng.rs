@@ -90,13 +90,42 @@ impl Xoroshiro128 {
     }
 }
 
+/// The counter-based stream of one logical index under one seed, with the
+/// index hashed once: a caller that takes many draws of one index (the
+/// R-MAT generator takes `2 * scale`) pays one mix per draw, not two.
+#[derive(Clone, Copy, Debug)]
+pub struct CounterStream {
+    seed: u64,
+    key: u64,
+}
+
+impl CounterStream {
+    /// The stream of index `idx` under `seed`.
+    #[inline]
+    pub fn new(seed: u64, idx: u64) -> Self {
+        Self {
+            seed,
+            key: splitmix64(idx),
+        }
+    }
+
+    /// Draw number `draw` of this stream.
+    #[inline]
+    pub fn draw(&self, draw: u32) -> u64 {
+        splitmix64(
+            self.seed
+                ^ self
+                    .key
+                    .wrapping_add(u64::from(draw).wrapping_mul(0xa076_1d64_78bd_642f)),
+        )
+    }
+}
+
 /// A counter-based stream: `n`-th draw for logical index `idx` under `seed`.
 /// Pure function — safe to evaluate from any thread in any order.
 #[inline]
 pub fn counter_u64(seed: u64, idx: u64, draw: u32) -> u64 {
-    splitmix64(
-        seed ^ splitmix64(idx).wrapping_add(u64::from(draw).wrapping_mul(0xa076_1d64_78bd_642f)),
-    )
+    CounterStream::new(seed, idx).draw(draw)
 }
 
 /// Counter-based uniform `f64` in `[0, 1)`.
@@ -150,6 +179,18 @@ mod tests {
         assert_ne!(counter_u64(1, 10, 0), counter_u64(1, 10, 1));
         assert_ne!(counter_u64(1, 10, 0), counter_u64(2, 10, 0));
         assert_ne!(counter_u64(1, 10, 0), counter_u64(1, 11, 0));
+    }
+
+    #[test]
+    fn counter_stream_is_the_counter_formula() {
+        // The values the R-MAT generator and the fault layer were built on.
+        let stream = CounterStream::new(7, 3);
+        assert_eq!(stream.draw(0), counter_u64(7, 3, 0));
+        assert_eq!(stream.draw(5), counter_u64(7, 3, 5));
+        assert_eq!(
+            counter_u64(7, 3, 5),
+            splitmix64(7 ^ splitmix64(3).wrapping_add(5u64.wrapping_mul(0xa076_1d64_78bd_642f)))
+        );
     }
 
     #[test]
