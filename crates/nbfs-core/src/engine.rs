@@ -393,7 +393,7 @@ pub(crate) trait BuRows: Sync {
     fn neighbours_global(&self, v: usize) -> &[u32];
 }
 
-impl BuRows for LocalGraph {
+impl BuRows for LocalGraph<'_> {
     fn first_vertex(&self) -> usize {
         LocalGraph::first_vertex(self)
     }
@@ -538,11 +538,13 @@ pub struct BfsRun {
 ///
 /// Generic over the graph storage ([`GraphView`]): the default `Csr` and
 /// the delta-varint [`nbfs_graph::CompressedCsr`] partition into identical
-/// [`PartitionedGraph`]s, so every kernel below is storage-agnostic after
-/// construction and results are bitwise-identical across storages.
+/// [`PartitionedGraph`]s (a dense rank borrows its rows from the graph, a
+/// packed rank decodes them once), so every kernel below is
+/// storage-agnostic after construction and results are bitwise-identical
+/// across storages.
 pub struct DistributedBfs<'g, G: GraphView = Csr> {
     graph: &'g G,
-    parts: PartitionedGraph,
+    parts: PartitionedGraph<'g>,
     scenario: Scenario,
     pmap: ProcessMap,
     net: NetworkModel,
@@ -670,7 +672,7 @@ impl<'g, G: GraphView> DistributedBfs<'g, G> {
     /// (`tests/bottom_up_oracle.rs` recomputes them from the graph).
     fn bottom_up_kernel(
         &self,
-        lg: &LocalGraph,
+        lg: &LocalGraph<'_>,
         st: &mut RankState,
         in_queue: &Bitmap,
         summary: &SummaryBitmap,

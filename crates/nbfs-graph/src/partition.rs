@@ -6,22 +6,33 @@
 //! word-aligned block of vertex ids and the full adjacency lists of those
 //! vertices; neighbour ids remain global, because frontier bitmaps are
 //! full-length and reassembled by allgather.
+//!
+//! The graph is read-only once built, so a rank keeps no copy of what the
+//! store already holds contiguously: a dense [`Csr`](crate::Csr) rank
+//! borrows its block of the targets array, and only a store that must
+//! decode its rows (the delta-varint
+//! [`CompressedCsr`](crate::CompressedCsr)) decodes each rank's block once
+//! into an owned buffer.
+
+use std::borrow::Cow;
 
 use nbfs_util::BlockPartition;
 
 use crate::view::GraphView;
 use crate::VertexId;
 
-/// The rows of the CSR owned by one rank.
+/// The rows of the CSR owned by one rank: offsets rebased to the rank's
+/// first row, and the rows' targets borrowed from the graph when it stores
+/// them contiguously ([`GraphView::row_targets`]), decoded once otherwise.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct LocalGraph {
+pub struct LocalGraph<'g> {
     rank: usize,
     first_vertex: VertexId,
     offsets: Vec<u64>,
-    targets: Vec<u32>,
+    targets: Cow<'g, [u32]>,
 }
 
-impl LocalGraph {
+impl LocalGraph<'_> {
     /// Owning rank.
     pub fn rank(&self) -> usize {
         self.rank
@@ -70,25 +81,29 @@ impl LocalGraph {
         self.targets.len()
     }
 
-    /// Approximate local memory footprint in bytes.
+    /// Bytes of the rows this rank scans: its offsets (8 B a vertex, plus
+    /// one) and its targets (4 B an arc), whether the targets are borrowed
+    /// from the graph or owned.
     pub fn size_bytes(&self) -> usize {
         self.offsets.len() * 8 + self.targets.len() * 4
     }
 }
 
-/// The whole graph, split into per-rank [`LocalGraph`]s.
+/// The whole graph, split into per-rank [`LocalGraph`]s that borrow from
+/// the graph they were built from.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PartitionedGraph {
+pub struct PartitionedGraph<'g> {
     num_vertices: usize,
     num_edges: usize,
-    locals: Vec<LocalGraph>,
+    locals: Vec<LocalGraph<'g>>,
 }
 
-impl PartitionedGraph {
+impl<'g> PartitionedGraph<'g> {
     /// Splits `graph` into `parts` word-aligned blocks. Generic over the
-    /// storage so the compressed CSR is distributed by streaming each
-    /// row's decode once, without first expanding the whole graph.
-    pub fn new<G: GraphView>(graph: &G, parts: usize) -> Self {
+    /// storage: a rank borrows its rows where the store hands them out as
+    /// one slice, and otherwise (the compressed CSR) streams each row's
+    /// decode once, without first expanding the whole graph.
+    pub fn new<G: GraphView>(graph: &'g G, parts: usize) -> Self {
         let n = graph.num_vertices();
         let part = BlockPartition::new(n, parts);
         let locals = (0..parts)
@@ -96,18 +111,25 @@ impl PartitionedGraph {
                 let (start, end) = part.item_range(rank);
                 let mut offsets = Vec::with_capacity(end - start + 1);
                 offsets.push(0u64);
-                // A rank holds about the mean share of the arcs: reserving it
-                // up front is one allocation where growth by doubling leaves a
-                // chain of freed, ever larger blocks behind in every rank.
-                let mut targets = Vec::with_capacity(graph.num_arcs() / parts);
-                // (Padded vertices past `n` in the word-aligned last block
-                // are recorded as degree-0 rows.)
-                for v in start..end {
-                    if v < n {
-                        graph.for_each_neighbour(v, |u| targets.push(u));
+                let targets = if let Some(rows) = graph.row_targets(start, end) {
+                    let mut arcs = 0u64;
+                    for v in start..end {
+                        arcs += graph.degree(v) as u64;
+                        offsets.push(arcs);
                     }
-                    offsets.push(targets.len() as u64);
-                }
+                    Cow::Borrowed(rows)
+                } else {
+                    // A rank holds about the mean share of the arcs: reserving
+                    // it up front is one allocation where growth by doubling
+                    // leaves a chain of freed, ever larger blocks behind in
+                    // every rank.
+                    let mut targets = Vec::with_capacity(graph.num_arcs() / parts);
+                    for v in start..end {
+                        graph.for_each_neighbour(v, |u| targets.push(u));
+                        offsets.push(targets.len() as u64);
+                    }
+                    Cow::Owned(targets)
+                };
                 LocalGraph {
                     rank,
                     first_vertex: start,
@@ -144,7 +166,7 @@ impl PartitionedGraph {
     }
 
     /// The rows owned by `rank`.
-    pub fn local(&self, rank: usize) -> &LocalGraph {
+    pub fn local(&self, rank: usize) -> &LocalGraph<'g> {
         &self.locals[rank]
     }
 
@@ -218,6 +240,45 @@ mod tests {
                 GraphView::size_bytes(&g)
             );
         }
+    }
+
+    #[test]
+    fn dense_ranks_borrow_their_rows() {
+        // Every rank of a `Csr` partition points into the graph's targets
+        // array: no rank owns a copy of a row.
+        let g = GraphBuilder::rmat(10, 8).seed(9).build();
+        let whole = g.targets().as_ptr_range();
+        for parts in [1usize, 3, 8, 128] {
+            let pg = PartitionedGraph::new(&g, parts);
+            for rank in 0..parts {
+                let lg = pg.local(rank);
+                assert!(
+                    matches!(lg.targets, Cow::Borrowed(_)),
+                    "rank {rank} of {parts} owns its targets"
+                );
+                let rows = lg.targets.as_ptr_range();
+                assert!(
+                    whole.start <= rows.start && rows.end <= whole.end,
+                    "rank {rank} of {parts}: rows outside the graph's targets"
+                );
+                for v in lg.vertex_range() {
+                    let row = lg.neighbours_global(v).as_ptr_range();
+                    assert!(whole.start <= row.start && row.end <= whole.end);
+                    assert_eq!(lg.neighbours_global(v), g.neighbours(v));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn packed_ranks_decode_their_rows() {
+        let g = GraphBuilder::rmat(10, 8).seed(9).build();
+        let packed = crate::CompressedCsr::from_csr(&g);
+        let pg = PartitionedGraph::new(&packed, 3);
+        for rank in 0..3 {
+            assert!(matches!(pg.local(rank).targets, Cow::Owned(_)));
+        }
+        assert_eq!(pg, PartitionedGraph::new(&g, 3));
     }
 
     #[test]

@@ -33,6 +33,15 @@ pub trait GraphView: Sync {
     /// Approximate in-memory footprint in bytes.
     fn size_bytes(&self) -> usize;
 
+    /// The rows of vertices `start..end` concatenated, as one slice of the
+    /// store, when it keeps them contiguous and uncompressed; `None` (the
+    /// default) when a row must be decoded. A 1-D partition borrows this
+    /// slice instead of copying the rows.
+    fn row_targets(&self, start: VertexId, end: VertexId) -> Option<&[u32]> {
+        let _ = (start, end);
+        None
+    }
+
     /// Number of stored directed arcs (twice the undirected edge count).
     fn num_arcs(&self) -> usize {
         2 * self.num_edges()
@@ -121,6 +130,15 @@ impl GraphView for crate::Csr {
 
     fn size_bytes(&self) -> usize {
         Self::size_bytes(self)
+    }
+
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "offsets index an in-memory array, so they fit in usize"
+    )]
+    fn row_targets(&self, start: VertexId, end: VertexId) -> Option<&[u32]> {
+        let offsets = self.offsets();
+        Some(&self.targets()[offsets[start] as usize..offsets[end] as usize])
     }
 
     fn has_edge(&self, u: VertexId, v: VertexId) -> bool {

@@ -122,7 +122,9 @@ proptest! {
         prop_assert_eq!(g.targets(), targets.as_slice());
     }
 
-    /// Partitioning preserves adjacency for any part count.
+    /// Partitioning preserves adjacency for any part count, and the
+    /// borrowed dense partition and the decoded packed one agree rank by
+    /// rank.
     #[test]
     fn partition_preserves_structure(
         edges in prop::collection::vec((0u32..200, 0u32..200), 1..300),
@@ -130,12 +132,20 @@ proptest! {
     ) {
         let el = EdgeList::new(200, edges.iter().map(|&(u, v)| Edge { u, v }).collect());
         let g = Csr::from_edge_list(&el);
+        let packed = CompressedCsr::from_csr(&g);
         let pg = PartitionedGraph::new(&g, parts);
+        let pp = PartitionedGraph::new(&packed, parts);
         for rank in 0..parts {
             let lg = pg.local(rank);
+            let lp = pp.local(rank);
+            prop_assert_eq!(lg.vertex_range(), lp.vertex_range());
             for v in lg.vertex_range() {
                 prop_assert_eq!(lg.neighbours_global(v), g.neighbours(v));
+                prop_assert_eq!(lp.neighbours_global(v), g.neighbours(v));
+                prop_assert_eq!(lg.degree_global(v), lp.degree_global(v));
             }
+            prop_assert_eq!(lg.num_local_arcs(), lp.num_local_arcs());
+            prop_assert_eq!(lg.size_bytes(), lp.size_bytes());
         }
     }
 
