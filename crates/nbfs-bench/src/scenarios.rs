@@ -4,7 +4,7 @@ use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 
 use nbfs_core::engine::{BfsRun, DistributedBfs, Scenario};
-use nbfs_graph::{Csr, GraphBuilder};
+use nbfs_graph::{Csr, GraphBuilder, GraphView};
 use nbfs_topology::{presets, MachineConfig};
 
 /// Workload knobs for a figure run.

@@ -68,7 +68,7 @@ pub enum Command {
         /// Edge-list file to inspect.
         path: PathBuf,
     },
-    /// `run [--scale N | --graph FILE] [--nodes N] [--opt NAME] [--root V] [--summary-g G] [--codec C] [--grid RxC] [--compressed]`
+    /// `run [--scale N | --graph FILE] [--nodes N] [--opt NAME] [--root V] [--codec C] [--grid RxC] [--compressed]`
     Run(SearchArgs),
     /// `trace`: the flags of `run`, plus `[--json PATH]`
     Trace {
@@ -127,9 +127,6 @@ pub struct SearchArgs {
     pub opt: OptLevel,
     /// Root (default: max-degree vertex).
     pub root: Option<usize>,
-    /// Summary-bitmap granularity override (Fig. 16 sweep); default is
-    /// the opt rung's own granularity.
-    pub summary_g: Option<usize>,
     /// Wire codec for the per-level collectives.
     pub codec: Codec,
     /// Run the 2-D engine on this processor grid (`RxC` must tile the
@@ -139,16 +136,12 @@ pub struct SearchArgs {
     /// uncompressed one.
     pub compressed: bool,
 }
-/// Parses a summary-bitmap granularity (`--summary-g G`, `--opt
-/// granularity=G`) under `SummaryBitmap::new`'s contract, so a bad value
-/// is a parse error and never reaches the engine's assertion.
-fn parse_granularity(what: &str, value: &str) -> Result<usize, String> {
-    let g: usize = value.parse().map_err(|e| format!("bad {what}: {e}"))?;
-    if g == 0 || g % 64 != 0 || !g.is_power_of_two() {
-        return Err(format!(
-            "{what} must be a power of two and a multiple of 64, got {g}"
-        ));
-    }
+/// Parses a summary-bitmap granularity (`--opt granularity=G`) under
+/// `SummaryBitmap::new`'s contract, so a bad value is a parse error and
+/// never reaches the engine's assertion.
+fn parse_granularity(value: &str) -> Result<usize, String> {
+    let g: usize = value.parse().map_err(|e| format!("bad granularity: {e}"))?;
+    nbfs_util::summary::check_granularity(g)?;
     Ok(g)
 }
 
@@ -162,7 +155,7 @@ fn parse_opt(name: &str) -> Result<OptLevel, String> {
         "par-allgather" => OptLevel::ParAllgather,
         "best" => OptLevel::Granularity(256),
         other => match other.strip_prefix("granularity=") {
-            Some(g) => OptLevel::Granularity(parse_granularity("granularity", g)?),
+            Some(g) => OptLevel::Granularity(parse_granularity(g)?),
             None => return Err(format!("unknown --opt {other}")),
         },
     })
@@ -224,11 +217,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             .map(|v| v.parse().map_err(|e| format!("bad --root: {e}")))
             .transpose()
     };
-    let summary_g = || -> Result<Option<usize>, String> {
-        flag("--summary-g")?
-            .map(|v| parse_granularity("--summary-g", v))
-            .transpose()
-    };
     let codec = || -> Result<Codec, String> {
         flag("--codec")?
             .map(|v| {
@@ -262,7 +250,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             nodes: count("--nodes", 16, 1)?,
             opt: opt()?,
             root: root()?,
-            summary_g: summary_g()?,
             codec: codec()?,
             grid: grid()?,
             compressed: has("--compressed"),
@@ -333,9 +320,9 @@ pub fn usage() -> &'static str {
 USAGE:
   nbfs generate --scale N [--edge-factor E] [--seed S] --out FILE
   nbfs info FILE
-  nbfs run   [--scale N | --graph FILE] [--nodes N] [--opt OPT] [--root V] [--summary-g G]
+  nbfs run   [--scale N | --graph FILE] [--nodes N] [--opt OPT] [--root V]
              [--codec CODEC] [--grid RxC] [--compressed]
-  nbfs trace [--scale N | --graph FILE] [--nodes N] [--opt OPT] [--root V] [--summary-g G]
+  nbfs trace [--scale N | --graph FILE] [--nodes N] [--opt OPT] [--root V]
              [--codec CODEC] [--grid RxC] [--compressed] [--json PATH]
              (per-level run-event table; --json PATH exports the versioned TraceReport)
   nbfs bench [--scale N] [--nodes N] [--opt OPT] [--roots K] [--grid RxC] [--compressed]
@@ -347,8 +334,8 @@ USAGE:
 
 OPT: ppn1 | ppn8 | share-in-queue | share-all | par-allgather | best | granularity=G
 CODEC: raw | delta-varint
---summary-g G overrides the in_queue_summary granularity of any OPT rung
-             (Fig. 16 sweep; power of two, multiple of 64; tuned best: 256)
+granularity=G sets the in_queue_summary granularity of the top rung
+             (Fig. 16 sweep; power of two, multiple of 64; best: 256)
 --codec C    compresses the per-level collective payloads on the wire
              (every codec reproduces raw's BFS parents bit for bit, only
               the charged bytes change; default: raw)
@@ -758,13 +745,10 @@ fn search_once(
     };
     let actual_scale = g.num_vertices().next_power_of_two().trailing_zeros();
     let machine = presets::xeon_x7550_cluster(args.nodes).scaled_to_graph(actual_scale, 28);
-    let mut builder = Scenario::builder(machine, args.opt)
+    let scenario = Scenario::builder(machine, args.opt)
         .trace(trace)
-        .codec(args.codec);
-    if let Some(g) = args.summary_g {
-        builder = builder.summary_granularity(g);
-    }
-    let scenario = builder.build()?;
+        .codec(args.codec)
+        .build()?;
     let root = resolve_root(&g, args.root)?;
     if let Some(shape) = args.grid {
         check_grid(&scenario, shape)?;
@@ -1206,6 +1190,10 @@ mod tests {
         );
         assert!(parse_opt("nope").is_err());
         assert!(parse_opt("granularity=x").is_err());
+        // Validation mirrors SummaryBitmap::new's contract.
+        assert!(parse_opt("granularity=0").is_err());
+        assert!(parse_opt("granularity=32").is_err(), "sub-word");
+        assert!(parse_opt("granularity=192").is_err(), "non-pow2");
     }
 
     #[test]
@@ -1244,7 +1232,6 @@ mod tests {
                     nodes: 4,
                     opt: OptLevel::OriginalPpn8,
                     root: None,
-                    summary_g: None,
                     codec: Codec::Raw,
                     grid: None,
                     compressed: false,
@@ -1307,26 +1294,6 @@ mod tests {
             Command::Tune { scale, .. } => assert_eq!(scale, 31),
             other => panic!("wrong parse: {other:?}"),
         }
-    }
-
-    #[test]
-    fn parse_summary_g() {
-        match parse(&argv("run --scale 14 --summary-g 256")).unwrap() {
-            Command::Run(SearchArgs { summary_g, .. }) => assert_eq!(summary_g, Some(256)),
-            other => panic!("wrong parse: {other:?}"),
-        }
-        match parse(&argv("trace --scale 14 --summary-g 1024")).unwrap() {
-            Command::Trace {
-                search: SearchArgs { summary_g, .. },
-                ..
-            } => assert_eq!(summary_g, Some(1024)),
-            other => panic!("wrong parse: {other:?}"),
-        }
-        // Validation mirrors SummaryBitmap::new's contract.
-        assert!(parse(&argv("run --summary-g 0")).is_err());
-        assert!(parse(&argv("run --summary-g 32")).is_err(), "sub-word");
-        assert!(parse(&argv("run --summary-g 192")).is_err(), "non-pow2");
-        assert!(parse(&argv("trace --summary-g x")).is_err());
     }
 
     #[test]
@@ -1469,8 +1436,8 @@ mod tests {
     }
 
     #[test]
-    fn run_with_summary_g_end_to_end() {
-        let cmd = parse(&argv("run --scale 10 --nodes 2 --opt ppn8 --summary-g 256")).unwrap();
+    fn run_with_opt_granularity_end_to_end() {
+        let cmd = parse(&argv("run --scale 10 --nodes 2 --opt granularity=1024")).unwrap();
         let mut buf = Vec::new();
         execute(cmd, &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();

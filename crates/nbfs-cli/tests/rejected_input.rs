@@ -35,6 +35,9 @@ fn retired_codecs_and_flags_fail_at_parse_time() {
     assert!(stderr.contains("unknown flag --json"), "{stderr}");
     let stderr = rejected("serve-bench", 2);
     assert!(stderr.contains("unknown subcommand"), "{stderr}");
+    // The granularity override; `--opt granularity=G` sets g.
+    let stderr = rejected("run --scale 8 --summary-g 100", 2);
+    assert!(stderr.contains("unknown flag --summary-g"), "{stderr}");
 }
 
 #[test]
@@ -48,7 +51,6 @@ fn out_of_range_numbers_fail_at_parse_time() {
         "generate --scale 4 --edge-factor 0 --out F",
         "run --scale 8 --opt granularity=100",
         "run --scale 8 --opt granularity=0",
-        "run --scale 8 --summary-g 100",
         // A value-taking flag that is last, or followed by another flag.
         "run --scale",
         "run --scale --nodes 2",

@@ -76,11 +76,6 @@ pub struct Scenario {
     /// call `search`: injected crashes and exhausted retry budgets surface
     /// as structured [`NbfsError`]s.
     pub faults: Option<FaultPlan>,
-    /// Overrides the summary-bitmap granularity of the opt rung (the
-    /// Fig. 16 sweep knob, `--summary-g` in the CLI). `None` keeps the
-    /// rung's own granularity — 64 up to `Par allgather`, the tuned value
-    /// for `Granularity(g)`.
-    pub summary_granularity: Option<usize>,
     /// Wire codec for the per-level collectives (the compression layer
     /// of Lv et al.). [`Codec::Raw`] by default — bit-for-bit
     /// today's uncompressed exchanges; every other codec must produce
@@ -92,18 +87,19 @@ impl Scenario {
     /// A scenario with default switch policy and model parameters.
     ///
     /// # Panics
-    /// If `machine` fails [`MachineConfig::validate`] — simulated times
-    /// over an inconsistent machine description would be meaningless, so
-    /// construction refuses up front. Use [`Scenario::builder`] for the
-    /// fallible, fluent form.
+    /// If `machine` fails [`MachineConfig::validate`] or `opt`'s summary
+    /// granularity breaks the [`nbfs_util::summary::check_granularity`]
+    /// contract — simulated times over an inconsistent description would
+    /// be meaningless, so construction refuses up front. Use
+    /// [`Scenario::builder`] for the fallible, fluent form.
     #[expect(
         clippy::expect_used,
-        reason = "documented constructor contract: every MachineConfig preset validates by construction"
+        reason = "documented constructor contract; `Scenario::builder` is the fallible form"
     )]
     pub fn new(machine: MachineConfig, opt: OptLevel) -> Self {
         Self::builder(machine, opt)
             .build()
-            .expect("invalid machine")
+            .expect("invalid scenario")
     }
 
     /// Starts a fluent builder: every knob is set pre-construction, and
@@ -127,11 +123,10 @@ impl Scenario {
         ScenarioBuilder::new(machine, opt)
     }
 
-    /// The summary granularity in force: the explicit override when set,
-    /// the opt rung's own value otherwise.
+    /// The summary granularity in force: the opt rung's own value (64 up
+    /// to `Par allgather`, `g` for `Granularity(g)`).
     pub fn effective_granularity(&self) -> usize {
-        self.summary_granularity
-            .unwrap_or_else(|| self.opt.granularity())
+        self.opt.granularity()
     }
 
     /// The process map this scenario spawns.
@@ -192,7 +187,6 @@ pub struct ScenarioBuilder {
     params: ModelParams,
     trace: TraceConfig,
     faults: Option<FaultPlan>,
-    summary_granularity: Option<usize>,
     codec: Codec,
 }
 
@@ -208,7 +202,6 @@ impl ScenarioBuilder {
             params: ModelParams::default(),
             trace: TraceConfig::Off,
             faults: None,
-            summary_granularity: None,
             codec: Codec::Raw,
         }
     }
@@ -243,13 +236,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Overrides the summary-bitmap granularity independently of the opt
-    /// rung (the Fig. 16 sweep; `--summary-g` in the CLI).
-    pub fn summary_granularity(mut self, g: usize) -> Self {
-        self.summary_granularity = Some(g);
-        self
-    }
-
     /// Selects the wire codec for the per-level collectives
     /// ([`Codec::Raw`] by default, preserving today's exchanges
     /// bit-for-bit).
@@ -258,18 +244,16 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Validates the machine (and any summary-granularity override) and
+    /// Validates the machine and the opt rung's summary granularity, and
     /// assembles the scenario.
     ///
     /// # Errors
     /// [`NbfsError::Config`] if the machine description is inconsistent
-    /// (see [`MachineConfig::validate`]) or the granularity override
-    /// breaks the [`nbfs_util::summary::check_granularity`] contract.
+    /// (see [`MachineConfig::validate`]) or the rung's granularity breaks
+    /// the [`nbfs_util::summary::check_granularity`] contract.
     pub fn build(self) -> Result<Scenario, NbfsError> {
         self.machine.validate().map_err(NbfsError::config)?;
-        if let Some(g) = self.summary_granularity {
-            nbfs_util::summary::check_granularity(g).map_err(NbfsError::config)?;
-        }
+        nbfs_util::summary::check_granularity(self.opt.granularity()).map_err(NbfsError::config)?;
         Ok(Scenario {
             machine: self.machine,
             opt: self.opt,
@@ -278,7 +262,6 @@ impl ScenarioBuilder {
             params: self.params,
             trace: self.trace,
             faults: self.faults,
-            summary_granularity: self.summary_granularity,
             codec: self.codec,
         })
     }
@@ -1118,6 +1101,24 @@ mod tests {
             assert_eq!(visited, g.component_of(5).len(), "{opt:?}");
             assert!(run.profile.total() > SimTime::ZERO, "{opt:?}");
         }
+    }
+
+    /// The builder checks the rung's granularity, so a bad one is a
+    /// configuration error instead of a panic in `DistributedBfs::new`.
+    #[test]
+    fn bad_rung_granularity_is_a_builder_error() {
+        for g in [0, 100, 192] {
+            let built = Scenario::builder(small_machine(), OptLevel::Granularity(g)).build();
+            assert!(
+                matches!(built, Err(NbfsError::Config(_))),
+                "g={g}: {built:?}"
+            );
+        }
+        assert!(
+            Scenario::builder(small_machine(), OptLevel::Granularity(4096))
+                .build()
+                .is_ok()
+        );
     }
 
     #[test]

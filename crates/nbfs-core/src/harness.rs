@@ -28,7 +28,7 @@ use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use nbfs_graph::validate::validate_bfs_tree;
-use nbfs_graph::Csr;
+use nbfs_graph::{Csr, GraphView};
 use nbfs_trace::RunProfile;
 use nbfs_util::rng::Xoroshiro128;
 use nbfs_util::stats::RateSummary;

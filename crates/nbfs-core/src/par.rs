@@ -261,7 +261,7 @@ mod tests {
     use crate::multi::LaneAnswer;
     use crate::seq;
     use nbfs_graph::validate::validate_bfs_tree;
-    use nbfs_graph::GraphBuilder;
+    use nbfs_graph::{GraphBuilder, GraphView};
 
     fn graph() -> Csr {
         GraphBuilder::rmat(13, 16).seed(17).build()

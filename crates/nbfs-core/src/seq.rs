@@ -18,7 +18,7 @@
 //! rows and stops at the first hit.
 
 use nbfs_graph::{vid, Csr, NO_PARENT};
-use nbfs_util::{Bitmap, CachedWordProbe, WORD_BITS};
+use nbfs_util::{Bitmap, WORD_BITS};
 
 use crate::direction::{Direction, SwitchPolicy};
 
@@ -131,17 +131,31 @@ pub fn bfs_hybrid(graph: &Csr, root: usize, policy: SwitchPolicy) -> SeqBfs {
                 next.sort_unstable();
             }
             Direction::BottomUp => {
-                // Word-level unvisited scan with a cached in_queue probe
-                // word, mirroring the distributed engine's kernel.
-                let mut probe = CachedWordProbe::new(&in_queue);
-                for (wi, unvisited) in visited.iter_zero_words() {
-                    let mut pending = unvisited;
+                // Word-level unvisited scan serving in_queue probes from a
+                // cached word, the reads of the parallel kernel.
+                let in_words = in_queue.words();
+                let vis_words = visited.words();
+                let tail = n % WORD_BITS;
+                let mut cached_wi = usize::MAX;
+                let mut cached_word = 0u64;
+                for (wi, &vis_word) in vis_words.iter().enumerate() {
+                    let mask = if tail != 0 && wi + 1 == vis_words.len() {
+                        (1u64 << tail) - 1
+                    } else {
+                        u64::MAX
+                    };
+                    let mut pending = !vis_word & mask;
                     while pending != 0 {
                         let v = wi * WORD_BITS + pending.trailing_zeros() as usize;
                         pending &= pending - 1;
                         for &u in graph.neighbours(v) {
                             edges += 1;
-                            if probe.get(u as usize) {
+                            let uw = u as usize / WORD_BITS;
+                            if uw != cached_wi {
+                                cached_wi = uw;
+                                cached_word = in_words[uw];
+                            }
+                            if (cached_word >> (u as usize % WORD_BITS)) & 1 == 1 {
                                 parent[v] = u;
                                 next.push(vid::to_stored(v));
                                 break;
@@ -176,7 +190,7 @@ pub fn bfs_hybrid(graph: &Csr, root: usize, policy: SwitchPolicy) -> SeqBfs {
 mod tests {
     use super::*;
     use nbfs_graph::validate::validate_bfs_tree;
-    use nbfs_graph::GraphBuilder;
+    use nbfs_graph::{GraphBuilder, GraphView};
 
     fn graph() -> Csr {
         GraphBuilder::rmat(12, 16).seed(7).build()

@@ -11,7 +11,7 @@
 //! which adopts the vertex. The counts are recomputed here from the `Csr`,
 //! the `BlockPartition`, the scenario's summary granularity and BFS depths
 //! — arithmetic the engine does not share. Covered: scales 14–18, the
-//! whole optimization ladder plus a coarse granularity override, and
+//! whole optimization ladder plus a coarse `Granularity(4096)` rung, and
 //! 1/3/7-thread rayon pools.
 
 // Test code opts back into unwrap/narrowing ergonomics; the workspace
@@ -164,19 +164,15 @@ fn bottom_up_matches_definition_across_scales() {
 fn bottom_up_matches_definition_across_opt_ladder() {
     // Every rung changes the summary granularity, residences or process
     // map — the counters must track all of them. A 4096-vertex summary
-    // region (the granularity override) is set far more often than its
-    // vertex is in the frontier, so most summary hits fall through to
-    // `in_queue`.
+    // region is set far more often than its vertex is in the frontier, so
+    // most summary hits fall through to `in_queue`.
     let g = rmat(14);
     let machine = presets::xeon_x7550_cluster(2).scaled_to_graph(14, 28);
     for opt in OptLevel::LADDER {
         let scenario = Scenario::new(machine.clone(), opt);
         assert_matches_oracle(&g, &scenario, best_root(&g), &opt.label());
     }
-    let coarse = Scenario::builder(machine, OptLevel::OriginalPpn8)
-        .summary_granularity(4096)
-        .build()
-        .unwrap();
+    let coarse = Scenario::new(machine, OptLevel::Granularity(4096));
     assert_matches_oracle(&g, &coarse, best_root(&g), "granularity 4096");
 }
 

@@ -18,7 +18,7 @@ use nbfs_comm::codec::Codec;
 use nbfs_core::engine::{BfsRun, DistributedBfs, Scenario};
 use nbfs_core::engine2d::TwoDimBfs;
 use nbfs_core::opt::OptLevel;
-use nbfs_graph::{CompressedCsr, Csr, EdgeList, GraphBuilder};
+use nbfs_graph::{CompressedCsr, Csr, EdgeList, GraphBuilder, GraphView};
 use nbfs_topology::MachineConfig;
 use rayon::prelude::*;
 

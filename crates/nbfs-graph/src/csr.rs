@@ -106,44 +106,6 @@ impl Csr {
             .binary_search(&crate::vid::to_stored(v))
             .is_ok()
     }
-
-    /// Vertices of the connected component containing `root`, found by a
-    /// simple sequential BFS (used by tests and the validator — not one of
-    /// the measured kernels).
-    pub fn component_of(&self, root: VertexId) -> Vec<VertexId> {
-        let mut seen = vec![false; self.num_vertices()];
-        let mut queue = std::collections::VecDeque::from([root]);
-        seen[root] = true;
-        let mut out = vec![root];
-        while let Some(u) = queue.pop_front() {
-            for &w in self.neighbours(u) {
-                let w = w as usize;
-                if !seen[w] {
-                    seen[w] = true;
-                    out.push(w);
-                    queue.push_back(w);
-                }
-            }
-        }
-        out
-    }
-
-    /// Number of undirected edges with both endpoints inside the component
-    /// of `root` — the Graph500 "traversed edges" numerator for TEPS.
-    pub fn component_edges(&self, root: VertexId) -> usize {
-        let comp = self.component_of(root);
-        let mut in_comp = vec![false; self.num_vertices()];
-        for &v in &comp {
-            in_comp[v] = true;
-        }
-        let arcs: usize = comp.iter().map(|&v| self.degree(v)).sum();
-        debug_assert!(
-            comp.iter()
-                .all(|&v| self.neighbours(v).iter().all(|&w| in_comp[w as usize])),
-            "component must be closed"
-        );
-        arcs / 2
-    }
 }
 
 #[cfg(test)]
@@ -151,6 +113,7 @@ impl Csr {
 mod tests {
     use super::*;
     use crate::edge::{Edge, EdgeList};
+    use crate::GraphView;
 
     fn path_graph() -> Csr {
         // 0 - 1 - 2 - 3, plus isolated 4

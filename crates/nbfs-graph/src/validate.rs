@@ -176,6 +176,7 @@ mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
     use crate::edge::{Edge, EdgeList};
+    use crate::GraphView;
 
     fn tiny() -> Csr {
         // 0-1, 0-2, 1-3, 2-3 (diamond), 4 isolated

@@ -38,38 +38,6 @@ impl Flow {
     }
 }
 
-/// Volume summary of one round of flows, independent of the cost model —
-/// the raw material the run-event layer (`nbfs-trace`) records per
-/// collective step. Counting is separate from pricing so observability can
-/// never perturb a simulated time.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FlowRoundSummary {
-    /// Concurrent point-to-point flows carrying at least one byte.
-    pub flows: u64,
-    /// Total payload bytes on the wire this round.
-    pub bytes: u64,
-}
-
-impl FlowRoundSummary {
-    /// Tallies a round without pricing it.
-    pub fn of(flows: &[Flow]) -> Self {
-        let mut s = Self::default();
-        for f in flows {
-            if f.bytes > 0 {
-                s.flows += 1;
-                s.bytes += f.bytes;
-            }
-        }
-        s
-    }
-
-    /// Folds another round into a running total.
-    pub fn merge(&mut self, other: Self) {
-        self.flows += other.flows;
-        self.bytes += other.bytes;
-    }
-}
-
 /// The flows of one round that share `(src_node, dst_node)`, summarised.
 ///
 /// Every flow of a group gets the same bandwidth (the stream cap and the

@@ -25,5 +25,5 @@ pub mod osu;
 
 pub use cache::{CacheModel, Residence};
 pub use compute::{ComputeContext, ComputeEvents};
-pub use flows::{Flow, FlowGroup, FlowRoundSummary, FlowSolver, RoundScratch};
+pub use flows::{Flow, FlowGroup, FlowSolver, RoundScratch};
 pub use network::NetworkModel;

@@ -12,7 +12,7 @@ use crate::WORD_BITS;
 ///
 /// The length is given in *bits*; storage is rounded up to whole words and
 /// the trailing padding bits are guaranteed to stay zero, which keeps
-/// word-level operations (`count_ones`, `or_assign`, word import/export for
+/// word-level operations (`count_ones`, word import/export for
 /// communication) exact.
 #[derive(Clone, PartialEq, Eq)]
 pub struct Bitmap {
@@ -127,14 +127,6 @@ impl Bitmap {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Bitwise OR of `other` into `self`. Lengths must match.
-    pub fn or_assign(&mut self, other: &Bitmap) {
-        assert_eq!(self.len_bits, other.len_bits, "bitmap length mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= b;
-        }
-    }
-
     /// Copies the word range `[word_start, word_start + src.len())` from a
     /// word slice into this bitmap. Used to install allgather results.
     /// Padding bits beyond [`Self::len`] are masked off even if `src` has
@@ -154,90 +146,6 @@ impl Bitmap {
         }
         if word_start + src.len() == self.words.len() {
             self.repair_padding();
-        }
-    }
-
-    /// Word `w` of the backing storage.
-    #[inline]
-    pub fn get_word(&self, w: usize) -> u64 {
-        self.words[w]
-    }
-
-    /// Mask of addressable bits in word `w`: all-ones everywhere except the
-    /// final partial word, where only the low `len % 64` bits are live.
-    #[inline]
-    fn word_mask(&self, w: usize) -> u64 {
-        let tail = self.len_bits % WORD_BITS;
-        if tail != 0 && w + 1 == self.words.len() {
-            (1u64 << tail) - 1
-        } else {
-            u64::MAX
-        }
-    }
-
-    /// Sets every addressable bit to one; padding stays zero.
-    pub fn set_all(&mut self) {
-        self.words.fill(u64::MAX);
-        self.repair_padding();
-    }
-
-    /// Iterator over `(word_index, word)` pairs with at least one set bit.
-    /// Zero words — 64 vertices with nothing to do — cost one load each.
-    pub fn iter_set_words(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
-        self.words
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &w)| (w != 0).then_some((i, w)))
-    }
-
-    /// Iterator over `(word_index, complement)` pairs for words with at least
-    /// one *zero* addressable bit. The yielded word has a 1 at every zero
-    /// position, masked to addressable bits, so `trailing_zeros` walks the
-    /// unvisited vertices directly.
-    pub fn iter_zero_words(&self) -> ZeroWords<'_> {
-        ZeroWords {
-            bitmap: self,
-            word_idx: 0,
-        }
-    }
-
-    /// Index of the first set bit at or after `from`, if any.
-    pub fn next_set_from(&self, from: usize) -> Option<usize> {
-        if from >= self.len_bits {
-            return None;
-        }
-        let mut wi = from / WORD_BITS;
-        let mut word = self.words[wi] & (u64::MAX << (from % WORD_BITS));
-        loop {
-            if word != 0 {
-                return Some(wi * WORD_BITS + word.trailing_zeros() as usize);
-            }
-            wi += 1;
-            if wi >= self.words.len() {
-                return None;
-            }
-            word = self.words[wi];
-        }
-    }
-
-    /// Index of the first *zero* bit at or after `from`, if any. This is the
-    /// scan primitive for visited-style bitmaps: the caller never touches the
-    /// 64-vertex blocks that are already fully explored.
-    pub fn next_unvisited_from(&self, from: usize) -> Option<usize> {
-        if from >= self.len_bits {
-            return None;
-        }
-        let mut wi = from / WORD_BITS;
-        let mut word = !self.words[wi] & self.word_mask(wi) & (u64::MAX << (from % WORD_BITS));
-        loop {
-            if word != 0 {
-                return Some(wi * WORD_BITS + word.trailing_zeros() as usize);
-            }
-            wi += 1;
-            if wi >= self.words.len() {
-                return None;
-            }
-            word = !self.words[wi] & self.word_mask(wi);
         }
     }
 
@@ -307,68 +215,6 @@ impl Iterator for IterOnes<'_> {
     }
 }
 
-/// Iterator over complemented words; see [`Bitmap::iter_zero_words`].
-pub struct ZeroWords<'a> {
-    bitmap: &'a Bitmap,
-    word_idx: usize,
-}
-
-impl Iterator for ZeroWords<'_> {
-    type Item = (usize, u64);
-
-    #[inline]
-    fn next(&mut self) -> Option<(usize, u64)> {
-        while self.word_idx < self.bitmap.words.len() {
-            let wi = self.word_idx;
-            self.word_idx += 1;
-            let inv = !self.bitmap.words[wi] & self.bitmap.word_mask(wi);
-            if inv != 0 {
-                return Some((wi, inv));
-            }
-        }
-        None
-    }
-}
-
-/// A read probe that remembers the last-touched word.
-///
-/// Sorted adjacency lists make consecutive probes land in the same 64-bit
-/// word most of the time; keeping that word in a local (register-resident)
-/// cache turns the common case into a shift instead of a memory load. This
-/// is the probe-word caching of the bottom-up inner loop.
-pub struct CachedWordProbe<'a> {
-    words: &'a [u64],
-    word_idx: usize,
-    word: u64,
-}
-
-impl<'a> CachedWordProbe<'a> {
-    /// Probe over a bitmap's words.
-    pub fn new(bitmap: &'a Bitmap) -> Self {
-        Self::over_words(bitmap.words())
-    }
-
-    /// Probe over a raw word slice (e.g. a rank-local segment).
-    fn over_words(words: &'a [u64]) -> Self {
-        Self {
-            words,
-            word_idx: usize::MAX,
-            word: 0,
-        }
-    }
-
-    /// Tests bit `idx`, reloading the cached word only on a word switch.
-    #[inline]
-    pub fn get(&mut self, idx: usize) -> bool {
-        let wi = idx / WORD_BITS;
-        if wi != self.word_idx {
-            self.word_idx = wi;
-            self.word = self.words[wi];
-        }
-        (self.word >> (idx % WORD_BITS)) & 1 == 1
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::cast_possible_truncation)]
 mod tests {
@@ -419,25 +265,6 @@ mod tests {
     }
 
     #[test]
-    fn or_assign_unions() {
-        let a_idx = [1usize, 10, 64];
-        let b_idx = [10usize, 65, 127];
-        let mut a = Bitmap::from_indices(128, &a_idx);
-        let b = Bitmap::from_indices(128, &b_idx);
-        a.or_assign(&b);
-        let got: Vec<usize> = a.iter_ones().collect();
-        assert_eq!(got, vec![1, 10, 64, 65, 127]);
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn or_assign_length_mismatch_panics() {
-        let mut a = Bitmap::new(64);
-        let b = Bitmap::new(65);
-        a.or_assign(&b);
-    }
-
-    #[test]
     fn copy_words_from_installs_remote_segment() {
         let mut dst = Bitmap::new(256);
         let src = [u64::MAX, 0b1010];
@@ -455,85 +282,6 @@ mod tests {
         bm.repair_padding();
         assert_eq!(bm.words()[1], 0b11_1111);
         assert_eq!(bm.count_ones(), 6);
-    }
-
-    #[test]
-    fn get_word_and_word_mask() {
-        let bm = Bitmap::from_indices(70, &[0, 64, 69]);
-        assert_eq!(bm.get_word(0), 1);
-        assert_eq!(bm.get_word(1), 0b10_0001);
-        assert_eq!(bm.word_mask(0), u64::MAX);
-        assert_eq!(bm.word_mask(1), 0b11_1111);
-        let aligned = Bitmap::new(128);
-        assert_eq!(aligned.word_mask(1), u64::MAX);
-    }
-
-    #[test]
-    fn set_all_respects_padding() {
-        let mut bm = Bitmap::new(70);
-        bm.set_all();
-        assert_eq!(bm.count_ones(), 70);
-        assert_eq!(bm.words()[1], 0b11_1111);
-        let mut empty = Bitmap::new(0);
-        empty.set_all();
-        assert_eq!(empty.count_ones(), 0);
-    }
-
-    #[test]
-    fn iter_set_words_skips_zero_words() {
-        let bm = Bitmap::from_indices(256, &[65, 70, 200]);
-        let got: Vec<(usize, u64)> = bm.iter_set_words().collect();
-        assert_eq!(got, vec![(1, (1 << 1) | (1 << 6)), (3, 1 << 8)]);
-    }
-
-    #[test]
-    fn iter_zero_words_complements_and_masks() {
-        let mut bm = Bitmap::new(130);
-        bm.set_all();
-        bm.clear(3);
-        bm.clear(129);
-        let got: Vec<(usize, u64)> = bm.iter_zero_words().collect();
-        assert_eq!(got, vec![(0, 1 << 3), (2, 1 << 1)]);
-        // Fully-set bitmap yields nothing even with a partial tail word.
-        let mut full = Bitmap::new(70);
-        full.set_all();
-        assert_eq!(full.iter_zero_words().count(), 0);
-    }
-
-    #[test]
-    fn next_set_from_scans_forward() {
-        let bm = Bitmap::from_indices(200, &[5, 64, 130]);
-        assert_eq!(bm.next_set_from(0), Some(5));
-        assert_eq!(bm.next_set_from(5), Some(5));
-        assert_eq!(bm.next_set_from(6), Some(64));
-        assert_eq!(bm.next_set_from(65), Some(130));
-        assert_eq!(bm.next_set_from(131), None);
-        assert_eq!(bm.next_set_from(5000), None);
-    }
-
-    #[test]
-    fn next_unvisited_from_skips_full_words() {
-        let mut bm = Bitmap::new(200);
-        bm.set_all();
-        bm.clear(66);
-        bm.clear(199);
-        assert_eq!(bm.next_unvisited_from(0), Some(66));
-        assert_eq!(bm.next_unvisited_from(66), Some(66));
-        assert_eq!(bm.next_unvisited_from(67), Some(199));
-        assert_eq!(bm.next_unvisited_from(200), None);
-        // Padding bits must never be reported as unvisited.
-        let mut part = Bitmap::new(70);
-        part.set_all();
-        assert_eq!(part.next_unvisited_from(0), None);
-    }
-
-    #[test]
-    fn cached_word_probe_matches_get() {
-        let bm = Bitmap::from_indices(300, &[0, 63, 64, 128, 299]);
-        let mut probe = CachedWordProbe::new(&bm);
-        for idx in [0, 1, 63, 64, 65, 128, 127, 299, 0] {
-            assert_eq!(probe.get(idx), bm.get(idx), "idx {idx}");
-        }
     }
 
     #[test]

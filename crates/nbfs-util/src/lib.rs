@@ -4,9 +4,10 @@
 //! simulator; it provides the bit-level building blocks the paper's data
 //! structures are made of:
 //!
-//! * [`Bitmap`] — the `in_queue` / `out_queue` frontier bitmaps of Fig. 1,
+//! * [`Bitmap`] — the `in_queue` / `out_queue` frontier bitmaps of Fig. 1;
+//!   the kernels read them through [`Bitmap::words`] with plain word loads,
 //! * [`SummaryBitmap`] — the `in_queue_summary` structure whose granularity
-//!   Section III.C of the paper tunes,
+//!   Section III.C of the paper tunes (the `Granularity(g)` opt rung),
 //! * [`ArenaPool`] — checked-out/checked-in reusable workspaces so a
 //!   long-lived query engine reuses its scratch state across waves (a wave
 //!   still allocates its answers and their level vectors),
@@ -39,12 +40,12 @@ pub mod summary;
 pub mod units;
 pub mod varint;
 
-pub use bitmap::{Bitmap, CachedWordProbe};
+pub use bitmap::Bitmap;
 pub use error::{NbfsError, Result};
 pub use ownership::BlockPartition;
 pub use pool::{ArenaPool, PoolGuard};
 pub use simtime::SimTime;
-pub use summary::{SummaryBitmap, SummaryProbe};
+pub use summary::SummaryBitmap;
 
 /// Number of bits in one storage word of every bitmap in this workspace.
 pub const WORD_BITS: usize = 64;

@@ -10,8 +10,13 @@
 //! (one summary bit per `unsigned long` of `in_queue`); larger granularities
 //! shrink the summary (better cache locality) but lower its zero fraction
 //! (fewer skippable probes). Fig. 16 finds 256 optimal at scale 32.
+//!
+//! The granularity in force is the opt rung's (`OptLevel::Granularity(g)`,
+//! `--opt granularity=G` on the command line). The bottom-up kernels test
+//! a region with a shift and a word load on [`SummaryBitmap::as_bitmap`]'s
+//! words; [`SummaryBitmap::maybe_set`] is the same test bit by bit.
 
-use crate::bitmap::{Bitmap, CachedWordProbe};
+use crate::bitmap::Bitmap;
 use crate::WORD_BITS;
 
 thread_local! {
@@ -77,7 +82,7 @@ impl SummaryBitmap {
 
     /// Granularity the paper's Fig. 16 sweep finds optimal (g = 256, +10.2%
     /// over the reference 64 at scale 32) — the tuned default of the
-    /// `Granularity(g)` opt rung and the CLI's `--summary-g` flag.
+    /// `Granularity(g)` opt rung (`--opt best` in the CLI).
     pub const TUNED_GRANULARITY: usize = 256;
 
     /// Creates an all-zero summary covering `covered_bits` underlying bits at
@@ -120,18 +125,6 @@ impl SummaryBitmap {
         self.granularity.trailing_zeros()
     }
 
-    /// A probe view that caches the last-touched summary word.
-    ///
-    /// One summary word covers `64 * granularity` underlying bits (4096 at
-    /// the reference granularity), so with sorted adjacency lists nearly all
-    /// consecutive probes are served from the cached word.
-    pub fn probe(&self) -> SummaryProbe<'_> {
-        SummaryProbe {
-            probe: CachedWordProbe::new(&self.bits),
-            shift: self.granularity_shift(),
-        }
-    }
-
     /// Number of bits in the summary itself.
     #[inline]
     pub fn len(&self) -> usize {
@@ -158,12 +151,6 @@ impl SummaryBitmap {
     #[inline]
     pub fn maybe_set(&self, idx: usize) -> bool {
         self.bits.get(idx / self.granularity)
-    }
-
-    /// Marks the region covering underlying bit `idx` as non-empty.
-    #[inline]
-    pub fn mark(&mut self, idx: usize) {
-        self.bits.set(idx / self.granularity);
     }
 
     /// Resets the summary to all-zero.
@@ -216,39 +203,16 @@ impl SummaryBitmap {
     }
 }
 
-/// Word-caching summary probe; see [`SummaryBitmap::probe`].
-pub struct SummaryProbe<'a> {
-    probe: CachedWordProbe<'a>,
-    shift: u32,
-}
-
-impl SummaryProbe<'_> {
-    /// Same contract as [`SummaryBitmap::maybe_set`], served from the cached
-    /// summary word when consecutive probes stay within one word's coverage.
-    #[inline]
-    pub fn maybe_set(&mut self, idx: usize) -> bool {
-        self.probe.get(idx >> self.shift)
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::cast_possible_truncation)]
 mod tests {
     use super::*;
 
     #[test]
-    fn probe_matches_maybe_set() {
-        let mut bm = Bitmap::new(1 << 13);
-        for i in (0..bm.len()).step_by(611) {
-            bm.set(i);
-        }
-        for g in [64usize, 256] {
-            let s = SummaryBitmap::build(&bm, g);
-            assert_eq!(s.granularity_shift(), g.trailing_zeros());
-            let mut probe = s.probe();
-            for idx in (0..bm.len()).step_by(37) {
-                assert_eq!(probe.maybe_set(idx), s.maybe_set(idx), "g={g} idx={idx}");
-            }
+    fn shift_is_log2_of_granularity() {
+        for g in [64usize, 256, 4096] {
+            let s = SummaryBitmap::new(1 << 13, g);
+            assert_eq!(1 << s.granularity_shift(), g);
         }
     }
 
@@ -311,15 +275,14 @@ mod tests {
     }
 
     #[test]
-    fn mark_and_clear() {
-        let mut s = SummaryBitmap::new(512, 64);
-        assert!(!s.maybe_set(70));
-        s.mark(70);
+    fn clear_all_empties_the_summary() {
+        let mut s = SummaryBitmap::build(&Bitmap::from_indices(512, &[70]), 64);
         assert!(s.maybe_set(64));
         assert!(s.maybe_set(127));
         assert!(!s.maybe_set(128));
         s.clear_all();
         assert!(!s.maybe_set(70));
+        assert_eq!(s.zero_fraction(), 1.0);
     }
 
     #[test]

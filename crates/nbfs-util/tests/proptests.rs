@@ -9,7 +9,7 @@ use proptest::prelude::*;
 
 use nbfs_util::rng::{counter_u64, Xoroshiro128};
 use nbfs_util::stats::{harmonic_mean, mean, percentile};
-use nbfs_util::{Bitmap, BlockPartition, CachedWordProbe, SummaryBitmap, WORD_BITS};
+use nbfs_util::{Bitmap, BlockPartition, SummaryBitmap};
 
 /// Counts set bits by walking words directly, padding included — the
 /// ground truth the padding-safety properties compare against.
@@ -40,21 +40,6 @@ proptest! {
         for idx in (0..len).step_by(97) {
             prop_assert_eq!(bm.get(idx), model.contains(&idx));
         }
-    }
-
-    /// OR-ing bitmaps equals set union.
-    #[test]
-    fn or_is_union(
-        a in prop::collection::btree_set(0usize..1000, 0..100),
-        b in prop::collection::btree_set(0usize..1000, 0..100),
-    ) {
-        let av: Vec<usize> = a.iter().copied().collect();
-        let bv: Vec<usize> = b.iter().copied().collect();
-        let mut x = Bitmap::from_indices(1000, &av);
-        let y = Bitmap::from_indices(1000, &bv);
-        x.or_assign(&y);
-        let union: Vec<usize> = a.union(&b).copied().collect();
-        prop_assert_eq!(x.iter_ones().collect::<Vec<_>>(), union);
     }
 
     /// Summary zero-fraction is monotone non-increasing in granularity for
@@ -146,22 +131,6 @@ proptest! {
 // word must stay zero, or `count_ones`/allgather word transfers would
 // silently corrupt.
 proptest! {
-    /// `or_assign` on a ragged-length bitmap never leaks past `len_bits`.
-    #[test]
-    fn or_assign_respects_ragged_tail(
-        len in 65usize..1000,
-        a in prop::collection::vec(any::<usize>(), 0..80),
-        b in prop::collection::vec(any::<usize>(), 0..80),
-    ) {
-        let a: Vec<usize> = a.iter().map(|&i| i % len).collect();
-        let b: Vec<usize> = b.iter().map(|&i| i % len).collect();
-        let mut x = Bitmap::from_indices(len, &a);
-        let y = Bitmap::from_indices(len, &b);
-        x.or_assign(&y);
-        prop_assert_eq!(ones_in_words(&x), x.count_ones(), "padding bit set");
-        prop_assert!(x.iter_ones().all(|i| i < len));
-    }
-
     /// `copy_words_from` masks whatever the source words carry in the
     /// positions beyond `len_bits`.
     #[test]
@@ -197,75 +166,6 @@ proptest! {
         // OR never clears: the seed bits all survive.
         for &i in &seed {
             prop_assert!(bm.get(i), "or cleared bit {i}");
-        }
-    }
-
-    /// `set_all` fills exactly `len_bits` ones, none in the padding.
-    #[test]
-    fn set_all_fills_exactly_len(len in 1usize..1000) {
-        let mut bm = Bitmap::new(len);
-        bm.set_all();
-        prop_assert_eq!(bm.count_ones(), len);
-        prop_assert_eq!(ones_in_words(&bm), len, "padding bit set");
-    }
-
-    /// `iter_set_words` and `iter_zero_words` partition the index space:
-    /// set words reproduce `iter_ones`, zero words reproduce its
-    /// complement, and neither ever reports an index >= `len_bits`.
-    #[test]
-    fn word_iterators_partition_the_bits(
-        len in 65usize..1500,
-        idx in prop::collection::vec(any::<usize>(), 0..120),
-    ) {
-        let idx: Vec<usize> = idx.iter().map(|&i| i % len).collect();
-        let bm = Bitmap::from_indices(len, &idx);
-        let from_set: Vec<usize> = bm
-            .iter_set_words()
-            .flat_map(|(wi, w)| {
-                (0..WORD_BITS).filter(move |b| (w >> b) & 1 == 1).map(move |b| wi * WORD_BITS + b)
-            })
-            .collect();
-        prop_assert_eq!(from_set, bm.iter_ones().collect::<Vec<_>>());
-        let from_zero: Vec<usize> = bm
-            .iter_zero_words()
-            .flat_map(|(wi, w)| {
-                (0..WORD_BITS).filter(move |b| (w >> b) & 1 == 1).map(move |b| wi * WORD_BITS + b)
-            })
-            .collect();
-        let complement: Vec<usize> = (0..len).filter(|&i| !bm.get(i)).collect();
-        prop_assert_eq!(from_zero, complement, "zero-word iterator must address only real unset bits");
-    }
-
-    /// `next_set_from`/`next_unvisited_from` agree with a linear scan from
-    /// any starting point, including starts inside or past the tail word.
-    #[test]
-    fn next_scans_match_linear_search(
-        len in 65usize..1000,
-        idx in prop::collection::vec(any::<usize>(), 0..60),
-        from in 0usize..1100,
-    ) {
-        let idx: Vec<usize> = idx.iter().map(|&i| i % len).collect();
-        let bm = Bitmap::from_indices(len, &idx);
-        let lin_set = (from..len).find(|&i| bm.get(i));
-        prop_assert_eq!(bm.next_set_from(from), lin_set);
-        let lin_unset = (from..len).find(|&i| !bm.get(i));
-        prop_assert_eq!(bm.next_unvisited_from(from), lin_unset);
-    }
-
-    /// A cached word probe answers exactly like `Bitmap::get` under any
-    /// probe sequence (cache hits and misses alike).
-    #[test]
-    fn cached_probe_matches_get(
-        len in 65usize..1000,
-        idx in prop::collection::vec(any::<usize>(), 0..60),
-        queries in prop::collection::vec(any::<usize>(), 1..120),
-    ) {
-        let idx: Vec<usize> = idx.iter().map(|&i| i % len).collect();
-        let bm = Bitmap::from_indices(len, &idx);
-        let mut probe = CachedWordProbe::new(&bm);
-        for &q in &queries {
-            let q = q % len;
-            prop_assert_eq!(probe.get(q), bm.get(q), "probe diverged at {}", q);
         }
     }
 }

@@ -49,6 +49,7 @@ pub mod prelude {
     pub use nbfs_graph::builder::GraphBuilder;
     pub use nbfs_graph::csr::Csr;
     pub use nbfs_graph::validate::validate_bfs_tree;
+    pub use nbfs_graph::view::GraphView;
     pub use nbfs_topology::machine::MachineConfig;
     pub use nbfs_topology::placement::{PlacementPolicy, ProcessMap};
     pub use nbfs_trace::{Phase, RunProfile};

@@ -128,10 +128,11 @@ fn retired_bench_system_is_gone_from_the_docs_and_quoted_metrics_exist() {
     // walks, the harness config builder, the trace's event rings with
     // their event type and ring-size setting, the traced twins of the
     // shared-memory kernels with their per-query record, and those
-    // kernels' frontier arena, lane table and atomic bitmap. Only the
-    // project's history and plan files skipped below and the EXPERIMENTS
-    // "Retired variants" section may still name them. Every other doc
-    // quotes only figure ids the `figures` bin knows.
+    // kernels' frontier arena, lane table and atomic bitmap, and the
+    // summary-granularity override flag with the cached bitmap probes.
+    // Only the project's history and plan files skipped below and the
+    // EXPERIMENTS "Retired variants" section may still name them. Every
+    // other doc quotes only figure ids the `figures` bin knows.
     let mut files = Vec::new();
     markdown_files(std::path::Path::new(env!("CARGO_MANIFEST_DIR")), &mut files);
     assert!(files.contains(&"README.md".to_string()), "{files:?}");
@@ -184,6 +185,9 @@ fn retired_bench_system_is_gone_from_the_docs_and_quoted_metrics_exist() {
                 concat!("Frontier", "Slot"),
                 concat!("Lane", "Bitmap"),
                 concat!("Atomic", "Bitmap"),
+                concat!("--summary", "-g"),
+                concat!("CachedWord", "Probe"),
+                concat!("Summary", "Probe"),
             ] {
                 assert!(!section.contains(retired), "{name} still has {retired}");
             }

@@ -7,7 +7,7 @@
 use numa_bfs::core::engine::{DistributedBfs, Scenario};
 use numa_bfs::core::opt::OptLevel;
 use numa_bfs::graph::validate::validate_bfs_tree;
-use numa_bfs::graph::{Csr, Edge, EdgeList, GraphBuilder, NO_PARENT};
+use numa_bfs::graph::{Csr, Edge, EdgeList, GraphBuilder, GraphView, NO_PARENT};
 use numa_bfs::topology::MachineConfig;
 
 fn machine() -> MachineConfig {

@@ -8,7 +8,7 @@ use numa_bfs::core::engine::{DistributedBfs, Scenario};
 use numa_bfs::core::opt::OptLevel;
 use numa_bfs::core::seq;
 use numa_bfs::graph::validate::validate_bfs_tree;
-use numa_bfs::graph::{GraphBuilder, NO_PARENT};
+use numa_bfs::graph::{GraphBuilder, GraphView, NO_PARENT};
 use numa_bfs::topology::{presets, MachineConfig};
 use numa_bfs::util::SimTime;
 

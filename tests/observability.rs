@@ -258,7 +258,6 @@ fn scenario_builder_defaults_equal_scenario_new() {
         params,
         trace,
         faults,
-        summary_granularity,
         codec,
     } = built;
     assert_eq!(built_machine, machine);
@@ -268,7 +267,6 @@ fn scenario_builder_defaults_equal_scenario_new() {
     assert_eq!(params, ModelParams::default());
     assert_eq!(trace, TraceConfig::Off);
     assert_eq!(faults, None);
-    assert_eq!(summary_granularity, None);
     assert_eq!(codec, Codec::Raw);
 }
 

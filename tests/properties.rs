@@ -13,7 +13,7 @@ use numa_bfs::core::opt::OptLevel;
 use numa_bfs::core::query::QueryEngine;
 use numa_bfs::core::seq::bfs_top_down;
 use numa_bfs::graph::validate::validate_bfs_tree;
-use numa_bfs::graph::{Csr, Edge, EdgeList, GraphBuilder};
+use numa_bfs::graph::{Csr, Edge, EdgeList, GraphBuilder, GraphView};
 use numa_bfs::simnet::NetworkModel;
 use numa_bfs::topology::{MachineConfig, PlacementPolicy, ProcessMap};
 use numa_bfs::util::rng::Xoroshiro128;
